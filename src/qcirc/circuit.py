@@ -3,8 +3,10 @@ register wiring, validation, stages, and truncation."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -131,6 +133,12 @@ def controlled_unitary_gate(
 
 @dataclass(frozen=True, eq=False)
 class QuantumCircuit:
+    """Registers plus a gate sequence. Its structure (register chains, each
+    gate's sources, a topological order, and each gate's prerequisites as a
+    bitmask over gate positions and its longest-path depth) is derived once,
+    on first use, and cached on the instance; the structural functions read
+    it. That is sound only because the instance is immutable."""
+
     register_names: tuple[str, ...]
     gates: tuple[Gate, ...]
 
@@ -151,56 +159,74 @@ class QuantumCircuit:
         self.gate(gid)
         return self._index[gid]
 
-    @property
+    @cached_property
     def _by_id(self) -> dict[str, Gate]:
-        cache = self.__dict__.get("_by_id_cache")
-        if cache is None:
-            cache = {g.id: g for g in self.gates}
-            self.__dict__["_by_id_cache"] = cache
-        return cache
+        return {g.id: g for g in self.gates}
 
-    @property
+    @cached_property
     def _index(self) -> dict[str, int]:
-        cache = self.__dict__.get("_index_cache")
-        if cache is None:
-            cache = {g.id: i for i, g in enumerate(self.gates)}
-            self.__dict__["_index_cache"] = cache
-        return cache
+        return {g.id: i for i, g in enumerate(self.gates)}
+
+    @cached_property
+    def _wiring(self) -> tuple[dict, dict, dict]:
+        """(register -> chain of gate ids, gate -> quantum sources, gate ->
+        direct sources, quantum and classical)."""
+        chains: dict[int, list[str]] = {}
+        quantum: dict[str, dict[int, Optional[str]]] = {}
+        direct: dict[str, set[str]] = {}
+        for g in self.gates:
+            quantum[g.id] = {r: chains[r][-1] if r in chains else None for r in g.registers}
+            direct[g.id] = {s for s in quantum[g.id].values() if s is not None}
+            direct[g.id].update(s for s in g.classical_sources if s in self._by_id)
+            for r in quantum[g.id]:
+                chains.setdefault(r, []).append(g.id)
+        return chains, quantum, direct
+
+    @cached_property
+    def _order(self) -> Optional[list[str]]:
+        """Topological order, stable in the gate sequence; None if cyclic."""
+        return _toposort([g.id for g in self.gates], self.edges(), key=self._index.get)
+
+    @cached_property
+    def _layers(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Per gate: its prerequisites as a bitmask over gate positions, and
+        its longest-path depth. Raises CircuitError if the relation is cyclic."""
+        prereq, depth = {}, {}
+        for gid in topo_order(self):
+            srcs = self._wiring[2][gid]
+            prereq[gid] = self._mask(srcs)
+            for s in srcs:
+                prereq[gid] |= prereq[s]
+            depth[gid] = max((depth[s] + 1 for s in srcs), default=0)
+        return prereq, depth
+
+    def _mask(self, ids: Iterable[str]) -> int:
+        """Bitmask over gate positions of the known gate ids among `ids`."""
+        return sum(1 << self._index[i] for i in set(ids) if i in self._index)
+
+    def _ids(self, mask: int) -> set[str]:
+        """Gate ids at the set bits of a position bitmask."""
+        return {self.gates[i].id for i, b in enumerate(reversed(bin(mask))) if b == "1"}
 
     def register_chain(self, r: int) -> list[str]:
         """Gate ids touching register r, in sequence order."""
-        return [g.id for g in self.gates if r in g.registers]
+        return list(self._wiring[0].get(r, ()))
 
     def quantum_sources(self, gid: str) -> dict[int, Optional[str]]:
         """Per register of the gate: the previous producer on that register
         (a gate id, or None for the circuit input)."""
-        g = self.gate(gid)
-        out: dict[int, Optional[str]] = {}
-        for r in g.registers:
-            chain = self.register_chain(r)
-            pos = chain.index(gid)
-            out[r] = chain[pos - 1] if pos > 0 else None
-        return out
+        return dict(self._wiring[1][self.gate(gid).id])
 
     def direct_sources(self, gid: str) -> set[str]:
         """Gates G' with G' < G in the source relation (quantum or classical)."""
-        g = self.gate(gid)
-        srcs = {s for s in self.quantum_sources(gid).values() if s is not None}
-        srcs.update(s for s in g.classical_sources if self.has_gate(s))
-        return srcs
+        return set(self._wiring[2][self.gate(gid).id])
 
     def edges(self) -> set[tuple[str, str]]:
-        out = set()
-        for g in self.gates:
-            for s in self.direct_sources(g.id):
-                out.add((s, g.id))
-        return out
+        return {(s, gid) for gid, srcs in self._wiring[2].items() for s in srcs}
 
 
 def _toposort(nodes: list[str], edges: set[tuple[str, str]], key) -> Optional[list[str]]:
     """Kahn's algorithm with a priority tie-break; None if cyclic."""
-    import heapq
-
     succ: dict[str, list[str]] = {v: [] for v in nodes}
     indeg = {v: 0 for v in nodes}
     for a, b in edges:
@@ -222,25 +248,14 @@ def _toposort(nodes: list[str], edges: set[tuple[str, str]], key) -> Optional[li
 def topo_order(c: QuantumCircuit) -> list[str]:
     """Gate ids in a topological order of the source relation, stable with
     respect to the circuit's gate sequence."""
-    nodes = [g.id for g in c.gates]
-    order = _toposort(nodes, c.edges(), key=lambda v: c.index_of(v))
-    if order is None:
+    if c._order is None:
         raise CircuitError("source relation is cyclic")
-    return order
+    return list(c._order)
 
 
 def prerequisites(c: QuantumCircuit, gid: str) -> set[str]:
     """Transitive closure of the source relation below the gate."""
-    c.gate(gid)
-    seen: set[str] = set()
-    stack = list(c.direct_sources(gid))
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(c.direct_sources(v) - seen)
-    return seen
+    return c._ids(c._layers[0][c.gate(gid).id])
 
 
 def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
@@ -273,7 +288,7 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
             if not m.operators:
                 err("empty-measurement", g.id, f"measurement {m.id!r} has no outcome")
                 continue
-            bad_dims = False
+            bad_ops = False
             for label, a in m.operators.items():
                 if label == "" or "," in label:
                     err("bad-label", g.id, f"outcome label {label!r} is reserved")
@@ -290,8 +305,11 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
                         g.id,
                         f"operator for outcome {label!r} has shape {a.shape}, expected {dim}x{dim}",
                     )
-                    bad_dims = True
-            if not bad_dims and m.completeness_defect() > TOL:
+                    bad_ops = True
+                elif not np.all(np.isfinite(a)):
+                    err("non-finite-entry", g.id, f"operator for outcome {label!r} is not finite")
+                    bad_ops = True
+            if not bad_ops and m.completeness_defect() > TOL:
                 err(
                     "measurement-incomplete",
                     g.id,
@@ -304,6 +322,8 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
                     g.id,
                     f"unitary {u.id!r} has shape {u.matrix.shape}, expected {dim}x{dim}",
                 )
+            elif not np.all(np.isfinite(u.matrix)):
+                err("non-finite-entry", g.id, f"unitary {u.id!r} is not finite")
             elif not linalg.is_unitary(u.matrix, TOL):
                 err("non-unitary-op", g.id, f"operator {u.id!r} is not unitary")
 
@@ -351,10 +371,8 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
             if target not in valid_targets:
                 err("selector-unknown-target", g.id, f"selector {key} -> unknown id {target!r}")
 
-    if not diags:
-        nodes = [g.id for g in c.gates]
-        if _toposort(nodes, c.edges(), key=lambda v: c.index_of(v)) is None:
-            err("cycle", "<circuit>", "combined source relation is cyclic")
+    if not diags and c._order is None:
+        err("cycle", "<circuit>", "combined source relation is cyclic")
     return diags
 
 
@@ -369,19 +387,17 @@ def check_valid(c: QuantumCircuit) -> QuantumCircuit:
 
 
 def is_stage(c: QuantumCircuit, s: Iterable[str]) -> bool:
-    s = set(s)
-    for gid in s:
-        c.gate(gid)
-    return all(prerequisites(c, gid) <= s for gid in s)
+    s = {c.gate(gid).id for gid in s}
+    fired, prereq = c._mask(s), c._layers[0]
+    return all(not prereq[gid] & ~fired for gid in s)
 
 
 def ready_gates(c: QuantumCircuit, s: Iterable[str]) -> set[str]:
+    """Gates outside s whose prerequisites all lie in s; unknown ids in s
+    are ignored."""
     s = set(s)
-    return {
-        g.id
-        for g in c.gates
-        if g.id not in s and prerequisites(c, g.id) <= s
-    }
+    fired, prereq = c._mask(s), c._layers[0]
+    return {g.id for g in c.gates if g.id not in s and not prereq[g.id] & ~fired}
 
 
 def stage_exits(c: QuantumCircuit, s: Iterable[str]) -> set[tuple[int, Optional[str]]]:
@@ -390,15 +406,10 @@ def stage_exits(c: QuantumCircuit, s: Iterable[str]) -> set[tuple[int, Optional[
     s = set(s)
     if not is_stage(c, s):
         raise CircuitError("gate set is not a stage")
-    exits: set[tuple[int, Optional[str]]] = set()
-    for r in range(c.n_registers):
-        producer: Optional[str] = None
-        for gid in c.register_chain(r):
-            if gid in s:
-                producer = gid
-        exits.add((r, producer))
-    assert len(exits) == c.n_registers
-    return exits
+    return {
+        (r, next((gid for gid in reversed(c.register_chain(r)) if gid in s), None))
+        for r in range(c.n_registers)
+    }
 
 
 def truncate(c: QuantumCircuit, s: Iterable[str]) -> QuantumCircuit:

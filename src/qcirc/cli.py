@@ -11,11 +11,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import deferral, semantics, serialize
-from .circuit import CircuitError, validate_circuit
-from .linalg import DensityOperator
-from .scheduling import ScheduleError, enumerate_linear_schedules, greedy_schedule
+from . import deferral, scheduling, semantics, serialize
+from .circuit import CircuitError
+from .linalg import DensityOperator, LinalgError
+from .scheduling import ScheduleError
 from .semantics import SemanticsError
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(obj) -> None:
@@ -61,7 +68,7 @@ def cmd_aggregate(args) -> int:
             "operator": serialize.matrix_to_json(agg.operators[f]),
         }
         if rho is not None:
-            entry["probability_on"] = semantics.track_probability(c, f, rho)
+            entry["probability_on"] = semantics.probability_on(agg.operators[f], rho)
         tracks.append(entry)
     _emit({"tracks": tracks})
     return 0
@@ -69,7 +76,7 @@ def cmd_aggregate(args) -> int:
 
 def _schedule_for(c, spec: str):
     if spec == "greedy":
-        return greedy_schedule(c)
+        return scheduling.greedy_schedule(c)
     return serialize.schedule_from_json(json.loads(Path(spec).read_text()))
 
 
@@ -77,9 +84,7 @@ def cmd_run(args) -> int:
     c = _load_circuit(args.circuit)
     rho = _load_state(args.input)
     x = _schedule_for(c, args.schedule)
-    from .scheduling import validate_schedule
-
-    if not validate_schedule(c, x):
+    if not scheduling.validate_schedule(c, x):
         return _error("invalid-schedule", "schedule does not fit the circuit")
     if args.shots is None:
         result = semantics.run(c, x, rho, args.seed)
@@ -119,9 +124,9 @@ def cmd_run(args) -> int:
 def cmd_schedules(args) -> int:
     c = _load_circuit(args.circuit)
     if args.enumerate:
-        scheds = enumerate_linear_schedules(c, limit=args.limit)
+        scheds = scheduling.enumerate_linear_schedules(c, limit=args.limit)
     else:
-        scheds = [greedy_schedule(c)]
+        scheds = [scheduling.greedy_schedule(c)]
     _emit({"schedules": [serialize.schedule_to_json(x, c) for x in scheds]})
     return 0
 
@@ -176,12 +181,10 @@ def cmd_check_faithful(args) -> int:
 
 
 def cmd_transpose_path(args) -> int:
-    from .scheduling import transposition_path
-
     p = serialize.poset_from_json(json.loads(Path(args.poset).read_text()))
     frm = json.loads(Path(args.frm).read_text())
     to = json.loads(Path(args.to).read_text())
-    path = transposition_path(p, frm, to)
+    path = scheduling.transposition_path(p, frm, to)
     _emit({"steps": len(path) - 1, "orders": [list(o) for o in path]})
     return 0
 
@@ -203,14 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--shots", type=int)
+    p.add_argument("--shots", type=positive_int)
     p.add_argument("--schedule", default="greedy", help="greedy or a schedule file")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("schedules", help="emit schedules of a circuit")
     p.add_argument("circuit")
     p.add_argument("--enumerate", action="store_true", help="all linear schedules")
-    p.add_argument("--limit", type=int, default=1000)
+    p.add_argument("--limit", type=positive_int, default=1000)
     p.set_defaults(fn=cmd_schedules)
 
     p = sub.add_parser("defer", help="run the measurement-deferral pass")
@@ -243,7 +246,7 @@ def main(argv=None) -> int:
     except serialize.ParseError as e:
         _diag_lines(e.diagnostics)
         return 1
-    except (CircuitError, ScheduleError, SemanticsError, deferral.DeferralError) as e:
+    except (CircuitError, ScheduleError, SemanticsError, LinalgError, deferral.DeferralError) as e:
         return _error("semantic-error", str(e))
     except (OSError, json.JSONDecodeError, ValueError) as e:
         return _error("io-error", str(e))

@@ -28,7 +28,7 @@ from .circuit import (
     UnitaryOp,
     check_valid,
     measure_gate,
-    prerequisites,
+    _toposort,
     topo_order,
     unitary_gate,
     validate_circuit,
@@ -92,12 +92,8 @@ def classify_measurement(m: Measurement, tol: float = TOL) -> MeasurementClass:
 def red_gates(c: QuantumCircuit) -> set[str]:
     """Unitary gates with a measurement gate among their prerequisites.
     Empty iff the circuit satisfies the deferral requirement."""
-    measure_ids = {g.id for g in c.gates if g.is_measure}
-    return {
-        g.id
-        for g in c.gates
-        if not g.is_measure and (prerequisites(c, g.id) & measure_ids)
-    }
+    measured, prereq = c._mask(g.id for g in c.gates if g.is_measure), c._layers[0]
+    return {g.id for g in c.gates if not g.is_measure and prereq[g.id] & measured}
 
 
 def constraint_violations(c: QuantumCircuit) -> list[str]:
@@ -599,7 +595,7 @@ def defer_past_gate(c: QuantumCircuit, gid: str) -> DeferStep:
     reds = red_gates(c)
     if gid not in reds:
         raise DeferralError(f"gate {gid!r} has no measurement prerequisites")
-    if prerequisites(c, gid) & reds:
+    if c._layers[0][gid] & c._mask(reds):
         raise DeferralError(f"gate {gid!r} has red prerequisites")
     for h in c.gates:
         if h.is_measure:
@@ -697,8 +693,6 @@ def defer_past_gate(c: QuantumCircuit, gid: str) -> DeferStep:
         if v in anc_of or v in q_moved:
             return (gpos, 2, chan_srcs.index(v) if v in chan_srcs else 99)
         return (c.index_of(v), -1)
-
-    from .circuit import _toposort
 
     order = _toposort(list(new_gates), edges, key=priority)
     if order is None:

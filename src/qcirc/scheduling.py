@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .circuit import CircuitError, QuantumCircuit, is_stage, prerequisites, ready_gates
+from .circuit import QuantumCircuit, prerequisites, ready_gates
 
 Bout = frozenset  # frozenset[str]
 
@@ -37,37 +37,29 @@ def is_antichain(c: QuantumCircuit, gates: Iterable[str]) -> bool:
 
 
 def validate_schedule(c: QuantumCircuit, x: Schedule) -> bool:
-    """True iff every prefix-union is a stage, each bout is a nonempty
-    antichain of gates ready at the preceding stage, and the union is total."""
+    """True iff the bouts are nonempty and disjoint, cover every gate, and fire
+    each gate's direct sources in strictly earlier bouts; then every prefix-union
+    is a stage and each bout an antichain of gates ready at the stage before."""
     fired: set[str] = set()
     for bout in x.bouts:
         if not bout:
             return False
         for gid in bout:
             c.gate(gid)
-        if bout & fired:
-            return False
-        ready = ready_gates(c, fired)
-        if not bout <= ready:
+        if bout & fired or not all(c._wiring[2][gid] <= fired for gid in bout):
             return False
         fired |= bout
-        if not is_stage(c, fired):
-            return False
     return fired == {g.id for g in c.gates}
 
 
 def greedy_schedule(c: QuantumCircuit) -> Schedule:
-    """Canonical schedule: each bout fires every ready gate."""
-    fired: set[str] = set()
-    bouts: list[Bout] = []
-    total = {g.id for g in c.gates}
-    while fired != total:
-        ready = ready_gates(c, fired)
-        if not ready:
-            raise CircuitError("no ready gates; source relation is cyclic")
-        bouts.append(frozenset(ready))
-        fired |= ready
-    return Schedule(tuple(bouts))
+    """Canonical schedule: each bout fires every ready gate, so bout t holds
+    exactly the gates whose longest source path has t edges."""
+    depth = c._layers[1]
+    bouts: list[set[str]] = [set() for _ in range(max(depth.values(), default=-1) + 1)]
+    for gid, d in depth.items():
+        bouts[d].add(gid)
+    return Schedule(tuple(frozenset(b) for b in bouts))
 
 
 def linear_schedule(order: Sequence[str]) -> Schedule:
@@ -126,27 +118,23 @@ class Poset:
         cls, elements: Iterable[str], pairs: Iterable[tuple[str, str]]
     ) -> "Poset":
         elements = tuple(elements)
-        elem_set = set(elements)
-        if len(elem_set) != len(elements):
+        if len(set(elements)) != len(elements):
             raise ScheduleError("duplicate poset elements")
-        rel = set()
+        n, pos = len(elements), {e: i for i, e in enumerate(elements)}
+        rows = [0] * n  # rows[i]: bitmask of the elements above elements[i]
         for a, b in pairs:
-            if a not in elem_set or b not in elem_set:
+            if a not in pos or b not in pos:
                 raise ScheduleError(f"pair ({a!r}, {b!r}) uses unknown elements")
-            rel.add((a, b))
+            rows[pos[a]] |= 1 << pos[b]
         # Warshall closure
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for b2, cc in list(rel):
-                    if b == b2 and (a, cc) not in rel:
-                        rel.add((a, cc))
-                        changed = True
-        for a in elements:
-            if (a, a) in rel:
-                raise ScheduleError("relation is not a strict partial order (cycle)")
-        return cls(elements, frozenset(rel))
+        for k in range(n):
+            for i in range(n):
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
+        if any(row >> i & 1 for i, row in enumerate(rows)):
+            raise ScheduleError("relation is not a strict partial order (cycle)")
+        less = {(a, elements[j]) for a, r in zip(elements, rows) for j in range(n) if r >> j & 1}
+        return cls(elements, frozenset(less))
 
     def lt(self, a: str, b: str) -> bool:
         return (a, b) in self.less

@@ -189,11 +189,14 @@ def schedules_equivalent(
 
 
 def track_probability(c: QuantumCircuit, f: Track, rho: linalg.DensityOperator) -> float:
-    if rho.n_qubits != c.n_registers:
-        raise SemanticsError(
-            f"state has {rho.n_qubits} qubits, circuit has {c.n_registers} registers"
-        )
-    op = cumulative_operator(c, greedy_schedule(c), f)
+    return probability_on(cumulative_operator(c, greedy_schedule(c), f), rho)
+
+
+def probability_on(op: np.ndarray, rho: linalg.DensityOperator) -> float:
+    """tr(A rho A^dag) / tr(rho) for a track's cumulative operator A."""
+    n = op.shape[0].bit_length() - 1
+    if rho.n_qubits != n:
+        raise SemanticsError(f"state has {rho.n_qubits} qubits, circuit has {n} registers")
     p = linalg.trace(op @ rho.matrix @ op.conj().T).real / linalg.trace(rho.matrix).real
     return float(min(max(p, 0.0), 1.0))
 

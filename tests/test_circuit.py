@@ -231,6 +231,13 @@ def test_diag_non_unitary_op():
     assert "non-unitary-op" in codes(c)
 
 
+def test_diag_non_finite_entry():
+    nan = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+    m = QuantumCircuit(("r0",), (measure_gate("g", [0], {"a": nan}),))
+    u = QuantumCircuit(("r0",), (unitary_gate("g", [0], nan),))
+    assert codes(m) == codes(u) == {"non-finite-entry"}
+
+
 def test_diag_unknown_classical_source():
     g = controlled_unitary_gate("g", [0], ["nope"], {"u": X}, {("0",): "u"})
     assert "unknown-classical-source" in codes(QuantumCircuit(("r0",), (g,)))

@@ -114,6 +114,37 @@ def test_cli_usage_error_exits_2():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", TELEPORT, "--input", PSI, "--seed", "7", "--shots", "0"],
+        ["run", TELEPORT, "--input", PSI, "--seed", "7", "--shots", "-1"],
+        ["schedules", TELEPORT, "--enumerate", "--limit", "0"],
+    ],
+    ids=["shots-0", "shots-negative", "limit-0"],
+)
+def test_cli_counts_below_one_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
+def test_cli_non_finite_operator_is_a_diagnostic(tmp_path, capsys):
+    obj = json.loads(Path(TELEPORT).read_text())
+    obj["gates"][1]["ops"]["H"]["entries"][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    assert main(["aggregate", str(path)]) == 1
+    assert "non-finite-entry" in capsys.readouterr().err
+
+
+def test_cli_linalg_error_is_semantic(tmp_path, capsys):
+    not_psd = tmp_path / "not_psd.json"
+    not_psd.write_text(json.dumps(matrix_to_json(np.diag([2.0, -1.0]).astype(complex))))
+    assert main(["aggregate", TELEPORT, "--input", str(not_psd)]) == 1
+    assert json.loads(capsys.readouterr().err)["code"] == "semantic-error"
+
+
 def test_cli_missing_file_exits_1(capsys):
     assert main(["validate", str(FIXTURES / "missing.json")]) == 1
     assert "io-error" in capsys.readouterr().err
