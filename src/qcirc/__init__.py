@@ -33,6 +33,7 @@ from .semantics import (
     aggregate_measurement,
     enumerate_tracks,
     run,
+    sample,
     track_probability,
 )
 from .serialize import parse_circuit, serialize_circuit
@@ -65,6 +66,7 @@ __all__ = [
     "prerequisites",
     "red_gates",
     "run",
+    "sample",
     "serialize_circuit",
     "stage_exits",
     "standard_measure_gate",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,6 +24,22 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def tolerance(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
+def inputs_spec(text: str):
+    """`basis` as None, `random:K` as K (at least 1)."""
+    if text == "basis":
+        return None
+    if not text.startswith("random:"):
+        raise argparse.ArgumentTypeError(f"unknown inputs spec {text!r} (use basis or random:K)")
+    return positive_int(text[len("random:"):])
 
 
 def _emit(obj) -> None:
@@ -104,10 +121,8 @@ def cmd_run(args) -> int:
         )
         return 0
     counts: dict[tuple, int] = {}
-    root = np.random.SeedSequence(args.seed)
-    shot_seeds = root.generate_state(args.shots, dtype=np.uint64)
-    for i in range(args.shots):
-        result = semantics.run(c, x, rho, int(shot_seeds[i]))
+    shot_seeds = np.random.SeedSequence(args.seed).generate_state(args.shots, dtype=np.uint64)
+    for result in semantics.sample(c, x, rho, [int(s) for s in shot_seeds]):
         counts[result.track.outcomes] = counts.get(result.track.outcomes, 0) + 1
     _emit(
         {
@@ -162,19 +177,12 @@ def _default_zeta_path(output: str) -> str:
     return output + ".zeta.json"
 
 
-def _parse_inputs(spec: str, n: int, seed: int):
-    if spec == "basis":
-        return deferral.basis_inputs(n)
-    if spec.startswith("random:"):
-        return deferral.random_pure_inputs(n, int(spec.split(":", 1)[1]), seed)
-    raise ValueError(f"unknown inputs spec {spec!r} (use basis or random:K)")
-
-
 def cmd_check_faithful(args) -> int:
     c = _load_circuit(args.source)
     d = _load_circuit(args.target)
     zeta = deferral.Commensuration.from_json(json.loads(Path(args.zeta).read_text()))
-    inputs = _parse_inputs(args.inputs, c.n_registers, args.seed)
+    n, k = c.n_registers, args.inputs
+    inputs = deferral.basis_inputs(n) if k is None else deferral.random_pure_inputs(n, k, args.seed)
     report = deferral.check_faithful(c, d, zeta, inputs, tol=args.tol)
     _emit(report.to_json())
     return 0 if report.ok else 1
@@ -226,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--zeta", required=True)
-    p.add_argument("--inputs", default="basis", help="basis or random:K")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--inputs", type=inputs_spec, default="basis", help="basis or random:K")
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_check_faithful)
 

@@ -2,7 +2,10 @@
 
 All operators and states are numpy complex128 arrays. Register 0 is the
 most significant bit of the computational-basis index, so the basis state
-|a0 a1 ... a_{n-1}> has index sum(a_k * 2**(n-1-k)).
+|a0 a1 ... a_{n-1}> has index sum(a_k * 2**(n-1-k)). Reshaping a 2^n x m
+array to shape (2,)*n + (m,) therefore gives register r its own axis r (in
+C order), and `apply` contracts an operator with just the axes of the
+registers it acts on.
 """
 
 from __future__ import annotations
@@ -177,9 +180,9 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     return DensityOperator(len(keep), out)
 
 
-def embed(op: np.ndarray, registers: Sequence[int], n: int) -> np.ndarray:
-    """Lift a 2^k x 2^k operator acting on the listed registers (in the listed
-    order) to the full 2^n x 2^n space, identity on the other registers."""
+def apply(op: np.ndarray, registers: Sequence[int], t: np.ndarray, n: int) -> np.ndarray:
+    """embed(op, registers, n) @ t for a 2^n x m array t, contracting op with
+    the registers' tensor axes instead of building the embedded matrix."""
     op = as_matrix(op)
     regs = list(registers)
     k = len(regs)
@@ -189,13 +192,19 @@ def embed(op: np.ndarray, registers: Sequence[int], n: int) -> np.ndarray:
         raise LinalgError(f"register index out of range in {regs}")
     if op.shape != (2**k, 2**k):
         raise LinalgError(f"operator shape {op.shape} does not match arity {k}")
-    if k == n and regs == list(range(n)):
-        return op.copy()
-    others = [r for r in range(n) if r not in regs]
-    perm = regs + others  # position p of the kron layout holds register perm[p]
-    full = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
-    idx = np.empty(2**n, dtype=np.intp)
-    for i in range(2**n):
-        bits = bits_of(i, n)
-        idx[i] = index_of([bits[perm[p]] for p in range(n)])
-    return full[np.ix_(idx, idx)]
+    if t.ndim != 2 or t.shape[0] != 2**n:
+        raise LinalgError(f"expected {2**n} rows, got shape {t.shape}")
+    out = np.tensordot(op.reshape((2,) * (2 * k)), t.reshape((2,) * n + (t.shape[1],)),
+                       axes=(list(range(k, 2 * k)), regs))
+    return np.moveaxis(out, list(range(k)), regs).reshape(t.shape)
+
+
+def conjugate(op: np.ndarray, registers: Sequence[int], sigma: np.ndarray, n: int) -> np.ndarray:
+    """A sigma A^dag for A = embed(op, registers, n)."""
+    return apply(op, registers, apply(op, registers, sigma, n).conj().T, n).conj().T
+
+
+def embed(op: np.ndarray, registers: Sequence[int], n: int) -> np.ndarray:
+    """Lift a 2^k x 2^k operator acting on the listed registers (in the listed
+    order) to the full 2^n x 2^n space, identity on the other registers."""
+    return apply(op, registers, np.eye(2**n, dtype=complex), n)

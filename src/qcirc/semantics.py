@@ -117,18 +117,22 @@ def _selected_operator(c: QuantumCircuit, gid: str, assignment: Mapping[str, str
     return chosen.operators[label]
 
 
+def _apply_bout(
+    c: QuantumCircuit, b: Iterable[str], assignment: Mapping[str, str], t: np.ndarray, kernel
+) -> np.ndarray:
+    """Apply each gate's selected operator, in sequence order, to `t` with
+    `kernel` (`linalg.apply` for A t, `linalg.conjugate` for A t A^dag)."""
+    for gid in sorted(b, key=c.index_of):
+        t = kernel(_selected_operator(c, gid, assignment), c.gate(gid).registers, t, c.n_registers)
+    return t
+
+
 def bout_operator(
     c: QuantumCircuit, b: Iterable[str], assignment: Mapping[str, str]
 ) -> np.ndarray:
-    """Full-space operator of a bout under the given outcome assignment:
-    the embedded tensor product of each gate's selected operator."""
-    n = c.n_registers
-    out = np.eye(2**n, dtype=complex)
-    for gid in sorted(b, key=c.index_of):
-        g = c.gate(gid)
-        op = _selected_operator(c, gid, assignment)
-        out = linalg.embed(op, g.registers, n) @ out
-    return out
+    """Full-space operator of a bout under the given outcome assignment: the
+    product of each gate's selected operator acting on its registers."""
+    return _apply_bout(c, b, assignment, np.eye(2**c.n_registers, dtype=complex), linalg.apply)
 
 
 def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) -> list[Track]:
@@ -165,7 +169,7 @@ def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
     assignment = f.as_dict()
     out = np.eye(2**c.n_registers, dtype=complex)
     for bout in x.bouts:
-        out = bout_operator(c, bout, assignment) @ out
+        out = _apply_bout(c, bout, assignment, out, linalg.apply)
     return out
 
 
@@ -211,8 +215,7 @@ def replay(
     probs: list[float] = []
     for bout in x.bouts:
         tr_before = linalg.trace(sigma).real
-        a = bout_operator(c, bout, assignment)
-        sigma = a @ sigma @ a.conj().T
+        sigma = _apply_bout(c, bout, assignment, sigma, linalg.conjugate)
         probs.append(linalg.trace(sigma).real / tr_before)
     return probs, sigma
 
@@ -231,53 +234,76 @@ def _bout_outcome_choices(
     return gids, choices
 
 
-def run(
-    c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seed: int
-) -> RunResult:
-    """Fire the schedule's bouts in order, sampling measurement outcomes with
-    their conditional probabilities. Deterministic for a fixed seed; bout t
-    draws from the substream seeded by (seed, t)."""
+def _expand(
+    c: QuantumCircuit, bout: tuple, assignment: Mapping[str, str], sigma: np.ndarray, t: int
+) -> tuple:
+    """One node of the outcome tree: the bout's measurement gates, candidate
+    outcome combinations, their weights, cumulative weights, total and
+    post-measurement states."""
+    tr_before = linalg.trace(sigma).real
+    if tr_before <= 1e-300:
+        raise SemanticsError(f"zero-trace state before bout {t}")
+    gids, choices = _bout_outcome_choices(c, bout, assignment)
+    combos = list(itertools.product(*choices))
+    states = [
+        _apply_bout(c, bout, {**assignment, **dict(zip(gids, combo))}, sigma, linalg.conjugate)
+        for combo in combos
+    ]
+    weights = [max(linalg.trace(s).real / tr_before, 0.0) for s in states]
+    total = sum(weights)
+    if total <= 0.0:
+        raise SemanticsError(f"all outcomes of bout {t} have zero probability")
+    return gids, combos, weights, list(itertools.accumulate(weights)), total, states
+
+
+def sample(
+    c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seeds: Iterable[int]
+) -> list[RunResult]:
+    """One shot per seed: fire the schedule's bouts in order, sampling
+    measurement outcomes with their conditional probabilities. Deterministic
+    per seed; bout t of a shot draws from the substream seeded by (seed, t).
+
+    Shots that picked the same outcome combinations in bouts 0..t-1 hold the
+    same state before bout t, so within one call each visited node of the
+    outcome tree is expanded once and kept for later shots. Memory: at most
+    (distinct visited nodes) x (combinations per bout) states of 2^n x 2^n."""
     if rho.n_qubits != c.n_registers:
         raise SemanticsError(
             f"state has {rho.n_qubits} qubits, circuit has {c.n_registers} registers"
         )
-    sigma = rho.matrix
-    assignment: dict[str, str] = {}
-    log = []
-    for t, bout in enumerate(x.bouts):
-        tr_before = linalg.trace(sigma).real
-        if tr_before <= 1e-300:
-            raise SemanticsError(f"zero-trace state before bout {t}")
-        gids, choices = _bout_outcome_choices(c, bout, assignment)
-        combos = list(itertools.product(*choices)) if gids else [()]
-        weights = []
-        states = []
-        for combo in combos:
-            trial = dict(assignment)
-            trial.update(zip(gids, combo))
-            a = bout_operator(c, bout, trial)
-            s = a @ sigma @ a.conj().T
-            states.append(s)
-            weights.append(max(linalg.trace(s).real / tr_before, 0.0))
-        total = sum(weights)
-        if total <= 0.0:
-            raise SemanticsError(f"all outcomes of bout {t} have zero probability")
-        rng = np.random.default_rng((seed, t))
-        u = rng.random() * total
-        acc = 0.0
-        pick = len(combos) - 1
-        for i, w in enumerate(weights):
-            acc += w
-            if u <= acc:
-                pick = i
-                break
-        assignment.update(zip(gids, combos[pick]))
-        sigma = states[pick]
-        log.append((tuple(sorted(bout, key=c.index_of)), combos[pick], weights[pick]))
-    if linalg.trace(sigma).real <= 1e-300:
-        raise SemanticsError("final state has zero trace")
-    return RunResult(
-        Track.from_mapping(assignment),
-        linalg.DensityOperator(c.n_registers, sigma),
-        tuple(log),
-    )
+    bouts = [tuple(sorted(b, key=c.index_of)) for b in x.bouts]
+    nodes: dict[tuple, tuple] = {}  # combinations picked so far -> _expand(...)
+    finals: dict[tuple, RunResult] = {}
+    results = []
+    for seed in seeds:
+        path: tuple = ()
+        sigma = rho.matrix
+        assignment: dict[str, str] = {}
+        log = []
+        for t, bout in enumerate(bouts):
+            if path not in nodes:
+                nodes[path] = _expand(c, bout, assignment, sigma, t)
+            gids, combos, weights, cumulative, total, states = nodes[path]
+            u = np.random.default_rng((seed, t)).random() * total
+            pick = next((i for i, a in enumerate(cumulative) if u <= a), len(combos) - 1)
+            assignment.update(zip(gids, combos[pick]))
+            sigma = states[pick]
+            path += (combos[pick],)
+            log.append((bout, combos[pick], weights[pick]))
+        if path not in finals:
+            if linalg.trace(sigma).real <= 1e-300:
+                raise SemanticsError("final state has zero trace")
+            finals[path] = RunResult(
+                Track.from_mapping(assignment),
+                linalg.DensityOperator(c.n_registers, sigma),
+                tuple(log),
+            )
+        results.append(finals[path])
+    return results
+
+
+def run(
+    c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seed: int
+) -> RunResult:
+    """One shot of `sample`."""
+    return sample(c, x, rho, [seed])[0]

@@ -193,11 +193,14 @@ def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
         n = int(np.log2(len(vec)).round()) if len(vec) else -1
         if n < 0 or 2**n != len(vec):
             raise ParseError([_diag("bad-state", where, "ket length is not a power of two")])
-        return DensityOperator(n, ket_to_density(vec))
-    mat = matrix_from_json(obj, where)
-    n = int(round(np.log2(mat.shape[0])))
-    if mat.shape[0] != mat.shape[1] or 2**n != mat.shape[0]:
-        raise ParseError([_diag("bad-state", where, "state matrix is not 2^n x 2^n")])
+        mat = ket_to_density(vec)
+    else:
+        mat = matrix_from_json(obj, where)
+        n = int(round(np.log2(mat.shape[0])))
+        if mat.shape[0] != mat.shape[1] or 2**n != mat.shape[0]:
+            raise ParseError([_diag("bad-state", where, "state matrix is not 2^n x 2^n")])
+    if not np.all(np.isfinite(mat)):
+        raise ParseError([_diag("non-finite-entry", where, "state has a NaN or infinite entry")])
     return DensityOperator(n, mat)
 
 

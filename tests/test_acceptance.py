@@ -45,6 +45,7 @@ from qcirc.semantics import (
     enumerate_tracks,
     replay,
     run,
+    sample,
     track_probability,
 )
 from qcirc.serialize import parse_circuit, serialize_circuit
@@ -280,9 +281,8 @@ def test_criterion_8_sampling(teleport, bell_input):
     x = greedy_schedule(teleport)
     shot_seeds = np.random.SeedSequence(7).generate_state(4000, dtype=np.uint64)
     counts = {}
-    for s in shot_seeds:
-        f = run(teleport, x, rho, int(s)).track
-        counts[f] = counts.get(f, 0) + 1
+    for r in sample(teleport, x, rho, [int(s) for s in shot_seeds]):
+        counts[r.track] = counts.get(r.track, 0) + 1
     assert len(counts) == 4
     for n in counts.values():
         assert abs(n / 4000 - 0.25) <= 0.05
@@ -291,7 +291,7 @@ def test_criterion_8_sampling(teleport, bell_input):
     plus = DensityOperator.from_ket(H[:, 0])
     xs = greedy_schedule(c)
     seeds = np.random.SeedSequence(8).generate_state(10000, dtype=np.uint64)
-    zeros = sum(run(c, xs, plus, int(s)).track.get("m") == "0" for s in seeds)
+    zeros = sum(r.track.get("m") == "0" for r in sample(c, xs, plus, [int(s) for s in seeds]))
     assert abs(zeros / 10000 - 0.5) <= 0.03
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -120,8 +121,10 @@ def test_cli_usage_error_exits_2():
         ["run", TELEPORT, "--input", PSI, "--seed", "7", "--shots", "0"],
         ["run", TELEPORT, "--input", PSI, "--seed", "7", "--shots", "-1"],
         ["schedules", TELEPORT, "--enumerate", "--limit", "0"],
+        ["check-faithful", TELEPORT, TELEPORT, "--zeta", PSI, "--inputs", "random:0"],
+        ["check-faithful", TELEPORT, TELEPORT, "--zeta", PSI, "--inputs", "random:-3"],
     ],
-    ids=["shots-0", "shots-negative", "limit-0"],
+    ids=["shots-0", "shots-negative", "limit-0", "random-0", "random-negative"],
 )
 def test_cli_counts_below_one_are_usage_errors(argv):
     with pytest.raises(SystemExit) as e:
@@ -136,6 +139,37 @@ def test_cli_non_finite_operator_is_a_diagnostic(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert main(["aggregate", str(path)]) == 1
     assert "non-finite-entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "state",
+    [{"ket": [[float("nan"), 0.0], [0.0, 0.0]]}, matrix_to_json(np.diag([1.0, np.inf]))],
+    ids=["ket", "matrix"],
+)
+def test_cli_non_finite_state_is_a_diagnostic(tmp_path, capsys, state):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    assert main(["aggregate", TELEPORT, "--input", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["code"] == "non-finite-entry"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol", "-1e-9"],
+        ["--tol", "x"],
+        ["--inputs", "random:x"],
+        ["--inputs", "corners"],
+    ],
+    ids=["tol-nan", "tol-inf", "tol-negative", "tol-text", "random-text", "unknown-spec"],
+)
+def test_cli_check_faithful_bad_flags_are_usage_errors(flags):
+    # argparse rejects these before any file (here the stand-in zeta) is read
+    with pytest.raises(SystemExit) as e:
+        main(["check-faithful", TELEPORT, TELEPORT, "--zeta", PSI, *flags])
+    assert e.value.code == 2
 
 
 def test_cli_linalg_error_is_semantic(tmp_path, capsys):
@@ -175,6 +209,14 @@ def test_cli_run_deterministic_output(capsys):
     assert main(["run", TELEPORT, "--input", PSI, "--seed", "7", "--shots", "50"]) == 0
     assert capsys.readouterr().out == first
     assert sum(f["count"] for f in json.loads(first)["frequencies"]) == 50
+
+
+def test_cli_run_shots_golden(capsys):
+    """Shot counts are pinned to the digest the per-shot executor printed
+    before shots shared their outcome prefixes."""
+    assert main(["run", TELEPORT, "--input", PSI, "--seed", "7", "--shots", "4000"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "a8fc678bd74ebae6dce372c057af484d682de6b89df6ce894b3c2815e0727dd9"
 
 
 def test_cli_run_with_schedule_file(capsys):

@@ -14,8 +14,10 @@ from qcirc.linalg import (
     Z,
     DensityOperator,
     LinalgError,
+    apply,
     basis_ket,
     bits_of,
+    conjugate,
     dagger,
     embed,
     index_of,
@@ -175,6 +177,21 @@ def test_embed_matches_basis_oracle(seed, n, k):
     assert np.allclose(embed(op, regs, n), embed_oracle(op, regs, n))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5), st.data())
+def test_apply_and_conjugate_match_basis_oracle(seed, n, data):
+    k = data.draw(st.integers(1, min(n, 3)))
+    regs = data.draw(st.permutations(range(n)))[:k]
+    m = data.draw(st.integers(1, 2**n + 3).filter(lambda m: m != 2**n))
+    rng = np.random.default_rng(seed)
+    op = random_matrix(rng, 2**k)
+    e = embed_oracle(op, regs, n)
+    t = rng.normal(size=(2**n, m)) + 1j * rng.normal(size=(2**n, m))
+    assert np.allclose(apply(op, regs, t, n), e @ t)
+    sigma = random_matrix(rng, 2**n)
+    assert np.allclose(conjugate(op, regs, sigma, n), e @ sigma @ e.conj().T)
+
+
 def test_embed_is_multiplicative():
     rng = np.random.default_rng(3)
     a, b = random_matrix(rng, 4), random_matrix(rng, 4)
@@ -191,6 +208,8 @@ def test_embed_rejects_bad_shapes():
         embed(np.eye(4), [0, 0], 3)
     with pytest.raises(LinalgError):
         embed(np.eye(2), [5], 3)
+    with pytest.raises(LinalgError):
+        apply(np.eye(2), [0], np.eye(4), 3)
 
 
 def test_commuting_disjoint_embeds():

@@ -16,6 +16,7 @@ from qcirc.semantics import (
     enumerate_tracks,
     replay,
     run,
+    sample,
     schedules_equivalent,
     select_measurement,
     track_probability,
@@ -205,6 +206,28 @@ def test_run_final_state_matches_track(teleport, bell_input):
     assert len(r.step_log) == len(x.bouts)
     for _, _, p in r.step_log:
         assert 0.0 <= p <= 1.0 + 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_sample_matches_per_seed_runs(seed):
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng)
+    x = greedy_schedule(c)
+    dim = 2**c.n_registers
+    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = DensityOperator(c.n_registers, b @ b.conj().T)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=10)]
+    seeds += seeds[:3]  # repeated seeds share every node of the outcome tree
+    shared = sample(c, x, rho, seeds)
+    assert len(shared) == len(seeds)
+    for s, got in zip(seeds, shared):
+        one = run(c, x, rho, s)
+        assert got.track == one.track
+        assert [(b, o) for b, o, _ in got.step_log] == [(b, o) for b, o, _ in one.step_log]
+        for (_, _, p), (_, _, q) in zip(got.step_log, one.step_log):
+            assert abs(p - q) <= 1e-12
+        assert mat_close(got.final_state.matrix, one.final_state.matrix, 1e-12)
 
 
 def test_run_frequency_sanity():
