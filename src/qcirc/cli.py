@@ -43,7 +43,8 @@ def inputs_spec(text: str):
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(serialize.dumps(obj))
+    sys.stdout.write("\n")
 
 
 def _diag_lines(diags) -> None:
@@ -82,7 +83,7 @@ def cmd_aggregate(args) -> int:
     for f in sorted(agg.operators, key=lambda t: t.outcomes):
         entry = {
             "outcomes": f.as_dict(),
-            "operator": serialize.matrix_to_json(agg.operators[f]),
+            "operator": agg.operators[f],
         }
         if rho is not None:
             entry["probability_on"] = semantics.probability_on(agg.operators[f], rho)
@@ -109,10 +110,8 @@ def cmd_run(args) -> int:
         _emit(
             {
                 "track": result.track.as_dict(),
-                "final_state_raw": serialize.matrix_to_json(raw),
-                "final_state_normalized": serialize.matrix_to_json(
-                    raw / np.trace(raw).real
-                ),
+                "final_state_raw": raw,
+                "final_state_normalized": raw / np.trace(raw).real,
                 "steps": [
                     {"bout": list(b), "outcomes": list(o), "probability": p}
                     for b, o, p in result.step_log
@@ -159,7 +158,7 @@ def cmd_defer(args) -> int:
     sidecar = result.zeta.to_json()
     sidecar["ancillas"] = sorted(result.ancilla_registers)
     zeta_path = args.zeta or _default_zeta_path(args.output)
-    Path(zeta_path).write_text(json.dumps(sidecar, indent=2) + "\n")
+    Path(zeta_path).write_text(serialize.dumps(sidecar) + "\n")
     _emit(
         {
             "output": args.output,

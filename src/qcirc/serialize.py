@@ -3,11 +3,14 @@
 Circuit files carry the version tag "qcirc-1". Selector keys are
 comma-joined outcome labels in `controls` order; the empty string keys the
 no-controls case. Floats round-trip bit-exactly (shortest-repr decimals).
+Every JSON document qcirc writes goes through `dumps`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -36,25 +39,132 @@ def _diag(code: str, where: str, message: str) -> Diagnostic:
     return Diagnostic("error", code, where, message)
 
 
+def _float_pairs(m: np.ndarray) -> np.ndarray:
+    """The entries of a matrix, row-major, as a (rows * cols, 2) float array of
+    (re, im) pairs."""
+    return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(-1, 2)
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "entries": [[z.real, z.imag] for z in m.reshape(-1)],
-    }
+    return {"rows": m.shape[0], "cols": m.shape[1], "entries": _float_pairs(m).tolist()}
 
 
 def matrix_from_json(obj: dict, where: str = "<matrix>") -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
+        if not all(type(d) is int and d >= 0 for d in (rows, cols)):
+            raise ValueError
         entries = obj["entries"]
         if len(entries) != rows * cols:
             raise ValueError
         flat = [complex(float(re), float(im)) for re, im in entries]
+        return np.array(flat, dtype=complex).reshape(rows, cols)
     except (KeyError, TypeError, ValueError):
         raise ParseError([_diag("bad-matrix", where, "malformed matrix object")]) from None
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+
+
+# --- writing ----------------------------------------------------------------
+
+
+def dumps(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for dicts, lists, tuples,
+    str, int, float, bool and None. A 2-D `np.ndarray` is written as its
+    `matrix_to_json` object would be, formatted straight from the array.
+    Any other type raises TypeError, as `json` does.
+
+    `json.dumps` with an indent never uses CPython's C encoder, so each float
+    of a matrix would go through its pure-Python generator; here all floats of
+    a matrix are filled into one format template instead."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append the JSON text of `o` to `out`; `nl` is a newline plus the
+    indent of the line `o` starts on."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        sep, inner = "[", nl + "  "
+        for v in o:
+            out.append(sep + inner)
+            _write(v, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        sep, inner = "{", nl + "  "
+        for k, v in o.items():
+            out.append(f"{sep}{inner}{encode_basestring_ascii(_key(k))}: ")
+            _write(v, inner, out)
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(o, np.ndarray) and o.ndim == 2:
+        _write_matrix(o, nl, out)
+    else:
+        text = _scalar(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
+def _write_matrix(m: np.ndarray, nl: str, out: list) -> None:
+    pairs = _float_pairs(m)
+    i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
+    out.append(f'{{{i1}"rows": {m.shape[0]},{i1}"cols": {m.shape[1]},{i1}"entries": ')
+    if len(pairs):
+        flat, spec = pairs.ravel().tolist(), "%r"
+        if not np.isfinite(pairs).all():
+            flat, spec = [_float(x) for x in flat], "%s"
+        pair = f"[{i3}{spec},{i3}{spec}{i2}]"
+        out.extend(("[" + i2, f",{i2}".join([pair] * len(pairs)) % tuple(flat), i1 + "]"))
+    else:
+        out.append("[]")
+    out.append(nl + "}")
+
+
+def _float(x: float) -> str:
+    """A float as `json` spells it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar(o) -> Optional[str]:
+    """The JSON text of None, a bool, an int or a float; None for any other type."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    return None
+
+
+def _key(k) -> str:
+    """A dict key as `json` writes it: str as is; None, bool, int and float as
+    their JSON text (gate ids read from a circuit file may be ints)."""
+    if isinstance(k, str):
+        return k
+    text = _scalar(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return text
 
 
 def _selector_to_json(g: Gate) -> dict:
@@ -142,7 +252,7 @@ def circuit_from_json(obj: dict) -> QuantumCircuit:
 
 
 def serialize_circuit(c: QuantumCircuit) -> str:
-    return json.dumps(circuit_to_json(c), indent=2) + "\n"
+    return dumps(circuit_to_json(c)) + "\n"
 
 
 def parse_circuit(text: str) -> QuantumCircuit:
@@ -182,6 +292,11 @@ def poset_to_json(p: Poset) -> dict:
     return {"elements": list(p.elements), "less_than": sorted([a, b] for a, b in p.less)}
 
 
+def _qubits(dim: int) -> Optional[int]:
+    """n when `dim` is 2^n, else None."""
+    return dim.bit_length() - 1 if dim > 0 and dim & (dim - 1) == 0 else None
+
+
 def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
     if isinstance(obj, dict) and "ket" in obj:
         try:
@@ -190,14 +305,14 @@ def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
             )
         except (TypeError, ValueError):
             raise ParseError([_diag("bad-state", where, "malformed ket")]) from None
-        n = int(np.log2(len(vec)).round()) if len(vec) else -1
-        if n < 0 or 2**n != len(vec):
+        n = _qubits(len(vec))
+        if n is None:
             raise ParseError([_diag("bad-state", where, "ket length is not a power of two")])
         mat = ket_to_density(vec)
     else:
         mat = matrix_from_json(obj, where)
-        n = int(round(np.log2(mat.shape[0])))
-        if mat.shape[0] != mat.shape[1] or 2**n != mat.shape[0]:
+        n = _qubits(mat.shape[0])
+        if mat.shape[0] != mat.shape[1] or n is None:
             raise ParseError([_diag("bad-state", where, "state matrix is not 2^n x 2^n")])
     if not np.all(np.isfinite(mat)):
         raise ParseError([_diag("non-finite-entry", where, "state has a NaN or infinite entry")])

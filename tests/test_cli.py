@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,39 @@ def test_cli_linalg_error_is_semantic(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["code"] == "semantic-error"
 
 
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(-2, -2), (-1, -4), (2.5, 2), (2.0, 2), (True, 4), ("2", 2)],
+    ids=["negative", "negative-one", "fraction", "float", "bool", "string"],
+)
+def test_cli_bad_matrix_dimensions(tmp_path, capsys, rows, cols):
+    """Each case has as many entries as rows * cols, so only the dimensions
+    are wrong: negative, or not a JSON integer (which `int()` would truncate)."""
+    obj = json.loads(Path(TELEPORT).read_text())
+    obj["gates"][1]["ops"]["H"].update(rows=rows, cols=cols)
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["code"] == "bad-matrix"
+
+
+def test_cli_bad_state_dimensions(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"rows": -1, "cols": -1, "entries": [[1.0, 0.0]]}))
+    assert main(["aggregate", TELEPORT, "--input", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["code"] == "bad-matrix"
+
+
+def test_cli_empty_state_matrix_is_bad_state(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"rows": 0, "cols": 0, "entries": []}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["aggregate", TELEPORT, "--input", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == "bad-state" and "2^n x 2^n" in err["message"]
+
+
 def test_cli_missing_file_exits_1(capsys):
     assert main(["validate", str(FIXTURES / "missing.json")]) == 1
     assert "io-error" in capsys.readouterr().err
@@ -217,6 +251,41 @@ def test_cli_run_shots_golden(capsys):
     assert main(["run", TELEPORT, "--input", PSI, "--seed", "7", "--shots", "4000"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "a8fc678bd74ebae6dce372c057af484d682de6b89df6ce894b3c2815e0727dd9"
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["aggregate", TELEPORT, "--input", PSI],
+         "53d7f089516763e9c885ed1bd3edaa298969209606638629617b0e9b590d1d1c"),
+        (["run", TELEPORT, "--input", PSI, "--seed", "7"],
+         "500f300c9207fce24f6f7df49cce6e20c3977d637789e66210d9ea344aa8dede"),
+        (["schedules", TELEPORT, "--enumerate", "--limit", "10"],
+         "216d31eee5de3f49c39216e41dea9ce2e1daaffdf1c911ef67358b9378b3214a"),
+    ],
+    ids=["aggregate", "run-single", "schedules"],
+)
+def test_cli_stdout_golden(capsys, argv, digest):
+    """Digests of the stdout `json.dumps(..., indent=2)` printed before
+    `serialize.dumps` replaced it."""
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_cli_defer_and_check_faithful_golden(tmp_path, capsys):
+    """The deferred circuit, its sidecar and the check report, byte for byte,
+    as `json.dumps(..., indent=2)` wrote them."""
+    out, zeta = tmp_path / "deferred.json", tmp_path / "deferred.zeta.json"
+    assert main(["defer", TELEPORT, "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == "d2793ee2426b1f63451855d0108d2736824e1bc86ca3923371209b5d1f992cdc"
+    assert _sha256(zeta.read_bytes()) == "5e1f7bf0f6f2e71e31831ef8e38850cc8de91bb7c51e25e1d5c847be2f207bb5"
+    assert main(["check-faithful", TELEPORT, str(out), "--zeta", str(zeta)]) == 0
+    assert _sha256(capsys.readouterr().out) == "44a374713a83ac4cfb330633e996d5da568ec2a6bf58cfd7a99bd45e36b154a7"
 
 
 def test_cli_run_with_schedule_file(capsys):

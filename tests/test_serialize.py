@@ -1,0 +1,117 @@
+"""`serialize.dumps` against `json.dumps(..., indent=2)`, the encoding it
+replaces, and `matrix_to_json` against its per-entry definition."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcirc.serialize import dumps, matrix_to_json
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]
+ESCAPED = ["", '"', "\\", "/", "\n\r\t\b\f", "\x00\x1f\x7f", "é", " ", "😀", 'a"b\\c']
+
+floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+strings = st.text() | st.sampled_from(ESCAPED)
+scalars = st.none() | st.booleans() | st.integers() | floats | strings
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(strings, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@st.composite
+def matrices(draw):
+    """Complex matrices: 1x1 and non-square shapes, non-finite entries, and
+    non-contiguous views."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(floats, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    m = np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+    view = draw(st.sampled_from(["plain", "transpose", "strided"]))
+    if view == "transpose":
+        return m.T
+    if view == "strided":
+        return m[:, ::2]
+    return m
+
+
+def _per_entry_matrix_json(m):
+    m = np.asarray(m, dtype=complex)
+    return {"rows": m.shape[0], "cols": m.shape[1], "entries": [[z.real, z.imag] for z in m.reshape(-1)]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_dumps_matches_json(x):
+    assert dumps(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[], {}], {"b": [{}]}], ()],
+    ids=["list", "dict", "list-list", "list-dict", "dict-list", "dict-dict", "deep", "tuple"],
+)
+def test_dumps_nested_empty_containers(x):
+    assert dumps(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("x", [*SPECIAL_FLOATS, *ESCAPED, 0, -1, 10**30, True, False, None])
+def test_dumps_scalars(x):
+    assert dumps(x) == json.dumps(x, indent=2)
+    assert dumps([x, {"k": x}]) == json.dumps([x, {"k": x}], indent=2)
+
+
+def test_dumps_non_str_keys_as_json_writes_them():
+    x = {1: "a", 2.5: "b", True: "c", None: "d", -0.0: "e", math.inf: "f"}
+    assert dumps(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [object(), {1, 2}, np.int64(3), np.zeros(3), np.zeros((2, 2, 2)), 1j, b"x", {(1, 2): 3}],
+    ids=["object", "set", "np-int", "1-d-array", "3-d-array", "complex", "bytes", "tuple-key"],
+)
+def test_dumps_unsupported_type_raises_type_error(x):
+    with pytest.raises(TypeError):
+        json.dumps(x, indent=2)
+    with pytest.raises(TypeError):
+        dumps(x)
+    with pytest.raises(TypeError):
+        dumps({"nested": [x]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_dumps_matrix_matches_matrix_to_json(m):
+    wrapped = {"tracks": [{"operator": m}], "top": m}
+    expected = {"tracks": [{"operator": matrix_to_json(m)}], "top": matrix_to_json(m)}
+    assert dumps(wrapped) == json.dumps(expected, indent=2)
+    assert dumps(m) == json.dumps(matrix_to_json(m), indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_matrix_to_json_matches_per_entry_definition(m):
+    assert json.dumps(matrix_to_json(m), indent=2) == json.dumps(_per_entry_matrix_json(m), indent=2)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.zeros((0, 0), dtype=complex),
+        np.zeros((0, 3), dtype=complex),
+        np.zeros((3, 0), dtype=complex),
+        np.eye(2),
+        np.array([[np.nan + 1j * np.inf, -np.inf]]),
+    ],
+    ids=["0x0", "0x3", "3x0", "real", "non-finite"],
+)
+def test_dumps_matrix_edge_shapes(m):
+    assert dumps([m]) == json.dumps([matrix_to_json(m)], indent=2)
+    assert json.dumps(matrix_to_json(m)) == json.dumps(_per_entry_matrix_json(m))
