@@ -34,9 +34,9 @@ def tolerance(text: str) -> float:
 
 
 def inputs_spec(text: str):
-    """`basis` as None, `random:K` as K (at least 1)."""
+    """`basis` as is, `random:K` as K (at least 1)."""
     if text == "basis":
-        return None
+        return text
     if not text.startswith("random:"):
         raise argparse.ArgumentTypeError(f"unknown inputs spec {text!r} (use basis or random:K)")
     return positive_int(text[len("random:"):])
@@ -180,8 +180,13 @@ def cmd_check_faithful(args) -> int:
     c = _load_circuit(args.source)
     d = _load_circuit(args.target)
     zeta = deferral.Commensuration.from_json(json.loads(Path(args.zeta).read_text()))
-    n, k = c.n_registers, args.inputs
-    inputs = deferral.basis_inputs(n) if k is None else deferral.random_pure_inputs(n, k, args.seed)
+    n, spec = c.n_registers, args.inputs
+    if spec is None:
+        inputs = None  # the exact check
+    elif spec == "basis":
+        inputs = deferral.basis_inputs(n)
+    else:
+        inputs = deferral.random_pure_inputs(n, spec, args.seed)
     report = deferral.check_faithful(c, d, zeta, inputs, tol=args.tol)
     _emit(report.to_json())
     return 0 if report.ok else 1
@@ -233,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--zeta", required=True)
-    p.add_argument("--inputs", type=inputs_spec, default="basis", help="basis or random:K")
+    p.add_argument(
+        "--inputs", type=inputs_spec, help="sample basis or random:K inputs instead of the exact check"
+    )
     p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_check_faithful)

@@ -1,44 +1,51 @@
 """Measurement-deferral compiler pass and faithful-simulation checker.
 
-Pipeline: reject classically controlled measurement gates, turn every
-nonstandard measurement into a unitary followed by a standard measurement of
-fresh ancillas, split multi-register standard measurements into per-register
-bits, delete duplicate re-measurements, then repeatedly rewrite a unitary
-gate with measurement prerequisites into a quantum-controlled unitary with
-the measurements moved after it. Finally the per-register bits are merged
-back into one measurement gate per original measurement, restoring the
-original outcome labels, so the commensuration maps gate ids to gate ids.
+The pass rejects classically controlled measurement gates, then runs three
+phases:
+
+1. standardize: every nonstandard measurement becomes a unitary on its
+   registers and fresh |0> ancillas, followed by a standard measurement of the
+   ancillas that keeps the original outcome labels (plus pads);
+2. delete exact duplicates: a standard measurement that directly re-measures
+   the register tuple of an earlier one is dropped, and its consumers read the
+   earlier measurement through a label map;
+3. defer red gates, innermost first: a unitary gate with measurement
+   prerequisites becomes a unitary quantum-controlled by the registers of its
+   classical sources, and those measurements move after it. A register the
+   gate shares with a measurement is first copied to a fresh |0> ancilla with
+   a CNOT, and the run of adjacent measurements ending there moves onto the
+   copy.
+
+A measurement stays one gate throughout, with its own id and outcome labels,
+so the commensuration maps gate ids to gate ids. The checker is exact by
+default; sampled inputs are an optional cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from .circuit import (
-    CircuitError,
+    Diagnostic,
     Gate,
     Measurement,
     QuantumCircuit,
-    UnitaryOp,
     check_valid,
     measure_gate,
     _toposort,
     topo_order,
     unitary_gate,
-    validate_circuit,
 )
-from .semantics import Track, aggregate_measurement, enumerate_tracks
+from .semantics import Track, aggregate_measurement
+from .serialize import ParseError
 
 TOL = linalg.DEFAULT_TOL
-
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 class DeferralError(ValueError):
@@ -76,16 +83,9 @@ def classify_measurement(m: Measurement, tol: float = TOL) -> MeasurementClass:
         for a, b in itertools.combinations(ops, 2)
     )
     complete = projective and all(abs(linalg.trace(a).real - 1) <= tol for a in ops)
-    standard = False
-    if complete:
-        standard = True
-        for a in ops:
-            b = int(np.argmax(np.abs(np.diag(a))))
-            basis_proj = np.zeros((dim, dim), dtype=complex)
-            basis_proj[b, b] = 1.0
-            if not linalg.mat_close(a, basis_proj, tol):
-                standard = False
-                break
+    standard = complete and all(
+        linalg.mat_close(a, _projector(int(np.argmax(np.abs(np.diag(a)))), dim), tol) for a in ops
+    )
     return MeasurementClass(projective, complete, standard)
 
 
@@ -105,104 +105,96 @@ def constraint_violations(c: QuantumCircuit) -> list[str]:
 
 @dataclass(frozen=True)
 class Commensuration:
-    """Identification of the source circuit's measurements with measurements
-    of the deferred circuit.
+    """Identification of the source circuit's measurement gates with those of
+    the deferred circuit. `gates` maps each source measurement gate to the
+    target gate that carries its outcome, under the same label unless
+    `labels` maps it: a deleted re-measurement is read off the measurement it
+    repeats. `absorbed` lists single-outcome measurements realized as
+    unitaries, which no target gate carries."""
 
-    For each source measurement gate, `label_bits` decomposes an outcome label
-    into symbols and `assignments` places each symbol at a (target gate, bit
-    position) slot; `d_label_of` turns a target gate's full symbol tuple back
-    into its outcome label. In the common case every measurement maps to a
-    single target gate with identical labels.
-    """
-
-    assignments: dict  # c gate id -> tuple[(d gate id, bit position), ...]
-    label_bits: dict  # c gate id -> {label: tuple of symbols}
-    d_label_of: dict  # d gate id -> {tuple of symbols: label}
-    absorbed: frozenset = frozenset()  # single-outcome gates realized as unitaries
+    gates: dict  # source gate id -> target gate id
+    labels: dict = field(default_factory=dict)  # source gate id -> {label: target label}
+    absorbed: frozenset = frozenset()
 
     @classmethod
     def identity(cls, c: QuantumCircuit) -> "Commensuration":
-        assignments, label_bits, d_label_of = {}, {}, {}
-        for g in c.gates:
-            if not g.is_measure:
-                continue
-            assignments[g.id] = ((g.id, 0),)
-            label_bits[g.id] = {lab: (lab,) for lab in g.outcome_labels}
-            d_label_of[g.id] = {(lab,): lab for lab in g.outcome_labels}
-        return cls(assignments, label_bits, d_label_of)
+        return cls({g.id: g.id for g in c.gates if g.is_measure})
 
     def translate(self, f: Track) -> Optional[Track]:
         """The deferred-circuit track identified with `f`, or None when `f`
-        forces conflicting bits (a probability-zero source track)."""
-        slots: dict[str, dict[int, str]] = {}
+        gives one target gate two labels (a probability-zero source track)."""
+        out: dict[str, str] = {}
         for gid, label in f.outcomes:
             if gid in self.absorbed:
                 continue
-            syms = self.label_bits[gid][label]
-            for (dg, pos), sym in zip(self.assignments[gid], syms):
-                got = slots.setdefault(dg, {})
-                if pos in got and got[pos] != sym:
-                    return None
-                got[pos] = sym
-        out = {}
-        for dg, got in slots.items():
-            key = tuple(got[i] for i in range(len(got)))
-            out[dg] = self.d_label_of[dg][key]
+            label = self.labels.get(gid, {}).get(label, label)
+            if out.setdefault(self.gates[gid], label) != label:
+                return None
         return Track.from_mapping(out)
 
     def zeta_gate_map(self) -> dict[str, list[str]]:
-        """Per source measurement gate, the target gate(s) carrying its bits."""
-        out = {}
-        for gid, slots in self.assignments.items():
-            targets = []
-            for dg, _ in slots:
-                if dg not in targets:
-                    targets.append(dg)
-            out[gid] = targets
-        return out
+        """Per source measurement gate, the target gate carrying its outcome."""
+        return {gid: [target] for gid, target in self.gates.items()}
 
     def to_json(self) -> dict:
-        zeta = {
-            gid: (targets[0] if len(targets) == 1 else targets)
-            for gid, targets in self.zeta_gate_map().items()
-        }
         return {
-            "zeta": zeta,
+            "zeta": dict(self.gates),
+            "labels": {gid: dict(table) for gid, table in self.labels.items()},
             "absorbed": sorted(self.absorbed),
-            "detail": {
-                "assignments": {
-                    gid: [[dg, pos] for dg, pos in slots]
-                    for gid, slots in self.assignments.items()
-                },
-                "label_bits": {
-                    gid: {lab: list(syms) for lab, syms in table.items()}
-                    for gid, table in self.label_bits.items()
-                },
-                "d_labels": {
-                    dg: [[list(key), lab] for key, lab in table.items()]
-                    for dg, table in self.d_label_of.items()
-                },
-            },
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Commensuration":
-        detail = data["detail"]
-        return cls(
-            assignments={
-                gid: tuple((dg, int(pos)) for dg, pos in slots)
-                for gid, slots in detail["assignments"].items()
-            },
-            label_bits={
-                gid: {lab: tuple(syms) for lab, syms in table.items()}
-                for gid, table in detail["label_bits"].items()
-            },
-            d_label_of={
-                dg: {tuple(key): lab for key, lab in table}
-                for dg, table in detail["d_labels"].items()
-            },
-            absorbed=frozenset(data.get("absorbed", ())),
-        )
+    def from_json(cls, data) -> "Commensuration":
+        """Read a sidecar; a malformed one raises ParseError (`bad-sidecar`).
+        A sidecar in the older bit-level format is read when it maps every
+        gate to one gate; its label maps come from its `detail` tables."""
+        zeta = data.get("zeta") if isinstance(data, dict) else None
+        if not isinstance(zeta, dict):
+            raise _bad_sidecar("expected an object whose zeta maps gate ids to gate ids")
+        if any(isinstance(t, list) for t in zeta.values()):
+            raise _bad_sidecar(
+                "the sidecar splits a measurement over several gates; re-run qcirc defer"
+            )
+        try:
+            labels = _detail_labels(data["detail"], zeta) if "detail" in data else data.get("labels", {})
+        except (KeyError, TypeError, ValueError):
+            raise _bad_sidecar("unreadable bit-level detail tables; re-run qcirc defer") from None
+        absorbed = data.get("absorbed", [])
+        if not (
+            _str_values(zeta)
+            and isinstance(labels, dict)
+            and all(_str_values(table) for table in labels.values())
+            and isinstance(absorbed, list)
+            and all(isinstance(gid, str) for gid in absorbed)
+        ):
+            raise _bad_sidecar("zeta, labels and absorbed must hold gate ids and labels as strings")
+        return cls(dict(zeta), {gid: dict(t) for gid, t in labels.items()}, frozenset(absorbed))
+
+
+def _bad_sidecar(message: str) -> ParseError:
+    return ParseError([Diagnostic("error", "bad-sidecar", "<sidecar>", message)])
+
+
+def _str_values(table) -> bool:
+    return isinstance(table, dict) and all(isinstance(v, str) for v in table.values())
+
+
+def _detail_labels(detail: dict, zeta: dict) -> dict:
+    """Label maps of a bit-level sidecar: each source label's symbols, placed
+    at their bit positions of the one target gate, read back as that gate's
+    label. Identity maps are left out."""
+    out = {}
+    for gid, slots in detail["assignments"].items():
+        if any(dg != zeta[gid] for dg, _ in slots):
+            raise ValueError(gid)
+        d_label = {tuple(key): lab for key, lab in detail["d_labels"][zeta[gid]]}
+        table = {}
+        for lab, syms in detail["label_bits"][gid].items():
+            key = {int(pos): sym for (_, pos), sym in zip(slots, syms)}
+            table[lab] = d_label[tuple(key[i] for i in range(len(key)))]
+        if any(lab != target for lab, target in table.items()):
+            out[gid] = table
+    return out
 
 
 @dataclass(frozen=True)
@@ -215,71 +207,43 @@ class DeferralResult:
 # --- helpers ----------------------------------------------------------------
 
 
-def _fresh_gate_id(c: QuantumCircuit, base: str) -> str:
+def _fresh_gate_id(taken, base: str) -> str:
     gid = base
-    while c.has_gate(gid):
+    while gid in taken:
         gid += "_"
     return gid
 
 
 def _fresh_register_names(existing: Sequence[str], count: int) -> list[str]:
-    names, used = [], set(existing)
-    i = len(existing)
-    while len(names) < count:
-        name = f"anc{i}"
-        if name not in used:
-            used.add(name)
-            names.append(name)
-        i += 1
-    return names
+    names = (f"anc{i}" for i in itertools.count(len(existing)))
+    return list(itertools.islice((n for n in names if n not in existing), count))
 
 
-def _rekey_selector(
-    gate: Gate,
-    c: QuantumCircuit,
-    position: int,
-    new_sources: Sequence[str],
-    component_map,
-) -> Gate:
-    """Replace the classical source at `position` by `new_sources`; selector
-    keys get the old component replaced via component_map(old_label) -> tuple
-    of new components."""
-    sources = (
-        gate.classical_sources[:position]
-        + tuple(new_sources)
-        + gate.classical_sources[position + 1 :]
-    )
-    selector = {}
-    for key, target in gate.selector.items():
-        new_key = key[:position] + component_map(key[position]) + key[position + 1 :]
-        selector[new_key] = target
-    return Gate(
-        gate.id,
-        gate.registers,
-        unitaries=gate.unitaries,
-        measurements=gate.measurements,
-        classical_sources=sources,
-        selector=selector,
-    )
+def _projector(index: int, dim: int) -> np.ndarray:
+    p = np.zeros((dim, dim), dtype=complex)
+    p[index, index] = 1.0
+    return p
 
 
-def _bit_of_standard_op(a: np.ndarray) -> int:
-    return int(np.argmax(np.abs(np.diag(a))))
+def _basis_labels(g: Gate) -> dict[str, int]:
+    """Outcome label -> computational-basis index over the gate's register
+    tuple, for a gate carrying one standard measurement."""
+    (m,) = g.measurements.values()
+    return {lab: int(np.argmax(np.abs(np.diag(a)))) for lab, a in m.operators.items()}
 
 
-@dataclass
-class _Family:
-    """Bookkeeping for one original measurement gate across pass phases."""
+def _prune_unreferenced_ops(g: Gate) -> Gate:
+    """Drop ops/measurements no selector key can reach (a source was removed
+    or collapsed). Non-CC gates must carry exactly one op."""
+    used = set(g.selector.values())
+    unitaries = {k: v for k, v in g.unitaries.items() if k in used}
+    measurements = {k: v for k, v in g.measurements.items() if k in used}
+    if len(unitaries) == len(g.unitaries) and len(measurements) == len(g.measurements):
+        return g
+    return replace(g, unitaries=unitaries, measurements=measurements)
 
-    orig_id: str
-    part_refs: list  # part gate ids, in bit order (may reference foreign parts)
-    # bits -> label for the final merged gate (covers pads)
-    final_labels: dict = field(default_factory=dict)
-    # original label -> bits
-    orig_label_bits: dict = field(default_factory=dict)
 
-
-# --- standardization --------------------------------------------------------
+# --- phase 1: standardization -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -308,20 +272,20 @@ def standardize_measurement(c: QuantumCircuit, gid: str) -> StandardizeResult:
     n0 = c.n_registers
 
     if len(labels) == 1:
-        # the unique operator is unitary; the gate becomes a unitary gate
-        new_gate = unitary_gate(gid, g.registers, m.operators[labels[0]])
+        # the unique operator is unitary; the gate becomes a unitary gate and
+        # its consumers lose the source (every slot of it), which has only
+        # one outcome
         gates = []
         for h in c.gates:
             if h.id == gid:
-                gates.append(new_gate)
+                h = unitary_gate(gid, g.registers, m.operators[labels[0]])
             elif gid in h.classical_sources:
-                pos = h.classical_sources.index(gid)
-                stripped = _prune_unreferenced_ops(
-                    _rekey_selector(h, c, pos, (), lambda _lab: ())
-                )
-                gates.append(stripped)
-            else:
-                gates.append(h)
+                keep = [j for j, s in enumerate(h.classical_sources) if s != gid]
+                h = _prune_unreferenced_ops(replace(
+                    h, classical_sources=tuple(h.classical_sources[j] for j in keep),
+                    selector={tuple(key[j] for j in keep): t for key, t in h.selector.items()},
+                ))
+            gates.append(h)
         out = QuantumCircuit(c.register_names, tuple(gates))
         return StandardizeResult(check_valid(out), (), None, ())
 
@@ -331,14 +295,10 @@ def standardize_measurement(c: QuantumCircuit, gid: str) -> StandardizeResult:
 
     # isometry: |e_j>|0..0>  ->  sum_i (A_i e_j) (x) |i>
     u = np.zeros((dim * dim_anc, dim * dim_anc), dtype=complex)
-    fixed_cols = []
-    for j in range(dim):
-        v = np.zeros(dim * dim_anc, dtype=complex)
+    fixed_cols = [j * dim_anc for j in range(dim)]
+    for j, col in enumerate(fixed_cols):
         for i, lab in enumerate(labels):
-            v += np.kron(m.operators[lab][:, j], linalg.basis_ket(i, ell))
-        col = j * dim_anc
-        u[:, col] = v
-        fixed_cols.append(col)
+            u[:, col] += np.kron(m.operators[lab][:, j], linalg.basis_ket(i, ell))
     # complete to a unitary: Gram-Schmidt over lexicographic candidates
     basis = [u[:, col] for col in fixed_cols]
     free_cols = [col for col in range(dim * dim_anc) if col not in fixed_cols]
@@ -361,25 +321,19 @@ def standardize_measurement(c: QuantumCircuit, gid: str) -> StandardizeResult:
         raise DeferralError("standardization produced a non-unitary completion")
 
     anc_regs = tuple(range(n0, n0 + ell))
-    pad_labels = []
-    used = set(labels)
-    i = 0
+    pad_labels, used = [], set(labels)
     while len(labels) + len(pad_labels) < dim_anc:
-        lab = f"pad{i}"
+        lab = f"pad{len(pad_labels)}"
         while lab in used:
             lab += "_"
         used.add(lab)
         pad_labels.append(lab)
-        i += 1
     all_labels = labels + pad_labels
-    proj_ops = {}
-    for i, lab in enumerate(all_labels):
-        p = np.zeros((dim_anc, dim_anc), dtype=complex)
-        p[i, i] = 1.0
-        proj_ops[lab] = p
 
-    u_gate = unitary_gate(_fresh_gate_id(c, f"{gid}__u"), g.registers + anc_regs, u)
-    p_gate = measure_gate(gid, anc_regs, proj_ops)
+    u_gate = unitary_gate(_fresh_gate_id(c._by_id, f"{gid}__u"), g.registers + anc_regs, u)
+    p_gate = measure_gate(
+        gid, anc_regs, {lab: _projector(i, dim_anc) for i, lab in enumerate(all_labels)}
+    )
 
     first = labels[0]
     pad_set = set(pad_labels)
@@ -389,206 +343,88 @@ def standardize_measurement(c: QuantumCircuit, gid: str) -> StandardizeResult:
         if h.id == gid:
             gates.extend([u_gate, p_gate])
         elif gid in h.classical_sources:
-            # make the selector total over the padded outcome set; pads can
-            # never fire, route them like the first original label
-            pos = h.classical_sources.index(gid)
-            selector = {}
-            for key, target in h.selector.items():
-                selector[key] = target
+            # make the selector total over the padded outcome set in every
+            # slot of the source; pads never fire, route them like the first
+            # original label
+            source_sets = [
+                all_labels if s == gid else list(c.gate(s).outcome_labels)
+                for s in h.classical_sources
+            ]
             extended = {}
-            source_sets = []
-            for idx, s in enumerate(h.classical_sources):
-                if idx == pos:
-                    source_sets.append(all_labels)
-                else:
-                    source_sets.append(list(c.gate(s).outcome_labels))
             for key in itertools.product(*source_sets):
                 lookup = tuple(
-                    first if (idx == pos and lab in pad_set) else lab
-                    for idx, lab in enumerate(key)
+                    first if (s == gid and lab in pad_set) else lab
+                    for s, lab in zip(h.classical_sources, key)
                 )
-                extended[key] = selector[lookup]
-            gates.append(
-                Gate(
-                    h.id,
-                    h.registers,
-                    unitaries=h.unitaries,
-                    measurements=h.measurements,
-                    classical_sources=h.classical_sources,
-                    selector=extended,
-                )
-            )
+                extended[key] = h.selector[lookup]
+            gates.append(replace(h, selector=extended))
         else:
             gates.append(h)
-    out = QuantumCircuit(c.register_names + tuple(_fresh_register_names(c.register_names, ell)), tuple(gates))
+    names = c.register_names + tuple(_fresh_register_names(c.register_names, ell))
+    out = QuantumCircuit(names, tuple(gates))
     return StandardizeResult(check_valid(out), anc_regs, gid, tuple(pad_labels))
 
 
-# --- splitting into per-register bits ---------------------------------------
+# --- phase 2: exact duplicates ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    circuit: QuantumCircuit
-    # original measure gate id -> (part gate ids, {orig label: bit string})
-    parts: dict
+def _reindex(index: int, frm: Sequence[int], to: Sequence[int]) -> int:
+    """A basis index over registers `frm` as an index over their permutation `to`."""
+    bit = dict(zip(frm, linalg.bits_of(index, len(frm))))
+    return linalg.index_of([bit[r] for r in to])
 
 
-def split_standard_measurements(c: QuantumCircuit) -> SplitResult:
-    """Replace every multi-register standard measurement by per-register
-    standard bit measurements and normalize all outcome labels to "0"/"1";
-    consumers' selectors are re-keyed accordingly."""
-    parts: dict[str, tuple[tuple[str, ...], dict]] = {}
-    label_to_bits: dict[str, dict[str, tuple[str, ...]]] = {}
-    replacement: dict[str, list[Gate]] = {}
-
-    for g in c.gates:
-        if not g.is_measure:
+def _delete_duplicate_measurements(c: QuantumCircuit) -> tuple[QuantumCircuit, dict, dict]:
+    """Drop every standard measurement whose quantum source on each of its
+    registers is one earlier measurement of the same registers; its consumers
+    read that measurement instead. Returns the circuit, {dropped: kept} and
+    {dropped: {label: kept label}}."""
+    kept: dict[str, str] = {}
+    labels: dict[str, dict] = {}
+    for b in c.gates:
+        sources = set(c.quantum_sources(b.id).values()) if b.is_measure else ()
+        if len(sources) != 1 or None in sources:
             continue
-        (m,) = g.measurements.values()
-        if not classify_measurement(m).standard:
-            raise DeferralError(f"measurement of gate {g.id!r} is not standard")
-        k = g.arity
-        bits_of_label = {
-            lab: tuple(str(b) for b in linalg.bits_of(_bit_of_standard_op(m.operators[lab]), k))
-            for lab in m.outcomes
+        (s,) = sources
+        a = c.gate(kept.get(s, s))
+        if not a.is_measure or set(a.registers) != set(b.registers):
+            continue
+        kept[b.id] = a.id
+        label_at = {i: lab for lab, i in _basis_labels(a).items()}
+        labels[b.id] = {
+            lab: label_at[_reindex(i, b.registers, a.registers)]
+            for lab, i in _basis_labels(b).items()
         }
-        label_to_bits[g.id] = bits_of_label
-        if k == 1 and set(m.outcomes) == {"0", "1"} and bits_of_label["0"] == ("0",):
-            parts[g.id] = ((g.id,), bits_of_label)
+    gates = []
+    for h in c.gates:
+        if h.id in kept:
             continue
-        if k == 1:
-            part_ids = (g.id,)
-            new_gates = [measure_gate(g.id, g.registers, {"0": _P0, "1": _P1})]
-        else:
-            part_ids = tuple(f"{g.id}__q{j}" for j in range(k))
-            for pid in part_ids:
-                if c.has_gate(pid):
-                    raise DeferralError(f"gate id {pid!r} already in use")
-            new_gates = [
-                measure_gate(pid, [g.registers[j]], {"0": _P0, "1": _P1})
-                for j, pid in enumerate(part_ids)
-            ]
-        parts[g.id] = (part_ids, bits_of_label)
-        replacement[g.id] = new_gates
-
-    gates: list[Gate] = []
-    for g in c.gates:
-        if g.id in replacement:
-            gates.extend(replacement[g.id])
-            continue
-        if any(s in replacement or s in parts for s in g.classical_sources):
-            h = g
-            # rewrite positions right-to-left so earlier indices stay valid
-            for pos in reversed(range(len(g.classical_sources))):
-                src = g.classical_sources[pos]
-                if src not in parts:
-                    continue
-                part_ids, bits_of_label = parts[src]
-                if part_ids == (src,) and src not in replacement:
-                    continue
-                table = bits_of_label
-                h = _rekey_selector(h, c, pos, part_ids, lambda lab, t=table: t[lab])
-            gates.append(h)
-        else:
-            gates.append(g)
-    out = QuantumCircuit(c.register_names, tuple(gates))
-    return SplitResult(check_valid(out), parts)
+        if any(s in kept for s in h.classical_sources):
+            # a repeated source is fine: only its diagonal selector keys fire
+            h = replace(
+                h,
+                classical_sources=tuple(kept.get(s, s) for s in h.classical_sources),
+                selector={
+                    tuple(labels[s][lab] if s in kept else lab for s, lab in zip(h.classical_sources, key)): t
+                    for key, t in h.selector.items()
+                },
+            )
+        gates.append(h)
+    return QuantumCircuit(c.register_names, tuple(gates)), kept, labels
 
 
-def _prune_unreferenced_ops(g: Gate) -> Gate:
-    """Drop ops/measurements no selector key can reach (a source was removed
-    or collapsed). Non-CC gates must carry exactly one op."""
-    used = set(g.selector.values())
-    unitaries = {k: v for k, v in g.unitaries.items() if k in used}
-    measurements = {k: v for k, v in g.measurements.items() if k in used}
-    if len(unitaries) == len(g.unitaries) and len(measurements) == len(g.measurements):
-        return g
-    return Gate(
-        g.id,
-        g.registers,
-        unitaries=unitaries,
-        measurements=measurements,
-        classical_sources=g.classical_sources,
-        selector=g.selector,
-    )
+# --- phase 3: deferring past one gate ---------------------------------------
 
 
-def _dedupe_classical_sources(g: Gate) -> Gate:
-    """Collapse repeated source slots. Both slots carry the same gate's
-    outcome, so only diagonal selector keys are reachable; keep those."""
-    srcs = list(g.classical_sources)
-    while True:
-        dup = next((j for j in range(len(srcs)) if srcs[j] in srcs[:j]), None)
-        if dup is None:
-            return _prune_unreferenced_ops(g)
-        i = srcs.index(srcs[dup])
-        selector = {
-            key[:dup] + key[dup + 1 :]: target
-            for key, target in g.selector.items()
-            if key[i] == key[dup]
-        }
-        del srcs[dup]
-        g = Gate(
-            g.id,
-            g.registers,
-            unitaries=g.unitaries,
-            measurements=g.measurements,
-            classical_sources=tuple(srcs),
-            selector=selector,
-        )
-
-
-def _delete_duplicate_measurements(c: QuantumCircuit) -> tuple[QuantumCircuit, dict]:
-    """Remove re-measurements of a register with no intervening gate on it
-    (second deleted, channels re-sourced to the first). All measurements must
-    be single-register with 0/1 labels. Returns circuit + {deleted: kept}."""
-    replaced: dict[str, str] = {}
-    while True:
-        victim = None
-        for r in range(c.n_registers):
-            chain = c.register_chain(r)
-            for a, b in zip(chain, chain[1:]):
-                ga, gb = c.gate(a), c.gate(b)
-                if ga.is_measure and gb.is_measure:
-                    victim = (a, b)
-                    break
-            if victim:
-                break
-        if not victim:
-            break
-        keep, drop = victim
-        gates = []
-        for g in c.gates:
-            if g.id == drop:
-                continue
-            while drop in g.classical_sources:
-                pos = g.classical_sources.index(drop)
-                g = _rekey_selector(g, c, pos, (keep,), lambda lab: (lab,))
-                g = _dedupe_classical_sources(g)
-            gates.append(g)
-        c = QuantumCircuit(c.register_names, tuple(gates))
-        replaced[drop] = keep
-        for d, kept in list(replaced.items()):
-            if kept == drop:
-                replaced[d] = keep
-    return c, replaced
-
-
-# --- deferring past one gate ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeferStep:
-    circuit: QuantumCircuit
-    ancilla_registers: tuple[int, ...]
-
-
-def defer_past_gate(c: QuantumCircuit, gid: str) -> DeferStep:
-    """Rewrite one red unitary gate (no red prerequisites) into a
-    quantum-controlled unitary with its measurement prerequisites moved after
-    it; sources sharing a register with the gate are first copied to a fresh
-    |0> ancilla with a controlled-NOT."""
+def defer_past_gate(c: QuantumCircuit, gid: str) -> QuantumCircuit:
+    """Rewrite one red unitary gate with no red prerequisites into a unitary
+    quantum-controlled by the registers of its classical sources (standard
+    measurements of any arity), with its measurement prerequisites moved
+    after it. Where the gate's quantum source on a register r is a
+    measurement, r is first copied to a fresh |0> ancilla with a CNOT and the
+    run of adjacent measurements ending there moves onto the copy. On a
+    control register the gate does not act on, the gate goes in before the
+    run of measurements that holds its source."""
     g = c.gate(gid)
     if g.is_measure:
         raise DeferralError(f"gate {gid!r} is a measurement gate")
@@ -597,112 +433,86 @@ def defer_past_gate(c: QuantumCircuit, gid: str) -> DeferStep:
         raise DeferralError(f"gate {gid!r} has no measurement prerequisites")
     if c._layers[0][gid] & c._mask(reds):
         raise DeferralError(f"gate {gid!r} has red prerequisites")
-    for h in c.gates:
-        if h.is_measure:
-            (m,) = h.measurements.values()
-            if h.arity != 1 or set(m.outcomes) != {"0", "1"}:
-                raise DeferralError(
-                    "defer_past_gate needs single-register standard measurements "
-                    f"with 0/1 labels; gate {h.id!r} is not one"
-                )
 
-    qsrc = c.quantum_sources(gid)
-    chan_srcs = list(g.classical_sources)
-    shared_meas: dict[str, int] = {}  # measurement source -> shared register
-    for r, s in qsrc.items():
-        if s is not None and c.gate(s).is_measure:
-            shared_meas[s] = r
-    for s in chan_srcs:
-        sr = c.gate(s).registers[0]
-        if sr in g.registers and s not in shared_meas:
-            raise DeferralError(
-                f"channel source {s!r} shares register {sr} with {gid!r} but is "
-                "not its quantum source; delete duplicate measurements first"
-            )
+    def run_start(chain: list, i: int) -> int:
+        """Start of the run of adjacent measurement gates holding chain[i]."""
+        while i > 0 and c.gate(chain[i - 1]).is_measure:
+            i -= 1
+        return i
 
     n0 = c.n_registers
-    copies: list[tuple[str, int, int]] = []  # (source, shared register, ancilla)
-    copy_order = sorted(shared_meas, key=lambda s: g.registers.index(shared_meas[s]))
-    for s in copy_order:
-        copies.append((s, shared_meas[s], n0 + len(copies)))
-    anc_of = {s: a for s, _, a in copies}
-
-    ctrl_regs = []
-    for s in chan_srcs:
-        ctrl_regs.append(anc_of[s] if s in anc_of else c.gate(s).registers[0])
-
-    # the controlled unitary: |bits>|x> -> |bits> (x) U_selector(bits) |x>
-    k = g.arity
-    mm = len(chan_srcs)
-    dim_block = 2**k
-    big = np.zeros((2 ** (mm + k), 2 ** (mm + k)), dtype=complex)
-    for bits in itertools.product("01", repeat=mm):
-        u = g.unitaries[g.selector[bits]].matrix
-        b = linalg.index_of([int(x) for x in bits]) if mm else 0
-        big[b * dim_block : (b + 1) * dim_block, b * dim_block : (b + 1) * dim_block] = u
-    gsigma = unitary_gate(gid, tuple(ctrl_regs) + g.registers, big)
-
-    cnot_gates = {
-        s: unitary_gate(_fresh_gate_id(c, f"{gid}__cp__{s}"), (r, a), linalg.CNOT)
-        for s, r, a in copies
-    }
-    moved_meas = {
-        s: measure_gate(s, [anc_of[s]], {"0": _P0, "1": _P1}) for s in anc_of
-    }
-    q_moved = [s for s in chan_srcs if s not in anc_of]
-
-    # intended per-register chains
-    chains: dict[int, list[str]] = {r: c.register_chain(r) for r in range(n0)}
-    for s, r, a in copies:
+    chains = {r: c.register_chain(r) for r in range(n0)}
+    taken = set(c._by_id)
+    copy_of: dict[int, int] = {}  # copied register -> its ancilla
+    cnots = []
+    for r, s in c.quantum_sources(gid).items():
+        if s is None or not c.gate(s).is_measure:
+            continue
+        copy_of[r] = a = n0 + len(copy_of)
+        cnot = unitary_gate(_fresh_gate_id(taken, f"{gid}__cp__{s}"), (r, a), linalg.CNOT)
+        taken.add(cnot.id)
+        cnots.append(cnot)
         chain = chains[r]
-        pos = chain.index(s)
-        assert pos + 1 < len(chain) and chain[pos + 1] == gid
-        chain[pos] = cnot_gates[s].id
-        chains[a] = [cnot_gates[s].id] + ([gid] if s in chan_srcs else []) + [s]
-    for s in q_moved:
-        w = c.gate(s).registers[0]
-        chain = chains[w]
-        chain.insert(chain.index(s), gid)
+        j = chain.index(gid)
+        i = run_start(chain, j - 1)
+        chains[a] = [cnot.id] + chain[i:j]
+        chain[i:j] = [cnot.id]
+    # every register a moved measurement shares with the gate is copied
+    moved = {
+        m: tuple(copy_of.get(r, r) for r in c.gate(m).registers)
+        for a in copy_of.values()
+        for m in chains[a][1:]
+    }
 
-    # rebuild: nodes, edges, stable priorities
-    new_gates: dict[str, Gate] = {}
-    for h in c.gates:
-        if h.id == gid:
-            new_gates[gid] = gsigma
-        elif h.id in moved_meas:
-            new_gates[h.id] = moved_meas[h.id]
-        else:
-            new_gates[h.id] = h
-    for cg in cnot_gates.values():
-        new_gates[cg.id] = cg
+    sources = [c.gate(s) for s in g.classical_sources]
+    for s in itertools.chain(sources, (c.gate(m) for m in moved)):
+        (m,) = s.measurements.values()
+        if not classify_measurement(m).standard:
+            raise DeferralError(f"measurement of gate {s.id!r} is not standard")
+    ctrl: list[int] = []
+    for s in sources:
+        for w in moved.get(s.id, s.registers):
+            if w not in ctrl:
+                ctrl.append(w)
+                chain = chains[w]
+                chain.insert(1 if w >= n0 else run_start(chain, chain.index(s.id)), gid)
 
-    edges: set[tuple[str, str]] = set()
-    for chain in chains.values():
-        edges.update(zip(chain, chain[1:]))
-    for h in new_gates.values():
-        for s in h.classical_sources:
-            edges.add((s, h.id))
+    # the controlled unitary: |x>|y> -> |x> (x) U_selector(labels read off x) |y>
+    label_at = {s.id: {i: lab for lab, i in _basis_labels(s).items()} for s in sources}
+    k, dim = len(ctrl), 2**g.arity
+    big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
+    for x in range(2**k):
+        bit = dict(zip(ctrl, linalg.bits_of(x, k)))
+        key = tuple(
+            label_at[s.id][linalg.index_of([bit[w] for w in moved.get(s.id, s.registers)])]
+            for s in sources
+        )
+        big[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] = g.unitaries[g.selector[key]].matrix
 
-    gpos = c.index_of(gid)
+    new = {h.id: h for h in c.gates}
+    new[gid] = unitary_gate(gid, tuple(ctrl) + g.registers, big)
+    for m, regs in moved.items():
+        new[m] = replace(new[m], registers=regs)
+    new.update((cn.id, cn) for cn in cnots)
+    edges = {e for chain in chains.values() for e in zip(chain, chain[1:])}
+    edges.update((s, h.id) for h in new.values() for s in h.classical_sources)
+
+    gpos, cnot_ids, late = c.index_of(gid), {cn.id for cn in cnots}, list(g.classical_sources)
 
     def priority(v: str):
-        if v in {cg.id for cg in cnot_gates.values()}:
+        if v in cnot_ids:
             return (gpos, 0)
         if v == gid:
             return (gpos, 1)
-        if v in anc_of or v in q_moved:
-            return (gpos, 2, chan_srcs.index(v) if v in chan_srcs else 99)
+        if v in moved or v in late:
+            return (gpos, 2, late.index(v) if v in late else 99)
         return (c.index_of(v), -1)
 
-    order = _toposort(list(new_gates), edges, key=priority)
+    order = _toposort(list(new), edges, key=priority)
     if order is None:
         raise DeferralError("rewrite produced a cyclic source relation")
-
-    names = c.register_names + tuple(
-        _fresh_register_names(c.register_names, len(copies))
-    )
-    out = QuantumCircuit(names, tuple(new_gates[v] for v in order))
-    return DeferStep(check_valid(out), tuple(a for _, _, a in copies))
+    names = c.register_names + tuple(_fresh_register_names(c.register_names, len(copy_of)))
+    return check_valid(QuantumCircuit(names, tuple(new[v] for v in order)))
 
 
 # --- the full pass ----------------------------------------------------------
@@ -710,143 +520,42 @@ def defer_past_gate(c: QuantumCircuit, gid: str) -> DeferStep:
 
 def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     """Produce a faithfully-simulating circuit in which no unitary gate has a
-    measurement gate as a prerequisite."""
+    measurement gate as a prerequisite. Its unitary gates come first, in the
+    order the rewrites left them, then its measurement gates sorted by id."""
     check_valid(c)
     bad = constraint_violations(c)
     if bad:
         raise ConstraintError(bad)
-
     if not red_gates(c):
         return DeferralResult(c, Commensuration.identity(c), frozenset())
 
-    n_principal = c.n_registers
-    families: dict[str, _Family] = {}
-    absorbed: set[str] = set()
+    absorbed = set()
     cur = c
+    for g in c.gates:
+        if g.is_measure and not classify_measurement(next(iter(g.measurements.values()))).standard:
+            res = standardize_measurement(cur, g.id)
+            cur = res.circuit
+            if res.measure_gate_id is None:
+                absorbed.add(g.id)
 
-    # phase 1: standardize nonstandard measurements
-    for g in list(cur.gates):
-        if not g.is_measure:
-            continue
-        (m,) = g.measurements.values()
-        fam = _Family(g.id, [g.id])
-        families[g.id] = fam
-        if classify_measurement(m).standard:
-            continue
-        res = standardize_measurement(cur, g.id)
-        cur = res.circuit
-        if res.measure_gate_id is None:
-            absorbed.add(g.id)
-            fam.part_refs = []
+    cur, kept, labels = _delete_duplicate_measurements(cur)
 
-    # phase 2: per-register bits with 0/1 labels
-    split = split_standard_measurements(cur)
-    cur = split.circuit
-    for fam in families.values():
-        if not fam.part_refs:
-            continue
-        part_ids, bits_of_label = split.parts[fam.orig_id]
-        fam.part_refs = list(part_ids)
-        gate_now_labels = bits_of_label  # current-gate label -> bits
-        # original labels coincide with the current gate's labels here:
-        # standardization kept them (plus pads, which are not original labels)
-        fam.orig_label_bits = {
-            lab: gate_now_labels[lab]
-            for lab in gate_now_labels
-            if lab in _original_labels(c, fam.orig_id)
-        }
-        fam.final_labels = {bits: lab for lab, bits in gate_now_labels.items()}
-
-    # phase 3: duplicate re-measurements
-    cur, replaced = _delete_duplicate_measurements(cur)
-    if replaced:
-        for fam in families.values():
-            fam.part_refs = [replaced.get(p, p) for p in fam.part_refs]
-
-    # phase 4: defer red gates, innermost first
     while True:
         reds = red_gates(cur)
         if not reds:
             break
-        target = next(gid for gid in topo_order(cur) if gid in reds)
-        step = defer_past_gate(cur, target)
-        assert len(red_gates(step.circuit)) < len(reds)
-        cur = step.circuit
+        cur = defer_past_gate(cur, next(gid for gid in topo_order(cur) if gid in reds))
+        assert len(red_gates(cur)) < len(reds)
 
-    # phase 5: merge bits back into one gate per original measurement
-    part_owner: dict[str, str] = {}
-    for fam in families.values():
-        for p in fam.part_refs:
-            part_owner.setdefault(p, fam.orig_id)
-    merged_pos: dict[str, tuple[str, int]] = {}  # part -> (merged gate id, bit pos)
-    merged_gates: list[Gate] = []
-    drop: set[str] = set()
-    for orig_id in sorted(families):
-        fam = families[orig_id]
-        own = [
-            (j, p)
-            for j, p in enumerate(fam.part_refs)
-            if part_owner.get(p) == orig_id
-        ]
-        if not own:
-            continue
-        for h in cur.gates:
-            for p_j, p in own:
-                if p in h.classical_sources:
-                    raise DeferralError(
-                        f"measurement {p!r} still has a consumer {h.id!r} after deferral"
-                    )
-        own_regs = [cur.gate(p).registers[0] for _, p in own]
-        if len(own) == len(fam.part_refs):
-            label_table = {bits: lab for bits, lab in fam.final_labels.items()}
-        else:
-            # foreign (duplicate-deleted) positions are dropped; keep one
-            # label per own-bit pattern (they agree up to foreign bits)
-            label_table = {}
-            for bits, lab in sorted(fam.final_labels.items()):
-                key = tuple(bits[j] for j, _ in own)
-                label_table.setdefault(key, lab)
-        ops = {}
-        dim = 2 ** len(own)
-        for bits, lab in label_table.items():
-            p = np.zeros((dim, dim), dtype=complex)
-            b = linalg.index_of([int(x) for x in bits])
-            p[b, b] = 1.0
-            ops[lab] = p
-        mg_id = orig_id if (not cur.has_gate(orig_id) or orig_id in {p for _, p in own}) else _fresh_gate_id(cur, orig_id)
-        merged_gates.append(measure_gate(mg_id, own_regs, ops))
-        for pos, (_, p) in enumerate(own):
-            merged_pos[p] = (mg_id, pos)
-        drop.update(p for _, p in own)
-
-    gates = [g for g in cur.gates if g.id not in drop]
-    gates.extend(merged_gates)
-    cur = check_valid(QuantumCircuit(cur.register_names, tuple(gates)))
-
-    assignments = {}
-    label_bits = {}
-    d_label_of: dict[str, dict] = {}
-    for orig_id, fam in families.items():
-        if orig_id in absorbed:
-            continue
-        assignments[orig_id] = tuple(merged_pos[p] for p in fam.part_refs)
-        label_bits[orig_id] = dict(fam.orig_label_bits)
-    for mg in merged_gates:
-        (m,) = mg.measurements.values()
-        table = {}
-        for lab in m.outcomes:
-            b = _bit_of_standard_op(m.operators[lab])
-            table[tuple(str(x) for x in linalg.bits_of(b, mg.arity))] = lab
-        d_label_of[mg.id] = table
-
-    zeta = Commensuration(assignments, label_bits, d_label_of, frozenset(absorbed))
-    anc = frozenset(range(n_principal, cur.n_registers))
-    assert not red_gates(cur)
-    return DeferralResult(cur, zeta, anc)
-
-
-def _original_labels(c: QuantumCircuit, gid: str) -> tuple[str, ...]:
-    return c.gate(gid).outcome_labels
+    measures = sorted((h for h in cur.gates if h.is_measure), key=lambda h: h.id)
+    gates = [h for h in cur.gates if not h.is_measure] + [
+        measure_gate(h.id, h.registers, {lab: _projector(i, 2**h.arity) for lab, i in _basis_labels(h).items()})
+        for h in measures
+    ]
+    d = check_valid(QuantumCircuit(cur.register_names, tuple(gates)))
+    targets = {g.id: kept.get(g.id, g.id) for g in c.gates if g.is_measure and g.id not in absorbed}
+    zeta = Commensuration(targets, labels, frozenset(absorbed))
+    return DeferralResult(d, zeta, frozenset(range(c.n_registers, d.n_registers)))
 
 
 # --- faithfulness checker ---------------------------------------------------
@@ -858,10 +567,12 @@ class FaithfulnessReport:
     failures: tuple  # tuple of dicts
     inputs_checked: int
     tracks_checked: int
+    method: str = "inputs"  # "exact" or "inputs"
 
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
+            "method": self.method,
             "inputs_checked": self.inputs_checked,
             "tracks_checked": self.tracks_checked,
             "failures": list(self.failures),
@@ -874,28 +585,42 @@ def basis_inputs(n: int) -> list[np.ndarray]:
 
 def random_pure_inputs(n: int, count: int, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        out.append(v / np.linalg.norm(v))
-    return out
+    kets = [rng.normal(size=2**n) + 1j * rng.normal(size=2**n) for _ in range(count)]
+    return [v / np.linalg.norm(v) for v in kets]
 
 
 def check_faithful(
     c: QuantumCircuit,
     d: QuantumCircuit,
     zeta: Commensuration,
-    inputs: Sequence[np.ndarray],
+    inputs: Optional[Sequence[np.ndarray]] = None,
     tol: float = TOL,
 ) -> FaithfulnessReport:
-    """Verify faithful simulation: per pure input and per source track, equal
-    realization probability and equal principal-register output (ancillas
-    traced out, states compared after trace normalization); deferred-circuit
-    tracks outside the commensuration image must have probability <= tol."""
+    """Verify faithful simulation: every source track's probability and
+    principal-register output (ancillas traced out) are reproduced by its
+    image under `zeta`, and target tracks outside the image have probability
+    <= tol. A `zeta` that maps a source measurement to no measurement gate of
+    `d` raises ParseError (`bad-sidecar`).
+
+    Without `inputs` the check is exact, for all inputs at once. Let A be a
+    source track's operator, B its image's, and V_a = (I (x) <a|) B (I (x) |0>)
+    for each ancilla basis state a. The track is reproduced for every input
+    iff every V_a = c_a A with sum |c_a|^2 = 1, for then
+    B (psi (x) |0>) = A psi (x) sum_a c_a |a>. With least-squares c_a, the
+    squared Frobenius norm of the remainders V_a - c_a A and the gap between
+    the masses sum |c_a|^2 |A|^2 and |A|^2 must be <= tol; so must |A|^2 for
+    an untranslatable track and |B (I (x) |0>)|^2 for an unmatched target
+    track. (A mass |A|^2 is the track's probability summed over basis inputs.)
+
+    Given pure `inputs`, probabilities and traced output states are compared
+    input by input instead."""
     nc, nd = c.n_registers, d.n_registers
     if d.register_names[:nc] != c.register_names:
         raise DeferralError("deferred circuit does not extend the source registers")
-    n_anc = nd - nc
+    for g in c.gates:
+        t = zeta.gates.get(g.id)
+        if g.is_measure and g.id not in zeta.absorbed and not (d.has_gate(t) and d.gate(t).is_measure):
+            raise _bad_sidecar(f"source measurement {g.id!r} maps to no measurement gate of the target")
 
     agg_c = aggregate_measurement(c)
     agg_d = aggregate_measurement(d)
@@ -906,72 +631,70 @@ def check_faithful(
             if g not in agg_d.operators:
                 raise DeferralError(f"translated track {g} is not a track of the target")
             image[f] = g
+    covered, n_tracks = set(image.values()), len(agg_c.operators)
+    if inputs is None:
+        failures = _exact_failures(agg_c.operators, agg_d.operators, image, 2 ** (nd - nc), tol)
+        return FaithfulnessReport(not failures, tuple(failures), 0, n_tracks, "exact")
 
-    failures = []
+    n_anc = nd - nc
     anc_zero = linalg.basis_ket(0, n_anc) if n_anc else np.ones(1, dtype=complex)
-    keep = list(range(nc))
+    failures = []
     for i, psi in enumerate(inputs):
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         if psi.shape[0] != 2**nc:
             raise DeferralError(f"input {i} has wrong dimension {psi.shape[0]}")
         psi = psi / np.linalg.norm(psi)
         phi = np.kron(psi, anc_zero)
-        probs_d = {}
-        for g, op in agg_d.operators.items():
-            probs_d[g] = float(np.linalg.norm(op @ phi) ** 2)
-        for f, op_c in agg_c.operators.items():
-            out_c = op_c @ psi
-            p_c = float(np.linalg.norm(out_c) ** 2)
-            g = image.get(f)
+        out_d = {g: op @ phi for g, op in agg_d.operators.items()}
+        p_d = {g: float(np.linalg.norm(v) ** 2) for g, v in out_d.items()}
+        for f, op in agg_c.operators.items():
+            out_c = op @ psi
+            p_c, g, at = float(np.linalg.norm(out_c) ** 2), image.get(f), {"input": i, "track": f.as_dict()}
             if g is None:
                 if p_c > tol:
-                    failures.append(
-                        {
-                            "kind": "untranslatable-track-probability",
-                            "input": i,
-                            "track": f.as_dict(),
-                            "probability": p_c,
-                        }
-                    )
-                continue
-            out_d = agg_d.operators[g] @ phi
-            p_d = probs_d[g]
-            if abs(p_c - p_d) > tol:
+                    failures.append({"kind": "untranslatable-track-probability", **at, "probability": p_c})
+            elif abs(p_c - p_d[g]) > tol:
                 failures.append(
-                    {
-                        "kind": "probability-mismatch",
-                        "input": i,
-                        "track": f.as_dict(),
-                        "source_probability": p_c,
-                        "target_probability": p_d,
-                    }
+                    {"kind": "probability-mismatch", **at,
+                     "source_probability": p_c, "target_probability": p_d[g]}
                 )
-                continue
-            if p_c > tol:
-                rho_c = linalg.ket_to_density(out_c) / p_c
-                rho_d_full = linalg.ket_to_density(out_d) / p_d
-                rho_d = linalg.partial_trace_matrix(rho_d_full, nd, keep) if n_anc else rho_d_full
-                err = float(np.max(np.abs(rho_c - rho_d)))
+            elif p_c > tol:
+                rho_d = linalg.ket_to_density(out_d[g]) / p_d[g]
+                if n_anc:
+                    rho_d = linalg.partial_trace_matrix(rho_d, nd, list(range(nc)))
+                err = float(np.max(np.abs(linalg.ket_to_density(out_c) / p_c - rho_d)))
                 if err > tol:
-                    failures.append(
-                        {
-                            "kind": "state-mismatch",
-                            "input": i,
-                            "track": f.as_dict(),
-                            "max_entry_error": err,
-                        }
-                    )
-        covered = set(image.values())
-        for g, p in probs_d.items():
-            if g not in covered and p > tol:
-                failures.append(
-                    {
-                        "kind": "unmatched-target-track",
-                        "input": i,
-                        "track": g.as_dict(),
-                        "probability": p,
-                    }
-                )
-    return FaithfulnessReport(
-        not failures, tuple(failures), len(inputs), len(agg_c.operators)
-    )
+                    failures.append({"kind": "state-mismatch", **at, "max_entry_error": err})
+        failures += [
+            {"kind": "unmatched-target-track", "input": i, "track": g.as_dict(), "probability": p}
+            for g, p in p_d.items()
+            if g not in covered and p > tol
+        ]
+    return FaithfulnessReport(not failures, tuple(failures), len(inputs), n_tracks)
+
+
+def _exact_failures(ops_c: dict, ops_d: dict, image: dict, dim_anc: int, tol: float) -> list:
+    """The exact check of `check_faithful` over the source tracks. Principal
+    registers come first, so |x>|0> is basis index x * dim_anc."""
+    failures = []
+    for f, a in ops_c.items():
+        mass, g = float(np.vdot(a, a).real), image.get(f)
+        if g is None:
+            if mass > tol:
+                failures.append({"kind": "untranslatable-track-probability", "track": f.as_dict(), "mass": mass})
+            continue
+        v = ops_d[g][:, ::dim_anc].reshape(a.shape[0], dim_anc, a.shape[1])  # <x a|B|y 0>
+        coef = np.einsum("xy,xay->a", a.conj(), v) / mass if mass else np.zeros(dim_anc)
+        image_mass = float(np.vdot(coef, coef).real) * mass
+        residual = float(np.sum(np.abs(v - a[:, None, :] * coef[None, :, None]) ** 2))
+        if residual > tol or abs(image_mass - mass) > tol:
+            failures.append(
+                {"kind": "operator-mismatch", "track": f.as_dict(), "residual": residual,
+                 "source_mass": mass, "target_mass": image_mass + residual}
+            )
+    covered = set(image.values())
+    for g, b in ops_d.items():
+        mass = 0.0 if g in covered else float(np.sum(np.abs(b[:, ::dim_anc]) ** 2))
+        if mass > tol:
+            failures.append({"kind": "unmatched-target-track", "track": g.as_dict(), "mass": mass})
+    return failures

@@ -158,7 +158,7 @@ def _scalar(o) -> Optional[str]:
 
 def _key(k) -> str:
     """A dict key as `json` writes it: str as is; None, bool, int and float as
-    their JSON text (gate ids read from a circuit file may be ints)."""
+    their JSON text."""
     if isinstance(k, str):
         return k
     text = _scalar(k)
@@ -204,10 +204,15 @@ def gate_from_json(obj: dict) -> Gate:
         gid = obj["id"]
         registers = tuple(int(r) for r in obj["registers"])
         kind = obj["kind"]
-        controls = tuple(obj.get("controls", ()))
+        controls = obj.get("controls", [])
         selector = _selector_from_json(obj.get("selector", {}))
     except (KeyError, TypeError, ValueError):
         raise ParseError([_diag("bad-gate", where, "malformed gate object")]) from None
+    if not isinstance(gid, str) or not (
+        isinstance(controls, list) and all(isinstance(s, str) for s in controls)
+    ):
+        raise ParseError([_diag("bad-gate", where, "gate id and controls must be JSON strings")])
+    controls = tuple(controls)
     if kind == "measure":
         measurements = {}
         for mid, mobj in obj.get("measurements", {}).items():

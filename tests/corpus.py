@@ -195,3 +195,25 @@ def random_coherent_order(rng, p):
         out.append(pick)
         remaining.remove(pick)
     return tuple(out)
+
+
+def feed_forward_circuit(k):
+    """k rounds of H on r0, a standard measurement of r0 and an X on r1
+    classically controlled by that measurement."""
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    gates = []
+    for i in range(k):
+        gates += [
+            unitary_gate(f"h{i}", [0], H),
+            measure_gate(f"m{i}", [0], {"0": p0, "1": p1}),
+            Gate(
+                f"x{i}",
+                (1,),
+                unitaries={"I": UnitaryOp("I", np.eye(2, dtype=complex)), "X": UnitaryOp("X", x)},
+                classical_sources=(f"m{i}",),
+                selector={("0",): "I", ("1",): "X"},
+            ),
+        ]
+    return QuantumCircuit(("r0", "r1"), tuple(gates))

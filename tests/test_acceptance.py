@@ -224,6 +224,8 @@ def test_criterion_6_deferral():
         inputs = basis_inputs(n) + random_pure_inputs(n, 10, seed=6000 + i)
         rep = check_faithful(c, d, zeta, inputs, tol=TOL)
         assert rep.ok, (i, rep.failures)
+        exact = check_faithful(c, d, zeta, tol=TOL)
+        assert exact.ok, (i, exact.failures)
         # Every deferred-circuit track outside the commensuration image has
         # probability <= tol on ancilla-zero inputs.
         image = {
@@ -272,6 +274,8 @@ def test_criterion_7_teleportation(teleport):
         teleport, d, result.zeta, basis_inputs(3) + random_pure_inputs(3, 10, seed=7)
     )
     assert rep.ok, rep.failures
+    exact = check_faithful(teleport, d, result.zeta, tol=TOL)
+    assert exact.ok, exact.failures
 
 
 @report(8, "sampling frequencies")

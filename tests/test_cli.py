@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from corpus import random_circuit
+from test_deferral import dropped_z_pair
 from qcirc.cli import main
 from qcirc.serialize import (
     ParseError,
@@ -277,15 +281,16 @@ def test_cli_stdout_golden(capsys, argv, digest):
 
 
 def test_cli_defer_and_check_faithful_golden(tmp_path, capsys):
-    """The deferred circuit, its sidecar and the check report, byte for byte,
-    as `json.dumps(..., indent=2)` wrote them."""
+    """The deferred circuit, byte for byte as `json.dumps(..., indent=2)`
+    wrote it, and its sidecar and exact check report in their gate-to-gate
+    form (`zeta`, `labels`, `absorbed`, `ancillas`; `method: exact`)."""
     out, zeta = tmp_path / "deferred.json", tmp_path / "deferred.zeta.json"
     assert main(["defer", TELEPORT, "-o", str(out)]) == 0
     capsys.readouterr()
     assert _sha256(out.read_bytes()) == "d2793ee2426b1f63451855d0108d2736824e1bc86ca3923371209b5d1f992cdc"
-    assert _sha256(zeta.read_bytes()) == "5e1f7bf0f6f2e71e31831ef8e38850cc8de91bb7c51e25e1d5c847be2f207bb5"
+    assert _sha256(zeta.read_bytes()) == "ec683d15f7bf212f46609cbc0d10c9585ed10027082c577d37d7f5a94e58aa7d"
     assert main(["check-faithful", TELEPORT, str(out), "--zeta", str(zeta)]) == 0
-    assert _sha256(capsys.readouterr().out) == "44a374713a83ac4cfb330633e996d5da568ec2a6bf58cfd7a99bd45e36b154a7"
+    assert _sha256(capsys.readouterr().out) == "00c4014eac0c1c972cb6223dd25374e5598e20150c74432c39ce424502857ad0"
 
 
 def test_cli_run_with_schedule_file(capsys):
@@ -362,3 +367,102 @@ def test_cli_transpose_path(capsys):
     assert data["orders"][0] == ["a", "b", "c", "d"]
     assert data["orders"][-1] == ["a", "d", "c", "b"]
     assert data["steps"] == len(data["orders"]) - 1
+
+
+def _first_diag(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.splitlines()[0])
+
+
+def test_cli_check_faithful_default_rejects_dropped_z(tmp_path, capsys):
+    """H q0; M q0; Z on q1 controlled by M, against the target with the Z
+    dropped: basis inputs miss the lost phase, the default exact check
+    does not."""
+    src, tgt = dropped_z_pair()
+    paths = [tmp_path / "src.json", tmp_path / "tgt.json", tmp_path / "zeta.json"]
+    paths[0].write_text(serialize_circuit(src))
+    paths[1].write_text(serialize_circuit(tgt))
+    paths[2].write_text(json.dumps({"zeta": {"m": "m"}, "labels": {}, "absorbed": []}))
+    argv = ["check-faithful", *map(str, paths[:2]), "--zeta", str(paths[2])]
+    assert main(argv) == 1
+    report = out_json(capsys)
+    assert report["ok"] is False and report["method"] == "exact"
+    assert main(argv + ["--inputs", "basis"]) == 0
+    assert out_json(capsys)["ok"] is True
+
+
+def _old_sidecar(targets) -> dict:
+    """A sidecar in the bit-level format `defer` wrote before measurements
+    stayed one gate, for measurements with labels 0 and 1."""
+    return {
+        "zeta": targets,
+        "absorbed": [],
+        "ancillas": [],
+        "detail": {
+            "assignments": {g: [[g, 0]] for g in targets},
+            "label_bits": {g: {"0": ["0"], "1": ["1"]} for g in targets},
+            "d_labels": {g: [[["0"], "0"], [["1"], "1"]] for g in targets},
+        },
+    }
+
+
+def test_cli_old_sidecar_is_still_read(tmp_path, capsys):
+    path = tmp_path / "old.zeta.json"
+    path.write_text(json.dumps(_old_sidecar({"M": "M", "N": "N"})))
+    assert main(["check-faithful", TELEPORT, TELEPORT, "--zeta", str(path)]) == 0
+    assert out_json(capsys)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "sidecar, message",
+    [
+        ({"zeta": {}}, "maps to no measurement gate"),
+        ([1, 2], "zeta maps gate ids"),
+        ({"zeta": {"M": 5, "N": "N"}}, "as strings"),
+        ({"zeta": {"M": "M", "N": "N"}, "labels": {"M": ["0"]}}, "as strings"),
+        (_old_sidecar({"M": ["M", "N"], "N": "N"}), "re-run qcirc defer"),
+        ({**_old_sidecar({"M": "M", "N": "N"}), "detail": {}}, "re-run qcirc defer"),
+    ],
+    ids=["empty-zeta", "list", "int-target", "labels-list", "old-split", "old-no-tables"],
+)
+def test_cli_bad_sidecar_is_a_diagnostic(tmp_path, capsys, sidecar, message):
+    path = tmp_path / "bad.zeta.json"
+    path.write_text(json.dumps(sidecar))
+    assert main(["check-faithful", TELEPORT, TELEPORT, "--zeta", str(path)]) == 1
+    diag = _first_diag(capsys)
+    assert diag["code"] == "bad-sidecar" and message in diag["message"]
+
+
+def test_cli_gate_ids_must_be_strings(tmp_path, capsys):
+    """A mixed file (`"id": 5` for M, and ZM's control to match) and an
+    all-integer file are both `bad-gate`, before any command runs."""
+    obj = json.loads(Path(TELEPORT).read_text())
+    for g in obj["gates"]:
+        g["id"] = 5 if g["id"] == "M" else g["id"]
+        g["controls"] = [5 if s == "M" else s for s in g["controls"]]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(obj))
+    assert main(["aggregate", str(mixed)]) == 1
+    assert _first_diag(capsys)["code"] == "bad-gate"
+
+    obj = json.loads(Path(TELEPORT).read_text())
+    number = {g["id"]: i for i, g in enumerate(obj["gates"])}
+    for g in obj["gates"]:
+        g["id"] = number[g["id"]]
+        g["controls"] = [number[s] for s in g["controls"]]
+    ints = tmp_path / "ints.json"
+    ints.write_text(json.dumps(obj))
+    assert main(["defer", str(ints), "-o", str(tmp_path / "out.json")]) == 1
+    assert _first_diag(capsys)["code"] == "bad-gate"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_teleport_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "teleport_demo.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "faithful: True" in proc.stdout

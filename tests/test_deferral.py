@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import PM_FAMILY, random_deferrable_circuit, random_kraus_family
+from conftest import make_teleportation
+from corpus import (
+    PM_FAMILY,
+    feed_forward_circuit,
+    random_deferrable_circuit,
+    random_kraus_family,
+)
 from qcirc.circuit import (
     Measurement,
     QuantumCircuit,
@@ -23,10 +29,9 @@ from qcirc.deferral import (
     defer_measurements,
     random_pure_inputs,
     red_gates,
-    split_standard_measurements,
     standardize_measurement,
 )
-from qcirc.linalg import H, X, Z
+from qcirc.linalg import CNOT, H, X, Z
 from qcirc.semantics import Track, aggregate_measurement, enumerate_tracks
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -199,20 +204,29 @@ def test_standardize_single_outcome_absorbs():
     assert not res.circuit.gate("M").is_measure
 
 
-def test_split_multi_register_standard():
+def test_multi_register_standard_stays_one_gate():
     ops = {}
     for b in range(4):
         p = np.zeros((4, 4), dtype=complex)
         p[b, b] = 1.0
         ops[f"b{b:02b}"] = p
-    c = QuantumCircuit(("r0", "r1"), (measure_gate("MM", [0, 1], ops),))
-    res = split_standard_measurements(c)
-    part_ids, bits = res.parts["MM"]
-    assert len(part_ids) == 2
-    assert bits["b10"] == ("1", "0")
-    for p in part_ids:
-        g = res.circuit.gate(p)
-        assert g.arity == 1 and set(g.outcome_labels) == {"0", "1"}
+    c = QuantumCircuit(
+        ("r0", "r1", "r2"),
+        (
+            unitary_gate("H0", [0], H),
+            measure_gate("MM", [0, 1], ops),
+            controlled_unitary_gate(
+                "G", [2], ["MM"], {"I": np.eye(2), "X": X},
+                {("b00",): "I", ("b01",): "X", ("b10",): "X", ("b11",): "I"},
+            ),
+        ),
+    )
+    result = defer_measurements(c)
+    (mm,) = [g for g in result.circuit.gates if g.is_measure]
+    assert mm.id == "MM" and mm.registers == (0, 1)
+    assert mm.outcome_labels == ("b00", "b01", "b10", "b11")
+    assert result.zeta.zeta_gate_map() == {"MM": ["MM"]}
+    assert check_faithful(c, result.circuit, result.zeta).ok
 
 
 # --- the full pass ----------------------------------------------------------
@@ -344,3 +358,163 @@ def test_out_of_image_tracks_have_zero_probability():
         for g, op in agg_d.operators.items():
             if g not in image:
                 assert float(np.linalg.norm(op @ phi) ** 2) <= 1e-9
+
+
+# --- pinned sizes and the exact check ---------------------------------------
+
+
+def duplicate_measurement_circuit():
+    """M2 re-measures register 0 right after M1 and controls X on register 1."""
+    return QuantumCircuit(
+        ("r0", "r1"),
+        (
+            unitary_gate("H0", [0], H),
+            standard_measure_gate("M1", 0),
+            standard_measure_gate("M2", 0),
+            controlled_unitary_gate(
+                "G", [1], ["M2"], {"I": np.eye(2), "X": X}, {("0",): "I", ("1",): "X"}
+            ),
+        ),
+    )
+
+
+def deferrable2_skeleton():
+    """The two-register compile-benchmark skeleton with fixed operators: g0
+    measures r1, g1 on r0 is controlled by g0, g2 measures (r1, r0), g3 acts
+    on (r1, r0) and g4 is a two-outcome Kraus measurement of r1."""
+    std2 = {f"b{b:02b}": np.diag(np.eye(4)[b]).astype(complex) for b in range(4)}
+    k0 = np.array([[1, 0], [0, np.sqrt(0.7)]], dtype=complex)
+    k1 = np.array([[0, np.sqrt(0.3)], [0, 0]], dtype=complex)
+    return QuantumCircuit(
+        ("r0", "r1"),
+        (
+            standard_measure_gate("g0", 1),
+            controlled_unitary_gate("g1", [0], ["g0"], {"a": H, "b": X}, {("0",): "a", ("1",): "b"}),
+            measure_gate("g2", [1, 0], std2),
+            unitary_gate("g3", [1, 0], CNOT),
+            measure_gate("g4", [1], {"k0": k0, "k1": k1}),
+        ),
+    )
+
+
+PINNED = {
+    **{f"ff{k}": (lambda k=k: feed_forward_circuit(k)) for k in range(1, 7)},
+    "teleport": make_teleportation,
+    "pm_to_cz": pm_to_cz_circuit,
+    "shared_register": shared_register_circuit,
+    "duplicate": duplicate_measurement_circuit,
+    "deferrable2": deferrable2_skeleton,
+}
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    [
+        ("ff1", (2, 3)), ("ff2", (3, 7)), ("ff3", (4, 11)), ("ff4", (5, 15)),
+        ("ff5", (6, 19)), ("ff6", (7, 23)), ("teleport", (3, 6)), ("pm_to_cz", (3, 4)),
+        ("shared_register", (3, 4)), ("duplicate", (2, 3)), ("deferrable2", (5, 8)),
+    ],
+)
+def test_deferred_size_is_pinned(name, size):
+    """(registers, gates) of the deferred circuit, as the pass that split
+    measurements into bits produced them; the exact check accepts each."""
+    c = PINNED[name]()
+    result = defer_measurements(c)
+    d = result.circuit
+    assert (d.n_registers, len(d.gates)) == size
+    assert red_gates(d) == set()
+    assert check_faithful(c, d, result.zeta).ok
+
+
+def test_run_of_measurements_moves_as_one_unit():
+    """g0 and g2 end on the copy of r1 together, so no CNOT lands after g0."""
+    result = defer_measurements(deferrable2_skeleton())
+    d = result.circuit
+    assert d.gate("g0").registers == (3,) and d.gate("g2").registers == (3, 4)
+    assert d.gate("g2").outcome_labels == ("b00", "b01", "b10", "b11")
+    assert result.zeta.zeta_gate_map() == {g: [g] for g in ("g0", "g2", "g4")}
+    assert len([g for g in d.gates if "__cp__" in g.id]) == 2
+
+
+def dropped_z_pair():
+    """H q0; M q0; Z on q1 controlled by M, against the target that drops the Z."""
+    src = QuantumCircuit(
+        ("q0", "q1"),
+        (
+            unitary_gate("h", [0], H),
+            standard_measure_gate("m", 0),
+            controlled_unitary_gate("z", [1], ["m"], {"I": np.eye(2), "Z": Z}, {("0",): "I", ("1",): "Z"}),
+        ),
+    )
+    tgt = QuantumCircuit(("q0", "q1"), src.gates[:2])
+    return src, tgt
+
+
+def test_exact_check_rejects_dropped_z():
+    src, tgt = dropped_z_pair()
+    zeta = Commensuration.identity(tgt)
+    # basis states cannot see the lost phase; the exact check can
+    assert check_faithful(src, tgt, zeta, basis_inputs(2)).ok
+    report = check_faithful(src, tgt, zeta)
+    assert not report.ok and report.method == "exact"
+    assert [f["kind"] for f in report.failures] == ["operator-mismatch"]
+
+
+def test_exact_check_rejects_broken_teleport(teleport):
+    result = defer_measurements(teleport)
+    gates = tuple(
+        unitary_gate(g.id, g.registers, np.eye(4, dtype=complex)) if g.id == "CNOT" else g
+        for g in result.circuit.gates
+    )
+    broken = QuantumCircuit(result.circuit.register_names, gates)
+    assert not check_faithful(teleport, broken, result.zeta).ok
+
+
+def test_exact_check_flags_unmatched_target_track():
+    src, _ = dropped_z_pair()
+    zeta = Commensuration({"m": "m"}, {"m": {"0": "0", "1": "0"}})
+    report = check_faithful(src, src, zeta)
+    assert "unmatched-target-track" in {f["kind"] for f in report.failures}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6))
+def test_exact_check_accepts_random_deferrable_circuits(seed):
+    c = random_deferrable_circuit(np.random.default_rng(seed))
+    result = defer_measurements(c)
+    report = check_faithful(c, result.circuit, result.zeta)
+    assert report.ok, (seed, report.failures)
+
+
+def test_old_bit_level_sidecar_gives_label_maps():
+    old = {
+        "zeta": {"M1": "M1", "M2": "M1"},
+        "absorbed": [],
+        "detail": {
+            "assignments": {"M1": [["M1", 0]], "M2": [["M1", 0]]},
+            "label_bits": {"M1": {"0": ["0"], "1": ["1"]}, "M2": {"a": ["0"], "b": ["1"]}},
+            "d_labels": {"M1": [[["0"], "0"], [["1"], "1"]]},
+        },
+    }
+    zeta = Commensuration.from_json(old)
+    assert zeta.gates == {"M1": "M1", "M2": "M1"}
+    assert zeta.labels == {"M2": {"a": "0", "b": "1"}}
+
+
+@pytest.mark.parametrize("outcomes", [3, 1])
+def test_source_repeated_in_controls_is_standardized_in_every_slot(outcomes):
+    """Controls naming one nonstandard measurement twice: each slot gets the
+    pad labels (three outcomes) or loses the source (one outcome)."""
+    fam = random_kraus_family(np.random.default_rng(5), 2, outcomes)
+    labels = [f"k{j}" for j in range(outcomes)]
+    selector = {(a, b): "X" if a == b == labels[0] else "I" for a in labels for b in labels}
+    c = QuantumCircuit(
+        ("r0", "r1"),
+        (
+            measure_gate("K", [0], dict(zip(labels, fam))),
+            controlled_unitary_gate("G", [1], ["K", "K"], {"I": np.eye(2), "X": X}, selector),
+        ),
+    )
+    result = defer_measurements(c)
+    assert check_faithful(c, result.circuit, result.zeta).ok
+    assert check_faithful(c, result.circuit, result.zeta, random_pure_inputs(2, 3, seed=5)).ok
