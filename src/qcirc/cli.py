@@ -57,12 +57,20 @@ def _error(code: str, message: str) -> int:
     return 1
 
 
+def _load_json(path: str):
+    """A JSON file's value; nesting too deep to parse is a ValueError (`io-error`)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_circuit(path: str):
     return serialize.parse_circuit(Path(path).read_text())
 
 
 def _load_state(path: str) -> DensityOperator:
-    return serialize.state_from_json(json.loads(Path(path).read_text()), path)
+    return serialize.state_from_json(_load_json(path), path)
 
 
 def cmd_validate(args) -> int:
@@ -95,7 +103,7 @@ def cmd_aggregate(args) -> int:
 def _schedule_for(c, spec: str):
     if spec == "greedy":
         return scheduling.greedy_schedule(c)
-    return serialize.schedule_from_json(json.loads(Path(spec).read_text()))
+    return serialize.schedule_from_json(_load_json(spec))
 
 
 def cmd_run(args) -> int:
@@ -179,7 +187,7 @@ def _default_zeta_path(output: str) -> str:
 def cmd_check_faithful(args) -> int:
     c = _load_circuit(args.source)
     d = _load_circuit(args.target)
-    zeta = deferral.Commensuration.from_json(json.loads(Path(args.zeta).read_text()))
+    zeta = deferral.Commensuration.from_json(_load_json(args.zeta))
     n, spec = c.n_registers, args.inputs
     if spec is None:
         inputs = None  # the exact check
@@ -193,9 +201,9 @@ def cmd_check_faithful(args) -> int:
 
 
 def cmd_transpose_path(args) -> int:
-    p = serialize.poset_from_json(json.loads(Path(args.poset).read_text()))
-    frm = json.loads(Path(args.frm).read_text())
-    to = json.loads(Path(args.to).read_text())
+    p = serialize.poset_from_json(_load_json(args.poset))
+    frm = _load_json(args.frm)
+    to = _load_json(args.to)
     path = scheduling.transposition_path(p, frm, to)
     _emit({"steps": len(path) - 1, "orders": [list(o) for o in path]})
     return 0

@@ -42,7 +42,7 @@ from .circuit import (
     topo_order,
     unitary_gate,
 )
-from .semantics import Track, aggregate_measurement
+from .semantics import Track, track_operators
 from .serialize import ParseError
 
 TOL = linalg.DEFAULT_TOL
@@ -131,10 +131,6 @@ class Commensuration:
             if out.setdefault(self.gates[gid], label) != label:
                 return None
         return Track.from_mapping(out)
-
-    def zeta_gate_map(self) -> dict[str, list[str]]:
-        """Per source measurement gate, the target gate carrying its outcome."""
-        return {gid: [target] for gid, target in self.gates.items()}
 
     def to_json(self) -> dict:
         return {
@@ -622,32 +618,31 @@ def check_faithful(
         if g.is_measure and g.id not in zeta.absorbed and not (d.has_gate(t) and d.gate(t).is_measure):
             raise _bad_sidecar(f"source measurement {g.id!r} maps to no measurement gate of the target")
 
-    agg_c = aggregate_measurement(c)
-    agg_d = aggregate_measurement(d)
+    n_anc = nd - nc
+    ops_c = dict(track_operators(c, np.eye(2**nc, dtype=complex)))
+    # B (I (x) |0>): the columns of B for ancilla-zero inputs, 2^nd x 2^nc
+    ops_d = dict(track_operators(d, np.kron(np.eye(2**nc), linalg.basis_ket(0, n_anc)[:, None])))
     image = {}
-    for f in agg_c.operators:
+    for f in ops_c:
         g = zeta.translate(f)
         if g is not None:
-            if g not in agg_d.operators:
+            if g not in ops_d:
                 raise DeferralError(f"translated track {g} is not a track of the target")
             image[f] = g
-    covered, n_tracks = set(image.values()), len(agg_c.operators)
+    covered, n_tracks = set(image.values()), len(ops_c)
     if inputs is None:
-        failures = _exact_failures(agg_c.operators, agg_d.operators, image, 2 ** (nd - nc), tol)
+        failures = _exact_failures(ops_c, ops_d, image, tol)
         return FaithfulnessReport(not failures, tuple(failures), 0, n_tracks, "exact")
 
-    n_anc = nd - nc
-    anc_zero = linalg.basis_ket(0, n_anc) if n_anc else np.ones(1, dtype=complex)
     failures = []
     for i, psi in enumerate(inputs):
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         if psi.shape[0] != 2**nc:
             raise DeferralError(f"input {i} has wrong dimension {psi.shape[0]}")
         psi = psi / np.linalg.norm(psi)
-        phi = np.kron(psi, anc_zero)
-        out_d = {g: op @ phi for g, op in agg_d.operators.items()}
+        out_d = {g: w @ psi for g, w in ops_d.items()}
         p_d = {g: float(np.linalg.norm(v) ** 2) for g, v in out_d.items()}
-        for f, op in agg_c.operators.items():
+        for f, op in ops_c.items():
             out_c = op @ psi
             p_c, g, at = float(np.linalg.norm(out_c) ** 2), image.get(f), {"input": i, "track": f.as_dict()}
             if g is None:
@@ -673,9 +668,9 @@ def check_faithful(
     return FaithfulnessReport(not failures, tuple(failures), len(inputs), n_tracks)
 
 
-def _exact_failures(ops_c: dict, ops_d: dict, image: dict, dim_anc: int, tol: float) -> list:
-    """The exact check of `check_faithful` over the source tracks. Principal
-    registers come first, so |x>|0> is basis index x * dim_anc."""
+def _exact_failures(ops_c: dict, ops_d: dict, image: dict, tol: float) -> list:
+    """The exact check of `check_faithful`, given each target track's block
+    B (I (x) |0>); principal registers come first, so its row x * 2^n_anc + a is <x a|."""
     failures = []
     for f, a in ops_c.items():
         mass, g = float(np.vdot(a, a).real), image.get(f)
@@ -683,8 +678,8 @@ def _exact_failures(ops_c: dict, ops_d: dict, image: dict, dim_anc: int, tol: fl
             if mass > tol:
                 failures.append({"kind": "untranslatable-track-probability", "track": f.as_dict(), "mass": mass})
             continue
-        v = ops_d[g][:, ::dim_anc].reshape(a.shape[0], dim_anc, a.shape[1])  # <x a|B|y 0>
-        coef = np.einsum("xy,xay->a", a.conj(), v) / mass if mass else np.zeros(dim_anc)
+        v = ops_d[g].reshape(a.shape[0], -1, a.shape[1])  # <x a|B|y 0>
+        coef = np.einsum("xy,xay->a", a.conj(), v) / mass if mass else np.zeros(v.shape[1])
         image_mass = float(np.vdot(coef, coef).real) * mass
         residual = float(np.sum(np.abs(v - a[:, None, :] * coef[None, :, None]) ** 2))
         if residual > tol or abs(image_mass - mass) > tol:
@@ -694,7 +689,7 @@ def _exact_failures(ops_c: dict, ops_d: dict, image: dict, dim_anc: int, tol: fl
             )
     covered = set(image.values())
     for g, b in ops_d.items():
-        mass = 0.0 if g in covered else float(np.sum(np.abs(b[:, ::dim_anc]) ** 2))
+        mass = 0.0 if g in covered else float(np.sum(np.abs(b) ** 2))
         if mass > tol:
             failures.append({"kind": "unmatched-target-track", "track": g.as_dict(), "mass": mass})
     return failures

@@ -47,10 +47,7 @@ class Track:
         return dict(self.outcomes)
 
     def get(self, gid: str) -> str:
-        for g, label in self.outcomes:
-            if g == gid:
-                return label
-        raise KeyError(gid)
+        return self.as_dict()[gid]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,34 +132,43 @@ def bout_operator(
     return _apply_bout(c, b, assignment, np.eye(2**c.n_registers, dtype=complex), linalg.apply)
 
 
-def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) -> list[Track]:
-    """All coherent tracks, depth-first in topological gate order with
-    lexicographic outcome order."""
-    order = topo_order(c)
-    out: list[Track] = []
-    assignment: dict[str, str] = {}
-
-    def rec(i: int) -> None:
-        if cap is not None and len(out) > cap:
-            return
-        if i == len(order):
-            out.append(Track.from_mapping(assignment))
-            return
-        gid = order[i]
-        g = c.gate(gid)
-        chosen = select_measurement(c, gid, source_outcomes(g, assignment))
-        if isinstance(chosen, UnitaryOp):
-            rec(i + 1)
-            return
-        for label in sorted(chosen.operators):
-            assignment[gid] = label
-            rec(i + 1)
-            del assignment[gid]
-
-    rec(0)
-    if cap is not None and len(out) > cap:
+def track_operators(
+    c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP
+) -> list[tuple[Track, np.ndarray]]:
+    """(f, A_f @ t0) for every coherent track f, in `enumerate_tracks` order, from one
+    depth-first walk that shares `cumulative_operator`'s `linalg.apply` calls (greedy
+    order, from t0) along common outcome prefixes. Tracks are counted first, on an
+    empty column slice of t0, so an over-cap circuit fails before any operator is built."""
+    order = [gid for b in greedy_schedule(c).bouts for gid in sorted(b, key=c.index_of)]
+    stop = None if cap is None else cap + 1
+    if len(list(itertools.islice(_walk(c, order, 0, t0[:, :0], {}), stop))) == stop:
         raise SemanticsError(f"track count exceeds cap {cap}")
-    return out
+    leaves = list(_walk(c, order, 0, t0, {}))
+    measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
+    leaves.sort(key=lambda leaf: tuple(map(leaf[0].as_dict().get, measures)))
+    return leaves
+
+
+def _walk(c: QuantumCircuit, order: list, start: int, t: np.ndarray, assignment: dict):
+    """The leaves (track, A @ t) below the outcome-tree node about to apply
+    gate order[start] with outcomes `assignment`; only a measurement recurses.
+    (A recursive closure would sit in a reference cycle that holds every leaf.)"""
+    for i in range(start, len(order)):
+        g = c.gate(order[i])
+        chosen = select_measurement(c, g.id, source_outcomes(g, assignment))
+        if isinstance(chosen, UnitaryOp):
+            t = linalg.apply(chosen.matrix, g.registers, t, c.n_registers) if t.size else t
+            continue
+        for label in sorted(chosen.operators):
+            a = linalg.apply(chosen.operators[label], g.registers, t, c.n_registers) if t.size else t
+            yield from _walk(c, order, i + 1, a, {**assignment, g.id: label})
+        return
+    yield Track.from_mapping(assignment), t
+
+
+def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) -> list[Track]:
+    """All coherent tracks, depth first over topo_order(c), labels sorted."""
+    return [f for f, _ in track_operators(c, np.zeros((2**c.n_registers, 0), dtype=complex), cap)]
 
 
 def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
@@ -176,8 +182,7 @@ def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
 def aggregate_measurement(
     c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP
 ) -> AggregateMeasurement:
-    x = greedy_schedule(c)
-    ops = {f: cumulative_operator(c, x, f) for f in enumerate_tracks(c, cap)}
+    ops = dict(track_operators(c, np.eye(2**c.n_registers, dtype=complex), cap))
     return AggregateMeasurement(c.n_registers, ops)
 
 

@@ -178,6 +178,14 @@ def _selector_from_json(obj: dict) -> dict:
     return out
 
 
+def _object(obj: dict, name: str, where: str) -> dict:
+    """`obj[name]`, default {}, which must be a JSON object (`bad-gate`)."""
+    value = obj.get(name, {}) if isinstance(obj, dict) else None
+    if not isinstance(value, dict):
+        raise ParseError([_diag("bad-gate", where, f"{name!r} must be a JSON object")])
+    return value
+
+
 def gate_to_json(g: Gate) -> dict:
     out = {"id": g.id, "registers": list(g.registers), "kind": g.kind}
     if g.is_measure:
@@ -199,33 +207,37 @@ def gate_to_json(g: Gate) -> dict:
 
 
 def gate_from_json(obj: dict) -> Gate:
+    if not isinstance(obj, dict):
+        raise ParseError([_diag("bad-gate", "<gate>", "gate is not a JSON object")])
     where = str(obj.get("id", "<gate>"))
     try:
-        gid = obj["id"]
-        registers = tuple(int(r) for r in obj["registers"])
-        kind = obj["kind"]
-        controls = obj.get("controls", [])
-        selector = _selector_from_json(obj.get("selector", {}))
-    except (KeyError, TypeError, ValueError):
+        gid, registers, kind = obj["id"], obj["registers"], obj["kind"]
+    except KeyError:
         raise ParseError([_diag("bad-gate", where, "malformed gate object")]) from None
+    controls = obj.get("controls", [])
+    selector = _object(obj, "selector", where)
     if not isinstance(gid, str) or not (
         isinstance(controls, list) and all(isinstance(s, str) for s in controls)
     ):
         raise ParseError([_diag("bad-gate", where, "gate id and controls must be JSON strings")])
-    controls = tuple(controls)
+    if not (isinstance(registers, list) and all(type(r) is int for r in registers)):
+        raise ParseError([_diag("bad-gate", where, "registers must be a list of JSON integers")])
+    if not all(isinstance(t, str) for t in selector.values()):
+        raise ParseError([_diag("bad-gate", where, "selector targets must be JSON strings")])
+    registers, controls, selector = tuple(registers), tuple(controls), _selector_from_json(selector)
     if kind == "measure":
         measurements = {}
-        for mid, mobj in obj.get("measurements", {}).items():
+        for mid, mobj in _object(obj, "measurements", where).items():
             ops = {
                 lab: matrix_from_json(mat, where)
-                for lab, mat in mobj.get("outcomes", {}).items()
+                for lab, mat in _object(mobj, "outcomes", where).items()
             }
             measurements[mid] = Measurement(mid, ops)
         return Gate(gid, registers, measurements=measurements, classical_sources=controls, selector=selector)
     if kind == "unitary":
         unitaries = {
             uid: UnitaryOp(uid, matrix_from_json(mat, where))
-            for uid, mat in obj.get("ops", {}).items()
+            for uid, mat in _object(obj, "ops", where).items()
         }
         return Gate(gid, registers, unitaries=unitaries, classical_sources=controls, selector=selector)
     raise ParseError([_diag("bad-gate-kind", where, f"unknown gate kind {kind!r}")])
@@ -247,6 +259,8 @@ def circuit_from_json(obj: dict) -> QuantumCircuit:
     try:
         registers = tuple(str(r) for r in obj["registers"])
         gate_objs = obj["gates"]
+        if not isinstance(gate_objs, list):
+            raise TypeError
     except (KeyError, TypeError):
         raise ParseError([_diag("bad-circuit", "<circuit>", "malformed circuit object")]) from None
     c = QuantumCircuit(registers, tuple(gate_from_json(g) for g in gate_objs))
@@ -263,7 +277,7 @@ def serialize_circuit(c: QuantumCircuit) -> str:
 def parse_circuit(text: str) -> QuantumCircuit:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ParseError([_diag("bad-json", "<circuit>", str(e))]) from None
     return circuit_from_json(obj)
 
@@ -322,7 +336,3 @@ def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
     if not np.all(np.isfinite(mat)):
         raise ParseError([_diag("non-finite-entry", where, "state has a NaN or infinite entry")])
     return DensityOperator(n, mat)
-
-
-def state_to_json(rho: DensityOperator) -> dict:
-    return matrix_to_json(rho.matrix)

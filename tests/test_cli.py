@@ -456,6 +456,78 @@ def test_cli_gate_ids_must_be_strings(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+def _set(*path_and_value):
+    """A mutation of a circuit object: the item at the key path becomes the value."""
+    *path, key, value = path_and_value
+
+    def mutate(obj):
+        for k in path:
+            obj = obj[k]
+        obj[key] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, code",
+    [
+        (_set("gates", 5), "bad-circuit"),
+        (_set("gates", {"CNOT": {}}), "bad-circuit"),
+        (_set("gates", 0, 5), "bad-gate"),
+        (_set("gates", 2, "measurements", []), "bad-gate"),
+        (_set("gates", 2, "measurements", "M", 5), "bad-gate"),
+        (_set("gates", 2, "measurements", "M", "outcomes", []), "bad-gate"),
+        (_set("gates", 0, "ops", []), "bad-gate"),
+        (_set("gates", 0, "selector", []), "bad-gate"),
+        (_set("gates", 4, "selector", "1", ["X"]), "bad-gate"),
+        (_set("gates", 4, "selector", "1", 5), "bad-gate"),
+        (_set("gates", 0, "registers", "01"), "bad-gate"),
+        (_set("gates", 0, "registers", [0.5, 1]), "bad-gate"),
+        (_set("gates", 0, "registers", [True, 1]), "bad-gate"),
+        (_set("gates", 0, "registers", [0, "1"]), "bad-gate"),
+    ],
+    ids=["gates-number", "gates-object", "gate-number", "measurements-list",
+         "measurement-number", "outcomes-list", "ops-list", "selector-list",
+         "target-list", "target-number", "registers-string", "registers-fraction",
+         "registers-bool", "registers-digit-string"],
+)
+def test_cli_malformed_circuit_object(tmp_path, capsys, mutate, code):
+    """Each is a diagnostic with exit 1: not a traceback, a wrong code, or a
+    coercion that `int()` would make."""
+    obj = json.loads(Path(TELEPORT).read_text())
+    mutate(obj)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 1
+    assert _first_diag(capsys)["code"] == code
+
+
+DEEP = "[" * 100_000
+
+
+def test_cli_deeply_nested_circuit_is_bad_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    assert main(["validate", str(path)]) == 1
+    assert _first_diag(capsys)["code"] == "bad-json"
+
+
+@pytest.mark.parametrize("kind", ["state", "schedule", "poset", "order", "sidecar"])
+def test_cli_deeply_nested_file_is_io_error(tmp_path, capsys, kind):
+    deep = str(tmp_path / "deep.json")
+    Path(deep).write_text(DEEP)
+    orders = ["--from", str(FIXTURES / "order_a.json"), "--to", str(FIXTURES / "order_b.json")]
+    argv = {
+        "state": ["aggregate", TELEPORT, "--input", deep],
+        "schedule": ["run", TELEPORT, "--input", PSI, "--seed", "1", "--schedule", deep],
+        "poset": ["transpose-path", deep, *orders],
+        "order": ["transpose-path", str(FIXTURES / "poset.json"), "--from", deep, "--to", orders[3]],
+        "sidecar": ["check-faithful", TELEPORT, TELEPORT, "--zeta", deep],
+    }[kind]
+    assert main(argv) == 1
+    assert _first_diag(capsys)["code"] == "io-error"
+
+
 def test_teleport_demo_runs():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)

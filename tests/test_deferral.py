@@ -156,7 +156,7 @@ def test_identity_commensuration_translates_tracks(teleport):
     zeta = Commensuration.identity(teleport)
     for f in enumerate_tracks(teleport):
         assert zeta.translate(f) == f
-    assert zeta.zeta_gate_map() == {"M": ["M"], "N": ["N"]}
+    assert zeta.gates == {"M": "M", "N": "N"}
 
 
 def test_commensuration_json_roundtrip(teleport):
@@ -225,7 +225,7 @@ def test_multi_register_standard_stays_one_gate():
     (mm,) = [g for g in result.circuit.gates if g.is_measure]
     assert mm.id == "MM" and mm.registers == (0, 1)
     assert mm.outcome_labels == ("b00", "b01", "b10", "b11")
-    assert result.zeta.zeta_gate_map() == {"MM": ["MM"]}
+    assert result.zeta.gates == {"MM": "MM"}
     assert check_faithful(c, result.circuit, result.zeta).ok
 
 
@@ -301,7 +301,7 @@ def test_defer_merges_duplicate_measurements():
     assert red_gates(d) == set()
     measure_ids = sorted(g.id for g in d.gates if g.is_measure)
     assert measure_ids == ["M1"]
-    assert result.zeta.zeta_gate_map()["M2"] == ["M1"]
+    assert result.zeta.gates["M2"] == "M1"
     report = check_faithful(c, d, result.zeta, basis_inputs(2))
     assert report.ok, report.failures
     # re-measuring a measured register never disagrees with the first result
@@ -432,7 +432,7 @@ def test_run_of_measurements_moves_as_one_unit():
     d = result.circuit
     assert d.gate("g0").registers == (3,) and d.gate("g2").registers == (3, 4)
     assert d.gate("g2").outcome_labels == ("b00", "b01", "b10", "b11")
-    assert result.zeta.zeta_gate_map() == {g: [g] for g in ("g0", "g2", "g4")}
+    assert result.zeta.gates == {g: g for g in ("g0", "g2", "g4")}
     assert len([g for g in d.gates if "__cp__" in g.id]) == 2
 
 

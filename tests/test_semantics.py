@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_circuit
-from qcirc.circuit import QuantumCircuit, standard_measure_gate, unitary_gate
+from qcirc import linalg
+from qcirc.circuit import QuantumCircuit, standard_measure_gate, topo_order, unitary_gate
 from qcirc.linalg import CNOT, H, I2, X, Z, DensityOperator, kron_all, mat_close
 from qcirc.scheduling import greedy_schedule, linear_schedule, enumerate_linear_schedules
 from qcirc.semantics import (
@@ -19,6 +20,7 @@ from qcirc.semantics import (
     sample,
     schedules_equivalent,
     select_measurement,
+    track_operators,
     track_probability,
 )
 
@@ -132,6 +134,96 @@ def test_aggregate_completeness_random():
     for seed in range(10):
         c = random_circuit(np.random.default_rng(seed), max_regs=3, max_gates=5)
         assert aggregate_measurement(c).completeness_defect() <= 1e-9
+
+
+# --- the outcome-tree walker ------------------------------------------------
+
+
+def ghz_circuit(n):
+    gates = [unitary_gate("h", [0], H)]
+    gates += [unitary_gate(f"cx{i}", [i - 1, i], CNOT) for i in range(1, n)]
+    gates += [standard_measure_gate(f"m{i}", i) for i in range(n)]
+    return QuantumCircuit(tuple(f"q{i}" for i in range(n)), tuple(gates))
+
+
+def crossed_order_circuit():
+    """The greedy bouts meet mb (bout 0) before ma (bout 1); the topological
+    order, which follows the gate sequence, meets ma first."""
+    gates = (
+        unitary_gate("h", [0], H), standard_measure_gate("ma", 0), standard_measure_gate("mb", 1)
+    )
+    return QuantumCircuit(("r0", "r1"), gates)
+
+
+def walker_circuits(teleport):
+    """Teleport, GHZ-3..5, the crossed-order circuit, and random circuits,
+    some of them with classically controlled measurements."""
+    randoms = [random_circuit(np.random.default_rng(s), max_regs=3, max_gates=6) for s in range(40)]
+    assert any(g.is_measure and g.classical_sources for c in randoms for g in c.gates)
+    return [teleport, *(ghz_circuit(n) for n in (3, 4, 5)), crossed_order_circuit(), *randoms]
+
+
+def topological_dfs_tracks(c):
+    """Reference track order: depth first over topo_order(c), each
+    measurement's labels in sorted order."""
+    order = topo_order(c)
+
+    def rec(i, assignment):
+        if i == len(order):
+            return [Track.from_mapping(assignment)]
+        g = c.gate(order[i])
+        chosen = select_measurement(c, g.id, tuple(assignment[s] for s in g.classical_sources))
+        if not g.is_measure:
+            return rec(i + 1, assignment)
+        return [f for lab in sorted(chosen.operators) for f in rec(i + 1, {**assignment, g.id: lab})]
+
+    return rec(0, {})
+
+
+def test_crossed_order_circuit_crosses():
+    c = crossed_order_circuit()
+    greedy = [gid for b in greedy_schedule(c).bouts for gid in sorted(b, key=c.index_of)]
+    assert [gid for gid in greedy if gid.startswith("m")] == ["mb", "ma"]
+    assert [gid for gid in topo_order(c) if gid.startswith("m")] == ["ma", "mb"]
+    assert [(f.get("ma"), f.get("mb")) for f in enumerate_tracks(c)] == [
+        ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")
+    ]
+
+
+def test_aggregate_is_the_walk_in_track_order(teleport):
+    """Keys in enumerate_tracks order, which is the topological depth-first
+    order, and every operator bit for bit cumulative_operator's."""
+    for c in walker_circuits(teleport):
+        agg = aggregate_measurement(c)
+        assert list(agg.operators) == enumerate_tracks(c) == topological_dfs_tracks(c)
+        x = greedy_schedule(c)
+        for f, op in agg.operators.items():
+            assert np.array_equal(op, cumulative_operator(c, x, f))
+
+
+def test_thin_block_is_the_ancilla_zero_columns(teleport):
+    """Walking from the columns of I for inputs |y>|0^k> gives A_f's columns
+    y * 2^k within 1e-15. Not bit for bit: a block with fewer columns can
+    take another summation order in the matrix product."""
+    for c in walker_circuits(teleport):
+        n = c.n_registers
+        full = aggregate_measurement(c).operators
+        for k in range(n + 1):
+            thin = track_operators(c, np.kron(np.eye(2 ** (n - k)), np.eye(2**k)[:, :1]))
+            assert [f for f, _ in thin] == list(full)
+            for f, block in thin:
+                assert np.max(np.abs(block - full[f][:, :: 2**k])) <= 1e-15
+
+
+def test_aggregate_measurement_cap(monkeypatch):
+    """The cap holds, and an over-cap circuit fails before any operator is
+    built: the tracks are counted first."""
+    gates = tuple(standard_measure_gate(f"m{i}", i) for i in range(3))
+    c = QuantumCircuit(("a", "b", "c"), gates)
+    assert len(aggregate_measurement(c, cap=8).operators) == 8
+    monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was built"))
+    with pytest.raises(SemanticsError, match="cap 7"):
+        aggregate_measurement(c, cap=7)
 
 
 # --- probabilities and replay -----------------------------------------------
