@@ -26,6 +26,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def tolerance(text: str) -> float:
     value = float(text)
     if not math.isfinite(value) or value < 0:
@@ -129,7 +136,7 @@ def cmd_run(args) -> int:
         return 0
     counts: dict[tuple, int] = {}
     shot_seeds = np.random.SeedSequence(args.seed).generate_state(args.shots, dtype=np.uint64)
-    for result in semantics.sample(c, x, rho, [int(s) for s in shot_seeds]):
+    for result in semantics.sample(c, x, rho, shot_seeds):
         counts[result.track.outcomes] = counts.get(result.track.outcomes, 0) + 1
     _emit(
         {
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute the circuit stochastically")
     p.add_argument("circuit")
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     p.add_argument("--shots", type=positive_int)
     p.add_argument("--schedule", default="greedy", help="greedy or a schedule file")
     p.set_defaults(fn=cmd_run)
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inputs", type=inputs_spec, help="sample basis or random:K inputs instead of the exact check"
     )
     p.add_argument("--tol", type=tolerance, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(fn=cmd_check_faithful)
 
     p = sub.add_parser("transpose-path", help="coherent adjacent-transposition path")

@@ -137,6 +137,21 @@ def test_cli_counts_below_one_are_usage_errors(argv):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", TELEPORT, "--input", PSI, "--seed", "-1"],
+        ["run", TELEPORT, "--input", PSI, "--seed", "-1", "--shots", "5"],
+        ["check-faithful", TELEPORT, TELEPORT, "--zeta", PSI, "--inputs", "random:2", "--seed", "-4"],
+    ],
+    ids=["run", "run-shots", "check-faithful"],
+)
+def test_cli_negative_seed_is_usage_error(argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
 def test_cli_non_finite_operator_is_a_diagnostic(tmp_path, capsys):
     obj = json.loads(Path(TELEPORT).read_text())
     obj["gates"][1]["ops"]["H"]["entries"][0] = [float("nan"), 0.0]
@@ -270,12 +285,17 @@ def _sha256(data) -> str:
          "500f300c9207fce24f6f7df49cce6e20c3977d637789e66210d9ea344aa8dede"),
         (["schedules", TELEPORT, "--enumerate", "--limit", "10"],
          "216d31eee5de3f49c39216e41dea9ce2e1daaffdf1c911ef67358b9378b3214a"),
+        (["run", TELEPORT, "--input", PSI, "--seed", str(2**64 - 1), "--shots", "500",
+          "--schedule", str(FIXTURES / "schedule.json")],
+         "17dada32baead93951a92f0cc68bf267b27f7ac24353af9b668867b92db005d7"),
     ],
-    ids=["aggregate", "run-single", "schedules"],
+    ids=["aggregate", "run-single", "schedules", "run-shots-schedule-max-seed"],
 )
 def test_cli_stdout_golden(capsys, argv, digest):
     """Digests of the stdout `json.dumps(..., indent=2)` printed before
-    `serialize.dumps` replaced it."""
+    `serialize.dumps` replaced it; the shots case (a non-greedy schedule and
+    the largest two-word seed) is the one printed while every bout drew its
+    own `default_rng((seed, t))`."""
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == digest
 

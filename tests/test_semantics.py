@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_circuit
-from qcirc import linalg
+from qcirc import linalg, semantics
 from qcirc.circuit import QuantumCircuit, standard_measure_gate, topo_order, unitary_gate
 from qcirc.linalg import CNOT, H, I2, X, Z, DensityOperator, kron_all, mat_close
 from qcirc.scheduling import greedy_schedule, linear_schedule, enumerate_linear_schedules
 from qcirc.semantics import (
+    RunResult,
     SemanticsError,
     Track,
+    _expand,
+    _uniforms,
     aggregate_measurement,
     bout_operator,
     cumulative_operator,
@@ -320,6 +323,115 @@ def test_sample_matches_per_seed_runs(seed):
         for (_, _, p), (_, _, q) in zip(got.step_log, one.step_log):
             assert abs(p - q) <= 1e-12
         assert mat_close(got.final_state.matrix, one.final_state.matrix, 1e-12)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _default_rng_draws(seeds, n_bouts):
+    return np.array(
+        [[np.random.default_rng((s, t)).random() for t in range(n_bouts)] for s in seeds]
+    ).reshape(len(seeds), n_bouts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(0, 64))
+def test_uniforms_match_default_rng(seeds, n_bouts):
+    got = _uniforms(seeds, n_bouts)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, _default_rng_draws(seeds, n_bouts))
+
+
+def test_uniforms_edge_seeds_one_and_two_words_in_one_call():
+    seeds = EDGE_SEEDS + [7, 2**40 + 3, 2**63]
+    want = _default_rng_draws(seeds, 65)
+    assert np.array_equal(_uniforms(seeds, 65), want)
+    assert np.array_equal(_uniforms(np.array(seeds, dtype=np.uint64), 65), want)
+
+
+def test_uniforms_fall_back_to_default_rng():
+    seeds = [2**64, 3, 2**100]
+    assert np.array_equal(_uniforms(seeds, 4), _default_rng_draws(seeds, 4))
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng((-1, 0))
+    with pytest.raises(ValueError) as got:
+        _uniforms([5, -1], 3)
+    assert str(got.value) == str(want.value)
+
+
+def test_uniforms_empty():
+    assert _uniforms([], 5).shape == (0, 5)
+    assert _uniforms(np.array([], dtype=np.uint64), 5).shape == (0, 5)
+    assert _uniforms([1, 2**40], 0).shape == (2, 0)
+
+
+def per_shot_sample_oracle(c, x, rho, seeds):
+    """The executor before draws were vectorized: each shot walks its own
+    path, drawing a fresh default_rng((seed, t)) per bout and picking the
+    first running weight sum >= u * total; nodes and finals shared by path."""
+    bouts = [tuple(sorted(b, key=c.index_of)) for b in x.bouts]
+    nodes, finals, results = {}, {}, []
+    for seed in seeds:
+        path, sigma, assignment, log = (), rho.matrix, {}, []
+        for t, bout in enumerate(bouts):
+            if path not in nodes:
+                nodes[path] = _expand(c, bout, assignment, sigma, t)
+            gids, combos, weights, cumulative, total, states = nodes[path]
+            u = np.random.default_rng((seed, t)).random() * total
+            pick = next((i for i, a in enumerate(cumulative) if u <= a), len(combos) - 1)
+            assignment.update(zip(gids, combos[pick]))
+            sigma = states[pick]
+            path += (combos[pick],)
+            log.append((bout, combos[pick], weights[pick]))
+        if path not in finals:
+            finals[path] = RunResult(
+                Track.from_mapping(assignment), DensityOperator(c.n_registers, sigma), tuple(log)
+            )
+        results.append(finals[path])
+    return results
+
+
+def _assert_same_shots(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.track == b.track
+        assert a.step_log == b.step_log
+        assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
+
+
+@pytest.mark.parametrize("corpus_seed", range(12))
+def test_sample_matches_per_shot_oracle(corpus_seed):
+    rng = np.random.default_rng(corpus_seed)
+    c = random_circuit(rng)
+    x = greedy_schedule(c)
+    dim = 2**c.n_registers
+    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = DensityOperator(c.n_registers, b @ b.conj().T)
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=20)]
+    seeds += [int(s) for s in rng.integers(2**32, 2**64, size=20, dtype=np.uint64)]
+    seeds += EDGE_SEEDS + seeds[:5] + seeds[20:25]  # repeated seeds share every node
+    want = per_shot_sample_oracle(c, x, rho, seeds)
+    _assert_same_shots(sample(c, x, rho, seeds), want)
+    _assert_same_shots(sample(c, x, rho, np.array(seeds, dtype=np.uint64)), want)
+
+
+def test_sample_with_zero_bouts():
+    c = QuantumCircuit(("r0",), ())
+    x = greedy_schedule(c)
+    assert len(x.bouts) == 0
+    rho = DensityOperator.from_ket(np.array([0.6, 0.8]))
+    got = sample(c, x, rho, [0, 2**64 - 1, 0])
+    _assert_same_shots(got, per_shot_sample_oracle(c, x, rho, [0, 2**64 - 1, 0]))
+    assert got[0].track == Track(()) and got[0].step_log == ()
+    assert sample(c, x, rho, []) == []
+
+
+def test_sample_tie_picks_the_first_outcome_reaching_u(monkeypatch):
+    """u * total equal to a running sum picks that sum's outcome (`u <= a`)."""
+    c = QuantumCircuit(("r0",), (standard_measure_gate("m", 0),))
+    rho = DensityOperator(1, np.eye(2, dtype=complex) / 2)  # weights exactly 0.5, 0.5
+    monkeypatch.setattr(semantics, "_uniforms", lambda seeds, n: np.full((len(seeds), n), 0.5))
+    assert [r.track.get("m") for r in sample(c, greedy_schedule(c), rho, [0, 1])] == ["0", "0"]
 
 
 def test_run_frequency_sanity():
