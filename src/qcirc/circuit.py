@@ -48,10 +48,7 @@ class Measurement:
         return tuple(sorted(self.operators))
 
     def completeness_defect(self) -> float:
-        ops = list(self.operators.values())
-        dim = ops[0].shape[1]
-        acc = sum(a.conj().T @ a for a in ops)
-        return float(np.max(np.abs(acc - np.eye(dim))))
+        return linalg.completeness_defect(self.operators.values())
 
 
 @dataclass(frozen=True, eq=False)

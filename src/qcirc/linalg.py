@@ -11,7 +11,7 @@ registers it acts on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -113,6 +113,18 @@ def basis_ket(index: int, n: int) -> np.ndarray:
     return v
 
 
+def qubits(dim: int) -> Optional[int]:
+    """n when `dim` is 2^n, else None."""
+    return dim.bit_length() - 1 if dim > 0 and dim & (dim - 1) == 0 else None
+
+
+def completeness_defect(ops: Iterable[np.ndarray]) -> float:
+    """max |sum A^dag A - I| over the entries, for a nonempty family of
+    operators of one shape."""
+    acc = sum(a.conj().T @ a for a in ops)
+    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+
+
 def ket_to_density(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     return np.outer(v, v.conj())
@@ -145,8 +157,8 @@ class DensityOperator:
     @classmethod
     def from_ket(cls, psi) -> "DensityOperator":
         rho = ket_to_density(psi)
-        n = int(round(np.log2(rho.shape[0])))
-        if 2**n != rho.shape[0]:
+        n = qubits(rho.shape[0])
+        if n is None:
             raise LinalgError("ket length is not a power of two")
         return cls(n, rho)
 

@@ -58,11 +58,7 @@ class AggregateMeasurement:
     operators: dict  # Track -> np.ndarray
 
     def completeness_defect(self) -> float:
-        dim = 2**self.n_qubits
-        acc = np.zeros((dim, dim), dtype=complex)
-        for op in self.operators.values():
-            acc += op.conj().T @ op
-        return float(np.max(np.abs(acc - np.eye(dim))))
+        return linalg.completeness_defect(self.operators.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,28 +96,50 @@ def select_measurement(
     return g.unitaries[target]
 
 
-def _selected_operator(c: QuantumCircuit, gid: str, assignment: Mapping[str, str]) -> np.ndarray:
-    g = c.gate(gid)
-    chosen = select_measurement(c, gid, source_outcomes(g, assignment))
-    if isinstance(chosen, UnitaryOp):
-        return chosen.matrix
-    label = assignment.get(gid)
-    if label is None or label not in chosen.operators:
-        raise SemanticsError(
-            f"track is incoherent at gate {gid!r}: outcome {label!r} not offered "
-            f"by the selected measurement"
-        )
-    return chosen.operators[label]
+def _order(c: QuantumCircuit, bouts: Iterable[Iterable[str]]) -> tuple[str, ...]:
+    """The bouts' gate ids, bout by bout, in sequence order inside each bout."""
+    return tuple(gid for b in bouts for gid in sorted(b, key=c.index_of))
 
 
-def _apply_bout(
-    c: QuantumCircuit, b: Iterable[str], assignment: Mapping[str, str], t: np.ndarray, kernel
+def _walk(c: QuantumCircuit, order, start: int, t: np.ndarray, assignment: dict, kernel):
+    """The leaves (assignment, A @ t) below the outcome-tree node about to apply
+    gate order[start] with outcomes `assignment`, each selected operator applied
+    with `kernel` (`linalg.apply` for A t, `linalg.conjugate` for A t A^dag). A
+    measurement branches on its labels, sorted, or follows the one that
+    `assignment` already holds. (A recursive closure would sit in a reference
+    cycle that holds every leaf.)"""
+    for i in range(start, len(order)):
+        g = c.gate(order[i])
+        chosen = select_measurement(c, g.id, source_outcomes(g, assignment))
+        if isinstance(chosen, UnitaryOp):
+            t = kernel(chosen.matrix, g.registers, t, c.n_registers) if t.size else t
+            continue
+        held = assignment.get(g.id)
+        if held is not None and held not in chosen.operators:
+            raise SemanticsError(
+                f"track is incoherent at gate {g.id!r}: outcome {held!r} not offered "
+                f"by the selected measurement"
+            )
+        for label in sorted(chosen.operators) if held is None else [held]:
+            a = kernel(chosen.operators[label], g.registers, t, c.n_registers) if t.size else t
+            yield from _walk(c, order, i + 1, a, {**assignment, g.id: label}, kernel)
+        return
+    yield assignment, t
+
+
+def _track_leaf(
+    c: QuantumCircuit, bouts: Iterable[Iterable[str]], t: np.ndarray,
+    assignment: Mapping[str, str], kernel,
 ) -> np.ndarray:
-    """Apply each gate's selected operator, in sequence order, to `t` with
-    `kernel` (`linalg.apply` for A t, `linalg.conjugate` for A t A^dag)."""
-    for gid in sorted(b, key=c.index_of):
-        t = kernel(_selected_operator(c, gid, assignment), c.gate(gid).registers, t, c.n_registers)
-    return t
+    """The one leaf of the walk over `bouts` from t along a track that labels
+    every measurement it reaches; only the first leaf is built."""
+    leaf, out = next(_walk(c, _order(c, bouts), 0, t, assignment, kernel))
+    unlabelled = [gid for gid in leaf if gid not in assignment]
+    if unlabelled:
+        raise SemanticsError(
+            f"track is incoherent at gate {unlabelled[0]!r}: no outcome for a reached measurement"
+        )
+    return out
 
 
 def bout_operator(
@@ -129,7 +147,7 @@ def bout_operator(
 ) -> np.ndarray:
     """Full-space operator of a bout under the given outcome assignment: the
     product of each gate's selected operator acting on its registers."""
-    return _apply_bout(c, b, assignment, np.eye(2**c.n_registers, dtype=complex), linalg.apply)
+    return _track_leaf(c, [b], np.eye(2**c.n_registers, dtype=complex), assignment, linalg.apply)
 
 
 def track_operators(
@@ -139,31 +157,14 @@ def track_operators(
     depth-first walk that shares `cumulative_operator`'s `linalg.apply` calls (greedy
     order, from t0) along common outcome prefixes. Tracks are counted first, on an
     empty column slice of t0, so an over-cap circuit fails before any operator is built."""
-    order = [gid for b in greedy_schedule(c).bouts for gid in sorted(b, key=c.index_of)]
+    order = _order(c, greedy_schedule(c).bouts)
     stop = None if cap is None else cap + 1
-    if len(list(itertools.islice(_walk(c, order, 0, t0[:, :0], {}), stop))) == stop:
+    if len(list(itertools.islice(_walk(c, order, 0, t0[:, :0], {}, linalg.apply), stop))) == stop:
         raise SemanticsError(f"track count exceeds cap {cap}")
-    leaves = list(_walk(c, order, 0, t0, {}))
+    leaves = list(_walk(c, order, 0, t0, {}, linalg.apply))
     measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
-    leaves.sort(key=lambda leaf: tuple(map(leaf[0].as_dict().get, measures)))
-    return leaves
-
-
-def _walk(c: QuantumCircuit, order: list, start: int, t: np.ndarray, assignment: dict):
-    """The leaves (track, A @ t) below the outcome-tree node about to apply
-    gate order[start] with outcomes `assignment`; only a measurement recurses.
-    (A recursive closure would sit in a reference cycle that holds every leaf.)"""
-    for i in range(start, len(order)):
-        g = c.gate(order[i])
-        chosen = select_measurement(c, g.id, source_outcomes(g, assignment))
-        if isinstance(chosen, UnitaryOp):
-            t = linalg.apply(chosen.matrix, g.registers, t, c.n_registers) if t.size else t
-            continue
-        for label in sorted(chosen.operators):
-            a = linalg.apply(chosen.operators[label], g.registers, t, c.n_registers) if t.size else t
-            yield from _walk(c, order, i + 1, a, {**assignment, g.id: label})
-        return
-    yield Track.from_mapping(assignment), t
+    leaves.sort(key=lambda leaf: tuple(map(leaf[0].get, measures)))
+    return [(Track.from_mapping(a), t) for a, t in leaves]
 
 
 def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) -> list[Track]:
@@ -172,11 +173,9 @@ def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) 
 
 
 def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
-    assignment = f.as_dict()
-    out = np.eye(2**c.n_registers, dtype=complex)
-    for bout in x.bouts:
-        out = _apply_bout(c, bout, assignment, out, linalg.apply)
-    return out
+    return _track_leaf(
+        c, x.bouts, np.eye(2**c.n_registers, dtype=complex), f.as_dict(), linalg.apply
+    )
 
 
 def aggregate_measurement(
@@ -220,45 +219,26 @@ def replay(
     probs: list[float] = []
     for bout in x.bouts:
         tr_before = linalg.trace(sigma).real
-        sigma = _apply_bout(c, bout, assignment, sigma, linalg.conjugate)
+        sigma = _track_leaf(c, [bout], sigma, assignment, linalg.conjugate)
         probs.append(linalg.trace(sigma).real / tr_before)
     return probs, sigma
-
-
-def _bout_outcome_choices(
-    c: QuantumCircuit, bout: Iterable[str], assignment: Mapping[str, str]
-) -> tuple[list[str], list[list[str]]]:
-    """Measurement gates of the bout (in sequence order) and, per gate, its
-    selectable outcome labels under the current assignment."""
-    gids = [gid for gid in sorted(bout, key=c.index_of) if c.gate(gid).is_measure]
-    choices = []
-    for gid in gids:
-        g = c.gate(gid)
-        chosen = select_measurement(c, gid, source_outcomes(g, assignment))
-        choices.append(sorted(chosen.operators))
-    return gids, choices
 
 
 def _expand(
     c: QuantumCircuit, bout: tuple, assignment: Mapping[str, str], sigma: np.ndarray, t: int
 ) -> tuple:
-    """One node of the outcome tree: the bout's measurement gates, candidate
-    outcome combinations, their weights, cumulative weights, total and
-    post-measurement states."""
+    """One node of the outcome tree: the leaves (assignment, post-measurement
+    state) of the bout's `linalg.conjugate` walk from sigma, their weights,
+    cumulative weights and total."""
     tr_before = linalg.trace(sigma).real
     if tr_before <= 1e-300:
         raise SemanticsError(f"zero-trace state before bout {t}")
-    gids, choices = _bout_outcome_choices(c, bout, assignment)
-    combos = list(itertools.product(*choices))
-    states = [
-        _apply_bout(c, bout, {**assignment, **dict(zip(gids, combo))}, sigma, linalg.conjugate)
-        for combo in combos
-    ]
-    weights = [max(linalg.trace(s).real / tr_before, 0.0) for s in states]
+    leaves = list(_walk(c, bout, 0, sigma, assignment, linalg.conjugate))
+    weights = [max(linalg.trace(s).real / tr_before, 0.0) for _, s in leaves]
     total = sum(weights)
     if total <= 0.0:
         raise SemanticsError(f"all outcomes of bout {t} have zero probability")
-    return gids, combos, weights, list(itertools.accumulate(weights)), total, states
+    return leaves, weights, list(itertools.accumulate(weights)), total
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants. The
@@ -372,23 +352,21 @@ def sample(
         raise SemanticsError(
             f"state has {rho.n_qubits} qubits, circuit has {c.n_registers} registers"
         )
-    bouts = [tuple(sorted(b, key=c.index_of)) for b in x.bouts]
+    bouts = [_order(c, [b]) for b in x.bouts]
     u = _uniforms(seeds, len(bouts))
     # (assignment, state, step log, indices of its shots) for each node of the level
     level = [({}, rho.matrix, (), np.arange(len(u)))] if len(u) else []
     for t, bout in enumerate(bouts):
+        measured = [gid for gid in bout if c.gate(gid).is_measure]
         children = []
         for assignment, sigma, log, shots in level:
-            gids, combos, weights, cumulative, total, states = _expand(c, bout, assignment, sigma, t)
+            leaves, weights, cumulative, total = _expand(c, bout, assignment, sigma, t)
             picks = np.searchsorted(np.array(cumulative), u[shots, t] * total, side="left")
-            picks = np.minimum(picks, len(combos) - 1)
+            picks = np.minimum(picks, len(leaves) - 1)
             for k in np.flatnonzero(np.bincount(picks)).tolist():
-                children.append((
-                    {**assignment, **dict(zip(gids, combos[k]))},
-                    states[k],
-                    log + ((bout, combos[k], weights[k]),),
-                    shots[picks == k],
-                ))
+                child, state = leaves[k]
+                combo = tuple(child[gid] for gid in measured)
+                children.append((child, state, log + ((bout, combo, weights[k]),), shots[picks == k]))
         level = children
     results: list = [None] * len(u)
     for assignment, sigma, log, shots in level:

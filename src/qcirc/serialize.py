@@ -23,7 +23,7 @@ from .circuit import (
     UnitaryOp,
     validate_circuit,
 )
-from .linalg import DensityOperator, ket_to_density
+from .linalg import DensityOperator, ket_to_density, qubits
 from .scheduling import Poset, Schedule
 
 CIRCUIT_VERSION = "qcirc-1"
@@ -311,11 +311,6 @@ def poset_to_json(p: Poset) -> dict:
     return {"elements": list(p.elements), "less_than": sorted([a, b] for a, b in p.less)}
 
 
-def _qubits(dim: int) -> Optional[int]:
-    """n when `dim` is 2^n, else None."""
-    return dim.bit_length() - 1 if dim > 0 and dim & (dim - 1) == 0 else None
-
-
 def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
     if isinstance(obj, dict) and "ket" in obj:
         try:
@@ -324,13 +319,13 @@ def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
             )
         except (TypeError, ValueError):
             raise ParseError([_diag("bad-state", where, "malformed ket")]) from None
-        n = _qubits(len(vec))
+        n = qubits(len(vec))
         if n is None:
             raise ParseError([_diag("bad-state", where, "ket length is not a power of two")])
         mat = ket_to_density(vec)
     else:
         mat = matrix_from_json(obj, where)
-        n = _qubits(mat.shape[0])
+        n = qubits(mat.shape[0])
         if mat.shape[0] != mat.shape[1] or n is None:
             raise ParseError([_diag("bad-state", where, "state matrix is not 2^n x 2^n")])
     if not np.all(np.isfinite(mat)):

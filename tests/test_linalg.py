@@ -17,6 +17,7 @@ from qcirc.linalg import (
     apply,
     basis_ket,
     bits_of,
+    completeness_defect,
     conjugate,
     dagger,
     embed,
@@ -30,6 +31,7 @@ from qcirc.linalg import (
     mat_mul,
     partial_trace,
     partial_trace_matrix,
+    qubits,
     tensor,
     trace,
 )
@@ -302,6 +304,24 @@ def test_density_operator_rejects_invalid():
         DensityOperator(1, np.zeros((2, 2), dtype=complex))  # zero trace
     with pytest.raises(LinalgError):
         DensityOperator(2, np.eye(2, dtype=complex))  # wrong size
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("length", [0, 3, 6, 12])
+def test_from_ket_rejects_non_power_of_two_length(length):
+    with pytest.raises(LinalgError, match="power of two"):
+        DensityOperator.from_ket(np.ones(length))
+
+
+def test_qubits_of_dimension():
+    assert [qubits(d) for d in (0, 1, 2, 3, 4, 6, 8, 2**40)] == [None, 0, 1, None, 2, None, 3, 40]
+
+
+def test_completeness_defect():
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    assert completeness_defect([p0, p1]) == 0.0
+    assert completeness_defect([p0]) == 1.0
+    assert completeness_defect([H / np.sqrt(2), X / np.sqrt(2)]) <= 1e-15
 
 
 def test_ket_to_density_projector():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from qcirc.semantics import (
     RunResult,
     SemanticsError,
     Track,
-    _expand,
     _uniforms,
     aggregate_measurement,
     bout_operator,
@@ -23,6 +24,7 @@ from qcirc.semantics import (
     sample,
     schedules_equivalent,
     select_measurement,
+    source_outcomes,
     track_operators,
     track_probability,
 )
@@ -101,6 +103,30 @@ def test_bout_operator_selects_by_track(teleport):
     op = bout_operator(teleport, {"M", "XN"}, {"M": "0", "N": "1"})
     oracle = np.kron(P0, np.eye(4)) @ np.kron(np.eye(4), X)
     assert np.allclose(op, oracle)
+
+
+# (assignment, a bout that reaches the faulty measurement)
+INCOHERENT = {
+    "omits M": ({"N": "0"}, {"M", "XN"}),
+    "omits N": ({"M": "1"}, {"H", "N"}),
+    "label not offered": ({"M": "0", "N": "2"}, {"H", "N"}),
+}
+
+
+@pytest.mark.parametrize("assignment,bout", INCOHERENT.values(), ids=INCOHERENT.keys())
+def test_incoherent_track_is_a_semantics_error(teleport, bell_input, assignment, bout):
+    """A track that leaves a reached measurement unlabelled, or holds a label
+    the selected measurement does not offer, has no operator."""
+    f, x = Track.from_mapping(assignment), greedy_schedule(teleport)
+    rho = DensityOperator.from_ket(bell_input[1])
+    for call in (
+        lambda: cumulative_operator(teleport, x, f),
+        lambda: bout_operator(teleport, bout, assignment),
+        lambda: replay(teleport, x, f, rho),
+        lambda: track_probability(teleport, f, rho),
+    ):
+        with pytest.raises(SemanticsError, match="track is incoherent at gate"):
+            call()
 
 
 def test_cumulative_operator_matches_kron_oracle(teleport):
@@ -365,6 +391,31 @@ def test_uniforms_empty():
     assert _uniforms([1, 2**40], 0).shape == (2, 0)
 
 
+def oracle_expand(c, bout, assignment, sigma):
+    """A node of the outcome tree the way the executor built it before it
+    walked the tree: every combination of the bout's measurement labels
+    (sorted per gate, itertools.product in sequence order), each conjugated
+    gate by gate over the whole bout from sigma."""
+    gids = [gid for gid in bout if c.gate(gid).is_measure]
+    choices = [
+        sorted(select_measurement(c, gid, source_outcomes(c.gate(gid), assignment)).operators)
+        for gid in gids
+    ]
+    combos = list(itertools.product(*choices))
+    states = []
+    for combo in combos:
+        full, s = {**assignment, **dict(zip(gids, combo))}, sigma
+        for gid in bout:
+            g = c.gate(gid)
+            chosen = select_measurement(c, gid, source_outcomes(g, full))
+            op = chosen.operators[full[gid]] if g.is_measure else chosen.matrix
+            s = linalg.conjugate(op, g.registers, s, c.n_registers)
+        states.append(s)
+    tr_before = linalg.trace(sigma).real
+    weights = [max(linalg.trace(s).real / tr_before, 0.0) for s in states]
+    return gids, combos, weights, list(itertools.accumulate(weights)), sum(weights), states
+
+
 def per_shot_sample_oracle(c, x, rho, seeds):
     """The executor before draws were vectorized: each shot walks its own
     path, drawing a fresh default_rng((seed, t)) per bout and picking the
@@ -375,7 +426,7 @@ def per_shot_sample_oracle(c, x, rho, seeds):
         path, sigma, assignment, log = (), rho.matrix, {}, []
         for t, bout in enumerate(bouts):
             if path not in nodes:
-                nodes[path] = _expand(c, bout, assignment, sigma, t)
+                nodes[path] = oracle_expand(c, bout, assignment, sigma)
             gids, combos, weights, cumulative, total, states = nodes[path]
             u = np.random.default_rng((seed, t)).random() * total
             pick = next((i for i, a in enumerate(cumulative) if u <= a), len(combos) - 1)
