@@ -209,8 +209,8 @@ def cmd_check_faithful(args) -> int:
 
 def cmd_transpose_path(args) -> int:
     p = serialize.poset_from_json(_load_json(args.poset))
-    frm = _load_json(args.frm)
-    to = _load_json(args.to)
+    frm = serialize.order_from_json(_load_json(args.frm), args.frm)
+    to = serialize.order_from_json(_load_json(args.to), args.to)
     path = scheduling.transposition_path(p, frm, to)
     _emit({"steps": len(path) - 1, "orders": [list(o) for o in path]})
     return 0

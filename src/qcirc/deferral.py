@@ -250,10 +250,40 @@ class StandardizeResult:
     pad_labels: tuple[str, ...]
 
 
+def _dilation(kraus: list, dim_anc: int) -> np.ndarray:
+    """The system-environment unitary U (e_j (x) |a>) of Kraus operators A_i
+    on dim_anc ancilla levels: at a = 0 it is sum_i A_i e_j (x) |i>, the
+    operators stacked, and one Gram-Schmidt pass over the basis vectors, in
+    order, fills the other columns."""
+    dim = kraus[0].shape[0]
+    big = dim * dim_anc
+    unused = [np.zeros((dim, dim))] * (dim_anc - len(kraus))
+    fixed = np.stack(kraus + unused, axis=1).reshape(big, dim) + 0.0  # a zero is written 0.0, not -0.0
+    basis = list(fixed.T)
+    for w in np.eye(big, dtype=complex):
+        if len(basis) == big:
+            break
+        for b in basis:
+            w = w - (b.conj() @ w) * b
+        norm = float(np.linalg.norm(w))
+        if norm > 1e-7:
+            basis.append(w / norm)
+    if len(basis) < big:
+        raise DeferralError("failed to complete isometry to a unitary")
+    u = np.empty((big, big), dtype=complex)
+    free = np.arange(big) % dim_anc != 0
+    u[:, ~free], u[:, free] = fixed, np.transpose(basis[dim:])
+    if not linalg.is_unitary(u, 1e-7):
+        raise DeferralError("standardization produced a non-unitary completion")
+    return u
+
+
 def standardize_measurement(c: QuantumCircuit, gid: str) -> StandardizeResult:
     """Replace a nonstandard measurement gate by a unitary on its registers
     plus fresh |0> ancillas, followed by a standard projective measurement of
-    the ancillas carrying the original outcome labels."""
+    the ancillas carrying the original outcome labels, padded to a power of
+    two. A single-outcome measurement's operator is unitary: it becomes a
+    unitary gate, and its consumers drop every slot of the source."""
     g = c.gate(gid)
     if not g.is_measure:
         raise DeferralError(f"gate {gid!r} is not a measurement gate")
@@ -264,101 +294,39 @@ def standardize_measurement(c: QuantumCircuit, gid: str) -> StandardizeResult:
         raise DeferralError(f"measurement of gate {gid!r} is already standard")
 
     labels = list(m.outcomes)
-    k = g.arity
-    n0 = c.n_registers
-
-    if len(labels) == 1:
-        # the unique operator is unitary; the gate becomes a unitary gate and
-        # its consumers lose the source (every slot of it), which has only
-        # one outcome
-        gates = []
-        for h in c.gates:
-            if h.id == gid:
-                h = unitary_gate(gid, g.registers, m.operators[labels[0]])
-            elif gid in h.classical_sources:
-                keep = [j for j, s in enumerate(h.classical_sources) if s != gid]
-                h = _prune_unreferenced_ops(replace(
-                    h, classical_sources=tuple(h.classical_sources[j] for j in keep),
-                    selector={tuple(key[j] for j in keep): t for key, t in h.selector.items()},
-                ))
-            gates.append(h)
-        out = QuantumCircuit(c.register_names, tuple(gates))
-        return StandardizeResult(check_valid(out), (), None, ())
-
-    ell = max(1, math.ceil(math.log2(len(labels))))
-    dim_anc = 2**ell
-    dim = 2**k
-
-    # isometry: |e_j>|0..0>  ->  sum_i (A_i e_j) (x) |i>
-    u = np.zeros((dim * dim_anc, dim * dim_anc), dtype=complex)
-    fixed_cols = [j * dim_anc for j in range(dim)]
-    for j, col in enumerate(fixed_cols):
-        for i, lab in enumerate(labels):
-            u[:, col] += np.kron(m.operators[lab][:, j], linalg.basis_ket(i, ell))
-    # complete to a unitary: Gram-Schmidt over lexicographic candidates
-    basis = [u[:, col] for col in fixed_cols]
-    free_cols = [col for col in range(dim * dim_anc) if col not in fixed_cols]
-    cand = 0
-    for col in free_cols:
-        while True:
-            if cand >= dim * dim_anc:
-                raise DeferralError("failed to complete isometry to a unitary")
-            w = linalg.basis_ket(cand, k + ell)
-            cand += 1
-            for b in basis:
-                w = w - (b.conj() @ w) * b
-            norm = float(np.linalg.norm(w))
-            if norm > 1e-7:
-                w = w / norm
-                break
-        u[:, col] = w
-        basis.append(w)
-    if not linalg.is_unitary(u, 1e-7):
-        raise DeferralError("standardization produced a non-unitary completion")
-
-    anc_regs = tuple(range(n0, n0 + ell))
-    pad_labels, used = [], set(labels)
-    while len(labels) + len(pad_labels) < dim_anc:
-        lab = f"pad{len(pad_labels)}"
-        while lab in used:
-            lab += "_"
-        used.add(lab)
-        pad_labels.append(lab)
-    all_labels = labels + pad_labels
-
-    u_gate = unitary_gate(_fresh_gate_id(c._by_id, f"{gid}__u"), g.registers + anc_regs, u)
-    p_gate = measure_gate(
-        gid, anc_regs, {lab: _projector(i, dim_anc) for i, lab in enumerate(all_labels)}
-    )
-
-    first = labels[0]
-    pad_set = set(pad_labels)
-
+    ell = math.ceil(math.log2(len(labels)))  # 0 for a single outcome
+    anc_regs = tuple(range(c.n_registers, c.n_registers + ell))
+    pads = tuple(_fresh_gate_id(labels, f"pad{i}") for i in range(2**ell - len(labels)))
+    # the outcomes after the rewrite, each with the label consumers read it
+    # as: a pad never fires and routes like the first label
+    route = {**{lab: lab for lab in labels}, **{pad: labels[0] for pad in pads}}
+    if not ell:
+        new = [unitary_gate(gid, g.registers, m.operators[labels[0]])]
+    else:
+        u = _dilation([m.operators[lab] for lab in labels], 2**ell)
+        new = [
+            unitary_gate(_fresh_gate_id(c._by_id, f"{gid}__u"), g.registers + anc_regs, u),
+            measure_gate(gid, anc_regs, {lab: _projector(i, 2**ell) for i, lab in enumerate(route)}),
+        ]
     gates = []
     for h in c.gates:
         if h.id == gid:
-            gates.extend([u_gate, p_gate])
-        elif gid in h.classical_sources:
-            # make the selector total over the padded outcome set in every
-            # slot of the source; pads never fire, route them like the first
-            # original label
-            source_sets = [
-                all_labels if s == gid else list(c.gate(s).outcome_labels)
-                for s in h.classical_sources
-            ]
-            extended = {}
-            for key in itertools.product(*source_sets):
-                lookup = tuple(
-                    first if (s == gid and lab in pad_set) else lab
-                    for s, lab in zip(h.classical_sources, key)
-                )
-                extended[key] = h.selector[lookup]
-            gates.append(replace(h, selector=extended))
-        else:
-            gates.append(h)
+            gates += new
+            continue
+        if gid in h.classical_sources:
+            sources = h.classical_sources
+            keep = [j for j, s in enumerate(sources) if s != gid or ell]
+            selector = {}
+            for key in itertools.product(*(route if s == gid else c.gate(s).outcome_labels for s in sources)):
+                read = tuple(route[lab] if s == gid else lab for s, lab in zip(sources, key))
+                selector[tuple(key[j] for j in keep)] = h.selector[read]
+            h = _prune_unreferenced_ops(
+                replace(h, classical_sources=tuple(sources[j] for j in keep), selector=selector)
+            )
+        gates.append(h)
     names = c.register_names + tuple(_fresh_register_names(c.register_names, ell))
-    out = QuantumCircuit(names, tuple(gates))
-    return StandardizeResult(check_valid(out), anc_regs, gid, tuple(pad_labels))
+    out = check_valid(QuantumCircuit(names, tuple(gates)))
+    return StandardizeResult(out, anc_regs, gid if ell else None, pads)
 
 
 # --- phase 2: exact duplicates ----------------------------------------------

@@ -135,7 +135,8 @@ class DensityOperator:
     """Possibly un-normalized density operator on n qubits.
 
     Hermitian and PSD within tolerance, trace strictly positive; trace 1 is
-    not required.
+    not required. A sampled path's state may be arbitrarily small, so the
+    tolerance is DEFAULT_TOL times the largest entry's magnitude.
     """
 
     n_qubits: int
@@ -146,11 +147,12 @@ class DensityOperator:
         dim = 2**self.n_qubits
         if m.shape != (dim, dim):
             raise LinalgError(f"expected {dim}x{dim} matrix, got {m.shape}")
-        if not is_hermitian(m, DEFAULT_TOL):
+        tol = DEFAULT_TOL * float(np.max(np.abs(m)))
+        if not is_hermitian(m, tol):
             raise LinalgError("density operator is not Hermitian")
-        if not is_psd(m, DEFAULT_TOL):
+        if not is_psd(m, tol):
             raise LinalgError("density operator is not positive semidefinite")
-        if trace(m).real <= DEFAULT_TOL:
+        if trace(m).real <= tol:
             raise LinalgError("density operator has (near-)zero trace")
         object.__setattr__(self, "matrix", m)
 

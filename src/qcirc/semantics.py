@@ -22,7 +22,7 @@ from .circuit import (
     UnitaryOp,
     topo_order,
 )
-from .scheduling import Bout, Schedule, greedy_schedule
+from .scheduling import Bout, Schedule, ScheduleError, greedy_schedule, validate_schedule
 
 TOL = linalg.DEFAULT_TOL
 DEFAULT_TRACK_CAP = 2**16
@@ -150,18 +150,23 @@ def bout_operator(
     return _track_leaf(c, [b], np.eye(2**c.n_registers, dtype=complex), assignment, linalg.apply)
 
 
+def _leaves(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int]) -> list:
+    """The `linalg.apply` walk's leaves (assignment, A @ t0) over `order`. Tracks
+    are counted first, on an empty column slice of t0, so an over-cap circuit
+    fails before any operator is built."""
+    stop = None if cap is None else cap + 1
+    if len(list(itertools.islice(_walk(c, order, 0, t0[:, :0], {}, linalg.apply), stop))) == stop:
+        raise SemanticsError(f"track count exceeds cap {cap}")
+    return list(_walk(c, order, 0, t0, {}, linalg.apply))
+
+
 def track_operators(
     c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP
 ) -> list[tuple[Track, np.ndarray]]:
     """(f, A_f @ t0) for every coherent track f, in `enumerate_tracks` order, from one
     depth-first walk that shares `cumulative_operator`'s `linalg.apply` calls (greedy
-    order, from t0) along common outcome prefixes. Tracks are counted first, on an
-    empty column slice of t0, so an over-cap circuit fails before any operator is built."""
-    order = _order(c, greedy_schedule(c).bouts)
-    stop = None if cap is None else cap + 1
-    if len(list(itertools.islice(_walk(c, order, 0, t0[:, :0], {}, linalg.apply), stop))) == stop:
-        raise SemanticsError(f"track count exceeds cap {cap}")
-    leaves = list(_walk(c, order, 0, t0, {}, linalg.apply))
+    order, from t0) along common outcome prefixes, with the cap checked first."""
+    leaves = _leaves(c, _order(c, greedy_schedule(c).bouts), t0, cap)
     measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
     leaves.sort(key=lambda leaf: tuple(map(leaf[0].get, measures)))
     return [(Track.from_mapping(a), t) for a, t in leaves]
@@ -188,10 +193,16 @@ def aggregate_measurement(
 def schedules_equivalent(
     c: QuantumCircuit, x: Schedule, y: Schedule, tol: float = TOL
 ) -> bool:
-    for f in enumerate_tracks(c):
-        if not linalg.mat_close(
-            cumulative_operator(c, x, f), cumulative_operator(c, y, f), tol
-        ):
+    """Whether every track's cumulative operator under x is within tol of its
+    operator under y. x's outcome tree is walked into its operators (each
+    bit-identical to `cumulative_operator`'s), then y's leaves are compared
+    against them as they come. An invalid schedule raises ScheduleError."""
+    if not (validate_schedule(c, x) and validate_schedule(c, y)):
+        raise ScheduleError("schedule does not fit the circuit")
+    eye = np.eye(2**c.n_registers, dtype=complex)
+    ops = {Track.from_mapping(a): t for a, t in _leaves(c, _order(c, x.bouts), eye, DEFAULT_TRACK_CAP)}
+    for a, t in _walk(c, _order(c, y.bouts), 0, eye, {}, linalg.apply):
+        if not linalg.mat_close(ops.pop(Track.from_mapping(a)), t, tol):
             return False
     return True
 

@@ -27,6 +27,7 @@ from .linalg import DensityOperator, ket_to_density, qubits
 from .scheduling import Poset, Schedule
 
 CIRCUIT_VERSION = "qcirc-1"
+_NUMBERS = (int, float)  # the types of JSON numbers; a bool is not one
 
 
 class ParseError(ValueError):
@@ -37,6 +38,10 @@ class ParseError(ValueError):
 
 def _diag(code: str, where: str, message: str) -> Diagnostic:
     return Diagnostic("error", code, where, message)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _float_pairs(m: np.ndarray) -> np.ndarray:
@@ -50,16 +55,27 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": m.shape[0], "cols": m.shape[1], "entries": _float_pairs(m).tolist()}
 
 
+def _complex_entries(pairs) -> Optional[np.ndarray]:
+    """The complex numbers of a JSON list of [re, im] pairs of numbers (ints or
+    floats, not bools); None for anything else, or a number too large for a float."""
+    if type(pairs) is not list:
+        return None
+    try:
+        values = [complex(re, im) for re, im in pairs if type(re) in _NUMBERS and type(im) in _NUMBERS]
+    except (TypeError, ValueError, OverflowError):  # not a pair, or too large
+        return None
+    return np.array(values, dtype=complex) if len(values) == len(pairs) else None
+
+
 def matrix_from_json(obj: dict, where: str = "<matrix>") -> np.ndarray:
     try:
         rows, cols = obj["rows"], obj["cols"]
         if not all(type(d) is int and d >= 0 for d in (rows, cols)):
             raise ValueError
-        entries = obj["entries"]
-        if len(entries) != rows * cols:
+        entries = _complex_entries(obj["entries"])
+        if entries is None or len(entries) != rows * cols:
             raise ValueError
-        flat = [complex(float(re), float(im)) for re, im in entries]
-        return np.array(flat, dtype=complex).reshape(rows, cols)
+        return entries.reshape(rows, cols)
     except (KeyError, TypeError, ValueError):
         raise ParseError([_diag("bad-matrix", where, "malformed matrix object")]) from None
 
@@ -256,14 +272,11 @@ def circuit_from_json(obj: dict) -> QuantumCircuit:
         raise ParseError(
             [_diag("bad-version", "<circuit>", f"expected version {CIRCUIT_VERSION!r}")]
         )
-    try:
-        registers = tuple(str(r) for r in obj["registers"])
-        gate_objs = obj["gates"]
-        if not isinstance(gate_objs, list):
-            raise TypeError
-    except (KeyError, TypeError):
-        raise ParseError([_diag("bad-circuit", "<circuit>", "malformed circuit object")]) from None
-    c = QuantumCircuit(registers, tuple(gate_from_json(g) for g in gate_objs))
+    registers, gate_objs = obj.get("registers"), obj.get("gates")
+    if not (_strings(registers) and isinstance(gate_objs, list)):
+        message = "registers must be a list of strings and gates a list"
+        raise ParseError([_diag("bad-circuit", "<circuit>", message)])
+    c = QuantumCircuit(tuple(registers), tuple(gate_from_json(g) for g in gate_objs))
     diags = validate_circuit(c)
     if diags:
         raise ParseError(diags)
@@ -291,20 +304,29 @@ def schedule_to_json(x: Schedule, c: Optional[QuantumCircuit] = None) -> dict:
 
 
 def schedule_from_json(obj: dict) -> Schedule:
-    try:
-        return Schedule(tuple(frozenset(b) for b in obj["bouts"]))
-    except (KeyError, TypeError):
-        raise ParseError([_diag("bad-schedule", "<schedule>", "malformed schedule object")]) from None
+    bouts = obj.get("bouts") if isinstance(obj, dict) else None
+    if not (isinstance(bouts, list) and all(_strings(b) for b in bouts)):
+        raise ParseError([_diag("bad-schedule", "<schedule>", "bouts must be a list of lists of gate ids")])
+    return Schedule(tuple(frozenset(b) for b in bouts))
 
 
 def poset_from_json(obj: dict) -> Poset:
+    obj = obj if isinstance(obj, dict) else {}
+    elements, less = obj.get("elements"), obj.get("less_than")
+    if not (_strings(elements) and isinstance(less, list) and all(_strings(p) and len(p) == 2 for p in less)):
+        message = "elements must be a list of strings and less_than a list of string pairs"
+        raise ParseError([_diag("bad-poset", "<poset>", message)])
     try:
-        return Poset.from_pairs(
-            [str(e) for e in obj["elements"]],
-            [(str(a), str(b)) for a, b in obj["less_than"]],
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        return Poset.from_pairs(elements, [tuple(p) for p in less])
+    except ValueError as e:
         raise ParseError([_diag("bad-poset", "<poset>", f"malformed poset object: {e}")]) from None
+
+
+def order_from_json(obj, where: str = "<order>") -> list[str]:
+    """A linear order of poset elements: a JSON list of strings (`bad-order`)."""
+    if not _strings(obj):
+        raise ParseError([_diag("bad-order", where, "an order must be a JSON list of strings")])
+    return obj
 
 
 def poset_to_json(p: Poset) -> dict:
@@ -313,12 +335,9 @@ def poset_to_json(p: Poset) -> dict:
 
 def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
     if isinstance(obj, dict) and "ket" in obj:
-        try:
-            vec = np.array(
-                [complex(float(re), float(im)) for re, im in obj["ket"]], dtype=complex
-            )
-        except (TypeError, ValueError):
-            raise ParseError([_diag("bad-state", where, "malformed ket")]) from None
+        vec = _complex_entries(obj["ket"])
+        if vec is None:
+            raise ParseError([_diag("bad-state", where, "malformed ket")])
         n = qubits(len(vec))
         if n is None:
             raise ParseError([_diag("bad-state", where, "ket length is not a power of two")])

@@ -11,10 +11,12 @@ from qcirc.circuit import (
     Measurement,
     QuantumCircuit,
     UnitaryOp,
+    controlled_unitary_gate,
     measure_gate,
+    standard_measure_gate,
     unitary_gate,
 )
-from qcirc.linalg import H
+from qcirc.linalg import H, X, Z
 from qcirc.scheduling import Poset
 
 
@@ -169,6 +171,39 @@ def random_deferrable_circuit(rng, max_principal=3, max_gates=5):
                 g = unitary_gate(gid, regs, random_unitary(rng, dim))
         gates.append(g)
     return QuantumCircuit(tuple(f"r{j}" for j in range(n)), tuple(gates))
+
+
+def kraus_correction_circuit(rng):
+    """A nonstandard Kraus measurement K of 1-5 outcomes on 1-2 registers
+    after a random unitary, a standard measurement S of another register, and
+    a correction G on a third register classically controlled by K: through
+    one slot, two slots of `controls`, or next to S. Sometimes a unitary W on
+    K's first register and G's follows. Some label sets hold `pad0` and some
+    circuits already have a gate `K__u`, so fresh names must step around them."""
+    arity, n_out = int(rng.integers(1, 3)), int(rng.integers(1, 6))
+    kregs = _pick_registers(rng, arity + 2, arity)
+    s_reg, t_reg = (r for r in range(arity + 2) if r not in kregs)
+    labels = [f"k{j}" for j in range(n_out)]
+    if n_out > 1 and rng.random() < 0.25:
+        labels[int(rng.integers(n_out))] = "pad0"
+    kraus = random_kraus_family(rng, 2**arity, n_out)
+    controls = [["K"], ["K", "K"], ["K", "S"], ["S", "K"]][int(rng.integers(4))]
+    ops = {"I": np.eye(2), "X": X, "Z": Z, "V": random_unitary(rng, 2)}
+    outcomes = {"K": labels, "S": ["0", "1"]}
+    selector = {
+        key: list(ops)[int(rng.integers(len(ops)))]
+        for key in itertools.product(*(outcomes[s] for s in controls))
+    }
+    gates = [
+        unitary_gate("K__u" if rng.random() < 0.2 else "U", kregs, random_unitary(rng, 2**arity)),
+        measure_gate("K", kregs, dict(zip(labels, kraus))),
+        unitary_gate("HS", [s_reg], H),
+        standard_measure_gate("S", s_reg),
+        controlled_unitary_gate("G", [t_reg], controls, ops, selector),
+    ]
+    if rng.random() < 0.5:
+        gates.append(unitary_gate("W", [kregs[0], t_reg], random_unitary(rng, 4)))
+    return QuantumCircuit(tuple(f"r{j}" for j in range(arity + 2)), tuple(gates))
 
 
 def random_poset(rng, max_elems=8, p_edge=0.3):

@@ -11,7 +11,9 @@ import pytest
 
 from corpus import random_circuit
 from test_deferral import dropped_z_pair
+from qcirc.circuit import QuantumCircuit, standard_measure_gate, unitary_gate
 from qcirc.cli import main
+from qcirc.linalg import H
 from qcirc.serialize import (
     ParseError,
     circuit_to_json,
@@ -254,6 +256,23 @@ def test_cli_run_single(capsys):
         data["final_state_normalized"]["entries"][9 * i][0] for i in range(8)
     )
     assert abs(tr - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("shots", [[], ["--shots", "3"]], ids=["single", "shots"])
+def test_cli_run_path_of_probability_below_1e9(tmp_path, capsys, shots):
+    """One qubit and 30 pairs H; M: every path has probability 2^-30, and its
+    un-normalized final state is that small."""
+    gates = [g for i in range(30) for g in (unitary_gate(f"h{i}", [0], H), standard_measure_gate(f"m{i}", 0))]
+    circuit, ket = tmp_path / "hm30.json", tmp_path / "zero.json"
+    circuit.write_text(serialize_circuit(QuantumCircuit(("q",), tuple(gates))))
+    ket.write_text(json.dumps({"ket": [[1.0, 0.0], [0.0, 0.0]]}))
+    assert main(["run", str(circuit), "--input", str(ket), "--seed", "1", *shots]) == 0
+    data = out_json(capsys)
+    if shots:
+        assert sum(f["count"] for f in data["frequencies"]) == 3
+    else:
+        raw = data["final_state_raw"]["entries"]
+        assert raw[0][0] + raw[3][0] == pytest.approx(2.0**-30, rel=1e-9)
 
 
 def test_cli_run_deterministic_output(capsys):
@@ -520,6 +539,93 @@ def test_cli_malformed_circuit_object(tmp_path, capsys, mutate, code):
     path.write_text(json.dumps(obj))
     assert main(["validate", str(path)]) == 1
     assert _first_diag(capsys)["code"] == code
+
+
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+def _teleport_with(mutate) -> dict:
+    obj = json.loads(Path(TELEPORT).read_text())
+    mutate(obj)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "command, content, code",
+    [
+        ("validate", _teleport_with(_set("gates", 1, "ops", "H", "entries", 0, [HUGE, 0])), "bad-matrix"),
+        ("aggregate", {"ket": [[HUGE, 0]] + [[0, 0]] * 7}, "bad-state"),
+        ("aggregate", {"rows": 1, "cols": 1, "entries": [[0, HUGE]]}, "bad-matrix"),
+    ],
+    ids=["gate", "ket", "state-matrix"],
+)
+def test_cli_entry_too_large_for_a_float(tmp_path, capsys, command, content, code):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(content))
+    argv = ["validate", str(path)] if command == "validate" else ["aggregate", TELEPORT, "--input", str(path)]
+    assert main(argv) == 1
+    assert _first_diag(capsys)["code"] == code
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize(
+    "order", [None, 5, ["a", 1, "c", "d"], {"a": 0, "b": 1, "c": 2, "d": 3}, "abcd"],
+    ids=["null", "number", "non-string-item", "object", "string"],
+)
+def test_cli_order_file_must_be_a_list_of_strings(tmp_path, capsys, flag, order):
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(order))
+    files = {"--from": str(FIXTURES / "order_a.json"), "--to": str(FIXTURES / "order_b.json"), flag: str(path)}
+    argv = ["transpose-path", str(FIXTURES / "poset.json"), "--from", files["--from"], "--to", files["--to"]]
+    assert main(argv) == 1
+    assert _first_diag(capsys)["code"] == "bad-order"
+
+
+@pytest.mark.parametrize("registers", ["abc", {"a": 0, "b": 1, "c": 2}, ["a", 1, "c"]],
+                         ids=["string", "object", "non-string-item"])
+def test_cli_circuit_registers_must_be_a_list_of_strings(tmp_path, capsys, registers):
+    path = tmp_path / "registers.json"
+    path.write_text(json.dumps(_teleport_with(_set("registers", registers))))
+    assert main(["validate", str(path)]) == 1
+    assert _first_diag(capsys)["code"] == "bad-circuit"
+
+
+@pytest.mark.parametrize("entry", [[True, False], ["1", "0"]], ids=["bools", "strings"])
+def test_cli_entries_must_be_pairs_of_numbers(tmp_path, capsys, entry):
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps(_teleport_with(_set("gates", 1, "ops", "H", "entries", 0, entry))))
+    assert main(["validate", str(gate)]) == 1
+    assert _first_diag(capsys)["code"] == "bad-matrix"
+    ket = tmp_path / "ket.json"
+    ket.write_text(json.dumps({"ket": [entry] + [[0.0, 0.0]] * 7}))
+    assert main(["aggregate", TELEPORT, "--input", str(ket)]) == 1
+    assert _first_diag(capsys)["code"] == "bad-state"
+
+
+@pytest.mark.parametrize("schedule", [{"bouts": "ab"}, {"bouts": [[1]]}, {"bouts": [["CNOT"], "H"]}],
+                         ids=["string", "number-id", "string-bout"])
+def test_cli_schedule_must_be_lists_of_gate_ids(tmp_path, capsys, schedule):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule))
+    assert main(["run", TELEPORT, "--input", PSI, "--seed", "1", "--schedule", str(path)]) == 1
+    assert _first_diag(capsys)["code"] == "bad-schedule"
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [
+        {"elements": [1, 2], "less_than": []},
+        {"elements": {"a": 1}, "less_than": []},
+        {"elements": ["1", "2"], "less_than": [[1, 2]]},
+    ],
+    ids=["number-elements", "object-elements", "number-pair"],
+)
+def test_cli_poset_must_hold_strings(tmp_path, capsys, poset):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset))
+    orders = ["--from", str(FIXTURES / "order_a.json"), "--to", str(FIXTURES / "order_b.json")]
+    assert main(["transpose-path", str(path), *orders]) == 1
+    assert _first_diag(capsys)["code"] == "bad-poset"
 
 
 DEEP = "[" * 100_000

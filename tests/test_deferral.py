@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from conftest import make_teleportation
 from corpus import (
     PM_FAMILY,
     feed_forward_circuit,
+    kraus_correction_circuit,
     random_deferrable_circuit,
     random_kraus_family,
 )
@@ -33,6 +36,7 @@ from qcirc.deferral import (
 )
 from qcirc.linalg import CNOT, H, X, Z
 from qcirc.semantics import Track, aggregate_measurement, enumerate_tracks
+from qcirc.serialize import dumps, serialize_circuit
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -424,6 +428,19 @@ def test_deferred_size_is_pinned(name, size):
     assert (d.n_registers, len(d.gates)) == size
     assert red_gates(d) == set()
     assert check_faithful(c, d, result.zeta).ok
+
+
+def test_standardized_circuits_are_pinned():
+    """sha256 of the deferred circuit file and sidecar, as `qcirc defer` writes
+    them, over 60 seeded circuits whose one nonstandard Kraus measurement
+    (1-5 outcomes, 1-2 registers) feeds a classically controlled correction,
+    in some circuits through two slots of its `controls`."""
+    digest = hashlib.sha256()
+    for i in range(60):
+        result = defer_measurements(kraus_correction_circuit(np.random.default_rng([9, i])))
+        sidecar = {**result.zeta.to_json(), "ancillas": sorted(result.ancilla_registers)}
+        digest.update((serialize_circuit(result.circuit) + dumps(sidecar) + "\n").encode())
+    assert digest.hexdigest() == "c4d61c76ab1d08a69f0d8c6ecc5a2bcbdd83b4347096fb8015f548c47400d15c"
 
 
 def test_run_of_measurements_moves_as_one_unit():

@@ -306,6 +306,22 @@ def test_density_operator_rejects_invalid():
         DensityOperator(2, np.eye(2, dtype=complex))  # wrong size
 
 
+def test_density_operator_tolerance_scales_with_the_entries():
+    """A path of 30 fair measurements has trace 2^-30, below the absolute
+    1e-9; an eigenvalue of -5e-10 next to 1e-6 is far from PSD at that scale."""
+    DensityOperator(1, np.diag([2.0**-30, 0.0]).astype(complex))
+    rejected = [
+        (1, np.diag([1e-6, -5e-10]), "positive semidefinite"),
+        (1, np.array([[0, 1], [0, 0]]), "not Hermitian"),
+        (1, Z, "positive semidefinite"),
+        (1, np.zeros((2, 2)), "zero trace"),
+        (2, np.eye(2), "expected 4x4"),
+    ]
+    for n, m, message in rejected:
+        with pytest.raises(LinalgError, match=message):
+            DensityOperator(n, m.astype(complex))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("length", [0, 3, 6, 12])
 def test_from_ket_rejects_non_power_of_two_length(length):

@@ -9,7 +9,13 @@ from corpus import random_circuit
 from qcirc import linalg, semantics
 from qcirc.circuit import QuantumCircuit, standard_measure_gate, topo_order, unitary_gate
 from qcirc.linalg import CNOT, H, I2, X, Z, DensityOperator, kron_all, mat_close
-from qcirc.scheduling import greedy_schedule, linear_schedule, enumerate_linear_schedules
+from qcirc.scheduling import (
+    Schedule,
+    ScheduleError,
+    enumerate_linear_schedules,
+    greedy_schedule,
+    linear_schedule,
+)
 from qcirc.semantics import (
     RunResult,
     SemanticsError,
@@ -242,6 +248,41 @@ def test_thin_block_is_the_ancilla_zero_columns(teleport):
             assert [f for f, _ in thin] == list(full)
             for f, block in thin:
                 assert np.max(np.abs(block - full[f][:, :: 2**k])) <= 1e-15
+
+
+def per_track_distance(c, x, greedy_ops):
+    """Reference: the largest entry difference between each track's
+    cumulative operators under x and the greedy schedule, rebuilt from the
+    identity track by track. The schedules are equivalent at tol iff it is <= tol."""
+    return max(np.max(np.abs(cumulative_operator(c, x, f) - op)) for f, op in greedy_ops.items())
+
+
+def test_schedules_equivalent_is_the_per_track_definition(teleport):
+    """Same answer as the reference at tol 0, where only bit-identical
+    operators agree, and at the default, over up to 20 linear schedules."""
+    seen = set()
+    for c in walker_circuits(teleport):
+        greedy = greedy_schedule(c)
+        greedy_ops = {f: cumulative_operator(c, greedy, f) for f in enumerate_tracks(c)}
+        for x in enumerate_linear_schedules(c, limit=20):
+            distance = per_track_distance(c, x, greedy_ops)
+            for tol in (0.0, 1e-9):
+                want = bool(distance <= tol)
+                assert schedules_equivalent(c, x, greedy, tol) == want
+                seen.add((tol, want))
+            assert schedules_equivalent(c, greedy, x, 0.0) == (distance == 0.0)
+    assert seen == {(0.0, True), (0.0, False), (1e-9, True)}
+
+
+def test_schedules_equivalent_rejects_invalid_schedules(teleport):
+    greedy = greedy_schedule(teleport)
+    missing = Schedule(greedy.bouts[:-1])
+    one_bout = Schedule((frozenset(g.id for g in teleport.gates),))
+    for bad in (missing, one_bout):
+        with pytest.raises(ScheduleError):
+            schedules_equivalent(teleport, bad, greedy)
+        with pytest.raises(ScheduleError):
+            schedules_equivalent(teleport, greedy, bad)
 
 
 def test_aggregate_measurement_cap(monkeypatch):
