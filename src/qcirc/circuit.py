@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -306,12 +307,11 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
                 elif not np.all(np.isfinite(a)):
                     err("non-finite-entry", g.id, f"operator for outcome {label!r} is not finite")
                     bad_ops = True
-            if not bad_ops and m.completeness_defect() > TOL:
-                err(
-                    "measurement-incomplete",
-                    g.id,
-                    f"sum A^dag A differs from identity by {m.completeness_defect():.2e}",
-                )
+            if bad_ops:
+                continue
+            defect = m.completeness_defect()
+            if not defect <= TOL:  # NaN when the sum overflows
+                err("measurement-incomplete", g.id, f"sum A^dag A differs from identity by {defect:.2e}")
         for u in g.unitaries.values():
             if u.matrix.shape != (dim, dim):
                 err(
@@ -353,11 +353,17 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
             if set(g.selector) != {()}:
                 err("selector-not-total", g.id, "non-CC gate needs the empty-tuple selector")
         elif sources_ok:
-            expected = set(itertools.product(*source_outcome_sets))
-            got = set(g.selector)
-            if got != expected:
-                missing = sorted(expected - got)[:3]
-                extra = sorted(got - expected)[:3]
+            # total: every key holds one label of each source, and there are
+            # as many keys as label combinations; no product is built for that
+            label_sets = [set(labels) for labels in source_outcome_sets]
+            extra = [
+                k for k in g.selector
+                if len(k) != len(label_sets) or not all(lab in labs for lab, labs in zip(k, label_sets))
+            ]
+            if extra or len(g.selector) != math.prod(map(len, label_sets)):
+                combos = itertools.product(*map(sorted, label_sets))
+                missing = list(itertools.islice((k for k in combos if k not in g.selector), 3))
+                extra = sorted(extra)[:3]
                 err(
                     "selector-not-total",
                     g.id,

@@ -9,11 +9,11 @@ phases:
 2. delete exact duplicates: a standard measurement that directly re-measures
    the register tuple of an earlier one is dropped, and its consumers read the
    earlier measurement through a label map;
-3. defer red gates, innermost first: a unitary gate with measurement
-   prerequisites becomes a unitary quantum-controlled by the registers of its
-   classical sources, and those measurements move after it. A register the
-   gate shares with a measurement is first copied to a fresh |0> ancilla with
-   a CNOT, and the run of adjacent measurements ending there moves onto the
+3. defer red gates in one walk over a topological order, moving every
+   measurement to the end: a unitary gate with classical sources becomes a
+   unitary quantum-controlled by the registers its sources measure. A
+   register the gate acts on that measurements still wait on is first copied
+   to a fresh |0> ancilla with a CNOT, and those measurements move onto the
    copy.
 
 A measurement stays one gate throughout, with its own id and outcome labels,
@@ -38,7 +38,6 @@ from .circuit import (
     QuantumCircuit,
     check_valid,
     measure_gate,
-    _toposort,
     topo_order,
     unitary_gate,
 )
@@ -377,106 +376,58 @@ def _delete_duplicate_measurements(c: QuantumCircuit) -> tuple[QuantumCircuit, d
     return QuantumCircuit(c.register_names, tuple(gates)), kept, labels
 
 
-# --- phase 3: deferring past one gate ---------------------------------------
+# --- phase 3: one walk -------------------------------------------------------
 
 
-def defer_past_gate(c: QuantumCircuit, gid: str) -> QuantumCircuit:
-    """Rewrite one red unitary gate with no red prerequisites into a unitary
-    quantum-controlled by the registers of its classical sources (standard
-    measurements of any arity), with its measurement prerequisites moved
-    after it. Where the gate's quantum source on a register r is a
-    measurement, r is first copied to a fresh |0> ancilla with a CNOT and the
-    run of adjacent measurements ending there moves onto the copy. On a
-    control register the gate does not act on, the gate goes in before the
-    run of measurements that holds its source."""
-    g = c.gate(gid)
-    if g.is_measure:
-        raise DeferralError(f"gate {gid!r} is a measurement gate")
-    reds = red_gates(c)
-    if gid not in reds:
-        raise DeferralError(f"gate {gid!r} has no measurement prerequisites")
-    if c._layers[0][gid] & c._mask(reds):
-        raise DeferralError(f"gate {gid!r} has red prerequisites")
-
-    def run_start(chain: list, i: int) -> int:
-        """Start of the run of adjacent measurement gates holding chain[i]."""
-        while i > 0 and c.gate(chain[i - 1]).is_measure:
-            i -= 1
-        return i
-
-    n0 = c.n_registers
-    chains = {r: c.register_chain(r) for r in range(n0)}
-    taken = set(c._by_id)
-    copy_of: dict[int, int] = {}  # copied register -> its ancilla
-    cnots = []
-    for r, s in c.quantum_sources(gid).items():
-        if s is None or not c.gate(s).is_measure:
+def _defer_red_gates(c: QuantumCircuit) -> QuantumCircuit:
+    """Walk a topological order of `c`, whose measurements are standard. A
+    measurement waits on each of its registers. A unitary takes the
+    measurements waiting on each register r it acts on; if there are any, a
+    CNOT copies r to a fresh |0> ancilla and they move onto the copy. A
+    unitary that got a copy or has classical sources becomes a unitary
+    quantum-controlled by the registers its sources measure now. Out come the
+    unitaries in walk order, each gate's CNOTs just before it, then the
+    measurements sorted by id."""
+    n0, taken, n_anc = c.n_registers, set(c._by_id), 0
+    waiting: dict[int, list[str]] = {}
+    regs: dict[str, list[int]] = {}  # measurement id -> its registers now
+    unitaries = []
+    for gid in topo_order(c):
+        g = c.gate(gid)
+        if g.is_measure:
+            regs[gid] = list(g.registers)
+            for r in g.registers:
+                waiting.setdefault(r, []).append(gid)
             continue
-        copy_of[r] = a = n0 + len(copy_of)
-        cnot = unitary_gate(_fresh_gate_id(taken, f"{gid}__cp__{s}"), (r, a), linalg.CNOT)
-        taken.add(cnot.id)
-        cnots.append(cnot)
-        chain = chains[r]
-        j = chain.index(gid)
-        i = run_start(chain, j - 1)
-        chains[a] = [cnot.id] + chain[i:j]
-        chain[i:j] = [cnot.id]
-    # every register a moved measurement shares with the gate is copied
-    moved = {
-        m: tuple(copy_of.get(r, r) for r in c.gate(m).registers)
-        for a in copy_of.values()
-        for m in chains[a][1:]
-    }
-
-    sources = [c.gate(s) for s in g.classical_sources]
-    for s in itertools.chain(sources, (c.gate(m) for m in moved)):
-        (m,) = s.measurements.values()
-        if not classify_measurement(m).standard:
-            raise DeferralError(f"measurement of gate {s.id!r} is not standard")
-    ctrl: list[int] = []
-    for s in sources:
-        for w in moved.get(s.id, s.registers):
-            if w not in ctrl:
-                ctrl.append(w)
-                chain = chains[w]
-                chain.insert(1 if w >= n0 else run_start(chain, chain.index(s.id)), gid)
-
-    # the controlled unitary: |x>|y> -> |x> (x) U_selector(labels read off x) |y>
-    label_at = {s.id: {i: lab for lab, i in _basis_labels(s).items()} for s in sources}
-    k, dim = len(ctrl), 2**g.arity
-    big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
-    for x in range(2**k):
-        bit = dict(zip(ctrl, linalg.bits_of(x, k)))
-        key = tuple(
-            label_at[s.id][linalg.index_of([bit[w] for w in moved.get(s.id, s.registers)])]
-            for s in sources
-        )
-        big[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] = g.unitaries[g.selector[key]].matrix
-
-    new = {h.id: h for h in c.gates}
-    new[gid] = unitary_gate(gid, tuple(ctrl) + g.registers, big)
-    for m, regs in moved.items():
-        new[m] = replace(new[m], registers=regs)
-    new.update((cn.id, cn) for cn in cnots)
-    edges = {e for chain in chains.values() for e in zip(chain, chain[1:])}
-    edges.update((s, h.id) for h in new.values() for s in h.classical_sources)
-
-    gpos, cnot_ids, late = c.index_of(gid), {cn.id for cn in cnots}, list(g.classical_sources)
-
-    def priority(v: str):
-        if v in cnot_ids:
-            return (gpos, 0)
-        if v == gid:
-            return (gpos, 1)
-        if v in moved or v in late:
-            return (gpos, 2, late.index(v) if v in late else 99)
-        return (c.index_of(v), -1)
-
-    order = _toposort(list(new), edges, key=priority)
-    if order is None:
-        raise DeferralError("rewrite produced a cyclic source relation")
-    names = c.register_names + tuple(_fresh_register_names(c.register_names, len(copy_of)))
-    return check_valid(QuantumCircuit(names, tuple(new[v] for v in order)))
+        cnots = []
+        for r in g.registers:
+            ms = waiting.pop(r, [])
+            if ms:
+                a, n_anc = n0 + n_anc, n_anc + 1
+                cnots.append(unitary_gate(_fresh_gate_id(taken, f"{gid}__cp__{ms[-1]}"), (r, a), linalg.CNOT))
+                taken.add(cnots[-1].id)
+                for m in ms:
+                    regs[m][regs[m].index(r)] = a
+        unitaries += sorted(cnots, key=lambda h: h.id)
+        if cnots or g.classical_sources:
+            # |x>|y> -> |x> (x) U_selector(labels read off x) |y>
+            sources = g.classical_sources
+            ctrl = list(dict.fromkeys(w for s in sources for w in regs[s]))
+            label_at = {s: {i: lab for lab, i in _basis_labels(c.gate(s)).items()} for s in sources}
+            k, dim = len(ctrl), 2**g.arity
+            big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
+            for x in range(2**k):
+                bit = dict(zip(ctrl, linalg.bits_of(x, k)))
+                key = tuple(label_at[s][linalg.index_of([bit[w] for w in regs[s]])] for s in sources)
+                big[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] = g.unitaries[g.selector[key]].matrix
+            g = unitary_gate(gid, tuple(ctrl) + g.registers, big)
+        unitaries.append(g)
+    measures = [
+        measure_gate(m, regs[m], {lab: _projector(i, 2 ** len(regs[m])) for lab, i in _basis_labels(c.gate(m)).items()})
+        for m in sorted(regs)
+    ]
+    names = c.register_names + tuple(_fresh_register_names(c.register_names, n_anc))
+    return check_valid(QuantumCircuit(names, tuple(unitaries + measures)))
 
 
 # --- the full pass ----------------------------------------------------------
@@ -484,8 +435,9 @@ def defer_past_gate(c: QuantumCircuit, gid: str) -> QuantumCircuit:
 
 def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     """Produce a faithfully-simulating circuit in which no unitary gate has a
-    measurement gate as a prerequisite. Its unitary gates come first, in the
-    order the rewrites left them, then its measurement gates sorted by id."""
+    measurement gate as a prerequisite. Its unitary gates come first, in walk
+    order, each CNOT copy just before its gate, then its measurement gates
+    sorted by id."""
     check_valid(c)
     bad = constraint_violations(c)
     if bad:
@@ -503,20 +455,7 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
                 absorbed.add(g.id)
 
     cur, kept, labels = _delete_duplicate_measurements(cur)
-
-    while True:
-        reds = red_gates(cur)
-        if not reds:
-            break
-        cur = defer_past_gate(cur, next(gid for gid in topo_order(cur) if gid in reds))
-        assert len(red_gates(cur)) < len(reds)
-
-    measures = sorted((h for h in cur.gates if h.is_measure), key=lambda h: h.id)
-    gates = [h for h in cur.gates if not h.is_measure] + [
-        measure_gate(h.id, h.registers, {lab: _projector(i, 2**h.arity) for lab, i in _basis_labels(h).items()})
-        for h in measures
-    ]
-    d = check_valid(QuantumCircuit(cur.register_names, tuple(gates)))
+    d = _defer_red_gates(cur)
     targets = {g.id: kept.get(g.id, g.id) for g in c.gates if g.is_measure and g.id not in absorbed}
     zeta = Commensuration(targets, labels, frozenset(absorbed))
     return DeferralResult(d, zeta, frozenset(range(c.n_registers, d.n_registers)))

@@ -79,7 +79,8 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return mat_close(a.conj().T @ a, np.eye(a.shape[0]), tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product fails the comparison
+        return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
@@ -120,9 +121,10 @@ def qubits(dim: int) -> Optional[int]:
 
 def completeness_defect(ops: Iterable[np.ndarray]) -> float:
     """max |sum A^dag A - I| over the entries, for a nonempty family of
-    operators of one shape."""
-    acc = sum(a.conj().T @ a for a in ops)
-    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+    operators of one shape; inf or NaN when the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = sum(a.conj().T @ a for a in ops)
+        return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
 
 
 def ket_to_density(psi) -> np.ndarray:

@@ -341,7 +341,10 @@ def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
         n = qubits(len(vec))
         if n is None:
             raise ParseError([_diag("bad-state", where, "ket length is not a power of two")])
-        mat = ket_to_density(vec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = ket_to_density(vec)
+        if not np.all(np.isfinite(mat)) and np.all(np.isfinite(vec)):
+            raise ParseError([_diag("non-finite-entry", where, "ket entries too large: its density operator overflows")])
     else:
         mat = matrix_from_json(obj, where)
         n = qubits(mat.shape[0])

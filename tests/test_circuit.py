@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,9 @@ from qcirc.circuit import (
     validate_circuit,
 )
 from qcirc.linalg import CNOT, H, X
+
+P0 = np.diag([1.0, 0.0]).astype(complex)
+P1 = np.diag([0.0, 1.0]).astype(complex)
 
 
 def codes(c):
@@ -263,6 +269,72 @@ def test_diag_selector_not_total():
     src = standard_measure_gate("s", 0)
     g = controlled_unitary_gate("g", [1], ["s"], {"u": X}, {("0",): "u"})
     assert "selector-not-total" in codes(QuantumCircuit(("r0", "r1"), (src, g)))
+
+
+def test_selector_totality_builds_no_product():
+    """controls naming one two-outcome measurement 16 times, with a one-key
+    selector: the message is the one the check that built all 2^16 keys
+    gave, and the check itself stays far below the memory those keys take."""
+    c = QuantumCircuit(
+        ("r0", "r1"),
+        (
+            standard_measure_gate("M", 0),
+            controlled_unitary_gate("G", [1], ["M"] * 16, {"I": np.eye(2)}, {("0",) * 16: "I"}),
+        ),
+    )
+    tracemalloc.start()
+    try:
+        diags = validate_circuit(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    zeros = "'0', " * 14
+    message = (
+        f"selector domain mismatch (missing [({zeros}'0', '1'), ({zeros}'1', '0'), ({zeros}'1', '1')], extra [])"
+    )
+    assert [(d.code, d.where, d.message) for d in diags] == [("selector-not-total", "G", message)]
+    assert peak < 2**20
+
+
+def product_selector_message(c, g):
+    """The selector-not-total message by the definition: the selector's keys
+    are exactly the product of its sources' outcome-label sets."""
+    expected = set(itertools.product(*(c.gate(s).outcome_labels for s in g.classical_sources)))
+    got = set(g.selector)
+    if got == expected:
+        return None
+    return f"selector domain mismatch (missing {sorted(expected - got)[:3]}, extra {sorted(got - expected)[:3]})"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_selector_totality_is_the_product_definition(seed):
+    """Random circuits plus a source whose two measurements share a label,
+    and gates controlled by 1-3 sources (repeats allowed) whose selectors
+    lose keys and gain keys of wrong labels or length."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, 3, 6)
+    shared = Gate(
+        "ov",
+        (0,),
+        measurements={"m0": Measurement("m0", {"x": P0, "y": P1}), "m1": Measurement("m1", {"x": np.eye(2)})},
+        selector={(): "m0"},
+    )
+    gates = [*c.gates, shared]
+    measures = [h for h in gates if h.is_measure]
+    labels = sorted({lab for h in measures for lab in h.outcome_labels}) + ["zz"]
+    for j in range(int(rng.integers(1, 4))):
+        sources = [measures[int(i)] for i in rng.integers(len(measures), size=int(rng.integers(1, 4)))]
+        keys = itertools.product(*(h.outcome_labels for h in sources))
+        selector = {key: "u" for key in keys if rng.random() > 0.3}
+        for _ in range(int(rng.integers(0, 3))):
+            length = max(0, len(sources) + int(rng.integers(-1, 2)))
+            selector[tuple(labels[int(i)] for i in rng.integers(len(labels), size=length))] = "u"
+        gates.append(controlled_unitary_gate(f"cc{j}", [0], [h.id for h in sources], {"u": X}, selector))
+    d = QuantumCircuit(c.register_names, tuple(gates))
+    got = [(x.where, x.message) for x in validate_circuit(d) if x.code == "selector-not-total"]
+    want = [(g.id, product_selector_message(d, g)) for g in d.gates if g.classical_sources]
+    assert got == [(gid, m) for gid, m in want if m is not None]
 
 
 def test_diag_selector_unknown_target():

@@ -567,6 +567,52 @@ def test_cli_entry_too_large_for_a_float(tmp_path, capsys, command, content, cod
     assert _first_diag(capsys)["code"] == code
 
 
+def _every_entry(*path, entry):
+    """A mutation of a circuit object: every entry of each matrix in the
+    object at the key path becomes `entry`."""
+
+    def mutate(obj):
+        for k in path:
+            obj = obj[k]
+        for m in obj.values():
+            m["entries"] = [entry] * len(m["entries"])
+
+    return mutate
+
+
+HUGE_M = _teleport_with(_every_entry("gates", 2, "measurements", "M", "outcomes", entry=[1e200, -1e200]))
+HUGE_H = _teleport_with(_every_entry("gates", 1, "ops", entry=[1e200, 1e200]))
+HUGE_KET = {"ket": [[1e200, 0]] + [[0, 0]] * 7}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, content, code",
+    [
+        ("validate", HUGE_M, "measurement-incomplete"),
+        ("validate", HUGE_H, "non-unitary-op"),
+        ("aggregate", HUGE_KET, "non-finite-entry"),
+        ("run", HUGE_KET, "non-finite-entry"),
+    ],
+    ids=["measurement", "unitary", "ket-aggregate", "ket-run"],
+)
+def test_cli_entries_too_large_to_square(tmp_path, capsys, command, content, code):
+    """Finite entries whose products overflow: NaN or inf defects fail their
+    check, and no numpy warning reaches stderr."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(content))
+    argv = {
+        "validate": ["validate", str(path)],
+        "aggregate": ["aggregate", TELEPORT, "--input", str(path)],
+        "run": ["run", TELEPORT, "--input", str(path), "--seed", "1"],
+    }[command]
+    assert main(argv) == 1
+    diags = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [d["code"] for d in diags] == [code]
+    if content is HUGE_KET:
+        assert "overflows" in diags[0]["message"]
+
+
 @pytest.mark.parametrize("flag", ["--from", "--to"])
 @pytest.mark.parametrize(
     "order", [None, 5, ["a", 1, "c", "d"], {"a": 0, "b": 1, "c": 2, "d": 3}, "abcd"],

@@ -19,6 +19,7 @@ from qcirc.circuit import (
     controlled_unitary_gate,
     measure_gate,
     standard_measure_gate,
+    topo_order,
     unitary_gate,
     validate_circuit,
 )
@@ -441,6 +442,33 @@ def test_standardized_circuits_are_pinned():
         sidecar = {**result.zeta.to_json(), "ancillas": sorted(result.ancilla_registers)}
         digest.update((serialize_circuit(result.circuit) + dumps(sidecar) + "\n").encode())
     assert digest.hexdigest() == "c4d61c76ab1d08a69f0d8c6ecc5a2bcbdd83b4347096fb8015f548c47400d15c"
+
+
+def test_deferred_circuits_are_pinned():
+    """sha256 of the deferred circuit file and sidecar over 200 seeded
+    deferrable circuits of up to 4 registers and 9 gates. Among them are CNOT
+    copies (115 circuits), runs holding two-register measurements moved onto
+    copies (72), controls on copied registers (113) and gates whose sources
+    were all single-outcome measurements turned into unitaries (10 gates)."""
+    digest = hashlib.sha256()
+    for i in range(200):
+        result = defer_measurements(random_deferrable_circuit(np.random.default_rng([17, i]), 4, 9))
+        sidecar = {**result.zeta.to_json(), "ancillas": sorted(result.ancilla_registers)}
+        digest.update((serialize_circuit(result.circuit) + dumps(sidecar) + "\n").encode())
+    assert digest.hexdigest() == "9dced8aa8422dcb734460944c92560a9a3d4109a32da79ec91715dc4a830532d"
+
+
+def test_defer_follows_topological_order():
+    """G is listed before its source M. The walk defers the list as it
+    defers the same gates in topological order: U before G."""
+    g = controlled_unitary_gate("G", [1], ["M"], {"I": np.eye(2), "X": X}, {("0",): "I", ("1",): "X"})
+    listed = QuantumCircuit(("q0", "q1", "q2"), (g, unitary_gate("U", [2], H), standard_measure_gate("M", 0)))
+    ordered = QuantumCircuit(listed.register_names, tuple(listed.gate(gid) for gid in topo_order(listed)))
+    result, expected = defer_measurements(listed), defer_measurements(ordered)
+    assert serialize_circuit(result.circuit) == serialize_circuit(expected.circuit)
+    assert result.zeta.to_json() == expected.zeta.to_json()
+    assert [h.id for h in result.circuit.gates] == ["U", "G", "M"]
+    assert check_faithful(listed, result.circuit, result.zeta).ok
 
 
 def test_run_of_measurements_moves_as_one_unit():
