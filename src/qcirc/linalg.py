@@ -10,7 +10,7 @@ registers it acts on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -72,7 +72,8 @@ def trace(a) -> complex:
 
 def mat_close(a, b, tol: float = DEFAULT_TOL) -> bool:
     a, b = as_matrix(a), as_matrix(b)
-    return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed difference fails the comparison
+        return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= tol)
 
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
@@ -93,7 +94,7 @@ def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         return False
-    herm = (a + a.conj().T) / 2
+    herm = a / 2 + a.conj().T / 2  # halves first, so finite entries cannot overflow
     return bool(np.min(np.linalg.eigvalsh(herm)) >= -tol)
 
 
@@ -132,39 +133,59 @@ def ket_to_density(psi) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@dataclass(frozen=True, eq=False)
+def squared_norm(k: np.ndarray) -> float:
+    """||k||_F^2, the trace of k k^dag; inf when it overflows."""
+    return float(np.vdot(k, k).real)
+
+
 class DensityOperator:
     """Possibly un-normalized density operator on n qubits.
 
-    Hermitian and PSD within tolerance, trace strictly positive; trace 1 is
-    not required. A sampled path's state may be arbitrarily small, so the
-    tolerance is DEFAULT_TOL times the largest entry's magnitude.
+    Hermitian and PSD within tolerance, trace strictly positive and finite;
+    trace 1 is not required. A sampled path's state may be arbitrarily small,
+    so the tolerance is DEFAULT_TOL times the largest entry's magnitude.
+
+    A factored state is given by K (2^n x r) with rho = K K^dag: it is PSD by
+    construction, so only K's entries and its trace ||K||_F^2 are checked,
+    and `matrix` is built from K when first read.
     """
 
-    n_qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        dim = 2**self.n_qubits
-        if m.shape != (dim, dim):
-            raise LinalgError(f"expected {dim}x{dim} matrix, got {m.shape}")
+    def __init__(self, n_qubits: int, matrix=None, *, factor=None):
+        self.n_qubits = n_qubits
+        m = as_matrix(matrix if factor is None else factor)
+        rows, cols = 2**n_qubits, 2**n_qubits if factor is None else m.shape[1]
+        if m.shape != (rows, cols):
+            raise LinalgError(f"expected {rows}x{cols} matrix, got {m.shape}")
+        with np.errstate(over="ignore"):
+            tr = trace(m).real if factor is None else squared_norm(m)
+        if not np.isfinite(tr):
+            raise LinalgError("state too large: its trace overflows")
+        if factor is not None:
+            if tr <= 0.0:  # the largest entry of K K^dag is at most its trace
+                raise LinalgError("density operator has (near-)zero trace")
+            self.factor = m
+            return
         tol = DEFAULT_TOL * float(np.max(np.abs(m)))
         if not is_hermitian(m, tol):
             raise LinalgError("density operator is not Hermitian")
         if not is_psd(m, tol):
             raise LinalgError("density operator is not positive semidefinite")
-        if trace(m).real <= tol:
+        if tr <= tol:
             raise LinalgError("density operator has (near-)zero trace")
-        object.__setattr__(self, "matrix", m)
+        self.factor, self.matrix = None, m
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        k = self.factor
+        return np.outer(k[:, 0], k[:, 0].conj()) if k.shape[1] == 1 else k @ k.conj().T
 
     @classmethod
     def from_ket(cls, psi) -> "DensityOperator":
-        rho = ket_to_density(psi)
-        n = qubits(rho.shape[0])
+        v = np.asarray(psi, dtype=complex).reshape(-1, 1)
+        n = qubits(v.shape[0])
         if n is None:
             raise LinalgError("ket length is not a power of two")
-        return cls(n, rho)
+        return cls(n, factor=v)
 
     def normalized(self) -> np.ndarray:
         return self.matrix / trace(self.matrix).real

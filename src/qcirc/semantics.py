@@ -236,16 +236,17 @@ def replay(
 
 
 def _expand(
-    c: QuantumCircuit, bout: tuple, assignment: Mapping[str, str], sigma: np.ndarray, t: int
+    c: QuantumCircuit, bout: tuple, assignment: Mapping[str, str], sigma: np.ndarray, t: int,
+    kernel, mass,
 ) -> tuple:
     """One node of the outcome tree: the leaves (assignment, post-measurement
-    state) of the bout's `linalg.conjugate` walk from sigma, their weights,
-    cumulative weights and total."""
-    tr_before = linalg.trace(sigma).real
-    if tr_before <= 1e-300:
+    state) of the bout's `kernel` walk from sigma, their weights (each leaf's
+    `mass` over sigma's), cumulative weights and total."""
+    before = mass(sigma)
+    if before <= 1e-300:
         raise SemanticsError(f"zero-trace state before bout {t}")
-    leaves = list(_walk(c, bout, 0, sigma, assignment, linalg.conjugate))
-    weights = [max(linalg.trace(s).real / tr_before, 0.0) for _, s in leaves]
+    leaves = list(_walk(c, bout, 0, sigma, assignment, kernel))
+    weights = [max(mass(s) / before, 0.0) for _, s in leaves]
     total = sum(weights)
     if total <= 0.0:
         raise SemanticsError(f"all outcomes of bout {t} have zero probability")
@@ -357,21 +358,32 @@ def sample(
 
     Shots advance level by level: shots that picked the same combinations in
     bouts 0..t-1 sit at one node of the outcome tree, which is expanded once
-    for all of them. Memory: one level of states, (distinct nodes at bout t)
-    x (combinations per bout) of 2^n x 2^n, and the len(seeds) x bouts draws."""
+    for all of them.
+
+    A factored input rho = K K^dag is walked as K: a path with cumulative
+    operator A holds A K, weighed by ||A K||_F^2 (= tr(A rho A^dag)), and ends
+    as a factored state. Any other input is walked as A rho A^dag, weighed by
+    its trace. Memory: one level of states, (distinct nodes at bout t) x
+    (combinations per bout) arrays of 2^n x r, or 2^n x 2^n for an unfactored
+    input, and the len(seeds) x bouts draws."""
     if rho.n_qubits != c.n_registers:
         raise SemanticsError(
             f"state has {rho.n_qubits} qubits, circuit has {c.n_registers} registers"
         )
+    factored = rho.factor is not None
+    if factored:
+        kernel, mass = linalg.apply, linalg.squared_norm
+    else:
+        kernel, mass = linalg.conjugate, lambda sigma: linalg.trace(sigma).real
     bouts = [_order(c, [b]) for b in x.bouts]
     u = _uniforms(seeds, len(bouts))
     # (assignment, state, step log, indices of its shots) for each node of the level
-    level = [({}, rho.matrix, (), np.arange(len(u)))] if len(u) else []
+    level = [({}, rho.factor if factored else rho.matrix, (), np.arange(len(u)))] if len(u) else []
     for t, bout in enumerate(bouts):
         measured = [gid for gid in bout if c.gate(gid).is_measure]
         children = []
         for assignment, sigma, log, shots in level:
-            leaves, weights, cumulative, total = _expand(c, bout, assignment, sigma, t)
+            leaves, weights, cumulative, total = _expand(c, bout, assignment, sigma, t, kernel, mass)
             picks = np.searchsorted(np.array(cumulative), u[shots, t] * total, side="left")
             picks = np.minimum(picks, len(leaves) - 1)
             for k in np.flatnonzero(np.bincount(picks)).tolist():
@@ -381,11 +393,13 @@ def sample(
         level = children
     results: list = [None] * len(u)
     for assignment, sigma, log, shots in level:
-        if linalg.trace(sigma).real <= 1e-300:
+        if mass(sigma) <= 1e-300:
             raise SemanticsError("final state has zero trace")
-        final = RunResult(
-            Track.from_mapping(assignment), linalg.DensityOperator(c.n_registers, sigma), log
+        state = (
+            linalg.DensityOperator(c.n_registers, factor=sigma)
+            if factored else linalg.DensityOperator(c.n_registers, sigma)
         )
+        final = RunResult(Track.from_mapping(assignment), state, log)
         for i in shots.tolist():
             results[i] = final
     return results

@@ -23,7 +23,7 @@ from .circuit import (
     UnitaryOp,
     validate_circuit,
 )
-from .linalg import DensityOperator, ket_to_density, qubits
+from .linalg import DensityOperator, qubits, squared_norm
 from .scheduling import Poset, Schedule
 
 CIRCUIT_VERSION = "qcirc-1"
@@ -334,22 +334,25 @@ def poset_to_json(p: Poset) -> dict:
 
 
 def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
-    if isinstance(obj, dict) and "ket" in obj:
-        vec = _complex_entries(obj["ket"])
-        if vec is None:
+    """A state file's ket (kept as the factor of its density operator) or
+    matrix. Non-finite entries, and finite ones whose trace overflows, are
+    `non-finite-entry`."""
+    ket = isinstance(obj, dict) and "ket" in obj
+    if ket:
+        entries = _complex_entries(obj["ket"])
+        if entries is None:
             raise ParseError([_diag("bad-state", where, "malformed ket")])
-        n = qubits(len(vec))
-        if n is None:
+        if qubits(len(entries)) is None:
             raise ParseError([_diag("bad-state", where, "ket length is not a power of two")])
-        with np.errstate(over="ignore", invalid="ignore"):
-            mat = ket_to_density(vec)
-        if not np.all(np.isfinite(mat)) and np.all(np.isfinite(vec)):
-            raise ParseError([_diag("non-finite-entry", where, "ket entries too large: its density operator overflows")])
     else:
-        mat = matrix_from_json(obj, where)
-        n = qubits(mat.shape[0])
-        if mat.shape[0] != mat.shape[1] or n is None:
+        entries = matrix_from_json(obj, where)
+        n = qubits(entries.shape[0])
+        if entries.shape[0] != entries.shape[1] or n is None:
             raise ParseError([_diag("bad-state", where, "state matrix is not 2^n x 2^n")])
-    if not np.all(np.isfinite(mat)):
+    if not np.all(np.isfinite(entries)):
         raise ParseError([_diag("non-finite-entry", where, "state has a NaN or infinite entry")])
-    return DensityOperator(n, mat)
+    with np.errstate(over="ignore"):
+        tr = squared_norm(entries) if ket else np.trace(entries).real
+    if not np.isfinite(tr):
+        raise ParseError([_diag("non-finite-entry", where, "state too large: its trace overflows")])
+    return DensityOperator.from_ket(entries) if ket else DensityOperator(n, entries)

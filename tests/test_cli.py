@@ -301,7 +301,7 @@ def _sha256(data) -> str:
         (["aggregate", TELEPORT, "--input", PSI],
          "53d7f089516763e9c885ed1bd3edaa298969209606638629617b0e9b590d1d1c"),
         (["run", TELEPORT, "--input", PSI, "--seed", "7"],
-         "500f300c9207fce24f6f7df49cce6e20c3977d637789e66210d9ea344aa8dede"),
+         "c5e89f5b8ed336b68a4cd218094bd371503414779b4bcc1211dfaf120e484ccb"),
         (["schedules", TELEPORT, "--enumerate", "--limit", "10"],
          "216d31eee5de3f49c39216e41dea9ce2e1daaffdf1c911ef67358b9378b3214a"),
         (["run", TELEPORT, "--input", PSI, "--seed", str(2**64 - 1), "--shots", "500",
@@ -611,6 +611,29 @@ def test_cli_entries_too_large_to_square(tmp_path, capsys, command, content, cod
     assert [d["code"] for d in diags] == [code]
     if content is HUGE_KET:
         assert "overflows" in diags[0]["message"]
+
+
+DIAG_1E308 = {"rows": 8, "cols": 8, "entries": [[1e308, 0] if i in (0, 9) else [0, 0] for i in range(64)]}
+KET_1E154 = {"ket": [[1e154, 0]] * 8}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["aggregate", "run"])
+@pytest.mark.parametrize("content", [DIAG_1E308, KET_1E154], ids=["matrix", "ket"])
+def test_diag_non_finite_entry_state_trace_overflows(tmp_path, capsys, command, content):
+    """Finite input states whose trace overflows, diag(1e308, 1e308, 0, ...)
+    and a ket of eight entries 1e154 (each |entry|^2 finite), end in one
+    diagnostic and nothing else on stderr."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(content))
+    argv = [command, TELEPORT, "--input", str(path)] + (["--seed", "1"] if command == "run" else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"severity": "error", "code": "non-finite-entry", "where": str(path),
+         "message": "state too large: its trace overflows"}
+    ]
 
 
 @pytest.mark.parametrize("flag", ["--from", "--to"])

@@ -329,6 +329,38 @@ def test_from_ket_rejects_non_power_of_two_length(length):
         DensityOperator.from_ket(np.ones(length))
 
 
+def test_factored_state_is_the_ket_density():
+    """from_ket keeps the ket as the factor; its matrix is ket_to_density's,
+    bit for bit, and the rejections are those of the dense state."""
+    rng = np.random.default_rng(8)
+    for n in range(5):
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        rho = DensityOperator.from_ket(v)
+        assert rho.factor.shape == (2**n, 1)
+        assert np.array_equal(rho.matrix, ket_to_density(v))
+    k = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    assert np.array_equal(DensityOperator(2, factor=k).matrix, k @ k.conj().T)
+    with pytest.raises(LinalgError, match="zero trace"):
+        DensityOperator.from_ket(np.zeros(4))
+    with pytest.raises(LinalgError, match="non-finite"):
+        DensityOperator.from_ket(np.array([np.nan, 0.0]))
+    with pytest.raises(LinalgError, match="expected 4x1"):
+        DensityOperator(2, factor=np.ones((2, 1)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_states_near_the_float_limit_are_checked_without_warnings():
+    """A trace that overflows is rejected; a finite one is checked without
+    overflowing in the Hermitian part or in the Hermiticity comparison."""
+    with pytest.raises(LinalgError, match="trace overflows"):
+        DensityOperator.from_ket(np.full(8, 1e154))
+    with pytest.raises(LinalgError, match="trace overflows"):
+        DensityOperator(3, np.diag([1e308, 1e308, 0, 0, 0, 0, 0, 0]).astype(complex))
+    DensityOperator(3, np.diag([1e308, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
+    with pytest.raises(LinalgError, match="not Hermitian"):
+        DensityOperator(1, np.array([[1, 1e308], [-1e308, 1]], dtype=complex))
+
+
 def test_qubits_of_dimension():
     assert [qubits(d) for d in (0, 1, 2, 3, 4, 6, 8, 2**40)] == [None, 0, 1, None, 2, None, 3, 40]
 

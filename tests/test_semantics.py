@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -524,6 +525,60 @@ def test_sample_tie_picks_the_first_outcome_reaching_u(monkeypatch):
     rho = DensityOperator(1, np.eye(2, dtype=complex) / 2)  # weights exactly 0.5, 0.5
     monkeypatch.setattr(semantics, "_uniforms", lambda seeds, n: np.full((len(seeds), n), 0.5))
     assert [r.track.get("m") for r in sample(c, greedy_schedule(c), rho, [0, 1])] == ["0", "0"]
+
+
+def test_ket_input_is_walked_one_sided(monkeypatch, teleport, bell_input):
+    """A ket input is advanced as A K, and no state it produces is
+    eigen-checked: neither two-sided conjugation nor eigvalsh runs."""
+    monkeypatch.setattr(linalg, "conjugate", lambda *args: pytest.fail("conjugate was called"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh was called"))
+    circuits = [(teleport, bell_input[1])]
+    for s in range(4):
+        rng = np.random.default_rng([31, s])
+        c = random_circuit(rng, max_gates=8)
+        circuits.append((c, rng.normal(size=2**c.n_registers) + 1j * rng.normal(size=2**c.n_registers)))
+    for c, ket in circuits:
+        rho, x = DensityOperator.from_ket(ket), greedy_schedule(c)
+        results = sample(c, x, rho, range(40)) + [run(c, x, rho, 7)]
+        assert all(r.final_state.factor is not None for r in results)
+
+
+@pytest.mark.parametrize("corpus_seed", range(12))
+def test_factored_sample_agrees_with_dense(corpus_seed):
+    """The same ket, once as a factor and once as its density matrix: same
+    tracks and step labels, weights within 1e-12, final states within 1e-12
+    of their largest entry."""
+    rng = np.random.default_rng([37, corpus_seed])
+    c = random_circuit(rng, max_gates=8)
+    x = greedy_schedule(c)
+    v = rng.normal(size=2**c.n_registers) + 1j * rng.normal(size=2**c.n_registers)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=30)]
+    factored = sample(c, x, DensityOperator.from_ket(v), seeds)
+    dense = sample(c, x, DensityOperator(c.n_registers, np.outer(v, v.conj())), seeds)
+    for a, b in zip(factored, dense):
+        assert a.track == b.track
+        assert [(bo, o) for bo, o, _ in a.step_log] == [(bo, o) for bo, o, _ in b.step_log]
+        for (_, _, p), (_, _, q) in zip(a.step_log, b.step_log):
+            assert abs(p - q) <= 1e-12
+        want = b.final_state.matrix
+        assert np.max(np.abs(a.final_state.matrix - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_ghz12_shots_from_a_ket_take_no_density_matrix():
+    """GHZ-12 from |0...0>: a dense state would be 256 MiB; the ket walk
+    stays far below, and only the all-0 and all-1 tracks occur."""
+    n = 12
+    c, psi = ghz_circuit(n), np.zeros(2**n)
+    psi[0] = 1.0
+    tracemalloc.start()
+    try:
+        results = sample(c, greedy_schedule(c), DensityOperator.from_ket(psi), range(200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    tracks = {tuple(sorted(set(r.track.as_dict().values()))) for r in results}
+    assert tracks == {("0",), ("1",)}
 
 
 def test_run_frequency_sanity():
