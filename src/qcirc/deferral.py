@@ -1,20 +1,18 @@
 """Measurement-deferral compiler pass and faithful-simulation checker.
 
-The pass rejects classically controlled measurement gates, then runs three
-phases:
-
-1. standardize: every nonstandard measurement becomes a unitary on its
-   registers and fresh |0> ancillas, followed by a standard measurement of the
-   ancillas that keeps the original outcome labels (plus pads);
-2. delete exact duplicates: a standard measurement that directly re-measures
-   the register tuple of an earlier one is dropped, and its consumers read the
-   earlier measurement through a label map;
-3. defer red gates in one walk over a topological order, moving every
-   measurement to the end: a unitary gate with classical sources becomes a
-   unitary quantum-controlled by the registers its sources measure. A
-   register the gate acts on that measurements still wait on is first copied
-   to a fresh |0> ancilla with a CNOT, and those measurements move onto the
-   copy.
+The pass rejects classically controlled measurement gates and builds one
+circuit. A pre-pass over a topological order of the gates decides the
+ancillas and names: every nonstandard measurement becomes a unitary on its
+registers and fresh |0> ancillas, followed by a standard measurement of the
+ancillas that keeps the original outcome labels (plus pads), and a standard
+measurement that directly re-measures the registers of an earlier one is
+dropped. Each measurement carries a read map, from a basis index over the
+registers it sits on to the label its consumers' selectors read, so no
+selector is rewritten. Then one walk over the same order moves every
+measurement to the end: a unitary gate with classical sources becomes a
+unitary quantum-controlled by the registers its sources measure. A register
+the gate acts on that measurements still wait on is first copied to a fresh
+|0> ancilla with a CNOT, and those measurements move onto the copy.
 
 A measurement stays one gate throughout, with its own id and outcome labels,
 so the commensuration maps gate ids to gate ids. The checker is exact by
@@ -227,28 +225,6 @@ def _basis_labels(g: Gate) -> dict[str, int]:
     return {lab: int(np.argmax(np.abs(np.diag(a)))) for lab, a in m.operators.items()}
 
 
-def _prune_unreferenced_ops(g: Gate) -> Gate:
-    """Drop ops/measurements no selector key can reach (a source was removed
-    or collapsed). Non-CC gates must carry exactly one op."""
-    used = set(g.selector.values())
-    unitaries = {k: v for k, v in g.unitaries.items() if k in used}
-    measurements = {k: v for k, v in g.measurements.items() if k in used}
-    if len(unitaries) == len(g.unitaries) and len(measurements) == len(g.measurements):
-        return g
-    return replace(g, unitaries=unitaries, measurements=measurements)
-
-
-# --- phase 1: standardization -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class StandardizeResult:
-    circuit: QuantumCircuit
-    ancilla_registers: tuple[int, ...]
-    measure_gate_id: Optional[str]  # id of the standard measurement, None if |I|=1
-    pad_labels: tuple[str, ...]
-
-
 def _dilation(kraus: list, dim_anc: int) -> np.ndarray:
     """The system-environment unitary U (e_j (x) |a>) of Kraus operators A_i
     on dim_anc ancilla levels: at a = 0 it is sum_i A_i e_j (x) |i>, the
@@ -277,167 +253,78 @@ def _dilation(kraus: list, dim_anc: int) -> np.ndarray:
     return u
 
 
-def standardize_measurement(c: QuantumCircuit, gid: str) -> StandardizeResult:
-    """Replace a nonstandard measurement gate by a unitary on its registers
-    plus fresh |0> ancillas, followed by a standard projective measurement of
-    the ancillas carrying the original outcome labels, padded to a power of
-    two. A single-outcome measurement's operator is unitary: it becomes a
-    unitary gate, and its consumers drop every slot of the source."""
-    g = c.gate(gid)
-    if not g.is_measure:
-        raise DeferralError(f"gate {gid!r} is not a measurement gate")
-    if g.classical_sources:
-        raise ConstraintError([gid])
-    (m,) = g.measurements.values()
-    if classify_measurement(m).standard:
-        raise DeferralError(f"measurement of gate {gid!r} is already standard")
-
-    labels = list(m.outcomes)
-    ell = math.ceil(math.log2(len(labels)))  # 0 for a single outcome
-    anc_regs = tuple(range(c.n_registers, c.n_registers + ell))
-    pads = tuple(_fresh_gate_id(labels, f"pad{i}") for i in range(2**ell - len(labels)))
-    # the outcomes after the rewrite, each with the label consumers read it
-    # as: a pad never fires and routes like the first label
-    route = {**{lab: lab for lab in labels}, **{pad: labels[0] for pad in pads}}
-    if not ell:
-        new = [unitary_gate(gid, g.registers, m.operators[labels[0]])]
-    else:
-        u = _dilation([m.operators[lab] for lab in labels], 2**ell)
-        new = [
-            unitary_gate(_fresh_gate_id(c._by_id, f"{gid}__u"), g.registers + anc_regs, u),
-            measure_gate(gid, anc_regs, {lab: _projector(i, 2**ell) for i, lab in enumerate(route)}),
-        ]
-    gates = []
-    for h in c.gates:
-        if h.id == gid:
-            gates += new
-            continue
-        if gid in h.classical_sources:
-            sources = h.classical_sources
-            keep = [j for j, s in enumerate(sources) if s != gid or ell]
-            selector = {}
-            for key in itertools.product(*(route if s == gid else c.gate(s).outcome_labels for s in sources)):
-                read = tuple(route[lab] if s == gid else lab for s, lab in zip(sources, key))
-                selector[tuple(key[j] for j in keep)] = h.selector[read]
-            h = _prune_unreferenced_ops(
-                replace(h, classical_sources=tuple(sources[j] for j in keep), selector=selector)
-            )
-        gates.append(h)
-    names = c.register_names + tuple(_fresh_register_names(c.register_names, ell))
-    out = check_valid(QuantumCircuit(names, tuple(gates)))
-    return StandardizeResult(out, anc_regs, gid if ell else None, pads)
-
-
-# --- phase 2: exact duplicates ----------------------------------------------
-
-
 def _reindex(index: int, frm: Sequence[int], to: Sequence[int]) -> int:
     """A basis index over registers `frm` as an index over their permutation `to`."""
     bit = dict(zip(frm, linalg.bits_of(index, len(frm))))
     return linalg.index_of([bit[r] for r in to])
 
 
-def _delete_duplicate_measurements(c: QuantumCircuit) -> tuple[QuantumCircuit, dict, dict]:
-    """Drop every standard measurement whose quantum source on each of its
-    registers is one earlier measurement of the same registers; its consumers
-    read that measurement instead. Returns the circuit, {dropped: kept} and
-    {dropped: {label: kept label}}."""
-    kept: dict[str, str] = {}
-    labels: dict[str, dict] = {}
-    for b in c.gates:
-        sources = set(c.quantum_sources(b.id).values()) if b.is_measure else ()
-        if len(sources) != 1 or None in sources:
+# --- the pass ---------------------------------------------------------------
+
+
+def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, set, int]:
+    """The pre-pass, over the gate ids `order`. A nonstandard measurement
+    with k >= 2 outcomes becomes a unitary `<id>__u` on its registers and
+    ceil(log2 k) fresh |0> ancillas, followed by a standard measurement of the
+    ancillas that keeps its id and labels; unused ancilla states get pad
+    labels and read as the first label. A single-outcome measurement's
+    operator is unitary: it becomes a unitary gate and measures no register.
+    A standard measurement whose quantum source on every register is one kept
+    standard measurement of the same registers is a re-measurement: it is
+    dropped and read off the kept one's registers.
+
+    Returns, per measurement id, its registers (a re-measurement shares its
+    kept one's list) and its read map, basis index over those registers ->
+    the label its consumers' selectors read; the gates each nonstandard
+    measurement becomes; {re-measurement: kept}; the output's gate ids so
+    far; and the register count with the ancillas."""
+    regs, read, expand, kept = {}, {}, {}, {}
+    taken, n = set(c._by_id), c.n_registers
+    for g in map(c.gate, order):
+        if not g.is_measure:
             continue
-        (s,) = sources
-        a = c.gate(kept.get(s, s))
-        if not a.is_measure or set(a.registers) != set(b.registers):
+        (m,) = g.measurements.values()
+        if classify_measurement(m).standard:
+            s, *more = set(c.quantum_sources(g.id).values())
+            a = None if more or s is None else c.gate(kept.get(s, s))
+            if a is not None and a.is_measure and a.id not in expand and set(a.registers) == set(g.registers):
+                kept[g.id], regs[g.id] = a.id, regs[a.id]
+                read[g.id] = {_reindex(i, g.registers, a.registers): lab for lab, i in _basis_labels(g).items()}
+            else:
+                regs[g.id] = list(g.registers)
+                read[g.id] = {i: lab for lab, i in _basis_labels(g).items()}
             continue
-        kept[b.id] = a.id
-        label_at = {i: lab for lab, i in _basis_labels(a).items()}
-        labels[b.id] = {
-            lab: label_at[_reindex(i, b.registers, a.registers)]
-            for lab, i in _basis_labels(b).items()
-        }
-    gates = []
-    for h in c.gates:
-        if h.id in kept:
+        labels = list(m.outcomes)
+        ell = math.ceil(math.log2(len(labels)))  # 0 for a single outcome
+        pads = [_fresh_gate_id(labels, f"pad{i}") for i in range(2**ell - len(labels))]
+        regs[g.id], n = list(range(n, n + ell)), n + ell
+        read[g.id] = dict(enumerate(labels + labels[:1] * len(pads)))
+        if not ell:
+            expand[g.id] = [unitary_gate(g.id, g.registers, m.operators[labels[0]])]
             continue
-        if any(s in kept for s in h.classical_sources):
-            # a repeated source is fine: only its diagonal selector keys fire
-            h = replace(
-                h,
-                classical_sources=tuple(kept.get(s, s) for s in h.classical_sources),
-                selector={
-                    tuple(labels[s][lab] if s in kept else lab for s, lab in zip(h.classical_sources, key)): t
-                    for key, t in h.selector.items()
-                },
-            )
-        gates.append(h)
-    return QuantumCircuit(c.register_names, tuple(gates)), kept, labels
-
-
-# --- phase 3: one walk -------------------------------------------------------
-
-
-def _defer_red_gates(c: QuantumCircuit) -> QuantumCircuit:
-    """Walk a topological order of `c`, whose measurements are standard. A
-    measurement waits on each of its registers. A unitary takes the
-    measurements waiting on each register r it acts on; if there are any, a
-    CNOT copies r to a fresh |0> ancilla and they move onto the copy. A
-    unitary that got a copy or has classical sources becomes a unitary
-    quantum-controlled by the registers its sources measure now. Out come the
-    unitaries in walk order, each gate's CNOTs just before it, then the
-    measurements sorted by id."""
-    n0, taken, n_anc = c.n_registers, set(c._by_id), 0
-    waiting: dict[int, list[str]] = {}
-    regs: dict[str, list[int]] = {}  # measurement id -> its registers now
-    unitaries = []
-    for gid in topo_order(c):
-        g = c.gate(gid)
-        if g.is_measure:
-            regs[gid] = list(g.registers)
-            for r in g.registers:
-                waiting.setdefault(r, []).append(gid)
-            continue
-        cnots = []
-        for r in g.registers:
-            ms = waiting.pop(r, [])
-            if ms:
-                a, n_anc = n0 + n_anc, n_anc + 1
-                cnots.append(unitary_gate(_fresh_gate_id(taken, f"{gid}__cp__{ms[-1]}"), (r, a), linalg.CNOT))
-                taken.add(cnots[-1].id)
-                for m in ms:
-                    regs[m][regs[m].index(r)] = a
-        unitaries += sorted(cnots, key=lambda h: h.id)
-        if cnots or g.classical_sources:
-            # |x>|y> -> |x> (x) U_selector(labels read off x) |y>
-            sources = g.classical_sources
-            ctrl = list(dict.fromkeys(w for s in sources for w in regs[s]))
-            label_at = {s: {i: lab for lab, i in _basis_labels(c.gate(s)).items()} for s in sources}
-            k, dim = len(ctrl), 2**g.arity
-            big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
-            for x in range(2**k):
-                bit = dict(zip(ctrl, linalg.bits_of(x, k)))
-                key = tuple(label_at[s][linalg.index_of([bit[w] for w in regs[s]])] for s in sources)
-                big[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] = g.unitaries[g.selector[key]].matrix
-            g = unitary_gate(gid, tuple(ctrl) + g.registers, big)
-        unitaries.append(g)
-    measures = [
-        measure_gate(m, regs[m], {lab: _projector(i, 2 ** len(regs[m])) for lab, i in _basis_labels(c.gate(m)).items()})
-        for m in sorted(regs)
-    ]
-    names = c.register_names + tuple(_fresh_register_names(c.register_names, n_anc))
-    return check_valid(QuantumCircuit(names, tuple(unitaries + measures)))
-
-
-# --- the full pass ----------------------------------------------------------
+        u = _dilation([m.operators[lab] for lab in labels], 2**ell)
+        uid = _fresh_gate_id(taken, f"{g.id}__u")
+        taken.add(uid)
+        expand[g.id] = [
+            unitary_gate(uid, g.registers + tuple(regs[g.id]), u),
+            measure_gate(g.id, regs[g.id], {lab: _projector(i, 2**ell) for i, lab in enumerate(labels + pads)}),
+        ]
+    return regs, read, expand, kept, taken - set(kept), n
 
 
 def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     """Produce a faithfully-simulating circuit in which no unitary gate has a
-    measurement gate as a prerequisite. Its unitary gates come first, in walk
-    order, each CNOT copy just before its gate, then its measurement gates
-    sorted by id."""
+    measurement gate as a prerequisite.
+
+    The pre-pass `_plan` and then one walk go over `topo_order(c)`, so a gate
+    list is deferred as its topological order is. The walk moves every
+    measurement to the end. A measurement waits on each of its registers. A
+    unitary takes the measurements waiting on each register r it acts on; if
+    there are any, a CNOT copies r to a fresh |0> ancilla and they move onto
+    the copy. A unitary that got a copy or has classical sources becomes a
+    unitary quantum-controlled by the registers its sources measure now. Out
+    come the unitaries in walk order, each gate's CNOTs just before it, then
+    the measurements sorted by id."""
     check_valid(c)
     bad = constraint_violations(c)
     if bad:
@@ -445,20 +332,54 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     if not red_gates(c):
         return DeferralResult(c, Commensuration.identity(c), frozenset())
 
-    absorbed = set()
-    cur = c
-    for g in c.gates:
-        if g.is_measure and not classify_measurement(next(iter(g.measurements.values()))).standard:
-            res = standardize_measurement(cur, g.id)
-            cur = res.circuit
-            if res.measure_gate_id is None:
-                absorbed.add(g.id)
-
-    cur, kept, labels = _delete_duplicate_measurements(cur)
-    d = _defer_red_gates(cur)
-    targets = {g.id: kept.get(g.id, g.id) for g in c.gates if g.is_measure and g.id not in absorbed}
-    zeta = Commensuration(targets, labels, frozenset(absorbed))
-    return DeferralResult(d, zeta, frozenset(range(c.n_registers, d.n_registers)))
+    order = topo_order(c)
+    regs, read, expand, kept, taken, n = _plan(c, order)
+    waiting: dict[int, list[str]] = {}
+    measures: dict[str, Gate] = {}
+    unitaries = []
+    for gid in order:
+        for g in expand.get(gid, [c.gate(gid)]):
+            if g.is_measure:
+                if gid not in kept:
+                    measures[gid] = g
+                    for r in regs[gid]:
+                        waiting.setdefault(r, []).append(gid)
+                continue
+            cnots = []
+            for r in g.registers:
+                ms = waiting.pop(r, [])
+                if ms:
+                    cnots.append(unitary_gate(_fresh_gate_id(taken, f"{g.id}__cp__{ms[-1]}"), (r, n), linalg.CNOT))
+                    taken.add(cnots[-1].id)
+                    for m in ms:
+                        regs[m][regs[m].index(r)] = n
+                    n += 1
+            unitaries += sorted(cnots, key=lambda h: h.id)
+            sources = g.classical_sources
+            ctrl = list(dict.fromkeys(w for s in sources for w in regs[s]))
+            if cnots or ctrl:
+                # |x>|y> -> |x> (x) U_selector(labels read off x) |y>
+                k, dim = len(ctrl), 2**g.arity
+                big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
+                for x in range(2**k):
+                    bit = dict(zip(ctrl, linalg.bits_of(x, k)))
+                    key = tuple(read[s][linalg.index_of([bit[w] for w in regs[s]])] for s in sources)
+                    big[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] = g.unitaries[g.selector[key]].matrix
+                g = unitary_gate(g.id, tuple(ctrl) + g.registers, big)
+            elif sources:  # every source became a unitary: keep the op they select
+                op = g.selector[tuple(read[s][0] for s in sources)]
+                g = replace(g, unitaries={op: g.unitaries[op]}, classical_sources=(), selector={(): op})
+            unitaries.append(g)
+    out = [
+        measure_gate(m, regs[m], {lab: _projector(i, 2 ** len(regs[m])) for lab, i in _basis_labels(g).items()})
+        for m, g in sorted(measures.items())
+    ]
+    names = c.register_names + tuple(_fresh_register_names(c.register_names, n - c.n_registers))
+    d = check_valid(QuantumCircuit(names, tuple(unitaries + out)))
+    absorbed = frozenset(m for m, rs in regs.items() if not rs)
+    targets = {m: kept.get(m, m) for m in order if m in regs and m not in absorbed}
+    labels = {b: {lab: read[a][i] for i, lab in read[b].items()} for b, a in kept.items()}
+    return DeferralResult(d, Commensuration(targets, labels, absorbed), frozenset(range(c.n_registers, n)))
 
 
 # --- faithfulness checker ---------------------------------------------------
@@ -546,7 +467,10 @@ def check_faithful(
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         if psi.shape[0] != 2**nc:
             raise DeferralError(f"input {i} has wrong dimension {psi.shape[0]}")
-        psi = psi / np.linalg.norm(psi)
+        norm = np.linalg.norm(psi)
+        if not 0 < norm < np.inf:  # NaN fails both
+            raise DeferralError(f"input {i} has zero or non-finite norm")
+        psi = psi / norm
         out_d = {g: w @ psi for g, w in ops_d.items()}
         p_d = {g: float(np.linalg.norm(v) ** 2) for g, v in out_d.items()}
         for f, op in ops_c.items():

@@ -26,6 +26,7 @@ from qcirc.circuit import (
 from qcirc.deferral import (
     Commensuration,
     ConstraintError,
+    DeferralError,
     basis_inputs,
     check_faithful,
     classify_measurement,
@@ -33,7 +34,6 @@ from qcirc.deferral import (
     defer_measurements,
     random_pure_inputs,
     red_gates,
-    standardize_measurement,
 )
 from qcirc.linalg import CNOT, H, X, Z
 from qcirc.semantics import Track, aggregate_measurement, enumerate_tracks
@@ -177,36 +177,44 @@ def test_commensuration_json_roundtrip(teleport):
 
 def test_standardize_pm_measurement():
     c = pm_to_cz_circuit()
-    res = standardize_measurement(c, "M")
-    assert validate_circuit(res.circuit) == []
-    assert res.measure_gate_id == "M"
-    assert res.pad_labels == ()
-    assert res.ancilla_registers == (2,)
-    g = res.circuit.gate("M")
+    result = defer_measurements(c)
+    assert validate_circuit(result.circuit) == []
+    assert result.ancilla_registers == frozenset({2})
+    g = result.circuit.gate("M")
     assert g.is_measure and g.registers == (2,)
     assert set(g.outcome_labels) == {"+", "-"}
     assert classify_measurement(next(iter(g.measurements.values()))).standard
 
 
+def x_controlled_by(source, labels):
+    """G: X on register 1 when `source` reads its first label."""
+    return controlled_unitary_gate(
+        "G", [1], [source], {"I": np.eye(2), "X": X}, {(lab,): "X" if lab == labels[0] else "I" for lab in labels}
+    )
+
+
 def test_standardize_three_outcomes_pads():
     fam = random_kraus_family(np.random.default_rng(1), 2, 3)
+    labels = [f"o{j}" for j in range(3)]
     c = QuantumCircuit(
-        ("r0",), (measure_gate("T", [0], {f"o{j}": a for j, a in enumerate(fam)}),)
+        ("r0", "r1"), (measure_gate("T", [0], dict(zip(labels, fam))), x_controlled_by("T", labels))
     )
-    res = standardize_measurement(c, "T")
-    assert validate_circuit(res.circuit) == []
-    assert len(res.ancilla_registers) == 2
-    assert len(res.pad_labels) == 1
-    g = res.circuit.gate("T")
-    assert set(g.outcome_labels) == {"o0", "o1", "o2", *res.pad_labels}
+    result = defer_measurements(c)
+    assert validate_circuit(result.circuit) == []
+    g = result.circuit.gate("T")
+    assert g.is_measure and len(g.registers) == 2
+    assert set(g.registers) <= result.ancilla_registers
+    pads = set(g.outcome_labels) - set(labels)
+    assert len(pads) == 1 and set(g.outcome_labels) == {*labels, *pads}
 
 
 def test_standardize_single_outcome_absorbs():
     u = random_kraus_family(np.random.default_rng(2), 2, 1)[0]
-    c = QuantumCircuit(("r0",), (measure_gate("M", [0], {"only": u}),))
-    res = standardize_measurement(c, "M")
-    assert res.measure_gate_id is None
-    assert not res.circuit.gate("M").is_measure
+    c = QuantumCircuit(("r0", "r1"), (measure_gate("M", [0], {"only": u}), x_controlled_by("M", ["only"])))
+    result = defer_measurements(c)
+    assert validate_circuit(result.circuit) == []
+    assert not result.circuit.gate("M").is_measure
+    assert result.zeta.absorbed == {"M"}
 
 
 def test_multi_register_standard_stays_one_gate():
@@ -458,17 +466,89 @@ def test_deferred_circuits_are_pinned():
     assert digest.hexdigest() == "9dced8aa8422dcb734460944c92560a9a3d4109a32da79ec91715dc4a830532d"
 
 
-def test_defer_follows_topological_order():
-    """G is listed before its source M. The walk defers the list as it
-    defers the same gates in topological order: U before G."""
-    g = controlled_unitary_gate("G", [1], ["M"], {"I": np.eye(2), "X": X}, {("0",): "I", ("1",): "X"})
-    listed = QuantumCircuit(("q0", "q1", "q2"), (g, unitary_gate("U", [2], H), standard_measure_gate("M", 0)))
+ORDER_CASES = {
+    # G is listed before its source M: U before G
+    "consumer-first": (
+        (
+            controlled_unitary_gate("G", [1], ["M"], {"I": np.eye(2), "X": X}, {("0",): "I", ("1",): "X"}),
+            unitary_gate("U", [2], H),
+            standard_measure_gate("M", 0),
+        ),
+        ["U", "G", "M"],
+    ),
+    # X is listed before its source b, which re-measures a and is dropped: R before X
+    "consumer-first-of-re-measurement": (
+        (
+            controlled_unitary_gate("X", [1], ["b"], {"I": np.eye(2), "X": X}, {("0",): "I", ("1",): "X"}),
+            standard_measure_gate("a", 0),
+            unitary_gate("R", [2], H),
+            standard_measure_gate("b", 0),
+        ),
+        ["R", "X", "a"],
+    ),
+    # X is listed before its single-outcome source g, which becomes a unitary
+    "consumer-first-of-single-outcome": (
+        (
+            x_controlled_by("g", ["only"]),
+            unitary_gate("R", [2], H),
+            measure_gate("g", [0], {"only": H}),
+        ),
+        ["R", "g", "G"],
+    ),
+    # U is listed before its source K1, which the pre-pass reaches before K2:
+    # K1 gets the first ancilla
+    "consumer-first-of-nonstandard": (
+        (
+            controlled_unitary_gate("U", [1], ["K1"], {"I": np.eye(2), "X": X}, {("+",): "I", ("-",): "X"}),
+            measure_gate("K2", [1], dict(PM_FAMILY)),
+            measure_gate("K1", [0], dict(PM_FAMILY)),
+        ),
+        ["K1__u", "U", "K2__u", "K1", "K2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("gates, ids", ORDER_CASES.values(), ids=ORDER_CASES)
+def test_defer_follows_topological_order(gates, ids):
+    """A consumer is listed before its source. The walk defers the list as it
+    defers the same gates in topological order."""
+    listed = QuantumCircuit(("q0", "q1", "q2"), gates)
     ordered = QuantumCircuit(listed.register_names, tuple(listed.gate(gid) for gid in topo_order(listed)))
     result, expected = defer_measurements(listed), defer_measurements(ordered)
     assert serialize_circuit(result.circuit) == serialize_circuit(expected.circuit)
     assert result.zeta.to_json() == expected.zeta.to_json()
-    assert [h.id for h in result.circuit.gates] == ["U", "G", "M"]
+    assert [h.id for h in result.circuit.gates] == ids
     assert check_faithful(listed, result.circuit, result.zeta).ok
+
+
+def test_chained_permuted_re_measurements_read_the_kept_one():
+    """B re-measures A on the swapped registers and C re-measures B; both are
+    dropped, and their consumers read A through label maps."""
+
+    def std2(gid, regs):
+        ops = {f"{gid.lower()}{b:02b}": np.diag(np.eye(4)[b]).astype(complex) for b in range(4)}
+        return measure_gate(gid, regs, ops)
+
+    k_sel = {(f"c{x:02b}", f"a{y:02b}"): "Z" if x == y == 3 else "I" for x in range(4) for y in range(4)}
+    c = QuantumCircuit(
+        ("q0", "q1", "q2"),
+        (
+            unitary_gate("H", [0], H),
+            unitary_gate("CX", [0, 1], CNOT),
+            std2("A", [0, 1]),
+            std2("B", [1, 0]),
+            std2("C", [0, 1]),
+            controlled_unitary_gate(
+                "G", [2], ["B"], {"I": np.eye(2), "X": X}, {(f"b{x:02b}",): "X" if x == 1 else "I" for x in range(4)}
+            ),
+            controlled_unitary_gate("K", [2], ["C", "A"], {"I": np.eye(2), "Z": Z}, k_sel),
+        ),
+    )
+    result = defer_measurements(c)
+    assert [g.id for g in result.circuit.gates if g.is_measure] == ["A"]
+    assert result.zeta.gates == {"A": "A", "B": "A", "C": "A"}
+    assert result.zeta.labels["B"] == {"b00": "a00", "b01": "a10", "b10": "a01", "b11": "a11"}
+    assert check_faithful(c, result.circuit, result.zeta).ok
 
 
 def test_run_of_measurements_moves_as_one_unit():
@@ -563,3 +643,10 @@ def test_source_repeated_in_controls_is_standardized_in_every_slot(outcomes):
     result = defer_measurements(c)
     assert check_faithful(c, result.circuit, result.zeta).ok
     assert check_faithful(c, result.circuit, result.zeta, random_pure_inputs(2, 3, seed=5)).ok
+
+
+@pytest.mark.parametrize("psi", [np.zeros(8), np.full(8, np.nan), np.full(8, np.inf)])
+def test_check_faithful_rejects_zero_or_non_finite_input(teleport, psi):
+    result = defer_measurements(teleport)
+    with pytest.raises(DeferralError, match="input 0 has zero or non-finite norm"):
+        check_faithful(teleport, result.circuit, result.zeta, [psi])
