@@ -101,6 +101,11 @@ def _order(c: QuantumCircuit, bouts: Iterable[Iterable[str]]) -> tuple[str, ...]
     return tuple(gid for b in bouts for gid in sorted(b, key=c.index_of))
 
 
+def _require_fit(c: QuantumCircuit, *schedules: Schedule) -> None:
+    if not all(validate_schedule(c, x) for x in schedules):
+        raise ScheduleError("schedule does not fit the circuit")
+
+
 def _walk(c: QuantumCircuit, order, start: int, t: np.ndarray, assignment: dict, kernel):
     """The leaves (assignment, A @ t) below the outcome-tree node about to apply
     gate order[start] with outcomes `assignment`, each selected operator applied
@@ -178,6 +183,7 @@ def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) 
 
 
 def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
+    _require_fit(c, x)
     return _track_leaf(
         c, x.bouts, np.eye(2**c.n_registers, dtype=complex), f.as_dict(), linalg.apply
     )
@@ -197,8 +203,7 @@ def schedules_equivalent(
     operator under y. x's outcome tree is walked into its operators (each
     bit-identical to `cumulative_operator`'s), then y's leaves are compared
     against them as they come. An invalid schedule raises ScheduleError."""
-    if not (validate_schedule(c, x) and validate_schedule(c, y)):
-        raise ScheduleError("schedule does not fit the circuit")
+    _require_fit(c, x, y)
     eye = np.eye(2**c.n_registers, dtype=complex)
     ops = {Track.from_mapping(a): t for a, t in _leaves(c, _order(c, x.bouts), eye, DEFAULT_TRACK_CAP)}
     for a, t in _walk(c, _order(c, y.bouts), 0, eye, {}, linalg.apply):
@@ -225,6 +230,7 @@ def replay(
 ) -> tuple[list[float], np.ndarray]:
     """Deterministically walk a schedule along a fixed track, returning the
     stepwise conditional probabilities and the un-normalized final state."""
+    _require_fit(c, x)
     assignment = f.as_dict()
     sigma = rho.matrix
     probs: list[float] = []
@@ -233,24 +239,6 @@ def replay(
         sigma = _track_leaf(c, [bout], sigma, assignment, linalg.conjugate)
         probs.append(linalg.trace(sigma).real / tr_before)
     return probs, sigma
-
-
-def _expand(
-    c: QuantumCircuit, bout: tuple, assignment: Mapping[str, str], sigma: np.ndarray, t: int,
-    kernel, mass,
-) -> tuple:
-    """One node of the outcome tree: the leaves (assignment, post-measurement
-    state) of the bout's `kernel` walk from sigma, their weights (each leaf's
-    `mass` over sigma's), cumulative weights and total."""
-    before = mass(sigma)
-    if before <= 1e-300:
-        raise SemanticsError(f"zero-trace state before bout {t}")
-    leaves = list(_walk(c, bout, 0, sigma, assignment, kernel))
-    weights = [max(mass(s) / before, 0.0) for _, s in leaves]
-    total = sum(weights)
-    if total <= 0.0:
-        raise SemanticsError(f"all outcomes of bout {t} have zero probability")
-    return leaves, weights, list(itertools.accumulate(weights)), total
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants. The
@@ -356,52 +344,54 @@ def sample(
     default_rng((s, t)).random() (all draws in one `_uniforms` pass) and picks
     the first outcome combination whose running weight sum reaches u * total.
 
-    Shots advance level by level: shots that picked the same combinations in
-    bouts 0..t-1 sit at one node of the outcome tree, which is expanded once
-    for all of them.
+    The outcome tree is settled depth first: a node holds the shots that picked
+    the same combinations so far and is expanded once for all of them.
 
     A factored input rho = K K^dag is walked as K: a path with cumulative
     operator A holds A K, weighed by ||A K||_F^2 (= tr(A rho A^dag)), and ends
     as a factored state. Any other input is walked as A rho A^dag, weighed by
-    its trace. Memory: one level of states, (distinct nodes at bout t) x
-    (combinations per bout) arrays of 2^n x r, or 2^n x 2^n for an unfactored
-    input, and the len(seeds) x bouts draws."""
+    its trace. Memory: one root-to-leaf path of nodes with their pending
+    siblings (2^n x r arrays, 2^n x 2^n unfactored), the returned states, and
+    the len(seeds) x bouts draws."""
     if rho.n_qubits != c.n_registers:
-        raise SemanticsError(
-            f"state has {rho.n_qubits} qubits, circuit has {c.n_registers} registers"
-        )
-    factored = rho.factor is not None
+        raise SemanticsError(f"state has {rho.n_qubits} qubits, circuit has {c.n_registers} registers")
+    _require_fit(c, x)
+    n, factored = c.n_registers, rho.factor is not None
     if factored:
         kernel, mass = linalg.apply, linalg.squared_norm
     else:
         kernel, mass = linalg.conjugate, lambda sigma: linalg.trace(sigma).real
     bouts = [_order(c, [b]) for b in x.bouts]
     u = _uniforms(seeds, len(bouts))
-    # (assignment, state, step log, indices of its shots) for each node of the level
-    level = [({}, rho.factor if factored else rho.matrix, (), np.arange(len(u)))] if len(u) else []
-    for t, bout in enumerate(bouts):
-        measured = [gid for gid in bout if c.gate(gid).is_measure]
-        children = []
-        for assignment, sigma, log, shots in level:
-            leaves, weights, cumulative, total = _expand(c, bout, assignment, sigma, t, kernel, mass)
-            picks = np.searchsorted(np.array(cumulative), u[shots, t] * total, side="left")
-            picks = np.minimum(picks, len(leaves) - 1)
-            for k in np.flatnonzero(np.bincount(picks)).tolist():
-                child, state = leaves[k]
-                combo = tuple(child[gid] for gid in measured)
-                children.append((child, state, log + ((bout, combo, weights[k]),), shots[picks == k]))
-        level = children
     results: list = [None] * len(u)
-    for assignment, sigma, log, shots in level:
-        if mass(sigma) <= 1e-300:
-            raise SemanticsError("final state has zero trace")
-        state = (
-            linalg.DensityOperator(c.n_registers, factor=sigma)
-            if factored else linalg.DensityOperator(c.n_registers, sigma)
-        )
-        final = RunResult(Track.from_mapping(assignment), state, log)
-        for i in shots.tolist():
-            results[i] = final
+    # (bout index, assignment, state, step log, indices of its shots) per pending node
+    stack = [(0, {}, rho.factor if factored else rho.matrix, (), np.arange(len(u)))] if len(u) else []
+    while stack:
+        t, assignment, sigma, log, shots = stack.pop()
+        before = mass(sigma)
+        if before <= 1e-300:
+            raise SemanticsError(
+                f"zero-trace state before bout {t}" if t < len(bouts) else "final state has zero trace"
+            )
+        if t == len(bouts):
+            state = linalg.DensityOperator(n, factor=sigma) if factored else linalg.DensityOperator(n, sigma)
+            result = RunResult(Track.from_mapping(assignment), state, log)
+            for i in shots.tolist():
+                results[i] = result
+            continue
+        leaves = list(_walk(c, bouts[t], 0, sigma, assignment, kernel))
+        weights = [max(mass(s) / before, 0.0) for _, s in leaves]
+        total = sum(weights)
+        if total <= 0.0:
+            raise SemanticsError(f"all outcomes of bout {t} have zero probability")
+        picks = np.searchsorted(list(itertools.accumulate(weights)), u[shots, t] * total, side="left")
+        picks = np.minimum(picks, len(leaves) - 1)
+        measured = [gid for gid in bouts[t] if c.gate(gid).is_measure]
+        for k in reversed(np.flatnonzero(np.bincount(picks)).tolist()):
+            child, state = leaves[k]
+            combo = tuple(child[gid] for gid in measured)
+            stack.append((t + 1, child, state, log + ((bouts[t], combo, weights[k]),), shots[picks == k]))
+        del leaves  # drop the unpicked leaves before the next expansion
     return results
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -650,3 +651,37 @@ def test_check_faithful_rejects_zero_or_non_finite_input(teleport, psi):
     result = defer_measurements(teleport)
     with pytest.raises(DeferralError, match="input 0 has zero or non-finite norm"):
         check_faithful(teleport, result.circuit, result.zeta, [psi])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_check_faithful_accepts_inputs_at_extreme_scales(teleport, scale):
+    """A finite, nonzero input whose norm underflows or overflows is scaled
+    into range first; it gives the report of the same direction at scale 1,
+    without warnings, and zero or NaN inputs still raise."""
+    result = defer_measurements(teleport)
+
+    def check(psi):
+        return check_faithful(teleport, result.circuit, result.zeta, [psi]).to_json()
+
+    assert check(np.full(8, scale)) == check(np.full(8, 1.0))
+    for bad in (np.zeros(8), np.full(8, np.nan), np.where(np.arange(8) == 0, np.nan, scale)):
+        with pytest.raises(DeferralError, match="input 0 has zero or non-finite norm"):
+            check(bad)
+
+
+def test_check_faithful_inputs_hold_no_dense_target():
+    """With inputs, the target is walked from the inputs (2^nd x K per track):
+    deferred ff-8 (9 target registers) with one input peaks below one dense
+    target matrix, 16 * 4^9 bytes."""
+    c = feed_forward_circuit(8)
+    result = defer_measurements(c)
+    nd = result.circuit.n_registers
+    inputs = random_pure_inputs(2, 1, 0)
+    tracemalloc.start()
+    try:
+        report = check_faithful(c, result.circuit, result.zeta, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.inputs_checked == 1
+    assert nd == 9 and peak < 16 * 4**nd

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_circuit
+from corpus import feed_forward_circuit, random_circuit
 from qcirc import linalg, semantics
 from qcirc.circuit import QuantumCircuit, standard_measure_gate, topo_order, unitary_gate
+from qcirc.deferral import defer_measurements
 from qcirc.linalg import CNOT, H, I2, X, Z, DensityOperator, kron_all, mat_close
 from qcirc.scheduling import (
     Schedule,
@@ -284,6 +285,28 @@ def test_schedules_equivalent_rejects_invalid_schedules(teleport):
             schedules_equivalent(teleport, bad, greedy)
         with pytest.raises(ScheduleError):
             schedules_equivalent(teleport, greedy, bad)
+
+
+@pytest.mark.parametrize("which", ["out-of-order", "first-bout-alone"])
+def test_schedule_that_does_not_fit_is_rejected(which):
+    """Every function that walks a schedule refuses one that fires a gate
+    before its source or leaves gates unfired, instead of walking it."""
+    c = QuantumCircuit(
+        ("q0",),
+        (unitary_gate("h", [0], H), unitary_gate("x", [0], X), standard_measure_gate("m", 0)),
+    )
+    greedy = greedy_schedule(c)
+    x = linear_schedule(["x", "h", "m"]) if which == "out-of-order" else Schedule(greedy.bouts[:1])
+    f, rho = Track.from_mapping({"m": "0"}), DensityOperator.from_ket(np.array([1.0, 0.0]))
+    for call in (
+        lambda: cumulative_operator(c, x, f),
+        lambda: replay(c, x, f, rho),
+        lambda: sample(c, x, rho, range(3)),
+        lambda: run(c, x, rho, 0),
+        lambda: schedules_equivalent(c, x, greedy),
+    ):
+        with pytest.raises(ScheduleError, match="schedule does not fit the circuit"):
+            call()
 
 
 def test_aggregate_measurement_cap(monkeypatch):
@@ -579,6 +602,24 @@ def test_ghz12_shots_from_a_ket_take_no_density_matrix():
     assert peak < 16 * 2**20
     tracks = {tuple(sorted(set(r.track.as_dict().values()))) for r in results}
     assert tracks == {("0",), ("1",)}
+
+
+def test_sample_holds_one_path_of_the_outcome_tree():
+    """Deferred ff-10 from |0...0> with 1000 shots: beyond the distinct final
+    states it returns, sampling holds one root-to-leaf path of 2^11 kets and
+    their pending siblings, not one state per distinct outcome prefix."""
+    d = defer_measurements(feed_forward_circuit(10)).circuit
+    psi = np.zeros(2**d.n_registers)
+    psi[0] = 1.0
+    rho, x = DensityOperator.from_ket(psi), greedy_schedule(d)
+    tracemalloc.start()
+    try:
+        results = sample(d, x, rho, range(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = {id(r.final_state.factor): r.final_state.factor.nbytes for r in results}
+    assert peak <= sum(returned.values()) + 4 * 2**20
 
 
 def test_run_frequency_sanity():
