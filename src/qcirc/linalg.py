@@ -56,13 +56,6 @@ def dagger(a) -> np.ndarray:
     return as_matrix(a).conj().T
 
 
-def mat_mul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise LinalgError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def trace(a) -> complex:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -87,15 +80,6 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     return a.shape[0] == a.shape[1] and mat_close(a, a.conj().T, tol)
-
-
-def is_psd(a, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness of the Hermitian part, eigenvalue floor -tol."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    herm = a / 2 + a.conj().T / 2  # halves first, so finite entries cannot overflow
-    return bool(np.min(np.linalg.eigvalsh(herm)) >= -tol)
 
 
 def bits_of(index: int, n: int) -> tuple[int, ...]:
@@ -139,15 +123,18 @@ def squared_norm(k: np.ndarray) -> float:
 
 
 class DensityOperator:
-    """Possibly un-normalized density operator on n qubits.
+    """Possibly un-normalized density operator on n qubits, held as a factor
+    K (2^n x r) with rho = K K^dag.
 
     Hermitian and PSD within tolerance, trace strictly positive and finite;
     trace 1 is not required. A sampled path's state may be arbitrarily small,
     so the tolerance is DEFAULT_TOL times the largest entry's magnitude.
 
-    A factored state is given by K (2^n x r) with rho = K K^dag: it is PSD by
-    construction, so only K's entries and its trace ||K||_F^2 are checked,
-    and `matrix` is built from K when first read.
+    Given a matrix, K is the eigenbasis of its positive eigenvalues scaled by
+    their square roots, from the eigendecomposition that checks PSD, and
+    `matrix` is the given array. Given a factor, the state is PSD by
+    construction, so only K's entries and its trace ||K||_F^2 are checked, and
+    `matrix` is built from K when first read.
     """
 
     def __init__(self, n_qubits: int, matrix=None, *, factor=None):
@@ -168,11 +155,12 @@ class DensityOperator:
         tol = DEFAULT_TOL * float(np.max(np.abs(m)))
         if not is_hermitian(m, tol):
             raise LinalgError("density operator is not Hermitian")
-        if not is_psd(m, tol):
+        w, v = np.linalg.eigh(m / 2 + m.conj().T / 2)  # halves first, so finite entries cannot overflow
+        if np.min(w) < -tol:
             raise LinalgError("density operator is not positive semidefinite")
         if tr <= tol:
             raise LinalgError("density operator has (near-)zero trace")
-        self.factor, self.matrix = None, m
+        self.factor, self.matrix = v[:, w > 0] * np.sqrt(w[w > 0]), m
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -234,11 +222,6 @@ def apply(op: np.ndarray, registers: Sequence[int], t: np.ndarray, n: int) -> np
     out = np.tensordot(op.reshape((2,) * (2 * k)), t.reshape((2,) * n + (t.shape[1],)),
                        axes=(list(range(k, 2 * k)), regs))
     return np.moveaxis(out, list(range(k)), regs).reshape(t.shape)
-
-
-def conjugate(op: np.ndarray, registers: Sequence[int], sigma: np.ndarray, n: int) -> np.ndarray:
-    """A sigma A^dag for A = embed(op, registers, n)."""
-    return apply(op, registers, apply(op, registers, sigma, n).conj().T, n).conj().T
 
 
 def embed(op: np.ndarray, registers: Sequence[int], n: int) -> np.ndarray:

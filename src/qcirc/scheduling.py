@@ -71,25 +71,20 @@ def enumerate_linear_schedules(
 ) -> list[Schedule]:
     """All linear extensions of the prerequisite relation as singleton-bout
     schedules, depth-first with lexicographic tie-breaking on gate id."""
-    total = {g.id for g in c.gates}
+    size = len({g.id for g in c.gates})
     out: list[Schedule] = []
     prefix: list[str] = []
-
-    def rec() -> bool:
-        if limit is not None and len(out) >= limit:
-            return False
-        if len(prefix) == len(total):
+    stack = [iter(sorted(ready_gates(c, prefix)))]  # the gates still to try after each prefix
+    while stack and (limit is None or len(out) < limit):
+        if len(prefix) == size:
             out.append(linear_schedule(prefix))
-            return limit is None or len(out) < limit
-        for gid in sorted(ready_gates(c, prefix)):
+        gid = next(stack[-1], None)
+        if gid is None:
+            stack.pop()
+            del prefix[-1:]  # nothing to drop once the root is done
+        else:
             prefix.append(gid)
-            more = rec()
-            prefix.pop()
-            if not more:
-                return False
-        return True
-
-    rec()
+            stack.append(iter(sorted(ready_gates(c, prefix))))
     return out
 
 

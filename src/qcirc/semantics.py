@@ -106,39 +106,43 @@ def _require_fit(c: QuantumCircuit, *schedules: Schedule) -> None:
         raise ScheduleError("schedule does not fit the circuit")
 
 
-def _walk(c: QuantumCircuit, order, start: int, t: np.ndarray, assignment: dict, kernel):
-    """The leaves (assignment, A @ t) below the outcome-tree node about to apply
-    gate order[start] with outcomes `assignment`, each selected operator applied
-    with `kernel` (`linalg.apply` for A t, `linalg.conjugate` for A t A^dag). A
-    measurement branches on its labels, sorted, or follows the one that
-    `assignment` already holds. (A recursive closure would sit in a reference
-    cycle that holds every leaf.)"""
-    for i in range(start, len(order)):
-        g = c.gate(order[i])
-        chosen = select_measurement(c, g.id, source_outcomes(g, assignment))
-        if isinstance(chosen, UnitaryOp):
-            t = kernel(chosen.matrix, g.registers, t, c.n_registers) if t.size else t
-            continue
-        held = assignment.get(g.id)
-        if held is not None and held not in chosen.operators:
-            raise SemanticsError(
-                f"track is incoherent at gate {g.id!r}: outcome {held!r} not offered "
-                f"by the selected measurement"
-            )
-        for label in sorted(chosen.operators) if held is None else [held]:
-            a = kernel(chosen.operators[label], g.registers, t, c.n_registers) if t.size else t
-            yield from _walk(c, order, i + 1, a, {**assignment, g.id: label}, kernel)
-        return
-    yield assignment, t
+def _walk(c: QuantumCircuit, order, t: np.ndarray, assignment: dict):
+    """The leaves (assignment, A @ t) of the outcome tree over the gates `order`
+    from t with outcomes `assignment`, depth first, each selected operator
+    applied with `linalg.apply`. A measurement branches on its labels, sorted,
+    or follows the one that `assignment` already holds. Pending siblings share
+    their parent's state and apply their own operator when popped."""
+    stack = [(0, t, assignment, None)]  # (next gate index, state, outcomes, operator not yet applied)
+    while stack:
+        start, t, assignment, pending = stack.pop()
+        if pending is not None and t.size:
+            t = linalg.apply(*pending, t, c.n_registers)
+        for i in range(start, len(order)):
+            g = c.gate(order[i])
+            chosen = select_measurement(c, g.id, source_outcomes(g, assignment))
+            if isinstance(chosen, UnitaryOp):
+                t = linalg.apply(chosen.matrix, g.registers, t, c.n_registers) if t.size else t
+                continue
+            held = assignment.get(g.id)
+            if held is not None and held not in chosen.operators:
+                raise SemanticsError(
+                    f"track is incoherent at gate {g.id!r}: outcome {held!r} not offered "
+                    f"by the selected measurement"
+                )
+            for label in sorted(chosen.operators, reverse=True) if held is None else [held]:
+                stack.append((i + 1, t, {**assignment, g.id: label}, (chosen.operators[label], g.registers)))
+            break
+        else:
+            yield assignment, t
 
 
 def _track_leaf(
     c: QuantumCircuit, bouts: Iterable[Iterable[str]], t: np.ndarray,
-    assignment: Mapping[str, str], kernel,
+    assignment: Mapping[str, str],
 ) -> np.ndarray:
     """The one leaf of the walk over `bouts` from t along a track that labels
     every measurement it reaches; only the first leaf is built."""
-    leaf, out = next(_walk(c, _order(c, bouts), 0, t, assignment, kernel))
+    leaf, out = next(_walk(c, _order(c, bouts), t, assignment))
     unlabelled = [gid for gid in leaf if gid not in assignment]
     if unlabelled:
         raise SemanticsError(
@@ -152,7 +156,7 @@ def bout_operator(
 ) -> np.ndarray:
     """Full-space operator of a bout under the given outcome assignment: the
     product of each gate's selected operator acting on its registers."""
-    return _track_leaf(c, [b], np.eye(2**c.n_registers, dtype=complex), assignment, linalg.apply)
+    return _track_leaf(c, [b], np.eye(2**c.n_registers, dtype=complex), assignment)
 
 
 def _leaves(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int]) -> list:
@@ -160,9 +164,9 @@ def _leaves(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int]) -> lis
     are counted first, on an empty column slice of t0, so an over-cap circuit
     fails before any operator is built."""
     stop = None if cap is None else cap + 1
-    if len(list(itertools.islice(_walk(c, order, 0, t0[:, :0], {}, linalg.apply), stop))) == stop:
+    if len(list(itertools.islice(_walk(c, order, t0[:, :0], {}), stop))) == stop:
         raise SemanticsError(f"track count exceeds cap {cap}")
-    return list(_walk(c, order, 0, t0, {}, linalg.apply))
+    return list(_walk(c, order, t0, {}))
 
 
 def track_operators(
@@ -184,9 +188,7 @@ def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) 
 
 def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
     _require_fit(c, x)
-    return _track_leaf(
-        c, x.bouts, np.eye(2**c.n_registers, dtype=complex), f.as_dict(), linalg.apply
-    )
+    return _track_leaf(c, x.bouts, np.eye(2**c.n_registers, dtype=complex), f.as_dict())
 
 
 def aggregate_measurement(
@@ -206,7 +208,7 @@ def schedules_equivalent(
     _require_fit(c, x, y)
     eye = np.eye(2**c.n_registers, dtype=complex)
     ops = {Track.from_mapping(a): t for a, t in _leaves(c, _order(c, x.bouts), eye, DEFAULT_TRACK_CAP)}
-    for a, t in _walk(c, _order(c, y.bouts), 0, eye, {}, linalg.apply):
+    for a, t in _walk(c, _order(c, y.bouts), eye, {}):
         if not linalg.mat_close(ops.pop(Track.from_mapping(a)), t, tol):
             return False
     return True
@@ -232,13 +234,13 @@ def replay(
     stepwise conditional probabilities and the un-normalized final state."""
     _require_fit(c, x)
     assignment = f.as_dict()
-    sigma = rho.matrix
+    k = rho.factor
     probs: list[float] = []
     for bout in x.bouts:
-        tr_before = linalg.trace(sigma).real
-        sigma = _track_leaf(c, [bout], sigma, assignment, linalg.conjugate)
-        probs.append(linalg.trace(sigma).real / tr_before)
-    return probs, sigma
+        before = linalg.squared_norm(k)
+        k = _track_leaf(c, [bout], k, assignment)
+        probs.append(linalg.squared_norm(k) / before)
+    return probs, k @ k.conj().T
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants. The
@@ -347,40 +349,34 @@ def sample(
     The outcome tree is settled depth first: a node holds the shots that picked
     the same combinations so far and is expanded once for all of them.
 
-    A factored input rho = K K^dag is walked as K: a path with cumulative
+    The input rho = K K^dag is walked as its factor K: a path with cumulative
     operator A holds A K, weighed by ||A K||_F^2 (= tr(A rho A^dag)), and ends
-    as a factored state. Any other input is walked as A rho A^dag, weighed by
-    its trace. Memory: one root-to-leaf path of nodes with their pending
-    siblings (2^n x r arrays, 2^n x 2^n unfactored), the returned states, and
-    the len(seeds) x bouts draws."""
+    as a factored state. Memory: one root-to-leaf path of nodes with their
+    pending siblings (2^n x r arrays), the returned states, and the
+    len(seeds) x bouts draws."""
     if rho.n_qubits != c.n_registers:
         raise SemanticsError(f"state has {rho.n_qubits} qubits, circuit has {c.n_registers} registers")
     _require_fit(c, x)
-    n, factored = c.n_registers, rho.factor is not None
-    if factored:
-        kernel, mass = linalg.apply, linalg.squared_norm
-    else:
-        kernel, mass = linalg.conjugate, lambda sigma: linalg.trace(sigma).real
     bouts = [_order(c, [b]) for b in x.bouts]
     u = _uniforms(seeds, len(bouts))
     results: list = [None] * len(u)
-    # (bout index, assignment, state, step log, indices of its shots) per pending node
-    stack = [(0, {}, rho.factor if factored else rho.matrix, (), np.arange(len(u)))] if len(u) else []
+    # (bout index, assignment, A K, step log, indices of its shots) per pending node
+    stack = [(0, {}, rho.factor, (), np.arange(len(u)))] if len(u) else []
     while stack:
-        t, assignment, sigma, log, shots = stack.pop()
-        before = mass(sigma)
+        t, assignment, k, log, shots = stack.pop()
+        before = linalg.squared_norm(k)
         if before <= 1e-300:
             raise SemanticsError(
                 f"zero-trace state before bout {t}" if t < len(bouts) else "final state has zero trace"
             )
         if t == len(bouts):
-            state = linalg.DensityOperator(n, factor=sigma) if factored else linalg.DensityOperator(n, sigma)
+            state = linalg.DensityOperator(c.n_registers, factor=k)
             result = RunResult(Track.from_mapping(assignment), state, log)
             for i in shots.tolist():
                 results[i] = result
             continue
-        leaves = list(_walk(c, bouts[t], 0, sigma, assignment, kernel))
-        weights = [max(mass(s) / before, 0.0) for _, s in leaves]
+        leaves = list(_walk(c, bouts[t], k, assignment))
+        weights = [linalg.squared_norm(a) / before for _, a in leaves]
         total = sum(weights)
         if total <= 0.0:
             raise SemanticsError(f"all outcomes of bout {t} have zero probability")

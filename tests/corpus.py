@@ -16,7 +16,7 @@ from qcirc.circuit import (
     standard_measure_gate,
     unitary_gate,
 )
-from qcirc.linalg import H, X, Z
+from qcirc.linalg import CNOT, H, X, Z
 from qcirc.scheduling import Poset
 
 
@@ -252,3 +252,13 @@ def feed_forward_circuit(k):
             ),
         ]
     return QuantumCircuit(("r0", "r1"), tuple(gates))
+
+
+def chain_circuit(n_gates, n=6):
+    """A chain of H and CNOT gates over n registers, gate j on register j mod n
+    (and the next one for a CNOT)."""
+    gates = [
+        unitary_gate(f"g{j}", [j % n, (j + 1) % n], CNOT) if j % 2 else unitary_gate(f"g{j}", [j % n], H)
+        for j in range(n_gates)
+    ]
+    return QuantumCircuit(tuple(f"r{j}" for j in range(n)), tuple(gates))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_circuit, random_coherent_order, random_poset
+from corpus import chain_circuit, random_circuit, random_coherent_order, random_poset
 from qcirc.scheduling import (
     Poset,
     Schedule,
@@ -99,6 +99,12 @@ def test_enumerate_linear_schedules_matches_permutation_oracle(seed):
 
 def test_enumerate_respects_limit(teleport):
     assert len(enumerate_linear_schedules(teleport, limit=3)) == 3
+
+
+def test_enumerate_a_chain_longer_than_the_recursion_limit():
+    c = chain_circuit(1100)
+    (x,) = enumerate_linear_schedules(c, limit=1)
+    assert validate_schedule(c, x)
 
 
 # --- bout splitting ---------------------------------------------------------

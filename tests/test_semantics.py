@@ -7,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import feed_forward_circuit, random_circuit
-from qcirc import linalg, semantics
-from qcirc.circuit import QuantumCircuit, standard_measure_gate, topo_order, unitary_gate
+from qcirc import cli, linalg, semantics
+from qcirc.circuit import (
+    QuantumCircuit,
+    measure_gate,
+    standard_measure_gate,
+    topo_order,
+    unitary_gate,
+)
 from qcirc.deferral import defer_measurements
 from qcirc.linalg import CNOT, H, I2, X, Z, DensityOperator, kron_all, mat_close
 from qcirc.scheduling import (
@@ -36,6 +42,7 @@ from qcirc.semantics import (
     track_operators,
     track_probability,
 )
+from qcirc.serialize import serialize_circuit
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -456,11 +463,11 @@ def test_uniforms_empty():
     assert _uniforms([1, 2**40], 0).shape == (2, 0)
 
 
-def oracle_expand(c, bout, assignment, sigma):
+def oracle_expand(c, bout, assignment, k, step, mass):
     """A node of the outcome tree the way the executor built it before it
     walked the tree: every combination of the bout's measurement labels
-    (sorted per gate, itertools.product in sequence order), each conjugated
-    gate by gate over the whole bout from sigma."""
+    (sorted per gate, itertools.product in sequence order), each applied
+    gate by gate with `step` over the whole bout from k and weighed by `mass`."""
     gids = [gid for gid in bout if c.gate(gid).is_measure]
     choices = [
         sorted(select_measurement(c, gid, source_outcomes(c.gate(gid), assignment)).operators)
@@ -469,29 +476,40 @@ def oracle_expand(c, bout, assignment, sigma):
     combos = list(itertools.product(*choices))
     states = []
     for combo in combos:
-        full, s = {**assignment, **dict(zip(gids, combo))}, sigma
+        full, s = {**assignment, **dict(zip(gids, combo))}, k
         for gid in bout:
             g = c.gate(gid)
             chosen = select_measurement(c, gid, source_outcomes(g, full))
             op = chosen.operators[full[gid]] if g.is_measure else chosen.matrix
-            s = linalg.conjugate(op, g.registers, s, c.n_registers)
+            s = step(op, g.registers, s, c.n_registers)
         states.append(s)
-    tr_before = linalg.trace(sigma).real
-    weights = [max(linalg.trace(s).real / tr_before, 0.0) for s in states]
+    tr_before = mass(k)
+    weights = [max(mass(s) / tr_before, 0.0) for s in states]
     return gids, combos, weights, list(itertools.accumulate(weights)), sum(weights), states
 
 
-def per_shot_sample_oracle(c, x, rho, seeds):
+def dense_conjugate(op, registers, sigma, n):
+    """embed(op) sigma embed(op)^dag, the dense two-sided step."""
+    e = linalg.embed(op, registers, n)
+    return e @ sigma @ e.conj().T
+
+
+def per_shot_sample_oracle(c, x, rho, seeds, dense=False):
     """The executor before draws were vectorized: each shot walks its own
     path, drawing a fresh default_rng((seed, t)) per bout and picking the
-    first running weight sum >= u * total; nodes and finals shared by path."""
+    first running weight sum >= u * total; nodes and finals shared by path.
+    It walks rho's factor K as A K, or with `dense` the matrix as A rho A^dag."""
     bouts = [tuple(sorted(b, key=c.index_of)) for b in x.bouts]
+    if dense:
+        step, mass = dense_conjugate, lambda s: linalg.trace(s).real
+    else:
+        step, mass = linalg.apply, linalg.squared_norm
     nodes, finals, results = {}, {}, []
     for seed in seeds:
-        path, sigma, assignment, log = (), rho.matrix, {}, []
+        path, sigma, assignment, log = (), rho.matrix if dense else rho.factor, {}, []
         for t, bout in enumerate(bouts):
             if path not in nodes:
-                nodes[path] = oracle_expand(c, bout, assignment, sigma)
+                nodes[path] = oracle_expand(c, bout, assignment, sigma, step, mass)
             gids, combos, weights, cumulative, total, states = nodes[path]
             u = np.random.default_rng((seed, t)).random() * total
             pick = next((i for i, a in enumerate(cumulative) if u <= a), len(combos) - 1)
@@ -500,9 +518,11 @@ def per_shot_sample_oracle(c, x, rho, seeds):
             path += (combos[pick],)
             log.append((bout, combos[pick], weights[pick]))
         if path not in finals:
-            finals[path] = RunResult(
-                Track.from_mapping(assignment), DensityOperator(c.n_registers, sigma), tuple(log)
+            state = (
+                DensityOperator(c.n_registers, sigma) if dense
+                else DensityOperator(c.n_registers, factor=sigma)
             )
+            finals[path] = RunResult(Track.from_mapping(assignment), state, tuple(log))
         results.append(finals[path])
     return results
 
@@ -515,20 +535,41 @@ def _assert_same_shots(got, want):
         assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
 
 
-@pytest.mark.parametrize("corpus_seed", range(12))
-def test_sample_matches_per_shot_oracle(corpus_seed):
+def _mixed_case(corpus_seed):
+    """A random circuit, its greedy schedule, a full-rank mixed input and seeds
+    that include the edge seeds and repeats."""
     rng = np.random.default_rng(corpus_seed)
     c = random_circuit(rng)
-    x = greedy_schedule(c)
     dim = 2**c.n_registers
     b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = DensityOperator(c.n_registers, b @ b.conj().T)
     seeds = [int(s) for s in rng.integers(0, 2**32, size=20)]
     seeds += [int(s) for s in rng.integers(2**32, 2**64, size=20, dtype=np.uint64)]
     seeds += EDGE_SEEDS + seeds[:5] + seeds[20:25]  # repeated seeds share every node
+    return c, greedy_schedule(c), rho, seeds
+
+
+@pytest.mark.parametrize("corpus_seed", range(12))
+def test_sample_matches_per_shot_oracle(corpus_seed):
+    c, x, rho, seeds = _mixed_case(corpus_seed)
     want = per_shot_sample_oracle(c, x, rho, seeds)
     _assert_same_shots(sample(c, x, rho, seeds), want)
     _assert_same_shots(sample(c, x, rho, np.array(seeds, dtype=np.uint64)), want)
+
+
+@pytest.mark.parametrize("corpus_seed", range(12))
+def test_mixed_input_sample_agrees_with_dense_reference(corpus_seed):
+    """The full-rank matrix input, walked as its factor, against the per-shot
+    reference that conjugates the dense state gate by gate: same tracks and
+    step labels, weights within 1e-12, final states within 1e-12 of their
+    largest entry."""
+    c, x, rho, seeds = _mixed_case(corpus_seed)
+    for a, b in zip(sample(c, x, rho, seeds), per_shot_sample_oracle(c, x, rho, seeds, dense=True)):
+        assert a.track == b.track
+        assert [(bo, o) for bo, o, _ in a.step_log] == [(bo, o) for bo, o, _ in b.step_log]
+        assert all(abs(p - q) <= 1e-12 for (_, _, p), (_, _, q) in zip(a.step_log, b.step_log))
+        want = b.final_state.matrix
+        assert np.max(np.abs(a.final_state.matrix - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_sample_with_zero_bouts():
@@ -552,14 +593,14 @@ def test_sample_tie_picks_the_first_outcome_reaching_u(monkeypatch):
 
 def test_ket_input_is_walked_one_sided(monkeypatch, teleport, bell_input):
     """A ket input is advanced as A K, and no state it produces is
-    eigen-checked: neither two-sided conjugation nor eigvalsh runs."""
-    monkeypatch.setattr(linalg, "conjugate", lambda *args: pytest.fail("conjugate was called"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh was called"))
+    eigen-checked: neither eigh nor eigvalsh runs."""
     circuits = [(teleport, bell_input[1])]
     for s in range(4):
         rng = np.random.default_rng([31, s])
         c = random_circuit(rng, max_gates=8)
         circuits.append((c, rng.normal(size=2**c.n_registers) + 1j * rng.normal(size=2**c.n_registers)))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh was called"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigvalsh was called"))
     for c, ket in circuits:
         rho, x = DensityOperator.from_ket(ket), greedy_schedule(c)
         results = sample(c, x, rho, range(40)) + [run(c, x, rho, 7)]
@@ -620,6 +661,17 @@ def test_sample_holds_one_path_of_the_outcome_tree():
         tracemalloc.stop()
     returned = {id(r.final_state.factor): r.final_state.factor.nbytes for r in results}
     assert peak <= sum(returned.values()) + 4 * 2**20
+
+
+def test_an_outcome_tree_deeper_than_the_recursion_limit(tmp_path):
+    """1100 single-outcome measurements in a row make one track, walked and
+    aggregated without a frame per measurement."""
+    gates = [measure_gate(f"m{i}", [0], {"only": np.eye(2)}) for i in range(1100)]
+    c = QuantumCircuit(("r0",), tuple(gates))
+    assert len(enumerate_tracks(c)) == 1
+    path = tmp_path / "deep.json"
+    path.write_text(serialize_circuit(c))
+    assert cli.main(["aggregate", str(path)]) == 0
 
 
 def test_run_frequency_sanity():
