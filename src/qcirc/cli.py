@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -268,8 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = cache(build_parser)  # the one parser `main` reuses: building costs far more than a parse
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except serialize.ParseError as e:

@@ -10,7 +10,7 @@ registers it acts on.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise LinalgError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise LinalgError("matrix has non-finite entries")
     return m
 
@@ -205,9 +205,16 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     return DensityOperator(len(keep), out)
 
 
+@lru_cache(maxsize=256)
+def _axes(registers: tuple, n: int) -> tuple[tuple, tuple]:
+    """Axes of a (2,)*n + (m,) tensor, the registers' first; and the inverse order."""
+    perm = (*registers, *(a for a in range(n + 1) if a not in registers))
+    return perm, tuple(sorted(range(n + 1), key=perm.__getitem__))
+
+
 def apply(op: np.ndarray, registers: Sequence[int], t: np.ndarray, n: int) -> np.ndarray:
-    """embed(op, registers, n) @ t for a 2^n x m array t, contracting op with
-    the registers' tensor axes instead of building the embedded matrix."""
+    """embed(op, registers, n) @ t for a 2^n x m array t: one transpose brings
+    the registers' tensor axes to the front, and one product contracts them."""
     op = as_matrix(op)
     regs = list(registers)
     k = len(regs)
@@ -219,9 +226,10 @@ def apply(op: np.ndarray, registers: Sequence[int], t: np.ndarray, n: int) -> np
         raise LinalgError(f"operator shape {op.shape} does not match arity {k}")
     if t.ndim != 2 or t.shape[0] != 2**n:
         raise LinalgError(f"expected {2**n} rows, got shape {t.shape}")
-    out = np.tensordot(op.reshape((2,) * (2 * k)), t.reshape((2,) * n + (t.shape[1],)),
-                       axes=(list(range(k, 2 * k)), regs))
-    return np.moveaxis(out, list(range(k)), regs).reshape(t.shape)
+    perm, inverse = _axes(tuple(regs), n)
+    x = t.reshape((2,) * n + (t.shape[1],)).transpose(perm)
+    out = np.dot(op, x.reshape(2**k, 2 ** (n - k) * t.shape[1]))
+    return out.reshape(x.shape).transpose(inverse).reshape(t.shape)
 
 
 def embed(op: np.ndarray, registers: Sequence[int], n: int) -> np.ndarray:

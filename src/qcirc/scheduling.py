@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .circuit import QuantumCircuit, prerequisites, ready_gates
+from .circuit import QuantumCircuit, prerequisites, topo_order
 
 Bout = frozenset  # frozenset[str]
 
@@ -70,21 +70,40 @@ def enumerate_linear_schedules(
     c: QuantumCircuit, limit: Optional[int] = 1000
 ) -> list[Schedule]:
     """All linear extensions of the prerequisite relation as singleton-bout
-    schedules, depth-first with lexicographic tie-breaking on gate id."""
-    size = len({g.id for g in c.gates})
+    schedules, depth-first with lexicographic tie-breaking on gate id. The
+    ready set and each gate's count of unfired direct sources follow the
+    prefix as gates are pushed and popped, so a step costs the gate's
+    dependants plus the sort of the ready set."""
+    direct, gids = c._wiring[2], topo_order(c)  # topo_order rejects a cyclic relation
+    unfired = {g: len(direct[g]) for g in gids}
+    dependants: dict[str, list[str]] = {g: [] for g in gids}
+    for g in gids:
+        for s in direct[g]:
+            dependants[s].append(g)
+    ready = {g for g in gids if not unfired[g]}
     out: list[Schedule] = []
     prefix: list[str] = []
-    stack = [iter(sorted(ready_gates(c, prefix)))]  # the gates still to try after each prefix
+    stack = [iter(sorted(ready))]  # the gates still to try after each prefix
     while stack and (limit is None or len(out) < limit):
-        if len(prefix) == size:
+        if len(prefix) == len(gids):
             out.append(linear_schedule(prefix))
         gid = next(stack[-1], None)
         if gid is None:
             stack.pop()
-            del prefix[-1:]  # nothing to drop once the root is done
+            if prefix:  # nothing to undo once the root is done
+                gid = prefix.pop()
+                ready.add(gid)
+                for d in dependants[gid]:
+                    ready.discard(d)
+                    unfired[d] += 1
         else:
             prefix.append(gid)
-            stack.append(iter(sorted(ready_gates(c, prefix))))
+            ready.remove(gid)
+            for d in dependants[gid]:
+                unfired[d] -= 1
+                if not unfired[d]:
+                    ready.add(d)
+            stack.append(iter(sorted(ready)))
     return out
 
 

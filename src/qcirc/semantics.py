@@ -236,8 +236,10 @@ def replay(
     assignment = f.as_dict()
     k = rho.factor
     probs: list[float] = []
-    for bout in x.bouts:
+    for t, bout in enumerate(x.bouts):
         before = linalg.squared_norm(k)
+        if before == 0.0:
+            raise SemanticsError(f"zero-probability track before bout {t}")
         k = _track_leaf(c, [bout], k, assignment)
         probs.append(linalg.squared_norm(k) / before)
     return probs, k @ k.conj().T

@@ -12,7 +12,7 @@ import pytest
 from corpus import random_circuit
 from test_deferral import dropped_z_pair
 from qcirc.circuit import QuantumCircuit, standard_measure_gate, unitary_gate
-from qcirc.cli import main
+from qcirc.cli import build_parser, main
 from qcirc.linalg import H
 from qcirc.serialize import (
     ParseError,
@@ -120,6 +120,52 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["run", TELEPORT, "--input", PSI])  # missing --seed
     assert e.value.code == 2
+
+
+def _fresh_parse(argv, capsys):
+    """(exit code, stdout, stderr) of a newly built parser on argv; the code
+    is None when the arguments parse."""
+    try:
+        build_parser().parse_args(argv)
+        code = None
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_usage_error_leaves_the_shared_parser_as_it_was(capsys):
+    valid = ["aggregate", TELEPORT, "--input", PSI]
+    assert main(valid) == 0
+    alone = capsys.readouterr().out
+    bad = ["run", TELEPORT, "--input", PSI, "--seed", "x"]
+    with pytest.raises(SystemExit) as e:
+        main(bad)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert (2, captured.out, captured.err) == _fresh_parse(bad, capsys)
+    assert main(valid) == 0
+    assert capsys.readouterr().out == alone
+
+
+def test_cli_options_do_not_leak_between_calls(capsys):
+    single = ["run", TELEPORT, "--input", PSI, "--seed", "7"]
+    args = build_parser().parse_args(single)
+    assert args.fn(args) == 0
+    expected = capsys.readouterr().out
+    assert main([*single, "--shots", "5"]) == 0
+    assert "frequencies" in out_json(capsys)
+    assert main(single) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["check-faithful", "-h"]])
+def test_cli_help_is_that_of_a_fresh_parser(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (e.value.code, captured.out, captured.err) == _fresh_parse(argv, capsys)
+    assert e.value.code == 0 and captured.out.startswith("usage: qcirc")
 
 
 @pytest.mark.parametrize(

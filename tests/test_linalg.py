@@ -183,6 +183,66 @@ def test_apply_matches_basis_oracle(seed, n, data):
     assert np.allclose(apply(op, regs, t, n), e @ t)
 
 
+def tensordot_apply(op, regs, t, n):
+    """The contraction `apply` computes, spelled with tensordot and moveaxis."""
+    k = len(regs)
+    out = np.tensordot(op.reshape((2,) * (2 * k)), t.reshape((2,) * n + (t.shape[1],)),
+                       axes=(list(range(k, 2 * k)), list(regs)))
+    return np.moveaxis(out, list(range(k)), list(regs)).reshape(t.shape)
+
+
+def columns(rng, rows, m, layout):
+    """A random complex rows x m array: contiguous, a transpose, or a slice."""
+    if layout == "transposed":
+        return random_matrix(rng, max(rows, m))[:m, :rows].T
+    if layout == "sliced":
+        return random_matrix(rng, max(rows, 2 * m))[:rows, ::2][:, :m]
+    return rng.normal(size=(rows, m)) + 1j * rng.normal(size=(rows, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 7), st.data())
+def test_apply_is_the_tensordot_contraction_bit_for_bit(seed, n, data):
+    k = data.draw(st.integers(0, min(n, 3)))
+    regs = data.draw(st.permutations(range(n)))[:k]
+    m = data.draw(st.sampled_from([0, 1, 5]))
+    layout = data.draw(st.sampled_from(["contiguous", "transposed", "sliced"]))
+    rng = np.random.default_rng(seed)
+    op, t = random_matrix(rng, 2**k), columns(rng, 2**n, m, layout)
+    assert t.shape == (2**n, m)
+    assert np.array_equal(apply(op, regs, t, n), tensordot_apply(op, regs, t, n))
+
+
+@pytest.mark.parametrize("regs", [(2, 1, 0), (6, 0, 3), (5, 2), (0, 6), (3,)])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
+def test_apply_on_descending_and_spread_registers(regs, layout):
+    rng = np.random.default_rng(len(regs))
+    op = random_matrix(rng, 2 ** len(regs))
+    for m in (0, 1, 5):
+        t = columns(rng, 2**7, m, layout)
+        assert np.array_equal(apply(op, regs, t, 7), tensordot_apply(op, regs, t, 7))
+
+
+@pytest.mark.parametrize(
+    "op, regs, t, message",
+    [
+        (np.eye(4), [1, 1], np.ones((8, 2)), "duplicate register in [1, 1]"),
+        (np.eye(2), [3], np.ones((8, 2)), "register index out of range in [3]"),
+        (np.eye(2), [-1], np.ones((8, 2)), "register index out of range in [-1]"),
+        (np.eye(2), [0, 1], np.ones((8, 2)), "operator shape (2, 2) does not match arity 2"),
+        (np.eye(2), [0], np.ones((4, 2)), "expected 8 rows, got shape (4, 2)"),
+        (np.eye(2), [0], np.ones(8), "expected 8 rows, got shape (8,)"),
+        (np.diag([1.0, np.nan]), [0], np.ones((8, 2)), "matrix has non-finite entries"),
+        (np.diag([1.0, np.inf]), [0], np.ones((8, 2)), "matrix has non-finite entries"),
+        (np.ones((2, 2, 1)), [0], np.ones((8, 2)), "expected a matrix, got ndim=3"),
+    ],
+)
+def test_apply_error_messages(op, regs, t, message):
+    with pytest.raises(LinalgError) as e:
+        apply(op, regs, t, 3)
+    assert str(e.value) == message
+
+
 def test_embed_is_multiplicative():
     rng = np.random.default_rng(3)
     a, b = random_matrix(rng, 4), random_matrix(rng, 4)

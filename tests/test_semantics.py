@@ -365,6 +365,16 @@ def test_replay_telescopes(teleport, bell_input):
         assert mat_close(final, op @ rho.matrix @ op.conj().T, 1e-12)
 
 
+def test_replay_of_a_track_that_dies_early_is_a_semantics_error():
+    """Measuring |0> as 1 leaves nothing for the next bout to condition on."""
+    c = QuantumCircuit(("q0",), (standard_measure_gate("a", 0), standard_measure_gate("b", 0)))
+    f = Track.from_mapping({"a": "1", "b": "1"})
+    rho = DensityOperator.from_ket(np.array([1.0, 0.0]))
+    assert track_probability(c, f, rho) == 0.0
+    with pytest.raises(SemanticsError, match="zero-probability track before bout 1"):
+        replay(c, greedy_schedule(c), f, rho)
+
+
 def test_track_probability_dimension_mismatch(teleport):
     with pytest.raises(SemanticsError):
         track_probability(
