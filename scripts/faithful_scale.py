@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Time and memory of the faithfulness check on a deferred feed-forward circuit.
+
+    PYTHONPATH=src python3 scripts/faithful_scale.py K [--inputs N]
+
+Builds `feed_forward_circuit(K)` from `tests/corpus.py` (K rounds of H,
+a standard measurement and a classically controlled X), defers it, and runs
+`check_faithful` on the pair: the exact check, and with `--inputs N` also
+the check on N random pure inputs (seed 0). Each method is run twice: once
+untraced for its wall time, once under `tracemalloc` for its peak. One JSON
+line per method gives the target's register count, the number of source
+tracks checked, the seconds, the peak in MiB and the verdict.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from corpus import feed_forward_circuit
+from qcirc.deferral import check_faithful, defer_measurements, random_pure_inputs
+
+
+def measure(c, result, inputs) -> dict:
+    start = time.perf_counter()
+    report = check_faithful(c, result.circuit, result.zeta, inputs)
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        check_faithful(c, result.circuit, result.zeta, inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "method": report.method,
+        "inputs": report.inputs_checked,
+        "target_registers": result.circuit.n_registers,
+        "tracks": report.tracks_checked,
+        "seconds": round(seconds, 3),
+        "peak_mib": round(peak / 2**20, 2),
+        "ok": report.ok,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("k", type=int, help="feed-forward rounds")
+    ap.add_argument("--inputs", type=int, help="also check N random pure inputs")
+    args = ap.parse_args(argv)
+    c = feed_forward_circuit(args.k)
+    result = defer_measurements(c)
+    print(json.dumps({"k": args.k, **measure(c, result, None)}))
+    if args.inputs:
+        inputs = random_pure_inputs(c.n_registers, args.inputs, 0)
+        print(json.dumps({"k": args.k, **measure(c, result, inputs)}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -283,6 +283,8 @@ def main(argv=None) -> int:
         return _error("semantic-error", str(e))
     except (OSError, json.JSONDecodeError, ValueError) as e:
         return _error("io-error", str(e))
+    except MemoryError as e:
+        return _error("too-large", str(e) or "out of memory")
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from .circuit import (
     topo_order,
     unitary_gate,
 )
-from .semantics import Track, track_operators
+from .semantics import Track, track_operators, walk_tracks
 from .serialize import ParseError
 
 TOL = linalg.DEFAULT_TOL
@@ -438,7 +438,8 @@ def check_faithful(
 
     Given pure `inputs`, both circuits are walked from the stacked inputs (the
     target's with ancillas |0>), and each input's track probabilities and
-    principal-register states (ancillas traced out) are compared instead."""
+    principal-register states (ancillas traced out) are compared instead.
+    Either way the target is walked once, each leaf compared as it comes."""
     nc, nd = c.n_registers, d.n_registers
     if d.register_names[:nc] != c.register_names:
         raise DeferralError("deferred circuit does not extend the source registers")
@@ -447,6 +448,8 @@ def check_faithful(
         if g.is_measure and g.id not in zeta.absorbed and not (d.has_gate(t) and d.gate(t).is_measure):
             raise _bad_sidecar(f"source measurement {g.id!r} maps to no measurement gate of the target")
 
+    if inputs is not None and not len(inputs):
+        raise DeferralError("no inputs to check")
     psi = np.eye(2**nc, dtype=complex) if inputs is None else np.empty((2**nc, len(inputs)), dtype=complex)
     for i, v in enumerate([] if inputs is None else inputs):
         v = np.asarray(v, dtype=complex).reshape(-1)
@@ -460,70 +463,61 @@ def check_faithful(
         if not 0 < norm < np.inf:  # NaN fails both
             raise DeferralError(f"input {i} has zero or non-finite norm")
         psi[:, i] = v / norm
-    ops_c = dict(track_operators(c, psi))
+    ops_c = track_operators(c, psi)
+    preimages: dict = {}  # image under zeta (None: untranslatable) -> positions of its source tracks
+    for j, (f, _) in enumerate(ops_c):
+        preimages.setdefault(zeta.translate(f), []).append(j)
+    cols = [None] if inputs is None else range(len(inputs))  # None: the exact check
+    failures = {}  # (input, 0, source position) or (input, 1, target sort key) -> failure or None, in report order
+    for j, i in itertools.product(preimages.pop(None, []), cols):
+        f, a = ops_c[j]
+        p = float(np.vdot(a, a).real) if i is None else float(np.linalg.norm(a[:, i]) ** 2)
+        failures[i, 0, j] = _weight_failure("untranslatable-track-probability", i, f, p, tol)
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
-    ops_d = dict(track_operators(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None])))
-    image = {}
-    for f in ops_c:
-        g = zeta.translate(f)
-        if g is not None:
-            if g not in ops_d:
-                raise DeferralError(f"translated track {g} is not a track of the target")
-            image[f] = g
-    covered, n_tracks = set(image.values()), len(ops_c)
-    if inputs is None:
-        failures = _exact_failures(ops_c, ops_d, image, tol)
-        return FaithfulnessReport(not failures, tuple(failures), 0, n_tracks, "exact")
-
-    failures = []
-    for i in range(len(inputs)):
-        p_d = {g: float(np.linalg.norm(w[:, i]) ** 2) for g, w in ops_d.items()}
-        for f, op in ops_c.items():
-            out_c = op[:, i]
-            p_c, g, at = float(np.linalg.norm(out_c) ** 2), image.get(f), {"input": i, "track": f.as_dict()}
-            if g is None:
-                if p_c > tol:
-                    failures.append({"kind": "untranslatable-track-probability", **at, "probability": p_c})
-            elif abs(p_c - p_d[g]) > tol:
-                failures.append(
-                    {"kind": "probability-mismatch", **at,
-                     "source_probability": p_c, "target_probability": p_d[g]}
-                )
-            elif p_c > tol:
-                v = ops_d[g][:, i].reshape(2**nc, -1)  # <x a|B|psi 0>: reduced state v v^dag
-                err = float(np.max(np.abs(linalg.ket_to_density(out_c) / p_c - v @ v.conj().T / p_d[g])))
-                if err > tol:
-                    failures.append({"kind": "state-mismatch", **at, "max_entry_error": err})
-        failures += [
-            {"kind": "unmatched-target-track", "input": i, "track": g.as_dict(), "probability": p}
-            for g, p in p_d.items()
-            if g not in covered and p > tol
-        ]
-    return FaithfulnessReport(not failures, tuple(failures), len(inputs), n_tracks)
+    for key, g, b in walk_tracks(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None])):
+        js = preimages.pop(g, [])
+        if not js:
+            for i in cols:
+                p = float(np.sum(np.abs(b) ** 2)) if i is None else float(np.linalg.norm(b[:, i]) ** 2)
+                failures[i, 1, key] = _weight_failure("unmatched-target-track", i, g, p, tol)
+        for j, i in itertools.product(js, cols):
+            failures[i, 0, j] = _track_failure(*ops_c[j], b, i, tol)
+    if preimages:  # images that the walk never produced
+        first = ops_c[min(min(js) for js in preimages.values())][0]
+        raise DeferralError(f"translated track {zeta.translate(first)} is not a track of the target")
+    failures = [failures[k] for k in sorted(failures) if failures[k]]
+    method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
+    return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(ops_c), method)
 
 
-def _exact_failures(ops_c: dict, ops_d: dict, image: dict, tol: float) -> list:
-    """The exact check of `check_faithful`, given each target track's block
-    B (I (x) |0>); principal registers come first, so its row x * 2^n_anc + a is <x a|."""
-    failures = []
-    for f, a in ops_c.items():
-        mass, g = float(np.vdot(a, a).real), image.get(f)
-        if g is None:
-            if mass > tol:
-                failures.append({"kind": "untranslatable-track-probability", "track": f.as_dict(), "mass": mass})
-            continue
-        v = ops_d[g].reshape(a.shape[0], -1, a.shape[1])  # <x a|B|y 0>
+def _weight_failure(kind: str, i: Optional[int], f: Track, p: float, tol: float) -> Optional[dict]:
+    """The failure of a track that must weigh at most tol, if p > tol: p is its
+    mass in the exact check (i is None), else its probability on input i."""
+    at = {"track": f.as_dict(), "mass": p} if i is None else {"input": i, "track": f.as_dict(), "probability": p}
+    return {"kind": kind, **at} if p > tol else None
+
+
+def _track_failure(f: Track, a: np.ndarray, b: np.ndarray, i: Optional[int], tol: float) -> Optional[dict]:
+    """The failure of source track f, given its A psi = a and its image's block
+    b = B (I (x) |0>) psi, for every input at once (i is None) or on input i.
+    Principal registers come first, so row x * 2^n_anc + a of b is <x a|."""
+    if i is None:
+        mass = float(np.vdot(a, a).real)
+        v = b.reshape(a.shape[0], -1, a.shape[1])  # <x a|B|y 0>
         coef = np.einsum("xy,xay->a", a.conj(), v) / mass if mass else np.zeros(v.shape[1])
         image_mass = float(np.vdot(coef, coef).real) * mass
         residual = float(np.sum(np.abs(v - a[:, None, :] * coef[None, :, None]) ** 2))
         if residual > tol or abs(image_mass - mass) > tol:
-            failures.append(
-                {"kind": "operator-mismatch", "track": f.as_dict(), "residual": residual,
-                 "source_mass": mass, "target_mass": image_mass + residual}
-            )
-    covered = set(image.values())
-    for g, b in ops_d.items():
-        mass = 0.0 if g in covered else float(np.sum(np.abs(b) ** 2))
-        if mass > tol:
-            failures.append({"kind": "unmatched-target-track", "track": g.as_dict(), "mass": mass})
-    return failures
+            return {"kind": "operator-mismatch", "track": f.as_dict(), "residual": residual,
+                    "source_mass": mass, "target_mass": image_mass + residual}
+        return None
+    out_c, at = a[:, i], {"input": i, "track": f.as_dict()}
+    p_c, p_d = float(np.linalg.norm(out_c) ** 2), float(np.linalg.norm(b[:, i]) ** 2)
+    if abs(p_c - p_d) > tol:
+        return {"kind": "probability-mismatch", **at, "source_probability": p_c, "target_probability": p_d}
+    if p_c > tol:
+        v = b[:, i].reshape(a.shape[0], -1)  # <x a|B|psi 0>: reduced state v v^dag
+        err = float(np.max(np.abs(linalg.ket_to_density(out_c) / p_c - v @ v.conj().T / p_d)))
+        if err > tol:
+            return {"kind": "state-mismatch", **at, "max_entry_error": err}
+    return None

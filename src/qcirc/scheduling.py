@@ -37,16 +37,14 @@ def is_antichain(c: QuantumCircuit, gates: Iterable[str]) -> bool:
 
 
 def validate_schedule(c: QuantumCircuit, x: Schedule) -> bool:
-    """True iff the bouts are nonempty and disjoint, cover every gate, and fire
-    each gate's direct sources in strictly earlier bouts; then every prefix-union
-    is a stage and each bout an antichain of gates ready at the stage before."""
+    """True iff the bouts are nonempty, disjoint sets of the circuit's gates that
+    cover every gate and fire each gate's direct sources in strictly earlier
+    bouts; then every prefix-union is a stage and each bout an antichain of gates
+    ready at the stage before."""
     fired: set[str] = set()
     for bout in x.bouts:
-        if not bout:
-            return False
-        for gid in bout:
-            c.gate(gid)
-        if bout & fired or not all(c._wiring[2][gid] <= fired for gid in bout):
+        known = bout and all(map(c.has_gate, bout))
+        if not known or bout & fired or not all(c._wiring[2][gid] <= fired for gid in bout):
             return False
         fired |= bout
     return fired == {g.id for g in c.gates}

@@ -159,26 +159,30 @@ def bout_operator(
     return _track_leaf(c, [b], np.eye(2**c.n_registers, dtype=complex), assignment)
 
 
-def _leaves(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int]) -> list:
-    """The `linalg.apply` walk's leaves (assignment, A @ t0) over `order`. Tracks
-    are counted first, on an empty column slice of t0, so an over-cap circuit
-    fails before any operator is built."""
+def _leaves(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int]):
+    """The `linalg.apply` walk's leaves (assignment, A @ t0) over `order`, as
+    they come. Tracks are counted first, on an empty column slice of t0, so an
+    over-cap circuit fails before any operator is built."""
     stop = None if cap is None else cap + 1
     if len(list(itertools.islice(_walk(c, order, t0[:, :0], {}), stop))) == stop:
         raise SemanticsError(f"track count exceeds cap {cap}")
-    return list(_walk(c, order, t0, {}))
+    yield from _walk(c, order, t0, {})
+
+
+def walk_tracks(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP):
+    """(key, f, A_f @ t0) for every coherent track f as one depth-first walk meets it
+    (greedy order, from t0, cap checked first), sharing `linalg.apply` calls along
+    outcome prefixes and holding one path. Sorting by key gives `enumerate_tracks` order."""
+    measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
+    for a, t in _leaves(c, _order(c, greedy_schedule(c).bouts), t0, cap):
+        yield tuple(map(a.get, measures)), Track.from_mapping(a), t
 
 
 def track_operators(
     c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP
 ) -> list[tuple[Track, np.ndarray]]:
-    """(f, A_f @ t0) for every coherent track f, in `enumerate_tracks` order, from one
-    depth-first walk that shares `cumulative_operator`'s `linalg.apply` calls (greedy
-    order, from t0) along common outcome prefixes, with the cap checked first."""
-    leaves = _leaves(c, _order(c, greedy_schedule(c).bouts), t0, cap)
-    measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
-    leaves.sort(key=lambda leaf: tuple(map(leaf[0].get, measures)))
-    return [(Track.from_mapping(a), t) for a, t in leaves]
+    """(f, A_f @ t0) for every coherent track f: `walk_tracks` in `enumerate_tracks` order."""
+    return [(f, t) for _, f, t in sorted(walk_tracks(c, t0, cap), key=lambda leaf: leaf[0])]
 
 
 def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) -> list[Track]:

@@ -517,6 +517,47 @@ def test_cli_bad_sidecar_is_a_diagnostic(tmp_path, capsys, sidecar, message):
     assert diag["code"] == "bad-sidecar" and message in diag["message"]
 
 
+def test_cli_sidecar_to_a_label_the_target_lacks_is_a_semantic_error(tmp_path, capsys):
+    """H q0; M q0 against itself, with M's label 0 sent to x: the translated
+    track is not a track of the target."""
+    c = QuantumCircuit(("q0",), (unitary_gate("h", [0], H), standard_measure_gate("m", 0)))
+    circuit, sidecar = tmp_path / "c.json", tmp_path / "c.zeta.json"
+    circuit.write_text(serialize_circuit(c))
+    sidecar.write_text(json.dumps({"zeta": {"m": "m"}, "labels": {"m": {"0": "x"}}, "absorbed": []}))
+    assert main(["check-faithful", str(circuit), str(circuit), "--zeta", str(sidecar)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    diag = json.loads(captured.err)
+    assert diag["code"] == "semantic-error" and "is not a track of the target" in diag["message"]
+
+
+def test_cli_schedule_naming_an_unknown_gate_is_invalid(tmp_path, capsys):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"bouts": [["nope"]]}))
+    assert main(["run", TELEPORT, "--input", PSI, "--seed", "1", "--schedule", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["code"] == "invalid-schedule"
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 16.0 GiB for an array", ""], ids=["numpy", "bare"])
+def test_diag_too_large_on_memory_error(monkeypatch, capsys, message):
+    """A `MemoryError` from a command is one `too-large` line, exit 1, not a
+    traceback. The semantic function is patched to raise it; nothing large
+    is allocated."""
+    from qcirc import semantics
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(semantics, "aggregate_measurement", out_of_memory)
+    assert main(["aggregate", TELEPORT]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    diag = json.loads(captured.err)
+    assert diag == {"severity": "error", "code": "too-large", "message": message or "out of memory"}
+
+
 def test_cli_gate_ids_must_be_strings(tmp_path, capsys):
     """A mixed file (`"id": 5` for M, and ZM's control to match) and an
     all-integer file are both `bad-gate`, before any command runs."""
@@ -779,3 +820,19 @@ def test_teleport_demo_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "faithful: True" in proc.stdout
+
+
+def test_faithful_scale_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "faithful_scale.py"), "3", "--inputs", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["method"], r["inputs"]) for r in lines] == [("exact", 0), ("inputs", 2)]
+    for r in lines:
+        assert r["k"] == 3 and r["target_registers"] == 4 and r["tracks"] == 8 and r["ok"] is True
+        assert r["seconds"] >= 0 and r["peak_mib"] > 0

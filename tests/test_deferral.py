@@ -685,3 +685,41 @@ def test_check_faithful_inputs_hold_no_dense_target():
         tracemalloc.stop()
     assert report.ok and report.inputs_checked == 1
     assert nd == 9 and peak < 16 * 4**nd
+
+
+@pytest.mark.parametrize("inputs", [None, 1], ids=["exact", "one-input"])
+def test_check_faithful_holds_one_path_of_target_blocks(inputs):
+    """The target is walked once and each leaf compared as it comes, so on
+    deferred ff-8 (9 target registers, 256 tracks of 2^9 x 4 blocks, 2 MiB
+    in all) both methods peak below 2 MiB."""
+    c = feed_forward_circuit(8)
+    result = defer_measurements(c)
+    psi = None if inputs is None else random_pure_inputs(2, inputs, 0)
+    tracemalloc.start()
+    try:
+        report = check_faithful(c, result.circuit, result.zeta, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.tracks_checked == 256
+    assert peak < 2 * 2**20
+
+
+def test_check_faithful_rejects_empty_inputs(teleport):
+    result = defer_measurements(teleport)
+    with pytest.raises(DeferralError, match="no inputs to check"):
+        check_faithful(teleport, result.circuit, result.zeta, [])
+
+
+def h_then_measure():
+    return QuantumCircuit(("q0",), (unitary_gate("h", [0], H), standard_measure_gate("m", 0)))
+
+
+@pytest.mark.parametrize("inputs", [None, [np.array([1.0, 0.0])]], ids=["exact", "one-input"])
+def test_translated_track_missing_from_target_raises(inputs):
+    """A sidecar that sends M's label 0 to x, which the target never
+    records, names the first such source track."""
+    c = h_then_measure()
+    zeta = Commensuration({"m": "m"}, {"m": {"0": "x"}})
+    with pytest.raises(DeferralError, match=r"translated track .*'x'.* is not a track of the target"):
+        check_faithful(c, c, zeta, inputs)

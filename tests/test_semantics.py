@@ -23,6 +23,7 @@ from qcirc.scheduling import (
     enumerate_linear_schedules,
     greedy_schedule,
     linear_schedule,
+    validate_schedule,
 )
 from qcirc.semantics import (
     RunResult,
@@ -314,6 +315,37 @@ def test_schedule_that_does_not_fit_is_rejected(which):
     ):
         with pytest.raises(ScheduleError, match="schedule does not fit the circuit"):
             call()
+
+
+def test_schedule_naming_an_unknown_gate_is_rejected():
+    """A bout naming a gate the circuit lacks makes the schedule not fit: a
+    `ScheduleError`, not the circuit's unknown-gate `CircuitError`."""
+    c = QuantumCircuit(("q0",), (unitary_gate("h", [0], H), standard_measure_gate("m", 0)))
+    x = Schedule((frozenset({"h"}), frozenset({"m", "nope"})))
+    f, rho = Track.from_mapping({"m": "0"}), DensityOperator.from_ket(np.array([1.0, 0.0]))
+    assert not validate_schedule(c, x) and not validate_schedule(c, Schedule((frozenset({"nope"}),)))
+    for call in (
+        lambda: cumulative_operator(c, x, f),
+        lambda: replay(c, x, f, rho),
+        lambda: sample(c, x, rho, range(3)),
+        lambda: run(c, x, rho, 0),
+        lambda: schedules_equivalent(c, greedy_schedule(c), x),
+    ):
+        with pytest.raises(ScheduleError, match="schedule does not fit the circuit"):
+            call()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_tracks_sorted_is_track_operators(seed):
+    """`walk_tracks` yields the walk's leaves as they come; sorted by their
+    keys they are `track_operators`, tracks and bits alike."""
+    c = random_circuit(np.random.default_rng(seed))
+    eye = np.eye(2**c.n_registers, dtype=complex)
+    walked = list(semantics.walk_tracks(c, eye))
+    ordered = [(f, t) for _, f, t in sorted(walked, key=lambda leaf: leaf[0])]
+    expected = track_operators(c, eye)
+    assert [f for f, _ in ordered] == [f for f, _ in expected] == enumerate_tracks(c)
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(ordered, expected))
 
 
 def test_aggregate_measurement_cap(monkeypatch):
