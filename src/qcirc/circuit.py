@@ -166,24 +166,39 @@ class QuantumCircuit:
         return {g.id: i for i, g in enumerate(self.gates)}
 
     @cached_property
-    def _wiring(self) -> tuple[dict, dict, dict]:
+    def _wiring(self) -> tuple[dict, dict, dict, dict]:
         """(register -> chain of gate ids, gate -> quantum sources, gate ->
-        direct sources, quantum and classical)."""
+        direct sources, quantum and classical, gate -> direct dependants)."""
         chains: dict[int, list[str]] = {}
         quantum: dict[str, dict[int, Optional[str]]] = {}
         direct: dict[str, set[str]] = {}
+        dependants: dict[str, list[str]] = {g.id: [] for g in self.gates}
         for g in self.gates:
             quantum[g.id] = {r: chains[r][-1] if r in chains else None for r in g.registers}
             direct[g.id] = {s for s in quantum[g.id].values() if s is not None}
             direct[g.id].update(s for s in g.classical_sources if s in self._by_id)
+            for s in direct[g.id]:
+                dependants[s].append(g.id)
             for r in quantum[g.id]:
                 chains.setdefault(r, []).append(g.id)
-        return chains, quantum, direct
+        return chains, quantum, direct, dependants
 
     @cached_property
     def _order(self) -> Optional[list[str]]:
-        """Topological order, stable in the gate sequence; None if cyclic."""
-        return _toposort([g.id for g in self.gates], self.edges(), key=self._index.get)
+        """Topological order by Kahn's algorithm, taking ready gates by
+        sequence position; None if cyclic."""
+        _, _, direct, dependants = self._wiring
+        unfired = {gid: len(srcs) for gid, srcs in direct.items()}
+        ready = [self._index[gid] for gid, n in unfired.items() if not n]
+        heapq.heapify(ready)
+        out = []
+        while ready:
+            out.append(self.gates[heapq.heappop(ready)].id)
+            for d in dependants[out[-1]]:
+                unfired[d] -= 1
+                if not unfired[d]:
+                    heapq.heappush(ready, self._index[d])
+        return out if len(out) == len(self.gates) else None
 
     @cached_property
     def _layers(self) -> tuple[dict[str, int], dict[str, int]]:
@@ -221,26 +236,6 @@ class QuantumCircuit:
 
     def edges(self) -> set[tuple[str, str]]:
         return {(s, gid) for gid, srcs in self._wiring[2].items() for s in srcs}
-
-
-def _toposort(nodes: list[str], edges: set[tuple[str, str]], key) -> Optional[list[str]]:
-    """Kahn's algorithm with a priority tie-break; None if cyclic."""
-    succ: dict[str, list[str]] = {v: [] for v in nodes}
-    indeg = {v: 0 for v in nodes}
-    for a, b in edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    heap = [(key(v), v) for v in nodes if indeg[v] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        _, v = heapq.heappop(heap)
-        out.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, (key(w), w))
-    return out if len(out) == len(nodes) else None
 
 
 def topo_order(c: QuantumCircuit) -> list[str]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -122,12 +123,11 @@ def cmd_run(args) -> int:
         return _error("invalid-schedule", "schedule does not fit the circuit")
     if args.shots is None:
         result = semantics.run(c, x, rho, args.seed)
-        raw = result.final_state.matrix
         _emit(
             {
                 "track": result.track.as_dict(),
-                "final_state_raw": raw,
-                "final_state_normalized": raw / np.trace(raw).real,
+                "final_state_raw": result.final_state.matrix,
+                "final_state_normalized": result.final_state.normalized(),
                 "steps": [
                     {"bout": list(b), "outcomes": list(o), "probability": p}
                     for b, o, p in result.step_log
@@ -162,6 +162,9 @@ def cmd_schedules(args) -> int:
 
 
 def cmd_defer(args) -> int:
+    zeta_path = args.zeta or _default_zeta_path(args.output)
+    if os.path.realpath(zeta_path) == os.path.realpath(args.output):  # Path.resolve raises on a symlink loop
+        _parser().error("defer: --zeta names the same file as -o")
     c = _load_circuit(args.circuit)
     try:
         result = deferral.defer_measurements(c)
@@ -173,7 +176,6 @@ def cmd_defer(args) -> int:
     Path(args.output).write_text(serialize.serialize_circuit(result.circuit))
     sidecar = result.zeta.to_json()
     sidecar["ancillas"] = sorted(result.ancilla_registers)
-    zeta_path = args.zeta or _default_zeta_path(args.output)
     Path(zeta_path).write_text(serialize.dumps(sidecar) + "\n")
     _emit(
         {

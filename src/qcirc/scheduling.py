@@ -72,12 +72,8 @@ def enumerate_linear_schedules(
     ready set and each gate's count of unfired direct sources follow the
     prefix as gates are pushed and popped, so a step costs the gate's
     dependants plus the sort of the ready set."""
-    direct, gids = c._wiring[2], topo_order(c)  # topo_order rejects a cyclic relation
+    (_, _, direct, dependants), gids = c._wiring, topo_order(c)  # topo_order rejects a cyclic relation
     unfired = {g: len(direct[g]) for g in gids}
-    dependants: dict[str, list[str]] = {g: [] for g in gids}
-    for g in gids:
-        for s in direct[g]:
-            dependants[s].append(g)
     ready = {g for g in gids if not unfired[g]}
     out: list[Schedule] = []
     prefix: list[str] = []

@@ -51,6 +51,7 @@ def _float_pairs(m: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
+    """A matrix's JSON object, entries as nested lists: the reference `dumps` writes arrays to match."""
     m = np.asarray(m, dtype=complex)
     return {"rows": m.shape[0], "cols": m.shape[1], "entries": _float_pairs(m).tolist()}
 
@@ -203,20 +204,15 @@ def _object(obj: dict, name: str, where: str) -> dict:
 
 
 def gate_to_json(g: Gate) -> dict:
+    """The gate's JSON object, its operators held as arrays for `dumps`."""
     out = {"id": g.id, "registers": list(g.registers), "kind": g.kind}
     if g.is_measure:
         out["measurements"] = {
-            mid: {
-                "outcomes": {
-                    lab: matrix_to_json(op) for lab, op in sorted(m.operators.items())
-                }
-            }
+            mid: {"outcomes": dict(sorted(m.operators.items()))}
             for mid, m in sorted(g.measurements.items())
         }
     else:
-        out["ops"] = {
-            uid: matrix_to_json(u.matrix) for uid, u in sorted(g.unitaries.items())
-        }
+        out["ops"] = {uid: u.matrix for uid, u in sorted(g.unitaries.items())}
     out["controls"] = list(g.classical_sources)
     out["selector"] = _selector_to_json(g)
     return out

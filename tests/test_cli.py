@@ -17,6 +17,7 @@ from qcirc.linalg import H
 from qcirc.serialize import (
     ParseError,
     circuit_to_json,
+    dumps,
     matrix_from_json,
     matrix_to_json,
     parse_circuit,
@@ -53,7 +54,7 @@ def test_circuit_roundtrip_is_identity(teleport):
     text = serialize_circuit(teleport)
     c2 = parse_circuit(text)
     assert serialize_circuit(c2) == text
-    assert circuit_to_json(c2) == json.loads(text)
+    assert json.loads(dumps(circuit_to_json(c2))) == json.loads(text)
 
 
 def test_circuit_roundtrip_random():
@@ -432,6 +433,27 @@ def test_cli_defer_and_check_faithful(tmp_path, capsys):
     )
     report = out_json(capsys)
     assert report["ok"] and report["inputs_checked"] == 5
+
+
+@pytest.mark.parametrize("zeta", ["d.json", "./d.json", "sub/../d.json"], ids=["same", "dot", "parent"])
+def test_cli_defer_zeta_on_the_output_is_a_usage_error(tmp_path, monkeypatch, capsys, zeta):
+    """`--zeta` naming the file `-o` writes would overwrite the circuit with
+    its sidecar; it is refused before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(SystemExit) as e:
+        main(["defer", TELEPORT, "-o", "d.json", "--zeta", zeta])
+    assert e.value.code == 2
+    assert "--zeta" in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_cli_defer_to_a_symlink_loop_is_an_io_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    os.symlink("b", "a")
+    os.symlink("a", "b")
+    assert main(["defer", TELEPORT, "-o", "a", "--zeta", "z.json"]) == 1
+    assert json.loads(capsys.readouterr().err)["code"] == "io-error"
 
 
 def test_cli_transpose_path(capsys):

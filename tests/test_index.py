@@ -60,6 +60,18 @@ def layers_oracle(c):
     return tuple(frozenset(g for g, d in depth.items() if d == t) for t in range(n_layers))
 
 
+def topo_oracle(c):
+    """Kahn's algorithm over the sources, taking the ready gate that comes
+    first in the gate sequence; None if the relation is cyclic."""
+    srcs, pos, order = sources_oracle(c), {g.id: i for i, g in enumerate(c.gates)}, []
+    while len(order) < len(srcs):
+        ready = [g for g in srcs if g not in order and srcs[g] <= set(order)]
+        if not ready:
+            return None
+        order.append(min(ready, key=pos.get))
+    return order
+
+
 def validate_schedule_oracle(c, x):
     """The stage-by-stage definition: each bout is a nonempty set of gates
     ready at the union of the earlier bouts, that union plus the bout is a
@@ -120,6 +132,33 @@ def test_wiring_matches_oracle(seed):
     for g in c.gates:
         assert c.direct_sources(g.id) == srcs[g.id]
         assert prerequisites(c, g.id) == below[g.id]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_topo_order_matches_oracle(seed):
+    """On the random circuit, and on its gates in a shuffled sequence, where
+    controls may point to later gates, several gates become ready at once
+    and the relation may be cyclic."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, max_gates=10)
+    shuffled = QuantumCircuit(c.register_names, tuple(c.gates[i] for i in rng.permutation(len(c.gates))))
+    for circuit in (c, shuffled):
+        expected = topo_oracle(circuit)
+        if expected is None:
+            with pytest.raises(CircuitError, match="cyclic"):
+                topo_order(circuit)
+        else:
+            assert topo_order(circuit) == expected
+
+
+def test_topo_order_takes_gates_ready_together_by_position():
+    # m fires last in sequence but first in order; a, b, c wait for it and
+    # become ready together
+    sel = {("0",): "u", ("1",): "u"}
+    gates = tuple(controlled_unitary_gate(gid, [r], ["m"], {"u": X}, sel) for gid, r in (("c", 1), ("a", 2), ("b", 3)))
+    c = QuantumCircuit(tuple(f"r{j}" for j in range(4)), (*gates, standard_measure_gate("m", 0)))
+    assert topo_order(c) == topo_oracle(c) == ["m", "c", "a", "b"]
 
 
 @settings(max_examples=40, deadline=None)

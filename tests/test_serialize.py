@@ -1,5 +1,6 @@
 """`serialize.dumps` against `json.dumps(..., indent=2)`, the encoding it
-replaces, and `matrix_to_json` against its per-entry definition."""
+replaces, `matrix_to_json` against its per-entry definition, and circuit files
+against both."""
 
 import json
 import math
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcirc.serialize import dumps, matrix_to_json
+from corpus import (
+    feed_forward_circuit,
+    kraus_correction_circuit,
+    random_circuit,
+    random_deferrable_circuit,
+)
+from qcirc.deferral import defer_measurements
+from qcirc.serialize import dumps, matrix_to_json, serialize_circuit
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]
 ESCAPED = ["", '"', "\\", "/", "\n\r\t\b\f", "\x00\x1f\x7f", "é", " ", "😀", 'a"b\\c']
@@ -115,3 +123,43 @@ def test_matrix_to_json_matches_per_entry_definition(m):
 def test_dumps_matrix_edge_shapes(m):
     assert dumps([m]) == json.dumps([matrix_to_json(m)], indent=2)
     assert json.dumps(matrix_to_json(m)) == json.dumps(_per_entry_matrix_json(m))
+
+
+def _per_entry_circuit_json(c):
+    """A circuit file's object, with every matrix in its per-entry form."""
+    gates = []
+    for g in c.gates:
+        obj = {"id": g.id, "registers": list(g.registers), "kind": g.kind}
+        if g.is_measure:
+            obj["measurements"] = {
+                mid: {"outcomes": {lab: _per_entry_matrix_json(a) for lab, a in sorted(m.operators.items())}}
+                for mid, m in sorted(g.measurements.items())
+            }
+        else:
+            obj["ops"] = {uid: _per_entry_matrix_json(u.matrix) for uid, u in sorted(g.unitaries.items())}
+        obj["controls"] = list(g.classical_sources)
+        obj["selector"] = {",".join(key): target for key, target in sorted(g.selector.items())}
+        gates.append(obj)
+    return {"version": "qcirc-1", "registers": list(c.register_names), "gates": gates}
+
+
+def _writer_cases():
+    for seed in range(12):
+        yield pytest.param(random_circuit(np.random.default_rng(seed), max_gates=8), id=f"random-{seed}")
+    for seed in range(6):  # classically controlled gates choosing among several ops or measurements
+        c = random_circuit(np.random.default_rng([5, seed]), max_gates=8, p_cc=0.9)
+        yield pytest.param(c, id=f"multi-op-{seed}")
+    for k in range(1, 7):
+        yield pytest.param(defer_measurements(feed_forward_circuit(k)).circuit, id=f"deferred-ff{k}")
+    for seed in range(8):
+        c = random_deferrable_circuit(np.random.default_rng(seed))
+        yield pytest.param(defer_measurements(c).circuit, id=f"deferred-random-{seed}")
+    for seed in range(4):  # a nonstandard Kraus measurement, deferred through its dilation
+        c = kraus_correction_circuit(np.random.default_rng(seed))
+        yield pytest.param(defer_measurements(c).circuit, id=f"deferred-kraus-{seed}")
+
+
+@pytest.mark.parametrize("c", list(_writer_cases()))
+def test_serialize_circuit_matches_per_entry_encoding(c):
+    expected = json.dumps(_per_entry_circuit_json(c), indent=2) + "\n"
+    assert serialize_circuit(c) == expected
