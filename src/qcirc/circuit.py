@@ -241,6 +241,9 @@ class QuantumCircuit:
 def topo_order(c: QuantumCircuit) -> list[str]:
     """Gate ids in a topological order of the source relation, stable with
     respect to the circuit's gate sequence."""
+    if len(c._by_id) < len(c.gates):  # a repeated id: its first gate is not at its last position
+        dup = next(g.id for i, g in enumerate(c.gates) if c._index[g.id] != i)
+        raise CircuitError(f"duplicate gate id {dup!r}")
     if c._order is None:
         raise CircuitError("source relation is cyclic")
     return list(c._order)

@@ -30,8 +30,8 @@ def positive_int(text: str) -> int:
 
 def seed(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
     return value
 
 
@@ -164,7 +164,7 @@ def cmd_schedules(args) -> int:
 def cmd_defer(args) -> int:
     zeta_path = args.zeta or _default_zeta_path(args.output)
     if os.path.realpath(zeta_path) == os.path.realpath(args.output):  # Path.resolve raises on a symlink loop
-        _parser().error("defer: --zeta names the same file as -o")
+        args.usage_error("defer: --zeta names the same file as -o")
     c = _load_circuit(args.circuit)
     try:
         result = deferral.defer_measurements(c)
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--zeta", help="sidecar path (default: <output>.zeta.json)")
-    p.set_defaults(fn=cmd_defer)
+    p.set_defaults(fn=cmd_defer, usage_error=p.error)
 
     p = sub.add_parser("check-faithful", help="verify faithful simulation")
     p.add_argument("source")

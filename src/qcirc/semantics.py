@@ -8,6 +8,7 @@ when sampling or reporting.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
@@ -249,98 +250,19 @@ def replay(
     return probs, k @ k.conj().T
 
 
-# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants. The
-# hash constant advances once per hashmix call in a fixed order, so each
-# call's xor and multiplier are fixed numbers.
-_M32 = 0xFFFFFFFF
-
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """The xors and the multipliers of n successive hashmix calls, shape (2, n, 1)."""
-    xors, mults = [], []
-    for _ in range(n):
-        xors.append(init)
-        init = init * mult & _M32
-        mults.append(init)
-    return np.array([xors, mults], dtype=np.uint32)[:, :, None]
-
-
-_MIX_IN = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # entropy into the pool
-_MIX_OUT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state(4, uint64)
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_DRAW_BLOCK = 2**14  # (seed, bout) pairs per vectorized pass, to bound temporaries
-
-
-def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    v = (v ^ xor) * mult  # uint32, so modulo 2**32
-    return v ^ v >> 16
-
-
-def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """(hi, lo) * MULT + inc modulo 2**128 on uint64 halves; the carry out of
-    the low halves' product comes from 32-bit limbs."""
-    a0, a1 = lo & _M32, lo >> 32
-    m0, m1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
-    p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    new_lo = (mid << 32 | p00 & _M32) + inc_lo
-    new_hi = a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    new_hi += hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi + (new_lo < inc_lo)
-    return new_hi, new_lo
-
-
-def _pcg64_first_doubles(seeds: np.ndarray, n_bouts: int) -> np.ndarray:
-    """default_rng((s, t)).random() for uint64 seeds s and t < n_bouts <= 2**32."""
-    s = np.repeat(seeds, n_bouts)
-    t = np.tile(np.arange(n_bouts, dtype=np.uint32), len(seeds))
-    two = s > _M32  # s takes two entropy words
-    words = np.zeros((4, len(s)), dtype=np.uint32)  # entropy, zero-padded to the pool
-    words[0] = s & _M32
-    words[1] = np.where(two, s >> 32, t)
-    words[2] = np.where(two, t, 0)
-    pool = _hashmix(words, *_MIX_IN[:, 0:4])
-    k = 4
-    for src in range(4):  # each pool word mixed into every other one
-        dst = [d for d in range(4) if d != src]
-        r = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hashmix(pool[src], *_MIX_IN[:, k : k + 3])
-        pool[dst] = r ^ r >> 16
-        k += 3
-    w = _hashmix(np.concatenate([pool, pool]), *_MIX_OUT).astype(np.uint64)
-    init_hi, init_lo, seq_hi, seq_lo = w[0::2] | w[1::2] << 32
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    lo = inc_lo + init_lo  # seeding: state = inc + initstate, then one step
-    hi, lo = _pcg64_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)  # the draw's own step
-    x, rot = hi ^ lo, hi >> 58  # XSL-RR output
-    x = x >> rot | x << (64 - rot & 63)
-    return ((x >> 11) * 2.0**-53).reshape(len(seeds), n_bouts)
-
-
 def _uniforms(seeds, n_bouts: int) -> np.ndarray:
-    """U[i, t] == np.random.default_rng((seeds[i], t)).random(), bit for bit.
-
-    numpy's SeedSequence hash of the entropy words of (s, t) (one or two for s,
-    one for t), PCG64 seeding and one step (a 128-bit LCG) and its XSL-RR
-    output are computed over arrays. A seed that is not an integer in
-    [0, 2**64) goes through default_rng itself, which also raises for it."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u":
-        ported = np.ones(len(seeds), dtype=bool)
-        words = seeds.astype(np.uint64)
-    else:
-        seeds = list(seeds)
-        ported = np.array(
-            [isinstance(s, (int, np.integer)) and 0 <= s < 2**64 for s in seeds], dtype=bool
-        )
-        words = np.array([int(s) if p else 0 for s, p in zip(seeds, ported)], dtype=np.uint64)
-    ported &= n_bouts <= 2**32  # t takes one entropy word
-    rows = np.flatnonzero(ported)
-    out = np.empty((len(seeds), n_bouts))
-    step = max(1, _DRAW_BLOCK // max(n_bouts, 1))
-    for i in range(0, len(rows), step):
-        out[rows[i : i + step]] = _pcg64_first_doubles(words[rows[i : i + step]], n_bouts)
-    for j in np.flatnonzero(~ported):
-        out[j] = [np.random.default_rng((seeds[j], t)).random() for t in range(n_bouts)]
-    return out
+    """U[i, t]: output t + 1 of SplitMix64 (Steele, Lea & Flood 2014) from state
+    seeds[i], as (z >> 11) * 2**-53, for all shots and bouts in uint64
+    arithmetic (which wraps modulo 2**64). Seeds are integers in [0, 2**64)."""
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u"):
+        seeds = [operator.index(s) for s in seeds]  # TypeError for a non-integer
+        if not all(0 <= s < 2**64 for s in seeds):
+            raise ValueError("seeds must be integers in [0, 2**64)")
+    x = np.array(seeds, dtype=np.uint64)[:, None]
+    x = x + np.arange(1, n_bouts + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return ((z ^ z >> 31) >> 11) * 2.0**-53
 
 
 def sample(
@@ -348,9 +270,9 @@ def sample(
 ) -> list[RunResult]:
     """One shot per seed: fire the schedule's bouts in order, sampling
     measurement outcomes with their conditional probabilities. Deterministic
-    per seed; bout t of the shot with seed s draws u =
-    default_rng((s, t)).random() (all draws in one `_uniforms` pass) and picks
-    the first outcome combination whose running weight sum reaches u * total.
+    per seed; bout t of the shot with seed s draws u, the SplitMix64 output
+    t + 1 from state s (all draws in one `_uniforms` pass), and picks the
+    first outcome combination whose running weight sum reaches u * total.
 
     The outcome tree is settled depth first: a node holds the shots that picked
     the same combinations so far and is expanded once for all of them.

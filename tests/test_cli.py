@@ -201,6 +201,20 @@ def test_cli_negative_seed_is_usage_error(argv):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", TELEPORT, "--input", PSI, "--seed", str(2**64)],
+        ["check-faithful", TELEPORT, TELEPORT, "--zeta", PSI, "--inputs", "random:2", "--seed", str(2**64)],
+    ],
+    ids=["run", "check-faithful"],
+)
+def test_cli_seed_of_2_to_the_64_is_usage_error(argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
 def test_cli_non_finite_operator_is_a_diagnostic(tmp_path, capsys):
     obj = json.loads(Path(TELEPORT).read_text())
     obj["gates"][1]["ops"]["H"]["entries"][0] = [float("nan"), 0.0]
@@ -331,11 +345,12 @@ def test_cli_run_deterministic_output(capsys):
 
 
 def test_cli_run_shots_golden(capsys):
-    """Shot counts are pinned to the digest the per-shot executor printed
-    before shots shared their outcome prefixes."""
+    """Shot counts are pinned to the digest printed once every bout drew its
+    u from the shot seed's SplitMix64 stream (the counts are 956/1013/993/1038
+    against 1000 each)."""
     assert main(["run", TELEPORT, "--input", PSI, "--seed", "7", "--shots", "4000"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "a8fc678bd74ebae6dce372c057af484d682de6b89df6ce894b3c2815e0727dd9"
+    assert digest == "4c35e0d5e0172dd11150f00be6d2c77e4dfa91f51b01faaa0b840f8ffa2a46d1"
 
 
 def _sha256(data) -> str:
@@ -348,20 +363,20 @@ def _sha256(data) -> str:
         (["aggregate", TELEPORT, "--input", PSI],
          "53d7f089516763e9c885ed1bd3edaa298969209606638629617b0e9b590d1d1c"),
         (["run", TELEPORT, "--input", PSI, "--seed", "7"],
-         "c5e89f5b8ed336b68a4cd218094bd371503414779b4bcc1211dfaf120e484ccb"),
+         "8d2d08f762c6875ef6d4bc41f315aca1bf18e5ae2e904a58fdf977f2c64b8e2d"),
         (["schedules", TELEPORT, "--enumerate", "--limit", "10"],
          "216d31eee5de3f49c39216e41dea9ce2e1daaffdf1c911ef67358b9378b3214a"),
         (["run", TELEPORT, "--input", PSI, "--seed", str(2**64 - 1), "--shots", "500",
           "--schedule", str(FIXTURES / "schedule.json")],
-         "17dada32baead93951a92f0cc68bf267b27f7ac24353af9b668867b92db005d7"),
+         "8889ce4db9bbd229b9806c0addbbccc032c6d71aba136cb9eb5214c3a49449ef"),
     ],
     ids=["aggregate", "run-single", "schedules", "run-shots-schedule-max-seed"],
 )
 def test_cli_stdout_golden(capsys, argv, digest):
     """Digests of the stdout `json.dumps(..., indent=2)` printed before
-    `serialize.dumps` replaced it; the shots case (a non-greedy schedule and
-    the largest two-word seed) is the one printed while every bout drew its
-    own `default_rng((seed, t))`."""
+    `serialize.dumps` replaced it. The two `run` cases (the second with a
+    non-greedy schedule and the largest seed, 2**64 - 1) are the ones printed
+    once every bout drew its u from the shot seed's SplitMix64 stream."""
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == digest
 
@@ -444,7 +459,8 @@ def test_cli_defer_zeta_on_the_output_is_a_usage_error(tmp_path, monkeypatch, ca
     with pytest.raises(SystemExit) as e:
         main(["defer", TELEPORT, "-o", "d.json", "--zeta", zeta])
     assert e.value.code == 2
-    assert "--zeta" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qcirc defer") and "--zeta names the same file as -o" in err
     assert not (tmp_path / "d.json").exists()
 
 

@@ -20,7 +20,7 @@ from qcirc.circuit import (
     unitary_gate,
 )
 from qcirc.linalg import CNOT, X
-from qcirc.scheduling import Schedule, greedy_schedule, validate_schedule
+from qcirc.scheduling import Schedule, enumerate_linear_schedules, greedy_schedule, validate_schedule
 
 
 def sources_oracle(c):
@@ -222,6 +222,22 @@ def cyclic_circuit():
 def test_cyclic_circuit_raises(structural):
     with pytest.raises(CircuitError, match="cyclic"):
         structural(cyclic_circuit())
+
+
+@pytest.mark.parametrize(
+    "structural",
+    [
+        topo_order, lambda c: prerequisites(c, "a"), lambda c: ready_gates(c, set()), greedy_schedule,
+        enumerate_linear_schedules,
+    ],
+    ids=["topo_order", "prerequisites", "ready_gates", "greedy_schedule", "enumerate_linear_schedules"],
+)
+def test_duplicate_gate_id_raises(structural):
+    """A circuit built in Python with a repeated id names it; nothing is cyclic."""
+    gates = (unitary_gate("b", [2], X), unitary_gate("a", [0], X), unitary_gate("a", [1], X))
+    c = QuantumCircuit(("r0", "r1", "r2"), gates)
+    with pytest.raises(CircuitError, match="^duplicate gate id 'a'$"):
+        structural(c)
 
 
 def test_cyclic_circuit_has_no_valid_schedule():

@@ -468,35 +468,51 @@ def test_sample_matches_per_seed_runs(seed):
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
-def _default_rng_draws(seeds, n_bouts):
-    return np.array(
-        [[np.random.default_rng((s, t)).random() for t in range(n_bouts)] for s in seeds]
-    ).reshape(len(seeds), n_bouts)
+def splitmix64_draw(seed, t):
+    """Output t + 1 of SplitMix64 from state `seed`, in Python ints, as a double."""
+    x = (int(seed) + (t + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return ((z ^ z >> 31) >> 11) * 2.0**-53
+
+
+def _reference_draws(seeds, n_bouts):
+    return np.array([[splitmix64_draw(s, t) for t in range(n_bouts)] for s in seeds]).reshape(
+        len(seeds), n_bouts
+    )
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(0, 64))
-def test_uniforms_match_default_rng(seeds, n_bouts):
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(0, 65))
+def test_uniforms_match_splitmix64_reference(seeds, n_bouts):
+    want = _reference_draws(seeds, n_bouts)
     got = _uniforms(seeds, n_bouts)
     assert got.dtype == np.float64
-    assert np.array_equal(got, _default_rng_draws(seeds, n_bouts))
+    assert np.array_equal(got, want)
+    assert np.array_equal(_uniforms(np.array(seeds, dtype=np.uint64), n_bouts), want)
 
 
-def test_uniforms_edge_seeds_one_and_two_words_in_one_call():
-    seeds = EDGE_SEEDS + [7, 2**40 + 3, 2**63]
-    want = _default_rng_draws(seeds, 65)
-    assert np.array_equal(_uniforms(seeds, 65), want)
-    assert np.array_equal(_uniforms(np.array(seeds, dtype=np.uint64), 65), want)
+def test_uniforms_edge_seeds():
+    want = _reference_draws(EDGE_SEEDS, 65)
+    assert np.array_equal(_uniforms(EDGE_SEEDS, 65), want)
+    assert np.array_equal(_uniforms(np.array(EDGE_SEEDS, dtype=np.uint64), 65), want)
 
 
-def test_uniforms_fall_back_to_default_rng():
-    seeds = [2**64, 3, 2**100]
-    assert np.array_equal(_uniforms(seeds, 4), _default_rng_draws(seeds, 4))
-    with pytest.raises(ValueError) as want:
-        np.random.default_rng((-1, 0))
-    with pytest.raises(ValueError) as got:
-        _uniforms([5, -1], 3)
-    assert str(got.value) == str(want.value)
+@pytest.mark.parametrize(
+    "bad, error", [(-1, ValueError), (2**64, ValueError), (1.5, TypeError)], ids=["negative", "2**64", "float"]
+)
+def test_uniforms_reject_seeds_outside_the_uint64_range(bad, error):
+    with pytest.raises(error):
+        _uniforms([5, bad], 3)
+
+
+def test_uniforms_of_consecutive_seeds_are_uniform():
+    """Seeds 0..16383 x 4 bouts in 64 equal bins: Pearson's chi-square stays
+    below 131.4, the 1e-6 upper quantile of chi-square with 63 degrees of freedom."""
+    counts = np.bincount((_uniforms(range(2**14), 4) * 64).astype(int).ravel(), minlength=64)
+    expected = 2**16 / 64
+    assert len(counts) == 64
+    assert np.sum((counts - expected) ** 2 / expected) < 131.4
 
 
 def test_uniforms_empty():
@@ -538,7 +554,7 @@ def dense_conjugate(op, registers, sigma, n):
 
 def per_shot_sample_oracle(c, x, rho, seeds, dense=False):
     """The executor before draws were vectorized: each shot walks its own
-    path, drawing a fresh default_rng((seed, t)) per bout and picking the
+    path, drawing u = splitmix64_draw(seed, t) per bout and picking the
     first running weight sum >= u * total; nodes and finals shared by path.
     It walks rho's factor K as A K, or with `dense` the matrix as A rho A^dag."""
     bouts = [tuple(sorted(b, key=c.index_of)) for b in x.bouts]
@@ -553,7 +569,7 @@ def per_shot_sample_oracle(c, x, rho, seeds, dense=False):
             if path not in nodes:
                 nodes[path] = oracle_expand(c, bout, assignment, sigma, step, mass)
             gids, combos, weights, cumulative, total, states = nodes[path]
-            u = np.random.default_rng((seed, t)).random() * total
+            u = splitmix64_draw(seed, t) * total
             pick = next((i for i, a in enumerate(cumulative) if u <= a), len(combos) - 1)
             assignment.update(zip(gids, combos[pick]))
             sigma = states[pick]
