@@ -164,7 +164,7 @@ def cmd_schedules(args) -> int:
 def cmd_defer(args) -> int:
     zeta_path = args.zeta or _default_zeta_path(args.output)
     if os.path.realpath(zeta_path) == os.path.realpath(args.output):  # Path.resolve raises on a symlink loop
-        args.usage_error("defer: --zeta names the same file as -o")
+        args.usage_error("--zeta names the same file as -o")
     c = _load_circuit(args.circuit)
     try:
         result = deferral.defer_measurements(c)

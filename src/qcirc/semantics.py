@@ -250,12 +250,20 @@ def replay(
     return probs, k @ k.conj().T
 
 
+def _seed(s) -> int:
+    """`s` as a Python int; TypeError for a non-integer or a bool."""
+    if isinstance(s, (bool, np.bool_)):
+        raise TypeError("a seed must be an integer, not a bool")
+    return operator.index(s)
+
+
 def _uniforms(seeds, n_bouts: int) -> np.ndarray:
     """U[i, t]: output t + 1 of SplitMix64 (Steele, Lea & Flood 2014) from state
     seeds[i], as (z >> 11) * 2**-53, for all shots and bouts in uint64
-    arithmetic (which wraps modulo 2**64). Seeds are integers in [0, 2**64)."""
+    arithmetic (which wraps modulo 2**64). Seeds are integers in [0, 2**64);
+    a bool is not one."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u"):
-        seeds = [operator.index(s) for s in seeds]  # TypeError for a non-integer
+        seeds = [_seed(s) for s in seeds]
         if not all(0 <= s < 2**64 for s in seeds):
             raise ValueError("seeds must be integers in [0, 2**64)")
     x = np.array(seeds, dtype=np.uint64)[:, None]

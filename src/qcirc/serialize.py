@@ -91,16 +91,19 @@ def dumps(obj) -> str:
     Any other type raises TypeError, as `json` does.
 
     `json.dumps` with an indent never uses CPython's C encoder, so each float
-    of a matrix would go through its pure-Python generator; here all floats of
-    a matrix are filled into one format template instead."""
+    of a matrix would go through its pure-Python generator. Here the walk
+    leaves a gap for each matrix's entries, and `_with_entries` spells the
+    floats of all matrices of the document in one array pass."""
     out: list[str] = []
-    _write(obj, "\n", out)
-    return "".join(out)
+    matrices: list = []
+    _write(obj, "\n", out, matrices)
+    return "".join(_with_entries(out, matrices) if matrices else out)
 
 
-def _write(o, nl: str, out: list) -> None:
+def _write(o, nl: str, out: list, matrices: list) -> None:
     """Append the JSON text of `o` to `out`; `nl` is a newline plus the
-    indent of the line `o` starts on."""
+    indent of the line `o` starts on. A nonempty matrix's entries list is left
+    out, and (its position in `out`, the array, nl) is added to `matrices`."""
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif isinstance(o, (list, tuple)):
@@ -110,7 +113,7 @@ def _write(o, nl: str, out: list) -> None:
         sep, inner = "[", nl + "  "
         for v in o:
             out.append(sep + inner)
-            _write(v, inner, out)
+            _write(v, inner, out, matrices)
             sep = ","
         out.append(nl + "]")
     elif isinstance(o, dict):
@@ -120,11 +123,17 @@ def _write(o, nl: str, out: list) -> None:
         sep, inner = "{", nl + "  "
         for k, v in o.items():
             out.append(f"{sep}{inner}{encode_basestring_ascii(_key(k))}: ")
-            _write(v, inner, out)
+            _write(v, inner, out, matrices)
             sep = ","
         out.append(nl + "}")
     elif isinstance(o, np.ndarray) and o.ndim == 2:
-        _write_matrix(o, nl, out)
+        i1 = nl + "  "
+        out.append(f'{{{i1}"rows": {o.shape[0]},{i1}"cols": {o.shape[1]},{i1}"entries": ')
+        if o.size:
+            matrices.append((len(out), o, nl))
+        else:
+            out.append("[]")
+        out.append(nl + "}")
     else:
         text = _scalar(o)
         if text is None:
@@ -132,19 +141,41 @@ def _write(o, nl: str, out: list) -> None:
         out.append(text)
 
 
-def _write_matrix(m: np.ndarray, nl: str, out: list) -> None:
-    pairs = _float_pairs(m)
-    i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
-    out.append(f'{{{i1}"rows": {m.shape[0]},{i1}"cols": {m.shape[1]},{i1}"entries": ')
-    if len(pairs):
-        flat, spec = pairs.ravel().tolist(), "%r"
-        if not np.isfinite(pairs).all():
-            flat, spec = [_float(x) for x in flat], "%s"
-        pair = f"[{i3}{spec},{i3}{spec}{i2}]"
-        out.extend(("[" + i2, f",{i2}".join([pair] * len(pairs)) % tuple(flat), i1 + "]"))
-    else:
-        out.append("[]")
-    out.append(nl + "}")
+def _with_entries(out: list, matrices: list) -> list:
+    """`out` with each recorded matrix's entries list spliced in, as tokens.
+
+    The floats of all matrices, (re, im) pair by pair, are classified in one
+    array pass: +0.0 and -0.0 take constant strings, and only the others go
+    through `repr` (or `_float`, when any float is NaN or infinite), in one
+    `map`. A matrix's tokens interleave those spellings with the brackets,
+    commas and indents between them, so the document is joined once."""
+    floats = np.concatenate([_float_pairs(m).ravel() for _, m, _ in matrices])
+    nonzero = floats != 0.0
+    negative_zero = np.signbit(floats) & ~nonzero
+    spell = float.__repr__ if np.isfinite(floats).all() else _float
+    spelled = np.array(list(map(spell, floats[nonzero].tolist())), dtype=object)
+    del floats  # freed before the token list grows, so that the two never add up
+    tokens: list[str] = []
+    prev = start = done = 0
+    for at, m, nl in matrices:
+        n = 2 * m.size
+        i2, i3 = nl + "    ", nl + "      "
+        text = np.empty(2 * n + 1, dtype=object)
+        text[0:-1:4] = f"{i2}],{i2}[{i3}"
+        text[2::4] = "," + i3
+        text[0] = f"[{i2}[{i3}"
+        text[-1] = f"{i2}]{nl}  ]"
+        entries = text[1::2]
+        entries.fill("0.0")
+        entries[negative_zero[start : start + n]] = "-0.0"
+        spell_here = nonzero[start : start + n]
+        count = np.count_nonzero(spell_here)
+        entries[spell_here] = spelled[done : done + count]
+        tokens += out[prev:at]
+        tokens += text.tolist()
+        prev, start, done = at, start + n, done + count
+    tokens += out[prev:]
+    return tokens
 
 
 def _float(x: float) -> str:

@@ -18,6 +18,7 @@ from qcirc.circuit import (
 )
 from qcirc.linalg import CNOT, H, X, Z
 from qcirc.scheduling import Poset
+from qcirc.semantics import aggregate_measurement, probability_on
 
 
 def random_unitary(rng, dim):
@@ -252,6 +253,27 @@ def feed_forward_circuit(k):
             ),
         ]
     return QuantumCircuit(("r0", "r1"), tuple(gates))
+
+
+def ghz_circuit(n):
+    """H on q0, a CNOT chain, then a standard measurement of every qubit."""
+    gates = [unitary_gate("h", [0], H)]
+    gates += [unitary_gate(f"cx{i}", [i - 1, i], CNOT) for i in range(1, n)]
+    gates += [standard_measure_gate(f"m{i}", i) for i in range(n)]
+    return QuantumCircuit(tuple(f"q{i}" for i in range(n)), tuple(gates))
+
+
+def aggregate_document(c, rho):
+    """The document `qcirc aggregate --input` prints: each track's outcomes,
+    cumulative operator (as its array) and probability on rho, in track order."""
+    ops = aggregate_measurement(c).operators
+    tracks = sorted(ops, key=lambda t: t.outcomes)
+    return {
+        "tracks": [
+            {"outcomes": f.as_dict(), "operator": ops[f], "probability_on": probability_on(ops[f], rho)}
+            for f in tracks
+        ]
+    }
 
 
 def chain_circuit(n_gates, n=6):

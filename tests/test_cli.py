@@ -461,6 +461,7 @@ def test_cli_defer_zeta_on_the_output_is_a_usage_error(tmp_path, monkeypatch, ca
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: qcirc defer") and "--zeta names the same file as -o" in err
+    assert err.splitlines()[-1] == "qcirc defer: error: --zeta names the same file as -o"
     assert not (tmp_path / "d.json").exists()
 
 

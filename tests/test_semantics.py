@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import feed_forward_circuit, random_circuit
+from corpus import feed_forward_circuit, ghz_circuit, random_circuit
 from qcirc import cli, linalg, semantics
 from qcirc.circuit import (
     QuantumCircuit,
@@ -182,13 +182,6 @@ def test_aggregate_completeness_random():
 
 
 # --- the outcome-tree walker ------------------------------------------------
-
-
-def ghz_circuit(n):
-    gates = [unitary_gate("h", [0], H)]
-    gates += [unitary_gate(f"cx{i}", [i - 1, i], CNOT) for i in range(1, n)]
-    gates += [standard_measure_gate(f"m{i}", i) for i in range(n)]
-    return QuantumCircuit(tuple(f"q{i}" for i in range(n)), tuple(gates))
 
 
 def crossed_order_circuit():
@@ -504,6 +497,20 @@ def test_uniforms_edge_seeds():
 def test_uniforms_reject_seeds_outside_the_uint64_range(bad, error):
     with pytest.raises(error):
         _uniforms([5, bad], 3)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+def test_uniforms_reject_bool_seeds(bad, teleport, bell_input):
+    rho = DensityOperator.from_ket(bell_input[1])
+    x = greedy_schedule(teleport)
+    with pytest.raises(TypeError):
+        _uniforms([5, bad], 3)
+    with pytest.raises(TypeError):
+        _uniforms(np.array([bad]), 3)
+    with pytest.raises(TypeError):
+        sample(teleport, x, rho, [bad])
+    with pytest.raises(TypeError):
+        run(teleport, x, rho, bad)
 
 
 def test_uniforms_of_consecutive_seeds_are_uniform():

@@ -4,6 +4,7 @@ against both."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (
+    aggregate_document,
     feed_forward_circuit,
+    ghz_circuit,
     kraus_correction_circuit,
     random_circuit,
     random_deferrable_circuit,
 )
 from qcirc.deferral import defer_measurements
+from qcirc.linalg import DensityOperator
 from qcirc.serialize import dumps, matrix_to_json, serialize_circuit
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]
@@ -163,3 +167,109 @@ def _writer_cases():
 def test_serialize_circuit_matches_per_entry_encoding(c):
     expected = json.dumps(_per_entry_circuit_json(c), indent=2) + "\n"
     assert serialize_circuit(c) == expected
+
+
+# --- documents with several matrices -----------------------------------------
+
+SUBNORMALS = [5e-324, -5e-324, 2.2250738585072e-308, -1.5e-310, 4.9e-320]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, *SUBNORMALS])
+
+
+@st.composite
+def document_matrices(draw, min_side=0):
+    """Matrices as documents hold them: random finite entries, all +0.0, all
+    -0.0 or subnormals; 0xn and nx0 shapes; plain, transposed and strided."""
+    rows, cols = draw(st.integers(min_side, 4)), draw(st.integers(min_side, 4))
+    size = 2 * rows * cols
+    fill = draw(st.sampled_from(["random", "zeros", "negative-zeros", "subnormals"]))
+    if fill == "zeros":
+        parts = [0.0] * size
+    elif fill == "negative-zeros":
+        parts = [-0.0] * size
+    else:
+        entries = finite_floats if fill == "random" else st.sampled_from(SUBNORMALS)
+        parts = draw(st.lists(entries, min_size=size, max_size=size))
+    m = np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+    view = draw(st.sampled_from(["plain", "transpose", "strided"]))
+    if view == "transpose":
+        return m.T
+    if view == "strided":
+        return m[:, ::2]
+    return m
+
+
+@st.composite
+def non_finite_matrices(draw):
+    """A finite matrix with NaN, inf or -inf in some of its floats."""
+    m = np.ascontiguousarray(draw(document_matrices(min_side=1)), dtype=complex)
+    parts = m.view(np.float64).reshape(-1)
+    for i in draw(st.lists(st.integers(0, parts.size - 1), min_size=1, max_size=3)):
+        parts[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return m
+
+
+document_trees = st.recursive(
+    scalars | document_matrices(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(strings, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def documents(draw):
+    """Several matrices at different depths next to scalars and strings, and
+    at most one matrix with non-finite entries among finite ones."""
+    doc = {
+        "top": draw(document_matrices()),
+        "tracks": [{"operator": draw(document_matrices()), "p": draw(floats)}, draw(document_trees)],
+        "deep": [[{"m": draw(document_matrices()), "s": draw(strings)}]],
+    }
+    if draw(st.booleans()):
+        doc["tracks"].insert(1, {"operator": draw(non_finite_matrices())})
+    return doc
+
+
+def _with_matrix_objects(x):
+    """`x` with every array replaced by its `matrix_to_json` object."""
+    if isinstance(x, np.ndarray):
+        return matrix_to_json(x)
+    if isinstance(x, dict):
+        return {k: _with_matrix_objects(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_with_matrix_objects(v) for v in x]
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_dumps_document_of_several_matrices_matches_json(doc):
+    assert dumps(doc) == json.dumps(_with_matrix_objects(doc), indent=2)
+
+
+@pytest.fixture(scope="module")
+def ghz6_aggregate():
+    """What `qcirc aggregate --input` prints for GHZ-6 from |0...0>: 64 tracks
+    of 64x64 operators, 524160 of their 524288 floats zero."""
+    psi = np.zeros(64, dtype=complex)
+    psi[0] = 1.0
+    return aggregate_document(ghz_circuit(6), DensityOperator.from_ket(psi))
+
+
+def test_dumps_ghz6_aggregate_document_matches_json(ghz6_aggregate):
+    floats = np.concatenate([t["operator"].ravel() for t in ghz6_aggregate["tracks"]]).view(np.float64)
+    assert (floats.size, np.count_nonzero(floats == 0.0)) == (524288, 524160)
+    assert dumps(ghz6_aggregate) == json.dumps(_with_matrix_objects(ghz6_aggregate), indent=2)
+
+
+def test_dumps_ghz6_aggregate_peak_memory(ghz6_aggregate):
+    """The writer's working arrays stay below the text it returns: the
+    tracemalloc peak of one call is at most twice the text plus 4 MiB."""
+    chars = len(dumps(ghz6_aggregate))
+    tracemalloc.start()
+    try:
+        text = dumps(ghz6_aggregate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == chars
+    assert peak <= 2 * chars + 4 * 2**20
