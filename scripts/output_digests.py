@@ -9,8 +9,9 @@ CHECKOUT (default: this repository) for the four workloads at seeds 3, 5 and
 of the run's report, its failed job count and the deferred sizes. Two
 checkouts print the same digests exactly when every job printed the same
 bytes. Given OTHER as well, each row holds both checkouts' columns and says
-whether the digest is the same or changed. It takes about a minute per
-checkout on a 2-vCPU VM.
+whether the digest is the same or changed. Under the table it prints each
+checkout's `src/qcirc/*.py` line count, as `wc -l` totals it. It takes about
+a minute per checkout on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ def digest_row(root: Path, workload: str, seed: int) -> tuple:
             metrics["deferred_registers"]["value"], metrics["deferred_gates"]["value"])
 
 
+def src_lines(root: Path) -> int:
+    """The newline count of `src/qcirc/*.py`, the total `wc -l` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "qcirc").glob("*.py"))
+
+
 def main(argv: list) -> int:
     if len(argv) > 2:
         sys.exit(__doc__)
@@ -50,6 +56,9 @@ def main(argv: list) -> int:
             if len(rows) == 2:
                 cells.append("same" if rows[0][2] == rows[1][2] else "changed")
             print(f"| {workload} | {seed} | " + " | ".join(cells) + " |", flush=True)
+    print()
+    for root in roots:
+        print(f"src/qcirc/*.py lines ({root}): {src_lines(root)}")
     return 0
 
 

@@ -176,7 +176,11 @@ def cmd_defer(args) -> int:
     Path(args.output).write_text(serialize.serialize_circuit(result.circuit))
     sidecar = result.zeta.to_json()
     sidecar["ancillas"] = sorted(result.ancilla_registers)
-    Path(zeta_path).write_text(serialize.dumps(sidecar) + "\n")
+    try:
+        Path(zeta_path).write_text(serialize.dumps(sidecar) + "\n")
+    except OSError:
+        Path(args.output).unlink()  # a deferred circuit without its sidecar cannot be checked
+        raise
     _emit(
         {
             "output": args.output,
@@ -271,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_parser = cache(build_parser)  # the one parser `main` reuses: building costs far more than a parse
+_parser = cache(build_parser)  # reused by `main`: a parse leaves it as built, and building costs far more
 
 
 def main(argv=None) -> int:

@@ -1,21 +1,10 @@
 """Measurement-deferral compiler pass and faithful-simulation checker.
 
-The pass rejects classically controlled measurement gates and builds one
-circuit. A pre-pass over a topological order of the gates decides the
-ancillas and names: every nonstandard measurement becomes a unitary on its
-registers and fresh |0> ancillas, followed by a standard measurement of the
-ancillas that keeps the original outcome labels (plus pads), and a standard
-measurement that directly re-measures the registers of an earlier one is
-dropped. Each measurement carries a read map, from a basis index over the
-registers it sits on to the label its consumers' selectors read, so no
-selector is rewritten. Then one walk over the same order moves every
-measurement to the end: a unitary gate with classical sources becomes a
-unitary quantum-controlled by the registers its sources measure. A register
-the gate acts on that measurements still wait on is first copied to a fresh
-|0> ancilla with a CNOT, and those measurements move onto the copy.
-
-A measurement stays one gate throughout, with its own id and outcome labels,
-so the commensuration maps gate ids to gate ids. The checker is exact by
+`defer_measurements` rewrites a circuit without classically controlled
+measurements into one in which every measurement comes after every unitary;
+`_plan` is its pre-pass, whose read maps spare rewriting any selector. A
+measurement stays one gate throughout, with its own id and outcome labels, so
+the commensuration maps gate ids to gate ids. `check_faithful` is exact by
 default; sampled inputs are an optional cross-check.
 """
 
@@ -264,11 +253,11 @@ def _reindex(index: int, frm: Sequence[int], to: Sequence[int]) -> int:
 
 def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, set, int]:
     """The pre-pass, over the gate ids `order`. A nonstandard measurement
-    with k >= 2 outcomes becomes a unitary `<id>__u` on its registers and
-    ceil(log2 k) fresh |0> ancillas, followed by a standard measurement of the
-    ancillas that keeps its id and labels; unused ancilla states get pad
-    labels and read as the first label. A single-outcome measurement's
-    operator is unitary: it becomes a unitary gate and measures no register.
+    with k >= 2 outcomes becomes the unitary `<id>__u` of `_dilation` on its
+    registers and ceil(log2 k) fresh |0> ancillas, followed by a standard
+    measurement of the ancillas that keeps its id and labels; unused ancilla
+    states get the labels pad0, pad1, ... and read as the first label. A
+    single-outcome measurement becomes a unitary gate and measures no register.
     A standard measurement whose quantum source on every register is one kept
     standard measurement of the same registers is a re-measurement: it is
     dropped and read off the kept one's registers.
@@ -314,17 +303,21 @@ def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, 
 
 def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     """Produce a faithfully-simulating circuit in which no unitary gate has a
-    measurement gate as a prerequisite.
+    measurement gate as a prerequisite; ConstraintError for a classically
+    controlled measurement.
 
     The pre-pass `_plan` and then one walk go over `topo_order(c)`, so a gate
-    list is deferred as its topological order is. The walk moves every
-    measurement to the end. A measurement waits on each of its registers. A
-    unitary takes the measurements waiting on each register r it acts on; if
-    there are any, a CNOT copies r to a fresh |0> ancilla and they move onto
-    the copy. A unitary that got a copy or has classical sources becomes a
-    unitary quantum-controlled by the registers its sources measure now. Out
-    come the unitaries in walk order, each gate's CNOTs just before it, then
-    the measurements sorted by id."""
+    list is deferred, byte for byte, as its topological order is. The walk
+    moves every measurement to the end. A measurement waits on each of its
+    registers. A unitary takes the measurements waiting on each register r it
+    acts on; if there are any, a CNOT `<gate>__cp__<last of them>` copies r to
+    a fresh |0> ancilla and they move onto the copy. A unitary that got a copy
+    or has classical sources becomes a unitary quantum-controlled by the
+    registers its sources measure now: block-diagonal, one block per control
+    basis state, each the op the selector picks for the labels that state
+    reads. One whose sources all became unitaries keeps the op they select.
+    Out come the unitaries in walk order, each gate's CNOTs (sorted by id)
+    just before it, then the measurements sorted by id."""
     check_valid(c)
     bad = constraint_violations(c)
     if bad:
@@ -358,7 +351,6 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
             sources = g.classical_sources
             ctrl = list(dict.fromkeys(w for s in sources for w in regs[s]))
             if cnots or ctrl:
-                # |x>|y> -> |x> (x) U_selector(labels read off x) |y>
                 k, dim = len(ctrl), 2**g.arity
                 big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
                 for x in range(2**k):
@@ -423,8 +415,9 @@ def check_faithful(
     """Verify faithful simulation: every source track's probability and
     principal-register output (ancillas traced out) are reproduced by its
     image under `zeta`, and target tracks outside the image have probability
-    <= tol. A `zeta` that maps a source measurement to no measurement gate of
-    `d` raises ParseError (`bad-sidecar`).
+    <= tol. Before any walk, a `zeta` that maps a source measurement to no
+    measurement gate of `d`, or absorbs anything but a single-outcome
+    measurement of `c`, raises ParseError (`bad-sidecar`).
 
     Without `inputs` the check is exact, for all inputs at once. Let A be a
     source track's operator, B its image's, and V_a = (I (x) <a|) B (I (x) |0>)
@@ -435,11 +428,15 @@ def check_faithful(
     the masses sum |c_a|^2 |A|^2 and |A|^2 must be <= tol; so must |A|^2 for
     an untranslatable track and |B (I (x) |0>)|^2 for an unmatched target
     track. (A mass |A|^2 is the track's probability summed over basis inputs.)
+    Given pure `inputs` (nonempty), both circuits are walked from the stacked
+    inputs (the target's with ancillas |0>), and each input's track
+    probabilities and principal-register states are compared instead; basis
+    inputs alone cannot see a lost phase.
 
-    Given pure `inputs`, both circuits are walked from the stacked inputs (the
-    target's with ancillas |0>), and each input's track probabilities and
-    principal-register states (ancillas traced out) are compared instead.
-    Either way the target is walked once, each leaf compared as it comes."""
+    The source's track operators are held and the target is walked once, on
+    its ancilla-zero columns only, each leaf compared as it comes. Failures
+    come by input: source tracks in source order, then unmatched target
+    tracks. An image the walk never produces raises DeferralError."""
     nc, nd = c.n_registers, d.n_registers
     if d.register_names[:nc] != c.register_names:
         raise DeferralError("deferred circuit does not extend the source registers")
@@ -447,6 +444,9 @@ def check_faithful(
         t = zeta.gates.get(g.id)
         if g.is_measure and g.id not in zeta.absorbed and not (d.has_gate(t) and d.gate(t).is_measure):
             raise _bad_sidecar(f"source measurement {g.id!r} maps to no measurement gate of the target")
+    for gid in sorted(zeta.absorbed):
+        if not (c.has_gate(gid) and len(c.gate(gid).outcome_labels) == 1):
+            raise _bad_sidecar(f"absorbed {gid!r} is not a single-outcome measurement of the source")
 
     if inputs is not None and not len(inputs):
         raise DeferralError("no inputs to check")
@@ -484,7 +484,7 @@ def check_faithful(
             failures[i, 0, j] = _track_failure(*ops_c[j], b, i, tol)
     if preimages:  # images that the walk never produced
         first = ops_c[min(min(js) for js in preimages.values())][0]
-        raise DeferralError(f"translated track {zeta.translate(first)} is not a track of the target")
+        raise DeferralError(f"translated track {zeta.translate(first).as_dict()} is not a track of the target")
     failures = [failures[k] for k in sorted(failures) if failures[k]]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
     return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(ops_c), method)

@@ -213,8 +213,9 @@ def _axes(registers: tuple, n: int) -> tuple[tuple, tuple]:
 
 
 def apply(op: np.ndarray, registers: Sequence[int], t: np.ndarray, n: int) -> np.ndarray:
-    """embed(op, registers, n) @ t for a 2^n x m array t: one transpose brings
-    the registers' tensor axes to the front, and one product contracts them."""
+    """embed(op, registers, n) @ t for a 2^n x m array t, bit for bit the
+    product `np.tensordot` forms: one transpose (cached by `_axes`) brings the
+    registers' tensor axes to the front, and one `np.dot` contracts them."""
     op = as_matrix(op)
     regs = list(registers)
     k = len(regs)

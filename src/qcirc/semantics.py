@@ -112,7 +112,8 @@ def _walk(c: QuantumCircuit, order, t: np.ndarray, assignment: dict):
     from t with outcomes `assignment`, depth first, each selected operator
     applied with `linalg.apply`. A measurement branches on its labels, sorted,
     or follows the one that `assignment` already holds. Pending siblings share
-    their parent's state and apply their own operator when popped."""
+    their parent's state and apply their own operator when popped. This is the
+    only code that selects and applies a gate's operator."""
     stack = [(0, t, assignment, None)]  # (next gate index, state, outcomes, operator not yet applied)
     while stack:
         start, t, assignment, pending = stack.pop()
@@ -236,7 +237,8 @@ def replay(
     c: QuantumCircuit, x: Schedule, f: Track, rho: linalg.DensityOperator
 ) -> tuple[list[float], np.ndarray]:
     """Deterministically walk a schedule along a fixed track, returning the
-    stepwise conditional probabilities and the un-normalized final state."""
+    stepwise conditional probabilities and the un-normalized final state;
+    SemanticsError when the track's probability is 0 before its last bout."""
     _require_fit(c, x)
     assignment = f.as_dict()
     k = rho.factor
@@ -260,8 +262,8 @@ def _seed(s) -> int:
 def _uniforms(seeds, n_bouts: int) -> np.ndarray:
     """U[i, t]: output t + 1 of SplitMix64 (Steele, Lea & Flood 2014) from state
     seeds[i], as (z >> 11) * 2**-53, for all shots and bouts in uint64
-    arithmetic (which wraps modulo 2**64). Seeds are integers in [0, 2**64);
-    a bool is not one."""
+    arithmetic (which wraps modulo 2**64). Seeds are integers in [0, 2**64):
+    TypeError for another type, a bool included, ValueError outside."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u"):
         seeds = [_seed(s) for s in seeds]
         if not all(0 <= s < 2**64 for s in seeds):
@@ -277,19 +279,19 @@ def sample(
     c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seeds: Iterable[int]
 ) -> list[RunResult]:
     """One shot per seed: fire the schedule's bouts in order, sampling
-    measurement outcomes with their conditional probabilities. Deterministic
-    per seed; bout t of the shot with seed s draws u, the SplitMix64 output
-    t + 1 from state s (all draws in one `_uniforms` pass), and picks the
-    first outcome combination whose running weight sum reaches u * total.
-
-    The outcome tree is settled depth first: a node holds the shots that picked
-    the same combinations so far and is expanded once for all of them.
+    measurement outcomes with their conditional probabilities. Bout t of the
+    shot with seed s draws u (`_uniforms`) and picks the first outcome
+    combination whose running weight sum reaches u * total; a path whose
+    trace falls to 1e-300 raises SemanticsError. The outcome tree is settled
+    depth first: a node holds the shots that picked the same combinations so
+    far and is expanded once for all of them, so each shot comes out as it
+    would alone.
 
     The input rho = K K^dag is walked as its factor K: a path with cumulative
     operator A holds A K, weighed by ||A K||_F^2 (= tr(A rho A^dag)), and ends
     as a factored state. Memory: one root-to-leaf path of nodes with their
-    pending siblings (2^n x r arrays), the returned states, and the
-    len(seeds) x bouts draws."""
+    pending siblings (2^n x r arrays; a bout with m measurements expands to
+    its 2^m leaves at once), the returned states, and the draws."""
     if rho.n_qubits != c.n_registers:
         raise SemanticsError(f"state has {rho.n_qubits} qubits, circuit has {c.n_registers} registers")
     _require_fit(c, x)

@@ -91,9 +91,8 @@ def dumps(obj) -> str:
     Any other type raises TypeError, as `json` does.
 
     `json.dumps` with an indent never uses CPython's C encoder, so each float
-    of a matrix would go through its pure-Python generator. Here the walk
-    leaves a gap for each matrix's entries, and `_with_entries` spells the
-    floats of all matrices of the document in one array pass."""
+    of a matrix would go through its pure-Python generator; `_with_entries`
+    spells the floats of all matrices of the document in one array pass."""
     out: list[str] = []
     matrices: list = []
     _write(obj, "\n", out, matrices)
@@ -145,7 +144,8 @@ def _with_entries(out: list, matrices: list) -> list:
     """`out` with each recorded matrix's entries list spliced in, as tokens.
 
     The floats of all matrices, (re, im) pair by pair, are classified in one
-    array pass: +0.0 and -0.0 take constant strings, and only the others go
+    array pass: +0.0 and -0.0 (most entries of the projector-like aggregate
+    operators) take constant strings, and only the others go
     through `repr` (or `_float`, when any float is NaN or infinite), in one
     `map`. A matrix's tokens interleave those spellings with the brackets,
     commas and indents between them, so the document is joined once."""

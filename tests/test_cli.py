@@ -11,9 +11,11 @@ import pytest
 
 from corpus import random_circuit
 from test_deferral import dropped_z_pair
-from qcirc.circuit import QuantumCircuit, standard_measure_gate, unitary_gate
+from qcirc.circuit import Gate, Measurement, QuantumCircuit, standard_measure_gate, unitary_gate
 from qcirc.cli import build_parser, main
 from qcirc.linalg import H
+from qcirc.scheduling import greedy_schedule
+from qcirc.semantics import sample
 from qcirc.serialize import (
     ParseError,
     circuit_to_json,
@@ -136,6 +138,8 @@ def _fresh_parse(argv, capsys):
 
 
 def test_cli_usage_error_leaves_the_shared_parser_as_it_was(capsys):
+    """`main` reuses one parser: a usage error prints what a fresh parser
+    prints and leaves the next command's output unchanged."""
     valid = ["aggregate", TELEPORT, "--input", PSI]
     assert main(valid) == 0
     alone = capsys.readouterr().out
@@ -150,6 +154,7 @@ def test_cli_usage_error_leaves_the_shared_parser_as_it_was(capsys):
 
 
 def test_cli_options_do_not_leak_between_calls(capsys):
+    """`run --shots 5` followed by `run` prints the single-shot output."""
     single = ["run", TELEPORT, "--input", PSI, "--seed", "7"]
     args = build_parser().parse_args(single)
     assert args.fn(args) == 0
@@ -353,6 +358,30 @@ def test_cli_run_shots_golden(capsys):
     assert digest == "4c35e0d5e0172dd11150f00be6d2c77e4dfa91f51b01faaa0b840f8ffa2a46d1"
 
 
+
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+def test_cli_run_draws_the_documented_shot_seeds(capsys, seed):
+    """`run --shots N --seed s` tallies `sample` over the N shot seeds
+    `SeedSequence(s).generate_state(N, uint64)`; single-shot `run --seed s`
+    prints the shot `sample(..., [s])[0]`."""
+    c = parse_circuit(Path(TELEPORT).read_text())
+    rho = state_from_json(json.loads(Path(PSI).read_text()))
+    x = greedy_schedule(c)
+    counts: dict = {}
+    for r in sample(c, x, rho, np.random.SeedSequence(seed).generate_state(300, np.uint64)):
+        counts[r.track.outcomes] = counts.get(r.track.outcomes, 0) + 1
+    assert main(["run", TELEPORT, "--input", PSI, "--seed", str(seed), "--shots", "300"]) == 0
+    tallies = {tuple(sorted(f["outcomes"].items())): f["count"] for f in out_json(capsys)["frequencies"]}
+    assert tallies == counts
+    (shot,) = sample(c, x, rho, [seed])
+    assert main(["run", TELEPORT, "--input", PSI, "--seed", str(seed)]) == 0
+    data = out_json(capsys)
+    assert data["track"] == shot.track.as_dict()
+    assert data["final_state_raw"] == matrix_to_json(shot.final_state.matrix)
+    assert [(s["bout"], s["outcomes"], s["probability"]) for s in data["steps"]] == [
+        (list(b), list(o), p) for b, o, p in shot.step_log
+    ]
+
 def _sha256(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
@@ -473,6 +502,34 @@ def test_cli_defer_to_a_symlink_loop_is_an_io_error(tmp_path, monkeypatch, capsy
     assert json.loads(capsys.readouterr().err)["code"] == "io-error"
 
 
+def test_cli_defer_whose_sidecar_cannot_be_written_leaves_no_circuit(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["defer", TELEPORT, "-o", str(out), "--zeta", str(tmp_path / "missing" / "z.json")]) == 1
+    assert _first_diag(capsys)["code"] == "io-error"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diag_classically_controlled_measurement(tmp_path, capsys):
+    """A measurement gate controlled by an earlier outcome cannot be deferred:
+    one diagnostic naming the gate, and neither output file is written."""
+    pick = Gate(
+        "pick", (1,),
+        measurements={
+            "ma": Measurement("ma", {"a0": np.diag([1.0, 0.0]), "a1": np.diag([0.0, 1.0])}),
+            "mb": Measurement("mb", {"b0": np.diag([1.0, 0.0]), "b1": np.diag([0.0, 1.0])}),
+        },
+        classical_sources=("s",), selector={("0",): "ma", ("1",): "mb"},
+    )
+    circuit = tmp_path / "cc.json"
+    circuit.write_text(serialize_circuit(QuantumCircuit(("q0", "q1"), (standard_measure_gate("s", 0), pick))))
+    assert main(["defer", str(circuit), "-o", str(tmp_path / "out.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    diag = json.loads(captured.err)
+    assert diag["code"] == "classically-controlled-measurement" and "pick" in diag["message"]
+    assert list(tmp_path.iterdir()) == [circuit]
+
+
 def test_cli_transpose_path(capsys):
     assert (
         main(
@@ -545,8 +602,12 @@ def test_cli_old_sidecar_is_still_read(tmp_path, capsys):
         ({"zeta": {"M": "M", "N": "N"}, "labels": {"M": ["0"]}}, "as strings"),
         (_old_sidecar({"M": ["M", "N"], "N": "N"}), "re-run qcirc defer"),
         ({**_old_sidecar({"M": "M", "N": "N"}), "detail": {}}, "re-run qcirc defer"),
+        ({"zeta": {"M": "M", "N": "N"}, "absorbed": ["nope"]}, "not a single-outcome measurement"),
+        ({"zeta": {"M": "M", "N": "N"}, "absorbed": ["H"]}, "not a single-outcome measurement"),
+        ({"zeta": {"M": "M", "N": "N"}, "absorbed": ["M"]}, "not a single-outcome measurement"),
     ],
-    ids=["empty-zeta", "list", "int-target", "labels-list", "old-split", "old-no-tables"],
+    ids=["empty-zeta", "list", "int-target", "labels-list", "old-split", "old-no-tables",
+         "absorbed-unknown", "absorbed-unitary", "absorbed-two-outcomes"],
 )
 def test_cli_bad_sidecar_is_a_diagnostic(tmp_path, capsys, sidecar, message):
     path = tmp_path / "bad.zeta.json"
@@ -827,6 +888,8 @@ DEEP = "[" * 100_000
 
 
 def test_cli_deeply_nested_circuit_is_bad_json(tmp_path, capsys):
+    """JSON nested too deeply for the parser is `bad-json` in a circuit file
+    (and `io-error` in every other file kind, below), exit 1."""
     path = tmp_path / "deep.json"
     path.write_text(DEEP)
     assert main(["validate", str(path)]) == 1
@@ -850,6 +913,8 @@ def test_cli_deeply_nested_file_is_io_error(tmp_path, capsys, kind):
 
 
 def test_teleport_demo_runs():
+    """`scripts/teleport_demo.py` runs end to end and finds the deferred
+    circuit faithful."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))

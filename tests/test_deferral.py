@@ -216,6 +216,7 @@ def test_standardize_single_outcome_absorbs():
     assert validate_circuit(result.circuit) == []
     assert not result.circuit.gate("M").is_measure
     assert result.zeta.absorbed == {"M"}
+    assert check_faithful(c, result.circuit, result.zeta).ok
 
 
 def test_multi_register_standard_stays_one_gate():

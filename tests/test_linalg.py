@@ -1,3 +1,8 @@
+"""Dense linear algebra against independent oracles: the Kronecker product by
+its four-index definition, `embed` and `apply` by basis vectors and `apply`
+bit for bit by the `tensordot`/`moveaxis` contraction, partial traces by
+double sums; and density operators' scaled tolerance and factors."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings

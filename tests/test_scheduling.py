@@ -102,6 +102,7 @@ def test_enumerate_respects_limit(teleport):
 
 
 def test_enumerate_a_chain_longer_than_the_recursion_limit():
+    """The enumeration keeps an explicit stack, not a frame per gate."""
     c = chain_circuit(1100)
     (x,) = enumerate_linear_schedules(c, limit=1)
     assert validate_schedule(c, x)

@@ -439,6 +439,8 @@ def test_run_final_state_matches_track(teleport, bell_input):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_sample_matches_per_seed_runs(seed):
+    """Shots sampled together, repeated seeds included, are the shots run
+    one by one."""
     rng = np.random.default_rng(seed)
     c = random_circuit(rng)
     x = greedy_schedule(c)
@@ -478,6 +480,8 @@ def _reference_draws(seeds, n_bouts):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(0, 65))
 def test_uniforms_match_splitmix64_reference(seeds, n_bouts):
+    """The vectorized draws equal the pure-Python-int SplitMix64 reference
+    element by element, for seed lists and uint64 arrays, up to 65 bouts."""
     want = _reference_draws(seeds, n_bouts)
     got = _uniforms(seeds, n_bouts)
     assert got.dtype == np.float64
@@ -486,6 +490,7 @@ def test_uniforms_match_splitmix64_reference(seeds, n_bouts):
 
 
 def test_uniforms_edge_seeds():
+    """Seeds 0, 1, 2**32 - 1, 2**32 and 2**64 - 1 draw as the reference does."""
     want = _reference_draws(EDGE_SEEDS, 65)
     assert np.array_equal(_uniforms(EDGE_SEEDS, 65), want)
     assert np.array_equal(_uniforms(np.array(EDGE_SEEDS, dtype=np.uint64), 65), want)
@@ -501,6 +506,8 @@ def test_uniforms_reject_seeds_outside_the_uint64_range(bad, error):
 
 @pytest.mark.parametrize("bad", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
 def test_uniforms_reject_bool_seeds(bad, teleport, bell_input):
+    """A Python or numpy bool is not a seed: TypeError in `_uniforms`,
+    `sample` and `run`."""
     rho = DensityOperator.from_ket(bell_input[1])
     x = greedy_schedule(teleport)
     with pytest.raises(TypeError):
@@ -616,6 +623,9 @@ def _mixed_case(corpus_seed):
 
 @pytest.mark.parametrize("corpus_seed", range(12))
 def test_sample_matches_per_shot_oracle(corpus_seed):
+    """`sample` against the per-shot executor with the pure-Python SplitMix64
+    draws, whose nodes are expanded without the walker (`oracle_expand`):
+    same tracks, step logs and final states, bit for bit."""
     c, x, rho, seeds = _mixed_case(corpus_seed)
     want = per_shot_sample_oracle(c, x, rho, seeds)
     _assert_same_shots(sample(c, x, rho, seeds), want)
