@@ -133,9 +133,10 @@ def controlled_unitary_gate(
 class QuantumCircuit:
     """Registers plus a gate sequence. Its structure (register chains, each
     gate's sources, a topological order, and each gate's prerequisites as a
-    bitmask over gate positions and its longest-path depth) is derived once,
-    on first use, and cached on the instance; the structural functions read
-    it. That is sound only because the instance is immutable."""
+    bitmask over gate positions and its longest-path depth) and its
+    validation diagnostics are derived once, on first use, and cached on the
+    instance; the structural functions and `validate_circuit` read them. That
+    is sound only because the instance and its operators are not modified."""
 
     register_names: tuple[str, ...]
     gates: tuple[Gate, ...]
@@ -201,6 +202,10 @@ class QuantumCircuit:
         return out if len(out) == len(self.gates) else None
 
     @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        return tuple(_diagnose(self))
+
+    @cached_property
     def _layers(self) -> tuple[dict[str, int], dict[str, int]]:
         """Per gate: its prerequisites as a bitmask over gate positions, and
         its longest-path depth. Raises CircuitError if the relation is cyclic."""
@@ -254,8 +259,37 @@ def prerequisites(c: QuantumCircuit, gid: str) -> set[str]:
     return c._ids(c._layers[0][c.gate(gid).id])
 
 
+def _verdicts(c: QuantumCircuit) -> tuple[dict[int, bool], dict[int, float]]:
+    """By `id`: whether each operator of its gate's shape is finite, and each
+    measurement's and unitary's max |sum A^dag A - I| (read only when all its
+    operators have that shape), from one `linalg.gram_defects` pass per
+    dimension over the gates of one kind, whose operators validation checks."""
+    groups: dict[int, list] = {}  # dim -> [(measurement or unitary, its operators of that shape)]
+    for g in c.gates:
+        if bool(g.unitaries) != bool(g.measurements):
+            dim = 2**g.arity
+            families = [(m, m.operators.values()) for m in g.measurements.values()]
+            for family, ops in families or [(u, [u.matrix]) for u in g.unitaries.values()]:
+                shaped = [a for a in ops if a.shape == (dim, dim)]
+                if shaped:
+                    groups.setdefault(dim, []).append((family, shaped))
+    finite, defects = {}, {}
+    for entries in groups.values():
+        ops = [a for _, shaped in entries for a in shaped]
+        ok, defect = linalg.gram_defects(np.stack(ops), [len(shaped) for _, shaped in entries])
+        finite.update(zip(map(id, ops), ok.tolist()))
+        defects.update(zip((id(family) for family, _ in entries), defect.tolist()))
+    return finite, defects
+
+
 def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
+    """The circuit's diagnostics, in gate order; computed once per instance."""
+    return list(c._diagnostics)
+
+
+def _diagnose(c: QuantumCircuit) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
+    finite, defects = _verdicts(c)
 
     def err(code: str, where: str, message: str) -> None:
         diags.append(Diagnostic("error", code, where, message))
@@ -302,12 +336,12 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
                         f"operator for outcome {label!r} has shape {a.shape}, expected {dim}x{dim}",
                     )
                     bad_ops = True
-                elif not np.all(np.isfinite(a)):
+                elif not finite[id(a)]:
                     err("non-finite-entry", g.id, f"operator for outcome {label!r} is not finite")
                     bad_ops = True
             if bad_ops:
                 continue
-            defect = m.completeness_defect()
+            defect = defects[id(m)]
             if not defect <= TOL:  # NaN when the sum overflows
                 err("measurement-incomplete", g.id, f"sum A^dag A differs from identity by {defect:.2e}")
         for u in g.unitaries.values():
@@ -317,9 +351,9 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
                     g.id,
                     f"unitary {u.id!r} has shape {u.matrix.shape}, expected {dim}x{dim}",
                 )
-            elif not np.all(np.isfinite(u.matrix)):
+            elif not finite[id(u.matrix)]:
                 err("non-finite-entry", g.id, f"unitary {u.id!r} is not finite")
-            elif not linalg.is_unitary(u.matrix, TOL):
+            elif not defects[id(u)] <= TOL:
                 err("non-unitary-op", g.id, f"operator {u.id!r} is not unitary")
 
         # classical sources and selector totality

@@ -217,26 +217,15 @@ def _basis_labels(g: Gate) -> dict[str, int]:
 def _dilation(kraus: list, dim_anc: int) -> np.ndarray:
     """The system-environment unitary U (e_j (x) |a>) of Kraus operators A_i
     on dim_anc ancilla levels: at a = 0 it is sum_i A_i e_j (x) |i>, the
-    operators stacked, and one Gram-Schmidt pass over the basis vectors, in
-    order, fills the other columns."""
+    operators stacked, and an orthonormal basis of their complement, the last
+    big - dim columns of a complete QR factorization, fills the other columns."""
     dim = kraus[0].shape[0]
     big = dim * dim_anc
     unused = [np.zeros((dim, dim))] * (dim_anc - len(kraus))
     fixed = np.stack(kraus + unused, axis=1).reshape(big, dim) + 0.0  # a zero is written 0.0, not -0.0
-    basis = list(fixed.T)
-    for w in np.eye(big, dtype=complex):
-        if len(basis) == big:
-            break
-        for b in basis:
-            w = w - (b.conj() @ w) * b
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-7:
-            basis.append(w / norm)
-    if len(basis) < big:
-        raise DeferralError("failed to complete isometry to a unitary")
     u = np.empty((big, big), dtype=complex)
     free = np.arange(big) % dim_anc != 0
-    u[:, ~free], u[:, free] = fixed, np.transpose(basis[dim:])
+    u[:, ~free], u[:, free] = fixed, np.linalg.qr(fixed, mode="complete")[0][:, dim:]
     if not linalg.is_unitary(u, 1e-7):
         raise DeferralError("standardization produced a non-unitary completion")
     return u

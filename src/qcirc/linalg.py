@@ -71,10 +71,7 @@ def mat_close(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product fails the comparison
-        return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= tol)
+    return a.shape[0] == a.shape[1] and bool(gram_defects(a[None], [1])[1][0] <= tol)
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
@@ -104,12 +101,27 @@ def qubits(dim: int) -> Optional[int]:
     return dim.bit_length() - 1 if dim > 0 and dim & (dim - 1) == 0 else None
 
 
+def gram_defects(stack: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of d x d operators cut into consecutive families of
+    `counts` (each >= 1): whether each operator is finite, and each family's
+    max |sum A^dag A - I| over the entries (inf or NaN on overflow). The j-th
+    operators of all families are multiplied in one stacked product and added
+    in order, so a family's sum has the bits of adding its products one by one."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    acc = np.zeros((len(counts), *stack.shape[1:]), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(int(counts.max())):
+            rows = stack[starts[counts > j] + j]  # the j-th operator of each family that has one
+            acc[counts > j] += np.conj(np.swapaxes(rows, 1, 2)) @ rows
+        return np.isfinite(stack).all(axis=(1, 2)), np.abs(acc - np.eye(stack.shape[1])).max(axis=(1, 2))
+
+
 def completeness_defect(ops: Iterable[np.ndarray]) -> float:
     """max |sum A^dag A - I| over the entries, for a nonempty family of
     operators of one shape; inf or NaN when the sum overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = sum(a.conj().T @ a for a in ops)
-        return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+    stack = np.stack(list(ops))
+    return float(gram_defects(stack, [len(stack)])[1][0])
 
 
 def ket_to_density(psi) -> np.ndarray:

@@ -940,3 +940,26 @@ def test_faithful_scale_runs():
     for r in lines:
         assert r["k"] == 3 and r["target_registers"] == 4 and r["tracks"] == 8 and r["ok"] is True
         assert r["seconds"] >= 0 and r["peak_mib"] > 0
+
+
+@pytest.mark.parametrize(
+    "script, names",
+    [
+        ("parse_bench.py", ["shots", "denote", "compile", "structure"]),
+        ("dumps_bench.py", ["ghz6_aggregate", "structure_run", "dense_pair", "ff5_deferred"]),
+    ],
+)
+def test_timing_scripts_run(script, names):
+    """Each timing script prints one line of best-of-N milliseconds per
+    corpus or document."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--repeat", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == names
+    assert all(line.endswith(" ms") for line in lines)

@@ -357,6 +357,28 @@ def test_defer_random_deferrable_circuits(seed):
     assert report.ok, (seed, report.failures)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-13, 5e-10))
+def test_defer_kraus_measurement_complete_within_tolerance(seed, eps):
+    """A valid three-outcome Kraus measurement with sum A^dag A = (1 + eps) I
+    dilates to a unitary that is valid as well, and the result is faithful."""
+    rng = np.random.default_rng(seed)
+    v = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0] * np.sqrt(1 + eps)
+    c = QuantumCircuit(
+        ("r0", "r1"),
+        (
+            unitary_gate("U", [0], H),
+            measure_gate("M", [0], {f"k{i}": v[2 * i : 2 * i + 2] for i in range(3)}),
+            controlled_unitary_gate(
+                "G", [1], ["M"], {"I": np.eye(2), "X": X}, {("k0",): "I", ("k1",): "X", ("k2",): "X"}
+            ),
+        ),
+    )
+    assert validate_circuit(c) == []
+    result = defer_measurements(c)
+    assert check_faithful(c, result.circuit, result.zeta).ok
+
+
 def test_out_of_image_tracks_have_zero_probability():
     c = shared_register_circuit()
     result = defer_measurements(c)
@@ -451,7 +473,7 @@ def test_standardized_circuits_are_pinned():
         result = defer_measurements(kraus_correction_circuit(np.random.default_rng([9, i])))
         sidecar = {**result.zeta.to_json(), "ancillas": sorted(result.ancilla_registers)}
         digest.update((serialize_circuit(result.circuit) + dumps(sidecar) + "\n").encode())
-    assert digest.hexdigest() == "c4d61c76ab1d08a69f0d8c6ecc5a2bcbdd83b4347096fb8015f548c47400d15c"
+    assert digest.hexdigest() == "81972ada0d38c71e30cc0d49a2593df28bec27920b5534e61ee111ea10bef098"
 
 
 def test_deferred_circuits_are_pinned():
@@ -465,7 +487,7 @@ def test_deferred_circuits_are_pinned():
         result = defer_measurements(random_deferrable_circuit(np.random.default_rng([17, i]), 4, 9))
         sidecar = {**result.zeta.to_json(), "ancillas": sorted(result.ancilla_registers)}
         digest.update((serialize_circuit(result.circuit) + dumps(sidecar) + "\n").encode())
-    assert digest.hexdigest() == "9dced8aa8422dcb734460944c92560a9a3d4109a32da79ec91715dc4a830532d"
+    assert digest.hexdigest() == "ef403eadaf4a6349018ef7cbd842aa5a6bb17bd7a9d42a408e7c6a833d9ab948"
 
 
 ORDER_CASES = {
