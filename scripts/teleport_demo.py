@@ -20,6 +20,7 @@ from qcirc import (
     sample,
     track_probability,
 )
+from qcirc.semantics import splitmix64
 
 
 def main():
@@ -38,8 +39,8 @@ def main():
     x = greedy_schedule(c)
     shots = 4000
     counts = {}
-    seeds = np.random.SeedSequence(7).generate_state(shots, dtype=np.uint64)
-    for r in sample(c, x, rho, [int(s) for s in seeds]):
+    # the shots of `qcirc run --shots 4000 --seed 7`
+    for r in sample(c, x, rho, splitmix64([7], shots)[0]):
         counts[r.track] = counts.get(r.track, 0) + 1
     print(f"{shots} shots:")
     for f in sorted(counts, key=lambda t: t.outcomes):

@@ -12,8 +12,6 @@ import sys
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
 from . import deferral, scheduling, semantics, serialize
 from .circuit import CircuitError
 from .linalg import DensityOperator, LinalgError
@@ -95,6 +93,8 @@ def cmd_validate(args) -> int:
 def cmd_aggregate(args) -> int:
     c = _load_circuit(args.circuit)
     rho = _load_state(args.input) if args.input else None
+    if rho is not None:
+        semantics.check_state(rho, c.n_registers)  # before any track operator is built
     agg = semantics.aggregate_measurement(c)
     tracks = []
     for f in sorted(agg.operators, key=lambda t: t.outcomes):
@@ -136,8 +136,7 @@ def cmd_run(args) -> int:
         )
         return 0
     counts: dict[tuple, int] = {}
-    shot_seeds = np.random.SeedSequence(args.seed).generate_state(args.shots, dtype=np.uint64)
-    for result in semantics.sample(c, x, rho, shot_seeds):
+    for result in semantics.sample(c, x, rho, semantics.splitmix64([args.seed], args.shots)[0]):
         counts[result.track.outcomes] = counts.get(result.track.outcomes, 0) + 1
     _emit(
         {
@@ -163,8 +162,12 @@ def cmd_schedules(args) -> int:
 
 def cmd_defer(args) -> int:
     zeta_path = args.zeta or _default_zeta_path(args.output)
-    if os.path.realpath(zeta_path) == os.path.realpath(args.output):  # Path.resolve raises on a symlink loop
+    # Path.resolve raises on a symlink loop; realpath does not
+    src, out, zeta = map(os.path.realpath, (args.circuit, args.output, zeta_path))
+    if zeta == out:
         args.usage_error("--zeta names the same file as -o")
+    if src in (out, zeta):
+        args.usage_error(f"{'-o' if src == out else 'the sidecar path'} names the CIRCUIT file")
     c = _load_circuit(args.circuit)
     try:
         result = deferral.defer_measurements(c)

@@ -28,7 +28,7 @@ from .circuit import (
     topo_order,
     unitary_gate,
 )
-from .semantics import Track, track_operators, walk_tracks
+from .semantics import Track, _uniforms, track_operators, walk_tracks
 from .serialize import ParseError
 
 TOL = linalg.DEFAULT_TOL
@@ -389,9 +389,12 @@ def basis_inputs(n: int) -> list[np.ndarray]:
 
 
 def random_pure_inputs(n: int, count: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    kets = [rng.normal(size=2**n) + 1j * rng.normal(size=2**n) for _ in range(count)]
-    return [v / np.linalg.norm(v) for v in kets]
+    """`count` Haar-random unit kets on n qubits: u0, u1 = `_uniforms([seed], ...)`
+    give each amplitude sqrt(-2 log(1 - u0)) e^(2 pi i u1) (Box-Muller), then
+    each ket is normalized."""
+    u0, u1 = _uniforms([seed], 2 * count * 2**n).reshape(2, count, 2**n)
+    kets = np.sqrt(-2 * np.log1p(-u0)) * np.exp(2j * np.pi * u1)
+    return list(kets / np.linalg.norm(kets, axis=1, keepdims=True))
 
 
 def check_faithful(

@@ -224,11 +224,15 @@ def track_probability(c: QuantumCircuit, f: Track, rho: linalg.DensityOperator) 
     return probability_on(cumulative_operator(c, greedy_schedule(c), f), rho)
 
 
-def probability_on(op: np.ndarray, rho: linalg.DensityOperator) -> float:
-    """tr(A rho A^dag) / tr(rho) for a track's cumulative operator A."""
-    n = op.shape[0].bit_length() - 1
+def check_state(rho: linalg.DensityOperator, n: int) -> None:
+    """SemanticsError unless rho is a state of the circuit's n registers."""
     if rho.n_qubits != n:
         raise SemanticsError(f"state has {rho.n_qubits} qubits, circuit has {n} registers")
+
+
+def probability_on(op: np.ndarray, rho: linalg.DensityOperator) -> float:
+    """tr(A rho A^dag) / tr(rho) for a track's cumulative operator A."""
+    check_state(rho, op.shape[0].bit_length() - 1)
     p = linalg.trace(op @ rho.matrix @ op.conj().T).real / linalg.trace(rho.matrix).real
     return float(min(max(p, 0.0), 1.0))
 
@@ -259,20 +263,25 @@ def _seed(s) -> int:
     return operator.index(s)
 
 
-def _uniforms(seeds, n_bouts: int) -> np.ndarray:
-    """U[i, t]: output t + 1 of SplitMix64 (Steele, Lea & Flood 2014) from state
-    seeds[i], as (z >> 11) * 2**-53, for all shots and bouts in uint64
-    arithmetic (which wraps modulo 2**64). Seeds are integers in [0, 2**64):
-    TypeError for another type, a bool included, ValueError outside."""
+def splitmix64(seeds, count: int) -> np.ndarray:
+    """Z[i, t]: output t + 1 of SplitMix64 (Steele, Lea & Flood 2014) from state
+    seeds[i], for all seeds and t < count in uint64 arithmetic (which wraps
+    modulo 2**64). Seeds are integers in [0, 2**64): TypeError for another
+    type, a bool included, ValueError outside. Every seeded draw comes from here."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u"):
         seeds = [_seed(s) for s in seeds]
         if not all(0 <= s < 2**64 for s in seeds):
             raise ValueError("seeds must be integers in [0, 2**64)")
     x = np.array(seeds, dtype=np.uint64)[:, None]
-    x = x + np.arange(1, n_bouts + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    x = x + np.arange(1, count + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
     z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9
     z = (z ^ z >> 27) * 0x94D049BB133111EB
-    return ((z ^ z >> 31) >> 11) * 2.0**-53
+    return z ^ z >> 31
+
+
+def _uniforms(seeds, count: int) -> np.ndarray:
+    """U[i, t] = (Z[i, t] >> 11) * 2**-53 of `splitmix64`, a double in [0, 1)."""
+    return (splitmix64(seeds, count) >> 11) * 2.0**-53
 
 
 def sample(
@@ -292,8 +301,7 @@ def sample(
     as a factored state. Memory: one root-to-leaf path of nodes with their
     pending siblings (2^n x r arrays; a bout with m measurements expands to
     its 2^m leaves at once), the returned states, and the draws."""
-    if rho.n_qubits != c.n_registers:
-        raise SemanticsError(f"state has {rho.n_qubits} qubits, circuit has {c.n_registers} registers")
+    check_state(rho, c.n_registers)
     _require_fit(c, x)
     bouts = [_order(c, [b]) for b in x.bouts]
     u = _uniforms(seeds, len(bouts))

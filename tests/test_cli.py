@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus import random_circuit
+from corpus import ghz_circuit, random_circuit
 from test_deferral import dropped_z_pair
+from test_semantics import splitmix64_output
 from qcirc.circuit import Gate, Measurement, QuantumCircuit, standard_measure_gate, unitary_gate
 from qcirc.cli import build_parser, main
 from qcirc.linalg import H
@@ -350,25 +351,25 @@ def test_cli_run_deterministic_output(capsys):
 
 
 def test_cli_run_shots_golden(capsys):
-    """Shot counts are pinned to the digest printed once every bout drew its
-    u from the shot seed's SplitMix64 stream (the counts are 956/1013/993/1038
-    against 1000 each)."""
+    """Shot counts are pinned to the digest printed once the shot seeds, too,
+    came from SplitMix64 (the counts are 975/1032/982/1011 against 1000 each)."""
     assert main(["run", TELEPORT, "--input", PSI, "--seed", "7", "--shots", "4000"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "4c35e0d5e0172dd11150f00be6d2c77e4dfa91f51b01faaa0b840f8ffa2a46d1"
+    assert digest == "9c8e70aacaab1c1e9a89c5c5bdfc6409004881619aeeef91245cab8a27de5354"
 
 
 
 @pytest.mark.parametrize("seed", [7, 2**64 - 1])
 def test_cli_run_draws_the_documented_shot_seeds(capsys, seed):
     """`run --shots N --seed s` tallies `sample` over the N shot seeds
-    `SeedSequence(s).generate_state(N, uint64)`; single-shot `run --seed s`
-    prints the shot `sample(..., [s])[0]`."""
+    `splitmix64_output(s, i)`, i < N: the first N outputs of seed s's
+    SplitMix64 stream. Single-shot `run --seed s` prints the shot
+    `sample(..., [s])[0]`."""
     c = parse_circuit(Path(TELEPORT).read_text())
     rho = state_from_json(json.loads(Path(PSI).read_text()))
     x = greedy_schedule(c)
     counts: dict = {}
-    for r in sample(c, x, rho, np.random.SeedSequence(seed).generate_state(300, np.uint64)):
+    for r in sample(c, x, rho, [splitmix64_output(seed, i) for i in range(300)]):
         counts[r.track.outcomes] = counts.get(r.track.outcomes, 0) + 1
     assert main(["run", TELEPORT, "--input", PSI, "--seed", str(seed), "--shots", "300"]) == 0
     tallies = {tuple(sorted(f["outcomes"].items())): f["count"] for f in out_json(capsys)["frequencies"]}
@@ -397,7 +398,7 @@ def _sha256(data) -> str:
          "216d31eee5de3f49c39216e41dea9ce2e1daaffdf1c911ef67358b9378b3214a"),
         (["run", TELEPORT, "--input", PSI, "--seed", str(2**64 - 1), "--shots", "500",
           "--schedule", str(FIXTURES / "schedule.json")],
-         "8889ce4db9bbd229b9806c0addbbccc032c6d71aba136cb9eb5214c3a49449ef"),
+         "7e6823b5a737f42fb7f9217efe44127919098e1db54a8f7e200994212f79e039"),
     ],
     ids=["aggregate", "run-single", "schedules", "run-shots-schedule-max-seed"],
 )
@@ -492,6 +493,32 @@ def test_cli_defer_zeta_on_the_output_is_a_usage_error(tmp_path, monkeypatch, ca
     assert err.startswith("usage: qcirc defer") and "--zeta names the same file as -o" in err
     assert err.splitlines()[-1] == "qcirc defer: error: --zeta names the same file as -o"
     assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, flags, message",
+    [
+        ("t.json", ["-o", "t.json"], "-o names the CIRCUIT file"),
+        ("t.json", ["-o", "./sub/../t.json", "--zeta", "z.json"], "-o names the CIRCUIT file"),
+        ("t.json", ["-o", "d.json", "--zeta", "t.json"], "the sidecar path names the CIRCUIT file"),
+        ("t.zeta.json", ["-o", "t"], "the sidecar path names the CIRCUIT file"),
+    ],
+    ids=["output", "output-parent", "zeta", "default-zeta"],
+)
+def test_cli_defer_onto_its_own_circuit_is_a_usage_error(tmp_path, monkeypatch, capsys, name, flags, message):
+    """An output or sidecar path naming the source circuit would leave nothing
+    to check the deferral against; it is refused before anything is written,
+    and the source keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    source = Path(TELEPORT).read_bytes()
+    (tmp_path / name).write_bytes(source)
+    with pytest.raises(SystemExit) as e:
+        main(["defer", name, *flags])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"qcirc defer: error: {message}"
+    assert (tmp_path / name).read_bytes() == source
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sub", name])
 
 
 def test_cli_defer_to_a_symlink_loop_is_an_io_error(tmp_path, monkeypatch, capsys):
@@ -638,6 +665,25 @@ def test_cli_schedule_naming_an_unknown_gate_is_invalid(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["code"] == "invalid-schedule"
+
+
+def test_cli_aggregate_rejects_a_wrong_size_state_before_the_walk(tmp_path, monkeypatch, capsys):
+    """A 1-qubit state against GHZ-7 is a `semantic-error` before any of the
+    128 track operators is built: `linalg.apply` is never called."""
+    from qcirc import linalg
+
+    circuit, state = tmp_path / "ghz7.json", tmp_path / "ket.json"
+    circuit.write_text(serialize_circuit(ghz_circuit(7)))
+    state.write_text(json.dumps({"ket": [[1.0, 0.0], [0.0, 0.0]]}))
+    calls = []
+    apply = linalg.apply
+    monkeypatch.setattr(linalg, "apply", lambda *args: calls.append(1) or apply(*args))
+    assert main(["aggregate", str(circuit), "--input", str(state)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert json.loads(captured.err) == {
+        "severity": "error", "code": "semantic-error", "message": "state has 1 qubits, circuit has 7 registers"
+    }
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 16.0 GiB for an array", ""], ids=["numpy", "bare"])

@@ -1,4 +1,6 @@
+import cmath
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from corpus import (
     random_deferrable_circuit,
     random_kraus_family,
 )
+from test_semantics import splitmix64_draw
 from qcirc.circuit import (
     Measurement,
     QuantumCircuit,
@@ -266,6 +269,42 @@ def test_defer_teleport_faithful(teleport):
         basis_inputs(3) + random_pure_inputs(3, 5, seed=1),
     )
     assert report.ok, report.failures
+
+
+def box_muller_inputs(n, count, seed):
+    """`random_pure_inputs` in `math`/`cmath` on the pure-Python SplitMix64
+    reference: draw t < count * 2**n is the radius of amplitude t (row-major
+    over kets), draw count * 2**n + t its phase."""
+    dim = 2**n
+    u = [splitmix64_draw(seed, t) for t in range(2 * count * dim)]
+    kets = []
+    for k in range(count):
+        amps = [
+            math.sqrt(-2 * math.log1p(-u[k * dim + j])) * cmath.exp(2j * math.pi * u[(count + k) * dim + j])
+            for j in range(dim)
+        ]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        kets.append([a / norm for a in amps])
+    return kets
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 4), st.integers(0, 2**64 - 1))
+def test_random_pure_inputs_match_box_muller_reference(n, count, seed):
+    """The inputs are the reference's Box-Muller kets, to rounding, and unit vectors."""
+    got = random_pure_inputs(n, count, seed)
+    assert len(got) == count
+    assert all(v.shape == (2**n,) and v.dtype == complex for v in got)
+    assert np.allclose(got, box_muller_inputs(n, count, seed), rtol=0, atol=1e-13)
+    assert np.allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+def test_random_pure_inputs_spread_evenly_over_the_basis():
+    """Over 20000 two-qubit inputs each mean |psi_j|^2 is within 0.01 of 1/4,
+    its Haar value (about 7 standard errors of 0.0014)."""
+    psi = np.array(random_pure_inputs(2, 20000, seed=0))
+    assert np.all(np.abs(np.mean(np.abs(psi) ** 2, axis=0) - 0.25) < 0.01)
+    assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 def test_defer_is_identity_without_red_gates():

@@ -24,3 +24,29 @@ def test_module_imports_only_stdlib_numpy_and_qcirc(path):
     assert roots, "no import found"
     allowed = sys.stdlib_module_names | {"numpy", "qcirc"}
     assert roots <= allowed, f"{path.name} imports {sorted(roots - allowed)}"
+
+
+def _numpy_random_uses(tree):
+    """Line numbers of `np.random`/`numpy.random` attributes and of imports
+    that bring in `numpy.random` (`import numpy.random`, `from numpy.random
+    import ...`, `from numpy import random`)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.random") for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            if node.module.startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+            ):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_draws_nothing_from_numpy_random(path):
+    """Every seeded draw comes from `semantics.splitmix64`, whose bits no numpy
+    release can change; `numpy.random`'s `Generator` methods are not frozen."""
+    lines = list(_numpy_random_uses(ast.parse(path.read_text(), str(path))))
+    assert not lines, f"{path.name} uses numpy.random on lines {lines}"

@@ -30,6 +30,7 @@ from qcirc.semantics import (
     SemanticsError,
     Track,
     _uniforms,
+    splitmix64,
     aggregate_measurement,
     bout_operator,
     cumulative_operator,
@@ -463,12 +464,17 @@ def test_sample_matches_per_seed_runs(seed):
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
-def splitmix64_draw(seed, t):
-    """Output t + 1 of SplitMix64 from state `seed`, in Python ints, as a double."""
+def splitmix64_output(seed, t):
+    """Output t + 1 of SplitMix64 from state `seed`, in Python ints."""
     x = (int(seed) + (t + 1) * 0x9E3779B97F4A7C15) % 2**64
     z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
     z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
-    return ((z ^ z >> 31) >> 11) * 2.0**-53
+    return z ^ z >> 31
+
+
+def splitmix64_draw(seed, t):
+    """Output t + 1 of SplitMix64 from state `seed`, in Python ints, as a double."""
+    return (splitmix64_output(seed, t) >> 11) * 2.0**-53
 
 
 def _reference_draws(seeds, n_bouts):
@@ -527,6 +533,29 @@ def test_uniforms_of_consecutive_seeds_are_uniform():
     expected = 2**16 / 64
     assert len(counts) == 64
     assert np.sum((counts - expected) ** 2 / expected) < 131.4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(0, 65))
+def test_splitmix64_matches_reference(seeds, count):
+    """The raw uint64 outputs equal the pure-Python-int reference element by
+    element, for seed lists and uint64 arrays."""
+    want = np.array([[splitmix64_output(s, t) for t in range(count)] for s in seeds], dtype=np.uint64)
+    want = want.reshape(len(seeds), count)
+    for given_seeds in (seeds, np.array(seeds, dtype=np.uint64)):
+        got = splitmix64(given_seeds, count)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+
+def test_splitmix64_edge_seeds():
+    """Seeds 0 and 2**64 - 1 (among others) give the reference outputs; the
+    uniforms are exactly their top 53 bits."""
+    want = [[splitmix64_output(s, t) for t in range(65)] for s in EDGE_SEEDS]
+    for given_seeds in (EDGE_SEEDS, np.array(EDGE_SEEDS, dtype=np.uint64)):
+        got = splitmix64(given_seeds, 65)
+        assert got.tolist() == want
+        assert np.array_equal((got >> 11) * 2.0**-53, _uniforms(EDGE_SEEDS, 65))
 
 
 def test_uniforms_empty():
