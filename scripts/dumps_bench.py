@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Best-of-N wall time of `serialize.dumps` on four fixed documents.
 
-    PYTHONPATH=src python3 scripts/dumps_bench.py [--repeat N]
+    python3 scripts/dumps_bench.py [--repeat N]
 
 The documents cover the shapes qcirc writes:
 - `ghz6_aggregate`: what `qcirc aggregate --input` prints for GHZ-6 from
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
 from corpus import aggregate_document, feed_forward_circuit, ghz_circuit  # noqa: E402

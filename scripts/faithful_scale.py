@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time and memory of the faithfulness check on a deferred feed-forward circuit.
 
-    PYTHONPATH=src python3 scripts/faithful_scale.py K [--inputs N]
+    python3 scripts/faithful_scale.py K [--inputs N]
 
 Builds `feed_forward_circuit(K)` from `tests/corpus.py` (K rounds of H,
 a standard measurement and a classically controlled X), defers it, and runs
@@ -21,7 +21,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import feed_forward_circuit
 from qcirc.deferral import check_faithful, defer_measurements, random_pure_inputs

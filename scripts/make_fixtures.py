@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import make_teleportation
 from qcirc import serialize_circuit
@@ -14,7 +15,7 @@ from qcirc.scheduling import greedy_schedule
 from qcirc.serialize import poset_to_json, schedule_to_json
 from qcirc.scheduling import Poset
 
-FIXTURES = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def write(name, text):

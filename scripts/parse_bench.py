@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Best-of-N wall time of reading and of validating each benchmark corpus.
 
-    PYTHONPATH=src python3 scripts/parse_bench.py [--repeat N]
+    python3 scripts/parse_bench.py [--repeat N]
 
 For each workload of `perfbench/workloads.py` this generates the seed-3
 corpus in a temporary directory, reads back every circuit file in it, and
@@ -24,7 +24,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from qcirc import cli, serialize  # noqa: E402

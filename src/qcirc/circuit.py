@@ -132,8 +132,9 @@ def controlled_unitary_gate(
 @dataclass(frozen=True, eq=False)
 class QuantumCircuit:
     """Registers plus a gate sequence. Its structure (register chains, each
-    gate's sources, a topological order, and each gate's prerequisites as a
-    bitmask over gate positions and its longest-path depth) and its
+    gate's sources, a topological order, each gate's prerequisites as a
+    bitmask over gate positions and its longest-path depth, the unitaries
+    that follow a measurement, and whether it is in terminal form) and its
     validation diagnostics are derived once, on first use, and cached on the
     instance; the structural functions and `validate_circuit` read them. That
     is sound only because the instance and its operators are not modified."""
@@ -218,6 +219,26 @@ class QuantumCircuit:
             depth[gid] = max((depth[s] + 1 for s in srcs), default=0)
         return prereq, depth
 
+    @cached_property
+    def _red(self) -> frozenset:
+        """Unitary gates with a measurement gate among their prerequisites.
+        Raises CircuitError if the relation is cyclic."""
+        measured, prereq = self._mask(g.id for g in self.gates if g.is_measure), self._layers[0]
+        return frozenset(g.id for g in self.gates if not g.is_measure and prereq[g.id] & measured)
+
+    @cached_property
+    def _terminal(self) -> bool:
+        """Whether the circuit is in terminal form, one unitary U and then a
+        standard-basis measurement: no gate has classical sources, no unitary
+        has a measurement among its prerequisites (a measurement may follow a
+        measurement), and every measurement's operators are diagonal with
+        entries exactly 0 or 1 whose diagonals partition the basis states.
+        Raises CircuitError if the relation is cyclic."""
+        return not any(g.classical_sources for g in self.gates) and not self._red and all(
+            _selects_basis_states(list(m.operators.values()), 2**g.arity)
+            for g in self.gates for m in g.measurements.values()
+        )
+
     def _mask(self, ids: Iterable[str]) -> int:
         """Bitmask over gate positions of the known gate ids among `ids`."""
         return sum(1 << self._index[i] for i in set(ids) if i in self._index)
@@ -241,6 +262,15 @@ class QuantumCircuit:
 
     def edges(self) -> set[tuple[str, str]]:
         return {(s, gid) for gid, srcs in self._wiring[2].items() for s in srcs}
+
+
+def _selects_basis_states(ops: list, dim: int) -> bool:
+    """Whether `ops` are dim x dim matrices with entries 0 or 1 that add up
+    to the identity: diagonal, each basis state selected by exactly one."""
+    if not ops or any(a.shape != (dim, dim) for a in ops):
+        return False
+    stack = np.stack(ops)
+    return bool(((stack == 0) | (stack == 1)).all()) and np.array_equal(stack.sum(axis=0), np.eye(dim))
 
 
 def topo_order(c: QuantumCircuit) -> list[str]:

@@ -5,7 +5,10 @@ measurements into one in which every measurement comes after every unitary;
 `_plan` is its pre-pass, whose read maps spare rewriting any selector. A
 measurement stays one gate throughout, with its own id and outcome labels, so
 the commensuration maps gate ids to gate ids. `check_faithful` is exact by
-default; sampled inputs are an optional cross-check.
+default; sampled inputs are an optional cross-check. A target in terminal
+form, as every circuit the pass rewrites is, is checked as one unitary: its
+tracks are row groups of W = U (I (x) |0>), compared in one batched array
+pass.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from .circuit import (
     topo_order,
     unitary_gate,
 )
-from .semantics import Track, _uniforms, track_operators, walk_tracks
+from .semantics import Track, _uniforms, track_operators, track_rows
 from .serialize import ParseError
 
 TOL = linalg.DEFAULT_TOL
+STATE_BLOCK = 2**16  # reduced-state entries compared at a time by the input check
 
 
 class DeferralError(ValueError):
@@ -78,8 +82,7 @@ def classify_measurement(m: Measurement, tol: float = TOL) -> MeasurementClass:
 def red_gates(c: QuantumCircuit) -> set[str]:
     """Unitary gates with a measurement gate among their prerequisites.
     Empty iff the circuit satisfies the deferral requirement."""
-    measured, prereq = c._mask(g.id for g in c.gates if g.is_measure), c._layers[0]
-    return {g.id for g in c.gates if not g.is_measure and prereq[g.id] & measured}
+    return set(c._red)
 
 
 def constraint_violations(c: QuantumCircuit) -> list[str]:
@@ -426,9 +429,12 @@ def check_faithful(
     inputs alone cannot see a lost phase.
 
     The source's track operators are held and the target is walked once, on
-    its ancilla-zero columns only, each leaf compared as it comes. Failures
-    come by input: source tracks in source order, then unmatched target
-    tracks. An image the walk never produces raises DeferralError."""
+    its ancilla-zero columns only, through `track_rows`: a terminal-form
+    target is one piece, W = U (I (x) |0>) psi with its rows grouped by track,
+    and any other target gives one piece per leaf. Each piece goes through
+    one batched comparison (`_piece_failures`). Failures come by input:
+    source tracks in source order, then unmatched target tracks. An image the
+    walk never produces raises DeferralError."""
     nc, nd = c.n_registers, d.n_registers
     if d.register_names[:nc] != c.register_names:
         raise DeferralError("deferred circuit does not extend the source registers")
@@ -456,24 +462,19 @@ def check_faithful(
             raise DeferralError(f"input {i} has zero or non-finite norm")
         psi[:, i] = v / norm
     ops_c = track_operators(c, psi)
+    src = np.array([a for _, a in ops_c]).reshape(-1, *psi.shape)  # A_f psi, stacked
+    pc = np.sum(src.real**2 + src.imag**2, axis=1)  # each source track's probability per input column
     preimages: dict = {}  # image under zeta (None: untranslatable) -> positions of its source tracks
     for j, (f, _) in enumerate(ops_c):
         preimages.setdefault(zeta.translate(f), []).append(j)
     cols = [None] if inputs is None else range(len(inputs))  # None: the exact check
     failures = {}  # (input, 0, source position) or (input, 1, target sort key) -> failure or None, in report order
     for j, i in itertools.product(preimages.pop(None, []), cols):
-        f, a = ops_c[j]
-        p = float(np.vdot(a, a).real) if i is None else float(np.linalg.norm(a[:, i]) ** 2)
-        failures[i, 0, j] = _weight_failure("untranslatable-track-probability", i, f, p, tol)
+        p = float(pc[j].sum() if i is None else pc[j, i])
+        failures[i, 0, j] = _weight_failure("untranslatable-track-probability", i, ops_c[j][0], p, tol)
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
-    for key, g, b in walk_tracks(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None])):
-        js = preimages.pop(g, [])
-        if not js:
-            for i in cols:
-                p = float(np.sum(np.abs(b) ** 2)) if i is None else float(np.linalg.norm(b[:, i]) ** 2)
-                failures[i, 1, key] = _weight_failure("unmatched-target-track", i, g, p, tol)
-        for j, i in itertools.product(js, cols):
-            failures[i, 0, j] = _track_failure(*ops_c[j], b, i, tol)
+    for piece in track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None])):
+        failures.update(_piece_failures(*piece, ops_c, src, pc, preimages, inputs is None, tol))
     if preimages:  # images that the walk never produced
         first = ops_c[min(min(js) for js in preimages.values())][0]
         raise DeferralError(f"translated track {zeta.translate(first).as_dict()} is not a track of the target")
@@ -482,34 +483,96 @@ def check_faithful(
     return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(ops_c), method)
 
 
+def _row_sums(index: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """The rows of x summed by `index` into `count` rows, each added one at a
+    time in row order (`np.bincount`, over real and imaginary parts side by
+    side), so rows of zeros change no sum."""
+    x = np.ascontiguousarray(x).reshape(len(index), -1)
+    parts = x.view(float) if np.iscomplexobj(x) else x
+    q = parts.shape[1]
+    sums = np.bincount((index[:, None] * q + np.arange(q)).ravel(), parts.ravel(), minlength=count * q)
+    return sums.reshape(count, q).view(x.dtype)
+
+
+def _piece_failures(w, group, tracks, ops_c, src, pc, preimages, exact, tol) -> dict:
+    """The failures, keyed as in `check_faithful`, of the target tracks of a
+    `track_rows` piece and of the source tracks whose positions they pop from
+    `preimages`. w = B (I (x) |0>) psi; principal registers come first, so row
+    x * 2^n_anc + a is <x a|. A cell is a track's rows for one a. Each sum
+    within a cell has the cell's fixed shape, and sums across rows or cells
+    run in their order (`_row_sums`), so a general leaf (one track, every
+    cell) gives a terminal piece's bits.
+
+    Exact: per pair of source track A and target track V, the coefficients
+    c_a = <A, V_a> / |A|^2, the image mass sum |c_a|^2 |A|^2 and the
+    residual |V|^2 - sum |c_a|^2 |A|^2, which is sum |V_a - c_a A|^2 for
+    least-squares c_a. With inputs: per pair and input, the probabilities and
+    the reduced states on the principal registers."""
+    rows, m = w.shape
+    na = (rows // src.shape[1]).bit_length() - 1
+    group = np.zeros(rows, dtype=np.intp) if group is None else group
+    pd = _row_sums(group, w.real**2 + w.imag**2, len(tracks))  # each target track's probability per column
+    out, pairs = {}, []
+    for k, (key, g) in enumerate(tracks):
+        js = preimages.pop(g, [])
+        pairs += [(k, j) for j in js]
+        if not js:
+            for i in [None] if exact else range(m):
+                p = float(pd[k].sum() if i is None else pd[k, i])
+                out[i, 1, key] = _weight_failure("unmatched-target-track", i, g, p, tol)
+    if not pairs:
+        return out
+    kk, jj = np.array(pairs).T
+    js = jj.tolist()
+    # the piece by cell (target track, ancilla state a): v[cell] = V_a, the track's rows <x a|
+    cells, at = np.unique(group * 2**na + (np.arange(rows) & (2**na - 1)), return_inverse=True)
+    owner = cells >> na  # sorted, as are the pairs' tracks kk
+    v = np.zeros((len(cells), src.shape[1], m), dtype=complex)
+    v[at, np.arange(rows) >> na] = w
+    if exact:
+        first = np.searchsorted(owner, np.arange(len(tracks) + 1))  # track k's cells: first[k] to first[k + 1]
+        counts = first[kk + 1] - first[kk]
+        p = np.repeat(np.arange(len(kk)), counts)  # the pair of each (pair, cell of its target track)
+        cell = np.repeat(first[kk] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        mass = pc[jj].sum(axis=1)
+        coef = np.divide(np.sum(np.conj(src[jj[p]]) * v[cell], axis=(1, 2)), mass[p],
+                         out=np.zeros(len(p), complex), where=mass[p] > 0)  # c_a = 0 for a massless A
+        image = _row_sums(p, coef.real**2 + coef.imag**2, len(kk))[:, 0] * mass
+        residual = np.maximum(pd[kk].sum(axis=1) - image, 0.0)
+        for q in np.flatnonzero((residual > tol) | (abs(image - mass) > tol)).tolist():
+            out[None, 0, js[q]] = {
+                "kind": "operator-mismatch", "track": ops_c[js[q]][0].as_dict(), "residual": float(residual[q]),
+                "source_mass": float(mass[q]), "target_mass": float(image[q] + residual[q])}
+        return out
+    p_c, p_d = pc[jj], pd[kk]
+    bad = abs(p_c - p_d) > tol
+    for q, i in np.argwhere(bad).tolist():
+        out[i, 0, js[q]] = {"kind": "probability-mismatch", "input": i, "track": ops_c[js[q]][0].as_dict(),
+                            "source_probability": float(p_c[q, i]), "target_probability": float(p_d[q, i])}
+    check = ~bad & (p_c > tol)
+    err = np.zeros(p_c.shape)
+    step = max(1, STATE_BLOCK // (src.shape[1] ** 2 * m))  # pairs at a time, to bound the states held
+    for q in range(0, len(kk) if check.any() else 0, step):
+        # reduced states: the source's A psi psi^dag A^dag and the target's sum over a of V_a V_a^dag
+        ks, a = kk[q : q + step], src[jj[q : q + step]]
+        c0, c1 = np.searchsorted(owner, [ks[0], ks[-1] + 1])
+        outer = v[c0:c1, :, None] * np.conj(v[c0:c1, None])
+        rho = _row_sums(owner[c0:c1] - ks[0], outer, ks[-1] + 1 - ks[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = a[:, :, None] * np.conj(a[:, None])
+            diff /= p_c[q : q + step, None, None]
+            target = rho[ks - ks[0]].reshape(diff.shape)
+            target /= p_d[q : q + step, None, None]
+            diff -= target
+        err[q : q + step] = np.max(np.abs(diff), axis=(1, 2))
+    for q, i in np.argwhere(check & (err > tol)).tolist():
+        out[i, 0, js[q]] = {"kind": "state-mismatch", "input": i, "track": ops_c[js[q]][0].as_dict(),
+                            "max_entry_error": float(err[q, i])}
+    return out
+
+
 def _weight_failure(kind: str, i: Optional[int], f: Track, p: float, tol: float) -> Optional[dict]:
     """The failure of a track that must weigh at most tol, if p > tol: p is its
     mass in the exact check (i is None), else its probability on input i."""
     at = {"track": f.as_dict(), "mass": p} if i is None else {"input": i, "track": f.as_dict(), "probability": p}
     return {"kind": kind, **at} if p > tol else None
-
-
-def _track_failure(f: Track, a: np.ndarray, b: np.ndarray, i: Optional[int], tol: float) -> Optional[dict]:
-    """The failure of source track f, given its A psi = a and its image's block
-    b = B (I (x) |0>) psi, for every input at once (i is None) or on input i.
-    Principal registers come first, so row x * 2^n_anc + a of b is <x a|."""
-    if i is None:
-        mass = float(np.vdot(a, a).real)
-        v = b.reshape(a.shape[0], -1, a.shape[1])  # <x a|B|y 0>
-        coef = np.einsum("xy,xay->a", a.conj(), v) / mass if mass else np.zeros(v.shape[1])
-        image_mass = float(np.vdot(coef, coef).real) * mass
-        residual = float(np.sum(np.abs(v - a[:, None, :] * coef[None, :, None]) ** 2))
-        if residual > tol or abs(image_mass - mass) > tol:
-            return {"kind": "operator-mismatch", "track": f.as_dict(), "residual": residual,
-                    "source_mass": mass, "target_mass": image_mass + residual}
-        return None
-    out_c, at = a[:, i], {"input": i, "track": f.as_dict()}
-    p_c, p_d = float(np.linalg.norm(out_c) ** 2), float(np.linalg.norm(b[:, i]) ** 2)
-    if abs(p_c - p_d) > tol:
-        return {"kind": "probability-mismatch", **at, "source_probability": p_c, "target_probability": p_d}
-    if p_c > tol:
-        v = b[:, i].reshape(a.shape[0], -1)  # <x a|B|psi 0>: reduced state v v^dag
-        err = float(np.max(np.abs(linalg.ket_to_density(out_c) / p_c - v @ v.conj().T / p_d)))
-        if err > tol:
-            return {"kind": "state-mismatch", **at, "max_entry_error": err}
-    return None

@@ -3,11 +3,19 @@ aggregate measurement, schedule equivalence, and a seeded stochastic executor.
 
 Post-measurement states are kept un-normalized; normalization happens only
 when sampling or reporting.
+
+Track operators come from one of two walks (`track_rows`). The general walk
+branches on each measurement's outcomes. A circuit in terminal form, whose
+unitaries all precede its standard-basis measurements (every circuit
+`defer` rewrites, and GHZ-style circuits), is by the deferred-measurement
+principle one unitary U followed by a measurement in the standard basis:
+U @ t0 is built once and each track is the rows its labels select.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -112,8 +120,7 @@ def _walk(c: QuantumCircuit, order, t: np.ndarray, assignment: dict):
     from t with outcomes `assignment`, depth first, each selected operator
     applied with `linalg.apply`. A measurement branches on its labels, sorted,
     or follows the one that `assignment` already holds. Pending siblings share
-    their parent's state and apply their own operator when popped. This is the
-    only code that selects and applies a gate's operator."""
+    their parent's state and apply their own operator when popped."""
     stack = [(0, t, assignment, None)]  # (next gate index, state, outcomes, operator not yet applied)
     while stack:
         start, t, assignment, pending = stack.pop()
@@ -171,13 +178,70 @@ def _leaves(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int]):
     yield from _walk(c, order, t0, {})
 
 
-def walk_tracks(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP):
-    """(key, f, A_f @ t0) for every coherent track f as one depth-first walk meets it
-    (greedy order, from t0, cap checked first), sharing `linalg.apply` calls along
-    outcome prefixes and holding one path. Sorting by key gives `enumerate_tracks` order."""
+def track_rows(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP):
+    """The walk's leaves from t0 as row groups: pieces (w, group, tracks) in
+    which track k, tracks[k] = (key, f), holds A_f @ t0 = w with the rows r
+    where group[r] != k zeroed; group is None when every track is all of w.
+    Tracks come in walk order (greedy order, labels sorted, the cap checked
+    first); sorting by key gives `enumerate_tracks` order.
+
+    A circuit in terminal form (`QuantumCircuit._terminal`) is one piece:
+    w = U @ t0, with each unitary applied once in greedy order, and group[r]
+    the track whose labels select row r, so its tracks partition w's rows
+    (the product of the label sets, incoherent tracks included). Any other
+    circuit gives one piece per leaf of the general walk, which shares
+    `linalg.apply` calls along outcome prefixes and holds one path."""
+    order = _order(c, greedy_schedule(c).bouts)
     measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
-    for a, t in _leaves(c, _order(c, greedy_schedule(c).bouts), t0, cap):
-        yield tuple(map(a.get, measures)), Track.from_mapping(a), t
+    if not c._terminal:
+        for a, t in _leaves(c, order, t0, cap):
+            yield t, None, [(tuple(map(a.get, measures)), Track.from_mapping(a))]
+        return
+    walked = [(c.gate(gid), select_measurement(c, gid, ())) for gid in order]
+    measured = [(g, m) for g, m in walked if isinstance(m, Measurement)]
+    if cap is not None and math.prod(len(m.operators) for _, m in measured) > cap:
+        raise SemanticsError(f"track count exceeds cap {cap}")
+    w = np.asarray(t0, dtype=complex)
+    if w.ndim != 2 or w.shape[0] != 2**c.n_registers:  # as `linalg.apply` says, with no unitary to apply
+        raise linalg.LinalgError(f"expected {2**c.n_registers} rows, got shape {w.shape}")
+    for g, u in walked:
+        if isinstance(u, UnitaryOp) and w.size:
+            w = linalg.apply(u.matrix, g.registers, w, c.n_registers)
+    tracks = []
+    for labels in itertools.product(*(m.outcomes for _, m in measured)):
+        a = dict(zip((g.id for g, _ in measured), labels))
+        tracks.append((tuple(map(a.get, measures)), Track.from_mapping(a)))
+    yield w, _row_tracks(c, measured, w.shape[0]) if w.size and len(tracks) > 1 else None, tracks
+
+
+def _row_tracks(c: QuantumCircuit, measured: list, rows: int) -> np.ndarray:
+    """Per basis row, the walk-order position of the track whose labels
+    select it: for each (gate, measurement) in walk order, the index among
+    its sorted labels of the one whose diagonal holds 1 at the row's basis
+    index over the gate's registers."""
+    n, index = c.n_registers, np.arange(rows)
+    group = np.zeros(rows, dtype=np.intp)
+    for g, m in measured:
+        local = sum((index >> (n - 1 - r) & 1) << (g.arity - 1 - k) for k, r in enumerate(g.registers))
+        diag = np.stack([np.diagonal(m.operators[label]) for label in m.outcomes])
+        group = group * len(diag) + np.argmax(diag.real, axis=0)[local]
+    return group
+
+
+def walk_tracks(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP):
+    """(key, f, A_f @ t0) for every coherent track f in `track_rows` order,
+    each a full block: a terminal-form track is its rows of U @ t0 and zeros."""
+    for w, group, tracks in track_rows(c, t0, cap):
+        if group is None:
+            yield from ((key, f, w) for key, f in tracks)
+            continue
+        order = np.argsort(group, kind="stable")  # track k's rows, ascending, are order[bounds[k] : bounds[k + 1]]
+        bounds = np.searchsorted(group[order], np.arange(len(tracks) + 1))
+        for k, (key, f) in enumerate(tracks):
+            rows = order[bounds[k] : bounds[k + 1]]
+            t = np.zeros(w.shape, dtype=complex)
+            t[rows] = w[rows]
+            yield key, f, t
 
 
 def track_operators(

@@ -972,20 +972,32 @@ def test_teleport_demo_runs():
     assert "faithful: True" in proc.stdout
 
 
-def test_faithful_scale_runs():
+def run_script(name, *args, timeout=120):
+    """Run scripts/<name> without PYTHONPATH: each script finds src itself."""
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "faithful_scale.py"), "3", "--inputs", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_faithful_scale_runs():
+    proc = run_script("faithful_scale.py", "3", "--inputs", "2")
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [(r["method"], r["inputs"]) for r in lines] == [("exact", 0), ("inputs", 2)]
     for r in lines:
         assert r["k"] == 3 and r["target_registers"] == 4 and r["tracks"] == 8 and r["ok"] is True
         assert r["seconds"] >= 0 and r["peak_mib"] > 0
+
+
+def test_aggregate_scale_runs():
+    proc = run_script("aggregate_scale.py", "3")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert line["n"] == 3 and line["tracks"] == 8
+    assert line["seconds"] >= 0 and line["peak_mib"] > 0
 
 
 @pytest.mark.parametrize(
@@ -998,13 +1010,7 @@ def test_faithful_scale_runs():
 def test_timing_scripts_run(script, names):
     """Each timing script prints one line of best-of-N milliseconds per
     corpus or document."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / script), "--repeat", "1"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_script(script, "--repeat", "1", timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == names

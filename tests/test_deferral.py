@@ -751,9 +751,10 @@ def test_check_faithful_inputs_hold_no_dense_target():
 
 @pytest.mark.parametrize("inputs", [None, 1], ids=["exact", "one-input"])
 def test_check_faithful_holds_one_path_of_target_blocks(inputs):
-    """The target is walked once and each leaf compared as it comes, so on
-    deferred ff-8 (9 target registers, 256 tracks of 2^9 x 4 blocks, 2 MiB
-    in all) both methods peak below 2 MiB."""
+    """Deferred ff-8 (9 target registers, 256 tracks) is in terminal form,
+    so its target is one W = U (I (x) |0>) psi of 2^9 rows that the tracks
+    partition, compared by row groups: no 2^9 x 4 block is built per track
+    (2 MiB in all), and both methods peak below 2 MiB."""
     c = feed_forward_circuit(8)
     result = defer_measurements(c)
     psi = None if inputs is None else random_pure_inputs(2, inputs, 0)
