@@ -21,7 +21,6 @@ from .deferral import (
     Commensuration,
     DeferralResult,
     check_faithful,
-    classify_measurement,
     defer_measurements,
     red_gates,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "UnitaryOp",
     "aggregate_measurement",
     "check_faithful",
-    "classify_measurement",
     "controlled_unitary_gate",
     "dagger",
     "defer_measurements",

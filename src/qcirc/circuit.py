@@ -44,9 +44,25 @@ class Measurement:
     id: str
     operators: Mapping[str, np.ndarray]
 
-    @property
+    @cached_property
     def outcomes(self) -> tuple[str, ...]:
         return tuple(sorted(self.operators))
+
+    @cached_property
+    def selects(self) -> Optional[np.ndarray]:
+        """Per computational-basis index, the position in `outcomes` of the
+        label whose operator selects it; None unless the operators are square,
+        all of one shape, have entries exactly 0 or 1, and add up to I (so
+        each is diagonal and one label selects each basis state). The
+        measurement is standard when each label selects exactly one."""
+        ops = [self.operators[label] for label in self.outcomes]
+        shape = ops[0].shape if ops else ()
+        if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in ops):
+            return None
+        stack = np.stack(ops)
+        if not ((stack == 0) | (stack == 1)).all() or not np.array_equal(stack.sum(axis=0), np.eye(shape[0])):
+            return None
+        return np.argmax(stack.diagonal(axis1=1, axis2=2).real, axis=0)
 
     def completeness_defect(self) -> float:
         return linalg.completeness_defect(self.operators.values())
@@ -231,11 +247,11 @@ class QuantumCircuit:
         """Whether the circuit is in terminal form, one unitary U and then a
         standard-basis measurement: no gate has classical sources, no unitary
         has a measurement among its prerequisites (a measurement may follow a
-        measurement), and every measurement's operators are diagonal with
-        entries exactly 0 or 1 whose diagonals partition the basis states.
-        Raises CircuitError if the relation is cyclic."""
+        measurement), and every measurement's operators select basis states of
+        its gate's registers (`Measurement.selects`). Raises CircuitError if
+        the relation is cyclic."""
         return not any(g.classical_sources for g in self.gates) and not self._red and all(
-            _selects_basis_states(list(m.operators.values()), 2**g.arity)
+            m.selects is not None and len(m.selects) == 2**g.arity
             for g in self.gates for m in g.measurements.values()
         )
 
@@ -262,15 +278,6 @@ class QuantumCircuit:
 
     def edges(self) -> set[tuple[str, str]]:
         return {(s, gid) for gid, srcs in self._wiring[2].items() for s in srcs}
-
-
-def _selects_basis_states(ops: list, dim: int) -> bool:
-    """Whether `ops` are dim x dim matrices with entries 0 or 1 that add up
-    to the identity: diagonal, each basis state selected by exactly one."""
-    if not ops or any(a.shape != (dim, dim) for a in ops):
-        return False
-    stack = np.stack(ops)
-    return bool(((stack == 0) | (stack == 1)).all()) and np.array_equal(stack.sum(axis=0), np.eye(dim))
 
 
 def topo_order(c: QuantumCircuit) -> list[str]:

@@ -3,12 +3,15 @@
 `defer_measurements` rewrites a circuit without classically controlled
 measurements into one in which every measurement comes after every unitary;
 `_plan` is its pre-pass, whose read maps spare rewriting any selector. A
-measurement stays one gate throughout, with its own id and outcome labels, so
-the commensuration maps gate ids to gate ids. `check_faithful` is exact by
-default; sampled inputs are an optional cross-check. A target in terminal
-form, as every circuit the pass rewrites is, is checked as one unitary: its
-tracks are row groups of W = U (I (x) |0>), compared in one batched array
-pass.
+standard measurement, one whose operators are exact 0/1 projectors with one
+label per basis state (`Measurement.selects`), stays on its registers; every
+other one, one standard only within rounding included, is standardized with
+ancillas. A measurement stays one gate throughout, with its own id and
+outcome labels, so the commensuration maps gate ids to gate ids.
+`check_faithful` is exact by default; sampled inputs are an optional
+cross-check. A target in terminal form, as every circuit the pass rewrites
+is, is checked as one unitary: its tracks are row groups of
+W = U (I (x) |0>), compared in one batched array pass.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 from . import linalg
 from .circuit import (
     Diagnostic,
-    Gate,
     Measurement,
     QuantumCircuit,
     check_valid,
@@ -53,30 +55,7 @@ class ConstraintError(DeferralError):
         )
 
 
-# --- measurement classification --------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeasurementClass:
-    projective: bool
-    complete: bool
-    standard: bool
-
-
-def classify_measurement(m: Measurement, tol: float = TOL) -> MeasurementClass:
-    ops = [m.operators[label] for label in m.outcomes]
-    dim = ops[0].shape[0]
-    projective = all(
-        linalg.is_hermitian(a, tol) and linalg.mat_close(a @ a, a, tol) for a in ops
-    ) and all(
-        linalg.mat_close(a @ b, np.zeros((dim, dim)), tol)
-        for a, b in itertools.combinations(ops, 2)
-    )
-    complete = projective and all(abs(linalg.trace(a).real - 1) <= tol for a in ops)
-    standard = complete and all(
-        linalg.mat_close(a, _projector(int(np.argmax(np.abs(np.diag(a)))), dim), tol) for a in ops
-    )
-    return MeasurementClass(projective, complete, standard)
+# --- deferral requirement and constraint -----------------------------------
 
 
 def red_gates(c: QuantumCircuit) -> set[str]:
@@ -204,19 +183,6 @@ def _fresh_register_names(existing: Sequence[str], count: int) -> list[str]:
     return list(itertools.islice((n for n in names if n not in existing), count))
 
 
-def _projector(index: int, dim: int) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=complex)
-    p[index, index] = 1.0
-    return p
-
-
-def _basis_labels(g: Gate) -> dict[str, int]:
-    """Outcome label -> computational-basis index over the gate's register
-    tuple, for a gate carrying one standard measurement."""
-    (m,) = g.measurements.values()
-    return {lab: int(np.argmax(np.abs(np.diag(a)))) for lab, a in m.operators.items()}
-
-
 def _dilation(kraus: list, dim_anc: int) -> np.ndarray:
     """The system-environment unitary U (e_j (x) |a>) of Kraus operators A_i
     on dim_anc ancilla levels: at a = 0 it is sum_i A_i e_j (x) |i>, the
@@ -244,9 +210,12 @@ def _reindex(index: int, frm: Sequence[int], to: Sequence[int]) -> int:
 
 
 def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, set, int]:
-    """The pre-pass, over the gate ids `order`. A nonstandard measurement
-    with k >= 2 outcomes becomes the unitary `<id>__u` of `_dilation` on its
-    registers and ceil(log2 k) fresh |0> ancillas, followed by a standard
+    """The pre-pass, over the gate ids `order`. A measurement is standard
+    when `Measurement.selects` gives each of its labels exactly one basis
+    state, and its read map is read off `selects`. Any other measurement
+    with k >= 2 outcomes, one standard only within rounding included,
+    becomes the unitary `<id>__u` of `_dilation` on its registers and
+    ceil(log2 k) fresh |0> ancillas, followed by a standard
     measurement of the ancillas that keeps its id and labels; unused ancilla
     states get the labels pad0, pad1, ... and read as the first label. A
     single-outcome measurement becomes a unitary gate and measures no register.
@@ -265,15 +234,16 @@ def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, 
         if not g.is_measure:
             continue
         (m,) = g.measurements.values()
-        if classify_measurement(m).standard:
+        sel = m.selects
+        if sel is not None and len(sel) == len(m.outcomes) == len(set(sel.tolist())):  # standard
+            at = dict(zip(m.outcomes, np.argsort(sel).tolist()))  # label -> the basis index it selects
             s, *more = set(c.quantum_sources(g.id).values())
             a = None if more or s is None else c.gate(kept.get(s, s))
             if a is not None and a.is_measure and a.id not in expand and set(a.registers) == set(g.registers):
                 kept[g.id], regs[g.id] = a.id, regs[a.id]
-                read[g.id] = {_reindex(i, g.registers, a.registers): lab for lab, i in _basis_labels(g).items()}
             else:
-                regs[g.id] = list(g.registers)
-                read[g.id] = {i: lab for lab, i in _basis_labels(g).items()}
+                a, regs[g.id] = g, list(g.registers)
+            read[g.id] = {_reindex(i, g.registers, a.registers): lab for lab, i in at.items()}
             continue
         labels = list(m.outcomes)
         ell = math.ceil(math.log2(len(labels)))  # 0 for a single outcome
@@ -288,7 +258,7 @@ def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, 
         taken.add(uid)
         expand[g.id] = [
             unitary_gate(uid, g.registers + tuple(regs[g.id]), u),
-            measure_gate(g.id, regs[g.id], {lab: _projector(i, 2**ell) for i, lab in enumerate(labels + pads)}),
+            measure_gate(g.id, regs[g.id], {lab: np.outer(e, e) for lab, e in zip(labels + pads, np.eye(2**ell))}),
         ]
     return regs, read, expand, kept, taken - set(kept), n
 
@@ -309,7 +279,9 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     basis state, each the op the selector picks for the labels that state
     reads. One whose sources all became unitaries keeps the op they select.
     Out come the unitaries in walk order, each gate's CNOTs (sorted by id)
-    just before it, then the measurements sorted by id."""
+    just before it, then the measurements sorted by id. Each of those is
+    standard (see `_plan`), so it keeps its operators, the exact 0/1
+    projectors, with every zero written +0.0."""
     check_valid(c)
     bad = constraint_violations(c)
     if bad:
@@ -320,13 +292,13 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     order = topo_order(c)
     regs, read, expand, kept, taken, n = _plan(c, order)
     waiting: dict[int, list[str]] = {}
-    measures: dict[str, Gate] = {}
+    measures: dict[str, Measurement] = {}
     unitaries = []
     for gid in order:
         for g in expand.get(gid, [c.gate(gid)]):
             if g.is_measure:
                 if gid not in kept:
-                    measures[gid] = g
+                    (measures[gid],) = g.measurements.values()
                     for r in regs[gid]:
                         waiting.setdefault(r, []).append(gid)
                 continue
@@ -354,10 +326,8 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
                 op = g.selector[tuple(read[s][0] for s in sources)]
                 g = replace(g, unitaries={op: g.unitaries[op]}, classical_sources=(), selector={(): op})
             unitaries.append(g)
-    out = [
-        measure_gate(m, regs[m], {lab: _projector(i, 2 ** len(regs[m])) for lab, i in _basis_labels(g).items()})
-        for m, g in sorted(measures.items())
-    ]
+    out = [measure_gate(m, regs[m], {lab: a + 0.0 for lab, a in x.operators.items()})  # -0.0 written 0.0
+           for m, x in sorted(measures.items())]
     names = c.register_names + tuple(_fresh_register_names(c.register_names, n - c.n_registers))
     d = check_valid(QuantumCircuit(names, tuple(unitaries + out)))
     absorbed = frozenset(m for m, rs in regs.items() if not rs)

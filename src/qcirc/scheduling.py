@@ -18,10 +18,7 @@ class ScheduleError(ValueError):
 class Schedule:
     bouts: tuple[Bout, ...]
 
-    def __iter__(self):
-        return iter(self.bouts)
-
-    def __len__(self):
+    def __len__(self):  # the bout count, which perfbench/spans.py reads
         return len(self.bouts)
 
     def gate_ids(self) -> set[str]:

@@ -118,8 +118,8 @@ def _require_fit(c: QuantumCircuit, *schedules: Schedule) -> None:
 def _walk(c: QuantumCircuit, order, t: np.ndarray, assignment: dict):
     """The leaves (assignment, A @ t) of the outcome tree over the gates `order`
     from t with outcomes `assignment`, depth first, each selected operator
-    applied with `linalg.apply`. A measurement branches on its labels, sorted,
-    or follows the one that `assignment` already holds. Pending siblings share
+    applied with `linalg.apply`. A measurement branches on its `outcomes`, or
+    follows the one that `assignment` already holds. Pending siblings share
     their parent's state and apply their own operator when popped."""
     stack = [(0, t, assignment, None)]  # (next gate index, state, outcomes, operator not yet applied)
     while stack:
@@ -138,7 +138,7 @@ def _walk(c: QuantumCircuit, order, t: np.ndarray, assignment: dict):
                     f"track is incoherent at gate {g.id!r}: outcome {held!r} not offered "
                     f"by the selected measurement"
                 )
-            for label in sorted(chosen.operators, reverse=True) if held is None else [held]:
+            for label in reversed(chosen.outcomes) if held is None else [held]:
                 stack.append((i + 1, t, {**assignment, g.id: label}, (chosen.operators[label], g.registers)))
             break
         else:
@@ -216,15 +216,14 @@ def track_rows(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_T
 
 def _row_tracks(c: QuantumCircuit, measured: list, rows: int) -> np.ndarray:
     """Per basis row, the walk-order position of the track whose labels
-    select it: for each (gate, measurement) in walk order, the index among
-    its sorted labels of the one whose diagonal holds 1 at the row's basis
+    select it: for each (gate, measurement) in walk order, the position in
+    `outcomes` of the label that `Measurement.selects` gives the row's basis
     index over the gate's registers."""
     n, index = c.n_registers, np.arange(rows)
     group = np.zeros(rows, dtype=np.intp)
     for g, m in measured:
         local = sum((index >> (n - 1 - r) & 1) << (g.arity - 1 - k) for k, r in enumerate(g.registers))
-        diag = np.stack([np.diagonal(m.operators[label]) for label in m.outcomes])
-        group = group * len(diag) + np.argmax(diag.real, axis=0)[local]
+        group = group * len(m.outcomes) + m.selects[local]
     return group
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -930,6 +931,82 @@ def test_cli_poset_must_hold_strings(tmp_path, capsys, poset):
     assert _first_diag(capsys)["code"] == "bad-poset"
 
 
+@pytest.mark.parametrize(
+    "poset",
+    [
+        {"elements": ["a", "b", "a"], "less_than": []},
+        {"elements": ["a", "b"], "less_than": [["a", "z"]]},
+        {"elements": ["a", "b", "c"], "less_than": [["a", "b"], ["b", "c"], ["c", "a"]]},
+    ],
+    ids=["repeated-element", "unknown-element", "cyclic"],
+)
+def test_cli_poset_must_be_a_strict_partial_order(tmp_path, capsys, poset):
+    """Strings that do not form a strict partial order are `bad-poset` too,
+    exit 1, as the README table says."""
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset))
+    orders = ["--from", str(FIXTURES / "order_a.json"), "--to", str(FIXTURES / "order_b.json")]
+    assert main(["transpose-path", str(path), *orders]) == 1
+    diag = _first_diag(capsys)
+    assert diag["code"] == "bad-poset" and "malformed poset object" in diag["message"]
+
+
+def test_cli_gate_without_kind_is_bad_gate(tmp_path, capsys):
+    obj = json.loads(Path(TELEPORT).read_text())
+    del obj["gates"][1]["kind"]
+    path = tmp_path / "no_kind.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 1
+    diag = _first_diag(capsys)
+    assert (diag["code"], diag["where"], diag["message"]) == ("bad-gate", "H", "malformed gate object")
+
+
+def test_cli_uncontrolled_gate_with_a_keyed_selector_is_not_total(tmp_path, capsys):
+    """H has no controls, so its one selector key must be the empty string."""
+    obj = json.loads(Path(TELEPORT).read_text())
+    obj["gates"][1]["selector"] = {"0": "H"}
+    path = tmp_path / "keyed.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 1
+    diag = _first_diag(capsys)
+    assert (diag["code"], diag["where"]) == ("selector-not-total", "H")
+
+
+def _dropped_z_files(tmp_path) -> list:
+    """The dropped-Z source, target and identity sidecar as files."""
+    src, tgt = dropped_z_pair()
+    paths = [tmp_path / "src.json", tmp_path / "tgt.json", tmp_path / "zeta.json"]
+    paths[0].write_text(serialize_circuit(src))
+    paths[1].write_text(serialize_circuit(tgt))
+    paths[2].write_text(json.dumps({"zeta": {"m": "m"}, "labels": {}, "absorbed": []}))
+    return [*map(str, paths[:2]), "--zeta", str(paths[2])]
+
+
+def test_cli_check_faithful_tol_is_applied(tmp_path, capsys):
+    """The dropped-Z pair fails at the default tolerance and passes with a
+    `--tol` above every value its default report prints."""
+    argv = ["check-faithful", *_dropped_z_files(tmp_path)]
+    assert main(argv) == 1
+    failures = out_json(capsys)["failures"]
+    largest = max(v for f in failures for v in f.values() if isinstance(v, float))
+    assert largest > 1e-9
+    assert main(argv + ["--tol", repr(2 * largest)]) == 0
+    report = out_json(capsys)
+    assert report["ok"] is True and report["failures"] == []
+
+
+def test_cli_check_faithful_target_must_extend_the_source_registers(tmp_path, capsys):
+    src, tgt, *zeta = _dropped_z_files(tmp_path)
+    renamed = json.loads(Path(tgt).read_text())
+    renamed["registers"] = ["q1", "q0"]
+    Path(tgt).write_text(json.dumps(renamed))
+    assert main(["check-faithful", src, tgt, *zeta]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag["code"] == "semantic-error" and "does not extend the source registers" in diag["message"]
+
+
 DEEP = "[" * 100_000
 
 
@@ -1015,3 +1092,15 @@ def test_timing_scripts_run(script, names):
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == names
     assert all(line.endswith(" ms") for line in lines)
+
+
+def test_output_digests_defer_files_row():
+    """The `defer-files` digest of the seed-3 compile corpus: the sha256 over
+    the circuit and sidecar files that `qcirc defer` writes, as they were
+    when the row was added."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("output_digests", root / "scripts" / "output_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    got = digests.defer_files_digest(root, 3)
+    assert got == "3da98c4f42a616e9aa756e0ef30cb545460f7bba8c355037535662562ee9eca8"

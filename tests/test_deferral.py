@@ -33,7 +33,6 @@ from qcirc.deferral import (
     DeferralError,
     basis_inputs,
     check_faithful,
-    classify_measurement,
     constraint_violations,
     defer_measurements,
     random_pure_inputs,
@@ -86,30 +85,88 @@ def shared_register_circuit():
     )
 
 
-# --- classification ---------------------------------------------------------
+# --- classification: Measurement.selects ----------------------------------
 
 
 def test_classify_standard():
-    cls = classify_measurement(measurement_of({"0": P0, "1": P1}))
-    assert cls.projective and cls.complete and cls.standard
+    assert measurement_of({"0": P0, "1": P1}).selects.tolist() == [0, 1]
 
 
 def test_classify_complete_not_standard():
-    cls = classify_measurement(measurement_of(PM_FAMILY))
-    assert cls.projective and cls.complete and not cls.standard
+    assert measurement_of(PM_FAMILY).selects is None
 
 
 def test_classify_projective_not_complete():
+    """A rank-1 and a rank-3 diagonal projector: label b selects three basis states."""
     p = np.zeros((4, 4), dtype=complex)
     p[0, 0] = 1.0
-    cls = classify_measurement(measurement_of({"a": p, "b": np.eye(4) - p}))
-    assert cls.projective and not cls.complete and not cls.standard
+    assert measurement_of({"a": p, "b": np.eye(4) - p}).selects.tolist() == [0, 1, 1, 1]
 
 
 def test_classify_non_projective():
     fam = random_kraus_family(np.random.default_rng(0), 2, 2)
-    cls = classify_measurement(measurement_of({"a": fam[0], "b": fam[1]}))
-    assert not cls.projective and not cls.complete and not cls.standard
+    assert measurement_of({"a": fam[0], "b": fam[1]}).selects is None
+
+
+def reference_selects(m):
+    """`Measurement.selects` by the two rules it replaces: exact 0/1
+    operators adding up to I (`_selects_basis_states`), then the argmax over
+    their diagonals stacked in `outcomes` order (`_row_tracks`)."""
+    ops = [m.operators[label] for label in m.outcomes]
+    dim = ops[0].shape[0]
+    if any(a.shape != (dim, dim) for a in ops):
+        return None
+    stack = np.stack(ops)
+    if not (((stack == 0) | (stack == 1)).all() and np.array_equal(stack.sum(axis=0), np.eye(dim))):
+        return None
+    return np.argmax(np.stack([np.diagonal(a) for a in ops]).real, axis=0).tolist()
+
+
+def signed_zeros(a, flip):
+    """`a` with its zero parts negated where `flip` (two bools per entry) holds."""
+    parts = a.astype(complex).view(float).reshape(*a.shape, 2)
+    parts[(parts == 0) & flip] *= -1
+    return parts.view(complex).reshape(a.shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_selects_matches_the_reference(data):
+    """0/1 partitions of the basis states (labels named against basis
+    order, zeros signed either way, rank-2 and empty labels among them),
+    Kraus families, and partitions with one entry moved by a tiny delta."""
+    arity = data.draw(st.integers(1, 2), label="arity")
+    dim, count = 2**arity, data.draw(st.integers(1, 4), label="labels")
+    names = data.draw(st.permutations([f"l{j}" for j in range(count)]), label="names")
+    kind = data.draw(st.sampled_from(["partition", "kraus", "perturbed"]), label="kind")
+    if kind == "kraus":
+        fam = random_kraus_family(np.random.default_rng(data.draw(st.integers(0, 99))), dim, count)
+        m = measurement_of(dict(zip(names, fam)))
+        assert m.selects is None and reference_selects(m) is None
+        return
+    owner = data.draw(st.lists(st.integers(0, count - 1), min_size=dim, max_size=dim), label="owner")
+    ops = {name: np.diag([1.0 * (o == j) for o in owner]) for j, name in enumerate(names)}
+    flips = data.draw(st.lists(st.booleans(), min_size=2 * dim * dim * count, max_size=2 * dim * dim * count))
+    flips = np.array(flips).reshape(count, dim, dim, 2)
+    ops = {name: signed_zeros(a, flip) for (name, a), flip in zip(ops.items(), flips)}
+    moved = False
+    if kind == "perturbed":
+        name = data.draw(st.sampled_from(names), label="perturbed label")
+        i, j = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+        before = ops[name][i, j]
+        ops[name][i, j] += data.draw(st.sampled_from([1e-12, -1e-15, 1e-300, 1e-12j]), label="delta")
+        moved = ops[name][i, j] != before  # 1 + 1e-300 rounds back to 1
+    m = measurement_of(ops)
+    if moved:
+        assert m.selects is None and reference_selects(m) is None
+    else:
+        assert m.selects.tolist() == reference_selects(m) == [m.outcomes.index(names[o]) for o in owner]
+
+
+def test_selects_needs_square_operators_of_one_shape():
+    assert measurement_of({"a": np.eye(2), "b": np.zeros((4, 4))}).selects is None
+    assert measurement_of({"a": np.eye(2)[:1]}).selects is None
+    assert measurement_of({}).selects is None
 
 
 # --- deferral requirement and constraint ------------------------------------
@@ -187,7 +244,42 @@ def test_standardize_pm_measurement():
     g = result.circuit.gate("M")
     assert g.is_measure and g.registers == (2,)
     assert set(g.outcome_labels) == {"+", "-"}
-    assert classify_measurement(next(iter(g.measurements.values()))).standard
+    assert next(iter(g.measurements.values())).selects.tolist() in ([0, 1], [1, 0])
+
+
+def test_near_standard_measurement_is_standardized_exactly():
+    """A0 = diag(1, d) and A1 = diag(0, sqrt(1 - d^2)) at d = 1e-12 are not
+    exact 0/1 projectors, so the measurement gets an ancilla and `M__u`
+    rather than being replaced by the projectors it is near."""
+    d = 1e-12
+    ops = {"0": np.diag([1.0, d]), "1": np.diag([0.0, math.sqrt(1 - d * d)])}
+    c = QuantumCircuit(
+        ("r0", "r1"),
+        (unitary_gate("h", [0], H), measure_gate("M", [0], ops), x_controlled_by("M", ["0", "1"])),
+    )
+    assert c.gate("M").measurements["M"].selects is None
+    result = defer_measurements(c)
+    assert result.ancilla_registers == frozenset({2})
+    assert result.circuit.gate("M__u").registers == (0, 2)
+    assert result.circuit.gate("M").registers == (2,)
+    report = check_faithful(c, result.circuit, result.zeta)
+    assert report.ok and report.method == "exact", report.failures
+
+
+def test_negative_zero_standard_measurements_defer_to_the_same_bytes():
+    """A standard measurement written with -0.0 parts is read as standard and
+    defers to the bytes of the one written with +0.0."""
+    negative = {label: signed_zeros(a, np.ones((2, 2, 2), dtype=bool)) for label, a in {"0": P0, "1": P1}.items()}
+    files = []
+    for ops in {"0": P0, "1": P1}, negative:
+        c = feed_forward_circuit(2)
+        c = QuantumCircuit(c.register_names, tuple(
+            measure_gate(g.id, g.registers, ops) if g.is_measure else g for g in c.gates))
+        result = defer_measurements(c)
+        sidecar = {**result.zeta.to_json(), "ancillas": sorted(result.ancilla_registers)}
+        files.append((serialize_circuit(c), serialize_circuit(result.circuit) + dumps(sidecar)))
+    assert "-0.0" in files[1][0] and "-0.0" not in files[0][0]
+    assert files[1][1] == files[0][1] and "-0.0" not in files[1][1]
 
 
 def x_controlled_by(source, labels):
@@ -772,6 +864,13 @@ def test_check_faithful_rejects_empty_inputs(teleport):
     result = defer_measurements(teleport)
     with pytest.raises(DeferralError, match="no inputs to check"):
         check_faithful(teleport, result.circuit, result.zeta, [])
+
+
+def test_check_faithful_rejects_an_input_of_the_wrong_dimension(teleport):
+    result = defer_measurements(teleport)
+    inputs = [basis_inputs(3)[0], np.ones(4) / 2]
+    with pytest.raises(DeferralError, match="input 1 has wrong dimension 4"):
+        check_faithful(teleport, result.circuit, result.zeta, inputs)
 
 
 def h_then_measure():

@@ -353,6 +353,16 @@ def test_aggregate_measurement_cap(monkeypatch):
         aggregate_measurement(c, cap=7)
 
 
+def test_aggregate_measurement_cap_on_the_general_walk(monkeypatch):
+    """A circuit outside terminal form is capped by the general walk's count
+    (`_leaves`), also before any operator is built: ff3 has 8 tracks."""
+    c = feed_forward_circuit(3)
+    assert not c._terminal
+    monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was built"))
+    with pytest.raises(SemanticsError, match="track count exceeds cap 4"):
+        aggregate_measurement(c, cap=4)
+
+
 # --- probabilities and replay -----------------------------------------------
 
 
