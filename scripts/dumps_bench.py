@@ -14,7 +14,9 @@ The documents cover the shapes qcirc writes:
   small matrices.
 
 One line per document gives its text length, the share of its matrix floats
-that are +0.0 or -0.0, and the best of N calls in milliseconds.
+that are +0.0 or -0.0, the tracemalloc peak of one call above the text it
+returns (the writer's working memory), and the best of N calls in
+milliseconds.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +81,16 @@ def zero_share(doc) -> float:
     return float(np.mean(floats == 0.0))
 
 
+def peak_above_text_mib(doc) -> float:
+    tracemalloc.start()
+    try:
+        text = serialize.dumps(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - len(text)) / 2**20
+
+
 def best_ms(doc, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -93,7 +106,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     for name, doc in documents().items():
         chars = len(serialize.dumps(doc))
-        print(f"{name:16} {chars:>10} chars  zeros {zero_share(doc):7.2%}  best {best_ms(doc, args.repeat):8.3f} ms")
+        peak = peak_above_text_mib(doc)
+        print(
+            f"{name:16} {chars:>10} chars  zeros {zero_share(doc):7.2%}  peak +{peak:6.2f} MiB"
+            f"  best {best_ms(doc, args.repeat):8.3f} ms"
+        )
     return 0
 
 

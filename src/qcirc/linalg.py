@@ -188,7 +188,10 @@ class DensityOperator:
         return cls(n, factor=v)
 
     def normalized(self) -> np.ndarray:
-        return self.matrix / trace(self.matrix).real
+        m, tr = self.matrix, trace(self.matrix).real
+        if tr < 2.0**-1000:  # numpy divides by tr as m * (1 / tr), which would overflow
+            m, tr = m * 2.0**1000, tr * 2.0**1000  # exact: |m_ij| <= tr, and a power of two
+        return m / tr
 
 
 def partial_trace_matrix(mat: np.ndarray, n: int, keep: Iterable[int]) -> np.ndarray:

@@ -23,15 +23,8 @@ from typing import Iterable, Mapping, Optional, Union
 import numpy as np
 
 from . import linalg
-from .circuit import (
-    CircuitError,
-    Gate,
-    Measurement,
-    QuantumCircuit,
-    UnitaryOp,
-    topo_order,
-)
-from .scheduling import Bout, Schedule, ScheduleError, greedy_schedule, validate_schedule
+from .circuit import Gate, Measurement, QuantumCircuit, UnitaryOp, topo_order
+from .scheduling import Schedule, ScheduleError, greedy_schedule, validate_schedule
 
 TOL = linalg.DEFAULT_TOL
 DEFAULT_TRACK_CAP = 2**16
@@ -353,11 +346,12 @@ def sample(
     """One shot per seed: fire the schedule's bouts in order, sampling
     measurement outcomes with their conditional probabilities. Bout t of the
     shot with seed s draws u (`_uniforms`) and picks the first outcome
-    combination whose running weight sum reaches u * total; a path whose
-    trace falls to 1e-300 raises SemanticsError. The outcome tree is settled
-    depth first: a node holds the shots that picked the same combinations so
-    far and is expanded once for all of them, so each shot comes out as it
-    would alone.
+    combination of positive weight whose running weight sum reaches
+    u * total (so a draw u = 0 skips leading combinations of weight 0); a
+    path whose trace falls to 1e-300 times the input's raises SemanticsError.
+    The outcome tree is settled depth first: a node holds the shots that
+    picked the same combinations so far and is expanded once for all of
+    them, so each shot comes out as it would alone.
 
     The input rho = K K^dag is walked as its factor K: a path with cumulative
     operator A holds A K, weighed by ||A K||_F^2 (= tr(A rho A^dag)), and ends
@@ -369,12 +363,13 @@ def sample(
     bouts = [_order(c, [b]) for b in x.bouts]
     u = _uniforms(seeds, len(bouts))
     results: list = [None] * len(u)
+    floor = 1e-300 * linalg.squared_norm(rho.factor)  # relative, so any valid state's scale can run
     # (bout index, assignment, A K, step log, indices of its shots) per pending node
     stack = [(0, {}, rho.factor, (), np.arange(len(u)))] if len(u) else []
     while stack:
         t, assignment, k, log, shots = stack.pop()
         before = linalg.squared_norm(k)
-        if before <= 1e-300:
+        if before <= floor:
             raise SemanticsError(
                 f"zero-trace state before bout {t}" if t < len(bouts) else "final state has zero trace"
             )
@@ -391,6 +386,8 @@ def sample(
             raise SemanticsError(f"all outcomes of bout {t} have zero probability")
         picks = np.searchsorted(list(itertools.accumulate(weights)), u[shots, t] * total, side="left")
         picks = np.minimum(picks, len(leaves) - 1)
+        if weights[0] == 0.0:  # u = 0 picks leaf 0 and only u = 0 picks a leaf of weight 0
+            picks = np.maximum(picks, next(i for i, w in enumerate(weights) if w > 0.0))
         measured = [gid for gid in bouts[t] if c.gate(gid).is_measure]
         for k in reversed(np.flatnonzero(np.bincount(picks)).tolist()):
             child, state = leaves[k]

@@ -8,6 +8,8 @@ Every JSON document qcirc writes goes through `dumps`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -28,6 +30,7 @@ from .scheduling import Poset, Schedule
 
 CIRCUIT_VERSION = "qcirc-1"
 _NUMBERS = (int, float)  # the types of JSON numbers; a bool is not one
+CHUNK = 64  # (re, im) pairs per chunk of a written matrix's entries; see `_with_entries`
 
 
 class ParseError(ValueError):
@@ -91,8 +94,10 @@ def dumps(obj) -> str:
     Any other type raises TypeError, as `json` does.
 
     `json.dumps` with an indent never uses CPython's C encoder, so each float
-    of a matrix would go through its pure-Python generator; `_with_entries`
-    spells the floats of all matrices of the document in one array pass."""
+    of a matrix would go through its pure-Python generator. `_with_entries`
+    spells the floats of all matrices of the document in one array pass, and
+    writes each chunk of CHUNK entries that are all +0.0 as one shared string,
+    so the cost of a sparse matrix follows its nonzero entries."""
     out: list[str] = []
     matrices: list = []
     _write(obj, "\n", out, matrices)
@@ -143,39 +148,87 @@ def _write(o, nl: str, out: list, matrices: list) -> None:
 def _with_entries(out: list, matrices: list) -> list:
     """`out` with each recorded matrix's entries list spliced in, as tokens.
 
-    The floats of all matrices, (re, im) pair by pair, are classified in one
-    array pass: +0.0 and -0.0 (most entries of the projector-like aggregate
-    operators) take constant strings, and only the others go
-    through `repr` (or `_float`, when any float is NaN or infinite), in one
-    `map`. A matrix's tokens interleave those spellings with the brackets,
-    commas and indents between them, so the document is joined once."""
+    A matrix's (re, im) pairs are cut into chunks of CHUNK pairs, the last
+    one possibly shorter. One array pass over the floats of all matrices
+    finds the chunks whose floats are all +0.0 (most of the projector-like
+    aggregate operators): each is one shared `_zeros` string, held by
+    reference. The floats of the other chunks, and only those, are
+    classified in one more pass: +0.0 and -0.0 take constant strings, and
+    only the others go through `repr` (or `_float`, when any float is NaN
+    or infinite), in one `map`. Per matrix, one object array interleaves
+    those spellings with the brackets, commas and indents between them, and
+    each run of such chunks is one slice of it. So the token count follows
+    the nonzero entries, and the document is joined once."""
+    sizes = [2 * m.size for _, m, _ in matrices]  # floats per matrix
     floats = np.concatenate([_float_pairs(m).ravel() for _, m, _ in matrices])
+    starts: list[int] = []  # each chunk's first float
+    ends = []  # per matrix, the index of the chunk after its last
+    offset = 0
+    for n in sizes:
+        if n > 2 * CHUNK:
+            starts += range(offset, offset + n, 2 * CHUNK)
+        else:  # one chunk, as most small matrices are; appending is 4x cheaper than a range
+            starts.append(offset)
+        ends.append(len(starts))
+        offset += n
+    # +0.0 is the one float whose bits are all 0: a chunk whose largest bit
+    # pattern is 0 holds only +0.0 (a sum of the bits could wrap to 0)
+    mixed = np.maximum.reduceat(floats.view(np.uint64), starts) != 0
+    counts = sizes  # per matrix, the floats of its mixed chunks
+    if not mixed.all():
+        lengths = np.diff(starts, append=floats.size)
+        floats = floats[np.repeat(mixed, lengths)]
+        counts = np.add.reduceat(lengths * mixed, [0, *ends[:-1]]).tolist()
     nonzero = floats != 0.0
     negative_zero = np.signbit(floats) & ~nonzero
+    signed = negative_zero.any()
     spell = float.__repr__ if np.isfinite(floats).all() else _float
     spelled = np.array(list(map(spell, floats[nonzero].tolist())), dtype=object)
     del floats  # freed before the token list grows, so that the two never add up
+    flags = mixed.tolist()
     tokens: list[str] = []
-    prev = start = done = 0
-    for at, m, nl in matrices:
-        n = 2 * m.size
+    prev = start = done = first_chunk = 0
+    for (at, m, nl), n, end in zip(matrices, counts, ends):
         i2, i3 = nl + "    ", nl + "      "
-        text = np.empty(2 * n + 1, dtype=object)
-        text[0:-1:4] = f"{i2}],{i2}[{i3}"
+        text = np.empty(2 * n, dtype=object)
+        text[0::4] = f"{i2}],{i2}[{i3}"
         text[2::4] = "," + i3
-        text[0] = f"[{i2}[{i3}"
-        text[-1] = f"{i2}]{nl}  ]"
         entries = text[1::2]
         entries.fill("0.0")
-        entries[negative_zero[start : start + n]] = "-0.0"
+        if signed:
+            entries[negative_zero[start : start + n]] = "-0.0"
         spell_here = nonzero[start : start + n]
         count = np.count_nonzero(spell_here)
         entries[spell_here] = spelled[done : done + count]
         tokens += out[prev:at]
-        tokens += text.tolist()
-        prev, start, done = at, start + n, done + count
+        if n == 2 * m.size:  # no all-+0.0 chunk
+            text[0] = f"[{i2}[{i3}"
+            tokens += text.tolist()
+        else:
+            first, left, pair = len(tokens), m.size, 0
+            for is_mixed, run in itertools.groupby(flags[first_chunk:end]):
+                span = min(CHUNK * len(list(run)), left)  # pairs in the run
+                if is_mixed:
+                    tokens += text[4 * pair : 4 * (pair + span)].tolist()
+                    pair += span
+                else:
+                    tokens += [_zeros(nl, CHUNK)] * (span // CHUNK)
+                    if span % CHUNK:
+                        tokens.append(_zeros(nl, span % CHUNK))
+                left -= span
+            tokens[first] = "[" + tokens[first][len(i2) + 2 :]  # the first pair opens the list
+        tokens.append(f"{i2}]{nl}  ]")
+        prev, start, done, first_chunk = at, start + n, done + count, end
     tokens += out[prev:]
     return tokens
+
+
+@functools.lru_cache
+def _zeros(nl: str, pairs: int) -> str:
+    """`pairs` entries (+0.0, +0.0) of a matrix whose object starts on a line
+    indented `nl`, each after the separator that closes the previous pair."""
+    i2, i3 = nl + "    ", nl + "      "
+    return f"{i2}],{i2}[{i3}0.0,{i3}0.0" * pairs
 
 
 def _float(x: float) -> str:

@@ -12,7 +12,7 @@ import pytest
 
 from corpus import ghz_circuit, random_circuit
 from test_deferral import dropped_z_pair
-from test_semantics import splitmix64_output
+from test_semantics import splitmix64_output, splitmix64_seed_with_output, x_then_measure, zero_draw_seed
 from qcirc.circuit import Gate, Measurement, QuantumCircuit, standard_measure_gate, unitary_gate
 from qcirc.cli import build_parser, main
 from qcirc.linalg import H
@@ -358,6 +358,43 @@ def test_cli_run_shots_golden(capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "9c8e70aacaab1c1e9a89c5c5bdfc6409004881619aeeef91245cab8a27de5354"
 
+
+
+def _x_then_measure_files(tmp_path, amplitude):
+    circuit, ket = tmp_path / "x.json", tmp_path / "ket.json"
+    circuit.write_text(serialize_circuit(x_then_measure()))
+    ket.write_text(json.dumps({"ket": [[amplitude, 0.0], [0.0, 0.0]]}))
+    return str(circuit), str(ket)
+
+
+def test_cli_run_zero_draw_takes_the_outcome_of_probability_one(tmp_path, capsys):
+    """X, then a measurement, of |0>: the seed whose draw at the measurement
+    is 0 prints the track m = 1, alone and as the first shot seed of
+    `run --shots` (the seed whose stream starts with it)."""
+    circuit, ket = _x_then_measure_files(tmp_path, 1.0)
+    seed = zero_draw_seed(1)
+    assert main(["run", circuit, "--input", ket, "--seed", str(seed)]) == 0
+    assert out_json(capsys)["track"] == {"m": "1"}
+    stream = splitmix64_seed_with_output(seed, 0)
+    assert splitmix64_output(stream, 0) == seed
+    assert main(["run", circuit, "--input", ket, "--seed", str(stream), "--shots", "3"]) == 0
+    assert out_json(capsys)["frequencies"] == [{"outcomes": {"m": "1"}, "count": 3, "frequency": 1.0}]
+
+
+def test_cli_run_accepts_a_state_that_aggregate_accepts(tmp_path, capsys):
+    """The ket (1e-160, 0), of trace 1e-320: `aggregate` gives the outcome 1
+    probability 1, and `run` takes that track, alone and with shots; the
+    normalized final state is |1><1|."""
+    circuit, ket = _x_then_measure_files(tmp_path, 1e-160)
+    assert main(["aggregate", circuit, "--input", ket]) == 0
+    assert [t["probability_on"] for t in out_json(capsys)["tracks"]] == [0.0, 1.0]
+    assert main(["run", circuit, "--input", ket, "--seed", "1"]) == 0
+    data = out_json(capsys)
+    assert data["track"] == {"m": "1"}
+    assert data["final_state_raw"]["entries"][3] == [1e-320, 0.0]
+    assert data["final_state_normalized"]["entries"] == [[0.0, 0.0]] * 3 + [[pytest.approx(1.0), 0.0]]
+    assert main(["run", circuit, "--input", ket, "--seed", "1", "--shots", "4"]) == 0
+    assert out_json(capsys)["frequencies"] == [{"outcomes": {"m": "1"}, "count": 4, "frequency": 1.0}]
 
 
 @pytest.mark.parametrize("seed", [7, 2**64 - 1])

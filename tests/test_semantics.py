@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_teleportation
 from corpus import feed_forward_circuit, ghz_circuit, random_circuit
-from qcirc import cli, linalg, semantics
+from qcirc import cli, controlled_unitary_gate, linalg, semantics
 from qcirc.circuit import (
     QuantumCircuit,
     measure_gate,
@@ -804,3 +805,166 @@ def test_run_rejects_wrong_dimension(teleport):
             DensityOperator(1, np.eye(2, dtype=complex)),
             seed=0,
         )
+
+
+# --- draws of 0 and states of small norm -------------------------------------------
+
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment
+
+
+def zero_draw_seed(t):
+    """The seed whose draw at bout t is u = 0: its state after t + 1
+    increments is 0, which the mixer sends to 0."""
+    return -(t + 1) * GAMMA % 2**64
+
+
+def _unxorshift(z, s):
+    x = z
+    for _ in range(64 // s + 1):
+        x = z ^ x >> s
+    return x
+
+
+def splitmix64_seed_with_output(z, t):
+    """The seed whose output t + 1 is z: `splitmix64_output` inverted."""
+    z = _unxorshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = _unxorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return (_unxorshift(z, 30) - (t + 1) * GAMMA) % 2**64
+
+
+def x_then_measure():
+    """X on one qubit, then its standard measurement: from |0>, the outcome
+    "0" has probability 0 and comes first."""
+    return QuantumCircuit(("q",), (unitary_gate("x", [0], X), standard_measure_gate("m", 0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 300))
+def test_splitmix64_seed_with_output_inverts_the_stream(z, t):
+    seed = splitmix64_seed_with_output(z, t)
+    assert 0 <= seed < 2**64 and splitmix64_output(seed, t) == z
+
+
+def test_zero_draw_seeds():
+    seeds = [zero_draw_seed(t) for t in range(6)]
+    assert seeds[1] == 14092058508772706262
+    assert np.array_equal(_uniforms(seeds, 6).diagonal(), np.zeros(6))
+
+
+def test_zero_draw_skips_outcomes_of_probability_zero():
+    """u = 0 at the measurement takes the first outcome of positive weight,
+    "1", not the leading "0" of weight 0 (whose path has zero trace)."""
+    c = x_then_measure()
+    zero = DensityOperator.from_ket(np.array([1.0, 0.0]))
+    for seeds in ([zero_draw_seed(1)], [zero_draw_seed(1), zero_draw_seed(0), 5]):
+        for shot in sample(c, greedy_schedule(c), zero, seeds):
+            assert shot.track.as_dict() == {"m": "1"}
+            assert [p for _, _, p in shot.step_log] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("corpus_seed", range(12))
+def test_zero_draws_match_per_shot_oracle(corpus_seed):
+    """A shot per bout whose draw there is u = 0: on the oracle test's
+    circuits and mixed inputs, where no outcome has weight 0, `sample` picks
+    what the per-shot oracle picks, the first combination, bit for bit."""
+    c, x, rho, _ = _mixed_case(corpus_seed)
+    seeds = [zero_draw_seed(t) for t in range(len(x.bouts))]
+    got = sample(c, x, rho, seeds)
+    _assert_same_shots(got, per_shot_sample_oracle(c, x, rho, seeds))
+    assert all(p > 0.0 for r in got for _, _, p in r.step_log)
+
+
+def classical_circuit(rng):
+    """X, CNOT, standard measurements and X gates controlled by an earlier
+    outcome, on up to three registers: from a basis state, each bout has one
+    outcome combination of probability 1 and the others 0."""
+    n = int(rng.integers(1, 4))
+    gates, measured = [], []
+    for i in range(int(rng.integers(1, 9))):
+        kind, r = int(rng.integers(4)), int(rng.integers(n))
+        if kind == 0:
+            gates.append(unitary_gate(f"g{i}", [r], X))
+        elif kind == 1 and n > 1:
+            gates.append(unitary_gate(f"g{i}", [r, (r + 1 + int(rng.integers(n - 1))) % n], CNOT))
+        elif kind == 2 and measured:
+            source = measured[int(rng.integers(len(measured)))]
+            gates.append(controlled_unitary_gate(f"g{i}", [r], [source], {"I": I2, "X": X}, {("0",): "I", ("1",): "X"}))
+        else:
+            gates.append(standard_measure_gate(f"g{i}", r))
+            measured.append(f"g{i}")
+    return QuantumCircuit(tuple(f"r{j}" for j in range(n)), tuple(gates))
+
+
+@pytest.mark.parametrize("corpus_seed", range(24))
+def test_zero_draws_on_a_classical_circuit_take_the_certain_track(corpus_seed):
+    """From a basis state through a `classical_circuit`, shots with a draw
+    u = 0 at some bout take the one track of probability 1, each step of
+    probability 1, where the leading combination often has probability 0."""
+    rng = np.random.default_rng([26, corpus_seed])
+    c = classical_circuit(rng)
+    x = greedy_schedule(c)
+    psi = np.zeros(2**c.n_registers, dtype=complex)
+    psi[int(rng.integers(len(psi)))] = 1.0
+    rho = DensityOperator.from_ket(psi)
+    for r in sample(c, x, rho, [zero_draw_seed(t) for t in range(len(x.bouts))] + [1, 2]):
+        assert [p for _, _, p in r.step_log] == [1.0] * len(x.bouts)
+        assert track_probability(c, r.track, rho) == pytest.approx(1.0)
+
+
+def test_sample_runs_a_state_of_subnormal_trace():
+    """The ket (1e-160, 0) is a valid state of trace 1e-320: the zero-trace
+    bound is relative to the input's trace, so it runs, and its final state
+    normalizes to |1><1|."""
+    c = x_then_measure()
+    tiny = DensityOperator.from_ket(np.array([1e-160, 0.0]))
+    for shot in sample(c, greedy_schedule(c), tiny, [0, 1, zero_draw_seed(1)]):
+        assert shot.track.as_dict() == {"m": "1"}
+        assert shot.final_state.matrix[1, 1] == 1e-320
+        assert mat_close(shot.final_state.normalized(), P1, 1e-15)
+
+
+SCALES = sorted({*range(-500, 501, 50), -499, -1, 1, 499})
+
+
+def _scale_cases():
+    for corpus_seed in range(12):
+        yield pytest.param(_mixed_case(corpus_seed)[0], False, id=f"random-{corpus_seed}")
+    yield pytest.param(make_teleportation(), True, id="teleport")
+    yield pytest.param(ghz_circuit(3), True, id="ghz-3")
+    yield pytest.param(feed_forward_circuit(3), True, id="ff-3")
+
+
+@pytest.mark.parametrize("c, clean", list(_scale_cases()))
+def test_sample_is_invariant_under_power_of_two_scales(c, clean, monkeypatch):
+    """A ket scaled by 2^k, k in [-500, 500], gives every shot the same track
+    and step log: the weights keep their bits while every squared float of
+    every path stays a normal double. A (ket, k) pair where one would not is
+    skipped; from |0...0> on the named circuits none is."""
+    x, seeds = greedy_schedule(c), [*range(16), *EDGE_SEEDS]
+    dim = 2**c.n_registers
+    rng = np.random.default_rng(dim)
+    basis = np.zeros(dim, dtype=complex)
+    basis[0] = 1.0
+    for ket in (basis, rng.normal(size=dim) + 1j * rng.normal(size=dim)):
+        squares = []  # the squared nonzero floats of every state `sample` weighs
+        weigh = linalg.squared_norm
+
+        def recorded(k):
+            parts = np.ascontiguousarray(k).view(float)
+            squares.append(parts[parts != 0] ** 2)
+            return weigh(k)
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "squared_norm", recorded)
+            want = sample(c, x, DensityOperator.from_ket(ket), seeds)
+        squares = np.concatenate(squares)
+        ran = []
+        for k in SCALES:
+            scale = 2.0 ** (2 * k)
+            if not np.finfo(float).tiny <= squares.min() * scale <= squares.max() * scale * squares.size <= np.finfo(float).max:
+                continue  # some path would go subnormal or overflow
+            got = sample(c, x, DensityOperator.from_ket(ket * 2.0**k), seeds)
+            assert [(r.track, r.step_log) for r in got] == [(r.track, r.step_log) for r in want]
+            ran.append(k)
+        if clean and ket is basis:
+            assert ran == SCALES

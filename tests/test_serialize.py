@@ -21,7 +21,7 @@ from corpus import (
 )
 from qcirc.deferral import defer_measurements
 from qcirc.linalg import DensityOperator
-from qcirc.serialize import dumps, matrix_to_json, serialize_circuit
+from qcirc.serialize import CHUNK, dumps, matrix_to_json, serialize_circuit
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]
 ESCAPED = ["", '"', "\\", "/", "\n\r\t\b\f", "\x00\x1f\x7f", "é", " ", "😀", 'a"b\\c']
@@ -273,3 +273,92 @@ def test_dumps_ghz6_aggregate_peak_memory(ghz6_aggregate):
         tracemalloc.stop()
     assert len(text) == chars
     assert peak <= 2 * chars + 4 * 2**20
+
+
+# --- chunks of +0.0 entries ----------------------------------------------------
+
+CHUNK_PAIRS = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+LONE_FLOATS = [-0.0, math.nan, math.inf, -math.inf, *SUBNORMALS]
+
+
+def _boundary_floats(pairs):
+    """Float positions at the ends of the chunks of a matrix of `pairs` entries."""
+    edges = {0, 1, 2 * pairs - 2, 2 * pairs - 1}
+    for start in range(2 * CHUNK, 2 * pairs, 2 * CHUNK):
+        edges |= {start - 2, start - 1, start, start + 1}
+    return sorted(edges)
+
+
+def _shaped(parts, rows, cols, view):
+    """The floats `parts` as a rows x cols complex matrix: a plain array, the
+    transpose of a cols x rows one, or every other column of a wider array
+    whose skipped columns hold 7.0."""
+    m = np.array(parts, dtype=float).view(complex)
+    if view == "transpose":
+        return m.reshape(cols, rows).T
+    if view == "strided":
+        wide = np.full((rows, 2 * cols), 7.0 + 7.0j)
+        wide[:, ::2] = m.reshape(rows, cols)
+        return wide[:, ::2]
+    return m.reshape(rows, cols)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Matrices of CHUNK - 1, CHUNK, CHUNK + 1 and 2 CHUNK + 1 entries, all
+    +0.0 but for at most three floats, each a lone -0.0, NaN, +-inf,
+    subnormal or random finite float, often at a chunk's end; with none, an
+    all-+0.0 matrix. Plain, transposed and strided."""
+    pairs = draw(st.sampled_from(CHUNK_PAIRS))
+    rows = draw(st.sampled_from([d for d in range(1, pairs + 1) if pairs % d == 0]))
+    parts = [0.0] * (2 * pairs)
+    where = st.integers(0, 2 * pairs - 1) | st.sampled_from(_boundary_floats(pairs))
+    for i in draw(st.lists(where, max_size=3)):
+        parts[i] = draw(st.sampled_from(LONE_FLOATS) | finite_floats)
+    return _shaped(parts, rows, pairs // rows, draw(st.sampled_from(["plain", "transpose", "strided"])))
+
+
+@st.composite
+def sparse_documents(draw):
+    """Sparse matrices at three depths, so their indents differ, next to a
+    small matrix of `document_matrices` and scalars."""
+    return {
+        "top": draw(sparse_matrices()),
+        "tracks": [{"operator": draw(sparse_matrices()), "p": draw(floats)}, draw(document_matrices())],
+        "deep": [[{"m": draw(sparse_matrices()), "s": draw(strings)}]],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_documents())
+def test_dumps_sparse_matrices_across_chunks_match_json(doc):
+    assert dumps(doc) == json.dumps(_with_matrix_objects(doc), indent=2)
+
+
+@pytest.mark.parametrize("pairs", CHUNK_PAIRS)
+@pytest.mark.parametrize("lone", [None, *LONE_FLOATS, 0.5], ids=repr)
+def test_dumps_lone_float_at_each_chunk_end_matches_json(pairs, lone):
+    """Each float position at a chunk's end holds the lone float in turn (or
+    none: an all-+0.0 matrix), in a matrix at two depths and in a 1 x n row."""
+    for i in _boundary_floats(pairs) if lone is not None else [None]:
+        parts = [0.0] * (2 * pairs)
+        if i is not None:
+            parts[i] = lone
+        for view in ["plain", "transpose", "strided"]:
+            m = _shaped(parts, pairs, 1, view)
+            doc = {"m": m, "deep": [{"m": m}], "row": m.reshape(1, pairs)}
+            assert dumps(doc) == json.dumps(_with_matrix_objects(doc), indent=2)
+
+
+def test_dumps_ghz6_aggregate_peak_memory_above_text(ghz6_aggregate):
+    """The chunks of +0.0 entries are shared strings, so the tracemalloc
+    peak of one call is at most the text it returns plus 2 MiB."""
+    chars = len(dumps(ghz6_aggregate))
+    tracemalloc.start()
+    try:
+        text = dumps(ghz6_aggregate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == chars
+    assert peak <= chars + 2 * 2**20
