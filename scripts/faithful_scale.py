@@ -9,7 +9,10 @@ a standard measurement and a classically controlled X), defers it, and runs
 the check on N random pure inputs (seed 0). Each method is run twice: once
 untraced for its wall time, once under `tracemalloc` for its peak. One JSON
 line per method gives the target's register count, the number of source
-tracks checked, the seconds, the peak in MiB and the verdict.
+tracks checked, the seconds, the peak in MiB, the verdict, and
+`walk_seconds`: the untraced time of the checker's source walk,
+`track_operators(source, psi)` for the method's inputs psi (I for the exact
+check), on a fresh validated copy of the source.
 """
 
 from __future__ import annotations
@@ -24,8 +27,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import numpy as np
+
 from corpus import feed_forward_circuit
+from qcirc.circuit import QuantumCircuit, check_valid
 from qcirc.deferral import check_faithful, defer_measurements, random_pure_inputs
+from qcirc.semantics import track_operators
 
 
 def measure(c, result, inputs) -> dict:
@@ -38,6 +45,11 @@ def measure(c, result, inputs) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    source = check_valid(QuantumCircuit(c.register_names, c.gates))
+    psi = np.eye(2**c.n_registers, dtype=complex) if inputs is None else np.stack(inputs, axis=1)
+    start = time.perf_counter()
+    track_operators(source, psi)
+    walk_seconds = time.perf_counter() - start
     return {
         "method": report.method,
         "inputs": report.inputs_checked,
@@ -46,6 +58,7 @@ def measure(c, result, inputs) -> dict:
         "seconds": round(seconds, 3),
         "peak_mib": round(peak / 2**20, 2),
         "ok": report.ok,
+        "walk_seconds": round(walk_seconds, 4),
     }
 
 

@@ -223,6 +223,10 @@ class QuantumCircuit:
         return tuple(_diagnose(self))
 
     @cached_property
+    def _verdicts(self) -> tuple[dict[int, bool], dict[int, float]]:
+        return _verdicts(self)
+
+    @cached_property
     def _layers(self) -> tuple[dict[str, int], dict[str, int]]:
         """Per gate: its prerequisites as a bitmask over gate positions, and
         its longest-path depth. Raises CircuitError if the relation is cyclic."""
@@ -326,7 +330,7 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
 
 def _diagnose(c: QuantumCircuit) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    finite, defects = _verdicts(c)
+    finite, defects = c._verdicts
 
     def err(code: str, where: str, message: str) -> None:
         diags.append(Diagnostic("error", code, where, message))

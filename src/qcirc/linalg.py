@@ -222,9 +222,14 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
 
 @lru_cache(maxsize=256)
 def _axes(registers: tuple, n: int) -> tuple[tuple, tuple]:
-    """Axes of a (2,)*n + (m,) tensor, the registers' first; and the inverse order."""
-    perm = (*registers, *(a for a in range(n + 1) if a not in registers))
-    return perm, tuple(sorted(range(n + 1), key=perm.__getitem__))
+    """Axes of a (f,) + (2,)*n + (m,) tensor with the registers' first after
+    f, and the inverse order; LinalgError for a repeated or unknown register."""
+    if len(set(registers)) != len(registers):
+        raise LinalgError(f"duplicate register in {list(registers)}")
+    if any(r < 0 or r >= n for r in registers):
+        raise LinalgError(f"register index out of range in {list(registers)}")
+    perm = (0, *(r + 1 for r in registers), *(a for a in range(1, n + 2) if a - 1 not in registers))
+    return perm, tuple(sorted(range(n + 2), key=perm.__getitem__))
 
 
 def apply(op: np.ndarray, registers: Sequence[int], t: np.ndarray, n: int) -> np.ndarray:
@@ -232,18 +237,13 @@ def apply(op: np.ndarray, registers: Sequence[int], t: np.ndarray, n: int) -> np
     product `np.tensordot` forms: one transpose (cached by `_axes`) brings the
     registers' tensor axes to the front, and one `np.dot` contracts them."""
     op = as_matrix(op)
-    regs = list(registers)
-    k = len(regs)
-    if len(set(regs)) != k:
-        raise LinalgError(f"duplicate register in {regs}")
-    if any(r < 0 or r >= n for r in regs):
-        raise LinalgError(f"register index out of range in {regs}")
+    k = len(registers)
     if op.shape != (2**k, 2**k):
         raise LinalgError(f"operator shape {op.shape} does not match arity {k}")
     if t.ndim != 2 or t.shape[0] != 2**n:
         raise LinalgError(f"expected {2**n} rows, got shape {t.shape}")
-    perm, inverse = _axes(tuple(regs), n)
-    x = t.reshape((2,) * n + (t.shape[1],)).transpose(perm)
+    perm, inverse = _axes(tuple(registers), n)
+    x = t.reshape((1,) + (2,) * n + (t.shape[1],)).transpose(perm)
     out = np.dot(op, x.reshape(2**k, 2 ** (n - k) * t.shape[1]))
     return out.reshape(x.shape).transpose(inverse).reshape(t.shape)
 

@@ -4,30 +4,35 @@ aggregate measurement, schedule equivalence, and a seeded stochastic executor.
 Post-measurement states are kept un-normalized; normalization happens only
 when sampling or reporting.
 
-Track operators come from one of two walks (`track_rows`). The general walk
-branches on each measurement's outcomes. A circuit in terminal form, whose
-unitaries all precede its standard-basis measurements (every circuit
-`defer` rewrites, and GHZ-style circuits), is by the deferred-measurement
-principle one unitary U followed by a measurement in the standard basis:
-U @ t0 is built once and each track is the rows its labels select.
+Track operators come from one of two walks (`track_rows`). A circuit in
+terminal form, whose unitaries all precede its standard-basis measurements
+(every circuit `defer` rewrites, and GHZ-style circuits), is by the
+deferred-measurement principle one unitary U followed by a measurement in
+the standard basis: U @ t0 is built once and each track is the rows its
+labels select. Every other walk, the sampler's included, is a breadth-first
+frontier walk over the circuit's compiled `_Plan`: a stack of states with a
+row of integer outcome codes each, and each gate's selected operators
+applied once to all the states that select them.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from . import linalg
-from .circuit import Gate, Measurement, QuantumCircuit, UnitaryOp, topo_order
+from .circuit import Gate, QuantumCircuit, topo_order
 from .scheduling import Schedule, ScheduleError, greedy_schedule, validate_schedule
 
 TOL = linalg.DEFAULT_TOL
 DEFAULT_TRACK_CAP = 2**16
+FRONTIER_BYTES = 2**18  # states a walk's frontier, or `sample`'s live nodes at a time, may hold
 
 
 class SemanticsError(ValueError):
@@ -70,34 +75,6 @@ class RunResult:
     step_log: tuple  # ((gate ids...), (outcome labels...), probability)
 
 
-def source_outcomes(g: Gate, assignment: Mapping[str, str]) -> tuple[str, ...]:
-    try:
-        return tuple(assignment[s] for s in g.classical_sources)
-    except KeyError as e:
-        raise SemanticsError(
-            f"gate {g.id!r}: no outcome recorded for classical source {e.args[0]!r}"
-        ) from None
-
-
-def select_measurement(
-    c: QuantumCircuit, gid: str, sources: tuple[str, ...]
-) -> Union[Measurement, UnitaryOp]:
-    """The measurement or unitary picked by the gate's selector for the given
-    source outcomes."""
-    g = c.gate(gid)
-    if len(sources) != len(g.classical_sources):
-        raise SemanticsError(
-            f"gate {gid!r}: expected {len(g.classical_sources)} source outcomes, got {len(sources)}"
-        )
-    try:
-        target = g.selector[tuple(sources)]
-    except KeyError:
-        raise SemanticsError(f"gate {gid!r}: selector has no entry for {sources}") from None
-    if g.is_measure:
-        return g.measurements[target]
-    return g.unitaries[target]
-
-
 def _order(c: QuantumCircuit, bouts: Iterable[Iterable[str]]) -> tuple[str, ...]:
     """The bouts' gate ids, bout by bout, in sequence order inside each bout."""
     return tuple(gid for b in bouts for gid in sorted(b, key=c.index_of))
@@ -108,49 +85,223 @@ def _require_fit(c: QuantumCircuit, *schedules: Schedule) -> None:
         raise ScheduleError("schedule does not fit the circuit")
 
 
-def _walk(c: QuantumCircuit, order, t: np.ndarray, assignment: dict):
-    """The leaves (assignment, A @ t) of the outcome tree over the gates `order`
-    from t with outcomes `assignment`, depth first, each selected operator
-    applied with `linalg.apply`. A measurement branches on its `outcomes`, or
-    follows the one that `assignment` already holds. Pending siblings share
-    their parent's state and apply their own operator when popped."""
-    stack = [(0, t, assignment, None)]  # (next gate index, state, outcomes, operator not yet applied)
-    while stack:
-        start, t, assignment, pending = stack.pop()
-        if pending is not None and t.size:
-            t = linalg.apply(*pending, t, c.n_registers)
-        for i in range(start, len(order)):
-            g = c.gate(order[i])
-            chosen = select_measurement(c, g.id, source_outcomes(g, assignment))
-            if isinstance(chosen, UnitaryOp):
-                t = linalg.apply(chosen.matrix, g.registers, t, c.n_registers) if t.size else t
-                continue
-            held = assignment.get(g.id)
-            if held is not None and held not in chosen.operators:
-                raise SemanticsError(
-                    f"track is incoherent at gate {g.id!r}: outcome {held!r} not offered "
-                    f"by the selected measurement"
-                )
-            for label in reversed(chosen.outcomes) if held is None else [held]:
-                stack.append((i + 1, t, {**assignment, g.id: label}, (chosen.operators[label], g.registers)))
-            break
+class _Step(NamedTuple):
+    """A gate compiled for the frontier walk (`_Plan`). A pick is the
+    position of one of its unitaries or measurements, -1 for none."""
+
+    gate: Gate
+    column: int  # of outcome codes; -1 for a unitary gate
+    axes: tuple  # `linalg._axes` of its registers
+    ops: np.ndarray  # unitary j is ops[j]; measurement j's, labels sorted, are ops[first[j] : first[j + 1]]
+    finite: bool  # all ops finite (the validation verdicts)
+    first: tuple
+    codes: np.ndarray  # per measurement operator, its label's code
+    pick: int  # without classical sources
+    sources: tuple = ()  # columns of the classical sources (-1: not a measurement gate)
+    selector: tuple = ()  # (place values, table): mixed-radix code of their labels -> pick
+
+
+class _Plan:
+    """A circuit compiled once for the frontier walk: a `_Step` per gate, and
+    per measurement gate a column of outcome codes, a label's code being its
+    position in the gate's `outcome_labels` (-1: none)."""
+
+    def __init__(self, c: QuantumCircuit):
+        measures = [g for g in c.gates if g.is_measure]
+        self.column = {g.id: j for j, g in enumerate(measures)}
+        self.labels = [g.outcome_labels for g in measures]
+        self.names = [np.array(labels, dtype=object) for labels in self.labels]
+        self.index = [{label: i for i, label in enumerate(labels)} for labels in self.labels]
+        self.steps = {g.id: self._compile(g, c.n_registers, c._verdicts[0]) for g in c.gates}
+
+    def _compile(self, g: Gate, n: int, finite: dict) -> _Step:
+        choices, dim, column = g.measurements or g.unitaries, 2**g.arity, self.column.get(g.id, -1)
+        ops = [m.operators[label] for m in choices.values() for label in m.outcomes] if column >= 0 else [
+            u.matrix for u in choices.values()]
+        shapes = {np.shape(a) for a in ops} - {(dim, dim)}
+        if shapes:  # as `linalg.apply` says, and `linalg._axes` for the registers
+            raise linalg.LinalgError(f"operator shape {min(shapes)} does not match arity {g.arity}")
+        first = (0, *itertools.accumulate(len(m.outcomes) for m in choices.values())) if column >= 0 else ()
+        codes = np.array([self.index[column][label] for m in choices.values() for label in m.outcomes]) if first else None
+        step = (g, column, linalg._axes(g.registers, n), np.array(ops, dtype=complex).reshape(len(ops), dim, dim),
+                all(map(finite.get, map(id, ops))), first, codes)
+        if not g.classical_sources:
+            return _Step(*step, list(choices).index(g.selector[()]) if g.selector.get(()) in choices else -1)
+        position = {cid: j for j, cid in enumerate(choices)}
+        sources = tuple(self.column.get(s, -1) for s in g.classical_sources)
+        radices = [len(self.labels[j]) if j >= 0 else 0 for j in sources]
+        places = [math.prod(radices[i + 1 :]) for i in range(len(radices))]
+        table = [-1] * math.prod(radices)
+        for key, target in g.selector.items():
+            if len(key) == len(sources) and target in position and all(
+                j >= 0 and label in self.index[j] for j, label in zip(sources, key)
+            ):
+                table[sum(self.index[j][label] * p for j, label, p in zip(sources, key, places))] = position[target]
+        return _Step(*step, -1, sources, (np.array(places), np.array(table)))
+
+    def codes_of(self, assignment: Mapping[str, str]) -> np.ndarray:
+        """A row of codes of the assignment's labels; -2 for a label that
+        its gate lacks."""
+        row = np.full((1, len(self.labels)), -1, dtype=np.intp)
+        for gid, label in assignment.items():
+            if gid in self.column:
+                row[0, self.column[gid]] = self.index[self.column[gid]].get(label, -2)
+        return row
+
+    def labels_of(self, codes: np.ndarray, columns) -> list[tuple]:
+        return list(zip(*(self.names[j][codes[:, j]].tolist() for j in columns))) if columns else [()] * len(codes)
+
+    def tracks(self, codes: np.ndarray) -> list[Track]:
+        """The track of each row of codes that labels every measurement."""
+        ids = sorted(self.column)
+        labels = zip(*self.labels_of(codes, [self.column[gid] for gid in ids]))
+        pairs = (zip(itertools.repeat(gid), column) for gid, column in zip(ids, labels))
+        return list(map(Track, zip(*pairs))) if ids else [Track(())] * len(codes)
+
+
+def _plan(c: QuantumCircuit) -> _Plan:
+    """The circuit's plan, kept on the instance like its cached structure."""
+    if "_plan" not in vars(c):
+        vars(c)["_plan"] = _Plan(c)
+    return vars(c)["_plan"]
+
+
+def _pick(plan: _Plan, s: _Step, codes: np.ndarray, held: Optional[Mapping[str, str]]):
+    """Per frontier row, the selector's pick; an int if all rows agree."""
+    g = s.gate
+    if not s.sources or not len(codes):
+        if s.pick < 0 and len(codes):
+            raise SemanticsError(f"gate {g.id!r}: selector has no entry for ()")
+        return s.pick if len(codes) else np.zeros(0, dtype=np.intp)
+    src = codes[:, s.sources] if min(s.sources) >= 0 else np.full((len(codes), len(s.sources)), -1)
+    pick = s.selector[1][src @ s.selector[0]] if src.min() >= 0 else np.full(len(codes), -1)
+    low = pick.min()
+    if low < 0:
+        row = src[np.flatnonzero(pick < 0)[0]].tolist()
+        if -1 in row:
+            raise SemanticsError(f"gate {g.id!r}: no outcome recorded for classical source {g.classical_sources[row.index(-1)]!r}")
+        labels = tuple(plan.labels[j][k] if k >= 0 else held[gid] for gid, j, k in zip(g.classical_sources, s.sources, row))
+        raise SemanticsError(f"gate {g.id!r}: selector has no entry for {labels}")
+    return int(low) if low == pick.max() else pick
+
+
+def _expand(plan: _Plan, order, codes: np.ndarray, cap: Optional[int] = None,
+            held: Optional[Mapping[str, str]] = None):
+    """The frontier walk over the gates `order` on outcome codes alone, from
+    a row per row of `codes`: (moves, codes, roots), the last two the
+    leaves'. A measurement replaces each row by a child per label of the
+    measurement picked, in depth-first leaf order; a row holding the `held`
+    assignment takes its label, or the first where it holds none. A move
+    (step, ops, parents) makes the next frontier: each row takes each
+    operator of the slice `ops`, or row i is operator ops[i] on row
+    parents[i] (on row i if parents is None). Raises SemanticsError as soon
+    as the frontier exceeds `cap`."""
+    moves, roots = [], np.arange(len(codes))
+    for gid in order:
+        s = plan.steps[gid]
+        ops, parents = _pick(plan, s, codes, held), None
+        if isinstance(ops, int) and s.column >= 0:
+            lo, width = s.first[ops], s.first[ops + 1] - s.first[ops]
+            if held is not None:
+                own = codes[0, s.column]
+                lo += 0 if own == -1 else next((i for i in range(width) if s.codes[lo + i] == own), width)
+                if lo == s.first[ops + 1]:
+                    label = plan.labels[s.column][own] if own >= 0 else held[gid]
+                    raise SemanticsError(
+                        f"track is incoherent at gate {gid!r}: outcome {label!r} not offered by the selected measurement"
+                    )
+                width = 1
+            f, codes, roots = len(codes), np.repeat(codes, width, axis=0), np.repeat(roots, width)
+            codes.reshape(f, width, codes.shape[1])[:, :, s.column] = s.codes[lo : lo + width]
+            ops = slice(lo, lo + width)
+        elif isinstance(ops, int):
+            ops = slice(ops, ops + 1)
+        elif s.column >= 0:  # rows pick different measurements
+            first = np.array(s.first)
+            counts = first[ops + 1] - first[ops]
+            parents = np.repeat(np.arange(len(codes)), counts)
+            ops = first[ops][parents] + np.arange(len(parents)) - (np.cumsum(counts) - counts)[parents]
+            codes, roots = codes[parents], roots[parents]
+            codes[:, s.column] = s.codes[ops]
+        moves.append((s, ops, parents))
+        if cap is not None and len(codes) > cap:
+            raise SemanticsError(f"track count exceeds cap {cap}")
+    return moves, codes, roots
+
+
+def _rows(moves, a: int, b: int) -> list:
+    """The moves restricted to rows a..b of the frontier they start from."""
+    out = []
+    for s, ops, parents in moves:
+        if isinstance(ops, slice):
+            out.append((s, ops, None))
+            a, b = a * (ops.stop - ops.start), b * (ops.stop - ops.start)
+        elif parents is None:
+            out.append((s, ops[a:b], None))
         else:
-            yield assignment, t
+            lo, hi = np.searchsorted(parents, [a, b]).tolist()
+            out.append((s, ops[lo:hi], parents[lo:hi] - a))
+            a, b = lo, hi
+    return out
+
+
+def _run(moves, t: np.ndarray):
+    """The moves applied to a frontier t of (2^n, m) blocks: the leaves, in
+    order, as stacks. A frontier whose next one would pass FRONTIER_BYTES is
+    split in two, and the halves are walked in turn, so that the walk holds
+    little beyond the leaves that its caller keeps."""
+    for i, (s, ops, parents) in enumerate(moves):
+        size = len(t) * (ops.stop - ops.start) if isinstance(ops, slice) else len(ops)
+        if len(t) > 1 and size * t[0].nbytes > FRONTIER_BYTES:
+            yield from _run(_rows(moves[i:], 0, len(t) // 2), t[: len(t) // 2])
+            yield from _run(_rows(moves[i:], len(t) // 2, len(t)), t[len(t) // 2 :])
+            return
+        t = _apply(s, ops, t if parents is None else t[parents])
+    yield t
+
+
+def _apply(s: _Step, ops, x: np.ndarray) -> np.ndarray:
+    """The step's operators `ops` applied to the blocks x in one batched
+    `np.matmul`, whose products have `linalg.apply`'s gemm shape, hence its
+    bits: each block by every operator of a slice in turn, or block i by
+    operator ops[i]."""
+    a = s.ops[ops] if isinstance(ops, slice) else s.ops[ops][:, None]  # (w, d, d), or (f, 1, d, d)
+    (f, rows, m), (w, d) = x.shape, a.shape[-3:-1]
+    if not x.size:  # as `linalg.apply` was not called on an empty block
+        return np.zeros((f * w, rows, m), dtype=complex)
+    if not s.finite:
+        raise linalg.LinalgError("matrix has non-finite entries")
+    y = x.reshape(f, *(2,) * (rows.bit_length() - 1), m).transpose(s.axes[0])
+    out = np.matmul(a, y.reshape(f, 1, d, rows // d * m))
+    return out.reshape(f * w, *y.shape[1:]).transpose(s.axes[1]).reshape(f * w, rows, m)
+
+
+def _walk_plan(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int] = None,
+               held: Optional[Mapping[str, str]] = None):
+    """The outcome tree's leaves over `order` from t0, depth first: their
+    A @ t0, as they come (`_run`), and their codes, counted before any
+    operator is applied; with `held`, the leaf of that assignment."""
+    plan = _plan(c)
+    moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), cap, held)
+    t = np.asarray(t0, dtype=complex)
+    if moves and t.size and (t.ndim != 2 or t.shape[0] != 2**c.n_registers):  # as `linalg.apply` says
+        raise linalg.LinalgError(f"expected {2**c.n_registers} rows, got shape {t.shape}")
+    return (leaf for part in _run(moves, t[None]) for leaf in part), codes
 
 
 def _track_leaf(
     c: QuantumCircuit, bouts: Iterable[Iterable[str]], t: np.ndarray,
     assignment: Mapping[str, str],
 ) -> np.ndarray:
-    """The one leaf of the walk over `bouts` from t along a track that labels
-    every measurement it reaches; only the first leaf is built."""
-    leaf, out = next(_walk(c, _order(c, bouts), t, assignment))
-    unlabelled = [gid for gid in leaf if gid not in assignment]
+    """A @ t over `bouts` along a track that labels each measurement reached."""
+    order = _order(c, bouts)
+    leaf = next(_walk_plan(c, order, t, held=assignment)[0])
+    unlabelled = [gid for gid in order if c.gate(gid).is_measure and gid not in assignment]
     if unlabelled:
         raise SemanticsError(
             f"track is incoherent at gate {unlabelled[0]!r}: no outcome for a reached measurement"
         )
-    return out
+    return leaf
 
 
 def bout_operator(
@@ -159,16 +310,6 @@ def bout_operator(
     """Full-space operator of a bout under the given outcome assignment: the
     product of each gate's selected operator acting on its registers."""
     return _track_leaf(c, [b], np.eye(2**c.n_registers, dtype=complex), assignment)
-
-
-def _leaves(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int]):
-    """The `linalg.apply` walk's leaves (assignment, A @ t0) over `order`, as
-    they come. Tracks are counted first, on an empty column slice of t0, so an
-    over-cap circuit fails before any operator is built."""
-    stop = None if cap is None else cap + 1
-    if len(list(itertools.islice(_walk(c, order, t0[:, :0], {}), stop))) == stop:
-        raise SemanticsError(f"track count exceeds cap {cap}")
-    yield from _walk(c, order, t0, {})
 
 
 def track_rows(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP):
@@ -182,23 +323,26 @@ def track_rows(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_T
     w = U @ t0, with each unitary applied once in greedy order, and group[r]
     the track whose labels select row r, so its tracks partition w's rows
     (the product of the label sets, incoherent tracks included). Any other
-    circuit gives one piece per leaf of the general walk, which shares
-    `linalg.apply` calls along outcome prefixes and holds one path."""
+    circuit gives one piece per leaf of the frontier walk (`_walk_plan`), in
+    depth-first leaf order, the tracks counted on outcome codes first."""
     order = _order(c, greedy_schedule(c).bouts)
     measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
     if not c._terminal:
-        for a, t in _leaves(c, order, t0, cap):
-            yield t, None, [(tuple(map(a.get, measures)), Track.from_mapping(a))]
+        leaves, codes = _walk_plan(c, order, t0, cap)
+        plan = _plan(c)
+        keys = plan.labels_of(codes, [plan.column[gid] for gid in measures])
+        for leaf, key, f in zip(leaves, keys, plan.tracks(codes)):
+            yield leaf, None, [(key, f)]
         return
-    walked = [(c.gate(gid), select_measurement(c, gid, ())) for gid in order]
-    measured = [(g, m) for g, m in walked if isinstance(m, Measurement)]
+    walked = [(g, (g.measurements or g.unitaries)[g.selector[()]]) for g in map(c.gate, order)]
+    measured = [(g, m) for g, m in walked if g.is_measure]
     if cap is not None and math.prod(len(m.operators) for _, m in measured) > cap:
         raise SemanticsError(f"track count exceeds cap {cap}")
     w = np.asarray(t0, dtype=complex)
     if w.ndim != 2 or w.shape[0] != 2**c.n_registers:  # as `linalg.apply` says, with no unitary to apply
         raise linalg.LinalgError(f"expected {2**c.n_registers} rows, got shape {w.shape}")
     for g, u in walked:
-        if isinstance(u, UnitaryOp) and w.size:
+        if not g.is_measure and w.size:
             w = linalg.apply(u.matrix, g.registers, w, c.n_registers)
     tracks = []
     for labels in itertools.product(*(m.outcomes for _, m in measured)):
@@ -264,16 +408,14 @@ def schedules_equivalent(
     c: QuantumCircuit, x: Schedule, y: Schedule, tol: float = TOL
 ) -> bool:
     """Whether every track's cumulative operator under x is within tol of its
-    operator under y. x's outcome tree is walked into its operators (each
-    bit-identical to `cumulative_operator`'s), then y's leaves are compared
-    against them as they come. An invalid schedule raises ScheduleError."""
+    operator under y (each bit-identical to `cumulative_operator`'s),
+    matched by outcome codes. An invalid schedule raises ScheduleError."""
     _require_fit(c, x, y)
     eye = np.eye(2**c.n_registers, dtype=complex)
-    ops = {Track.from_mapping(a): t for a, t in _leaves(c, _order(c, x.bouts), eye, DEFAULT_TRACK_CAP)}
-    for a, t in _walk(c, _order(c, y.bouts), eye, {}):
-        if not linalg.mat_close(ops.pop(Track.from_mapping(a)), t, tol):
-            return False
-    return True
+    ops, codes = _walk_plan(c, _order(c, x.bouts), eye, DEFAULT_TRACK_CAP)
+    ops, at = list(ops), {row: i for i, row in enumerate(map(tuple, codes.tolist()))}
+    ops_y, codes_y = _walk_plan(c, _order(c, y.bouts), eye, DEFAULT_TRACK_CAP)
+    return all(linalg.mat_close(ops[at[tuple(row)]], t, tol) for row, t in zip(codes_y.tolist(), ops_y))
 
 
 def track_probability(c: QuantumCircuit, f: Track, rho: linalg.DensityOperator) -> float:
@@ -349,52 +491,70 @@ def sample(
     combination of positive weight whose running weight sum reaches
     u * total (so a draw u = 0 skips leading combinations of weight 0); a
     path whose trace falls to 1e-300 times the input's raises SemanticsError.
-    The outcome tree is settled depth first: a node holds the shots that
-    picked the same combinations so far and is expanded once for all of
-    them, so each shot comes out as it would alone.
-
-    The input rho = K K^dag is walked as its factor K: a path with cumulative
-    operator A holds A K, weighed by ||A K||_F^2 (= tr(A rho A^dag)), and ends
-    as a factored state. Memory: one root-to-leaf path of nodes with their
-    pending siblings (2^n x r arrays; a bout with m measurements expands to
-    its 2^m leaves at once), the returned states, and the draws."""
+    A live node holds the shots that took the same combinations so far; a
+    bout's live nodes are expanded as one frontier (`_settle`), so each shot
+    comes out as it would alone. rho = K K^dag is walked as its factor K: a
+    path with cumulative operator A holds A K, weighed by ||A K||_F^2, and
+    ends as a factored state. Memory: the live nodes (at most one per
+    returned state), and the children of FRONTIER_BYTES of them at a time."""
     check_state(rho, c.n_registers)
     _require_fit(c, x)
+    plan = _plan(c)
     bouts = [_order(c, [b]) for b in x.bouts]
     u = _uniforms(seeds, len(bouts))
     results: list = [None] * len(u)
     floor = 1e-300 * linalg.squared_norm(rho.factor)  # relative, so any valid state's scale can run
-    # (bout index, assignment, A K, step log, indices of its shots) per pending node
-    stack = [(0, {}, rho.factor, (), np.arange(len(u)))] if len(u) else []
-    while stack:
-        t, assignment, k, log, shots = stack.pop()
-        before = linalg.squared_norm(k)
-        if before <= floor:
-            raise SemanticsError(
-                f"zero-trace state before bout {t}" if t < len(bouts) else "final state has zero trace"
-            )
-        if t == len(bouts):
-            state = linalg.DensityOperator(c.n_registers, factor=k)
-            result = RunResult(Track.from_mapping(assignment), state, log)
-            for i in shots.tolist():
+    size = max(1, FRONTIER_BYTES // rho.factor.nbytes)  # nodes expanded at a time
+    # blocks of live nodes: (outcome codes, A K, step logs, shot indices), one row or item per node
+    live = [(plan.codes_of({}), rho.factor[None], [()], [np.arange(len(u))])] if len(u) else []
+    for t, bout in enumerate(bouts):
+        blocks, live = collections.deque(live), []
+        while blocks:  # a block is dropped once its nodes are settled
+            block = blocks.popleft()
+            live += [_settle(plan, bout, t, [part[a : a + size] for part in block], u, floor)
+                     for a in range(0, len(block[0]), size)]
+    for codes, states, logs, shots in live:
+        for track, k, log, mine in zip(plan.tracks(codes), states, logs, shots):
+            if linalg.squared_norm(k) <= floor:
+                raise SemanticsError("final state has zero trace")
+            result = RunResult(track, linalg.DensityOperator(c.n_registers, factor=k), log)
+            for i in mine.tolist():
                 results[i] = result
-            continue
-        leaves = list(_walk(c, bouts[t], k, assignment))
-        weights = [linalg.squared_norm(a) / before for _, a in leaves]
+    return results
+
+
+def _settle(plan: _Plan, bout: tuple[str, ...], t: int, block: list, u: np.ndarray, floor: float) -> tuple:
+    """The block of live nodes after bout t: the children of the given ones
+    that their shots pick, in order, each weighed by `linalg.squared_norm`."""
+    codes, states, logs, shots = block
+    befores = [linalg.squared_norm(k) for k in states]
+    if min(befores) <= floor:
+        raise SemanticsError(f"zero-trace state before bout {t}")
+    moves, codes, roots = _expand(plan, bout, codes)
+    kids = list(_run(moves, states))
+    kids = kids[0] if len(kids) == 1 else np.concatenate(kids)
+    combos = plan.labels_of(codes, [plan.column[gid] for gid in bout if gid in plan.column])
+    bounds = np.searchsorted(roots, np.arange(len(befores) + 1)).tolist()
+    rows, picked = [], []
+    for p, (log, mine) in enumerate(zip(logs, shots)):
+        weights = [linalg.squared_norm(k) / befores[p] for k in kids[bounds[p] : bounds[p + 1]]]
         total = sum(weights)
         if total <= 0.0:
             raise SemanticsError(f"all outcomes of bout {t} have zero probability")
-        picks = np.searchsorted(list(itertools.accumulate(weights)), u[shots, t] * total, side="left")
-        picks = np.minimum(picks, len(leaves) - 1)
+        if len(weights) == 1:  # a lone child of positive weight takes every draw
+            rows.append(bounds[p])
+            picked.append((log + ((bout, combos[bounds[p]], weights[0]),), mine))
+            continue
+        picks = np.searchsorted(list(itertools.accumulate(weights)), u[mine, t] * total, side="left")
+        picks = np.minimum(picks, len(weights) - 1)
         if weights[0] == 0.0:  # u = 0 picks leaf 0 and only u = 0 picks a leaf of weight 0
             picks = np.maximum(picks, next(i for i, w in enumerate(weights) if w > 0.0))
-        measured = [gid for gid in bouts[t] if c.gate(gid).is_measure]
-        for k in reversed(np.flatnonzero(np.bincount(picks)).tolist()):
-            child, state = leaves[k]
-            combo = tuple(child[gid] for gid in measured)
-            stack.append((t + 1, child, state, log + ((bouts[t], combo, weights[k]),), shots[picks == k]))
-        del leaves  # drop the unpicked leaves before the next expansion
-    return results
+        for j in np.flatnonzero(np.bincount(picks)).tolist():
+            rows.append(bounds[p] + j)
+            picked.append((log + ((bout, combos[bounds[p] + j], weights[j]),), mine[picks == j]))
+    if len(rows) < len(kids):  # drop the children no shot picked
+        codes, kids = codes[rows], kids[rows]
+    return codes, kids, [log for log, _ in picked], [mine for _, mine in picked]
 
 
 def run(

@@ -1,0 +1,129 @@
+"""The depth-first outcome-tree walker that `semantics` used before its
+frontier walk, kept verbatim as the reference the frontier walk is tested
+against: `source_outcomes` and `select_measurement` resolve a gate's
+selector per node through label dicts, `_walk` yields the leaves depth
+first with one `linalg.apply` call per node, `walk_tracks` is the general
+case of `semantics.walk_tracks` on that walk, and `sample` the executor that
+expanded one tree node at a time."""
+
+import itertools
+from typing import Iterable, Mapping, Union
+
+import numpy as np
+
+from qcirc import linalg
+from qcirc.circuit import Gate, Measurement, QuantumCircuit, UnitaryOp, topo_order
+from qcirc.scheduling import Schedule, greedy_schedule
+from qcirc.semantics import RunResult, SemanticsError, Track, _order, _require_fit, _uniforms, check_state
+
+
+def source_outcomes(g: Gate, assignment: Mapping[str, str]) -> tuple[str, ...]:
+    try:
+        return tuple(assignment[s] for s in g.classical_sources)
+    except KeyError as e:
+        raise SemanticsError(
+            f"gate {g.id!r}: no outcome recorded for classical source {e.args[0]!r}"
+        ) from None
+
+
+def select_measurement(
+    c: QuantumCircuit, gid: str, sources: tuple[str, ...]
+) -> Union[Measurement, UnitaryOp]:
+    """The measurement or unitary picked by the gate's selector for the given
+    source outcomes."""
+    g = c.gate(gid)
+    if len(sources) != len(g.classical_sources):
+        raise SemanticsError(
+            f"gate {gid!r}: expected {len(g.classical_sources)} source outcomes, got {len(sources)}"
+        )
+    try:
+        target = g.selector[tuple(sources)]
+    except KeyError:
+        raise SemanticsError(f"gate {gid!r}: selector has no entry for {sources}") from None
+    if g.is_measure:
+        return g.measurements[target]
+    return g.unitaries[target]
+
+
+def _walk(c: QuantumCircuit, order, t: np.ndarray, assignment: dict):
+    """The leaves (assignment, A @ t) of the outcome tree over the gates `order`
+    from t with outcomes `assignment`, depth first, each selected operator
+    applied with `linalg.apply`. A measurement branches on its `outcomes`, or
+    follows the one that `assignment` already holds. Pending siblings share
+    their parent's state and apply their own operator when popped."""
+    stack = [(0, t, assignment, None)]  # (next gate index, state, outcomes, operator not yet applied)
+    while stack:
+        start, t, assignment, pending = stack.pop()
+        if pending is not None and t.size:
+            t = linalg.apply(*pending, t, c.n_registers)
+        for i in range(start, len(order)):
+            g = c.gate(order[i])
+            chosen = select_measurement(c, g.id, source_outcomes(g, assignment))
+            if isinstance(chosen, UnitaryOp):
+                t = linalg.apply(chosen.matrix, g.registers, t, c.n_registers) if t.size else t
+                continue
+            held = assignment.get(g.id)
+            if held is not None and held not in chosen.operators:
+                raise SemanticsError(
+                    f"track is incoherent at gate {g.id!r}: outcome {held!r} not offered "
+                    f"by the selected measurement"
+                )
+            for label in reversed(chosen.outcomes) if held is None else [held]:
+                stack.append((i + 1, t, {**assignment, g.id: label}, (chosen.operators[label], g.registers)))
+            break
+        else:
+            yield assignment, t
+
+
+def walk_tracks(c: QuantumCircuit, t0: np.ndarray):
+    """(key, f, A_f @ t0) for every leaf of the general walk in greedy
+    order: what `semantics.walk_tracks` yielded for a circuit outside
+    terminal form."""
+    order = _order(c, greedy_schedule(c).bouts)
+    measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
+    for a, t in _walk(c, order, t0, {}):
+        yield tuple(map(a.get, measures)), Track.from_mapping(a), t
+
+
+def sample(
+    c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seeds: Iterable[int]
+) -> list[RunResult]:
+    """`semantics.sample` settling the outcome tree depth first, one node at
+    a time, each expanded by `_walk`."""
+    check_state(rho, c.n_registers)
+    _require_fit(c, x)
+    bouts = [_order(c, [b]) for b in x.bouts]
+    u = _uniforms(seeds, len(bouts))
+    results: list = [None] * len(u)
+    floor = 1e-300 * linalg.squared_norm(rho.factor)  # relative, so any valid state's scale can run
+    # (bout index, assignment, A K, step log, indices of its shots) per pending node
+    stack = [(0, {}, rho.factor, (), np.arange(len(u)))] if len(u) else []
+    while stack:
+        t, assignment, k, log, shots = stack.pop()
+        before = linalg.squared_norm(k)
+        if before <= floor:
+            raise SemanticsError(
+                f"zero-trace state before bout {t}" if t < len(bouts) else "final state has zero trace"
+            )
+        if t == len(bouts):
+            state = linalg.DensityOperator(c.n_registers, factor=k)
+            result = RunResult(Track.from_mapping(assignment), state, log)
+            for i in shots.tolist():
+                results[i] = result
+            continue
+        leaves = list(_walk(c, bouts[t], k, assignment))
+        weights = [linalg.squared_norm(a) / before for _, a in leaves]
+        total = sum(weights)
+        if total <= 0.0:
+            raise SemanticsError(f"all outcomes of bout {t} have zero probability")
+        picks = np.searchsorted(list(itertools.accumulate(weights)), u[shots, t] * total, side="left")
+        picks = np.minimum(picks, len(leaves) - 1)
+        if weights[0] == 0.0:  # u = 0 picks leaf 0 and only u = 0 picks a leaf of weight 0
+            picks = np.maximum(picks, next(i for i, w in enumerate(weights) if w > 0.0))
+        measured = [gid for gid in bouts[t] if c.gate(gid).is_measure]
+        for k in reversed(np.flatnonzero(np.bincount(picks)).tolist()):
+            child, state = leaves[k]
+            combo = tuple(child[gid] for gid in measured)
+            stack.append((t + 1, child, state, log + ((bouts[t], combo, weights[k]),), shots[picks == k]))
+        del leaves  # drop the unpicked leaves before the next expansion
+    return results

@@ -1104,6 +1104,7 @@ def test_faithful_scale_runs():
     for r in lines:
         assert r["k"] == 3 and r["target_registers"] == 4 and r["tracks"] == 8 and r["ok"] is True
         assert r["seconds"] >= 0 and r["peak_mib"] > 0
+        assert r["walk_seconds"] >= 0
 
 
 def test_aggregate_scale_runs():

@@ -1,0 +1,176 @@
+"""The frontier walk against the depth-first walk it replaced, kept in
+`reference_walk`: the same leaves in the same order with the same bytes, and
+the same shots; and the track cap counted on outcome codes alone."""
+
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_walk
+from corpus import feed_forward_circuit, ghz_circuit, random_circuit
+from qcirc import linalg, semantics
+from qcirc.circuit import Gate, Measurement, QuantumCircuit, measure_gate, standard_measure_gate
+from qcirc.deferral import defer_measurements, random_pure_inputs
+from qcirc.linalg import DensityOperator
+from qcirc.scheduling import greedy_schedule
+from conftest import make_teleportation
+from test_semantics import EDGE_SEEDS, _mixed_case, crossed_order_circuit
+from test_terminal import DEFERRED, ancilla_zero, general
+
+
+def assert_same_leaves(c, t0):
+    """`walk_tracks` of c (a copy that takes the general walk) and the
+    reference walk: keys, tracks, order and every block's bytes."""
+    c = general(c) if c._terminal else c
+    got, want = list(semantics.walk_tracks(c, t0)), list(reference_walk.walk_tracks(c, t0))
+    assert [leaf[:2] for leaf in got] == [leaf[:2] for leaf in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def starts(c, principal, seed=11):
+    """I (up to 8 registers), the principal registers' I with the others |0>,
+    and three random kets on the principal registers, the others |0>."""
+    n = c.n_registers
+    if n <= 8:
+        yield np.eye(2**n, dtype=complex)
+    yield ancilla_zero(c, np.eye(2**principal, dtype=complex))
+    yield ancilla_zero(c, np.stack(random_pure_inputs(principal, 3, seed), axis=1))
+
+
+def walker_circuits():
+    randoms = [random_circuit(np.random.default_rng(s), max_regs=3, max_gates=6) for s in range(40)]
+    return [make_teleportation(), crossed_order_circuit(), *randoms]
+
+
+@pytest.mark.parametrize("i", range(42))
+def test_walker_circuits_walk_as_the_reference(i):
+    c = walker_circuits()[i]
+    for t0 in starts(c, (c.n_registers + 1) // 2):
+        assert_same_leaves(c, t0)
+
+
+@pytest.mark.parametrize("name, c", DEFERRED, ids=[n for n, _ in DEFERRED])
+def test_deferred_corpus_walks_as_the_reference(name, c):
+    """Each deferred target, on the general walk."""
+    d = defer_measurements(c).circuit
+    for t0 in starts(d, c.n_registers):
+        assert_same_leaves(d, t0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_feed_forward_walks_as_the_reference(k):
+    c = feed_forward_circuit(k)
+    for t0 in starts(c, 2):
+        assert_same_leaves(c, t0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_circuits_walk_as_the_reference(seed):
+    """Random circuits, often with classically controlled measurements."""
+    c = random_circuit(np.random.default_rng(seed), max_regs=3, max_gates=8, p_measure=0.5, p_cc=0.7)
+    for t0 in starts(c, c.n_registers, seed):
+        assert_same_leaves(c, t0)
+
+
+def test_split_frontiers_walk_as_the_reference(monkeypatch):
+    """A budget of one byte splits every frontier of two or more blocks: the
+    leaves, their order and their bytes stay the same."""
+    monkeypatch.setattr(semantics, "FRONTIER_BYTES", 1)
+    for c in walker_circuits()[:16] + [feed_forward_circuit(3), feed_forward_circuit(6)]:
+        for t0 in starts(c, (c.n_registers + 1) // 2):
+            assert_same_leaves(c, t0)
+    for _, c in DEFERRED[:6]:
+        d = defer_measurements(c).circuit
+        assert_same_leaves(d, ancilla_zero(d, np.eye(2**c.n_registers, dtype=complex)))
+
+
+def test_a_general_walk_streams_its_leaves():
+    """GHZ-7 on the general walk from I has 128 leaves of 256 KiB, 32 MiB in
+    all; walked and dropped one by one, it peaks below 8 MiB, because a
+    frontier over FRONTIER_BYTES is split and its halves walked in turn."""
+    c, eye = general(ghz_circuit(7)), np.eye(128, dtype=complex)
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in semantics.walk_tracks(c, eye)) == 128
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def assert_same_shots(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.track == b.track and a.step_log == b.step_log
+        assert a.final_state.factor.tobytes() == b.final_state.factor.tobytes()
+
+
+def shot_cases():
+    for corpus_seed in range(12):
+        c, x, rho, seeds = _mixed_case(corpus_seed)
+        yield pytest.param(c, x, rho, seeds, id=f"mixed-{corpus_seed}")
+    for name, c in [("teleport", make_teleportation()), ("ff4", feed_forward_circuit(4)),
+                    ("deferred-ff6", defer_measurements(feed_forward_circuit(6)).circuit)]:
+        psi = np.zeros(2**c.n_registers, dtype=complex)
+        psi[0] = 1.0
+        yield pytest.param(c, greedy_schedule(c), DensityOperator.from_ket(psi), [*range(300), *EDGE_SEEDS], id=name)
+
+
+@pytest.mark.parametrize("c, x, rho, seeds", list(shot_cases()))
+def test_sample_matches_the_reference_sampler(c, x, rho, seeds):
+    """Track, step log and final-state bytes, shot by shot."""
+    assert_same_shots(semantics.sample(c, x, rho, seeds), reference_walk.sample(c, x, rho, seeds))
+
+
+def test_sample_expands_in_frontier_chunks(monkeypatch):
+    """A frontier of one live node at a time gives the same shots."""
+    c, x, rho, seeds = _mixed_case(3)
+    whole = semantics.sample(c, x, rho, seeds)
+    monkeypatch.setattr(semantics, "FRONTIER_BYTES", 1)
+    assert_same_shots(semantics.sample(c, x, rho, seeds), whole)
+
+
+@pytest.mark.parametrize("call", [semantics.aggregate_measurement, semantics.enumerate_tracks])
+def test_ff17_refuses_at_the_cap_on_codes(call, monkeypatch):
+    """ff-17 has 2^17 tracks, over the cap: refused in under 100 ms (best of
+    three), and before any operator is applied."""
+    c = feed_forward_circuit(17)
+    monkeypatch.setattr(semantics, "_run", lambda *args: pytest.fail("an operator was applied"))
+    best = np.inf
+    for _ in range(3):
+        fresh = QuantumCircuit(c.register_names, c.gates)
+        start = time.perf_counter()
+        with pytest.raises(semantics.SemanticsError, match="track count exceeds cap 65536"):
+            call(fresh)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
+
+
+def test_walk_checks_each_operator_once(monkeypatch):
+    """The walk applies no operator through `linalg.apply`, so no per-call
+    finite scan; a non-finite operator still raises apply's LinalgError."""
+    c = feed_forward_circuit(3)
+    monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("linalg.apply was called"))
+    assert len(semantics.aggregate_measurement(c).operators) == 8
+    g = c.gates[0]
+    bad = type(g)(g.id, g.registers, {g.id: type(g.unitaries[g.id])(g.id, np.diag([1.0, np.nan]))}, selector={(): g.id})
+    with pytest.raises(linalg.LinalgError, match="matrix has non-finite entries"):
+        semantics.aggregate_measurement(QuantumCircuit(c.register_names, (bad, *c.gates[1:])))
+
+
+def test_a_measurement_without_outcomes_ends_its_branch():
+    """A branch that reaches a measurement with no outcome has no leaf, as in
+    the reference walk; only the branch that avoids it is left."""
+    empty = Measurement("empty", {})
+    full = Measurement("full", {"x": np.eye(2)})
+    g = Gate("g", (1,), measurements={"empty": empty, "full": full}, classical_sources=("m",),
+             selector={("0",): "empty", ("1",): "full"})
+    c = QuantumCircuit(("a", "b"), (measure_gate("h", [0], {"h": np.eye(2)}), standard_measure_gate("m", 0), g))
+    assert_same_leaves(c, np.eye(4, dtype=complex))
+    assert [f.as_dict() for f in semantics.enumerate_tracks(c)] == [{"h": "h", "m": "1", "g": "x"}]

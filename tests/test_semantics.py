@@ -40,12 +40,11 @@ from qcirc.semantics import (
     run,
     sample,
     schedules_equivalent,
-    select_measurement,
-    source_outcomes,
     track_operators,
     track_probability,
 )
 from qcirc.serialize import serialize_circuit
+from reference_walk import select_measurement, source_outcomes
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -76,18 +75,23 @@ def teleport_cumulative_oracle(m, n):
 # --- selection and tracks ---------------------------------------------------
 
 
-def test_select_measurement(teleport):
-    m = select_measurement(teleport, "M", ())
-    assert sorted(m.operators) == ["0", "1"]
-    u = select_measurement(teleport, "XN", ("1",))
-    assert np.allclose(u.matrix, X)
+def test_bout_operator_picks_by_source_label(teleport):
+    """XN applies the unitary that N's label selects: I for 0, X for 1."""
+    for label, u in (("0", I2), ("1", X)):
+        assert np.array_equal(bout_operator(teleport, {"XN"}, {"N": label}), kron_all([I2, I2, u]))
 
 
-def test_select_measurement_errors(teleport):
-    with pytest.raises(SemanticsError):
-        select_measurement(teleport, "XN", ())  # wrong source-outcome count
-    with pytest.raises(SemanticsError):
-        select_measurement(teleport, "M", ("0",))
+def test_walk_names_a_missing_source_or_selector_entry(teleport):
+    """A track without the label of a classical source, or whose labels the
+    selector has no entry for, has no operator."""
+    with pytest.raises(SemanticsError, match="no outcome recorded for classical source 'N'"):
+        bout_operator(teleport, {"XN"}, {})
+    with pytest.raises(SemanticsError, match=r"selector has no entry for \('2',\)"):
+        bout_operator(teleport, {"XN"}, {"N": "2"})
+    g = controlled_unitary_gate("x", [1], ["m"], {"X": X}, {("0",): "X"})
+    c = QuantumCircuit(("a", "b"), (standard_measure_gate("m", 0), g))
+    with pytest.raises(SemanticsError, match=r"selector has no entry for \('1',\)"):
+        aggregate_measurement(c)
 
 
 def test_enumerate_tracks_teleport(teleport):
