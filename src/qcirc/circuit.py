@@ -304,16 +304,16 @@ def _verdicts(c: QuantumCircuit) -> tuple[dict[int, bool], dict[int, float]]:
     """By `id`: whether each operator of its gate's shape is finite, and each
     measurement's and unitary's max |sum A^dag A - I| (read only when all its
     operators have that shape), from one `linalg.gram_defects` pass per
-    dimension over the gates of one kind, whose operators validation checks."""
+    dimension over each gate's measurements, or its unitaries if it has none,
+    as the walk takes them (validation reads those of gates of one kind)."""
     groups: dict[int, list] = {}  # dim -> [(measurement or unitary, its operators of that shape)]
     for g in c.gates:
-        if bool(g.unitaries) != bool(g.measurements):
-            dim = 2**g.arity
-            families = [(m, m.operators.values()) for m in g.measurements.values()]
-            for family, ops in families or [(u, [u.matrix]) for u in g.unitaries.values()]:
-                shaped = [a for a in ops if a.shape == (dim, dim)]
-                if shaped:
-                    groups.setdefault(dim, []).append((family, shaped))
+        dim = 2**g.arity
+        families = [(m, m.operators.values()) for m in g.measurements.values()]
+        for family, ops in families or [(u, [u.matrix]) for u in g.unitaries.values()]:
+            shaped = [a for a in ops if a.shape == (dim, dim)]
+            if shaped:
+                groups.setdefault(dim, []).append((family, shaped))
     finite, defects = {}, {}
     for entries in groups.values():
         ops = [a for _, shaped in entries for a in shaped]

@@ -235,7 +235,8 @@ def _axes(registers: tuple, n: int) -> tuple[tuple, tuple]:
 def apply(op: np.ndarray, registers: Sequence[int], t: np.ndarray, n: int) -> np.ndarray:
     """embed(op, registers, n) @ t for a 2^n x m array t, bit for bit the
     product `np.tensordot` forms: one transpose (cached by `_axes`) brings the
-    registers' tensor axes to the front, and one `np.dot` contracts them."""
+    registers' tensor axes to the front, and one `np.dot` contracts them.
+    `embed`'s kernel, and the tests' reference for the walk's `semantics._apply`."""
     op = as_matrix(op)
     k = len(registers)
     if op.shape != (2**k, 2**k):

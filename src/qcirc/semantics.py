@@ -4,15 +4,16 @@ aggregate measurement, schedule equivalence, and a seeded stochastic executor.
 Post-measurement states are kept un-normalized; normalization happens only
 when sampling or reporting.
 
-Track operators come from one of two walks (`track_rows`). A circuit in
-terminal form, whose unitaries all precede its standard-basis measurements
-(every circuit `defer` rewrites, and GHZ-style circuits), is by the
-deferred-measurement principle one unitary U followed by a measurement in
-the standard basis: U @ t0 is built once and each track is the rows its
-labels select. Every other walk, the sampler's included, is a breadth-first
-frontier walk over the circuit's compiled `_Plan`: a stack of states with a
-row of integer outcome codes each, and each gate's selected operators
-applied once to all the states that select them.
+Every walk, the sampler's included, is one breadth-first frontier walk
+over the circuit's compiled `_Plan`: a stack of states with a row of integer
+outcome codes each, and each gate's selected operators applied once to all
+the states that select them. The tracks are counted on the codes before any
+operator is applied. A circuit in terminal form, whose unitaries all precede
+its standard-basis measurements (every circuit `defer` rewrites, and
+GHZ-style circuits), is by the deferred-measurement principle one unitary U
+followed by a measurement in the standard basis: `track_rows` applies only
+its plan's unitary moves, to t0 alone, and each track is the rows of U @ t0
+that its labels select.
 """
 
 from __future__ import annotations
@@ -103,40 +104,41 @@ class _Step(NamedTuple):
 
 class _Plan:
     """A circuit compiled once for the frontier walk: a `_Step` per gate, and
-    per measurement gate a column of outcome codes, a label's code being its
-    position in the gate's `outcome_labels` (-1: none)."""
+    per measurement gate, in topo_order(c), a column of outcome codes, a
+    label's code being its position in the gate's `outcome_labels` (-1: none)."""
 
     def __init__(self, c: QuantumCircuit):
-        measures = [g for g in c.gates if g.is_measure]
+        measures = [g for g in map(c.gate, topo_order(c)) if g.is_measure]
         self.column = {g.id: j for j, g in enumerate(measures)}
-        self.labels = [g.outcome_labels for g in measures]
-        self.names = [np.array(labels, dtype=object) for labels in self.labels]
-        self.index = [{label: i for i, label in enumerate(labels)} for labels in self.labels]
-        self.steps = {g.id: self._compile(g, c.n_registers, c._verdicts[0]) for g in c.gates}
+        self.labels = [np.array(g.outcome_labels, dtype=object) for g in measures]
+        self.index = [dict(zip(labels.tolist(), range(len(labels)))) for labels in self.labels]
+        n, finite = c.n_registers, c._verdicts[0]
+        self.steps = {g.id: self._compile(g, n, finite) for g in c.gates}
 
     def _compile(self, g: Gate, n: int, finite: dict) -> _Step:
-        choices, dim, column = g.measurements or g.unitaries, 2**g.arity, self.column.get(g.id, -1)
-        ops = [m.operators[label] for m in choices.values() for label in m.outcomes] if column >= 0 else [
-            u.matrix for u in choices.values()]
-        shapes = {np.shape(a) for a in ops} - {(dim, dim)}
-        if shapes:  # as `linalg.apply` says, and `linalg._axes` for the registers
-            raise linalg.LinalgError(f"operator shape {min(shapes)} does not match arity {g.arity}")
-        first = (0, *itertools.accumulate(len(m.outcomes) for m in choices.values())) if column >= 0 else ()
-        codes = np.array([self.index[column][label] for m in choices.values() for label in m.outcomes]) if first else None
-        step = (g, column, linalg._axes(g.registers, n), np.array(ops, dtype=complex).reshape(len(ops), dim, dim),
-                all(map(finite.get, map(id, ops))), first, codes)
+        choices, shape, column = g.measurements or g.unitaries, (2 ** len(g.registers),) * 2, self.column.get(g.id, -1)
+        if column < 0:
+            ops, first, codes = [u.matrix for u in choices.values()], (), None
+        else:
+            ops = [m.operators[label] for m in choices.values() for label in m.outcomes]
+            first = (0, *itertools.accumulate([len(m.outcomes) for m in choices.values()]))
+            codes = np.array([self.index[column][label] for m in choices.values() for label in m.outcomes])
+        verdicts = [finite.get(id(a)) if a.shape == shape else None for a in ops]  # None: a wrong shape
+        if None in verdicts:  # as `linalg.apply` says, and `linalg._axes` for the registers
+            wrong = min(a.shape for a in ops if a.shape != shape)
+            raise linalg.LinalgError(f"operator shape {wrong} does not match arity {g.arity}")
+        stack = np.array(ops, complex) if ops else np.zeros((0, *shape), complex)
+        step = (g, column, linalg._axes(g.registers, n), stack, False not in verdicts, first, codes)
         if not g.classical_sources:
             return _Step(*step, list(choices).index(g.selector[()]) if g.selector.get(()) in choices else -1)
         position = {cid: j for j, cid in enumerate(choices)}
         sources = tuple(self.column.get(s, -1) for s in g.classical_sources)
-        radices = [len(self.labels[j]) if j >= 0 else 0 for j in sources]
-        places = [math.prod(radices[i + 1 :]) for i in range(len(radices))]
-        table = [-1] * math.prod(radices)
+        index = [self.index[j] if j >= 0 else {} for j in sources]
+        places = [math.prod(map(len, index[i + 1 :])) for i in range(len(index))]
+        table = [-1] * math.prod(map(len, index))
         for key, target in g.selector.items():
-            if len(key) == len(sources) and target in position and all(
-                j >= 0 and label in self.index[j] for j, label in zip(sources, key)
-            ):
-                table[sum(self.index[j][label] * p for j, label, p in zip(sources, key, places))] = position[target]
+            if len(key) == len(index) and target in position and all(map(operator.contains, index, key)):
+                table[sum(map(operator.mul, map(dict.__getitem__, index, key), places))] = position[target]
         return _Step(*step, -1, sources, (np.array(places), np.array(table)))
 
     def codes_of(self, assignment: Mapping[str, str]) -> np.ndarray:
@@ -149,14 +151,17 @@ class _Plan:
         return row
 
     def labels_of(self, codes: np.ndarray, columns) -> list[tuple]:
-        return list(zip(*(self.names[j][codes[:, j]].tolist() for j in columns))) if columns else [()] * len(codes)
+        return list(zip(*(self.labels[j][codes[:, j]].tolist() for j in columns))) if columns else [()] * len(codes)
 
-    def tracks(self, codes: np.ndarray) -> list[Track]:
-        """The track of each row of codes that labels every measurement."""
+    def tracks(self, codes: np.ndarray) -> list[tuple]:
+        """(key, track) per row of codes that labels every measurement, the
+        key its labels in column order, by which tracks sort into
+        `enumerate_tracks` order."""
         ids = sorted(self.column)
         labels = zip(*self.labels_of(codes, [self.column[gid] for gid in ids]))
         pairs = (zip(itertools.repeat(gid), column) for gid, column in zip(ids, labels))
-        return list(map(Track, zip(*pairs))) if ids else [Track(())] * len(codes)
+        tracks = list(map(Track, zip(*pairs))) if ids else [Track(())] * len(codes)
+        return list(zip(self.labels_of(codes, range(len(ids))), tracks))
 
 
 def _plan(c: QuantumCircuit) -> _Plan:
@@ -190,8 +195,8 @@ def _expand(plan: _Plan, order, codes: np.ndarray, cap: Optional[int] = None,
     """The frontier walk over the gates `order` on outcome codes alone, from
     a row per row of `codes`: (moves, codes, roots), the last two the
     leaves'. A measurement replaces each row by a child per label of the
-    measurement picked, in depth-first leaf order; a row holding the `held`
-    assignment takes its label, or the first where it holds none. A move
+    measurement picked, in depth-first leaf order; with the `held`
+    assignment, which must label each measurement reached, its label. A move
     (step, ops, parents) makes the next frontier: each row takes each
     operator of the slice `ops`, or row i is operator ops[i] on row
     parents[i] (on row i if parents is None). Raises SemanticsError as soon
@@ -204,12 +209,12 @@ def _expand(plan: _Plan, order, codes: np.ndarray, cap: Optional[int] = None,
             lo, width = s.first[ops], s.first[ops + 1] - s.first[ops]
             if held is not None:
                 own = codes[0, s.column]
-                lo += 0 if own == -1 else next((i for i in range(width) if s.codes[lo + i] == own), width)
+                if own == -1:
+                    raise SemanticsError(f"track is incoherent at gate {gid!r}: no outcome for a reached measurement")
+                lo += next((i for i in range(width) if s.codes[lo + i] == own), width)
                 if lo == s.first[ops + 1]:
-                    label = plan.labels[s.column][own] if own >= 0 else held[gid]
-                    raise SemanticsError(
-                        f"track is incoherent at gate {gid!r}: outcome {label!r} not offered by the selected measurement"
-                    )
+                    raise SemanticsError(f"track is incoherent at gate {gid!r}: outcome {held[gid]!r} not offered"
+                                         " by the selected measurement")
                 width = 1
             f, codes, roots = len(codes), np.repeat(codes, width, axis=0), np.repeat(roots, width)
             codes.reshape(f, width, codes.shape[1])[:, :, s.column] = s.codes[lo : lo + width]
@@ -267,8 +272,6 @@ def _apply(s: _Step, ops, x: np.ndarray) -> np.ndarray:
     operator ops[i]."""
     a = s.ops[ops] if isinstance(ops, slice) else s.ops[ops][:, None]  # (w, d, d), or (f, 1, d, d)
     (f, rows, m), (w, d) = x.shape, a.shape[-3:-1]
-    if not x.size:  # as `linalg.apply` was not called on an empty block
-        return np.zeros((f * w, rows, m), dtype=complex)
     if not s.finite:
         raise linalg.LinalgError("matrix has non-finite entries")
     y = x.reshape(f, *(2,) * (rows.bit_length() - 1), m).transpose(s.axes[0])
@@ -278,15 +281,15 @@ def _apply(s: _Step, ops, x: np.ndarray) -> np.ndarray:
 
 def _walk_plan(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int] = None,
                held: Optional[Mapping[str, str]] = None):
-    """The outcome tree's leaves over `order` from t0, depth first: their
-    A @ t0, as they come (`_run`), and their codes, counted before any
-    operator is applied; with `held`, the leaf of that assignment."""
+    """The frontier walk over `order` (`_expand`): its moves, its leaves'
+    codes, counted before any operator is applied, and the checked t0 as a
+    frontier of one for `_run`; with `held`, the one leaf of that assignment."""
     plan = _plan(c)
     moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), cap, held)
     t = np.asarray(t0, dtype=complex)
-    if moves and t.size and (t.ndim != 2 or t.shape[0] != 2**c.n_registers):  # as `linalg.apply` says
+    if t.ndim != 2 or t.shape[0] != 2**c.n_registers:  # as `linalg.apply` says
         raise linalg.LinalgError(f"expected {2**c.n_registers} rows, got shape {t.shape}")
-    return (leaf for part in _run(moves, t[None]) for leaf in part), codes
+    return moves, codes, t[None]
 
 
 def _track_leaf(
@@ -294,14 +297,8 @@ def _track_leaf(
     assignment: Mapping[str, str],
 ) -> np.ndarray:
     """A @ t over `bouts` along a track that labels each measurement reached."""
-    order = _order(c, bouts)
-    leaf = next(_walk_plan(c, order, t, held=assignment)[0])
-    unlabelled = [gid for gid in order if c.gate(gid).is_measure and gid not in assignment]
-    if unlabelled:
-        raise SemanticsError(
-            f"track is incoherent at gate {unlabelled[0]!r}: no outcome for a reached measurement"
-        )
-    return leaf
+    moves, _, t = _walk_plan(c, _order(c, bouts), t, held=assignment)
+    return next(_run(moves, t))[0]
 
 
 def bout_operator(
@@ -316,49 +313,35 @@ def track_rows(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_T
     """The walk's leaves from t0 as row groups: pieces (w, group, tracks) in
     which track k, tracks[k] = (key, f), holds A_f @ t0 = w with the rows r
     where group[r] != k zeroed; group is None when every track is all of w.
-    Tracks come in walk order (greedy order, labels sorted, the cap checked
-    first); sorting by key gives `enumerate_tracks` order.
+    Every circuit starts from one `_walk_plan` over greedy order, which
+    counts the tracks (labels sorted, the cap checked) and checks t0 before
+    any operator is applied; tracks come in its walk order.
 
     A circuit in terminal form (`QuantumCircuit._terminal`) is one piece:
-    w = U @ t0, with each unitary applied once in greedy order, and group[r]
-    the track whose labels select row r, so its tracks partition w's rows
-    (the product of the label sets, incoherent tracks included). Any other
-    circuit gives one piece per leaf of the frontier walk (`_walk_plan`), in
-    depth-first leaf order, the tracks counted on outcome codes first."""
-    order = _order(c, greedy_schedule(c).bouts)
-    measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
+    w = U @ t0, the plan's unitary moves run on t0 alone, and group[r] the
+    track whose labels select row r (`_row_tracks`), so its tracks partition
+    w's rows (the product of the label sets, incoherent tracks included).
+    Any other circuit gives one piece per leaf of the walk (`_run`), in
+    depth-first leaf order."""
+    moves, codes, t = _walk_plan(c, _order(c, greedy_schedule(c).bouts), t0, cap)
+    tracks = _plan(c).tracks(codes)
     if not c._terminal:
-        leaves, codes = _walk_plan(c, order, t0, cap)
-        plan = _plan(c)
-        keys = plan.labels_of(codes, [plan.column[gid] for gid in measures])
-        for leaf, key, f in zip(leaves, keys, plan.tracks(codes)):
-            yield leaf, None, [(key, f)]
+        leaves = itertools.chain.from_iterable(_run(moves, t))
+        yield from ((leaf, None, [track]) for leaf, track in zip(leaves, tracks))
         return
-    walked = [(g, (g.measurements or g.unitaries)[g.selector[()]]) for g in map(c.gate, order)]
-    measured = [(g, m) for g, m in walked if g.is_measure]
-    if cap is not None and math.prod(len(m.operators) for _, m in measured) > cap:
-        raise SemanticsError(f"track count exceeds cap {cap}")
-    w = np.asarray(t0, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != 2**c.n_registers:  # as `linalg.apply` says, with no unitary to apply
-        raise linalg.LinalgError(f"expected {2**c.n_registers} rows, got shape {w.shape}")
-    for g, u in walked:
-        if not g.is_measure and w.size:
-            w = linalg.apply(u.matrix, g.registers, w, c.n_registers)
-    tracks = []
-    for labels in itertools.product(*(m.outcomes for _, m in measured)):
-        a = dict(zip((g.id for g, _ in measured), labels))
-        tracks.append((tuple(map(a.get, measures)), Track.from_mapping(a)))
-    yield w, _row_tracks(c, measured, w.shape[0]) if w.size and len(tracks) > 1 else None, tracks
+    w = next(_run([move for move in moves if move[0].column < 0], t))[0]
+    yield w, _row_tracks(c, moves, len(w)) if len(tracks) > 1 else None, tracks
 
 
-def _row_tracks(c: QuantumCircuit, measured: list, rows: int) -> np.ndarray:
+def _row_tracks(c: QuantumCircuit, moves: list, rows: int) -> np.ndarray:
     """Per basis row, the walk-order position of the track whose labels
-    select it: for each (gate, measurement) in walk order, the position in
-    `outcomes` of the label that `Measurement.selects` gives the row's basis
-    index over the gate's registers."""
+    select it: for each measurement move in walk order, the position in its
+    measurement's `outcomes` of the label that `Measurement.selects` gives
+    the row's basis index over the gate's registers."""
     n, index = c.n_registers, np.arange(rows)
     group = np.zeros(rows, dtype=np.intp)
-    for g, m in measured:
+    for g in (s.gate for s, _, _ in moves if s.column >= 0):
+        m = g.measurements[g.selector[()]]
         local = sum((index >> (n - 1 - r) & 1) << (g.arity - 1 - k) for k, r in enumerate(g.registers))
         group = group * len(m.outcomes) + m.selects[local]
     return group
@@ -388,8 +371,11 @@ def track_operators(
 
 
 def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) -> list[Track]:
-    """All coherent tracks, depth first over topo_order(c), labels sorted."""
-    return [f for f, _ in track_operators(c, np.zeros((2**c.n_registers, 0), dtype=complex), cap)]
+    """All coherent tracks, depth first over topo_order(c), labels sorted:
+    the walk's outcome codes alone, with no block."""
+    plan = _plan(c)
+    codes = _expand(plan, _order(c, greedy_schedule(c).bouts), plan.codes_of({}), cap)[1]
+    return [f for _, f in sorted(plan.tracks(codes), key=lambda track: track[0])]
 
 
 def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
@@ -412,10 +398,12 @@ def schedules_equivalent(
     matched by outcome codes. An invalid schedule raises ScheduleError."""
     _require_fit(c, x, y)
     eye = np.eye(2**c.n_registers, dtype=complex)
-    ops, codes = _walk_plan(c, _order(c, x.bouts), eye, DEFAULT_TRACK_CAP)
-    ops, at = list(ops), {row: i for i, row in enumerate(map(tuple, codes.tolist()))}
-    ops_y, codes_y = _walk_plan(c, _order(c, y.bouts), eye, DEFAULT_TRACK_CAP)
-    return all(linalg.mat_close(ops[at[tuple(row)]], t, tol) for row, t in zip(codes_y.tolist(), ops_y))
+    moves, codes, t = _walk_plan(c, _order(c, x.bouts), eye, DEFAULT_TRACK_CAP)
+    ops = list(itertools.chain.from_iterable(_run(moves, t)))
+    at = {row: i for i, row in enumerate(map(tuple, codes.tolist()))}
+    moves, codes, t = _walk_plan(c, _order(c, y.bouts), eye, DEFAULT_TRACK_CAP)
+    ops_y = itertools.chain.from_iterable(_run(moves, t))
+    return all(linalg.mat_close(ops[at[tuple(row)]], b, tol) for row, b in zip(codes.tolist(), ops_y))
 
 
 def track_probability(c: QuantumCircuit, f: Track, rho: linalg.DensityOperator) -> float:
@@ -514,7 +502,7 @@ def sample(
             live += [_settle(plan, bout, t, [part[a : a + size] for part in block], u, floor)
                      for a in range(0, len(block[0]), size)]
     for codes, states, logs, shots in live:
-        for track, k, log, mine in zip(plan.tracks(codes), states, logs, shots):
+        for (_, track), k, log, mine in zip(plan.tracks(codes), states, logs, shots):
             if linalg.squared_norm(k) <= floor:
                 raise SemanticsError("final state has zero trace")
             result = RunResult(track, linalg.DensityOperator(c.n_registers, factor=k), log)

@@ -707,15 +707,16 @@ def test_cli_schedule_naming_an_unknown_gate_is_invalid(tmp_path, capsys):
 
 def test_cli_aggregate_rejects_a_wrong_size_state_before_the_walk(tmp_path, monkeypatch, capsys):
     """A 1-qubit state against GHZ-7 is a `semantic-error` before any of the
-    128 track operators is built: `linalg.apply` is never called."""
-    from qcirc import linalg
+    128 track operators is built: the walk's kernel `semantics._apply` is
+    never called."""
+    from qcirc import semantics
 
     circuit, state = tmp_path / "ghz7.json", tmp_path / "ket.json"
     circuit.write_text(serialize_circuit(ghz_circuit(7)))
     state.write_text(json.dumps({"ket": [[1.0, 0.0], [0.0, 0.0]]}))
     calls = []
-    apply = linalg.apply
-    monkeypatch.setattr(linalg, "apply", lambda *args: calls.append(1) or apply(*args))
+    apply = semantics._apply
+    monkeypatch.setattr(semantics, "_apply", lambda *args: calls.append(1) or apply(*args))
     assert main(["aggregate", str(circuit), "--input", str(state)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and calls == []

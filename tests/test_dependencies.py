@@ -50,3 +50,22 @@ def test_module_draws_nothing_from_numpy_random(path):
     release can change; `numpy.random`'s `Generator` methods are not frozen."""
     lines = list(_numpy_random_uses(ast.parse(path.read_text(), str(path))))
     assert not lines, f"{path.name} uses numpy.random on lines {lines}"
+
+
+def _unused_imports(tree):
+    """Names that the module's imports bind (`from __future__` aside) and
+    that no name in the module reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    """No import is left behind by an edit; `__init__.py` imports to re-export."""
+    unused = _unused_imports(ast.parse(path.read_text(), str(path)))
+    assert not unused, f"{path.name} imports {unused} without using them"

@@ -353,17 +353,18 @@ def test_aggregate_measurement_cap(monkeypatch):
     gates = tuple(standard_measure_gate(f"m{i}", i) for i in range(3))
     c = QuantumCircuit(("a", "b", "c"), gates)
     assert len(aggregate_measurement(c, cap=8).operators) == 8
-    monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was built"))
+    monkeypatch.setattr(semantics, "_apply", lambda *args: pytest.fail("an operator was applied"))
     with pytest.raises(SemanticsError, match="cap 7"):
         aggregate_measurement(c, cap=7)
 
 
 def test_aggregate_measurement_cap_on_the_general_walk(monkeypatch):
-    """A circuit outside terminal form is capped by the general walk's count
-    (`_leaves`), also before any operator is built: ff3 has 8 tracks."""
+    """A circuit outside terminal form is capped by the same count on
+    outcome codes (`_expand`), also before any operator is applied: ff3 has
+    8 tracks."""
     c = feed_forward_circuit(3)
     assert not c._terminal
-    monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was built"))
+    monkeypatch.setattr(semantics, "_apply", lambda *args: pytest.fail("an operator was applied"))
     with pytest.raises(SemanticsError, match="track count exceeds cap 4"):
         aggregate_measurement(c, cap=4)
 

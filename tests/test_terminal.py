@@ -253,15 +253,17 @@ def test_each_broken_condition_takes_the_general_path(name, c):
 
 
 def counting_apply(monkeypatch):
-    """Replace `linalg.apply` by a wrapper that records each call's register count."""
-    calls, apply = [], linalg.apply
-    monkeypatch.setattr(linalg, "apply", lambda *args: calls.append(args[3]) or apply(*args))
+    """Replace `semantics._apply`, the walk's kernel, by a wrapper that
+    records each call's block row count, 2^n on n registers."""
+    calls, apply = [], semantics._apply
+    monkeypatch.setattr(semantics, "_apply", lambda s, ops, x: calls.append(x.shape[1]) or apply(s, ops, x))
     return calls
 
 
 def test_check_faithful_applies_each_target_unitary_once(monkeypatch):
     """On deferred ff-6 the target side of the check (the calls on the
-    target's 8 registers) applies each of its unitaries exactly once."""
+    target's 7 registers, blocks of 128 rows) applies each of its unitaries
+    exactly once."""
     c = feed_forward_circuit(6)
     r = defer_measurements(c)
     d = r.circuit
@@ -269,20 +271,31 @@ def test_check_faithful_applies_each_target_unitary_once(monkeypatch):
     assert check_faithful(c, d, r.zeta).ok
     assert check_faithful(c, d, r.zeta, random_pure_inputs(2, 2, 0)).ok
     units = sum(not g.is_measure for g in d.gates)
-    assert d.n_registers == 7 and calls.count(7) == 2 * units
+    assert d.n_registers == 7 and calls.count(2**7) == 2 * units
 
 
 def test_aggregate_applies_each_unitary_once(monkeypatch):
     calls = counting_apply(monkeypatch)
     agg = semantics.aggregate_measurement(ghz_circuit(6))
-    assert len(agg.operators) == 64 and calls == [6] * 6
+    assert len(agg.operators) == 64 and calls == [2**6] * 6
 
 
 def test_over_cap_terminal_circuit_fails_before_any_operator(monkeypatch):
-    monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was built"))
+    monkeypatch.setattr(semantics, "_apply", lambda *args: pytest.fail("an operator was applied"))
     walk = semantics.walk_tracks(ghz_circuit(4), np.eye(16, dtype=complex), cap=15)
     with pytest.raises(semantics.SemanticsError, match="track count exceeds cap 15"):
         next(walk)
+
+
+@pytest.mark.parametrize("c", [ghz_circuit(3), general(ghz_circuit(3)), feed_forward_circuit(3)],
+                         ids=["ghz3", "ghz3-general", "ff3"])
+def test_track_operators_from_no_columns(c):
+    """From a start with no columns, every coherent track comes, in
+    `enumerate_tracks` order, with an empty complex block of 2^n rows."""
+    rows = 2**c.n_registers
+    ops = semantics.track_operators(c, np.zeros((rows, 0)))
+    assert len(ops) == 8 and [f for f, _ in ops] == semantics.enumerate_tracks(c)
+    assert all(a.shape == (rows, 0) and a.dtype == complex for _, a in ops)
 
 
 def test_a_wrong_start_fails_as_in_the_general_walk():
