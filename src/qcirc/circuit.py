@@ -102,13 +102,10 @@ class Gate:
     def arity(self) -> int:
         return len(self.registers)
 
-    @property
+    @cached_property
     def outcome_labels(self) -> tuple[str, ...]:
         """All G-outcomes, across every measurement of the gate."""
-        labels = []
-        for m in self.measurements.values():
-            labels.extend(m.operators)
-        return tuple(sorted(labels))
+        return tuple(sorted(label for m in self.measurements.values() for label in m.operators))
 
 
 def unitary_gate(gid: str, registers: Iterable[int], matrix: np.ndarray) -> Gate:
@@ -192,22 +189,37 @@ class QuantumCircuit:
         direct: dict[str, set[str]] = {}
         dependants: dict[str, list[str]] = {g.id: [] for g in self.gates}
         for g in self.gates:
-            quantum[g.id] = {r: chains[r][-1] if r in chains else None for r in g.registers}
-            direct[g.id] = {s for s in quantum[g.id].values() if s is not None}
-            direct[g.id].update(s for s in g.classical_sources if s in self._by_id)
-            for s in direct[g.id]:
-                dependants[s].append(g.id)
-            for r in quantum[g.id]:
-                chains.setdefault(r, []).append(g.id)
+            gid = g.id
+            quantum[gid] = sources = dict.fromkeys(g.registers)
+            for r in sources:
+                chain = chains.get(r)
+                if chain:
+                    sources[r] = chain[-1]
+                    chain.append(gid)
+                else:
+                    chains[r] = [gid]
+            direct[gid] = srcs = set(sources.values())
+            srcs.discard(None)
+            if g.classical_sources:
+                srcs.update(s for s in g.classical_sources if s in self._by_id)
+            for s in srcs:
+                dependants[s].append(gid)
         return chains, quantum, direct, dependants
 
     @cached_property
     def _order(self) -> Optional[list[str]]:
         """Topological order by Kahn's algorithm, taking ready gates by
-        sequence position; None if cyclic."""
+        sequence position; None if cyclic. A quantum source always comes
+        before its gate, so when every known classical source does too (and
+        no id repeats), that order is the sequence, read without `_wiring`."""
+        index = self._index
+        if len(index) == len(self.gates) and all(
+            index.get(s, -1) < i for i, g in enumerate(self.gates) for s in g.classical_sources
+        ):
+            return [g.id for g in self.gates]
         _, _, direct, dependants = self._wiring
         unfired = {gid: len(srcs) for gid, srcs in direct.items()}
-        ready = [self._index[gid] for gid, n in unfired.items() if not n]
+        ready = [index[gid] for gid, n in unfired.items() if not n]
         heapq.heapify(ready)
         out = []
         while ready:
@@ -215,7 +227,7 @@ class QuantumCircuit:
             for d in dependants[out[-1]]:
                 unfired[d] -= 1
                 if not unfired[d]:
-                    heapq.heappush(ready, self._index[d])
+                    heapq.heappush(ready, index[d])
         return out if len(out) == len(self.gates) else None
 
     @cached_property
@@ -306,20 +318,31 @@ def _verdicts(c: QuantumCircuit) -> tuple[dict[int, bool], dict[int, float]]:
     operators have that shape), from one `linalg.gram_defects` pass per
     dimension over each gate's measurements, or its unitaries if it has none,
     as the walk takes them (validation reads those of gates of one kind)."""
-    groups: dict[int, list] = {}  # dim -> [(measurement or unitary, its operators of that shape)]
+    groups: dict[int, tuple[list, list, list]] = {}  # dim -> (families, their operators of that shape, how many each)
     for g in c.gates:
-        dim = 2**g.arity
-        families = [(m, m.operators.values()) for m in g.measurements.values()]
-        for family, ops in families or [(u, [u.matrix]) for u in g.unitaries.values()]:
-            shaped = [a for a in ops if a.shape == (dim, dim)]
-            if shaped:
-                groups.setdefault(dim, []).append((family, shaped))
+        dim = 2 ** len(g.registers)
+        shape = (dim, dim)
+        families, ops, counts = groups.get(dim) or groups.setdefault(dim, ([], [], []))
+        for m in g.measurements.values():
+            before = len(ops)
+            for a in m.operators.values():
+                if a.shape == shape:
+                    ops.append(a)
+            if len(ops) > before:
+                families.append(m)
+                counts.append(len(ops) - before)
+        if not g.measurements:
+            for u in g.unitaries.values():
+                if u.matrix.shape == shape:
+                    families.append(u)
+                    ops.append(u.matrix)
+                    counts.append(1)
     finite, defects = {}, {}
-    for entries in groups.values():
-        ops = [a for _, shaped in entries for a in shaped]
-        ok, defect = linalg.gram_defects(np.stack(ops), [len(shaped) for _, shaped in entries])
-        finite.update(zip(map(id, ops), ok.tolist()))
-        defects.update(zip((id(family) for family, _ in entries), defect.tolist()))
+    for dim, (families, ops, counts) in groups.items():
+        if ops:
+            ok, defect = linalg.gram_defects(np.concatenate(ops).reshape(-1, dim, dim), counts)
+            finite.update(zip(map(id, ops), ok.tolist()))
+            defects.update(zip(map(id, families), defect.tolist()))
     return finite, defects
 
 
@@ -335,117 +358,99 @@ def _diagnose(c: QuantumCircuit) -> list[Diagnostic]:
     def err(code: str, where: str, message: str) -> None:
         diags.append(Diagnostic("error", code, where, message))
 
-    seen_ids: set[str] = set()
-    for g in c.gates:
-        if g.id in seen_ids:
-            err("duplicate-gate-id", g.id, f"gate id {g.id!r} appears more than once")
-        seen_ids.add(g.id)
+    if len(c._by_id) < len(c.gates):  # a repeated id
+        seen_ids: set[str] = set()
+        for g in c.gates:
+            if g.id in seen_ids:
+                err("duplicate-gate-id", g.id, f"gate id {g.id!r} appears more than once")
+            seen_ids.add(g.id)
 
+    n = c.n_registers
     for g in c.gates:
-        if not g.registers:
-            err("empty-registers", g.id, "gate touches no register")
-        if len(set(g.registers)) != len(g.registers):
-            err("duplicate-register", g.id, f"registers {g.registers} repeat")
-        for r in g.registers:
-            if r < 0 or r >= c.n_registers:
-                err("register-out-of-range", g.id, f"register {r} out of range")
-        if bool(g.unitaries) == bool(g.measurements):
-            err("bad-gate-kind", g.id, "gate must carry unitaries xor measurements")
+        gid, registers, unitaries, measurements = g.id, g.registers, g.unitaries, g.measurements
+        if not registers:
+            err("empty-registers", gid, "gate touches no register")
+        if len(registers) > 1 and len(set(registers)) != len(registers):
+            err("duplicate-register", gid, f"registers {registers} repeat")
+        for r in registers:
+            if r < 0 or r >= n:
+                err("register-out-of-range", gid, f"register {r} out of range")
+        if bool(unitaries) == bool(measurements):
+            err("bad-gate-kind", gid, "gate must carry unitaries xor measurements")
             continue
 
-        dim = 2**g.arity
-        labels_seen: set[str] = set()
-        for m in g.measurements.values():
+        dim = 2 ** len(registers)
+        shape = (dim, dim)
+        labels_seen: set[str] = set()  # across the gate's measurements
+        for m in measurements.values():
             if not m.operators:
-                err("empty-measurement", g.id, f"measurement {m.id!r} has no outcome")
+                err("empty-measurement", gid, f"measurement {m.id!r} has no outcome")
                 continue
             bad_ops = False
             for label, a in m.operators.items():
                 if label == "" or "," in label:
-                    err("bad-label", g.id, f"outcome label {label!r} is reserved")
+                    err("bad-label", gid, f"outcome label {label!r} is reserved")
                 if label in labels_seen:
-                    err(
-                        "outcome-labels-overlap",
-                        g.id,
-                        f"outcome label {label!r} appears in two measurements",
-                    )
+                    err("outcome-labels-overlap", gid, f"outcome label {label!r} appears in two measurements")
                 labels_seen.add(label)
-                if a.shape != (dim, dim):
+                if a.shape != shape:
                     err(
                         "operator-dim-mismatch",
-                        g.id,
+                        gid,
                         f"operator for outcome {label!r} has shape {a.shape}, expected {dim}x{dim}",
                     )
                     bad_ops = True
                 elif not finite[id(a)]:
-                    err("non-finite-entry", g.id, f"operator for outcome {label!r} is not finite")
+                    err("non-finite-entry", gid, f"operator for outcome {label!r} is not finite")
                     bad_ops = True
             if bad_ops:
                 continue
             defect = defects[id(m)]
             if not defect <= TOL:  # NaN when the sum overflows
-                err("measurement-incomplete", g.id, f"sum A^dag A differs from identity by {defect:.2e}")
-        for u in g.unitaries.values():
-            if u.matrix.shape != (dim, dim):
-                err(
-                    "operator-dim-mismatch",
-                    g.id,
-                    f"unitary {u.id!r} has shape {u.matrix.shape}, expected {dim}x{dim}",
-                )
+                err("measurement-incomplete", gid, f"sum A^dag A differs from identity by {defect:.2e}")
+        for u in unitaries.values():
+            if u.matrix.shape != shape:
+                err("operator-dim-mismatch", gid, f"unitary {u.id!r} has shape {u.matrix.shape}, expected {dim}x{dim}")
             elif not finite[id(u.matrix)]:
-                err("non-finite-entry", g.id, f"unitary {u.id!r} is not finite")
+                err("non-finite-entry", gid, f"unitary {u.id!r} is not finite")
             elif not defects[id(u)] <= TOL:
-                err("non-unitary-op", g.id, f"operator {u.id!r} is not unitary")
+                err("non-unitary-op", gid, f"operator {u.id!r} is not unitary")
 
         # classical sources and selector totality
-        source_outcome_sets: list[tuple[str, ...]] = []
-        sources_ok = True
-        for s in g.classical_sources:
-            if not c.has_gate(s):
-                err("unknown-classical-source", g.id, f"classical source {s!r} not found")
-                sources_ok = False
-                continue
-            src = c.gate(s)
-            if not src.is_measure:
-                err(
-                    "classical-source-not-measure",
-                    g.id,
-                    f"classical source {s!r} is not a measurement gate",
-                )
-                sources_ok = False
-                continue
-            source_outcome_sets.append(src.outcome_labels)
-        if not g.classical_sources:
-            choices = dict(g.unitaries) or dict(g.measurements)
-            if len(choices) != 1:
+        sources, selector = g.classical_sources, g.selector
+        if not sources:
+            if len(unitaries or measurements) != 1:
                 err(
                     "non-cc-multiple-ops",
-                    g.id,
-                    f"gate without classical sources must carry exactly one op, has {len(choices)}",
+                    gid,
+                    f"gate without classical sources must carry exactly one op, has {len(unitaries or measurements)}",
                 )
-            if set(g.selector) != {()}:
-                err("selector-not-total", g.id, "non-CC gate needs the empty-tuple selector")
-        elif sources_ok:
-            # total: every key holds one label of each source, and there are
-            # as many keys as label combinations; no product is built for that
-            label_sets = [set(labels) for labels in source_outcome_sets]
-            extra = [
-                k for k in g.selector
-                if len(k) != len(label_sets) or not all(lab in labs for lab, labs in zip(k, label_sets))
-            ]
-            if extra or len(g.selector) != math.prod(map(len, label_sets)):
-                combos = itertools.product(*map(sorted, label_sets))
-                missing = list(itertools.islice((k for k in combos if k not in g.selector), 3))
-                extra = sorted(extra)[:3]
-                err(
-                    "selector-not-total",
-                    g.id,
-                    f"selector domain mismatch (missing {missing}, extra {extra})",
-                )
-        valid_targets = set(g.unitaries) | set(g.measurements)
-        for key, target in g.selector.items():
-            if target not in valid_targets:
-                err("selector-unknown-target", g.id, f"selector {key} -> unknown id {target!r}")
+            if len(selector) != 1 or () not in selector:
+                err("selector-not-total", gid, "non-CC gate needs the empty-tuple selector")
+        else:
+            label_sets: list[set[str]] = []
+            for s in sources:
+                src = c._by_id.get(s)
+                if src is None:
+                    err("unknown-classical-source", gid, f"classical source {s!r} not found")
+                elif not src.is_measure:
+                    err("classical-source-not-measure", gid, f"classical source {s!r} is not a measurement gate")
+                else:
+                    label_sets.append(set(src.outcome_labels))
+            if len(label_sets) == len(sources):
+                # total: every key holds one label of each source, and there are
+                # as many keys as label combinations; no product is built for that
+                extra = [
+                    k for k in selector if len(k) != len(label_sets) or not all(map(set.__contains__, label_sets, k))
+                ]
+                if extra or len(selector) != math.prod(map(len, label_sets)):
+                    combos = itertools.product(*map(sorted, label_sets))
+                    missing = list(itertools.islice((k for k in combos if k not in selector), 3))
+                    extra = sorted(extra)[:3]
+                    err("selector-not-total", gid, f"selector domain mismatch (missing {missing}, extra {extra})")
+        for key, target in selector.items():
+            if target not in unitaries and target not in measurements:
+                err("selector-unknown-target", gid, f"selector {key} -> unknown id {target!r}")
 
     if not diags and c._order is None:
         err("cycle", "<circuit>", "combined source relation is cyclic")

@@ -29,7 +29,12 @@ from .linalg import DensityOperator, qubits, squared_norm
 from .scheduling import Poset, Schedule
 
 CIRCUIT_VERSION = "qcirc-1"
-_NUMBERS = (int, float)  # the types of JSON numbers; a bool is not one
+_NUMBERS = {int, float}  # the types of JSON numbers; a bool is not one
+_PAIR, _STR, _INT = {2}, {str}, {int}  # an [re, im] pair's length; the types of ids and of registers
+_SCALARS = {str, int, float, bool, type(None)}  # the types `_scalars_text` writes a list of as one token
+_LISTS, _ONE = {list, tuple}, {1}
+_BUFFER = 1024  # entries of a buffer that the matrices of a document share; see `_Matrices`
+_MAX_DIM = np.iinfo(np.intp).max // np.dtype(complex).itemsize  # numpy's limit on a side of an empty matrix
 CHUNK = 64  # (re, im) pairs per chunk of a written matrix's entries; see `_with_entries`
 
 
@@ -59,29 +64,93 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": m.shape[0], "cols": m.shape[1], "entries": _float_pairs(m).tolist()}
 
 
-def _complex_entries(pairs) -> Optional[np.ndarray]:
-    """The complex numbers of a JSON list of [re, im] pairs of numbers (ints or
-    floats, not bools); None for anything else, or a number too large for a float."""
-    if type(pairs) is not list:
+def _numbers(lists: list) -> Optional[np.ndarray]:
+    """The complex entries of JSON lists of [re, im] pairs, all the lists
+    concatenated: each pair a list of two numbers (ints or floats, not bools),
+    converted as `complex(re, im)` converts them. None for anything else, or
+    for an int too large for a float. Each check is one C-level pass over the
+    items of all the lists, and one `np.array` converts every number, so a
+    document's matrices cost a few passes, not a Python call per entry."""
+    pairs = list(itertools.chain.from_iterable(lists))
+    try:
+        if not set(map(len, pairs)) <= _PAIR:
+            return None
+    except TypeError:  # a pair that is a number, a bool or null
+        return None
+    numbers = list(itertools.chain.from_iterable(pairs))  # a str or object pair gives str items
+    if not set(map(type, numbers)) <= _NUMBERS:
         return None
     try:
-        values = [complex(re, im) for re, im in pairs if type(re) in _NUMBERS and type(im) in _NUMBERS]
-    except (TypeError, ValueError, OverflowError):  # not a pair, or too large
+        return np.array(numbers, dtype=float).view(complex)
+    except OverflowError:  # an int out of float range, as `float(n)` raises
         return None
-    return np.array(values, dtype=complex) if len(values) == len(pairs) else None
+
+
+def _complex_entries(pairs) -> Optional[np.ndarray]:
+    """The complex numbers of a JSON list of [re, im] pairs (see `_numbers`)."""
+    return _numbers([pairs]) if type(pairs) is list else None
+
+
+class _Matrices:
+    """The matrices of one document, read in two steps so that the entries
+    of all of them are checked and converted in one `_numbers` pass. `add`
+    checks a matrix object's rows, cols and entry count and returns its array:
+    a view into a buffer shared with the matrices added next to it, whose
+    entries `fill` writes later. A matrix is `bad-matrix` at the `where` it
+    was added under, and the first bad one in reading order is the one
+    reported, whichever check finds it."""
+
+    def __init__(self) -> None:
+        self.wheres: list[str] = []
+        self.entries: list[list] = []
+        self.buffers: list[list] = []  # [complex buffer, entries used], in reading order
+        self.room = 0  # unused entries of the last buffer
+
+    def add(self, obj, where: str) -> np.ndarray:
+        try:
+            rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        except (KeyError, TypeError):
+            self.fail(where)
+        if not (
+            type(rows) is int and type(cols) is int and 0 <= rows <= _MAX_DIM and 0 <= cols <= _MAX_DIM
+            and type(entries) is list and len(entries) == rows * cols
+        ):
+            self.fail(where)
+        self.wheres.append(where)
+        self.entries.append(entries)
+        n = len(entries)
+        if n > self.room or not self.buffers:
+            self.buffers.append([np.empty(max(n, _BUFFER), dtype=complex), 0])
+            self.room = len(self.buffers[-1][0])
+        last = self.buffers[-1]
+        self.room -= n
+        last[1] += n
+        return last[0][last[1] - n : last[1]].reshape(rows, cols)
+
+    def fail(self, where: Optional[str]) -> None:
+        """Raise `bad-matrix` at the first matrix added whose entries are
+        malformed, or else at `where` (None: raise nothing)."""
+        bad = (at for at, entries in zip(self.wheres, self.entries) if _numbers([entries]) is None)
+        where = next(bad, where)
+        if where is not None:
+            raise ParseError([_diag("bad-matrix", where, "malformed matrix object")])
+
+    def fill(self) -> None:
+        """Write the entries of every matrix added into its array."""
+        values = _numbers(self.entries)
+        if values is None:
+            self.fail(None)
+        start = 0
+        for buffer, used in self.buffers:
+            buffer[:used] = values[start : start + used]
+            start += used
 
 
 def matrix_from_json(obj: dict, where: str = "<matrix>") -> np.ndarray:
-    try:
-        rows, cols = obj["rows"], obj["cols"]
-        if not all(type(d) is int and d >= 0 for d in (rows, cols)):
-            raise ValueError
-        entries = _complex_entries(obj["entries"])
-        if entries is None or len(entries) != rows * cols:
-            raise ValueError
-        return entries.reshape(rows, cols)
-    except (KeyError, TypeError, ValueError):
-        raise ParseError([_diag("bad-matrix", where, "malformed matrix object")]) from None
+    matrices = _Matrices()
+    m = matrices.add(obj, where)
+    matrices.fill()
+    return m
 
 
 # --- writing ----------------------------------------------------------------
@@ -113,6 +182,10 @@ def _write(o, nl: str, out: list, matrices: list) -> None:
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
+            return
+        text = _scalars_text(o, nl)
+        if text is not None:
+            out.append(text)
             return
         sep, inner = "[", nl + "  "
         for v in o:
@@ -154,10 +227,9 @@ def _with_entries(out: list, matrices: list) -> list:
     aggregate operators): each is one shared `_zeros` string, held by
     reference. The floats of the other chunks, and only those, are
     classified in one more pass: +0.0 and -0.0 take constant strings, and
-    only the others go through `repr` (or `_float`, when any float is NaN
-    or infinite), in one `map`. Per matrix, one object array interleaves
-    those spellings with the brackets, commas and indents between them, and
-    each run of such chunks is one slice of it. So the token count follows
+    only the others are spelled, by `_spellings`. Per matrix, one object
+    array interleaves those spellings with the brackets, commas and indents
+    between them, and each run of such chunks is one slice of it. So the token count follows
     the nonzero entries, and the document is joined once."""
     sizes = [2 * m.size for _, m, _ in matrices]  # floats per matrix
     floats = np.concatenate([_float_pairs(m).ravel() for _, m, _ in matrices])
@@ -182,8 +254,7 @@ def _with_entries(out: list, matrices: list) -> list:
     nonzero = floats != 0.0
     negative_zero = np.signbit(floats) & ~nonzero
     signed = negative_zero.any()
-    spell = float.__repr__ if np.isfinite(floats).all() else _float
-    spelled = np.array(list(map(spell, floats[nonzero].tolist())), dtype=object)
+    spelled = _spellings(floats[nonzero])
     del floats  # freed before the token list grows, so that the two never add up
     flags = mixed.tolist()
     tokens: list[str] = []
@@ -223,6 +294,20 @@ def _with_entries(out: list, matrices: list) -> list:
     return tokens
 
 
+def _spellings(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each float, as an object array. When all are finite,
+    `repr` spells each distinct magnitude once (a 17-digit `repr` is a bignum
+    conversion, and a state's entries repeat their magnitudes), and a negative
+    float is its magnitude's text after "-", as `repr` writes it."""
+    if not np.isfinite(values).all():
+        return np.array(list(map(_float, values.tolist())), dtype=object)
+    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
+    spelled = np.array(list(map(float.__repr__, magnitudes.tolist())), dtype=object)[inverse]
+    negative = values < 0
+    spelled[negative] = "-" + spelled[negative]
+    return spelled
+
+
 @functools.lru_cache
 def _zeros(nl: str, pairs: int) -> str:
     """`pairs` entries (+0.0, +0.0) of a matrix whose object starts on a line
@@ -255,6 +340,33 @@ def _scalar(o) -> Optional[str]:
     if isinstance(o, float):
         return _float(o)
     return None
+
+
+def _scalars_text(o, nl: str) -> Optional[str]:
+    """The JSON text of a nonempty list or tuple `o` whose items are all str,
+    int, float, bool or None, or all nonempty lists or tuples of those, as a
+    schedule's bouts are, built by joins instead of a `_write` call per
+    item; None for any other `o`. `nl` is as for `_write`."""
+    types, inner = set(map(type, o)), nl + "  "
+    if types <= _SCALARS:
+        texts = map(encode_basestring_ascii, o) if types == _STR else map(_scalar_text, o)
+        return f"[{inner}" + f",{inner}".join(texts) + f"{nl}]"
+    if not (types <= _LISTS and all(o)):
+        return None
+    types, item = set(map(type, itertools.chain.from_iterable(o))), inner + "  "
+    if not types <= _SCALARS:
+        return None
+    spell = encode_basestring_ascii if types == _STR else _scalar_text
+    if set(map(len, o)) == _ONE:  # rows of one item, as a linear schedule's bouts are: one join
+        texts = map(spell, itertools.chain.from_iterable(o))
+        return f"[{inner}[{item}" + f"{inner}],{inner}[{item}".join(texts) + f"{inner}]{nl}]"
+    rows = [f"[{item}" + f",{item}".join(map(spell, v)) + f"{inner}]" for v in o]
+    return f"[{inner}" + f",{inner}".join(rows) + f"{nl}]"
+
+
+def _scalar_text(o) -> str:
+    """The JSON text of a str, None, a bool, an int or a float."""
+    return encode_basestring_ascii(o) if type(o) is str else _scalar(o)
 
 
 def _key(k) -> str:
@@ -302,7 +414,9 @@ def gate_to_json(g: Gate) -> dict:
     return out
 
 
-def gate_from_json(obj: dict) -> Gate:
+def gate_from_json(obj: dict, matrices: _Matrices) -> Gate:
+    """A gate object's gate; its matrices are added to `matrices`, which
+    writes their entries later."""
     if not isinstance(obj, dict):
         raise ParseError([_diag("bad-gate", "<gate>", "gate is not a JSON object")])
     where = str(obj.get("id", "<gate>"))
@@ -312,29 +426,25 @@ def gate_from_json(obj: dict) -> Gate:
         raise ParseError([_diag("bad-gate", where, "malformed gate object")]) from None
     controls = obj.get("controls", [])
     selector = _object(obj, "selector", where)
-    if not isinstance(gid, str) or not (
-        isinstance(controls, list) and all(isinstance(s, str) for s in controls)
-    ):
+    if type(gid) is not str or not (type(controls) is list and _STR.issuperset(map(type, controls))):
         raise ParseError([_diag("bad-gate", where, "gate id and controls must be JSON strings")])
-    if not (isinstance(registers, list) and all(type(r) is int for r in registers)):
+    if not (type(registers) is list and _INT.issuperset(map(type, registers))):
         raise ParseError([_diag("bad-gate", where, "registers must be a list of JSON integers")])
-    if not all(isinstance(t, str) for t in selector.values()):
+    if not _STR.issuperset(map(type, selector.values())):
         raise ParseError([_diag("bad-gate", where, "selector targets must be JSON strings")])
     registers, controls, selector = tuple(registers), tuple(controls), _selector_from_json(selector)
     if kind == "measure":
         measurements = {}
         for mid, mobj in _object(obj, "measurements", where).items():
-            ops = {
-                lab: matrix_from_json(mat, where)
-                for lab, mat in _object(mobj, "outcomes", where).items()
-            }
+            ops = {}
+            for label, mat in _object(mobj, "outcomes", where).items():
+                ops[label] = matrices.add(mat, where)
             measurements[mid] = Measurement(mid, ops)
         return Gate(gid, registers, measurements=measurements, classical_sources=controls, selector=selector)
     if kind == "unitary":
-        unitaries = {
-            uid: UnitaryOp(uid, matrix_from_json(mat, where))
-            for uid, mat in _object(obj, "ops", where).items()
-        }
+        unitaries = {}
+        for uid, mat in _object(obj, "ops", where).items():
+            unitaries[uid] = UnitaryOp(uid, matrices.add(mat, where))
         return Gate(gid, registers, unitaries=unitaries, classical_sources=controls, selector=selector)
     raise ParseError([_diag("bad-gate-kind", where, f"unknown gate kind {kind!r}")])
 
@@ -356,7 +466,14 @@ def circuit_from_json(obj: dict) -> QuantumCircuit:
     if not (_strings(registers) and isinstance(gate_objs, list)):
         message = "registers must be a list of strings and gates a list"
         raise ParseError([_diag("bad-circuit", "<circuit>", message)])
-    c = QuantumCircuit(tuple(registers), tuple(gate_from_json(g) for g in gate_objs))
+    matrices = _Matrices()
+    try:
+        gates = tuple([gate_from_json(g, matrices) for g in gate_objs])
+    except ParseError:
+        matrices.fail(None)  # a bad matrix read before the error is reported first
+        raise
+    matrices.fill()
+    c = QuantumCircuit(tuple(registers), gates)
     diags = validate_circuit(c)
     if diags:
         raise ParseError(diags)
@@ -379,8 +496,14 @@ def parse_circuit(text: str) -> QuantumCircuit:
 
 
 def schedule_to_json(x: Schedule, c: Optional[QuantumCircuit] = None) -> dict:
-    key = c.index_of if c is not None else None
-    return {"bouts": [sorted(b, key=key) for b in x.bouts]}
+    """Each bout's gate ids, in circuit order when `c` is given (an id not in
+    `c` raises `CircuitError`), else sorted."""
+    if c is None:
+        return {"bouts": [sorted(b) for b in x.bouts]}
+    position = c._index
+    if not position.keys() >= set(itertools.chain.from_iterable(x.bouts)):
+        c.gate(next(gid for b in x.bouts for gid in b if gid not in position))  # raises, as `index_of` does
+    return {"bouts": [sorted(b, key=position.__getitem__) for b in x.bouts]}
 
 
 def schedule_from_json(obj: dict) -> Schedule:

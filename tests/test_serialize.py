@@ -19,9 +19,11 @@ from corpus import (
     random_circuit,
     random_deferrable_circuit,
 )
+from qcirc.circuit import CircuitError
 from qcirc.deferral import defer_measurements
 from qcirc.linalg import DensityOperator
-from qcirc.serialize import CHUNK, dumps, matrix_to_json, serialize_circuit
+from qcirc.scheduling import Schedule
+from qcirc.serialize import CHUNK, dumps, matrix_to_json, schedule_to_json, serialize_circuit
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]
 ESCAPED = ["", '"', "\\", "/", "\n\r\t\b\f", "\x00\x1f\x7f", "é", " ", "😀", 'a"b\\c']
@@ -70,6 +72,22 @@ def test_dumps_matches_json(x):
     ids=["list", "dict", "list-list", "list-dict", "dict-list", "dict-dict", "deep", "tuple"],
 )
 def test_dumps_nested_empty_containers(x):
+    assert dumps(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        ["a", 1, 2.5, None, True, -0.0, "é"],
+        {"bouts": [["b"], ["a"], ["\n"]]},
+        [["a", "b"], ["c"], ("d", "e")],
+        [[1], [math.nan, math.inf], [None, False]],
+        [[["a"]], [["b"], []]],
+        {"s": [{"bouts": [["x"], ["y"]]}, {"bouts": [["x", "y"]]}]},
+    ],
+    ids=["scalars", "singleton-rows", "rows", "number-rows", "deeper", "schedules"],
+)
+def test_dumps_lists_of_scalars_and_of_rows_match_json(x):
     assert dumps(x) == json.dumps(x, indent=2)
 
 
@@ -362,3 +380,29 @@ def test_dumps_ghz6_aggregate_peak_memory_above_text(ghz6_aggregate):
         tracemalloc.stop()
     assert len(text) == chars
     assert peak <= chars + 2 * 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(floats, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_dumps_matrix_of_repeated_signed_magnitudes_matches_json(values, seed):
+    """Entries drawn from a few magnitudes with either sign, as a Hermitian
+    state's are: each distinct magnitude is spelled once."""
+    rng = np.random.default_rng(seed)
+    picks = np.copysign(rng.choice(np.array(values), size=(2, 5, 5)), rng.choice([-1.0, 1.0], size=(2, 5, 5)))
+    m = np.empty((5, 5), dtype=complex)
+    m.real, m.imag = picks
+    doc = {"state": m, "conjugate": m.conj().T}
+    assert dumps(doc) == json.dumps(_with_matrix_objects(doc), indent=2)
+
+
+def test_schedule_to_json_orders_each_bout_by_circuit_position(teleport):
+    bouts = (frozenset({"H", "CNOT"}), frozenset({"ZM", "N", "M", "XN"}))
+    assert schedule_to_json(Schedule(bouts), teleport) == {"bouts": [["CNOT", "H"], ["M", "N", "XN", "ZM"]]}
+    assert schedule_to_json(Schedule(bouts)) == {"bouts": [["CNOT", "H"], ["M", "N", "XN", "ZM"]]}
+
+
+def test_schedule_to_json_unknown_id_raises_as_index_of(teleport):
+    with pytest.raises(CircuitError) as raised:
+        teleport.index_of("nope")
+    with pytest.raises(CircuitError, match=str(raised.value)):
+        schedule_to_json(Schedule((frozenset({"H"}), frozenset({"M", "nope"}))), teleport)
