@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Best-of-N wall time of `serialize.dumps` on four fixed documents.
 
-    python3 scripts/dumps_bench.py [--repeat N]
+    python3 scripts/dumps_bench.py [--repeat N] [--against CHECKOUT]
 
 The documents cover the shapes qcirc writes:
 - `ghz6_aggregate`: what `qcirc aggregate --input` prints for GHZ-6 from
@@ -17,11 +17,20 @@ One line per document gives its text length, the share of its matrix floats
 that are +0.0 or -0.0, the tracemalloc peak of one call above the text it
 returns (the writer's working memory), and the best of N calls in
 milliseconds.
+
+With `--against CHECKOUT`, the `dumps` of CHECKOUT/src/qcirc is loaded as a
+second package, and the two writers are called in turn, N times each, on
+each document in one process, so that both see the same host. One line per
+document gives both medians, how many of the N pairs this checkout's call
+won, and whether the two texts are the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
+import statistics
 import sys
 import time
 import tracemalloc
@@ -100,10 +109,45 @@ def best_ms(doc, repeat: int) -> float:
     return best * 1e3
 
 
+def load_dumps(checkout: Path):
+    """`serialize.dumps` of CHECKOUT/src/qcirc, loaded as the package
+    `qcirc_against`: its modules import each other relatively, so they load
+    under that name beside `qcirc`."""
+    init = checkout.resolve() / "src" / "qcirc" / "__init__.py"
+    spec = importlib.util.spec_from_file_location("qcirc_against", init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module("qcirc_against.serialize").dumps
+
+
+def paired_ms(doc, ours, theirs, repeat: int) -> tuple[float, float, int]:
+    """Both writers called in turn on doc, `repeat` times each, the first
+    call of each pair alternating: their medians in milliseconds, and how
+    many pairs `ours` won."""
+    times: dict = {ours: [], theirs: []}
+    for i in range(repeat):
+        for dumps in (ours, theirs) if i % 2 == 0 else (theirs, ours):
+            start = time.perf_counter()
+            dumps(doc)
+            times[dumps].append(time.perf_counter() - start)
+    wins = sum(a < b for a, b in zip(times[ours], times[theirs]))
+    return statistics.median(times[ours]) * 1e3, statistics.median(times[theirs]) * 1e3, wins
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=9, help="calls per document (default 9)")
+    ap.add_argument("--against", type=Path, help="a checkout whose writer to alternate with this one's")
     args = ap.parse_args(argv)
+    if args.against is not None:
+        theirs = load_dumps(args.against)
+        for name, doc in documents().items():
+            same = serialize.dumps(doc) == theirs(doc)
+            ours_ms, theirs_ms, wins = paired_ms(doc, serialize.dumps, theirs, args.repeat)
+            print(f"{name:16} this {ours_ms:8.3f} ms  against {theirs_ms:8.3f} ms"
+                  f"  wins {wins}/{args.repeat}  text {'same' if same else 'differs'}")
+        return 0
     for name, doc in documents().items():
         chars = len(serialize.dumps(doc))
         peak = peak_above_text_mib(doc)

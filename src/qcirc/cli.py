@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inputs", type=inputs_spec, help="sample basis or random:K inputs instead of the exact check"
     )
-    p.add_argument("--tol", type=tolerance, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=deferral.TOL)
     p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(fn=cmd_check_faithful)
 

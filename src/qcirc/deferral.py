@@ -200,12 +200,6 @@ def _dilation(kraus: list, dim_anc: int) -> np.ndarray:
     return u
 
 
-def _reindex(index: int, frm: Sequence[int], to: Sequence[int]) -> int:
-    """A basis index over registers `frm` as an index over their permutation `to`."""
-    bit = dict(zip(frm, linalg.bits_of(index, len(frm))))
-    return linalg.index_of([bit[r] for r in to])
-
-
 # --- the pass ---------------------------------------------------------------
 
 
@@ -243,7 +237,7 @@ def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, 
                 kept[g.id], regs[g.id] = a.id, regs[a.id]
             else:
                 a, regs[g.id] = g, list(g.registers)
-            read[g.id] = {_reindex(i, g.registers, a.registers): lab for lab, i in at.items()}
+            read[g.id] = {linalg.reindex(i, g.registers, a.registers): lab for lab, i in at.items()}
             continue
         labels = list(m.outcomes)
         ell = math.ceil(math.log2(len(labels)))  # 0 for a single outcome
@@ -318,8 +312,7 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
                 k, dim = len(ctrl), 2**g.arity
                 big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
                 for x in range(2**k):
-                    bit = dict(zip(ctrl, linalg.bits_of(x, k)))
-                    key = tuple(read[s][linalg.index_of([bit[w] for w in regs[s]])] for s in sources)
+                    key = tuple(read[s][linalg.reindex(x, ctrl, regs[s])] for s in sources)
                     big[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] = g.unitaries[g.selector[key]].matrix
                 g = unitary_gate(g.id, tuple(ctrl) + g.registers, big)
             elif sources:  # every source became a unitary: keep the op they select

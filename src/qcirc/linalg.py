@@ -4,8 +4,9 @@ All operators and states are numpy complex128 arrays. Register 0 is the
 most significant bit of the computational-basis index, so the basis state
 |a0 a1 ... a_{n-1}> has index sum(a_k * 2**(n-1-k)). Reshaping a 2^n x m
 array to shape (2,)*n + (m,) therefore gives register r its own axis r (in
-C order), and `apply` contracts an operator with just the axes of the
-registers it acts on.
+C order). `apply`, the one kernel that applies operators to states,
+contracts a stack of them (`operators`, the one arity check) with just the
+axes of their registers; `reindex` maps a basis index between register lists.
 """
 
 from __future__ import annotations
@@ -77,17 +78,6 @@ def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     return a.shape[0] == a.shape[1] and mat_close(a, a.conj().T, tol)
-
-
-def bits_of(index: int, n: int) -> tuple[int, ...]:
-    return tuple((index >> (n - 1 - k)) & 1 for k in range(n))
-
-
-def index_of(bits: Sequence[int]) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
 
 
 def basis_ket(index: int, n: int) -> np.ndarray:
@@ -232,24 +222,48 @@ def _axes(registers: tuple, n: int) -> tuple[tuple, tuple]:
     return perm, tuple(sorted(range(n + 2), key=perm.__getitem__))
 
 
-def apply(op: np.ndarray, registers: Sequence[int], t: np.ndarray, n: int) -> np.ndarray:
-    """embed(op, registers, n) @ t for a 2^n x m array t, bit for bit the
-    product `np.tensordot` forms: one transpose (cached by `_axes`) brings the
-    registers' tensor axes to the front, and one `np.dot` contracts them.
-    `embed`'s kernel, and the tests' reference for the walk's `semantics._apply`."""
-    op = as_matrix(op)
-    k = len(registers)
-    if op.shape != (2**k, 2**k):
-        raise LinalgError(f"operator shape {op.shape} does not match arity {k}")
-    if t.ndim != 2 or t.shape[0] != 2**n:
-        raise LinalgError(f"expected {2**n} rows, got shape {t.shape}")
-    perm, inverse = _axes(tuple(registers), n)
-    x = t.reshape((1,) + (2,) * n + (t.shape[1],)).transpose(perm)
-    out = np.dot(op, x.reshape(2**k, 2 ** (n - k) * t.shape[1]))
-    return out.reshape(x.shape).transpose(inverse).reshape(t.shape)
+def operators(ops: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """A gate's operators on k registers as one (len(ops), 2^k, 2^k) stack;
+    LinalgError naming the least other shape among them."""
+    shape = (2**k, 2**k)
+    wrong = [a.shape for a in ops if a.shape != shape]
+    if wrong:
+        raise LinalgError(f"operator shape {min(wrong)} does not match arity {k}")
+    return np.array(ops, complex) if ops else np.zeros((0, *shape), complex)
+
+
+def apply(a: np.ndarray, axes: tuple, x: np.ndarray) -> np.ndarray:
+    """Operators a on their registers' tensor axes (`axes`, from `_axes`) of
+    a frontier x of f blocks (2^n, m): each block by every operator of a
+    (w, d, d) stack, or block i by a[i] of an (f, 1, d, d) stack. One
+    transpose brings the registers' axes to the front, and one batched
+    `np.matmul` makes d x d by d x (2^n / d * m) products, bit for bit the
+    contraction `np.tensordot` forms. The operators are not checked here: the
+    walk checks each once, where it compiles its gate, and `embed` its own."""
+    (f, rows, m), (w, d) = x.shape, a.shape[-3:-1]
+    y = x.reshape(f, *(2,) * (rows.bit_length() - 1), m).transpose(axes[0])
+    z = y.reshape(f, 1, d, rows // d * m)
+    if d > 1:
+        out = np.matmul(a, z)
+    else:  # no registers: a scaling, which `np.dot` does by BLAS axpy and `np.matmul` rounds otherwise
+        out = np.array([[np.dot(b, row) for b in bs] for bs, row in zip(np.broadcast_to(a, (f, w, 1, 1)), z[:, 0])],
+                       complex).reshape(f, w, 1, z.shape[-1])
+    return out.reshape(f * w, *y.shape[1:]).transpose(axes[1]).reshape(f * w, rows, m)
 
 
 def embed(op: np.ndarray, registers: Sequence[int], n: int) -> np.ndarray:
     """Lift a 2^k x 2^k operator acting on the listed registers (in the listed
-    order) to the full 2^n x 2^n space, identity on the other registers."""
-    return apply(op, registers, np.eye(2**n, dtype=complex), n)
+    order) to the full 2^n x 2^n space, identity on the other registers: the
+    kernel `apply` on a frontier of one identity block."""
+    a = operators([as_matrix(op)], len(registers))
+    return apply(a, _axes(tuple(registers), n), np.eye(2**n, dtype=complex)[None])[0]
+
+
+def reindex(index, frm: Sequence[int], to: Sequence[int]):
+    """A basis index over the registers `frm` (the first one most significant)
+    as an index over `to`, registers among `frm` in any order: the bits of
+    `to`'s registers, in its order. `index` is an int or an int array."""
+    out = index & 0
+    for r in to:
+        out = out << 1 | index >> (len(frm) - 1 - frm.index(r)) & 1
+    return out

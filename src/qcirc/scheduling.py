@@ -28,6 +28,16 @@ class Schedule:
         return out
 
 
+def in_bout_order(c: QuantumCircuit, bouts: Iterable[Iterable[str]]) -> list[list[str]]:
+    """Each bout's gate ids in circuit order, the one order of gates inside a
+    bout; the first id, in iteration order, that `c` lacks raises CircuitError."""
+    try:
+        return [sorted(b, key=c._index.__getitem__) for b in bouts]
+    except KeyError as e:
+        c.gate(e.args[0])  # raises, as `QuantumCircuit.index_of` does
+        raise
+
+
 def is_antichain(c: QuantumCircuit, gates: Iterable[str]) -> bool:
     gates = set(gates)
     return all(not (prerequisites(c, g) & gates) for g in gates)

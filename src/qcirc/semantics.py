@@ -7,13 +7,16 @@ when sampling or reporting.
 Every walk, the sampler's included, is one breadth-first frontier walk
 over the circuit's compiled `_Plan`: a stack of states with a row of integer
 outcome codes each, and each gate's selected operators applied once to all
-the states that select them. The tracks are counted on the codes before any
+the states that select them, through the one kernel `linalg.apply` on
+the stack that `linalg.operators` checks; each bout is walked in
+`scheduling.in_bout_order`. The tracks are counted on the codes before any
 operator is applied. A circuit in terminal form, whose unitaries all precede
 its standard-basis measurements (every circuit `defer` rewrites, and
 GHZ-style circuits), is by the deferred-measurement principle one unitary U
 followed by a measurement in the standard basis: `track_rows` applies only
 its plan's unitary moves, to t0 alone, and each track is the rows of U @ t0
-that its labels select.
+that its labels select, its basis index over a measurement's registers
+read by `linalg.reindex`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .circuit import Gate, QuantumCircuit, topo_order
-from .scheduling import Schedule, ScheduleError, greedy_schedule, validate_schedule
+from .scheduling import Schedule, ScheduleError, greedy_schedule, in_bout_order, validate_schedule
 
 TOL = linalg.DEFAULT_TOL
 DEFAULT_TRACK_CAP = 2**16
@@ -76,11 +79,6 @@ class RunResult:
     step_log: tuple  # ((gate ids...), (outcome labels...), probability)
 
 
-def _order(c: QuantumCircuit, bouts: Iterable[Iterable[str]]) -> tuple[str, ...]:
-    """The bouts' gate ids, bout by bout, in sequence order inside each bout."""
-    return tuple(gid for b in bouts for gid in sorted(b, key=c.index_of))
-
-
 def _require_fit(c: QuantumCircuit, *schedules: Schedule) -> None:
     if not all(validate_schedule(c, x) for x in schedules):
         raise ScheduleError("schedule does not fit the circuit")
@@ -105,7 +103,8 @@ class _Step(NamedTuple):
 class _Plan:
     """A circuit compiled once for the frontier walk: a `_Step` per gate, and
     per measurement gate, in topo_order(c), a column of outcome codes, a
-    label's code being its position in the gate's `outcome_labels` (-1: none)."""
+    label's code being its position in the gate's `outcome_labels` (-1: none);
+    a last column of -1 is read by a source that is no measurement gate."""
 
     def __init__(self, c: QuantumCircuit):
         measures = [g for g in map(c.gate, topo_order(c)) if g.is_measure]
@@ -116,19 +115,15 @@ class _Plan:
         self.steps = {g.id: self._compile(g, n, finite) for g in c.gates}
 
     def _compile(self, g: Gate, n: int, finite: dict) -> _Step:
-        choices, shape, column = g.measurements or g.unitaries, (2 ** len(g.registers),) * 2, self.column.get(g.id, -1)
+        choices, column = g.measurements or g.unitaries, self.column.get(g.id, -1)
         if column < 0:
             ops, first, codes = [u.matrix for u in choices.values()], (), None
         else:
             ops = [m.operators[label] for m in choices.values() for label in m.outcomes]
             first = (0, *itertools.accumulate([len(m.outcomes) for m in choices.values()]))
             codes = np.array([self.index[column][label] for m in choices.values() for label in m.outcomes])
-        verdicts = [finite.get(id(a)) if a.shape == shape else None for a in ops]  # None: a wrong shape
-        if None in verdicts:  # as `linalg.apply` says, and `linalg._axes` for the registers
-            wrong = min(a.shape for a in ops if a.shape != shape)
-            raise linalg.LinalgError(f"operator shape {wrong} does not match arity {g.arity}")
-        stack = np.array(ops, complex) if ops else np.zeros((0, *shape), complex)
-        step = (g, column, linalg._axes(g.registers, n), stack, False not in verdicts, first, codes)
+        stack = linalg.operators(ops, g.arity)  # the arity check; `linalg._axes` checks the registers
+        step = (g, column, linalg._axes(g.registers, n), stack, all(finite[id(a)] for a in ops), first, codes)
         if not g.classical_sources:
             return _Step(*step, list(choices).index(g.selector[()]) if g.selector.get(()) in choices else -1)
         position = {cid: j for j, cid in enumerate(choices)}
@@ -142,9 +137,10 @@ class _Plan:
         return _Step(*step, -1, sources, (np.array(places), np.array(table)))
 
     def codes_of(self, assignment: Mapping[str, str]) -> np.ndarray:
-        """A row of codes of the assignment's labels; -2 for a label that
-        its gate lacks."""
-        row = np.full((1, len(self.labels)), -1, dtype=np.intp)
+        """A row of codes of the assignment's labels, -2 for a label that
+        its gate lacks, then a last -1, the code of a source that is no
+        measurement gate (its column is -1)."""
+        row = np.full((1, len(self.labels) + 1), -1, dtype=np.intp)
         for gid, label in assignment.items():
             if gid in self.column:
                 row[0, self.column[gid]] = self.index[self.column[gid]].get(label, -2)
@@ -178,7 +174,7 @@ def _pick(plan: _Plan, s: _Step, codes: np.ndarray, held: Optional[Mapping[str, 
         if s.pick < 0 and len(codes):
             raise SemanticsError(f"gate {g.id!r}: selector has no entry for ()")
         return s.pick if len(codes) else np.zeros(0, dtype=np.intp)
-    src = codes[:, s.sources] if min(s.sources) >= 0 else np.full((len(codes), len(s.sources)), -1)
+    src = codes[:, s.sources]
     pick = s.selector[1][src @ s.selector[0]] if src.min() >= 0 else np.full(len(codes), -1)
     low = pick.min()
     if low < 0:
@@ -261,33 +257,24 @@ def _run(moves, t: np.ndarray):
             yield from _run(_rows(moves[i:], 0, len(t) // 2), t[: len(t) // 2])
             yield from _run(_rows(moves[i:], len(t) // 2, len(t)), t[len(t) // 2 :])
             return
-        t = _apply(s, ops, t if parents is None else t[parents])
+        if not s.finite:
+            raise linalg.LinalgError("matrix has non-finite entries")
+        a = s.ops[ops] if isinstance(ops, slice) else s.ops[ops][:, None]  # each block by each, or block i by ops[i]
+        t = linalg.apply(a, s.axes, t if parents is None else t[parents])
     yield t
 
 
-def _apply(s: _Step, ops, x: np.ndarray) -> np.ndarray:
-    """The step's operators `ops` applied to the blocks x in one batched
-    `np.matmul`, whose products have `linalg.apply`'s gemm shape, hence its
-    bits: each block by every operator of a slice in turn, or block i by
-    operator ops[i]."""
-    a = s.ops[ops] if isinstance(ops, slice) else s.ops[ops][:, None]  # (w, d, d), or (f, 1, d, d)
-    (f, rows, m), (w, d) = x.shape, a.shape[-3:-1]
-    if not s.finite:
-        raise linalg.LinalgError("matrix has non-finite entries")
-    y = x.reshape(f, *(2,) * (rows.bit_length() - 1), m).transpose(s.axes[0])
-    out = np.matmul(a, y.reshape(f, 1, d, rows // d * m))
-    return out.reshape(f * w, *y.shape[1:]).transpose(s.axes[1]).reshape(f * w, rows, m)
-
-
-def _walk_plan(c: QuantumCircuit, order, t0: np.ndarray, cap: Optional[int] = None,
+def _walk_plan(c: QuantumCircuit, bouts, t0: np.ndarray, cap: Optional[int] = None,
                held: Optional[Mapping[str, str]] = None):
-    """The frontier walk over `order` (`_expand`): its moves, its leaves'
-    codes, counted before any operator is applied, and the checked t0 as a
-    frontier of one for `_run`; with `held`, the one leaf of that assignment."""
+    """The frontier walk over the gates of `bouts` (`_expand`), each bout in
+    `in_bout_order`: its moves, its leaves' codes, counted before any
+    operator is applied, and the checked t0 as a frontier of one for `_run`;
+    with `held`, the one leaf of that assignment."""
     plan = _plan(c)
+    order = itertools.chain.from_iterable(in_bout_order(c, bouts))
     moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), cap, held)
     t = np.asarray(t0, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != 2**c.n_registers:  # as `linalg.apply` says
+    if t.ndim != 2 or t.shape[0] != 2**c.n_registers:
         raise linalg.LinalgError(f"expected {2**c.n_registers} rows, got shape {t.shape}")
     return moves, codes, t[None]
 
@@ -297,7 +284,7 @@ def _track_leaf(
     assignment: Mapping[str, str],
 ) -> np.ndarray:
     """A @ t over `bouts` along a track that labels each measurement reached."""
-    moves, _, t = _walk_plan(c, _order(c, bouts), t, held=assignment)
+    moves, _, t = _walk_plan(c, bouts, t, held=assignment)
     return next(_run(moves, t))[0]
 
 
@@ -323,7 +310,7 @@ def track_rows(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_T
     w's rows (the product of the label sets, incoherent tracks included).
     Any other circuit gives one piece per leaf of the walk (`_run`), in
     depth-first leaf order."""
-    moves, codes, t = _walk_plan(c, _order(c, greedy_schedule(c).bouts), t0, cap)
+    moves, codes, t = _walk_plan(c, greedy_schedule(c).bouts, t0, cap)
     tracks = _plan(c).tracks(codes)
     if not c._terminal:
         leaves = itertools.chain.from_iterable(_run(moves, t))
@@ -338,12 +325,11 @@ def _row_tracks(c: QuantumCircuit, moves: list, rows: int) -> np.ndarray:
     select it: for each measurement move in walk order, the position in its
     measurement's `outcomes` of the label that `Measurement.selects` gives
     the row's basis index over the gate's registers."""
-    n, index = c.n_registers, np.arange(rows)
+    everyone, index = range(c.n_registers), np.arange(rows)
     group = np.zeros(rows, dtype=np.intp)
     for g in (s.gate for s, _, _ in moves if s.column >= 0):
         m = g.measurements[g.selector[()]]
-        local = sum((index >> (n - 1 - r) & 1) << (g.arity - 1 - k) for k, r in enumerate(g.registers))
-        group = group * len(m.outcomes) + m.selects[local]
+        group = group * len(m.outcomes) + m.selects[linalg.reindex(index, everyone, g.registers)]
     return group
 
 
@@ -374,7 +360,8 @@ def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) 
     """All coherent tracks, depth first over topo_order(c), labels sorted:
     the walk's outcome codes alone, with no block."""
     plan = _plan(c)
-    codes = _expand(plan, _order(c, greedy_schedule(c).bouts), plan.codes_of({}), cap)[1]
+    order = itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts))
+    codes = _expand(plan, order, plan.codes_of({}), cap)[1]
     return [f for _, f in sorted(plan.tracks(codes), key=lambda track: track[0])]
 
 
@@ -398,10 +385,10 @@ def schedules_equivalent(
     matched by outcome codes. An invalid schedule raises ScheduleError."""
     _require_fit(c, x, y)
     eye = np.eye(2**c.n_registers, dtype=complex)
-    moves, codes, t = _walk_plan(c, _order(c, x.bouts), eye, DEFAULT_TRACK_CAP)
+    moves, codes, t = _walk_plan(c, x.bouts, eye, DEFAULT_TRACK_CAP)
     ops = list(itertools.chain.from_iterable(_run(moves, t)))
     at = {row: i for i, row in enumerate(map(tuple, codes.tolist()))}
-    moves, codes, t = _walk_plan(c, _order(c, y.bouts), eye, DEFAULT_TRACK_CAP)
+    moves, codes, t = _walk_plan(c, y.bouts, eye, DEFAULT_TRACK_CAP)
     ops_y = itertools.chain.from_iterable(_run(moves, t))
     return all(linalg.mat_close(ops[at[tuple(row)]], b, tol) for row, b in zip(codes.tolist(), ops_y))
 
@@ -488,7 +475,7 @@ def sample(
     check_state(rho, c.n_registers)
     _require_fit(c, x)
     plan = _plan(c)
-    bouts = [_order(c, [b]) for b in x.bouts]
+    bouts = list(map(tuple, in_bout_order(c, x.bouts)))
     u = _uniforms(seeds, len(bouts))
     results: list = [None] * len(u)
     floor = 1e-300 * linalg.squared_norm(rho.factor)  # relative, so any valid state's scale can run

@@ -26,7 +26,7 @@ from .circuit import (
     validate_circuit,
 )
 from .linalg import DensityOperator, qubits, squared_norm
-from .scheduling import Poset, Schedule
+from .scheduling import Poset, Schedule, in_bout_order
 
 CIRCUIT_VERSION = "qcirc-1"
 _NUMBERS = {int, float}  # the types of JSON numbers; a bool is not one
@@ -272,22 +272,18 @@ def _with_entries(out: list, matrices: list) -> list:
         count = np.count_nonzero(spell_here)
         entries[spell_here] = spelled[done : done + count]
         tokens += out[prev:at]
-        if n == 2 * m.size:  # no all-+0.0 chunk
-            text[0] = f"[{i2}[{i3}"
-            tokens += text.tolist()
-        else:
-            first, left, pair = len(tokens), m.size, 0
-            for is_mixed, run in itertools.groupby(flags[first_chunk:end]):
-                span = min(CHUNK * len(list(run)), left)  # pairs in the run
-                if is_mixed:
-                    tokens += text[4 * pair : 4 * (pair + span)].tolist()
-                    pair += span
-                else:
-                    tokens += [_zeros(nl, CHUNK)] * (span // CHUNK)
-                    if span % CHUNK:
-                        tokens.append(_zeros(nl, span % CHUNK))
-                left -= span
-            tokens[first] = "[" + tokens[first][len(i2) + 2 :]  # the first pair opens the list
+        first, left, pair = len(tokens), m.size, 0
+        for is_mixed, run in itertools.groupby(flags[first_chunk:end]):
+            span = min(CHUNK * len(list(run)), left)  # pairs in the run
+            if is_mixed:
+                tokens += text[4 * pair : 4 * (pair + span)].tolist()
+                pair += span
+            else:
+                tokens += [_zeros(nl, CHUNK)] * (span // CHUNK)
+                if span % CHUNK:
+                    tokens.append(_zeros(nl, span % CHUNK))
+            left -= span
+        tokens[first] = "[" + tokens[first][len(i2) + 2 :]  # the first pair opens the list
         tokens.append(f"{i2}]{nl}  ]")
         prev, start, done, first_chunk = at, start + n, done + count, end
     tokens += out[prev:]
@@ -496,14 +492,9 @@ def parse_circuit(text: str) -> QuantumCircuit:
 
 
 def schedule_to_json(x: Schedule, c: Optional[QuantumCircuit] = None) -> dict:
-    """Each bout's gate ids, in circuit order when `c` is given (an id not in
-    `c` raises `CircuitError`), else sorted."""
-    if c is None:
-        return {"bouts": [sorted(b) for b in x.bouts]}
-    position = c._index
-    if not position.keys() >= set(itertools.chain.from_iterable(x.bouts)):
-        c.gate(next(gid for b in x.bouts for gid in b if gid not in position))  # raises, as `index_of` does
-    return {"bouts": [sorted(b, key=position.__getitem__) for b in x.bouts]}
+    """Each bout's gate ids, in `in_bout_order` when `c` is given (an id not
+    in `c` raises `CircuitError`), else sorted."""
+    return {"bouts": [sorted(b) for b in x.bouts] if c is None else in_bout_order(c, x.bouts)}
 
 
 def schedule_from_json(obj: dict) -> Schedule:

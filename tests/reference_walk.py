@@ -2,9 +2,10 @@
 frontier walk, kept verbatim as the reference the frontier walk is tested
 against: `source_outcomes` and `select_measurement` resolve a gate's
 selector per node through label dicts, `_walk` yields the leaves depth
-first with one `linalg.apply` call per node, `walk_tracks` is the general
-case of `semantics.walk_tracks` on that walk, and `sample` the executor that
-expanded one tree node at a time."""
+first with one `apply` call per node, `walk_tracks` is the general case of
+`semantics.walk_tracks` on that walk, and `sample` the executor that
+expanded one tree node at a time. `apply` is the `np.dot` kernel that
+`linalg.apply` replaced, kept as the reference for its bits."""
 
 import itertools
 from typing import Iterable, Mapping, Union
@@ -13,8 +14,25 @@ import numpy as np
 
 from qcirc import linalg
 from qcirc.circuit import Gate, Measurement, QuantumCircuit, UnitaryOp, topo_order
-from qcirc.scheduling import Schedule, greedy_schedule
-from qcirc.semantics import RunResult, SemanticsError, Track, _order, _require_fit, _uniforms, check_state
+from qcirc.scheduling import Schedule, greedy_schedule, in_bout_order
+from qcirc.semantics import RunResult, SemanticsError, Track, _require_fit, _uniforms, check_state
+
+
+def apply(op: np.ndarray, registers, t: np.ndarray, n: int) -> np.ndarray:
+    """embed(op, registers, n) @ t for a 2^n x m array t, bit for bit the
+    product `np.tensordot` forms: one transpose (cached by `linalg._axes`)
+    brings the registers' tensor axes to the front, and one `np.dot`
+    contracts them."""
+    op = linalg.as_matrix(op)
+    k = len(registers)
+    if op.shape != (2**k, 2**k):
+        raise linalg.LinalgError(f"operator shape {op.shape} does not match arity {k}")
+    if t.ndim != 2 or t.shape[0] != 2**n:
+        raise linalg.LinalgError(f"expected {2**n} rows, got shape {t.shape}")
+    perm, inverse = linalg._axes(tuple(registers), n)
+    x = t.reshape((1,) + (2,) * n + (t.shape[1],)).transpose(perm)
+    out = np.dot(op, x.reshape(2**k, 2 ** (n - k) * t.shape[1]))
+    return out.reshape(x.shape).transpose(inverse).reshape(t.shape)
 
 
 def source_outcomes(g: Gate, assignment: Mapping[str, str]) -> tuple[str, ...]:
@@ -48,19 +66,19 @@ def select_measurement(
 def _walk(c: QuantumCircuit, order, t: np.ndarray, assignment: dict):
     """The leaves (assignment, A @ t) of the outcome tree over the gates `order`
     from t with outcomes `assignment`, depth first, each selected operator
-    applied with `linalg.apply`. A measurement branches on its `outcomes`, or
+    applied with `apply`. A measurement branches on its `outcomes`, or
     follows the one that `assignment` already holds. Pending siblings share
     their parent's state and apply their own operator when popped."""
     stack = [(0, t, assignment, None)]  # (next gate index, state, outcomes, operator not yet applied)
     while stack:
         start, t, assignment, pending = stack.pop()
         if pending is not None and t.size:
-            t = linalg.apply(*pending, t, c.n_registers)
+            t = apply(*pending, t, c.n_registers)
         for i in range(start, len(order)):
             g = c.gate(order[i])
             chosen = select_measurement(c, g.id, source_outcomes(g, assignment))
             if isinstance(chosen, UnitaryOp):
-                t = linalg.apply(chosen.matrix, g.registers, t, c.n_registers) if t.size else t
+                t = apply(chosen.matrix, g.registers, t, c.n_registers) if t.size else t
                 continue
             held = assignment.get(g.id)
             if held is not None and held not in chosen.operators:
@@ -79,7 +97,7 @@ def walk_tracks(c: QuantumCircuit, t0: np.ndarray):
     """(key, f, A_f @ t0) for every leaf of the general walk in greedy
     order: what `semantics.walk_tracks` yielded for a circuit outside
     terminal form."""
-    order = _order(c, greedy_schedule(c).bouts)
+    order = list(itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts)))
     measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
     for a, t in _walk(c, order, t0, {}):
         yield tuple(map(a.get, measures)), Track.from_mapping(a), t
@@ -92,7 +110,7 @@ def sample(
     a time, each expanded by `_walk`."""
     check_state(rho, c.n_registers)
     _require_fit(c, x)
-    bouts = [_order(c, [b]) for b in x.bouts]
+    bouts = list(map(tuple, in_bout_order(c, x.bouts)))
     u = _uniforms(seeds, len(bouts))
     results: list = [None] * len(u)
     floor = 1e-300 * linalg.squared_norm(rho.factor)  # relative, so any valid state's scale can run

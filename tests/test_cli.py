@@ -707,16 +707,16 @@ def test_cli_schedule_naming_an_unknown_gate_is_invalid(tmp_path, capsys):
 
 def test_cli_aggregate_rejects_a_wrong_size_state_before_the_walk(tmp_path, monkeypatch, capsys):
     """A 1-qubit state against GHZ-7 is a `semantic-error` before any of the
-    128 track operators is built: the walk's kernel `semantics._apply` is
+    128 track operators is built: the walk's kernel `linalg.apply` is
     never called."""
-    from qcirc import semantics
+    from qcirc import linalg
 
     circuit, state = tmp_path / "ghz7.json", tmp_path / "ket.json"
     circuit.write_text(serialize_circuit(ghz_circuit(7)))
     state.write_text(json.dumps({"ket": [[1.0, 0.0], [0.0, 0.0]]}))
     calls = []
-    apply = semantics._apply
-    monkeypatch.setattr(semantics, "_apply", lambda *args: calls.append(1) or apply(*args))
+    apply = linalg.apply
+    monkeypatch.setattr(linalg, "apply", lambda *args: calls.append(1) or apply(*args))
     assert main(["aggregate", str(circuit), "--input", str(state)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and calls == []
@@ -1131,6 +1131,21 @@ def test_timing_scripts_run(script, names):
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == names
     assert all(line.endswith(" ms") for line in lines)
+
+
+def test_dumps_bench_against_this_checkout():
+    """`dumps_bench.py --against` loads a checkout's writer as a second
+    package and alternates the two; against this repository both write the
+    same text, and each line counts the wins out of its calls."""
+    root = Path(__file__).resolve().parents[1]
+    proc = run_script("dumps_bench.py", "--repeat", "3", "--against", str(root), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["ghz6_aggregate", "structure_run", "dense_pair", "ff5_deferred"]
+    for row in rows:
+        assert row[1:2] + row[3:5] + row[6:8] + row[9:] == ["this", "ms", "against", "ms", "wins", "text", "same"]
+        wins, calls = map(int, row[8].split("/"))
+        assert calls == 3 and 0 <= wins <= 3
 
 
 def test_output_digests_defer_files_row():

@@ -69,3 +69,19 @@ def test_module_uses_every_name_it_imports(path):
     """No import is left behind by an edit; `__init__.py` imports to re-export."""
     unused = _unused_imports(ast.parse(path.read_text(), str(path)))
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+_PRODUCTS = {"matmul", "dot", "tensordot", "einsum"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py"), ids=lambda p: p.name)
+def test_only_linalg_calls_numpy_products(path):
+    """`linalg.apply` is the one kernel that applies operators to states:
+    no other module calls `np.matmul`, `np.dot`, `np.tensordot` or
+    `np.einsum` (the `@` operator is not a call and is not counted)."""
+    lines = [
+        node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in _PRODUCTS
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert not lines, f"{path.name} calls a numpy product on lines {lines}"

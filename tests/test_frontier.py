@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 import reference_walk
 from corpus import feed_forward_circuit, ghz_circuit, random_circuit
 from qcirc import linalg, semantics
-from qcirc.circuit import Gate, Measurement, QuantumCircuit, measure_gate, standard_measure_gate
+from qcirc.circuit import (
+    Gate,
+    Measurement,
+    QuantumCircuit,
+    controlled_unitary_gate,
+    measure_gate,
+    standard_measure_gate,
+    unitary_gate,
+)
 from qcirc.deferral import defer_measurements, random_pure_inputs
 from qcirc.linalg import DensityOperator
 from qcirc.scheduling import greedy_schedule
@@ -153,11 +161,14 @@ def test_ff17_refuses_at_the_cap_on_codes(call, monkeypatch):
 
 
 def test_walk_checks_each_operator_once(monkeypatch):
-    """The walk applies no operator through `linalg.apply`, so no per-call
-    finite scan; a non-finite operator still raises apply's LinalgError."""
+    """The walk checks each operator once, where it compiles its gate, and
+    its kernel `linalg.apply` scans nothing: no `linalg.as_matrix` finite
+    scan runs per call. A non-finite operator still raises LinalgError."""
     c = feed_forward_circuit(3)
-    monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("linalg.apply was called"))
-    assert len(semantics.aggregate_measurement(c).operators) == 8
+    calls, apply = [], linalg.apply
+    monkeypatch.setattr(linalg, "apply", lambda *args: calls.append(1) or apply(*args))
+    monkeypatch.setattr(linalg, "as_matrix", lambda *args: pytest.fail("linalg.as_matrix was called"))
+    assert len(semantics.aggregate_measurement(c).operators) == 8 and calls
     g = c.gates[0]
     bad = type(g)(g.id, g.registers, {g.id: type(g.unitaries[g.id])(g.id, np.diag([1.0, np.nan]))}, selector={(): g.id})
     with pytest.raises(linalg.LinalgError, match="matrix has non-finite entries"):
@@ -174,3 +185,19 @@ def test_a_measurement_without_outcomes_ends_its_branch():
     c = QuantumCircuit(("a", "b"), (measure_gate("h", [0], {"h": np.eye(2)}), standard_measure_gate("m", 0), g))
     assert_same_leaves(c, np.eye(4, dtype=complex))
     assert [f.as_dict() for f in semantics.enumerate_tracks(c)] == [{"h": "h", "m": "1", "g": "x"}]
+
+
+@pytest.mark.parametrize("controls", [("m", "u"), ("u", "m")], ids=["measurement-first", "unitary-first"])
+def test_a_source_without_outcome_is_named_as_the_reference_walk_names_it(controls):
+    """A classical source that is a unitary records no outcome. The walk names
+    the first such source in the gate's order, as the reference walk does,
+    and not a measurement source that has an outcome."""
+    key = {"m": ("0", "1"), "u": ("x", "x")}
+    selector = {tuple(key[s][i] for s in controls): "a" for i in range(2)}
+    g = controlled_unitary_gate("g", [2], controls, {"a": np.eye(2)}, selector)
+    c = QuantumCircuit(("a", "b", "c"), (standard_measure_gate("m", 0), unitary_gate("u", [1], linalg.X), g))
+    with pytest.raises(semantics.SemanticsError) as want:
+        list(reference_walk.walk_tracks(c, np.eye(8, dtype=complex)))
+    with pytest.raises(semantics.SemanticsError) as got:
+        semantics.aggregate_measurement(c)
+    assert str(got.value) == str(want.value) == "gate 'g': no outcome recorded for classical source 'u'"

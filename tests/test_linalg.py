@@ -1,6 +1,7 @@
 """Dense linear algebra against independent oracles: the Kronecker product by
-its four-index definition, `embed` and `apply` by basis vectors and `apply`
-bit for bit by the `tensordot`/`moveaxis` contraction, partial traces by
+its four-index definition, `embed` and `apply` by basis vectors, `apply` bit
+for bit by the `tensordot`/`moveaxis` contraction and `embed` by the `np.dot`
+kernel it replaced, `reindex` by `bits_of`/`index_of`, partial traces by
 double sums; and density operators' scaled tolerance and factors."""
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import random_unitary
+from qcirc.circuit import QuantumCircuit, unitary_gate
 from qcirc.linalg import (
     CNOT,
     DEFAULT_TOL,
@@ -19,24 +21,40 @@ from qcirc.linalg import (
     Z,
     DensityOperator,
     LinalgError,
+    _axes,
     apply,
     basis_ket,
-    bits_of,
     completeness_defect,
     dagger,
     embed,
-    index_of,
     is_hermitian,
     is_unitary,
     ket_to_density,
     kron_all,
     mat_close,
+    operators,
     partial_trace,
     partial_trace_matrix,
     qubits,
+    reindex,
     tensor,
     trace,
 )
+from qcirc.semantics import track_operators
+from reference_walk import apply as dot_apply
+
+
+def bits_of(index: int, n: int) -> tuple[int, ...]:
+    """The n bits of a basis index, register 0's first."""
+    return tuple((index >> (n - 1 - k)) & 1 for k in range(n))
+
+
+def index_of(bits) -> int:
+    """The basis index of bits, the first most significant."""
+    out = 0
+    for b in bits:
+        out = (out << 1) | int(b)
+    return out
 
 
 def random_matrix(rng, dim):
@@ -129,6 +147,26 @@ def test_register_zero_is_most_significant():
     assert basis_ket(4, 3)[4] == 1.0
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_reindex_is_bits_then_index(n, data):
+    """`reindex` reads the bits that `bits_of` gives the registers `frm` and
+    joins those of `to` with `index_of`, on an int and on an int array, for
+    `to` a permutation of `frm`, a part of it, or empty."""
+    frm = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    to = data.draw(st.permutations(frm))[: data.draw(st.integers(0, len(frm)))]
+    index = np.arange(2 ** len(frm))
+
+    def composed(i):
+        bit = dict(zip(frm, bits_of(i, len(frm))))
+        return index_of([bit[r] for r in to])
+
+    want = [composed(i) for i in index.tolist()]
+    assert [reindex(i, frm, to) for i in index.tolist()] == want
+    got = reindex(index, frm, to)
+    assert isinstance(got, np.ndarray) and got.tolist() == want
+
+
 # --- embed ------------------------------------------------------------------
 
 
@@ -185,7 +223,12 @@ def test_apply_matches_basis_oracle(seed, n, data):
     op = random_matrix(rng, 2**k)
     e = embed_oracle(op, regs, n)
     t = rng.normal(size=(2**n, m)) + 1j * rng.normal(size=(2**n, m))
-    assert np.allclose(apply(op, regs, t, n), e @ t)
+    assert np.allclose(kernel(op, regs, t, n), e @ t)
+
+
+def kernel(op, regs, t, n):
+    """`apply` on one operator and one 2^n x m block."""
+    return apply(operators([op], len(regs)), _axes(tuple(regs), n), t[None])[0]
 
 
 def tensordot_apply(op, regs, t, n):
@@ -215,7 +258,7 @@ def test_apply_is_the_tensordot_contraction_bit_for_bit(seed, n, data):
     rng = np.random.default_rng(seed)
     op, t = random_matrix(rng, 2**k), columns(rng, 2**n, m, layout)
     assert t.shape == (2**n, m)
-    assert np.array_equal(apply(op, regs, t, n), tensordot_apply(op, regs, t, n))
+    assert np.array_equal(kernel(op, regs, t, n), tensordot_apply(op, regs, t, n))
 
 
 @pytest.mark.parametrize("regs", [(2, 1, 0), (6, 0, 3), (5, 2), (0, 6), (3,)])
@@ -225,7 +268,7 @@ def test_apply_on_descending_and_spread_registers(regs, layout):
     op = random_matrix(rng, 2 ** len(regs))
     for m in (0, 1, 5):
         t = columns(rng, 2**7, m, layout)
-        assert np.array_equal(apply(op, regs, t, 7), tensordot_apply(op, regs, t, 7))
+        assert np.array_equal(kernel(op, regs, t, 7), tensordot_apply(op, regs, t, 7))
 
 
 @pytest.mark.parametrize(
@@ -243,9 +286,31 @@ def test_apply_on_descending_and_spread_registers(regs, layout):
     ],
 )
 def test_apply_error_messages(op, regs, t, message):
+    """Each error of the `np.dot` kernel that `apply` replaced, from where it
+    is checked now: `embed` checks its operator (`as_matrix`, `operators`)
+    and registers (`_axes`), and the walk the rows of the block it is given."""
     with pytest.raises(LinalgError) as e:
-        apply(op, regs, t, 3)
+        if t.shape == (8, 2):
+            embed(op, regs, 3)
+        else:
+            track_operators(QuantumCircuit(("a", "b", "c"), (unitary_gate("u", regs, op),)), t)
     assert str(e.value) == message
+
+
+def test_operators_names_the_least_wrong_shape():
+    assert operators([I2, X], 1).shape == (2, 2, 2) and operators([], 2).shape == (0, 4, 4)
+    with pytest.raises(LinalgError, match=r"^operator shape \(2, 2, 1\) does not match arity 1$"):
+        operators([I2, np.eye(4), np.ones((2, 2, 1))], 1)
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 7), st.data())
+def test_embed_is_the_dot_kernel_bit_for_bit(seed, n, data):
+    k = data.draw(st.integers(1, min(n, 3)))
+    regs = data.draw(st.permutations(range(n)))[:k]
+    op = random_matrix(np.random.default_rng(seed), 2**k)
+    want = dot_apply(op, regs, np.eye(2**n, dtype=complex), n)
+    assert embed(op, regs, n).tobytes() == want.tobytes()
 
 
 def test_embed_is_multiplicative():
@@ -264,8 +329,6 @@ def test_embed_rejects_bad_shapes():
         embed(np.eye(4), [0, 0], 3)
     with pytest.raises(LinalgError):
         embed(np.eye(2), [5], 3)
-    with pytest.raises(LinalgError):
-        apply(np.eye(2), [0], np.eye(4), 3)
 
 
 def test_commuting_disjoint_embeds():

@@ -253,10 +253,10 @@ def test_each_broken_condition_takes_the_general_path(name, c):
 
 
 def counting_apply(monkeypatch):
-    """Replace `semantics._apply`, the walk's kernel, by a wrapper that
+    """Replace `linalg.apply`, the walk's kernel, by a wrapper that
     records each call's block row count, 2^n on n registers."""
-    calls, apply = [], semantics._apply
-    monkeypatch.setattr(semantics, "_apply", lambda s, ops, x: calls.append(x.shape[1]) or apply(s, ops, x))
+    calls, apply = [], linalg.apply
+    monkeypatch.setattr(linalg, "apply", lambda a, axes, x: calls.append(x.shape[1]) or apply(a, axes, x))
     return calls
 
 
@@ -281,7 +281,7 @@ def test_aggregate_applies_each_unitary_once(monkeypatch):
 
 
 def test_over_cap_terminal_circuit_fails_before_any_operator(monkeypatch):
-    monkeypatch.setattr(semantics, "_apply", lambda *args: pytest.fail("an operator was applied"))
+    monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was applied"))
     walk = semantics.walk_tracks(ghz_circuit(4), np.eye(16, dtype=complex), cap=15)
     with pytest.raises(semantics.SemanticsError, match="track count exceeds cap 15"):
         next(walk)
