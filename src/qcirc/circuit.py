@@ -14,8 +14,6 @@ import numpy as np
 
 from . import linalg
 
-TOL = linalg.DEFAULT_TOL
-
 
 class CircuitError(ValueError):
     pass
@@ -406,14 +404,14 @@ def _diagnose(c: QuantumCircuit) -> list[Diagnostic]:
             if bad_ops:
                 continue
             defect = defects[id(m)]
-            if not defect <= TOL:  # NaN when the sum overflows
+            if not defect <= linalg.DEFAULT_TOL:  # NaN when the sum overflows
                 err("measurement-incomplete", gid, f"sum A^dag A differs from identity by {defect:.2e}")
         for u in unitaries.values():
             if u.matrix.shape != shape:
                 err("operator-dim-mismatch", gid, f"unitary {u.id!r} has shape {u.matrix.shape}, expected {dim}x{dim}")
             elif not finite[id(u.matrix)]:
                 err("non-finite-entry", gid, f"unitary {u.id!r} is not finite")
-            elif not defects[id(u)] <= TOL:
+            elif not defects[id(u)] <= linalg.DEFAULT_TOL:
                 err("non-unitary-op", gid, f"operator {u.id!r} is not unitary")
 
         # classical sources and selector totality

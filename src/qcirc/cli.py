@@ -12,7 +12,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from . import deferral, scheduling, semantics, serialize
+from . import deferral, linalg, scheduling, semantics, serialize
 from .circuit import CircuitError
 from .linalg import DensityOperator, LinalgError
 from .scheduling import ScheduleError
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inputs", type=inputs_spec, help="sample basis or random:K inputs instead of the exact check"
     )
-    p.add_argument("--tol", type=tolerance, default=deferral.TOL)
+    p.add_argument("--tol", type=tolerance, default=linalg.DEFAULT_TOL)
     p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(fn=cmd_check_faithful)
 

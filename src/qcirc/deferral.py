@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, semantics
 from .circuit import (
     Diagnostic,
     Measurement,
@@ -35,9 +35,6 @@ from .circuit import (
 )
 from .semantics import Track, _uniforms, track_operators, track_rows
 from .serialize import ParseError
-
-TOL = linalg.DEFAULT_TOL
-STATE_BLOCK = 2**16  # reduced-state entries compared at a time by the input check
 
 
 class DeferralError(ValueError):
@@ -368,7 +365,7 @@ def check_faithful(
     d: QuantumCircuit,
     zeta: Commensuration,
     inputs: Optional[Sequence[np.ndarray]] = None,
-    tol: float = TOL,
+    tol: float = linalg.DEFAULT_TOL,
 ) -> FaithfulnessReport:
     """Verify faithful simulation: every source track's probability and
     principal-register output (ancillas traced out) are reproduced by its
@@ -391,13 +388,15 @@ def check_faithful(
     probabilities and principal-register states are compared instead; basis
     inputs alone cannot see a lost phase.
 
-    The source's track operators are held and the target is walked once, on
-    its ancilla-zero columns only, through `track_rows`: a terminal-form
-    target is one piece, W = U (I (x) |0>) psi with its rows grouped by track,
-    and any other target gives one piece per leaf. Each piece goes through
-    one batched comparison (`_piece_failures`). Failures come by input:
-    source tracks in source order, then unmatched target tracks. An image the
-    walk never produces raises DeferralError."""
+    The check holds the source's Tracks and their operators on psi, stacked
+    in one array, and walks the target once, on its ancilla-zero columns
+    only, through `track_rows`: a terminal-form target is one piece,
+    W = U (I (x) |0>) psi with its rows grouped by track, and any other
+    target gives one piece per leaf. Each piece's (target track, source
+    track) pairs are compared at most `semantics.FRONTIER_BYTES` at a time
+    (`_piece_failures`). Failures come by input: source tracks in source
+    order, then unmatched target tracks. An image the walk never produces
+    raises DeferralError."""
     nc, nd = c.n_registers, d.n_registers
     if d.register_names[:nc] != c.register_names:
         raise DeferralError("deferred circuit does not extend the source registers")
@@ -424,47 +423,52 @@ def check_faithful(
         if not 0 < norm < np.inf:  # NaN fails both
             raise DeferralError(f"input {i} has zero or non-finite norm")
         psi[:, i] = v / norm
-    ops_c = track_operators(c, psi)
-    src = np.array([a for _, a in ops_c]).reshape(-1, *psi.shape)  # A_f psi, stacked
+    sources = track_operators(c, psi)
+    src = np.array([a for _, a in sources]).reshape(-1, *psi.shape)  # A_f psi, stacked
+    sources = [f for f, _ in sources]  # the Tracks alone beside src
     pc = np.sum(src.real**2 + src.imag**2, axis=1)  # each source track's probability per input column
     preimages: dict = {}  # image under zeta (None: untranslatable) -> positions of its source tracks
-    for j, (f, _) in enumerate(ops_c):
+    for j, f in enumerate(sources):
         preimages.setdefault(zeta.translate(f), []).append(j)
     cols = [None] if inputs is None else range(len(inputs))  # None: the exact check
     failures = {}  # (input, 0, source position) or (input, 1, target sort key) -> failure or None, in report order
     for j, i in itertools.product(preimages.pop(None, []), cols):
         p = float(pc[j].sum() if i is None else pc[j, i])
-        failures[i, 0, j] = _weight_failure("untranslatable-track-probability", i, ops_c[j][0], p, tol)
+        failures[i, 0, j] = _weight_failure("untranslatable-track-probability", i, sources[j], p, tol)
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
     for piece in track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None])):
-        failures.update(_piece_failures(*piece, ops_c, src, pc, preimages, inputs is None, tol))
+        failures.update(_piece_failures(*piece, sources, src, pc, preimages, inputs is None, tol))
     if preimages:  # images that the walk never produced
-        first = ops_c[min(min(js) for js in preimages.values())][0]
+        first = sources[min(min(js) for js in preimages.values())]
         raise DeferralError(f"translated track {zeta.translate(first).as_dict()} is not a track of the target")
     failures = [failures[k] for k in sorted(failures) if failures[k]]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
-    return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(ops_c), method)
+    return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(sources), method)
 
 
-def _row_sums(index: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
-    """The rows of x summed by `index` into `count` rows, each added one at a
-    time in row order (`np.bincount`, over real and imaginary parts side by
-    side), so rows of zeros change no sum."""
-    x = np.ascontiguousarray(x).reshape(len(index), -1)
+def _row_sums(index: np.ndarray, x: np.ndarray, count: int, width: int) -> np.ndarray:
+    """The rows of x, `width` entries each, summed by `index` into `count`
+    rows, each added one at a time in row order (`np.bincount`, over real and
+    imaginary parts side by side), so rows of zeros change no sum."""
+    x = np.ascontiguousarray(x).reshape(len(index), width)
     parts = x.view(float) if np.iscomplexobj(x) else x
     q = parts.shape[1]
     sums = np.bincount((index[:, None] * q + np.arange(q)).ravel(), parts.ravel(), minlength=count * q)
     return sums.reshape(count, q).view(x.dtype)
 
 
-def _piece_failures(w, group, tracks, ops_c, src, pc, preimages, exact, tol) -> dict:
+def _piece_failures(w, group, tracks, sources, src, pc, preimages, exact, tol) -> dict:
     """The failures, keyed as in `check_faithful`, of the target tracks of a
-    `track_rows` piece and of the source tracks whose positions they pop from
-    `preimages`. w = B (I (x) |0>) psi; principal registers come first, so row
-    x * 2^n_anc + a is <x a|. A cell is a track's rows for one a. Each sum
-    within a cell has the cell's fixed shape, and sums across rows or cells
-    run in their order (`_row_sums`), so a general leaf (one track, every
-    cell) gives a terminal piece's bits.
+    `track_rows` piece and of the source tracks, `sources[j]` with A psi =
+    src[j], whose positions they pop from `preimages`. w = B (I (x) |0>) psi;
+    principal registers come first, so row x * 2^n_anc + a is <x a|. A cell
+    is a track's rows for one a. Each sum within a cell has the cell's fixed
+    shape, and sums across rows or cells run in their order (`_row_sums`), so
+    a general leaf (one track, every cell) gives a terminal piece's bits, and
+    each (target track, source track) pair's sums are the same in any chunk
+    of pairs. The pairs are compared a chunk at a time: a chunk's cells and
+    its source blocks, each counted as one V_a (exact) or one V_a V_a^dag
+    (inputs), come to at most `semantics.FRONTIER_BYTES`, or it is one pair.
 
     Exact: per pair of source track A and target track V, the coefficients
     c_a = <A, V_a> / |A|^2, the image mass sum |c_a|^2 |A|^2 and the
@@ -472,9 +476,10 @@ def _piece_failures(w, group, tracks, ops_c, src, pc, preimages, exact, tol) -> 
     least-squares c_a. With inputs: per pair and input, the probabilities and
     the reduced states on the principal registers."""
     rows, m = w.shape
-    na = (rows // src.shape[1]).bit_length() - 1
+    nx = src.shape[1]
+    na = (rows // nx).bit_length() - 1
     group = np.zeros(rows, dtype=np.intp) if group is None else group
-    pd = _row_sums(group, w.real**2 + w.imag**2, len(tracks))  # each target track's probability per column
+    pd = _row_sums(group, w.real**2 + w.imag**2, len(tracks), m)  # each target track's probability per column
     out, pairs = {}, []
     for k, (key, g) in enumerate(tracks):
         js = preimages.pop(g, [])
@@ -487,49 +492,50 @@ def _piece_failures(w, group, tracks, ops_c, src, pc, preimages, exact, tol) -> 
         return out
     kk, jj = np.array(pairs).T
     js = jj.tolist()
-    # the piece by cell (target track, ancilla state a): v[cell] = V_a, the track's rows <x a|
-    cells, at = np.unique(group * 2**na + (np.arange(rows) & (2**na - 1)), return_inverse=True)
-    owner = cells >> na  # sorted, as are the pairs' tracks kk
-    v = np.zeros((len(cells), src.shape[1], m), dtype=complex)
-    v[at, np.arange(rows) >> na] = w
     if exact:
-        first = np.searchsorted(owner, np.arange(len(tracks) + 1))  # track k's cells: first[k] to first[k + 1]
-        counts = first[kk + 1] - first[kk]
-        p = np.repeat(np.arange(len(kk)), counts)  # the pair of each (pair, cell of its target track)
-        cell = np.repeat(first[kk] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        mass = pc[jj].sum(axis=1)
-        coef = np.divide(np.sum(np.conj(src[jj[p]]) * v[cell], axis=(1, 2)), mass[p],
-                         out=np.zeros(len(p), complex), where=mass[p] > 0)  # c_a = 0 for a massless A
-        image = _row_sums(p, coef.real**2 + coef.imag**2, len(kk))[:, 0] * mass
+        mass, image = pc[jj].sum(axis=1), np.empty(len(kk))
+    else:
+        p_c, p_d = pc[jj], pd[kk]
+        bad = abs(p_c - p_d) > tol
+        for q, i in np.argwhere(bad).tolist():
+            out[i, 0, js[q]] = {"kind": "probability-mismatch", "input": i, "track": sources[js[q]].as_dict(),
+                                "source_probability": float(p_c[q, i]), "target_probability": float(p_d[q, i])}
+        check = ~bad & (p_c > tol)
+        err = np.zeros(p_c.shape)
+    # the piece's cells (target track k, ancilla state a), sorted; track k's are cells[first[k] : first[k + 1]]
+    cells = np.sort(group * 2**na + (np.arange(rows) & (2**na - 1)))
+    cells = cells[np.diff(cells, prepend=-1) > 0]  # distinct (not np.unique, which imports numpy.ma)
+    first = np.searchsorted(cells >> na, np.arange(len(tracks) + 1))
+    counts = first[kk + 1] - first[kk]  # each pair's cells, its target track's
+    step = max(1, semantics.FRONTIER_BYTES // (src[0].nbytes * (1 if exact else nx) * (counts.max() + 1)))
+    for q in range(0, len(kk), step):
+        n, a = counts[q : q + step], src[jj[q : q + step]]
+        p = np.repeat(np.arange(len(n)), n)  # the pair of each (pair, cell of its target track)
+        cell = cells[np.repeat(first[kk[q : q + step]] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        at = (cell & (2**na - 1))[:, None] + np.arange(nx) * 2**na  # each cell's rows <x a|
+        v = w[at]
+        v[group[at] != (cell >> na)[:, None]] = 0  # v[i] = V_a, the rows of cell i's track
+        if exact:
+            mq = mass[q : q + step]
+            coef = np.divide(np.sum(np.conj(a[p]) * v, axis=(1, 2)), mq[p],
+                             out=np.zeros(len(p), complex), where=mq[p] > 0)  # c_a = 0 for a massless A
+            image[q : q + step] = _row_sums(p, coef.real**2 + coef.imag**2, len(n), 1)[:, 0] * mq
+            continue
+        # reduced states: the source's A psi psi^dag A^dag and the target's sum over a of V_a V_a^dag
+        rho = _row_sums(p, v[:, :, None] * np.conj(v[:, None]), len(n), nx * nx * m).reshape(-1, nx, nx, m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = a[:, :, None] * np.conj(a[:, None]) / p_c[q : q + step, None, None]
+            diff -= rho / p_d[q : q + step, None, None]
+        err[q : q + step] = np.max(np.abs(diff), axis=(1, 2))
+    if exact:
         residual = np.maximum(pd[kk].sum(axis=1) - image, 0.0)
         for q in np.flatnonzero((residual > tol) | (abs(image - mass) > tol)).tolist():
             out[None, 0, js[q]] = {
-                "kind": "operator-mismatch", "track": ops_c[js[q]][0].as_dict(), "residual": float(residual[q]),
+                "kind": "operator-mismatch", "track": sources[js[q]].as_dict(), "residual": float(residual[q]),
                 "source_mass": float(mass[q]), "target_mass": float(image[q] + residual[q])}
         return out
-    p_c, p_d = pc[jj], pd[kk]
-    bad = abs(p_c - p_d) > tol
-    for q, i in np.argwhere(bad).tolist():
-        out[i, 0, js[q]] = {"kind": "probability-mismatch", "input": i, "track": ops_c[js[q]][0].as_dict(),
-                            "source_probability": float(p_c[q, i]), "target_probability": float(p_d[q, i])}
-    check = ~bad & (p_c > tol)
-    err = np.zeros(p_c.shape)
-    step = max(1, STATE_BLOCK // (src.shape[1] ** 2 * m))  # pairs at a time, to bound the states held
-    for q in range(0, len(kk) if check.any() else 0, step):
-        # reduced states: the source's A psi psi^dag A^dag and the target's sum over a of V_a V_a^dag
-        ks, a = kk[q : q + step], src[jj[q : q + step]]
-        c0, c1 = np.searchsorted(owner, [ks[0], ks[-1] + 1])
-        outer = v[c0:c1, :, None] * np.conj(v[c0:c1, None])
-        rho = _row_sums(owner[c0:c1] - ks[0], outer, ks[-1] + 1 - ks[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = a[:, :, None] * np.conj(a[:, None])
-            diff /= p_c[q : q + step, None, None]
-            target = rho[ks - ks[0]].reshape(diff.shape)
-            target /= p_d[q : q + step, None, None]
-            diff -= target
-        err[q : q + step] = np.max(np.abs(diff), axis=(1, 2))
     for q, i in np.argwhere(check & (err > tol)).tolist():
-        out[i, 0, js[q]] = {"kind": "state-mismatch", "input": i, "track": ops_c[js[q]][0].as_dict(),
+        out[i, 0, js[q]] = {"kind": "state-mismatch", "input": i, "track": sources[js[q]].as_dict(),
                             "max_entry_error": float(err[q, i])}
     return out
 

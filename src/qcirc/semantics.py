@@ -34,9 +34,10 @@ from . import linalg
 from .circuit import Gate, QuantumCircuit, topo_order
 from .scheduling import Schedule, ScheduleError, greedy_schedule, in_bout_order, validate_schedule
 
-TOL = linalg.DEFAULT_TOL
-DEFAULT_TRACK_CAP = 2**16
-FRONTIER_BYTES = 2**18  # states a walk's frontier, or `sample`'s live nodes at a time, may hold
+DEFAULT_TRACK_CAP = 2**16  # the tracks a walk may count; more is a SemanticsError
+# The one bound on transient memory, read at call time: what a walk's frontier,
+# `sample`'s live nodes at a time, or `check_faithful`'s pair comparisons at a time may hold.
+FRONTIER_BYTES = 2**18
 
 
 class SemanticsError(ValueError):
@@ -264,15 +265,14 @@ def _run(moves, t: np.ndarray):
     yield t
 
 
-def _walk_plan(c: QuantumCircuit, bouts, t0: np.ndarray, cap: Optional[int] = None,
-               held: Optional[Mapping[str, str]] = None):
+def _walk_plan(c: QuantumCircuit, bouts, t0: np.ndarray, held: Optional[Mapping[str, str]] = None):
     """The frontier walk over the gates of `bouts` (`_expand`), each bout in
-    `in_bout_order`: its moves, its leaves' codes, counted before any
-    operator is applied, and the checked t0 as a frontier of one for `_run`;
-    with `held`, the one leaf of that assignment."""
+    `in_bout_order`: its moves, its leaves' codes, counted (at most
+    DEFAULT_TRACK_CAP) before any operator is applied, and the checked t0 as
+    a frontier of one for `_run`; with `held`, the one leaf of that assignment."""
     plan = _plan(c)
     order = itertools.chain.from_iterable(in_bout_order(c, bouts))
-    moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), cap, held)
+    moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), DEFAULT_TRACK_CAP, held)
     t = np.asarray(t0, dtype=complex)
     if t.ndim != 2 or t.shape[0] != 2**c.n_registers:
         raise linalg.LinalgError(f"expected {2**c.n_registers} rows, got shape {t.shape}")
@@ -296,7 +296,7 @@ def bout_operator(
     return _track_leaf(c, [b], np.eye(2**c.n_registers, dtype=complex), assignment)
 
 
-def track_rows(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP):
+def track_rows(c: QuantumCircuit, t0: np.ndarray):
     """The walk's leaves from t0 as row groups: pieces (w, group, tracks) in
     which track k, tracks[k] = (key, f), holds A_f @ t0 = w with the rows r
     where group[r] != k zeroed; group is None when every track is all of w.
@@ -310,7 +310,7 @@ def track_rows(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_T
     w's rows (the product of the label sets, incoherent tracks included).
     Any other circuit gives one piece per leaf of the walk (`_run`), in
     depth-first leaf order."""
-    moves, codes, t = _walk_plan(c, greedy_schedule(c).bouts, t0, cap)
+    moves, codes, t = _walk_plan(c, greedy_schedule(c).bouts, t0)
     tracks = _plan(c).tracks(codes)
     if not c._terminal:
         leaves = itertools.chain.from_iterable(_run(moves, t))
@@ -333,10 +333,10 @@ def _row_tracks(c: QuantumCircuit, moves: list, rows: int) -> np.ndarray:
     return group
 
 
-def walk_tracks(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP):
+def walk_tracks(c: QuantumCircuit, t0: np.ndarray):
     """(key, f, A_f @ t0) for every coherent track f in `track_rows` order,
     each a full block: a terminal-form track is its rows of U @ t0 and zeros."""
-    for w, group, tracks in track_rows(c, t0, cap):
+    for w, group, tracks in track_rows(c, t0):
         if group is None:
             yield from ((key, f, w) for key, f in tracks)
             continue
@@ -349,19 +349,17 @@ def walk_tracks(c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_
             yield key, f, t
 
 
-def track_operators(
-    c: QuantumCircuit, t0: np.ndarray, cap: Optional[int] = DEFAULT_TRACK_CAP
-) -> list[tuple[Track, np.ndarray]]:
+def track_operators(c: QuantumCircuit, t0: np.ndarray) -> list[tuple[Track, np.ndarray]]:
     """(f, A_f @ t0) for every coherent track f: `walk_tracks` in `enumerate_tracks` order."""
-    return [(f, t) for _, f, t in sorted(walk_tracks(c, t0, cap), key=lambda leaf: leaf[0])]
+    return [(f, t) for _, f, t in sorted(walk_tracks(c, t0), key=lambda leaf: leaf[0])]
 
 
-def enumerate_tracks(c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP) -> list[Track]:
+def enumerate_tracks(c: QuantumCircuit) -> list[Track]:
     """All coherent tracks, depth first over topo_order(c), labels sorted:
     the walk's outcome codes alone, with no block."""
     plan = _plan(c)
     order = itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts))
-    codes = _expand(plan, order, plan.codes_of({}), cap)[1]
+    codes = _expand(plan, order, plan.codes_of({}), DEFAULT_TRACK_CAP)[1]
     return [f for _, f in sorted(plan.tracks(codes), key=lambda track: track[0])]
 
 
@@ -370,25 +368,23 @@ def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
     return _track_leaf(c, x.bouts, np.eye(2**c.n_registers, dtype=complex), f.as_dict())
 
 
-def aggregate_measurement(
-    c: QuantumCircuit, cap: Optional[int] = DEFAULT_TRACK_CAP
-) -> AggregateMeasurement:
-    ops = dict(track_operators(c, np.eye(2**c.n_registers, dtype=complex), cap))
+def aggregate_measurement(c: QuantumCircuit) -> AggregateMeasurement:
+    ops = dict(track_operators(c, np.eye(2**c.n_registers, dtype=complex)))
     return AggregateMeasurement(c.n_registers, ops)
 
 
 def schedules_equivalent(
-    c: QuantumCircuit, x: Schedule, y: Schedule, tol: float = TOL
+    c: QuantumCircuit, x: Schedule, y: Schedule, tol: float = linalg.DEFAULT_TOL
 ) -> bool:
     """Whether every track's cumulative operator under x is within tol of its
     operator under y (each bit-identical to `cumulative_operator`'s),
     matched by outcome codes. An invalid schedule raises ScheduleError."""
     _require_fit(c, x, y)
     eye = np.eye(2**c.n_registers, dtype=complex)
-    moves, codes, t = _walk_plan(c, x.bouts, eye, DEFAULT_TRACK_CAP)
+    moves, codes, t = _walk_plan(c, x.bouts, eye)
     ops = list(itertools.chain.from_iterable(_run(moves, t)))
     at = {row: i for i, row in enumerate(map(tuple, codes.tolist()))}
-    moves, codes, t = _walk_plan(c, y.bouts, eye, DEFAULT_TRACK_CAP)
+    moves, codes, t = _walk_plan(c, y.bouts, eye)
     ops_y = itertools.chain.from_iterable(_run(moves, t))
     return all(linalg.mat_close(ops[at[tuple(row)]], b, tol) for row, b in zip(codes.tolist(), ops_y))
 

@@ -491,10 +491,10 @@ def parse_circuit(text: str) -> QuantumCircuit:
 # --- schedules, posets, states ---------------------------------------------
 
 
-def schedule_to_json(x: Schedule, c: Optional[QuantumCircuit] = None) -> dict:
-    """Each bout's gate ids, in `in_bout_order` when `c` is given (an id not
-    in `c` raises `CircuitError`), else sorted."""
-    return {"bouts": [sorted(b) for b in x.bouts] if c is None else in_bout_order(c, x.bouts)}
+def schedule_to_json(x: Schedule, c: QuantumCircuit) -> dict:
+    """Each bout's gate ids, in `in_bout_order` (an id not in `c` raises
+    `CircuitError`)."""
+    return {"bouts": in_bout_order(c, x.bouts)}
 
 
 def schedule_from_json(obj: dict) -> Schedule:

@@ -263,6 +263,17 @@ def ghz_circuit(n):
     return QuantumCircuit(tuple(f"q{i}" for i in range(n)), tuple(gates))
 
 
+def parity_circuit(k):
+    """H on registers 0..k-1, a standard measurement of each, then X on
+    register k classically controlled by the parity of the k outcomes."""
+    gates = [unitary_gate(f"h{i}", [i], H) for i in range(k)]
+    gates += [standard_measure_gate(f"m{i}", i) for i in range(k)]
+    keys = itertools.product("01", repeat=k)
+    selector = {key: "X" if key.count("1") % 2 else "I" for key in keys}
+    gates.append(controlled_unitary_gate("x", [k], [f"m{i}" for i in range(k)], {"I": np.eye(2), "X": X}, selector))
+    return QuantumCircuit(tuple(f"r{i}" for i in range(k + 1)), tuple(gates))
+
+
 def aggregate_document(c, rho):
     """The document `qcirc aggregate --input` prints: each track's outcomes,
     cumulative operator (as its array) and probability on rho, in track order."""

@@ -15,6 +15,7 @@ from test_deferral import dropped_z_pair
 from test_semantics import splitmix64_output, splitmix64_seed_with_output, x_then_measure, zero_draw_seed
 from qcirc.circuit import Gate, Measurement, QuantumCircuit, standard_measure_gate, unitary_gate
 from qcirc.cli import build_parser, main
+from qcirc.deferral import Commensuration
 from qcirc.linalg import H
 from qcirc.scheduling import greedy_schedule
 from qcirc.semantics import sample
@@ -516,6 +517,22 @@ def test_cli_defer_and_check_faithful(tmp_path, capsys):
     )
     report = out_json(capsys)
     assert report["ok"] and report["inputs_checked"] == 5
+
+
+@pytest.mark.parametrize("inputs", [[], ["--inputs", "basis"], ["--inputs", "random:4"]],
+                         ids=["exact", "basis", "random"])
+def test_cli_check_faithful_of_tracks_with_no_rows(tmp_path, capsys, inputs):
+    """A 7-register circuit that measures r0 twice, checked against itself:
+    the tracks whose two labels differ hold no rows of the target, and a
+    chunk of pairs can hold only such tracks. The check passes."""
+    gates = [unitary_gate("h0", [0], H), standard_measure_gate("m1", 0), standard_measure_gate("m2", 0)]
+    gates += [unitary_gate(f"h{r}", [r], H) for r in range(1, 7)]
+    c = QuantumCircuit(tuple(f"r{r}" for r in range(7)), tuple(gates))
+    circuit, zeta = tmp_path / "c.json", tmp_path / "c.zeta.json"
+    circuit.write_text(serialize_circuit(c))
+    zeta.write_text(json.dumps(Commensuration.identity(c).to_json()))
+    assert main(["check-faithful", str(circuit), str(circuit), "--zeta", str(zeta), *inputs]) == 0
+    assert out_json(capsys)["ok"]
 
 
 @pytest.mark.parametrize("zeta", ["d.json", "./d.json", "sub/../d.json"], ids=["same", "dot", "parent"])

@@ -13,6 +13,7 @@ from corpus import (
     PM_FAMILY,
     feed_forward_circuit,
     kraus_correction_circuit,
+    parity_circuit,
     random_deferrable_circuit,
     random_kraus_family,
 )
@@ -858,6 +859,24 @@ def test_check_faithful_holds_one_path_of_target_blocks(inputs):
         tracemalloc.stop()
     assert report.ok and report.tracks_checked == 256
     assert peak < 2 * 2**20
+
+
+def test_check_faithful_bounds_its_pair_comparisons():
+    """Deferred parity-6 is the source's 7 registers in terminal form, with
+    no ancillas and 64 tracks, so each source block is 128 x 128 entries,
+    256 KiB, and the stacked blocks 16 MiB. The exact check compares the
+    pairs at most `semantics.FRONTIER_BYTES` at a time, so it peaks under
+    three times the stack, where gathering every pair at once took 81 MiB."""
+    c = parity_circuit(6)
+    result = defer_measurements(c)
+    tracemalloc.start()
+    try:
+        report = check_faithful(c, result.circuit, result.zeta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.tracks_checked == 64 and result.circuit.n_registers == 7
+    assert peak < 48 * 2**20
 
 
 def test_check_faithful_rejects_empty_inputs(teleport):

@@ -1,5 +1,6 @@
 """README.md is checked, not trusted: its diagnostics table against the codes
-`src/qcirc` emits, its Python quick start and its CLI examples by running
+`src/qcirc` emits, its `check-faithful` failure kinds against those
+`deferral.py` emits, its Python quick start and its CLI examples by running
 them, and its text against every subcommand and option of the parser."""
 
 import argparse
@@ -54,6 +55,35 @@ def test_diagnostics_table_lists_exactly_the_emitted_codes():
     emitted = emitted_codes()
     assert set(codes) - emitted == set(), "rows for codes src/qcirc never emits"
     assert emitted - set(codes) == set(), "codes src/qcirc emits without a row"
+
+
+def emitted_failure_kinds() -> set:
+    """String literals that `deferral.py` writes as a failure's `"kind"`:
+    in a dict literal, or as the kind passed to `_weight_failure`."""
+    kinds = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "qcirc" / "deferral.py").read_text())):
+        if isinstance(node, ast.Dict):
+            kinds.update(v.value for k, v in zip(node.keys, node.values)
+                         if isinstance(k, ast.Constant) and k.value == "kind" and isinstance(v, ast.Constant))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_weight_failure":
+            kinds.update(a.value for a in node.args[:1] if isinstance(a, ast.Constant))
+    return kinds
+
+
+def listed_failure_kinds() -> list:
+    """The kinds named before the colon of each bullet of the README's
+    `check-faithful` failure list."""
+    section = README.split("\n### `check-faithful ", 1)[1].split("\n### ", 1)[0]
+    bullets = section.split("Each failure has a `kind`", 1)[1].split("\n\n")[1]
+    return [kind for head in re.findall(r"^- ([^:\n]*):", bullets, re.M) for kind in re.findall(r"`([a-z-]+)`", head)]
+
+
+def test_failure_kind_list_names_exactly_the_emitted_kinds():
+    listed, emitted = listed_failure_kinds(), emitted_failure_kinds()
+    assert len(listed) == len(set(listed)), "a kind is listed twice"
+    assert set(listed) - emitted == set(), "kinds deferral.py never emits"
+    assert emitted - set(listed) == set(), "kinds deferral.py emits without a bullet"
+    assert len(emitted) >= 5
 
 
 def test_every_code_is_quoted_by_another_test():

@@ -102,12 +102,13 @@ def test_enumerate_tracks_teleport(teleport):
     }
 
 
-def test_enumerate_tracks_cap():
+def test_enumerate_tracks_cap(monkeypatch):
     gates = tuple(standard_measure_gate(f"m{i}", i) for i in range(3))
     c = QuantumCircuit(("a", "b", "c"), gates)
     assert len(enumerate_tracks(c)) == 8
+    monkeypatch.setattr(semantics, "DEFAULT_TRACK_CAP", 7)
     with pytest.raises(SemanticsError):
-        enumerate_tracks(c, cap=7)
+        enumerate_tracks(c)
 
 
 def test_track_accessors():
@@ -352,10 +353,12 @@ def test_aggregate_measurement_cap(monkeypatch):
     built: the tracks are counted first."""
     gates = tuple(standard_measure_gate(f"m{i}", i) for i in range(3))
     c = QuantumCircuit(("a", "b", "c"), gates)
-    assert len(aggregate_measurement(c, cap=8).operators) == 8
+    monkeypatch.setattr(semantics, "DEFAULT_TRACK_CAP", 8)
+    assert len(aggregate_measurement(c).operators) == 8
+    monkeypatch.setattr(semantics, "DEFAULT_TRACK_CAP", 7)
     monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was applied"))
     with pytest.raises(SemanticsError, match="cap 7"):
-        aggregate_measurement(c, cap=7)
+        aggregate_measurement(c)
 
 
 def test_aggregate_measurement_cap_on_the_general_walk(monkeypatch):
@@ -364,9 +367,10 @@ def test_aggregate_measurement_cap_on_the_general_walk(monkeypatch):
     8 tracks."""
     c = feed_forward_circuit(3)
     assert not c._terminal
+    monkeypatch.setattr(semantics, "DEFAULT_TRACK_CAP", 4)
     monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was applied"))
     with pytest.raises(SemanticsError, match="track count exceeds cap 4"):
-        aggregate_measurement(c, cap=4)
+        aggregate_measurement(c)
 
 
 # --- probabilities and replay -----------------------------------------------

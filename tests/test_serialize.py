@@ -398,7 +398,6 @@ def test_dumps_matrix_of_repeated_signed_magnitudes_matches_json(values, seed):
 def test_schedule_to_json_orders_each_bout_by_circuit_position(teleport):
     bouts = (frozenset({"H", "CNOT"}), frozenset({"ZM", "N", "M", "XN"}))
     assert schedule_to_json(Schedule(bouts), teleport) == {"bouts": [["CNOT", "H"], ["M", "N", "XN", "ZM"]]}
-    assert schedule_to_json(Schedule(bouts)) == {"bouts": [["CNOT", "H"], ["M", "N", "XN", "ZM"]]}
 
 
 def test_schedule_to_json_unknown_id_raises_as_index_of(teleport):

@@ -21,7 +21,7 @@ from corpus import (
     kraus_correction_circuit,
     random_deferrable_circuit,
 )
-from qcirc import deferral, linalg, semantics
+from qcirc import linalg, semantics
 from qcirc.circuit import Gate, Measurement, QuantumCircuit, measure_gate, standard_measure_gate, unitary_gate
 from qcirc.deferral import Commensuration, check_faithful, defer_measurements, random_pure_inputs
 from qcirc.linalg import CNOT, H, DensityOperator
@@ -172,17 +172,26 @@ def test_failing_reports_match_the_general_walk():
     assert {f["kind"] for r in reports for f in r.failures} >= {"operator-mismatch", "probability-mismatch"}
 
 
+CHUNKED = [feed_forward_circuit(3), measured_twice()]
+CHUNKED += [random_deferrable_circuit(np.random.default_rng(s)) for s in (9, 14, 17, 25, 41)]
+
+
 def test_state_blocks_change_no_report(monkeypatch):
-    """The input check compares reduced states a block of pairs at a time;
-    one pair per block gives the same reports, failures included."""
-    c = feed_forward_circuit(3)
-    variants = list(unfaithful_variants(c))
-    targets = variants + [(general(d), zeta) for d, zeta in variants]
-    psi = random_pure_inputs(2, 3, 7)
-    whole = [dumps(check_faithful(c, d, zeta, psi).to_json()) for d, zeta in targets]
-    monkeypatch.setattr(deferral, "STATE_BLOCK", 1)
-    assert [dumps(check_faithful(c, d, zeta, psi).to_json()) for d, zeta in targets] == whole
-    assert '"state-mismatch"' in "".join(whole)
+    """Both checks compare (target track, source track) pairs a chunk of at
+    most `semantics.FRONTIER_BYTES` at a time; one pair per chunk gives the
+    same reports, exact and with inputs, failures included. Some of these
+    targets have tracks with no rows, so a chunk can hold only those."""
+    targets = [(c, d, zeta) for c in CHUNKED for d, zeta in unfaithful_variants(c)]
+    targets += [(c, general(d), zeta) for c, d, zeta in targets]
+
+    def reports():
+        return [dumps(check_faithful(c, d, zeta, inputs).to_json()) for c, d, zeta in targets
+                for inputs in (None, random_pure_inputs(c.n_registers, 3, 7))]
+
+    whole = reports()
+    monkeypatch.setattr(semantics, "FRONTIER_BYTES", 1)
+    assert reports() == whole
+    assert '"state-mismatch"' in "".join(whole) and '"operator-mismatch"' in "".join(whole)
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,8 +290,9 @@ def test_aggregate_applies_each_unitary_once(monkeypatch):
 
 
 def test_over_cap_terminal_circuit_fails_before_any_operator(monkeypatch):
+    monkeypatch.setattr(semantics, "DEFAULT_TRACK_CAP", 15)
     monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was applied"))
-    walk = semantics.walk_tracks(ghz_circuit(4), np.eye(16, dtype=complex), cap=15)
+    walk = semantics.walk_tracks(ghz_circuit(4), np.eye(16, dtype=complex))
     with pytest.raises(semantics.SemanticsError, match="track count exceeds cap 15"):
         next(walk)
 

@@ -17,7 +17,6 @@ from conftest import make_teleportation
 from corpus import random_kraus_family, random_unitary
 from qcirc import linalg
 from qcirc.circuit import (
-    TOL,
     Diagnostic,
     Gate,
     Measurement,
@@ -95,14 +94,14 @@ def reference_validate_circuit(c: QuantumCircuit) -> list:
             if bad_ops:
                 continue
             defect = reference_defect(m.operators.values())
-            if not defect <= TOL:
+            if not defect <= linalg.DEFAULT_TOL:
                 err("measurement-incomplete", g.id, f"sum A^dag A differs from identity by {defect:.2e}")
         for u in g.unitaries.values():
             if u.matrix.shape != (dim, dim):
                 err("operator-dim-mismatch", g.id, f"unitary {u.id!r} has shape {u.matrix.shape}, expected {dim}x{dim}")
             elif not np.all(np.isfinite(u.matrix)):
                 err("non-finite-entry", g.id, f"unitary {u.id!r} is not finite")
-            elif not reference_is_unitary(u.matrix, TOL):
+            elif not reference_is_unitary(u.matrix, linalg.DEFAULT_TOL):
                 err("non-unitary-op", g.id, f"operator {u.id!r} is not unitary")
 
         source_outcome_sets = []
@@ -225,7 +224,7 @@ def test_batched_validator_equals_per_operator_reference(c):
                 assert same_float(linalg.completeness_defect(m.operators.values()), defects[id(m)])
         for u in g.unitaries.values():
             if u.matrix.shape == shaped and finite[id(u.matrix)]:
-                assert linalg.is_unitary(u.matrix, TOL) == reference_is_unitary(u.matrix, TOL)
+                assert linalg.is_unitary(u.matrix, linalg.DEFAULT_TOL) == reference_is_unitary(u.matrix, linalg.DEFAULT_TOL)
 
 
 def test_validation_is_cached_per_instance():
