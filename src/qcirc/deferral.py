@@ -370,7 +370,8 @@ def check_faithful(
     """Verify faithful simulation: every source track's probability and
     principal-register output (ancillas traced out) are reproduced by its
     image under `zeta`, and target tracks outside the image have probability
-    <= tol. Before any walk, a `zeta` that maps a source measurement to no
+    <= tol. A `tol` that is not finite and at least 0 raises DeferralError.
+    Before any walk, a `zeta` that maps a source measurement to no
     measurement gate of `d`, or absorbs anything but a single-outcome
     measurement of `c`, raises ParseError (`bad-sidecar`).
 
@@ -383,10 +384,12 @@ def check_faithful(
     the masses sum |c_a|^2 |A|^2 and |A|^2 must be <= tol; so must |A|^2 for
     an untranslatable track and |B (I (x) |0>)|^2 for an unmatched target
     track. (A mass |A|^2 is the track's probability summed over basis inputs.)
-    Given pure `inputs` (nonempty), both circuits are walked from the stacked
-    inputs (the target's with ancillas |0>), and each input's track
-    probabilities and principal-register states are compared instead; basis
-    inputs alone cannot see a lost phase.
+    Given pure `inputs` (nonempty), the same test is taken on each input psi
+    alone, with A psi and V_a psi for A and V_a, and probabilities for
+    masses. At tol 0 it compares each track's probability and reduced state
+    on the principal registers: sum_a V_a psi psi^dag V_a^dag equals
+    A psi psi^dag A^dag iff every V_a psi = c_a A psi with sum |c_a|^2 = 1.
+    Basis inputs alone cannot see a lost phase.
 
     The check holds the source's Tracks and their operators on psi, stacked
     in one array, and walks the target once, on its ancilla-zero columns
@@ -397,6 +400,8 @@ def check_faithful(
     (`_piece_failures`). Failures come by input: source tracks in source
     order, then unmatched target tracks. An image the walk never produces
     raises DeferralError."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DeferralError(f"tolerance must be finite and at least 0, got {tol}")
     nc, nd = c.n_registers, d.n_registers
     if d.register_names[:nc] != c.register_names:
         raise DeferralError("deferred circuit does not extend the source registers")
@@ -426,24 +431,30 @@ def check_faithful(
     sources = track_operators(c, psi)
     src = np.array([a for _, a in sources]).reshape(-1, *psi.shape)  # A_f psi, stacked
     sources = [f for f, _ in sources]  # the Tracks alone beside src
-    pc = np.sum(src.real**2 + src.imag**2, axis=1)  # each source track's probability per input column
+    cols = [None] if inputs is None else list(range(len(inputs)))  # the inputs compared; None: all at once
+    pc = _columns(np.sum(src.real**2 + src.imag**2, axis=1), cols)  # each source track's weight per column
     preimages: dict = {}  # image under zeta (None: untranslatable) -> positions of its source tracks
     for j, f in enumerate(sources):
         preimages.setdefault(zeta.translate(f), []).append(j)
-    cols = [None] if inputs is None else range(len(inputs))  # None: the exact check
-    failures = {}  # (input, 0, source position) or (input, 1, target sort key) -> failure or None, in report order
-    for j, i in itertools.product(preimages.pop(None, []), cols):
-        p = float(pc[j].sum() if i is None else pc[j, i])
-        failures[i, 0, j] = _weight_failure("untranslatable-track-probability", i, sources[j], p, tol)
+    failures = {}  # (input, 0, source position) or (input, 1, target sort key) -> failure, in report order
+    for j in preimages.pop(None, []):
+        for q in np.flatnonzero(pc[j] > tol).tolist():
+            failures[cols[q], 0, j] = _failure("untranslatable-track-probability", cols[q], sources[j], mass=pc[j, q])
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
     for piece in track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None])):
-        failures.update(_piece_failures(*piece, sources, src, pc, preimages, inputs is None, tol))
+        failures.update(_piece_failures(*piece, sources, src, pc, preimages, cols, tol))
     if preimages:  # images that the walk never produced
         first = sources[min(min(js) for js in preimages.values())]
         raise DeferralError(f"translated track {zeta.translate(first).as_dict()} is not a track of the target")
-    failures = [failures[k] for k in sorted(failures) if failures[k]]
+    failures = [failures[k] for k in sorted(failures)]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
     return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(sources), method)
+
+
+def _columns(p: np.ndarray, cols: list) -> np.ndarray:
+    """Weights per track and input column, p, as the check compares them:
+    the exact check (`cols` is [None]) has one column, each track's mass."""
+    return p.sum(axis=1, keepdims=True) if cols == [None] else p
 
 
 def _row_sums(index: np.ndarray, x: np.ndarray, count: int, width: int) -> np.ndarray:
@@ -457,91 +468,68 @@ def _row_sums(index: np.ndarray, x: np.ndarray, count: int, width: int) -> np.nd
     return sums.reshape(count, q).view(x.dtype)
 
 
-def _piece_failures(w, group, tracks, sources, src, pc, preimages, exact, tol) -> dict:
+def _piece_failures(w, group, tracks, sources, src, pc, preimages, cols, tol) -> dict:
     """The failures, keyed as in `check_faithful`, of the target tracks of a
     `track_rows` piece and of the source tracks, `sources[j]` with A psi =
-    src[j], whose positions they pop from `preimages`. w = B (I (x) |0>) psi;
-    principal registers come first, so row x * 2^n_anc + a is <x a|. A cell
-    is a track's rows for one a. Each sum within a cell has the cell's fixed
-    shape, and sums across rows or cells run in their order (`_row_sums`), so
-    a general leaf (one track, every cell) gives a terminal piece's bits, and
-    each (target track, source track) pair's sums are the same in any chunk
-    of pairs. The pairs are compared a chunk at a time: a chunk's cells and
-    its source blocks, each counted as one V_a (exact) or one V_a V_a^dag
-    (inputs), come to at most `semantics.FRONTIER_BYTES`, or it is one pair.
+    src[j] and weights pc[j] per column of `cols`, whose positions they pop
+    from `preimages`. w = B (I (x) |0>) psi; principal registers come first,
+    so row x * 2^n_anc + a is <x a|. A cell is a track's rows for one a. Each
+    sum within a cell has the cell's fixed shape, and sums across rows or
+    cells run in their order (`_row_sums`), so a general leaf (one track,
+    every cell) gives a terminal piece's bits, and each (target track, source
+    track) pair's sums are the same in any chunk of pairs. The pairs are
+    compared a chunk at a time: a chunk's cells and its source blocks, each
+    counted as one V_a, come to at most `semantics.FRONTIER_BYTES`, or it is
+    one pair.
 
-    Exact: per pair of source track A and target track V, the coefficients
-    c_a = <A, V_a> / |A|^2, the image mass sum |c_a|^2 |A|^2 and the
-    residual |V|^2 - sum |c_a|^2 |A|^2, which is sum |V_a - c_a A|^2 for
-    least-squares c_a. With inputs: per pair and input, the probabilities and
-    the reduced states on the principal registers."""
+    Per pair of source track A and target track V, and per column: the
+    coefficients c_a = <A, V_a> / |A|^2, the image weight sum |c_a|^2 |A|^2
+    and the residual |V|^2 - sum |c_a|^2 |A|^2, which is sum |V_a - c_a A|^2
+    for least-squares c_a. The exact check's one column takes each inner
+    product over all of psi = I at once; an input column, over its own."""
     rows, m = w.shape
     nx = src.shape[1]
     na = (rows // nx).bit_length() - 1
     group = np.zeros(rows, dtype=np.intp) if group is None else group
-    pd = _row_sums(group, w.real**2 + w.imag**2, len(tracks), m)  # each target track's probability per column
+    pd = _columns(_row_sums(group, w.real**2 + w.imag**2, len(tracks), m), cols)  # each target track's weight
     out, pairs = {}, []
     for k, (key, g) in enumerate(tracks):
         js = preimages.pop(g, [])
         pairs += [(k, j) for j in js]
         if not js:
-            for i in [None] if exact else range(m):
-                p = float(pd[k].sum() if i is None else pd[k, i])
-                out[i, 1, key] = _weight_failure("unmatched-target-track", i, g, p, tol)
+            for q in np.flatnonzero(pd[k] > tol).tolist():
+                out[cols[q], 1, key] = _failure("unmatched-target-track", cols[q], g, mass=pd[k, q])
     if not pairs:
         return out
     kk, jj = np.array(pairs).T
-    js = jj.tolist()
-    if exact:
-        mass, image = pc[jj].sum(axis=1), np.empty(len(kk))
-    else:
-        p_c, p_d = pc[jj], pd[kk]
-        bad = abs(p_c - p_d) > tol
-        for q, i in np.argwhere(bad).tolist():
-            out[i, 0, js[q]] = {"kind": "probability-mismatch", "input": i, "track": sources[js[q]].as_dict(),
-                                "source_probability": float(p_c[q, i]), "target_probability": float(p_d[q, i])}
-        check = ~bad & (p_c > tol)
-        err = np.zeros(p_c.shape)
+    js, mass, image = jj.tolist(), pc[jj], np.empty((len(kk), len(cols)))
     # the piece's cells (target track k, ancilla state a), sorted; track k's are cells[first[k] : first[k + 1]]
     cells = np.sort(group * 2**na + (np.arange(rows) & (2**na - 1)))
     cells = cells[np.diff(cells, prepend=-1) > 0]  # distinct (not np.unique, which imports numpy.ma)
     first = np.searchsorted(cells >> na, np.arange(len(tracks) + 1))
     counts = first[kk + 1] - first[kk]  # each pair's cells, its target track's
-    step = max(1, semantics.FRONTIER_BYTES // (src[0].nbytes * (1 if exact else nx) * (counts.max() + 1)))
+    step = max(1, semantics.FRONTIER_BYTES // (src[0].nbytes * (counts.max() + 1)))
     for q in range(0, len(kk), step):
-        n, a = counts[q : q + step], src[jj[q : q + step]]
+        n, a, mq = counts[q : q + step], src[jj[q : q + step]], mass[q : q + step]
         p = np.repeat(np.arange(len(n)), n)  # the pair of each (pair, cell of its target track)
         cell = cells[np.repeat(first[kk[q : q + step]] - np.cumsum(n) + n, n) + np.arange(n.sum())]
         at = (cell & (2**na - 1))[:, None] + np.arange(nx) * 2**na  # each cell's rows <x a|
         v = w[at]
-        v[group[at] != (cell >> na)[:, None]] = 0  # v[i] = V_a, the rows of cell i's track
-        if exact:
-            mq = mass[q : q + step]
-            coef = np.divide(np.sum(np.conj(a[p]) * v, axis=(1, 2)), mq[p],
-                             out=np.zeros(len(p), complex), where=mq[p] > 0)  # c_a = 0 for a massless A
-            image[q : q + step] = _row_sums(p, coef.real**2 + coef.imag**2, len(n), 1)[:, 0] * mq
-            continue
-        # reduced states: the source's A psi psi^dag A^dag and the target's sum over a of V_a V_a^dag
-        rho = _row_sums(p, v[:, :, None] * np.conj(v[:, None]), len(n), nx * nx * m).reshape(-1, nx, nx, m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = a[:, :, None] * np.conj(a[:, None]) / p_c[q : q + step, None, None]
-            diff -= rho / p_d[q : q + step, None, None]
-        err[q : q + step] = np.max(np.abs(diff), axis=(1, 2))
-    if exact:
-        residual = np.maximum(pd[kk].sum(axis=1) - image, 0.0)
-        for q in np.flatnonzero((residual > tol) | (abs(image - mass) > tol)).tolist():
-            out[None, 0, js[q]] = {
-                "kind": "operator-mismatch", "track": sources[js[q]].as_dict(), "residual": float(residual[q]),
-                "source_mass": float(mass[q]), "target_mass": float(image[q] + residual[q])}
-        return out
-    for q, i in np.argwhere(check & (err > tol)).tolist():
-        out[i, 0, js[q]] = {"kind": "state-mismatch", "input": i, "track": sources[js[q]].as_dict(),
-                            "max_entry_error": float(err[q, i])}
+        v[group[at] != (cell >> na)[:, None]] = 0  # v[i] = V_a psi, the rows of cell i's track
+        dot = np.sum(np.conj(a[p]) * v, axis=(1, 2) if cols == [None] else 1).reshape(len(p), len(cols))
+        coef = np.divide(dot, mq[p], out=np.zeros(dot.shape, complex), where=mq[p] > 0)  # c_a = 0 for a massless A
+        image[q : q + step] = _row_sums(p, coef.real**2 + coef.imag**2, len(n), len(cols)) * mq
+    residual = np.maximum(pd[kk] - image, 0.0)
+    for q, i in np.argwhere((residual > tol) | (abs(image - mass) > tol)).tolist():
+        out[cols[i], 0, js[q]] = _failure(
+            "operator-mismatch" if cols[i] is None else "state-mismatch", cols[i], sources[js[q]],
+            residual=residual[q, i], source_mass=mass[q, i], target_mass=image[q, i] + residual[q, i])
     return out
 
 
-def _weight_failure(kind: str, i: Optional[int], f: Track, p: float, tol: float) -> Optional[dict]:
-    """The failure of a track that must weigh at most tol, if p > tol: p is its
-    mass in the exact check (i is None), else its probability on input i."""
-    at = {"track": f.as_dict(), "mass": p} if i is None else {"input": i, "track": f.as_dict(), "probability": p}
-    return {"kind": kind, **at} if p > tol else None
+def _failure(kind: str, i: Optional[int], f: Track, **weights) -> dict:
+    """Track f's failure in the exact check (i is None), where its weights
+    are masses, or on input i, where they are probabilities."""
+    at = {} if i is None else {"input": i}
+    named = {k if i is None else k.replace("mass", "probability"): float(x) for k, x in weights.items()}
+    return {"kind": kind, **at, "track": f.as_dict(), **named}

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus import ghz_circuit, random_circuit
+from corpus import ghz_circuit, parity_circuit, random_circuit
 from test_deferral import dropped_z_pair
 from test_semantics import splitmix64_output, splitmix64_seed_with_output, x_then_measure, zero_draw_seed
 from qcirc.circuit import Gate, Measurement, QuantumCircuit, standard_measure_gate, unitary_gate
@@ -533,6 +533,17 @@ def test_cli_check_faithful_of_tracks_with_no_rows(tmp_path, capsys, inputs):
     zeta.write_text(json.dumps(Commensuration.identity(c).to_json()))
     assert main(["check-faithful", str(circuit), str(circuit), "--zeta", str(zeta), *inputs]) == 0
     assert out_json(capsys)["ok"]
+
+
+def test_cli_check_faithful_of_deferred_parity_5_on_basis_inputs(tmp_path, capsys):
+    """Parity-5, deferred, checked on its 64 basis inputs."""
+    circuit, out = tmp_path / "parity5.json", str(tmp_path / "deferred.json")
+    circuit.write_text(serialize_circuit(parity_circuit(5)))
+    assert main(["defer", str(circuit), "-o", out]) == 0
+    zeta = out_json(capsys)["zeta"]
+    assert main(["check-faithful", str(circuit), out, "--zeta", zeta, "--inputs", "basis"]) == 0
+    report = out_json(capsys)
+    assert report["ok"] and report["inputs_checked"] == 64 and report["tracks_checked"] == 32
 
 
 @pytest.mark.parametrize("zeta", ["d.json", "./d.json", "sub/../d.json"], ids=["same", "dot", "parent"])
@@ -1123,6 +1134,18 @@ def test_faithful_scale_runs():
         assert r["k"] == 3 and r["target_registers"] == 4 and r["tracks"] == 8 and r["ok"] is True
         assert r["seconds"] >= 0 and r["peak_mib"] > 0
         assert r["walk_seconds"] >= 0
+
+
+def test_faithful_scale_runs_parity():
+    """Deferred parity-3 keeps the source's 4 registers: no ancillas."""
+    proc = run_script("faithful_scale.py", "parity-3", "--inputs", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["circuit"], r["method"], r["inputs"]) for r in lines] == [
+        ("parity-3", "exact", 0), ("parity-3", "inputs", 2)]
+    for r in lines:
+        assert r["k"] == 3 and r["target_registers"] == 4 and r["tracks"] == 8 and r["ok"] is True
+        assert r["seconds"] >= 0 and r["peak_mib"] > 0
 
 
 def test_aggregate_scale_runs():

@@ -469,7 +469,7 @@ def test_checker_flags_broken_target(teleport):
     report = check_faithful(teleport, broken, result.zeta, basis_inputs(3))
     assert not report.ok
     assert any(
-        f["kind"] in ("probability-mismatch", "state-mismatch", "untranslatable-track-probability")
+        f["kind"] in ("state-mismatch", "untranslatable-track-probability")
         for f in report.failures
     )
 
@@ -877,6 +877,34 @@ def test_check_faithful_bounds_its_pair_comparisons():
         tracemalloc.stop()
     assert report.ok and report.tracks_checked == 64 and result.circuit.n_registers == 7
     assert peak < 48 * 2**20
+
+
+def test_input_check_of_parity_5_on_basis_inputs_is_small():
+    """Deferred parity-5 is 6 registers with no ancillas and 32 tracks.
+    On its 64 basis inputs the input check takes each (track, input)
+    comparison through the exact check's kernel, one inner product per cell
+    and column; building reduced states from outer products per input
+    peaked at 22.5 MiB."""
+    c = parity_circuit(5)
+    result = defer_measurements(c)
+    tracemalloc.start()
+    try:
+        report = check_faithful(c, result.circuit, result.zeta, basis_inputs(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.inputs_checked == 64 and report.tracks_checked == 32
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("inputs", [None, 3], ids=["exact", "inputs"])
+def test_check_faithful_rejects_a_tolerance_not_finite_and_at_least_0(tol, inputs):
+    """The unfaithful dropped-Z pair would pass under a NaN or infinite tol."""
+    src, tgt = dropped_z_pair()
+    psi = None if inputs is None else random_pure_inputs(2, inputs, 0)
+    with pytest.raises(DeferralError, match="tolerance must be finite and at least 0"):
+        check_faithful(src, tgt, Commensuration.identity(tgt), psi, tol=tol)
 
 
 def test_check_faithful_rejects_empty_inputs(teleport):

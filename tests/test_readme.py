@@ -59,14 +59,16 @@ def test_diagnostics_table_lists_exactly_the_emitted_codes():
 
 def emitted_failure_kinds() -> set:
     """String literals that `deferral.py` writes as a failure's `"kind"`:
-    in a dict literal, or as the kind passed to `_weight_failure`."""
+    in a dict literal, or in the kind passed to `_failure` (a literal, or
+    either branch of a conditional expression)."""
     kinds = set()
     for node in ast.walk(ast.parse((ROOT / "src" / "qcirc" / "deferral.py").read_text())):
         if isinstance(node, ast.Dict):
             kinds.update(v.value for k, v in zip(node.keys, node.values)
                          if isinstance(k, ast.Constant) and k.value == "kind" and isinstance(v, ast.Constant))
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_weight_failure":
-            kinds.update(a.value for a in node.args[:1] if isinstance(a, ast.Constant))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_failure":
+            kinds.update(a.value for a in ast.walk(node.args[0])
+                         if isinstance(a, ast.Constant) and isinstance(a.value, str))
     return kinds
 
 
@@ -83,7 +85,7 @@ def test_failure_kind_list_names_exactly_the_emitted_kinds():
     assert len(listed) == len(set(listed)), "a kind is listed twice"
     assert set(listed) - emitted == set(), "kinds deferral.py never emits"
     assert emitted - set(listed) == set(), "kinds deferral.py emits without a bullet"
-    assert len(emitted) >= 5
+    assert len(emitted) >= 4
 
 
 def test_every_code_is_quoted_by_another_test():

@@ -23,7 +23,7 @@ from corpus import (
 )
 from qcirc import linalg, semantics
 from qcirc.circuit import Gate, Measurement, QuantumCircuit, measure_gate, standard_measure_gate, unitary_gate
-from qcirc.deferral import Commensuration, check_faithful, defer_measurements, random_pure_inputs
+from qcirc.deferral import Commensuration, basis_inputs, check_faithful, defer_measurements, random_pure_inputs
 from qcirc.linalg import CNOT, H, DensityOperator
 from qcirc.serialize import dumps
 
@@ -169,7 +169,7 @@ def test_failing_reports_match_the_general_walk():
     c = feed_forward_circuit(3)
     reports = [r for d, zeta in unfaithful_variants(c) for r in assert_same_reports(c, d, zeta)]
     assert [r.ok for r in reports] == [True, True, False, False, False, False]
-    assert {f["kind"] for r in reports for f in r.failures} >= {"operator-mismatch", "probability-mismatch"}
+    assert {f["kind"] for r in reports for f in r.failures} >= {"operator-mismatch", "state-mismatch"}
 
 
 CHUNKED = [feed_forward_circuit(3), measured_twice()]
@@ -204,6 +204,54 @@ def test_random_deferrable_matches_the_general_walk(seed):
     assert_same_walk(d, np.eye(2**d.n_registers, dtype=complex), bitwise=True)
     for d, zeta in unfaithful_variants(c):
         list(assert_same_reports(c, d, zeta))
+
+
+def input_check_reference(c, d, zeta, inputs, tol=linalg.DEFAULT_TOL):
+    """The failing (input, side, track) set of the input check, from its
+    definition, on each unit input psi alone: the source's blocks A_f psi
+    (`track_operators(c, psi)`), the target's on psi (x) |0>, and their
+    probabilities and reduced states on the source registers
+    (`linalg.partial_trace_matrix`), the states normalized. Side 0 is a
+    source track, side 1 an unmatched target track."""
+    nc, nd = c.n_registers, d.n_registers
+    bad = set()
+    for i, psi in enumerate(inputs):
+        source = semantics.track_operators(c, psi[:, None])
+        target = dict(semantics.track_operators(d, np.kron(psi, linalg.basis_ket(0, nd - nc))[:, None]))
+        images = {zeta.translate(f) for f, _ in source}
+        for f, a in source:
+            g, p_c = zeta.translate(f), np.vdot(a, a).real
+            if g is None:
+                failed = p_c > tol
+            else:
+                b = target[g]
+                p_d = np.vdot(b, b).real
+                failed = abs(p_c - p_d) > tol
+                if not failed and p_c > tol:
+                    rho_d = linalg.partial_trace_matrix(b @ b.conj().T, nd, range(nc))
+                    failed = np.max(np.abs(a @ a.conj().T / p_c - rho_d / p_d)) > tol
+            if failed:
+                bad.add((i, 0, tuple(sorted(f.as_dict().items()))))
+        for g, b in target.items():
+            if g not in images and np.vdot(b, b).real > tol:
+                bad.add((i, 1, tuple(sorted(g.as_dict().items()))))
+    return bad
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_input_check_matches_its_reference(seed):
+    """On random and basis inputs the input check passes and fails on the
+    same (input, track) comparisons as the reference built from the
+    reduced states, on the deferral and on the unfaithful variants."""
+    c = random_deferrable_circuit(np.random.default_rng(seed))
+    for inputs in (random_pure_inputs(c.n_registers, 3, seed), basis_inputs(c.n_registers)):
+        for d, zeta in unfaithful_variants(c):
+            report = check_faithful(c, d, zeta, inputs)
+            got = {(f["input"], int(f["kind"] == "unmatched-target-track"), tuple(sorted(f["track"].items())))
+                   for f in report.failures}
+            expected = input_check_reference(c, d, zeta, inputs)
+            assert report.ok == (not expected) and got == expected
 
 
 def test_incoherent_tracks_are_zero_blocks():
