@@ -11,6 +11,7 @@ axes of their registers; `reindex` maps a basis index between register lists.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -122,6 +123,15 @@ def ket_to_density(psi) -> np.ndarray:
 def squared_norm(k: np.ndarray) -> float:
     """||k||_F^2, the trace of k k^dag; inf when it overflows."""
     return float(np.vdot(k, k).real)
+
+
+def rescale(k: np.ndarray, e: Optional[int] = None) -> tuple[np.ndarray, int]:
+    """(k * 2^-e, e), written over k unless k is not contiguous; by default e
+    is the `np.frexp` exponent of k's largest real or imaginary part, so the
+    result's ||.||_F^2 is a normal float. Exact where the parts stay normal."""
+    parts = np.ascontiguousarray(k).view(float)
+    e = math.frexp(np.abs(parts).max())[1] if e is None else e
+    return np.ldexp(parts, -e, out=parts).view(complex), e
 
 
 class DensityOperator:

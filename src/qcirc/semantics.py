@@ -400,9 +400,12 @@ def check_state(rho: linalg.DensityOperator, n: int) -> None:
 
 
 def probability_on(op: np.ndarray, rho: linalg.DensityOperator) -> float:
-    """tr(A rho A^dag) / tr(rho) for a track's cumulative operator A."""
+    """tr(A rho A^dag) / tr(rho) for a track's cumulative operator A, clamped
+    to [0, 1]: ||A K||_F^2 / ||K||_F^2 on rho's factor K, first scaled by a
+    power of two (`linalg.rescale`), so that p does not depend on rho's scale."""
     check_state(rho, op.shape[0].bit_length() - 1)
-    p = linalg.trace(op @ rho.matrix @ op.conj().T).real / linalg.trace(rho.matrix).real
+    k, _ = linalg.rescale(rho.factor.copy())
+    p = linalg.squared_norm(op @ k) / linalg.squared_norm(k)
     return float(min(max(p, 0.0), 1.0))
 
 
@@ -464,20 +467,21 @@ def sample(
     path whose trace falls to 1e-300 times the input's raises SemanticsError.
     A live node holds the shots that took the same combinations so far; a
     bout's live nodes are expanded as one frontier (`_settle`), so each shot
-    comes out as it would alone. rho = K K^dag is walked as its factor K: a
-    path with cumulative operator A holds A K, weighed by ||A K||_F^2, and
-    ends as a factored state. Memory: the live nodes (at most one per
-    returned state), and the children of FRONTIER_BYTES of them at a time."""
+    comes out as it would alone. rho = K K^dag is walked as 2^-e K
+    (`linalg.rescale`): a path with cumulative operator A holds A K, weighed
+    by ||A K||_F^2, and ends as a factored state times 2^e. Memory: the live
+    nodes (one per returned state at most), and the children of FRONTIER_BYTES of them at a time."""
     check_state(rho, c.n_registers)
     _require_fit(c, x)
     plan = _plan(c)
     bouts = list(map(tuple, in_bout_order(c, x.bouts)))
     u = _uniforms(seeds, len(bouts))
     results: list = [None] * len(u)
-    floor = 1e-300 * linalg.squared_norm(rho.factor)  # relative, so any valid state's scale can run
-    size = max(1, FRONTIER_BYTES // rho.factor.nbytes)  # nodes expanded at a time
+    k0, e = linalg.rescale(rho.factor.copy())  # so that no pick or weight depends on rho's scale
+    floor = 1e-300 * linalg.squared_norm(k0)
+    size = max(1, FRONTIER_BYTES // k0.nbytes)  # nodes expanded at a time
     # blocks of live nodes: (outcome codes, A K, step logs, shot indices), one row or item per node
-    live = [(plan.codes_of({}), rho.factor[None], [()], [np.arange(len(u))])] if len(u) else []
+    live = [(plan.codes_of({}), k0[None], [()], [np.arange(len(u))])] if len(u) else []
     for t, bout in enumerate(bouts):
         blocks, live = collections.deque(live), []
         while blocks:  # a block is dropped once its nodes are settled
@@ -485,8 +489,9 @@ def sample(
             live += [_settle(plan, bout, t, [part[a : a + size] for part in block], u, floor)
                      for a in range(0, len(block[0]), size)]
     for codes, states, logs, shots in live:
+        states, _ = linalg.rescale(states, -e)
         for (_, track), k, log, mine in zip(plan.tracks(codes), states, logs, shots):
-            if linalg.squared_norm(k) <= floor:
+            if linalg.squared_norm(k) <= math.ldexp(floor, 2 * e):  # the floor at rho's scale, 0 where that underflows
                 raise SemanticsError("final state has zero trace")
             result = RunResult(track, linalg.DensityOperator(c.n_registers, factor=k), log)
             for i in mine.tolist():

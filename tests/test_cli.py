@@ -13,6 +13,7 @@ import pytest
 from corpus import ghz_circuit, parity_circuit, random_circuit
 from test_deferral import dropped_z_pair
 from test_semantics import splitmix64_output, splitmix64_seed_with_output, x_then_measure, zero_draw_seed
+from qcirc import cli
 from qcirc.circuit import Gate, Measurement, QuantumCircuit, standard_measure_gate, unitary_gate
 from qcirc.cli import build_parser, main
 from qcirc.deferral import Commensuration
@@ -398,6 +399,35 @@ def test_cli_run_accepts_a_state_that_aggregate_accepts(tmp_path, capsys):
     assert out_json(capsys)["frequencies"] == [{"outcomes": {"m": "1"}, "count": 4, "frequency": 1.0}]
 
 
+def test_cli_probabilities_do_not_depend_on_the_state_scale(tmp_path, capsys):
+    """A standard measurement of sqrt(0.3)|0> + sqrt(0.7)|1> times 1e-160,
+    whose trace 1e-320 is subnormal: `aggregate --input` prints 0.3 and 0.7,
+    and `run` the probability of the outcome it takes, each within 1e-15."""
+    circuit, ket = tmp_path / "m.json", tmp_path / "ket.json"
+    circuit.write_text(serialize_circuit(QuantumCircuit(("q",), (standard_measure_gate("m", 0),))))
+    ket.write_text(json.dumps({"ket": [[np.sqrt(0.3) * 1e-160, 0.0], [np.sqrt(0.7) * 1e-160, 0.0]]}))
+    want = {"0": 0.3, "1": 0.7}
+    assert main(["aggregate", str(circuit), "--input", str(ket)]) == 0
+    got = {t["outcomes"]["m"]: t["probability_on"] for t in out_json(capsys)["tracks"]}
+    assert got.keys() == want.keys() and all(abs(got[o] - want[o]) <= 1e-15 for o in want)
+    taken = {}
+    for seed in range(8):
+        assert main(["run", str(circuit), "--input", str(ket), "--seed", str(seed)]) == 0
+        [step] = out_json(capsys)["steps"]
+        taken[step["outcomes"][0]] = step["probability"]
+    assert taken.keys() == want.keys() and all(abs(taken[o] - want[o]) <= 1e-15 for o in want)
+
+
+def test_cli_aggregate_on_a_ket_builds_no_density_matrix(monkeypatch, capsys):
+    """`aggregate --input` reads each probability off the ket itself: the
+    loaded state's 2^n x 2^n `matrix` is never built."""
+    loaded, load = [], cli._load_state
+    monkeypatch.setattr(cli, "_load_state", lambda path: loaded.append(load(path)) or loaded[-1])
+    assert main(["aggregate", TELEPORT, "--input", PSI]) == 0
+    assert len(out_json(capsys)["tracks"]) == 4
+    assert len(loaded) == 1 and loaded[0].factor.shape == (8, 1) and "matrix" not in vars(loaded[0])
+
+
 @pytest.mark.parametrize("seed", [7, 2**64 - 1])
 def test_cli_run_draws_the_documented_shot_seeds(capsys, seed):
     """`run --shots N --seed s` tallies `sample` over the N shot seeds
@@ -430,7 +460,7 @@ def _sha256(data) -> str:
     "argv, digest",
     [
         (["aggregate", TELEPORT, "--input", PSI],
-         "53d7f089516763e9c885ed1bd3edaa298969209606638629617b0e9b590d1d1c"),
+         "d83437002808f95fae21ef3b9502f92836442b1b05af064c2d6f69fcc20618e3"),
         (["run", TELEPORT, "--input", PSI, "--seed", "7"],
          "8d2d08f762c6875ef6d4bc41f315aca1bf18e5ae2e904a58fdf977f2c64b8e2d"),
         (["schedules", TELEPORT, "--enumerate", "--limit", "10"],
@@ -445,7 +475,10 @@ def test_cli_stdout_golden(capsys, argv, digest):
     """Digests of the stdout `json.dumps(..., indent=2)` printed before
     `serialize.dumps` replaced it. The two `run` cases (the second with a
     non-greedy schedule and the largest seed, 2**64 - 1) are the ones printed
-    once every bout drew its u from the shot seed's SplitMix64 stream."""
+    once every bout drew its u from the shot seed's SplitMix64 stream. The
+    `aggregate` case is the one printed once `probability_on` read
+    ||A K||^2 / ||K||^2 off the state's factor: each track's probability is
+    0.24999999999999997, where the dense tr(A rho A^dag) gave 0.24999999999999994."""
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == digest
 

@@ -36,6 +36,7 @@ from qcirc.semantics import (
     bout_operator,
     cumulative_operator,
     enumerate_tracks,
+    probability_on,
     replay,
     run,
     sample,
@@ -430,6 +431,40 @@ def test_track_probability_dimension_mismatch(teleport):
         )
 
 
+def dense_probability(a, rho):
+    """tr(A rho A^dag) / tr(rho) on rho's dense matrix, clamped to [0, 1]."""
+    m = rho.matrix
+    return min(max(np.trace(a @ m @ a.conj().T).real / np.trace(m).real, 0.0), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["ket", "factor", "matrix"]))
+def test_probability_on_agrees_with_the_dense_trace(seed, kind):
+    """Each track of a random circuit, on a ket, a rank-r factor or the
+    matrix of one: `probability_on`, read off the state's factor, is within
+    4 ulps of 1 (4 * 2^-52) of the dense tr(A rho A^dag) / tr(rho)."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng)
+    n = c.n_registers
+    r = 1 if kind == "ket" else int(rng.integers(1, 2**n + 1))
+    k = rng.normal(size=(2**n, r)) + 1j * rng.normal(size=(2**n, r))
+    rho = DensityOperator(n, k @ k.conj().T) if kind == "matrix" else DensityOperator(n, factor=k)
+    for a in aggregate_measurement(c).operators.values():
+        assert abs(probability_on(a, rho) - dense_probability(a, rho)) <= 4 * 2.0**-52
+
+
+def test_probability_on_is_exactly_0_or_1_at_the_extremes():
+    """p is exactly 1.0 for A = I, on a ket, a non-contiguous factor and a
+    matrix state, and exactly 0.0 when A K = 0."""
+    rng = np.random.default_rng(43)
+    k = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))  # k.T: 4 x 3, not C-contiguous
+    states = [DensityOperator.from_ket(k[0]), DensityOperator(2, factor=k.T), DensityOperator(2, k.T @ k.conj())]
+    assert [probability_on(np.eye(4, dtype=complex), rho) for rho in states] == [1.0, 1.0, 1.0]
+    zero = k.T * [[1], [1], [0], [0]]  # no weight where register 0 is 1, all that P1 on it keeps
+    states = [DensityOperator.from_ket(zero[:, 0]), DensityOperator(2, factor=zero)]
+    assert [probability_on(linalg.embed(P1, [0], 2), rho) for rho in states] == [0.0, 0.0]
+
+
 # --- stochastic execution ---------------------------------------------------
 
 
@@ -750,6 +785,55 @@ def test_factored_sample_agrees_with_dense(corpus_seed):
             assert abs(p - q) <= 1e-12
         want = b.final_state.matrix
         assert np.max(np.abs(a.final_state.matrix - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def times_power_of_two(k, e):
+    """k * 2^e in k's memory layout, its real and imaginary parts scaled apart."""
+    out = np.empty_like(k)
+    out.real, out.imag = np.ldexp(k.real, e), np.ldexp(k.imag, e)
+    return out
+
+
+@pytest.mark.parametrize("corpus_seed", range(6))
+def test_probabilities_and_shots_do_not_depend_on_the_state_scale(corpus_seed):
+    """A ket or a rank-r factor (not C-contiguous) times s = 2^e, for every e
+    at which the loader accepts it: `probability_on` is the one at s = 1, bit
+    for bit. Wherever the final states' traces stay normal floats, so are
+    `sample`'s tracks and step logs, and each final factor is s times the one
+    at s = 1 exactly; so is each `final_state_raw` s^2 times, wherever the
+    products that form it stay normal too."""
+    rng = np.random.default_rng([41, corpus_seed])
+    c = random_circuit(rng)
+    x, n = greedy_schedule(c), c.n_registers
+    r = int(rng.integers(1, 2**n + 1)) if corpus_seed % 2 else 1
+    k = (rng.normal(size=(r, 2**n)) + 1j * rng.normal(size=(r, 2**n))).T
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=20)] + EDGE_SEEDS
+    ops = list(aggregate_measurement(c).operators.values())
+    accepted = []
+    for e in range(-1100, 1100):
+        try:
+            with np.errstate(over="ignore"):  # an infinite entry is not accepted
+                accepted.append((e, DensityOperator(n, factor=times_power_of_two(k, e))))
+        except linalg.LinalgError:
+            pass
+    assert [e for e, _ in accepted] == list(range(accepted[0][0], accepted[-1][0] + 1))
+    base = DensityOperator(n, factor=k)
+    probs, shots = [probability_on(a, base) for a in ops], sample(c, x, base, seeds)
+    parts = np.abs(np.concatenate([np.ravel([v.final_state.factor.real, v.final_state.factor.imag]) for v in shots]))
+    least = parts[parts > 0].min()  # the smallest nonzero part of a final factor at s = 1
+    trace = min(linalg.squared_norm(v.final_state.factor) for v in shots)
+    tiny, raw_checked = np.finfo(float).tiny, 0
+    for e, rho in accepted[::29] + accepted[-1:]:
+        assert [probability_on(a, rho) for a in ops] == probs
+        if np.ldexp(trace, 2 * e) < tiny:
+            continue
+        for a, b in zip(sample(c, x, rho, seeds), shots):
+            assert a.track == b.track and a.step_log == b.step_log
+            assert np.array_equal(a.final_state.factor, times_power_of_two(b.final_state.factor, e))
+            if np.ldexp(least**2, 2 * e) >= tiny:
+                assert np.array_equal(a.final_state.matrix, times_power_of_two(b.final_state.matrix, 2 * e))
+                raw_checked += 1
+    assert raw_checked > 0
 
 
 def test_ghz12_shots_from_a_ket_take_no_density_matrix():
