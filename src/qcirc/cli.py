@@ -95,15 +95,11 @@ def cmd_aggregate(args) -> int:
     rho = _load_state(args.input) if args.input else None
     if rho is not None:
         semantics.check_state(rho, c.n_registers)  # before any track operator is built
-    agg = semantics.aggregate_measurement(c)
     tracks = []
-    for f in sorted(agg.operators, key=lambda t: t.outcomes):
-        entry = {
-            "outcomes": f.as_dict(),
-            "operator": agg.operators[f],
-        }
+    for f, op in semantics.aggregate_measurement(c).operators.items():  # in (gate id, label) order
+        entry = {"outcomes": f.as_dict(), "operator": op}
         if rho is not None:
-            entry["probability_on"] = semantics.probability_on(agg.operators[f], rho)
+            entry["probability_on"] = semantics.probability_on(op, rho)
         tracks.append(entry)
     _emit({"tracks": tracks})
     return 0

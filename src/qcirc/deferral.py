@@ -335,7 +335,7 @@ class FaithfulnessReport:
     failures: tuple  # tuple of dicts
     inputs_checked: int
     tracks_checked: int
-    method: str = "inputs"  # "exact" or "inputs"
+    method: str  # "exact" or "inputs"
 
     def to_json(self) -> dict:
         return {
@@ -397,9 +397,10 @@ def check_faithful(
     W = U (I (x) |0>) psi with its rows grouped by track, and any other
     target gives one piece per leaf. Each piece's (target track, source
     track) pairs are compared at most `semantics.FRONTIER_BYTES` at a time
-    (`_piece_failures`). Failures come by input: source tracks in source
-    order, then unmatched target tracks. An image the walk never produces
-    raises DeferralError."""
+    (`_piece_failures`). Failures come by input, then source tracks, then
+    unmatched target tracks, each in (gate id, label) order. An input's scale
+    (`linalg.rescale`) changes no report byte. An image the walk never
+    produces raises DeferralError."""
     if not (math.isfinite(tol) and tol >= 0):
         raise DeferralError(f"tolerance must be finite and at least 0, got {tol}")
     nc, nd = c.n_registers, d.n_registers
@@ -417,17 +418,13 @@ def check_faithful(
         raise DeferralError("no inputs to check")
     psi = np.eye(2**nc, dtype=complex) if inputs is None else np.empty((2**nc, len(inputs)), dtype=complex)
     for i, v in enumerate([] if inputs is None else inputs):
-        v = np.asarray(v, dtype=complex).reshape(-1)
+        v = np.array(v, dtype=complex).reshape(-1)  # a copy, which `linalg.rescale` writes over
         if v.shape[0] != 2**nc:
             raise DeferralError(f"input {i} has wrong dimension {v.shape[0]}")
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(v)
-            if not 0 < norm < np.inf and np.isfinite(v).all() and v.any():  # scale it into range first
-                v = v / np.max(np.abs([v.real, v.imag]))
-                norm = np.linalg.norm(v)
-        if not 0 < norm < np.inf:  # NaN fails both
+        if not (np.isfinite(v).all() and v.any()):
             raise DeferralError(f"input {i} has zero or non-finite norm")
-        psi[:, i] = v / norm
+        v, _ = linalg.rescale(v)  # by a power of two, so that v's scale changes no bit of psi
+        psi[:, i] = v / np.linalg.norm(v)
     sources = track_operators(c, psi)
     src = np.array([a for _, a in sources]).reshape(-1, *psi.shape)  # A_f psi, stacked
     sources = [f for f, _ in sources]  # the Tracks alone beside src

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .circuit import Gate, QuantumCircuit, topo_order
+from .circuit import Gate, QuantumCircuit
 from .scheduling import Schedule, ScheduleError, greedy_schedule, in_bout_order, validate_schedule
 
 DEFAULT_TRACK_CAP = 2**16  # the tracks a walk may count; more is a SemanticsError
@@ -103,15 +103,20 @@ class _Step(NamedTuple):
 
 class _Plan:
     """A circuit compiled once for the frontier walk: a `_Step` per gate, and
-    per measurement gate, in topo_order(c), a column of outcome codes, a
-    label's code being its position in the gate's `outcome_labels` (-1: none);
-    a last column of -1 is read by a source that is no measurement gate."""
+    per measurement gate, in gate-id order, a column of outcome codes, a
+    label's code being its position in the gate's sorted `outcome_labels`
+    (-1: none), so that code rows sort as their tracks do, and its (gate id,
+    label) pair, which the Tracks that hold it share; a last column of -1 is
+    read by a source that is no measurement gate."""
 
     def __init__(self, c: QuantumCircuit):
-        measures = [g for g in map(c.gate, topo_order(c)) if g.is_measure]
+        depth = c._layers[1]  # CircuitError for a repeated gate id or a cyclic source relation
+        measures = [g for g in map(c.gate, sorted(depth)) if g.is_measure]
         self.column = {g.id: j for j, g in enumerate(measures)}
         self.labels = [np.array(g.outcome_labels, dtype=object) for g in measures]
         self.index = [dict(zip(labels.tolist(), range(len(labels)))) for labels in self.labels]
+        self.pairs = [np.fromiter(zip(itertools.repeat(g.id), g.outcome_labels), object, len(g.outcome_labels))
+                      for g in measures]
         n, finite = c.n_registers, c._verdicts[0]
         self.steps = {g.id: self._compile(g, n, finite) for g in c.gates}
 
@@ -152,13 +157,12 @@ class _Plan:
 
     def tracks(self, codes: np.ndarray) -> list[tuple]:
         """(key, track) per row of codes that labels every measurement, the
-        key its labels in column order, by which tracks sort into
-        `enumerate_tracks` order."""
-        ids = sorted(self.column)
-        labels = zip(*self.labels_of(codes, [self.column[gid] for gid in ids]))
-        pairs = (zip(itertools.repeat(gid), column) for gid, column in zip(ids, labels))
-        tracks = list(map(Track, zip(*pairs))) if ids else [Track(())] * len(codes)
-        return list(zip(self.labels_of(codes, range(len(ids))), tracks))
+        key the row's rank among the rows sorted by code (one `np.lexsort`),
+        which is their tracks' (gate id, label) order."""
+        key = np.empty(len(codes), dtype=np.intp)
+        key[np.lexsort(codes.T[::-1])] = np.arange(len(codes))
+        pairs = zip(*(table[codes[:, j]].tolist() for j, table in enumerate(self.pairs)))
+        return list(zip(key.tolist(), map(Track, pairs) if self.pairs else [Track(())] * len(codes)))
 
 
 def _plan(c: QuantumCircuit) -> _Plan:
@@ -337,30 +341,22 @@ def walk_tracks(c: QuantumCircuit, t0: np.ndarray):
     """(key, f, A_f @ t0) for every coherent track f in `track_rows` order,
     each a full block: a terminal-form track is its rows of U @ t0 and zeros."""
     for w, group, tracks in track_rows(c, t0):
-        if group is None:
-            yield from ((key, f, w) for key, f in tracks)
-            continue
-        order = np.argsort(group, kind="stable")  # track k's rows, ascending, are order[bounds[k] : bounds[k + 1]]
-        bounds = np.searchsorted(group[order], np.arange(len(tracks) + 1))
-        for k, (key, f) in enumerate(tracks):
-            rows = order[bounds[k] : bounds[k + 1]]
-            t = np.zeros(w.shape, dtype=complex)
-            t[rows] = w[rows]
-            yield key, f, t
+        blocks = [w] * len(tracks) if group is None else np.zeros((len(tracks), *w.shape), dtype=complex)
+        if group is not None:
+            blocks[group, np.arange(len(w))] = w  # row r into the block of track group[r]
+        yield from ((key, f, t) for (key, f), t in zip(tracks, blocks))
 
 
 def track_operators(c: QuantumCircuit, t0: np.ndarray) -> list[tuple[Track, np.ndarray]]:
-    """(f, A_f @ t0) for every coherent track f: `walk_tracks` in `enumerate_tracks` order."""
+    """(f, A_f @ t0) for every coherent track f: `walk_tracks` in (gate id, label) order, by key."""
     return [(f, t) for _, f, t in sorted(walk_tracks(c, t0), key=lambda leaf: leaf[0])]
 
 
 def enumerate_tracks(c: QuantumCircuit) -> list[Track]:
-    """All coherent tracks, depth first over topo_order(c), labels sorted:
-    the walk's outcome codes alone, with no block."""
-    plan = _plan(c)
-    order = itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts))
-    codes = _expand(plan, order, plan.codes_of({}), DEFAULT_TRACK_CAP)[1]
-    return [f for _, f in sorted(plan.tracks(codes), key=lambda track: track[0])]
+    """All coherent tracks in (gate id, label) order: the walk's outcome
+    codes from a block of no columns, to which no operator is applied."""
+    codes = _walk_plan(c, greedy_schedule(c).bouts, np.zeros((2**c.n_registers, 0)))[1]
+    return [f for _, f in sorted(_plan(c).tracks(codes))]
 
 
 def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
@@ -414,10 +410,11 @@ def replay(
 ) -> tuple[list[float], np.ndarray]:
     """Deterministically walk a schedule along a fixed track, returning the
     stepwise conditional probabilities and the un-normalized final state;
-    SemanticsError when the track's probability is 0 before its last bout."""
+    SemanticsError when the track's probability is 0 before its last bout.
+    rho = K K^dag is walked as 2^-e K (`linalg.rescale`), as in `sample`."""
     _require_fit(c, x)
     assignment = f.as_dict()
-    k = rho.factor
+    k, e = linalg.rescale(rho.factor.copy())
     probs: list[float] = []
     for t, bout in enumerate(x.bouts):
         before = linalg.squared_norm(k)
@@ -425,6 +422,7 @@ def replay(
             raise SemanticsError(f"zero-probability track before bout {t}")
         k = _track_leaf(c, [bout], k, assignment)
         probs.append(linalg.squared_norm(k) / before)
+    k, _ = linalg.rescale(k, -e)
     return probs, k @ k.conj().T
 
 

@@ -278,13 +278,39 @@ def aggregate_document(c, rho):
     """The document `qcirc aggregate --input` prints: each track's outcomes,
     cumulative operator (as its array) and probability on rho, in track order."""
     ops = aggregate_measurement(c).operators
-    tracks = sorted(ops, key=lambda t: t.outcomes)
     return {
         "tracks": [
-            {"outcomes": f.as_dict(), "operator": ops[f], "probability_on": probability_on(ops[f], rho)}
-            for f in tracks
+            {"outcomes": f.as_dict(), "operator": a, "probability_on": probability_on(a, rho)}
+            for f, a in ops.items()
         ]
     }
+
+
+# (0.6|0> + 0.8|1>) (x) (sqrt(0.3)|0> + i sqrt(0.7)|1>), the input of the scale tests
+SCALE_KET = np.kron([0.6, 0.8], [0.3**0.5, 1j * 0.7**0.5])
+
+
+def h_then_measure_circuit(measured):
+    """H on register 0 of two, then a standard measurement `m<r>` of each
+    register r in `measured`."""
+    gates = (unitary_gate("h", [0], H), *(standard_measure_gate(f"m{r}", r) for r in measured))
+    return QuantumCircuit(("q0", "q1"), gates)
+
+
+def zam_circuit():
+    """Measurements z, a and m on three registers, each after an H; z's
+    outcome controls an X before a's H. The topological order meets z, a, m,
+    the greedy walk z, m, a, and gate-id order is a, m, z."""
+    gates = (
+        unitary_gate("h0", [0], H),
+        standard_measure_gate("z", 0),
+        controlled_unitary_gate("x", [1], ["z"], {"I": np.eye(2), "X": X}, {("0",): "I", ("1",): "X"}),
+        unitary_gate("h1", [1], H),
+        standard_measure_gate("a", 1),
+        unitary_gate("h2", [2], H),
+        standard_measure_gate("m", 2),
+    )
+    return QuantumCircuit(("r0", "r1", "r2"), gates)
 
 
 def chain_circuit(n_gates, n=6):

@@ -3,9 +3,10 @@ frontier walk, kept verbatim as the reference the frontier walk is tested
 against: `source_outcomes` and `select_measurement` resolve a gate's
 selector per node through label dicts, `_walk` yields the leaves depth
 first with one `apply` call per node, `walk_tracks` is the general case of
-`semantics.walk_tracks` on that walk, and `sample` the executor that
-expanded one tree node at a time. `apply` is the `np.dot` kernel that
-`linalg.apply` replaced, kept as the reference for its bits."""
+`semantics.walk_tracks` on that walk, keyed by each track's position in
+(gate id, label) order, and `sample` the executor that expanded one tree
+node at a time. `apply` is the `np.dot` kernel that `linalg.apply`
+replaced, kept as the reference for its bits."""
 
 import itertools
 from typing import Iterable, Mapping, Union
@@ -13,7 +14,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from qcirc import linalg
-from qcirc.circuit import Gate, Measurement, QuantumCircuit, UnitaryOp, topo_order
+from qcirc.circuit import Gate, Measurement, QuantumCircuit, UnitaryOp
 from qcirc.scheduling import Schedule, greedy_schedule, in_bout_order
 from qcirc.semantics import RunResult, SemanticsError, Track, _require_fit, _uniforms, check_state
 
@@ -95,12 +96,14 @@ def _walk(c: QuantumCircuit, order, t: np.ndarray, assignment: dict):
 
 def walk_tracks(c: QuantumCircuit, t0: np.ndarray):
     """(key, f, A_f @ t0) for every leaf of the general walk in greedy
-    order: what `semantics.walk_tracks` yielded for a circuit outside
-    terminal form."""
+    order, the key f's position among the leaves' tracks sorted by their
+    (gate id, label) pairs: what `semantics.walk_tracks` yields for a
+    circuit outside terminal form."""
     order = list(itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts)))
-    measures = [gid for gid in topo_order(c) if c.gate(gid).is_measure]
-    for a, t in _walk(c, order, t0, {}):
-        yield tuple(map(a.get, measures)), Track.from_mapping(a), t
+    leaves = [(Track.from_mapping(a), t) for a, t in _walk(c, order, t0, {})]
+    key = {f: k for k, f in enumerate(sorted((f for f, _ in leaves), key=lambda f: f.outcomes))}
+    for f, t in leaves:
+        yield key[f], f, t
 
 
 def sample(

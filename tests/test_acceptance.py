@@ -22,7 +22,6 @@ from qcirc.circuit import (
     prerequisites,
     stage_exits,
     standard_measure_gate,
-    unitary_gate,
 )
 from qcirc.cli import main as cli_main
 from qcirc.deferral import (

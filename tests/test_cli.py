@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus import ghz_circuit, parity_circuit, random_circuit
+from corpus import SCALE_KET, ghz_circuit, h_then_measure_circuit, parity_circuit, random_circuit
 from test_deferral import dropped_z_pair
 from test_semantics import splitmix64_output, splitmix64_seed_with_output, x_then_measure, zero_draw_seed
 from qcirc import cli
@@ -360,6 +360,24 @@ def test_cli_run_shots_golden(capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "9c8e70aacaab1c1e9a89c5c5bdfc6409004881619aeeef91245cab8a27de5354"
 
+
+
+def test_cli_run_normalizes_an_input_of_any_scale(tmp_path, capsys):
+    """H then a measurement of register 0, on the probe input at scale 1e-160:
+    K K^dag is subnormal, yet the normalized final state has register 1's
+    probabilities 0.3 and 0.7 on its diagonal, as at scale 1."""
+    circuit, ket = tmp_path / "c.json", tmp_path / "ket.json"
+    circuit.write_text(serialize_circuit(h_then_measure_circuit([0])))
+    diagonals = []
+    for scale in (1.0, 1e-160):
+        ket.write_text(json.dumps({"ket": [[z.real, z.imag] for z in SCALE_KET * scale]}))
+        assert main(["run", str(circuit), "--input", str(ket), "--seed", "1"]) == 0
+        data = out_json(capsys)
+        b = int(data["track"]["m0"])
+        entries = data["final_state_normalized"]["entries"]
+        diagonals.append([entries[5 * i][0] for i in range(4)])
+        assert diagonals[-1][2 * b : 2 * b + 2] == pytest.approx([0.3, 0.7], abs=1e-12)
+    assert diagonals[0] == pytest.approx(diagonals[1], abs=1e-15)
 
 
 def _x_then_measure_files(tmp_path, amplitude):

@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_teleportation
 from corpus import (
     PM_FAMILY,
+    SCALE_KET,
     feed_forward_circuit,
     kraus_correction_circuit,
     parity_circuit,
@@ -739,6 +740,44 @@ def test_exact_check_rejects_dropped_z():
     report = check_faithful(src, tgt, zeta)
     assert not report.ok and report.method == "exact"
     assert [f["kind"] for f in report.failures] == ["operator-mismatch"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-1000, 1000))
+@example(-1000)
+@example(1000)
+def test_check_faithful_reports_do_not_depend_on_input_scale(k):
+    """The dropped-Z pair fails on the probe input; scaled by 2^k, every byte
+    of the report is the same. Scaled by 2^-1060, the input's entries are
+    subnormal, and it is still checked."""
+    src, tgt = dropped_z_pair()
+    zeta = Commensuration.identity(tgt)
+
+    def report(psi):
+        return dumps(check_faithful(src, tgt, zeta, [psi]).to_json())
+
+    base = report(SCALE_KET)
+    assert '"state-mismatch"' in base and report(SCALE_KET * 2.0**k) == base
+    tiny = check_faithful(src, tgt, zeta, [SCALE_KET * 2.0**-1060])
+    assert tiny.inputs_checked == 1 and [f["kind"] for f in tiny.failures] == ["state-mismatch"]
+
+
+def test_failures_come_in_gate_id_order():
+    """Deferred ff-12 with the target's x5 followed by a Z on its last
+    register: failures come by input, then by (gate id, label) order of their
+    tracks, though ff-12's topological order meets m2 before m10."""
+    c = feed_forward_circuit(12)
+    result = defer_measurements(c)
+    gates = tuple(
+        unitary_gate(g.id, g.registers, g.unitaries[g.id].matrix @ np.kron(np.eye(2 ** (g.arity - 1)), Z))
+        if g.id == "x5" else g
+        for g in result.circuit.gates
+    )
+    d = QuantumCircuit(result.circuit.register_names, gates)
+    for inputs in (None, random_pure_inputs(2, 2, 7)):
+        failures = check_faithful(c, d, result.zeta, inputs).failures
+        keys = [(f.get("input", -1), sorted(f["track"].items())) for f in failures]
+        assert len(keys) > 2 and keys == sorted(keys)
 
 
 def test_exact_check_rejects_broken_teleport(teleport):

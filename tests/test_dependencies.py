@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "qcirc"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "qcirc"
 
 
 def _imported_roots(tree):
@@ -64,9 +65,15 @@ def _unused_imports(tree):
     return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}",
+)
 def test_module_uses_every_name_it_imports(path):
-    """No import is left behind by an edit; `__init__.py` imports to re-export."""
+    """No import is left behind by an edit, in the package, the tests or the
+    scripts; `__init__.py` imports to re-export."""
     unused = _unused_imports(ast.parse(path.read_text(), str(path)))
     assert not unused, f"{path.name} imports {unused} without using them"
 

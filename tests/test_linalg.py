@@ -6,7 +6,7 @@ double sums; and density operators' scaled tolerance and factors."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import random_unitary
@@ -410,6 +410,18 @@ def test_partial_trace_rejects_empty_keep():
 def test_density_operator_accepts_unnormalized():
     rho = DensityOperator(1, np.diag([0.3, 0.1]).astype(complex))
     assert abs(np.trace(rho.normalized()) - 1) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-530, 500), st.integers(0, 2**32 - 1))
+@example(-530, 0)
+def test_normalized_state_does_not_depend_on_its_scale(k, seed):
+    """A factor K of entries of magnitude in [1/2, 1), scaled by 2^k: every
+    bit of the normalized state is K's, even where K K^dag underflows."""
+    rng = np.random.default_rng(seed)
+    k0 = rng.uniform(0.5, 1.0, (4, 2)) * np.exp(2j * np.pi * rng.random((4, 2)))
+    base = DensityOperator(2, factor=k0).normalized()
+    assert DensityOperator(2, factor=k0 * 2.0**k).normalized().tobytes() == base.tobytes()
 
 
 def test_density_operator_rejects_invalid():

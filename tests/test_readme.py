@@ -11,8 +11,6 @@ import re
 import shlex
 from pathlib import Path
 
-import pytest
-
 from qcirc.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -1,15 +1,17 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_teleportation
-from corpus import feed_forward_circuit, ghz_circuit, random_circuit
+from corpus import SCALE_KET, feed_forward_circuit, ghz_circuit, h_then_measure_circuit, random_circuit, zam_circuit
 from qcirc import cli, controlled_unitary_gate, linalg, semantics
 from qcirc.circuit import (
+    CircuitError,
     QuantumCircuit,
     measure_gate,
     standard_measure_gate,
@@ -23,6 +25,7 @@ from qcirc.scheduling import (
     ScheduleError,
     enumerate_linear_schedules,
     greedy_schedule,
+    in_bout_order,
     linear_schedule,
     validate_schedule,
 )
@@ -123,6 +126,18 @@ def test_track_accessors():
 # --- cumulative operators and the aggregate ---------------------------------
 
 
+def test_a_walk_refuses_a_repeated_gate_id_or_a_cycle():
+    """The plan is compiled only for a circuit whose source relation orders
+    its gates: a repeated id or a cycle is the CircuitError `topo_order`
+    raises, even for one bout under an explicit assignment."""
+    dup = QuantumCircuit(("a",), (standard_measure_gate("m", 0), standard_measure_gate("m", 0)))
+    u = controlled_unitary_gate("u", [0], ["m"], {"I": np.eye(2), "X": X}, {("0",): "I", ("1",): "X"})
+    cyclic = QuantumCircuit(("a",), (u, standard_measure_gate("m", 0)))
+    for c, message in ((dup, "duplicate gate id 'm'"), (cyclic, "source relation is cyclic")):
+        with pytest.raises(CircuitError, match=message):
+            bout_operator(c, {c.gates[0].id}, {"m": "0"})
+
+
 def test_bout_operator_selects_by_track(teleport):
     op = bout_operator(teleport, {"M", "XN"}, {"M": "0", "N": "1"})
     oracle = np.kron(P0, np.eye(4)) @ np.kron(np.eye(4), X)
@@ -209,9 +224,9 @@ def walker_circuits(teleport):
     return [teleport, *(ghz_circuit(n) for n in (3, 4, 5)), crossed_order_circuit(), *randoms]
 
 
-def topological_dfs_tracks(c):
-    """Reference track order: depth first over topo_order(c), each
-    measurement's labels in sorted order."""
+def reference_tracks(c):
+    """Reference tracks: found depth first over topo_order(c), then sorted
+    by their (gate id, label) pairs."""
     order = topo_order(c)
 
     def rec(i, assignment):
@@ -221,12 +236,14 @@ def topological_dfs_tracks(c):
         chosen = select_measurement(c, g.id, tuple(assignment[s] for s in g.classical_sources))
         if not g.is_measure:
             return rec(i + 1, assignment)
-        return [f for lab in sorted(chosen.operators) for f in rec(i + 1, {**assignment, g.id: lab})]
+        return [f for lab in chosen.operators for f in rec(i + 1, {**assignment, g.id: lab})]
 
-    return rec(0, {})
+    return sorted(rec(0, {}), key=lambda f: f.outcomes)
 
 
 def test_crossed_order_circuit_crosses():
+    """The greedy walk meets mb first and the topological order ma, yet the
+    tracks come in (gate id, label) order, ma's label first."""
     c = crossed_order_circuit()
     greedy = [gid for b in greedy_schedule(c).bouts for gid in sorted(b, key=c.index_of)]
     assert [gid for gid in greedy if gid.startswith("m")] == ["mb", "ma"]
@@ -237,14 +254,34 @@ def test_crossed_order_circuit_crosses():
 
 
 def test_aggregate_is_the_walk_in_track_order(teleport):
-    """Keys in enumerate_tracks order, which is the topological depth-first
-    order, and every operator bit for bit cumulative_operator's."""
+    """Keys in enumerate_tracks order, which is (gate id, label) order, and
+    every operator bit for bit cumulative_operator's."""
     for c in walker_circuits(teleport):
         agg = aggregate_measurement(c)
-        assert list(agg.operators) == enumerate_tracks(c) == topological_dfs_tracks(c)
+        assert list(agg.operators) == enumerate_tracks(c) == reference_tracks(c)
         x = greedy_schedule(c)
         for f, op in agg.operators.items():
             assert np.array_equal(op, cumulative_operator(c, x, f))
+
+
+@pytest.mark.parametrize("c", [feed_forward_circuit(12), zam_circuit()], ids=["ff12", "zam"])
+def test_tracks_come_in_gate_id_order_where_the_orders_cross(c, tmp_path, capsys):
+    """ff-12's ids sort m10 and m11 before m2, and zam's a, m, z; neither
+    the topological order nor the greedy walk meets the measurements so. The
+    library and the `aggregate` document still list tracks in (gate id,
+    label) order."""
+    ids = sorted(g.id for g in c.gates if g.is_measure)
+    topo = [gid for gid in topo_order(c) if gid in ids]
+    greedy = [gid for b in in_bout_order(c, greedy_schedule(c).bouts) for gid in b if gid in ids]
+    assert topo != ids and greedy != ids
+    tracks = enumerate_tracks(c)
+    assert tracks == sorted(tracks, key=lambda f: f.outcomes) == reference_tracks(c)
+    assert list(aggregate_measurement(c).operators) == tracks
+    assert [f for f, _ in track_operators(c, np.eye(2**c.n_registers)[:, :1])] == tracks
+    path = tmp_path / "c.json"
+    path.write_text(serialize_circuit(c))
+    assert cli.main(["aggregate", str(path)]) == 0
+    assert [t["outcomes"] for t in json.loads(capsys.readouterr().out)["tracks"]] == [f.as_dict() for f in tracks]
 
 
 def test_thin_block_is_the_ancilla_zero_columns(teleport):
@@ -410,6 +447,21 @@ def test_replay_telescopes(teleport, bell_input):
         assert abs(np.prod(probs) - track_probability(teleport, f, rho)) <= 1e-9
         op = cumulative_operator(teleport, x, f)
         assert mat_close(final, op @ rho.matrix @ op.conj().T, 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-530, 500))
+@example(-530)
+def test_replay_does_not_depend_on_the_input_scale(k):
+    """The probe's input scaled by 2^k gives the same probabilities, bit for
+    bit, and the final state times 4^k, where its entries stay normal."""
+    c = h_then_measure_circuit([0, 1])
+    x, f = greedy_schedule(c), Track.from_mapping({"m0": "0", "m1": "1"})
+    probs, final = replay(c, x, f, DensityOperator.from_ket(SCALE_KET))
+    probs_k, final_k = replay(c, x, f, DensityOperator.from_ket(SCALE_KET * 2.0**k))
+    assert probs_k == probs and probs == pytest.approx([0.7, 0.98], abs=1e-12)
+    if k >= -450:
+        assert np.array_equal(final_k, final * 4.0**k)
 
 
 def test_replay_of_a_track_that_dies_early_is_a_semantics_error():
