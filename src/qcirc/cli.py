@@ -50,8 +50,7 @@ def inputs_spec(text: str):
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(serialize.dumps(obj))
-    sys.stdout.write("\n")
+    serialize.write(obj, sys.stdout)
 
 
 def _diag_lines(diags) -> None:
@@ -172,12 +171,12 @@ def cmd_defer(args) -> int:
             "classically-controlled-measurement",
             f"cannot defer: {', '.join(e.gate_ids)}",
         )
-    Path(args.output).write_text(serialize.serialize_circuit(result.circuit))
+    serialize.write(serialize.circuit_to_json(result.circuit), args.output)
     sidecar = result.zeta.to_json()
     sidecar["ancillas"] = sorted(result.ancilla_registers)
     try:
-        Path(zeta_path).write_text(serialize.dumps(sidecar) + "\n")
-    except OSError:
+        serialize.write(sidecar, zeta_path)
+    except Exception:
         Path(args.output).unlink()  # a deferred circuit without its sidecar cannot be checked
         raise
     _emit(

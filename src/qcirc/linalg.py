@@ -126,12 +126,12 @@ def squared_norm(k: np.ndarray) -> float:
 
 
 def rescale(k: np.ndarray, e: Optional[int] = None) -> tuple[np.ndarray, int]:
-    """(k * 2^-e, e), written over k unless k is not contiguous; by default e
-    is the `np.frexp` exponent of k's largest real or imaginary part, so the
+    """(k * 2^-e, e), written over k if k is writable and contiguous; by default
+    e is the `np.frexp` exponent of k's largest real or imaginary part, so the
     result's ||.||_F^2 is a normal float. Exact where the parts stay normal."""
     parts = np.ascontiguousarray(k).view(float)
     e = math.frexp(np.abs(parts).max())[1] if e is None else e
-    return np.ldexp(parts, -e, out=parts).view(complex), e
+    return np.ldexp(parts, -e, out=parts if parts.flags.writeable else None).view(complex), e
 
 
 class DensityOperator:
@@ -145,9 +145,9 @@ class DensityOperator:
     Given a matrix, K is the eigenbasis of its positive eigenvalues scaled by
     their square roots, from the eigendecomposition that checks PSD, and
     `matrix` is the given array. Given a factor, the state is PSD by
-    construction, so only K's entries and its trace ||K||_F^2 are checked, and
-    `matrix` is built from K when first read.
-    """
+    construction, so only K's entries are checked: finite, not all 0, and with
+    a finite trace ||K||_F^2 (which may underflow). `matrix` is built from K
+    when first read."""
 
     def __init__(self, n_qubits: int, matrix=None, *, factor=None):
         self.n_qubits = n_qubits
@@ -160,7 +160,7 @@ class DensityOperator:
         if not np.isfinite(tr):
             raise LinalgError("state too large: its trace overflows")
         if factor is not None:
-            if tr <= 0.0:  # the largest entry of K K^dag is at most its trace
+            if tr == 0.0 and not m.any():  # a nonzero K whose trace underflows is a state
                 raise LinalgError("density operator has (near-)zero trace")
             self.factor = m
             return
@@ -179,6 +179,14 @@ class DensityOperator:
         k = self.factor
         return np.outer(k[:, 0], k[:, 0].conj()) if k.shape[1] == 1 else k @ k.conj().T
 
+    @cached_property
+    def scaled(self) -> tuple[np.ndarray, int]:
+        """(2^-e K, e) of `rescale`, read-only: what the walks and
+        probabilities of this state start from, so that its scale changes no bit."""
+        k, e = rescale(self.factor.copy())
+        k.flags.writeable = False
+        return k, e
+
     @classmethod
     def from_ket(cls, psi) -> "DensityOperator":
         v = np.asarray(psi, dtype=complex).reshape(-1, 1)
@@ -188,8 +196,8 @@ class DensityOperator:
         return cls(n, factor=v)
 
     def normalized(self) -> np.ndarray:
-        """rho / tr(rho) from K scaled by `rescale`, so rho's scale changes no bit."""
-        m = DensityOperator(self.n_qubits, factor=rescale(self.factor.copy())[0]).matrix
+        """rho / tr(rho) from K as `scaled`, so rho's scale changes no bit."""
+        m = DensityOperator(self.n_qubits, factor=self.scaled[0]).matrix
         return m / trace(m).real
 
 

@@ -398,9 +398,9 @@ def check_state(rho: linalg.DensityOperator, n: int) -> None:
 def probability_on(op: np.ndarray, rho: linalg.DensityOperator) -> float:
     """tr(A rho A^dag) / tr(rho) for a track's cumulative operator A, clamped
     to [0, 1]: ||A K||_F^2 / ||K||_F^2 on rho's factor K, first scaled by a
-    power of two (`linalg.rescale`), so that p does not depend on rho's scale."""
+    power of two (`rho.scaled`), so that p does not depend on rho's scale."""
     check_state(rho, op.shape[0].bit_length() - 1)
-    k, _ = linalg.rescale(rho.factor.copy())
+    k, _ = rho.scaled
     p = linalg.squared_norm(op @ k) / linalg.squared_norm(k)
     return float(min(max(p, 0.0), 1.0))
 
@@ -411,10 +411,10 @@ def replay(
     """Deterministically walk a schedule along a fixed track, returning the
     stepwise conditional probabilities and the un-normalized final state;
     SemanticsError when the track's probability is 0 before its last bout.
-    rho = K K^dag is walked as 2^-e K (`linalg.rescale`), as in `sample`."""
+    rho = K K^dag is walked as 2^-e K (`rho.scaled`), as in `sample`."""
     _require_fit(c, x)
     assignment = f.as_dict()
-    k, e = linalg.rescale(rho.factor.copy())
+    k, e = rho.scaled
     probs: list[float] = []
     for t, bout in enumerate(x.bouts):
         before = linalg.squared_norm(k)
@@ -466,7 +466,7 @@ def sample(
     A live node holds the shots that took the same combinations so far; a
     bout's live nodes are expanded as one frontier (`_settle`), so each shot
     comes out as it would alone. rho = K K^dag is walked as 2^-e K
-    (`linalg.rescale`): a path with cumulative operator A holds A K, weighed
+    (`rho.scaled`): a path with cumulative operator A holds A K, weighed
     by ||A K||_F^2, and ends as a factored state times 2^e. Memory: the live
     nodes (one per returned state at most), and the children of FRONTIER_BYTES of them at a time."""
     check_state(rho, c.n_registers)
@@ -475,7 +475,7 @@ def sample(
     bouts = list(map(tuple, in_bout_order(c, x.bouts)))
     u = _uniforms(seeds, len(bouts))
     results: list = [None] * len(u)
-    k0, e = linalg.rescale(rho.factor.copy())  # so that no pick or weight depends on rho's scale
+    k0, e = rho.scaled  # so that no pick or weight depends on rho's scale
     floor = 1e-300 * linalg.squared_norm(k0)
     size = max(1, FRONTIER_BYTES // k0.nbytes)  # nodes expanded at a time
     # blocks of live nodes: (outcome codes, A K, step logs, shot indices), one row or item per node

@@ -3,15 +3,18 @@
 Circuit files carry the version tag "qcirc-1". Selector keys are
 comma-joined outcome labels in `controls` order; the empty string keys the
 no-controls case. Floats round-trip bit-exactly (shortest-repr decimals).
-Every JSON document qcirc writes goes through `dumps`.
+Every JSON document qcirc writes goes through `write`, in the pieces of
+`chunks`; `dumps` joins them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import math
+import os
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -157,20 +160,36 @@ def matrix_from_json(obj: dict, where: str = "<matrix>") -> np.ndarray:
 
 
 def dumps(obj) -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte, for dicts, lists, tuples,
-    str, int, float, bool and None. A 2-D `np.ndarray` is written as its
-    `matrix_to_json` object would be, formatted straight from the array.
+    """`json.dumps(obj, indent=2)`, byte for byte: the join of `chunks(obj)`."""
+    return "".join(chunks(obj))
+
+
+def write(obj, file) -> None:
+    """`dumps(obj)` and a newline, written to `file` chunk by chunk: a text
+    stream, or a path, opened (so truncated) only once every chunk is built,
+    so that a document that cannot be built writes no byte."""
+    pieces = chunks(obj)
+    with open(file, "w") if isinstance(file, (str, os.PathLike)) else contextlib.nullcontext(file) as f:
+        f.writelines(pieces)
+        f.write("\n")
+
+
+def chunks(obj) -> list[str]:
+    """The text of `json.dumps(obj, indent=2)` in pieces, for dicts, lists,
+    tuples, str, int, float, bool and None. A 2-D `np.ndarray` is written as
+    its `matrix_to_json` object would be, formatted straight from the array.
     Any other type raises TypeError, as `json` does.
 
     `json.dumps` with an indent never uses CPython's C encoder, so each float
     of a matrix would go through its pure-Python generator. `_with_entries`
     spells the floats of all matrices of the document in one array pass, and
-    writes each chunk of CHUNK entries that are all +0.0 as one shared string,
-    so the cost of a sparse matrix follows its nonzero entries."""
+    each chunk of CHUNK entries that are all +0.0 is one shared string, so the
+    cost of a sparse matrix follows its nonzero entries. The pieces are the
+    writer's own units, and none is as long as a document of many matrices."""
     out: list[str] = []
     matrices: list = []
     _write(obj, "\n", out, matrices)
-    return "".join(_with_entries(out, matrices) if matrices else out)
+    return _with_entries(out, matrices) if matrices else ["".join(out)]
 
 
 def _write(o, nl: str, out: list, matrices: list) -> None:
@@ -219,7 +238,7 @@ def _write(o, nl: str, out: list, matrices: list) -> None:
 
 
 def _with_entries(out: list, matrices: list) -> list:
-    """`out` with each recorded matrix's entries list spliced in, as tokens.
+    """`out` with each recorded matrix's entries list spliced in, as pieces.
 
     A matrix's (re, im) pairs are cut into chunks of CHUNK pairs, the last
     one possibly shorter. One array pass over the floats of all matrices
@@ -227,67 +246,55 @@ def _with_entries(out: list, matrices: list) -> list:
     aggregate operators): each is one shared `_zeros` string, held by
     reference. The floats of the other chunks, and only those, are
     classified in one more pass: +0.0 and -0.0 take constant strings, and
-    only the others are spelled, by `_spellings`. Per matrix, one object
-    array interleaves those spellings with the brackets, commas and indents
-    between them, and each run of such chunks is one slice of it. So the token count follows
-    the nonzero entries, and the document is joined once."""
-    sizes = [2 * m.size for _, m, _ in matrices]  # floats per matrix
+    only the others are spelled, by `_spellings`. One object array
+    interleaves those spellings with the brackets, commas and indents
+    between them, and the runs of consecutive chunks of one kind in one
+    matrix are found before the loop that makes one piece of each mixed run.
+    The structural text between two matrices' entries is one piece too."""
+    pairs = np.array([m.size for _, m, _ in matrices])
     floats = np.concatenate([_float_pairs(m).ravel() for _, m, _ in matrices])
-    starts: list[int] = []  # each chunk's first float
-    ends = []  # per matrix, the index of the chunk after its last
-    offset = 0
-    for n in sizes:
-        if n > 2 * CHUNK:
-            starts += range(offset, offset + n, 2 * CHUNK)
-        else:  # one chunk, as most small matrices are; appending is 4x cheaper than a range
-            starts.append(offset)
-        ends.append(len(starts))
-        offset += n
+    counts = -(-pairs // CHUNK)  # chunks per matrix
+    first = np.cumsum(counts) - counts  # each matrix's first chunk
+    lengths = np.full(first[-1] + counts[-1], CHUNK)  # pairs per chunk
+    lengths[first + counts - 1] = pairs - CHUNK * (counts - 1)
     # +0.0 is the one float whose bits are all 0: a chunk whose largest bit
     # pattern is 0 holds only +0.0 (a sum of the bits could wrap to 0)
-    mixed = np.maximum.reduceat(floats.view(np.uint64), starts) != 0
-    counts = sizes  # per matrix, the floats of its mixed chunks
+    mixed = np.maximum.reduceat(floats.view(np.uint64), 2 * (np.cumsum(lengths) - lengths)) != 0
+    opens = np.zeros(len(mixed), dtype=bool)
+    opens[first] = True
+    runs = np.flatnonzero(opens | np.concatenate(([False], mixed[1:] != mixed[:-1])))  # each run's first chunk
     if not mixed.all():
-        lengths = np.diff(starts, append=floats.size)
-        floats = floats[np.repeat(mixed, lengths)]
-        counts = np.add.reduceat(lengths * mixed, [0, *ends[:-1]]).tolist()
+        floats = floats[np.repeat(mixed, 2 * lengths)]
+    spans = np.add.reduceat(lengths * mixed, first)  # per matrix, the pairs of its mixed chunks
+    text = np.empty((floats.size // 2, 4), dtype=object)  # per pair: the text before re, re, before im, im
+    text[:, 0::2] = np.repeat(np.array([_marks(nl)[:2] for _, _, nl in matrices], dtype=object), spans, axis=0)
+    text = text.reshape(-1)
     nonzero = floats != 0.0
-    negative_zero = np.signbit(floats) & ~nonzero
-    signed = negative_zero.any()
-    spelled = _spellings(floats[nonzero])
-    del floats  # freed before the token list grows, so that the two never add up
-    flags = mixed.tolist()
-    tokens: list[str] = []
-    prev = start = done = first_chunk = 0
-    for (at, m, nl), n, end in zip(matrices, counts, ends):
-        i2, i3 = nl + "    ", nl + "      "
-        text = np.empty(2 * n, dtype=object)
-        text[0::4] = f"{i2}],{i2}[{i3}"
-        text[2::4] = "," + i3
-        entries = text[1::2]
-        entries.fill("0.0")
-        if signed:
-            entries[negative_zero[start : start + n]] = "-0.0"
-        spell_here = nonzero[start : start + n]
-        count = np.count_nonzero(spell_here)
-        entries[spell_here] = spelled[done : done + count]
-        tokens += out[prev:at]
-        first, left, pair = len(tokens), m.size, 0
-        for is_mixed, run in itertools.groupby(flags[first_chunk:end]):
-            span = min(CHUNK * len(list(run)), left)  # pairs in the run
-            if is_mixed:
-                tokens += text[4 * pair : 4 * (pair + span)].tolist()
-                pair += span
-            else:
-                tokens += [_zeros(nl, CHUNK)] * (span // CHUNK)
-                if span % CHUNK:
-                    tokens.append(_zeros(nl, span % CHUNK))
-            left -= span
-        tokens[first] = "[" + tokens[first][len(i2) + 2 :]  # the first pair opens the list
-        tokens.append(f"{i2}]{nl}  ]")
-        prev, start, done, first_chunk = at, start + n, done + count, end
-    tokens += out[prev:]
-    return tokens
+    entries = text[1::2]
+    entries.fill("0.0")
+    entries[np.signbit(floats) & ~nonzero] = "-0.0"
+    entries[nonzero] = _spellings(floats[nonzero])
+    del floats, nonzero  # freed before the pieces grow, so that the two never add up
+    pieces: list[str] = []
+    prev, pair, close, matrix = 0, 0, "", iter(matrices)
+    for opening, is_mixed, span in zip(opens[runs].tolist(), mixed[runs].tolist(),
+                                       np.add.reduceat(lengths, runs).tolist()):
+        if opening:  # the text up to the first pair's real part, in place of that pair's separator
+            at, _, nl = next(matrix)
+            pieces.append(close + "".join(out[prev:at]) + _marks(nl)[2])
+            prev, close = at, _marks(nl)[3]
+        if is_mixed:
+            pieces.append("".join(text[4 * pair + opening : 4 * (pair + span)].tolist()))
+            pair += span
+            continue
+        if opening:
+            pieces.append(_zeros(nl, min(span, CHUNK), True))
+            span -= min(span, CHUNK)
+        pieces += [_zeros(nl, CHUNK)] * (span // CHUNK)
+        if span % CHUNK:
+            pieces.append(_zeros(nl, span % CHUNK))
+    pieces.append(close + "".join(out[prev:]))
+    return pieces
 
 
 def _spellings(values: np.ndarray) -> np.ndarray:
@@ -305,11 +312,21 @@ def _spellings(values: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache
-def _zeros(nl: str, pairs: int) -> str:
-    """`pairs` entries (+0.0, +0.0) of a matrix whose object starts on a line
-    indented `nl`, each after the separator that closes the previous pair."""
+def _marks(nl: str) -> tuple[str, str, str, str]:
+    """The text around the entries of a matrix whose object starts on a line
+    indented `nl`: before a pair's real part, before its imaginary part,
+    before the first pair's real part, and after the last pair."""
     i2, i3 = nl + "    ", nl + "      "
-    return f"{i2}],{i2}[{i3}0.0,{i3}0.0" * pairs
+    return f"{i2}],{i2}[{i3}", "," + i3, f"[{i2}[{i3}", f"{i2}]{nl}  ]"
+
+
+@functools.lru_cache
+def _zeros(nl: str, pairs: int, first: bool = False) -> str:
+    """`pairs` entries (+0.0, +0.0) of a matrix whose object starts on a line
+    indented `nl`, each after the separator that closes the previous pair;
+    with `first`, the matrix's first pairs, the first without its separator."""
+    sep, re_im = _marks(nl)[:2]
+    return (f"{sep}0.0{re_im}0.0" * pairs)[len(sep) if first else 0 :]
 
 
 def _float(x: float) -> str:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -436,6 +437,27 @@ def test_cli_probabilities_do_not_depend_on_the_state_scale(tmp_path, capsys):
     assert taken.keys() == want.keys() and all(abs(taken[o] - want[o]) <= 1e-15 for o in want)
 
 
+def test_cli_ket_whose_trace_underflows(tmp_path, capsys):
+    """GHZ-2 on the ket (1e-170, 0, 0, 0), whose trace 1e-340 underflows to
+    0 though the ket is not zero: `aggregate --input` prints the
+    probabilities it prints at scale 1, and `run`, alone and with shots,
+    fails with `final state has zero trace`, since the final trace
+    underflows at the input's scale; neither writes stdout."""
+    circuit, ket = tmp_path / "ghz2.json", tmp_path / "ket.json"
+    circuit.write_text(serialize_circuit(ghz_circuit(2)))
+    ket.write_text(json.dumps({"ket": [[1e-170, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))
+    assert main(["aggregate", str(circuit), "--input", str(ket)]) == 0
+    half = 0.49999999999999994
+    assert [t["probability_on"] for t in out_json(capsys)["tracks"]] == [half, 0.0, 0.0, half]
+    for shots in [], ["--shots", "3"]:
+        assert main(["run", str(circuit), "--input", str(ket), "--seed", "1", *shots]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "severity": "error", "code": "semantic-error", "message": "final state has zero trace"
+        }
+
+
 def test_cli_aggregate_on_a_ket_builds_no_density_matrix(monkeypatch, capsys):
     """`aggregate --input` reads each probability off the ket itself: the
     loaded state's 2^n x 2^n `matrix` is never built."""
@@ -653,6 +675,33 @@ def test_cli_defer_whose_sidecar_cannot_be_written_leaves_no_circuit(tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("failing", ["circuit", "sidecar"])
+def test_cli_defer_whose_file_cannot_be_built_truncates_nothing(tmp_path, monkeypatch, capsys, failing):
+    """A `MemoryError` while a file's text is made (patched into the
+    writer's pieces) comes before that file is opened: an old file at `-o`
+    keeps its bytes when the circuit fails, and when the sidecar fails the
+    deferred circuit is removed with it. No sidecar is written either way."""
+    from qcirc import serialize
+
+    out = tmp_path / "out.json"
+    out.write_text("old")
+    built, chunks = [], serialize.chunks
+
+    def out_of_memory(obj):
+        built.append(obj)
+        if len(built) == ["circuit", "sidecar"].index(failing) + 1:
+            raise MemoryError()
+        return chunks(obj)
+
+    monkeypatch.setattr(serialize, "chunks", out_of_memory)
+    assert main(["defer", TELEPORT, "-o", str(out)]) == 1
+    assert _first_diag(capsys)["code"] == "too-large"
+    if failing == "circuit":
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"] and out.read_text() == "old"
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_diag_classically_controlled_measurement(tmp_path, capsys):
     """A measurement gate controlled by an earlier outcome cannot be deferred:
     one diagnostic naming the gate, and neither output file is written."""
@@ -820,6 +869,70 @@ def test_diag_too_large_on_memory_error(monkeypatch, capsys, message):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     diag = json.loads(captured.err)
     assert diag == {"severity": "error", "code": "too-large", "message": message or "out of memory"}
+
+
+def test_failing_aggregate_writes_no_stdout(tmp_path, monkeypatch, capsys):
+    """A failing `aggregate` writes no byte of its document: a state of the
+    wrong qubit count and a circuit past the track cap fail before any is
+    built, and a `MemoryError` while the document's text is made (patched
+    into the spelling of its floats) comes before its first piece is
+    written."""
+    from qcirc import semantics, serialize
+
+    circuit, ket = tmp_path / "ghz3.json", tmp_path / "ket.json"
+    circuit.write_text(serialize_circuit(ghz_circuit(3)))
+    ket.write_text(json.dumps({"ket": [[1.0, 0.0], [0.0, 0.0]]}))
+    assert main(["aggregate", str(circuit), "--input", str(ket)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "state has 1 qubits" in captured.err
+    with monkeypatch.context() as m:
+        m.setattr(semantics, "DEFAULT_TRACK_CAP", 1)
+        assert main(["aggregate", str(circuit)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["code"] == "semantic-error"
+
+    def out_of_memory(values):
+        raise MemoryError()
+
+    monkeypatch.setattr(serialize, "_spellings", out_of_memory)
+    assert main(["aggregate", str(circuit)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["code"] == "too-large"
+
+
+class _LongestPiece:
+    """A text stream that discards what it is given, keeping the length of
+    the longest string and the total."""
+
+    def __init__(self):
+        self.longest = self.chars = 0
+
+    def write(self, text):
+        self.longest, self.chars = max(self.longest, len(text)), self.chars + len(text)
+
+    def writelines(self, pieces):
+        for text in pieces:
+            self.write(text)
+
+
+def test_cli_ghz6_aggregate_is_written_in_small_pieces(tmp_path, monkeypatch):
+    """GHZ-6 `aggregate --input` from |0...0>, a 14.5 MiB document, through
+    `cli.main` into a stream that discards it: the tracemalloc peak stays
+    at most 12 MiB, and no string handed to the stream passes 64 KiB."""
+    circuit, ket = tmp_path / "ghz6.json", tmp_path / "ket.json"
+    circuit.write_text(serialize_circuit(ghz_circuit(6)))
+    ket.write_text(json.dumps({"ket": [[1.0, 0.0]] + [[0.0, 0.0]] * 63}))
+    sink = _LongestPiece()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["aggregate", str(circuit), "--input", str(ket)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 14 * 2**20
+    assert peak <= 12 * 2**20
+    assert sink.longest <= 64 * 2**10
 
 
 def test_cli_gate_ids_must_be_strings(tmp_path, capsys):
@@ -1205,6 +1318,16 @@ def test_aggregate_scale_runs():
     (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
     assert line["n"] == 3 and line["tracks"] == 8
     assert line["seconds"] >= 0 and line["peak_mib"] > 0
+
+
+def test_aggregate_scale_cli_runs():
+    """`--cli` runs `qcirc aggregate --input` on GHZ-3 into /dev/null and
+    reports the call's seconds and page faults and the process's peak RSS."""
+    proc = run_script("aggregate_scale.py", "3", "--cli")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert line["n"] == 3 and line["rc"] == 0
+    assert line["seconds"] >= 0 and line["maxrss_mib"] > 0 and line["minflt"] >= 0
 
 
 @pytest.mark.parametrize(

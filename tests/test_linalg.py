@@ -37,6 +37,7 @@ from qcirc.linalg import (
     partial_trace_matrix,
     qubits,
     reindex,
+    squared_norm,
     tensor,
     trace,
 )
@@ -413,15 +414,33 @@ def test_density_operator_accepts_unnormalized():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(-530, 500), st.integers(0, 2**32 - 1))
+@given(st.integers(-1021, 500), st.integers(0, 2**32 - 1))
 @example(-530, 0)
+@example(-1021, 0)
 def test_normalized_state_does_not_depend_on_its_scale(k, seed):
-    """A factor K of entries of magnitude in [1/2, 1), scaled by 2^k: every
-    bit of the normalized state is K's, even where K K^dag underflows."""
+    """A factor K whose real and imaginary parts have magnitudes in [1/2, 1),
+    scaled by 2^k: every bit of the normalized state is K's, even where
+    K K^dag underflows, and where ||K||^2 does (k below -537), down to the
+    least k at which the parts stay normal."""
     rng = np.random.default_rng(seed)
-    k0 = rng.uniform(0.5, 1.0, (4, 2)) * np.exp(2j * np.pi * rng.random((4, 2)))
+    k0 = rng.choice([-1.0, 1.0], (2, 4, 2)) * rng.uniform(0.5, 1.0, (2, 4, 2))
+    k0 = k0[0] + 1j * k0[1]
     base = DensityOperator(2, factor=k0).normalized()
     assert DensityOperator(2, factor=k0 * 2.0**k).normalized().tobytes() == base.tobytes()
+
+
+def test_factor_whose_trace_underflows_is_a_state():
+    """Only a zero factor has zero trace: the ket (1e-170, 0), whose
+    ||K||^2 = 1e-340 underflows to 0, is a state, and `scaled` is its factor
+    times a power of two whose trace is a normal float."""
+    rho = DensityOperator.from_ket(np.array([1e-170, 0.0]))
+    assert squared_norm(rho.factor) == 0.0
+    k, e = rho.scaled
+    assert np.array_equal(np.ldexp(k.real, e), rho.factor.real) and squared_norm(k) >= np.finfo(float).tiny
+    assert not k.flags.writeable
+    assert np.array_equal(rho.normalized(), np.diag([1.0, 0.0]))
+    with pytest.raises(LinalgError, match="zero trace"):
+        DensityOperator.from_ket(np.array([0.0, -0.0]))
 
 
 def test_density_operator_rejects_invalid():

@@ -450,11 +450,14 @@ def test_replay_telescopes(teleport, bell_input):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(-530, 500))
+@given(st.integers(-1020, 500))
 @example(-530)
+@example(-1020)
 def test_replay_does_not_depend_on_the_input_scale(k):
     """The probe's input scaled by 2^k gives the same probabilities, bit for
-    bit, and the final state times 4^k, where its entries stay normal."""
+    bit, and the final state times 4^k, where its entries stay normal; down
+    to k = -1020, the least at which the input's nonzero parts are normal,
+    though its trace underflows below k = -537."""
     c = h_then_measure_circuit([0, 1])
     x, f = greedy_schedule(c), Track.from_mapping({"m0": "0", "m1": "1"})
     probs, final = replay(c, x, f, DensityOperator.from_ket(SCALE_KET))
@@ -849,8 +852,10 @@ def times_power_of_two(k, e):
 @pytest.mark.parametrize("corpus_seed", range(6))
 def test_probabilities_and_shots_do_not_depend_on_the_state_scale(corpus_seed):
     """A ket or a rank-r factor (not C-contiguous) times s = 2^e, for every e
-    at which the loader accepts it: `probability_on` is the one at s = 1, bit
-    for bit. Wherever the final states' traces stay normal floats, so are
+    at which a part of it is nonzero, each accepted: `probability_on` is in
+    [0, 1], and wherever K's nonzero parts stay normal floats (far below the
+    e near -537 at which ||K||^2 underflows) it is the one at s = 1, bit for
+    bit. Wherever the final states' traces stay normal floats, so are
     `sample`'s tracks and step logs, and each final factor is s times the one
     at s = 1 exactly; so is each `final_state_raw` s^2 times, wherever the
     products that form it stay normal too."""
@@ -869,14 +874,22 @@ def test_probabilities_and_shots_do_not_depend_on_the_state_scale(corpus_seed):
         except linalg.LinalgError:
             pass
     assert [e for e, _ in accepted] == list(range(accepted[0][0], accepted[-1][0] + 1))
+    k_parts = np.abs(np.ravel([k.real, k.imag]))
+    assert accepted[0][0] == -1074 - np.frexp(k_parts.max())[1]  # the least e at which a part is nonzero
+    normal = -1021 - np.frexp(k_parts[k_parts > 0].min())[1]  # the least e at which every nonzero part is normal
     base = DensityOperator(n, factor=k)
     probs, shots = [probability_on(a, base) for a in ops], sample(c, x, base, seeds)
     parts = np.abs(np.concatenate([np.ravel([v.final_state.factor.real, v.final_state.factor.imag]) for v in shots]))
     least = parts[parts > 0].min()  # the smallest nonzero part of a final factor at s = 1
     trace = min(linalg.squared_norm(v.final_state.factor) for v in shots)
     tiny, raw_checked = np.finfo(float).tiny, 0
-    for e, rho in accepted[::29] + accepted[-1:]:
-        assert [probability_on(a, rho) for a in ops] == probs
+    at_normal = [(e, rho) for e, rho in accepted if e in (normal, normal + 1)]
+    for e, rho in accepted[::29] + at_normal + accepted[-1:]:
+        got = [probability_on(a, rho) for a in ops]
+        assert all(0.0 <= p <= 1.0 for p in got)
+        if e < normal:
+            continue
+        assert got == probs
         if np.ldexp(trace, 2 * e) < tiny:
             continue
         for a, b in zip(sample(c, x, rho, seeds), shots):

@@ -1,7 +1,8 @@
-"""`serialize.dumps` against `json.dumps(..., indent=2)`, the encoding it
-replaces, `matrix_to_json` against its per-entry definition, and circuit files
-against both."""
+"""`serialize.dumps` and `serialize.write` against `json.dumps(...,
+indent=2)`, the encoding they replace, `matrix_to_json` against its per-entry
+definition, and circuit files against both."""
 
+import io
 import json
 import math
 import tracemalloc
@@ -23,7 +24,7 @@ from qcirc.circuit import CircuitError
 from qcirc.deferral import defer_measurements
 from qcirc.linalg import DensityOperator
 from qcirc.scheduling import Schedule
-from qcirc.serialize import CHUNK, dumps, matrix_to_json, schedule_to_json, serialize_circuit
+from qcirc.serialize import CHUNK, chunks, dumps, matrix_to_json, schedule_to_json, serialize_circuit, write
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]
 ESCAPED = ["", '"', "\\", "/", "\n\r\t\b\f", "\x00\x1f\x7f", "é", " ", "😀", 'a"b\\c']
@@ -366,6 +367,33 @@ def test_dumps_lone_float_at_each_chunk_end_matches_json(pairs, lone):
             m = _shaped(parts, pairs, 1, view)
             doc = {"m": m, "deep": [{"m": m}], "row": m.reshape(1, pairs)}
             assert dumps(doc) == json.dumps(_with_matrix_objects(doc), indent=2)
+
+
+def _written(doc) -> str:
+    stream = io.StringIO()
+    write(doc, stream)
+    return stream.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(values | documents() | sparse_documents() | st.just({"tracks": []}))
+def test_write_matches_json(doc):
+    """`write` to a text stream is `json.dumps(..., indent=2)` and a newline,
+    byte for byte: documents without matrices (one piece), empty track lists,
+    NaN and +-inf, -0.0, subnormals, several matrices and chunk edges."""
+    assert _written(doc) == json.dumps(_with_matrix_objects(doc), indent=2) + "\n"
+
+
+def test_chunks_of_a_document_without_matrices_are_one_piece():
+    assert chunks({"tracks": [], "x": [1.5, None, "a"]}) == [json.dumps({"tracks": [], "x": [1.5, None, "a"]}, indent=2)]
+
+
+def test_ghz6_aggregate_pieces_are_the_writers_units(ghz6_aggregate):
+    """Each all-+0.0 chunk of the GHZ-6 document is one shared string, and
+    no piece passes 64 KiB."""
+    pieces = chunks(ghz6_aggregate)
+    assert "".join(pieces) + "\n" == _written(ghz6_aggregate)
+    assert len({id(p) for p in pieces}) < len(pieces) / 10 and max(map(len, pieces)) <= 64 * 2**10
 
 
 def test_dumps_ghz6_aggregate_peak_memory_above_text(ghz6_aggregate):
