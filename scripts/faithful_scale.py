@@ -13,9 +13,10 @@ the check on N random pure inputs (seed 0). Each method is run twice: once
 untraced for its wall time, once under `tracemalloc` for its peak. One JSON
 line per method gives the circuit, K, the target's register count, the
 number of source tracks checked, the seconds, the peak in MiB, the verdict,
-and `walk_seconds`: the untraced time of the checker's source walk,
-`track_operators(source, psi)` for the method's inputs psi (I for the exact
-check), on a fresh validated copy of the source.
+and `walk_seconds`: the untraced time of the checker's own source walk,
+`deferral._source_walk(source, psi)` (the source's code rows and its track
+operators on psi, stacked in code-row order) for the method's inputs psi (I
+for the exact check), on a fresh validated copy of the source.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from corpus import feed_forward_circuit, parity_circuit
 from qcirc.circuit import QuantumCircuit, check_valid
-from qcirc.deferral import check_faithful, defer_measurements, random_pure_inputs
-from qcirc.semantics import track_operators
+from qcirc.deferral import _source_walk, check_faithful, defer_measurements, random_pure_inputs
 
 
 def measure(c, result, inputs) -> dict:
@@ -51,7 +51,7 @@ def measure(c, result, inputs) -> dict:
     source = check_valid(QuantumCircuit(c.register_names, c.gates))
     psi = np.eye(2**c.n_registers, dtype=complex) if inputs is None else np.stack(inputs, axis=1)
     start = time.perf_counter()
-    track_operators(source, psi)
+    _source_walk(source, psi)
     walk_seconds = time.perf_counter() - start
     return {
         "method": report.method,

@@ -33,7 +33,8 @@ from .circuit import (
     topo_order,
     unitary_gate,
 )
-from .semantics import Track, _uniforms, track_operators, track_rows
+from .scheduling import greedy_schedule
+from .semantics import Track, _row_keys, _run, _uniforms, _walk_plan, track_rows
 from .serialize import ParseError
 
 
@@ -85,17 +86,35 @@ class Commensuration:
     def identity(cls, c: QuantumCircuit) -> "Commensuration":
         return cls({g.id: g.id for g in c.gates if g.is_measure})
 
+    def _image(self, gid: str, label: str) -> Optional[tuple[str, str]]:
+        """The target (gate id, label) of source gate `gid`'s `label`; None if `gid` is absorbed."""
+        return None if gid in self.absorbed else (self.gates[gid], self.labels.get(gid, {}).get(label, label))
+
     def translate(self, f: Track) -> Optional[Track]:
         """The deferred-circuit track identified with `f`, or None when `f`
         gives one target gate two labels (a probability-zero source track)."""
         out: dict[str, str] = {}
-        for gid, label in f.outcomes:
-            if gid in self.absorbed:
-                continue
-            label = self.labels.get(gid, {}).get(label, label)
-            if out.setdefault(self.gates[gid], label) != label:
+        for gid, label in filter(None, itertools.starmap(self._image, f.outcomes)):
+            if out.setdefault(gid, label) != label:
                 return None
         return Track.from_mapping(out)
+
+    def _translate_codes(self, source: semantics._Plan, target: semantics._Plan, codes: np.ndarray):
+        """`translate` on code rows of `source`, one pass over the rows per
+        source column: the images as `target` code rows, and whether each row
+        is translatable. A label the target gate lacks gets its own code past
+        the gate's labels, so two such labels on one gate conflict; it, like
+        a target column that no source column reaches (-1), matches no row."""
+        out, ok, index = np.full((len(codes), len(target.labels) + 1), -1), np.ones(len(codes), dtype=bool), {}
+        for gid, j in source.column.items():
+            images = [self._image(gid, label) for label in source.labels[j].tolist()]
+            if images[0] is not None:  # not absorbed
+                col = target.column[images[0][0]]
+                labels = index.setdefault(col, dict(target.index[col]))  # and the lacking labels seen so far
+                v = np.array([labels.setdefault(b, len(labels)) for _, b in images])[codes[:, j]]
+                ok &= (out[:, col] < 0) | (out[:, col] == v)
+                out[:, col] = v
+        return out, ok
 
     def to_json(self) -> dict:
         return {
@@ -391,16 +410,17 @@ def check_faithful(
     A psi psi^dag A^dag iff every V_a psi = c_a A psi with sum |c_a|^2 = 1.
     Basis inputs alone cannot see a lost phase.
 
-    The check holds the source's Tracks and their operators on psi, stacked
-    in one array, and walks the target once, on its ancilla-zero columns
-    only, through `track_rows`: a terminal-form target is one piece,
-    W = U (I (x) |0>) psi with its rows grouped by track, and any other
-    target gives one piece per leaf. Each piece's (target track, source
-    track) pairs are compared at most `semantics.FRONTIER_BYTES` at a time
-    (`_piece_failures`). Failures come by input, then source tracks, then
-    unmatched target tracks, each in (gate id, label) order. An input's scale
-    (`linalg.rescale`) changes no report byte. An image the walk never
-    produces raises DeferralError."""
+    A track is named by its row of outcome codes. The source walk
+    (`_source_walk`) fills one stack of A psi in code-row order, which is
+    (gate id, label) order; `zeta` translates every row at once
+    (`Commensuration._translate_codes`), and the images are matched to the
+    target's rows by sorting. The target is walked once, on its ancilla-zero
+    columns only, through `track_rows`: one piece W = U (I (x) |0>) psi for
+    a terminal-form target, else one per leaf (`_piece_failures`). A `Track`
+    is built only for a failure, or for the DeferralError of an image the
+    walk never produces. Failures come by input, then source tracks, then
+    unmatched target tracks, each in (gate id, label) order; an input's
+    scale (`linalg.rescale`) changes no report byte."""
     if not (math.isfinite(tol) and tol >= 0):
         raise DeferralError(f"tolerance must be finite and at least 0, got {tol}")
     nc, nd = c.n_registers, d.n_registers
@@ -425,27 +445,43 @@ def check_faithful(
             raise DeferralError(f"input {i} has zero or non-finite norm")
         v, _ = linalg.rescale(v)  # by a power of two, so that v's scale changes no bit of psi
         psi[:, i] = v / np.linalg.norm(v)
-    sources = track_operators(c, psi)
-    src = np.array([a for _, a in sources]).reshape(-1, *psi.shape)  # A_f psi, stacked
-    sources = [f for f, _ in sources]  # the Tracks alone beside src
+    plan, target = semantics._plan(c), semantics._plan(d)
+    codes, src = _source_walk(c, psi)
+    step = max(1, semantics.FRONTIER_BYTES // src[0].nbytes)  # tracks summed at a time
+    p = np.concatenate([np.sum(a.real**2 + a.imag**2, axis=1) for a in np.split(src, range(step, len(src), step))])
     cols = [None] if inputs is None else list(range(len(inputs)))  # the inputs compared; None: all at once
-    pc = _columns(np.sum(src.real**2 + src.imag**2, axis=1), cols)  # each source track's weight per column
-    preimages: dict = {}  # image under zeta (None: untranslatable) -> positions of its source tracks
-    for j, f in enumerate(sources):
-        preimages.setdefault(zeta.translate(f), []).append(j)
+    pc = _columns(p, cols)  # each source track's weight per column
+    images, left = zeta._translate_codes(plan, target, codes)  # left: translatable and not yet matched
     failures = {}  # (input, 0, source position) or (input, 1, target sort key) -> failure, in report order
-    for j in preimages.pop(None, []):
-        for q in np.flatnonzero(pc[j] > tol).tolist():
-            failures[cols[q], 0, j] = _failure("untranslatable-track-probability", cols[q], sources[j], mass=pc[j, q])
+    for j, q in np.argwhere(~left[:, None] & (pc > tol)).tolist():
+        failures[cols[q], 0, j] = _failure("untranslatable-track-probability", cols[q], plan, codes[j], mass=pc[j, q])
+    by = np.flatnonzero(left)[np.argsort(_row_keys(images[left]), kind="stable")]  # translatable, by image
+    images = _row_keys(images[by])
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
-    for piece in track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None])):
-        failures.update(_piece_failures(*piece, sources, src, pc, preimages, cols, tol))
-    if preimages:  # images that the walk never produced
-        first = sources[min(min(js) for js in preimages.values())]
+    rows, pieces = track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None]))
+    source, preimages = (plan, codes, src, pc), (images, by, left)
+    for w, group, keys in pieces:
+        failures.update(_piece_failures(w, group, keys, target, rows, source, preimages, cols, tol))
+    if left.any():  # images that the walk never produced
+        first = plan.tracks(codes[left][:1])[0]
         raise DeferralError(f"translated track {zeta.translate(first).as_dict()} is not a track of the target")
     failures = [failures[k] for k in sorted(failures)]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
-    return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(sources), method)
+    return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(codes), method)
+
+
+def _source_walk(c: QuantumCircuit, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The source's tracks from psi: their code rows in code-row order, which
+    is (gate id, label) order, and their A psi in one stack, into which each
+    leaf of the walk (`_walk_plan`, `_run`) is written as it comes."""
+    moves, codes, t = _walk_plan(c, greedy_schedule(c).bouts, psi)
+    order = np.argsort(_row_keys(codes))
+    codes, position = codes[order], np.argsort(order)  # position: of each leaf among the tracks
+    src = np.empty((len(codes), *psi.shape), dtype=complex)
+    for block in _run(moves, t):
+        src[position[: len(block)]] = block
+        position = position[len(block) :]
+    return codes, src
 
 
 def _columns(p: np.ndarray, cols: list) -> np.ndarray:
@@ -465,11 +501,14 @@ def _row_sums(index: np.ndarray, x: np.ndarray, count: int, width: int) -> np.nd
     return sums.reshape(count, q).view(x.dtype)
 
 
-def _piece_failures(w, group, tracks, sources, src, pc, preimages, cols, tol) -> dict:
-    """The failures, keyed as in `check_faithful`, of the target tracks of a
-    `track_rows` piece and of the source tracks, `sources[j]` with A psi =
-    src[j] and weights pc[j] per column of `cols`, whose positions they pop
-    from `preimages`. w = B (I (x) |0>) psi; principal registers come first,
+def _piece_failures(w, group, keys, target, target_rows, source, preimages, cols, tol) -> dict:
+    """The failures, keyed as in `check_faithful`, of a `track_rows` piece
+    of the target, whose track k has code row target_rows[keys[k]], and of
+    the source tracks matched to it: the positions j in `by` whose image key,
+    in the sorted `images`, equals that row's (`_row_keys`), which `left`
+    then loses. Source track j has code row codes[j], A psi = src[j] and
+    weights pc[j] per column of `cols`; the plans `plan` and `target` build
+    a failure's `Track`. w = B (I (x) |0>) psi; principal registers come first,
     so row x * 2^n_anc + a is <x a|. A cell is a track's rows for one a. Each
     sum within a cell has the cell's fixed shape, and sums across rows or
     cells run in their order (`_row_sums`), so a general leaf (one track,
@@ -484,21 +523,22 @@ def _piece_failures(w, group, tracks, sources, src, pc, preimages, cols, tol) ->
     and the residual |V|^2 - sum |c_a|^2 |A|^2, which is sum |V_a - c_a A|^2
     for least-squares c_a. The exact check's one column takes each inner
     product over all of psi = I at once; an input column, over its own."""
+    (plan, codes, src, pc), (images, by, left), tracks = source, preimages, target_rows[keys]
     rows, m = w.shape
     nx = src.shape[1]
     na = (rows // nx).bit_length() - 1
     group = np.zeros(rows, dtype=np.intp) if group is None else group
     pd = _columns(_row_sums(group, w.real**2 + w.imag**2, len(tracks), m), cols)  # each target track's weight
-    out, pairs = {}, []
-    for k, (key, g) in enumerate(tracks):
-        js = preimages.pop(g, [])
-        pairs += [(k, j) for j in js]
-        if not js:
-            for q in np.flatnonzero(pd[k] > tol).tolist():
-                out[cols[q], 1, key] = _failure("unmatched-target-track", cols[q], g, mass=pd[k, q])
-    if not pairs:
+    lo, hi = (np.searchsorted(images, _row_keys(tracks), side) for side in ("left", "right"))
+    hits = hi - lo  # target track k's source tracks are by[lo[k] : hi[k]]
+    out = {}
+    for k, q in np.argwhere((hits == 0)[:, None] & (pd > tol)).tolist():
+        out[cols[q], 1, int(keys[k])] = _failure("unmatched-target-track", cols[q], target, tracks[k], mass=pd[k, q])
+    if not hits.any():
         return out
-    kk, jj = np.array(pairs).T
+    kk = np.repeat(np.arange(len(hits)), hits)
+    jj = by[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())]
+    left[jj] = False
     js, mass, image = jj.tolist(), pc[jj], np.empty((len(kk), len(cols)))
     # the piece's cells (target track k, ancilla state a), sorted; track k's are cells[first[k] : first[k + 1]]
     cells = np.sort(group * 2**na + (np.arange(rows) & (2**na - 1)))
@@ -519,14 +559,15 @@ def _piece_failures(w, group, tracks, sources, src, pc, preimages, cols, tol) ->
     residual = np.maximum(pd[kk] - image, 0.0)
     for q, i in np.argwhere((residual > tol) | (abs(image - mass) > tol)).tolist():
         out[cols[i], 0, js[q]] = _failure(
-            "operator-mismatch" if cols[i] is None else "state-mismatch", cols[i], sources[js[q]],
+            "operator-mismatch" if cols[i] is None else "state-mismatch", cols[i], plan, codes[js[q]],
             residual=residual[q, i], source_mass=mass[q, i], target_mass=image[q, i] + residual[q, i])
     return out
 
 
-def _failure(kind: str, i: Optional[int], f: Track, **weights) -> dict:
-    """Track f's failure in the exact check (i is None), where its weights
-    are masses, or on input i, where they are probabilities."""
+def _failure(kind: str, i: Optional[int], plan: semantics._Plan, row: np.ndarray, **weights) -> dict:
+    """The failure of the track of `plan`'s code row `row`, built here as a
+    `Track`, in the exact check (i is None), where its weights are masses,
+    or on input i, where they are probabilities."""
     at = {} if i is None else {"input": i}
     named = {k if i is None else k.replace("mass", "probability"): float(x) for k, x in weights.items()}
-    return {"kind": kind, **at, "track": f.as_dict(), **named}
+    return {"kind": kind, **at, "track": plan.tracks(row[None])[0].as_dict(), **named}

@@ -5,18 +5,18 @@ Post-measurement states are kept un-normalized; normalization happens only
 when sampling or reporting.
 
 Every walk, the sampler's included, is one breadth-first frontier walk
-over the circuit's compiled `_Plan`: a stack of states with a row of integer
-outcome codes each, and each gate's selected operators applied once to all
-the states that select them, through the one kernel `linalg.apply` on
-the stack that `linalg.operators` checks; each bout is walked in
-`scheduling.in_bout_order`. The tracks are counted on the codes before any
-operator is applied. A circuit in terminal form, whose unitaries all precede
-its standard-basis measurements (every circuit `defer` rewrites, and
-GHZ-style circuits), is by the deferred-measurement principle one unitary U
-followed by a measurement in the standard basis: `track_rows` applies only
-its plan's unitary moves, to t0 alone, and each track is the rows of U @ t0
-that its labels select, its basis index over a measurement's registers
-read by `linalg.reindex`.
+over the circuit's compiled `_Plan`: a stack of states, each named by its
+row of integer outcome codes, and each gate's selected operators applied
+once to all the states that select them (`linalg.apply`); each bout is
+walked in `scheduling.in_bout_order`, and the tracks are counted on the
+codes before any operator is applied. A code row is a track's one identity:
+`track_rows` and the faithfulness checker match tracks by code rows, and a
+`Track` is built only for a public return value or a report. A circuit in
+terminal form, whose unitaries all precede its standard-basis measurements
+(every circuit `defer` rewrites, and GHZ-style circuits), is by the
+deferred-measurement principle one unitary U followed by a standard-basis
+measurement: `track_rows` applies only its unitary moves, to t0 alone, and
+each track is the rows of U @ t0 that its labels select (`linalg.reindex`).
 """
 
 from __future__ import annotations
@@ -155,14 +155,18 @@ class _Plan:
     def labels_of(self, codes: np.ndarray, columns) -> list[tuple]:
         return list(zip(*(self.labels[j][codes[:, j]].tolist() for j in columns))) if columns else [()] * len(codes)
 
-    def tracks(self, codes: np.ndarray) -> list[tuple]:
-        """(key, track) per row of codes that labels every measurement, the
-        key the row's rank among the rows sorted by code (one `np.lexsort`),
-        which is their tracks' (gate id, label) order."""
-        key = np.empty(len(codes), dtype=np.intp)
-        key[np.lexsort(codes.T[::-1])] = np.arange(len(codes))
+    def tracks(self, codes: np.ndarray) -> list[Track]:
+        """The track of each row of codes that labels every measurement."""
         pairs = zip(*(table[codes[:, j]].tolist() for j, table in enumerate(self.pairs)))
-        return list(zip(key.tolist(), map(Track, pairs) if self.pairs else [Track(())] * len(codes)))
+        return list(map(Track, pairs)) if self.pairs else [Track(())] * len(codes)
+
+
+def _row_keys(codes: np.ndarray) -> np.ndarray:
+    """Each code row as one scalar, the big-endian bytes of its codes + 1,
+    which are equal as the rows are and sort as their tracks do: no code is
+    below -1, so each is a nonnegative number whose bytes sort as it does."""
+    x = (codes + 1).astype(">i8")
+    return x.view(f"V{x.itemsize * x.shape[1]}")[:, 0]
 
 
 def _plan(c: QuantumCircuit) -> _Plan:
@@ -301,27 +305,28 @@ def bout_operator(
 
 
 def track_rows(c: QuantumCircuit, t0: np.ndarray):
-    """The walk's leaves from t0 as row groups: pieces (w, group, tracks) in
-    which track k, tracks[k] = (key, f), holds A_f @ t0 = w with the rows r
-    where group[r] != k zeroed; group is None when every track is all of w.
-    Every circuit starts from one `_walk_plan` over greedy order, which
-    counts the tracks (labels sorted, the cap checked) and checks t0 before
-    any operator is applied; tracks come in its walk order.
+    """The walk from t0 as (codes, pieces): codes holds the code row of each
+    track, in (gate id, label) order (`_row_keys`), and in each row group
+    (w, group, keys) of `pieces`, track k, codes[keys[k]], holds A_f @ t0 = w
+    with the rows r where group[r] != k zeroed; group is None when every
+    track is all of w. No `Track` is built. Every circuit starts from one
+    `_walk_plan` over greedy order, which counts the tracks and checks t0
+    before any operator is applied; pieces come in its walk order.
 
     A circuit in terminal form (`QuantumCircuit._terminal`) is one piece:
     w = U @ t0, the plan's unitary moves run on t0 alone, and group[r] the
     track whose labels select row r (`_row_tracks`), so its tracks partition
     w's rows (the product of the label sets, incoherent tracks included).
     Any other circuit gives one piece per leaf of the walk (`_run`), in
-    depth-first leaf order."""
+    depth-first leaf order, as the walk goes."""
     moves, codes, t = _walk_plan(c, greedy_schedule(c).bouts, t0)
-    tracks = _plan(c).tracks(codes)
+    order = np.argsort(_row_keys(codes))
+    keys = np.argsort(order)  # of each leaf, in walk order, among the tracks
     if not c._terminal:
         leaves = itertools.chain.from_iterable(_run(moves, t))
-        yield from ((leaf, None, [track]) for leaf, track in zip(leaves, tracks))
-        return
+        return codes[order], zip(leaves, itertools.repeat(None), keys[:, None])
     w = next(_run([move for move in moves if move[0].column < 0], t))[0]
-    yield w, _row_tracks(c, moves, len(w)) if len(tracks) > 1 else None, tracks
+    return codes[order], [(w, _row_tracks(c, moves, len(w)) if len(codes) > 1 else None, keys)]
 
 
 def _row_tracks(c: QuantumCircuit, moves: list, rows: int) -> np.ndarray:
@@ -339,12 +344,15 @@ def _row_tracks(c: QuantumCircuit, moves: list, rows: int) -> np.ndarray:
 
 def walk_tracks(c: QuantumCircuit, t0: np.ndarray):
     """(key, f, A_f @ t0) for every coherent track f in `track_rows` order,
-    each a full block: a terminal-form track is its rows of U @ t0 and zeros."""
-    for w, group, tracks in track_rows(c, t0):
-        blocks = [w] * len(tracks) if group is None else np.zeros((len(tracks), *w.shape), dtype=complex)
+    each a full block: a terminal-form track is its rows of U @ t0 and zeros.
+    The key is f's position in (gate id, label) order."""
+    codes, pieces = track_rows(c, t0)
+    tracks = _plan(c).tracks(codes)
+    for w, group, keys in pieces:
+        blocks = [w] * len(keys) if group is None else np.zeros((len(keys), *w.shape), dtype=complex)
         if group is not None:
             blocks[group, np.arange(len(w))] = w  # row r into the block of track group[r]
-        yield from ((key, f, t) for (key, f), t in zip(tracks, blocks))
+        yield from ((k, tracks[k], t) for k, t in zip(keys.tolist(), blocks))
 
 
 def track_operators(c: QuantumCircuit, t0: np.ndarray) -> list[tuple[Track, np.ndarray]]:
@@ -356,7 +364,7 @@ def enumerate_tracks(c: QuantumCircuit) -> list[Track]:
     """All coherent tracks in (gate id, label) order: the walk's outcome
     codes from a block of no columns, to which no operator is applied."""
     codes = _walk_plan(c, greedy_schedule(c).bouts, np.zeros((2**c.n_registers, 0)))[1]
-    return [f for _, f in sorted(_plan(c).tracks(codes))]
+    return _plan(c).tracks(codes[np.argsort(_row_keys(codes))])
 
 
 def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
@@ -488,7 +496,7 @@ def sample(
                      for a in range(0, len(block[0]), size)]
     for codes, states, logs, shots in live:
         states, _ = linalg.rescale(states, -e)
-        for (_, track), k, log, mine in zip(plan.tracks(codes), states, logs, shots):
+        for track, k, log, mine in zip(plan.tracks(codes), states, logs, shots):
             if linalg.squared_norm(k) <= math.ldexp(floor, 2 * e):  # the floor at rho's scale, 0 where that underflows
                 raise SemanticsError("final state has zero trace")
             result = RunResult(track, linalg.DensityOperator(c.n_registers, factor=k), log)

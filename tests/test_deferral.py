@@ -40,6 +40,7 @@ from qcirc.deferral import (
     random_pure_inputs,
     red_gates,
 )
+from qcirc import semantics
 from qcirc.linalg import CNOT, H, X, Z
 from qcirc.semantics import Track, aggregate_measurement, enumerate_tracks
 from qcirc.serialize import dumps, serialize_circuit
@@ -971,3 +972,78 @@ def test_translated_track_missing_from_target_raises(inputs):
     zeta = Commensuration({"m": "m"}, {"m": {"0": "x"}})
     with pytest.raises(DeferralError, match=r"translated track .*'x'.* is not a track of the target"):
         check_faithful(c, c, zeta, inputs)
+
+
+@pytest.mark.parametrize("inputs", [None, [np.array([1.0, 0.0])]], ids=["exact", "one-input"])
+def test_target_measurement_that_no_source_gate_maps_to_raises(inputs):
+    """A target that adds a measurement m2, which no source measurement maps
+    to: no translated track labels m2, so none is a track of the target, and
+    the first source track is named."""
+    c = h_then_measure()
+    d = QuantumCircuit(("q0", "a"), c.gates + (standard_measure_gate("m2", 1),))
+    with pytest.raises(DeferralError) as error:
+        check_faithful(c, d, Commensuration.identity(c), inputs)
+    assert str(error.value) == "translated track {'m': '0'} is not a track of the target"
+
+
+def perturbed_sidecar(c, d, zeta, kind, rng) -> Commensuration:
+    """`zeta` unchanged, or with one perturbation: a source measurement
+    relabelled onto random labels of its target gate; one more gate absorbed;
+    two source measurements sent to one target gate with random labels of it,
+    which can conflict; or two sent to one target gate with labels x and y,
+    which it lacks and which conflict when they differ."""
+    gates, labels, absorbed = dict(zeta.gates), {g: dict(t) for g, t in zeta.labels.items()}, set(zeta.absorbed)
+    measures = [g for g in c.gates if g.is_measure and g.id not in absorbed]
+    targets = [g for g in d.gates if g.is_measure]
+    pick = lambda options: str(options[int(rng.integers(len(options)))])  # noqa: E731
+    if kind == "relabel" and measures:
+        g = measures[int(rng.integers(len(measures)))]
+        labels[g.id] = {lab: pick(d.gate(gates[g.id]).outcome_labels) for lab in g.outcome_labels}
+    elif kind == "absorb" and measures:
+        absorbed.add(measures[int(rng.integers(len(measures)))].id)
+    elif kind in ("conflict", "lacking") and len(measures) >= 2:
+        t = targets[int(rng.integers(len(targets)))]
+        for i in rng.choice(len(measures), 2, replace=False).tolist():
+            gates[measures[i].id] = t.id
+            choices = t.outcome_labels if kind == "conflict" else ("x", "y")
+            labels[measures[i].id] = {lab: pick(choices) for lab in measures[i].outcome_labels}
+    return Commensuration(gates, labels, frozenset(absorbed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["none", "relabel", "absorb", "conflict", "lacking"]))
+def test_code_row_translation_agrees_with_translate(seed, kind):
+    """`Commensuration._translate_codes`, the checker's translation of code
+    rows, agrees with `translate` track by track on the sidecars of random
+    deferrable circuits, as `defer` writes them and perturbed: both say
+    untranslatable, or both give the same image. A row's codes name its
+    image's labels, a code past a target gate's labels standing for a label
+    it lacks; two rows are equal exactly when their images are; and a row is
+    a row of the target exactly when its image is a track of the target."""
+    rng = np.random.default_rng(seed)
+    c = random_deferrable_circuit(rng)
+    result = defer_measurements(c)
+    d = result.circuit
+    zeta = perturbed_sidecar(c, d, result.zeta, kind, rng)
+    source, target = semantics._plan(c), semantics._plan(d)
+    tracks = enumerate_tracks(c)
+    rows, ok = zeta._translate_codes(source, target, np.concatenate([source.codes_of(f.as_dict()) for f in tracks]))
+    images = [zeta.translate(f) for f in tracks]
+    assert ok.tolist() == [g is not None for g in images]
+    keep = np.flatnonzero(ok).tolist()
+    for i in keep:
+        named = {}
+        for gid, col in target.column.items():
+            code, labels = rows[i, col], target.labels[col].tolist()
+            if code >= 0:
+                named[gid] = labels[code] if code < len(labels) else None
+        expected = images[i].as_dict()
+        assert named.keys() == expected.keys() and rows[i, -1] == -1
+        assert all(named[g] == label if named[g] is not None else label not in d.gate(g).outcome_labels
+                   for g, label in expected.items())
+    keys = semantics._row_keys(rows[keep])
+    assert all((keys[a] == keys[b]) == (images[i] == images[j])
+               for a, i in enumerate(keep) for b, j in enumerate(keep))
+    target_tracks = set(enumerate_tracks(d))
+    target_keys = set(semantics._row_keys(np.concatenate([target.codes_of(g.as_dict()) for g in target_tracks])).tolist())
+    assert all((keys[a].tolist() in target_keys) == (images[i] in target_tracks) for a, i in enumerate(keep))

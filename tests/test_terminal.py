@@ -265,9 +265,9 @@ def test_incoherent_tracks_are_zero_blocks():
 
 def test_a_terminal_circuit_is_one_piece_and_a_general_one_a_piece_per_leaf():
     c = ghz_circuit(3)
-    (w, group, tracks), = semantics.track_rows(c, np.eye(8, dtype=complex))
-    assert len(tracks) == 8 and group.tolist() == list(range(8))  # row r is the track of bits r
-    pieces = list(semantics.track_rows(general(c), np.eye(8, dtype=complex)))
+    (w, group, keys), = semantics.track_rows(c, np.eye(8, dtype=complex))[1]
+    assert len(keys) == 8 and group.tolist() == list(range(8))  # row r is the track of bits r
+    pieces = list(semantics.track_rows(general(c), np.eye(8, dtype=complex))[1])
     assert len(pieces) == 8 and all(g is None and len(t) == 1 for _, g, t in pieces)
 
 
@@ -303,7 +303,7 @@ BROKEN = [
 def test_each_broken_condition_takes_the_general_path(name, c):
     assert not c._terminal
     eye = np.eye(2**c.n_registers, dtype=complex)
-    pieces = list(semantics.track_rows(c, eye))
+    pieces = list(semantics.track_rows(c, eye)[1])
     assert len(pieces) > 1 and all(g is None and len(t) == 1 for _, g, t in pieces)
     for (k, f, a), (k2, f2, b) in zip(semantics.walk_tracks(c, eye), semantics.walk_tracks(general(c), eye)):
         assert (k, f) == (k2, f2) and a.tobytes() == b.tobytes()
