@@ -3,18 +3,19 @@
 
     python3 scripts/faithful_scale.py CIRCUIT [--inputs N]
 
-CIRCUIT is `ff-K` (or a bare K) for `feed_forward_circuit(K)` from
-`tests/corpus.py`, K rounds of H, a standard measurement and a classically
-controlled X; or `parity-K` for `parity_circuit(K)`, H and a standard
-measurement on each of K registers, then X on one more controlled by the
-parity of the K outcomes. The script defers the circuit and runs
-`check_faithful` on the pair: the exact check, and with `--inputs N` also
-the check on N random pure inputs (seed 0). Each method is run twice: once
+CIRCUIT is `ff-K`, `parity-K` or a bare K. `ff-K` and K stand for
+`feed_forward_circuit(K)` from `tests/corpus.py`, K rounds of H, a standard
+measurement and a classically controlled X; `parity-K` stands for
+`parity_circuit(K)`, H and a standard measurement on each of K registers,
+then X on one more controlled by the parity of the K outcomes. The script
+defers the circuit and runs `check_faithful` on the pair: the exact check,
+and with `--inputs N` also the check on N random pure inputs (seed 0).
+Each method is run twice: once
 untraced for its wall time, once under `tracemalloc` for its peak. One JSON
 line per method gives the circuit, K, the target's register count, the
 number of source tracks checked, the seconds, the peak in MiB, the verdict,
-and `walk_seconds`: the untraced time of the checker's own source walk,
-`deferral._source_walk(source, psi)` (the source's code rows and its track
+and `walk_seconds`: the untraced time of the checker's source walk,
+`semantics.track_stack(source, psi)` (the source's code rows and its track
 operators on psi, stacked in code-row order) for the method's inputs psi (I
 for the exact check), on a fresh validated copy of the source.
 """
@@ -35,7 +36,8 @@ import numpy as np
 
 from corpus import feed_forward_circuit, parity_circuit
 from qcirc.circuit import QuantumCircuit, check_valid
-from qcirc.deferral import _source_walk, check_faithful, defer_measurements, random_pure_inputs
+from qcirc.deferral import check_faithful, defer_measurements, random_pure_inputs
+from qcirc.semantics import track_stack
 
 
 def measure(c, result, inputs) -> dict:
@@ -51,7 +53,7 @@ def measure(c, result, inputs) -> dict:
     source = check_valid(QuantumCircuit(c.register_names, c.gates))
     psi = np.eye(2**c.n_registers, dtype=complex) if inputs is None else np.stack(inputs, axis=1)
     start = time.perf_counter()
-    _source_walk(source, psi)
+    track_stack(source, psi)
     walk_seconds = time.perf_counter() - start
     return {
         "method": report.method,

@@ -9,9 +9,9 @@ other one, one standard only within rounding included, is standardized with
 ancillas. A measurement stays one gate throughout, with its own id and
 outcome labels, so the commensuration maps gate ids to gate ids.
 `check_faithful` is exact by default; sampled inputs are an optional
-cross-check. A target in terminal form, as every circuit the pass rewrites
-is, is checked as one unitary: its tracks are row groups of
-W = U (I (x) |0>), compared in one batched array pass.
+cross-check. It reads the source's tracks as one stack (`track_stack`), and
+the target's piece by piece (`track_rows`): a terminal-form target, as every
+rewritten circuit is, is one piece, the row groups of W = U (I (x) |0>).
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from .circuit import (
     topo_order,
     unitary_gate,
 )
-from .scheduling import greedy_schedule
-from .semantics import Track, _row_keys, _run, _uniforms, _walk_plan, track_rows
+from .semantics import Track, _row_keys, _uniforms, track_rows, track_stack
 from .serialize import ParseError
 
 
@@ -410,17 +409,18 @@ def check_faithful(
     A psi psi^dag A^dag iff every V_a psi = c_a A psi with sum |c_a|^2 = 1.
     Basis inputs alone cannot see a lost phase.
 
-    A track is named by its row of outcome codes. The source walk
-    (`_source_walk`) fills one stack of A psi in code-row order, which is
-    (gate id, label) order; `zeta` translates every row at once
+    A track is named by its row of outcome codes. The source's A psi come in
+    one stack in code-row order, which is (gate id, label) order
+    (`track_stack`); `zeta` translates every row at once
     (`Commensuration._translate_codes`), and the images are matched to the
     target's rows by sorting. The target is walked once, on its ancilla-zero
-    columns only, through `track_rows`: one piece W = U (I (x) |0>) psi for
-    a terminal-form target, else one per leaf (`_piece_failures`). A `Track`
-    is built only for a failure, or for the DeferralError of an image the
-    walk never produces. Failures come by input, then source tracks, then
-    unmatched target tracks, each in (gate id, label) order; an input's
-    scale (`linalg.rescale`) changes no report byte."""
+    columns only, through `track_rows`, and compared one piece at a time:
+    W = U (I (x) |0>) psi for a terminal-form target, else each leaf
+    (`_piece_failures`). A `Track` is built only for a failure, or for the
+    DeferralError of an image the walk never produces. Failures come by
+    input, then source tracks, then unmatched target tracks, each in (gate
+    id, label) order; an input's scale (`linalg.rescale`) changes no report
+    byte."""
     if not (math.isfinite(tol) and tol >= 0):
         raise DeferralError(f"tolerance must be finite and at least 0, got {tol}")
     nc, nd = c.n_registers, d.n_registers
@@ -446,7 +446,7 @@ def check_faithful(
         v, _ = linalg.rescale(v)  # by a power of two, so that v's scale changes no bit of psi
         psi[:, i] = v / np.linalg.norm(v)
     plan, target = semantics._plan(c), semantics._plan(d)
-    codes, src = _source_walk(c, psi)
+    codes, src = track_stack(c, psi)
     step = max(1, semantics.FRONTIER_BYTES // src[0].nbytes)  # tracks summed at a time
     p = np.concatenate([np.sum(a.real**2 + a.imag**2, axis=1) for a in np.split(src, range(step, len(src), step))])
     cols = [None] if inputs is None else list(range(len(inputs)))  # the inputs compared; None: all at once
@@ -460,28 +460,15 @@ def check_faithful(
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
     rows, pieces = track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None]))
     source, preimages = (plan, codes, src, pc), (images, by, left)
-    for w, group, keys in pieces:
-        failures.update(_piece_failures(w, group, keys, target, rows, source, preimages, cols, tol))
+    for w, group, keys in pieces:  # a general piece is a stack: one leaf at a time
+        for piece in zip(w, itertools.repeat(None), keys[:, None]) if group is None else [(w, group, keys)]:
+            failures.update(_piece_failures(*piece, target, rows, source, preimages, cols, tol))
     if left.any():  # images that the walk never produced
         first = plan.tracks(codes[left][:1])[0]
         raise DeferralError(f"translated track {zeta.translate(first).as_dict()} is not a track of the target")
     failures = [failures[k] for k in sorted(failures)]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
     return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(codes), method)
-
-
-def _source_walk(c: QuantumCircuit, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The source's tracks from psi: their code rows in code-row order, which
-    is (gate id, label) order, and their A psi in one stack, into which each
-    leaf of the walk (`_walk_plan`, `_run`) is written as it comes."""
-    moves, codes, t = _walk_plan(c, greedy_schedule(c).bouts, psi)
-    order = np.argsort(_row_keys(codes))
-    codes, position = codes[order], np.argsort(order)  # position: of each leaf among the tracks
-    src = np.empty((len(codes), *psi.shape), dtype=complex)
-    for block in _run(moves, t):
-        src[position[: len(block)]] = block
-        position = position[len(block) :]
-    return codes, src
 
 
 def _columns(p: np.ndarray, cols: list) -> np.ndarray:

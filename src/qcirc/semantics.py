@@ -9,9 +9,11 @@ over the circuit's compiled `_Plan`: a stack of states, each named by its
 row of integer outcome codes, and each gate's selected operators applied
 once to all the states that select them (`linalg.apply`); each bout is
 walked in `scheduling.in_bout_order`, and the tracks are counted on the
-codes before any operator is applied. A code row is a track's one identity:
-`track_rows` and the faithfulness checker match tracks by code rows, and a
-`Track` is built only for a public return value or a report. A circuit in
+codes before any operator is applied. A code row is a track's one identity,
+and a `Track` is built only for a public return value or a report. Outside
+this module the walk is read through `track_rows`, its pieces as they come,
+and `track_stack`, every track's block in (gate id, label) order; the
+faithfulness checker matches tracks by their code rows. A circuit in
 terminal form, whose unitaries all precede its standard-basis measurements
 (every circuit `defer` rewrites, and GHZ-style circuits), is by the
 deferred-measurement principle one unitary U followed by a standard-basis
@@ -273,25 +275,26 @@ def _run(moves, t: np.ndarray):
     yield t
 
 
-def _walk_plan(c: QuantumCircuit, bouts, t0: np.ndarray, held: Optional[Mapping[str, str]] = None):
+def _walk_plan(c: QuantumCircuit, bouts, t0: Optional[np.ndarray], held: Optional[Mapping[str, str]] = None):
     """The frontier walk over the gates of `bouts` (`_expand`), each bout in
     `in_bout_order`: its moves, its leaves' codes, counted (at most
-    DEFAULT_TRACK_CAP) before any operator is applied, and the checked t0 as
-    a frontier of one for `_run`; with `held`, the one leaf of that assignment."""
+    DEFAULT_TRACK_CAP) before any operator is applied, and the checked t0 (I,
+    built once they are counted, if None) as a frontier of one for `_run`;
+    with `held`, the one leaf of that assignment."""
     plan = _plan(c)
     order = itertools.chain.from_iterable(in_bout_order(c, bouts))
     moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), DEFAULT_TRACK_CAP, held)
-    t = np.asarray(t0, dtype=complex)
+    t = np.eye(2**c.n_registers, dtype=complex) if t0 is None else np.asarray(t0, dtype=complex)
     if t.ndim != 2 or t.shape[0] != 2**c.n_registers:
         raise linalg.LinalgError(f"expected {2**c.n_registers} rows, got shape {t.shape}")
     return moves, codes, t[None]
 
 
 def _track_leaf(
-    c: QuantumCircuit, bouts: Iterable[Iterable[str]], t: np.ndarray,
+    c: QuantumCircuit, bouts: Iterable[Iterable[str]], t: Optional[np.ndarray],
     assignment: Mapping[str, str],
 ) -> np.ndarray:
-    """A @ t over `bouts` along a track that labels each measurement reached."""
+    """A @ t (A if t is None) over `bouts` along a track that labels each measurement reached."""
     moves, _, t = _walk_plan(c, bouts, t, held=assignment)
     return next(_run(moves, t))[0]
 
@@ -301,32 +304,40 @@ def bout_operator(
 ) -> np.ndarray:
     """Full-space operator of a bout under the given outcome assignment: the
     product of each gate's selected operator acting on its registers."""
-    return _track_leaf(c, [b], np.eye(2**c.n_registers, dtype=complex), assignment)
+    return _track_leaf(c, [b], None, assignment)
 
 
-def track_rows(c: QuantumCircuit, t0: np.ndarray):
-    """The walk from t0 as (codes, pieces): codes holds the code row of each
-    track, in (gate id, label) order (`_row_keys`), and in each row group
-    (w, group, keys) of `pieces`, track k, codes[keys[k]], holds A_f @ t0 = w
-    with the rows r where group[r] != k zeroed; group is None when every
-    track is all of w. No `Track` is built. Every circuit starts from one
-    `_walk_plan` over greedy order, which counts the tracks and checks t0
-    before any operator is applied; pieces come in its walk order.
+def track_rows(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None):
+    """The walk from t0 (I when None) over `bouts` (greedy when None) as
+    (codes, pieces): codes holds the code row of each track, in (gate id,
+    label) order (`_row_keys`), and `pieces` yields (w, group, keys), in
+    which track k is codes[keys[k]]: with group None, w is a stack and w[k]
+    is track k's A_f @ t0; otherwise track k's A_f @ t0 is w with the rows r
+    where group[r] != k zeroed. No `Track` is built. Every circuit starts from one `_walk_plan`, which
+    counts the tracks and checks t0 before any operator is applied; pieces
+    come in its walk order, each made only as it is taken.
 
     A circuit in terminal form (`QuantumCircuit._terminal`) is one piece:
     w = U @ t0, the plan's unitary moves run on t0 alone, and group[r] the
     track whose labels select row r (`_row_tracks`), so its tracks partition
     w's rows (the product of the label sets, incoherent tracks included).
-    Any other circuit gives one piece per leaf of the walk (`_run`), in
-    depth-first leaf order, as the walk goes."""
-    moves, codes, t = _walk_plan(c, greedy_schedule(c).bouts, t0)
+    Any other circuit gives one piece per stack of leaves of the walk
+    (`_run`), in depth-first leaf order, as the walk goes."""
+    moves, codes, t = _walk_plan(c, greedy_schedule(c).bouts if bouts is None else bouts, t0)
     order = np.argsort(_row_keys(codes))
-    keys = np.argsort(order)  # of each leaf, in walk order, among the tracks
+    return codes[order], _pieces(c, moves, t, np.argsort(order))  # keys: of each leaf, in walk order
+
+
+def _pieces(c: QuantumCircuit, moves: list, t: np.ndarray, keys: np.ndarray):
+    """`track_rows`' pieces of the walk `moves` from the frontier t."""
     if not c._terminal:
-        leaves = itertools.chain.from_iterable(_run(moves, t))
-        return codes[order], zip(leaves, itertools.repeat(None), keys[:, None])
+        for w in _run(moves, t):
+            yield w, None, keys[: len(w)]
+            keys = keys[len(w) :]
+        return
     w = next(_run([move for move in moves if move[0].column < 0], t))[0]
-    return codes[order], [(w, _row_tracks(c, moves, len(w)) if len(codes) > 1 else None, keys)]
+    del t  # so that the walk's input is not held while the piece is
+    yield (w, _row_tracks(c, moves, len(w)), keys) if len(keys) > 1 else (w[None], None, keys)
 
 
 def _row_tracks(c: QuantumCircuit, moves: list, rows: int) -> np.ndarray:
@@ -342,55 +353,47 @@ def _row_tracks(c: QuantumCircuit, moves: list, rows: int) -> np.ndarray:
     return group
 
 
-def walk_tracks(c: QuantumCircuit, t0: np.ndarray):
-    """(key, f, A_f @ t0) for every coherent track f in `track_rows` order,
-    each a full block: a terminal-form track is its rows of U @ t0 and zeros.
-    The key is f's position in (gate id, label) order."""
-    codes, pieces = track_rows(c, t0)
-    tracks = _plan(c).tracks(codes)
-    for w, group, keys in pieces:
-        blocks = [w] * len(keys) if group is None else np.zeros((len(keys), *w.shape), dtype=complex)
-        if group is not None:
-            blocks[group, np.arange(len(w))] = w  # row r into the block of track group[r]
-        yield from ((k, tracks[k], t) for k, t in zip(keys.tolist(), blocks))
+def track_stack(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, a): `track_rows`' code rows, and a[k] = A_f @ t0 (A_f when t0
+    is None) for the track f of row k, each a full block, one write per
+    piece: a terminal-form track is its rows of U @ t0 and zeros."""
+    codes, pieces = track_rows(c, t0, bouts)
+    a = np.zeros((len(codes), 2**c.n_registers, 2**c.n_registers if t0 is None else np.shape(t0)[1]), dtype=complex)
+    for w, group, keys in pieces:  # a stack's block i into track keys[i]'s; row r into track keys[group[r]]'s
+        a[(keys,) if group is None else (keys[group], np.arange(len(w)))] = w
+    return codes, a
 
 
-def track_operators(c: QuantumCircuit, t0: np.ndarray) -> list[tuple[Track, np.ndarray]]:
-    """(f, A_f @ t0) for every coherent track f: `walk_tracks` in (gate id, label) order, by key."""
-    return [(f, t) for _, f, t in sorted(walk_tracks(c, t0), key=lambda leaf: leaf[0])]
+def track_operators(c: QuantumCircuit, t0: Optional[np.ndarray]) -> list[tuple[Track, np.ndarray]]:
+    """(f, A_f @ t0) for every coherent track f in (gate id, label) order: `track_stack`."""
+    codes, a = track_stack(c, t0)
+    return list(zip(_plan(c).tracks(codes), a))
 
 
 def enumerate_tracks(c: QuantumCircuit) -> list[Track]:
-    """All coherent tracks in (gate id, label) order: the walk's outcome
-    codes from a block of no columns, to which no operator is applied."""
-    codes = _walk_plan(c, greedy_schedule(c).bouts, np.zeros((2**c.n_registers, 0)))[1]
-    return _plan(c).tracks(codes[np.argsort(_row_keys(codes))])
+    """All coherent tracks in (gate id, label) order: `track_rows`' codes
+    from a block of no columns, to which no operator is applied."""
+    return _plan(c).tracks(track_rows(c, np.zeros((2**c.n_registers, 0)))[0])
 
 
 def cumulative_operator(c: QuantumCircuit, x: Schedule, f: Track) -> np.ndarray:
     _require_fit(c, x)
-    return _track_leaf(c, x.bouts, np.eye(2**c.n_registers, dtype=complex), f.as_dict())
+    return _track_leaf(c, x.bouts, None, f.as_dict())
 
 
 def aggregate_measurement(c: QuantumCircuit) -> AggregateMeasurement:
-    ops = dict(track_operators(c, np.eye(2**c.n_registers, dtype=complex)))
-    return AggregateMeasurement(c.n_registers, ops)
+    return AggregateMeasurement(c.n_registers, dict(track_operators(c, None)))
 
 
 def schedules_equivalent(
     c: QuantumCircuit, x: Schedule, y: Schedule, tol: float = linalg.DEFAULT_TOL
 ) -> bool:
     """Whether every track's cumulative operator under x is within tol of its
-    operator under y (each bit-identical to `cumulative_operator`'s),
-    matched by outcome codes. An invalid schedule raises ScheduleError."""
+    operator under y: the `track_stack`s over their bouts, whose rows are
+    the same tracks. An invalid schedule raises ScheduleError."""
     _require_fit(c, x, y)
-    eye = np.eye(2**c.n_registers, dtype=complex)
-    moves, codes, t = _walk_plan(c, x.bouts, eye)
-    ops = list(itertools.chain.from_iterable(_run(moves, t)))
-    at = {row: i for i, row in enumerate(map(tuple, codes.tolist()))}
-    moves, codes, t = _walk_plan(c, y.bouts, eye)
-    ops_y = itertools.chain.from_iterable(_run(moves, t))
-    return all(linalg.mat_close(ops[at[tuple(row)]], b, tol) for row, b in zip(codes.tolist(), ops_y))
+    a, b = (track_stack(c, None, s.bouts)[1] for s in (x, y))
+    return all(linalg.mat_close(p, q, tol) for p, q in zip(a, b))
 
 
 def track_probability(c: QuantumCircuit, f: Track, rho: linalg.DensityOperator) -> float:

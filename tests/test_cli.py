@@ -900,6 +900,26 @@ def test_failing_aggregate_writes_no_stdout(tmp_path, monkeypatch, capsys):
     assert captured.out == "" and json.loads(captured.err)["code"] == "too-large"
 
 
+def test_aggregate_past_the_cap_builds_no_identity(tmp_path):
+    """GHZ-17 has 2^17 tracks: `aggregate` refuses it at the cap before the
+    walk builds its 2^17 x 2^17 identity (256 GiB), in a child process that
+    first limits its own address space to 1 GiB through `resource`, so that
+    building it would be `too-large` there at once."""
+    circuit = tmp_path / "ghz17.json"
+    circuit.write_text(serialize_circuit(ghz_circuit(17)))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+             "from qcirc.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", child, "aggregate", str(circuit)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"severity": "error", "code": "semantic-error", "message": "track count exceeds cap 65536"}
+    ]
+
+
 class _LongestPiece:
     """A text stream that discards what it is given, keeping the length of
     the longest string and the total."""

@@ -92,3 +92,26 @@ def test_only_linalg_calls_numpy_products(path):
         and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
     ]
     assert not lines, f"{path.name} calls a numpy product on lines {lines}"
+
+
+def _names(tree):
+    """Every name the module reads, its attributes and what it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "semantics.py"] + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}",
+)
+def test_only_semantics_runs_the_walk(path):
+    """The walk's internals stay in `semantics`: every other module and
+    script reads the walk through `track_rows` and `track_stack`."""
+    named = {"_walk_plan", "_run", "_expand"} & set(_names(ast.parse(path.read_text(), str(path))))
+    assert not named, f"{path.name} names {sorted(named)}"

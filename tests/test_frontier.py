@@ -31,10 +31,14 @@ from test_terminal import DEFERRED, ancilla_zero, general
 
 
 def assert_same_leaves(c, t0):
-    """`walk_tracks` of c (a copy that takes the general walk) and the
-    reference walk: keys, tracks, order and every block's bytes."""
+    """The leaves of `track_rows` on c (a copy that takes the general walk),
+    each stack taken leaf by leaf, and the reference walk's: keys, tracks,
+    order and every block's bytes."""
     c = general(c) if c._terminal else c
-    got, want = list(semantics.walk_tracks(c, t0)), list(reference_walk.walk_tracks(c, t0))
+    codes, pieces = semantics.track_rows(c, t0)
+    tracks = semantics._plan(c).tracks(codes)
+    got = [(k, tracks[k], t) for w, _, keys in pieces for k, t in zip(keys.tolist(), w)]
+    want = list(reference_walk.walk_tracks(c, t0))
     assert [leaf[:2] for leaf in got] == [leaf[:2] for leaf in want]
     for (_, _, a), (_, _, b) in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -100,12 +104,13 @@ def test_split_frontiers_walk_as_the_reference(monkeypatch):
 
 def test_a_general_walk_streams_its_leaves():
     """GHZ-7 on the general walk from I has 128 leaves of 256 KiB, 32 MiB in
-    all; walked and dropped one by one, it peaks below 8 MiB, because a
-    frontier over FRONTIER_BYTES is split and its halves walked in turn."""
+    all; taken from `track_rows` and dropped one stack at a time, it peaks
+    below 8 MiB, because a frontier over FRONTIER_BYTES is split and its
+    halves walked in turn."""
     c, eye = general(ghz_circuit(7)), np.eye(128, dtype=complex)
     tracemalloc.start()
     try:
-        assert sum(1 for _ in semantics.walk_tracks(c, eye)) == 128
+        assert sum(len(keys) for _, _, keys in semantics.track_rows(c, eye)[1]) == 128
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

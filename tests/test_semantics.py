@@ -49,6 +49,7 @@ from qcirc.semantics import (
 )
 from qcirc.serialize import serialize_circuit
 from reference_walk import apply, select_measurement, source_outcomes
+from test_terminal import general
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -374,16 +375,23 @@ def test_schedule_naming_an_unknown_gate_is_rejected():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_walk_tracks_sorted_is_track_operators(seed):
-    """`walk_tracks` yields the walk's leaves as they come; sorted by their
-    keys they are `track_operators`, tracks and bits alike."""
-    c = random_circuit(np.random.default_rng(seed))
+def test_track_rows_by_key_is_track_stack(seed):
+    """`track_rows` yields the walk's leaves as they come; placed by their
+    keys they are `track_stack`'s blocks, bit for bit, from I given or
+    built by the walk (t0 None), and its code rows are the tracks of
+    `enumerate_tracks` and `track_operators`."""
+    c = general(random_circuit(np.random.default_rng(seed)))
     eye = np.eye(2**c.n_registers, dtype=complex)
-    walked = list(semantics.walk_tracks(c, eye))
-    ordered = [(f, t) for _, f, t in sorted(walked, key=lambda leaf: leaf[0])]
-    expected = track_operators(c, eye)
-    assert [f for f, _ in ordered] == [f for f, _ in expected] == enumerate_tracks(c)
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(ordered, expected))
+    codes, pieces = semantics.track_rows(c, eye)
+    placed = np.empty((len(codes), *eye.shape), dtype=complex)
+    for w, _, keys in pieces:
+        for k, t in zip(keys.tolist(), w):
+            placed[k] = t
+    for t0 in (eye, None):
+        got, a = semantics.track_stack(c, t0)
+        assert np.array_equal(got, codes) and a.tobytes() == placed.tobytes()
+    tracks = semantics._plan(c).tracks(codes)
+    assert tracks == [f for f, _ in track_operators(c, eye)] == enumerate_tracks(c)
 
 
 def test_aggregate_measurement_cap(monkeypatch):

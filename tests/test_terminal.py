@@ -1,11 +1,9 @@
 """The terminal-form path. A circuit whose measurements are all standard and
 no unitary of which follows a measurement is walked as one unitary,
 W = U t0, whose rows are grouped by track (`semantics.track_rows`), and a
-target in that form is checked by those row groups. Each test compares the
-path with the general walk on a copy of the circuit that is told it is not
-in terminal form."""
-
-import itertools
+source or target in that form is checked by those row groups. Each test
+compares the path with the general walk on a copy of the circuit that is
+told it is not in terminal form."""
 
 import numpy as np
 import pytest
@@ -89,16 +87,12 @@ def test_deferred_corpus_is_in_terminal_form():
 
 
 def assert_same_walk(c, t0, bitwise):
-    """`walk_tracks` of c and of its general copy, zipped as they come:
-    keys, tracks and order agree, and every block is equal, bit for bit
-    where `bitwise` (BLAS may write a zero's sign either way when the
-    general walk projects fewer columns)."""
-    pairs = itertools.zip_longest(semantics.walk_tracks(c, t0), semantics.walk_tracks(general(c), t0))
-    for fast, slow in pairs:
-        assert fast[:2] == slow[:2]
-        a, b = fast[2], slow[2]
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes() if bitwise else np.array_equal(a, b)
+    """`track_stack` of c and of its general copy: the code rows agree, and
+    so does every block, bit for bit where `bitwise` (BLAS may write a
+    zero's sign either way when the general walk projects fewer columns)."""
+    (codes, a), (slow, b) = semantics.track_stack(c, t0), semantics.track_stack(general(c), t0)
+    assert np.array_equal(codes, slow) and a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes() if bitwise else np.array_equal(a, b)
 
 
 def ancilla_zero(c, cols):
@@ -150,9 +144,12 @@ def unfaithful_variants(c):
 
 
 def assert_same_reports(c, d, zeta):
+    """The exact and the input report of (c, d), each the same with the
+    general walk on the target side and on the source side."""
     for inputs in (None, random_pure_inputs(c.n_registers, 3, 7)):
         fast = check_faithful(c, d, zeta, inputs)
-        assert dumps(fast.to_json()) == dumps(check_faithful(c, general(d), zeta, inputs).to_json())
+        for slow in (check_faithful(c, general(d), zeta, inputs), check_faithful(general(c), d, zeta, inputs)):
+            assert dumps(fast.to_json()) == dumps(slow.to_json())
         yield fast
 
 
@@ -162,6 +159,14 @@ def test_check_faithful_matches_the_general_walk(name, c):
     included, on the deferral and on two unfaithful targets."""
     reports = [r for d, zeta in unfaithful_variants(c) for r in assert_same_reports(c, d, zeta)]
     assert reports[0].ok and reports[1].ok
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_terminal_sources_match_the_general_walk(n):
+    """A terminal-form source takes the U psi path on the source side:
+    GHZ-n checked against itself."""
+    c = ghz_circuit(n)
+    assert c._terminal and all(r.ok for r in assert_same_reports(c, c, Commensuration.identity(c)))
 
 
 def test_failing_reports_match_the_general_walk():
@@ -263,12 +268,18 @@ def test_incoherent_tracks_are_zero_blocks():
         assert (not a.any()) == (labels["m1"] != labels["m2"])
 
 
-def test_a_terminal_circuit_is_one_piece_and_a_general_one_a_piece_per_leaf():
+def test_a_terminal_circuit_is_one_piece_and_a_general_one_a_piece_per_stack(monkeypatch):
+    """A general piece is a stack of leaves: all 8 of GHZ-3 in one, or, once
+    a budget of one byte splits every frontier down to single nodes before
+    the last measurement, the two leaves of each of them."""
     c = ghz_circuit(3)
     (w, group, keys), = semantics.track_rows(c, np.eye(8, dtype=complex))[1]
-    assert len(keys) == 8 and group.tolist() == list(range(8))  # row r is the track of bits r
+    assert w.shape == (8, 8) and len(keys) == 8 and group.tolist() == list(range(8))  # row r: the track of bits r
+    (w, group, keys), = semantics.track_rows(general(c), np.eye(8, dtype=complex))[1]
+    assert w.shape == (8, 8, 8) and group is None and sorted(keys.tolist()) == list(range(8))
+    monkeypatch.setattr(semantics, "FRONTIER_BYTES", 1)
     pieces = list(semantics.track_rows(general(c), np.eye(8, dtype=complex))[1])
-    assert len(pieces) == 8 and all(g is None and len(t) == 1 for _, g, t in pieces)
+    assert all(g is None and len(w) == len(k) == 2 for w, g, k in pieces) and len(pieces) == 4
 
 
 def cc_measurement():
@@ -304,9 +315,8 @@ def test_each_broken_condition_takes_the_general_path(name, c):
     assert not c._terminal
     eye = np.eye(2**c.n_registers, dtype=complex)
     pieces = list(semantics.track_rows(c, eye)[1])
-    assert len(pieces) > 1 and all(g is None and len(t) == 1 for _, g, t in pieces)
-    for (k, f, a), (k2, f2, b) in zip(semantics.walk_tracks(c, eye), semantics.walk_tracks(general(c), eye)):
-        assert (k, f) == (k2, f2) and a.tobytes() == b.tobytes()
+    assert sum(len(k) for _, _, k in pieces) > 1 and all(g is None and len(w) == len(k) for w, g, k in pieces)
+    assert_same_walk(c, eye, bitwise=True)
 
 
 def counting_apply(monkeypatch):
@@ -340,9 +350,8 @@ def test_aggregate_applies_each_unitary_once(monkeypatch):
 def test_over_cap_terminal_circuit_fails_before_any_operator(monkeypatch):
     monkeypatch.setattr(semantics, "DEFAULT_TRACK_CAP", 15)
     monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was applied"))
-    walk = semantics.walk_tracks(ghz_circuit(4), np.eye(16, dtype=complex))
     with pytest.raises(semantics.SemanticsError, match="track count exceeds cap 15"):
-        next(walk)
+        semantics.track_stack(ghz_circuit(4), np.eye(16, dtype=complex))
 
 
 @pytest.mark.parametrize("c", [ghz_circuit(3), general(ghz_circuit(3)), feed_forward_circuit(3)],
