@@ -409,18 +409,18 @@ def check_faithful(
     A psi psi^dag A^dag iff every V_a psi = c_a A psi with sum |c_a|^2 = 1.
     Basis inputs alone cannot see a lost phase.
 
-    A track is named by its row of outcome codes. The source's A psi come in
-    one stack in code-row order, which is (gate id, label) order
-    (`track_stack`); `zeta` translates every row at once
-    (`Commensuration._translate_codes`), and the images are matched to the
-    target's rows by sorting. The target is walked once, on its ancilla-zero
-    columns only, through `track_rows`, and compared one piece at a time:
+    Tracks are named by their outcome-code rows. The source's A psi come in
+    one stack in (gate id, label) order (`track_stack`), and `zeta`
+    translates every row at once (`Commensuration._translate_codes`). The
+    target is walked once, on its ancilla-zero columns only, through
+    `track_rows`, whose code rows come before any operator is applied: each
+    image is paired with its row by sorting, or the first source track
+    without one raises DeferralError. Its pieces are compared as they come:
     W = U (I (x) |0>) psi for a terminal-form target, else each leaf
-    (`_piece_failures`). A `Track` is built only for a failure, or for the
-    DeferralError of an image the walk never produces. Failures come by
-    input, then source tracks, then unmatched target tracks, each in (gate
-    id, label) order; an input's scale (`linalg.rescale`) changes no report
-    byte."""
+    (`_piece_failures`). A `Track` is built only for a failure or that
+    error. Failures come by input, then source tracks, then unmatched target
+    tracks, each in (gate id, label) order; an input's scale
+    (`linalg.rescale`) changes no report byte."""
     if not (math.isfinite(tol) and tol >= 0):
         raise DeferralError(f"tolerance must be finite and at least 0, got {tol}")
     nc, nd = c.n_registers, d.n_registers
@@ -451,21 +451,23 @@ def check_faithful(
     p = np.concatenate([np.sum(a.real**2 + a.imag**2, axis=1) for a in np.split(src, range(step, len(src), step))])
     cols = [None] if inputs is None else list(range(len(inputs)))  # the inputs compared; None: all at once
     pc = _columns(p, cols)  # each source track's weight per column
-    images, left = zeta._translate_codes(plan, target, codes)  # left: translatable and not yet matched
+    images, ok = zeta._translate_codes(plan, target, codes)
     failures = {}  # (input, 0, source position) or (input, 1, target sort key) -> failure, in report order
-    for j, q in np.argwhere(~left[:, None] & (pc > tol)).tolist():
+    for j, q in np.argwhere(~ok[:, None] & (pc > tol)).tolist():
         failures[cols[q], 0, j] = _failure("untranslatable-track-probability", cols[q], plan, codes[j], mass=pc[j, q])
-    by = np.flatnonzero(left)[np.argsort(_row_keys(images[left]), kind="stable")]  # translatable, by image
-    images = _row_keys(images[by])
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
     rows, pieces = track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None]))
-    source, preimages = (plan, codes, src, pc), (images, by, left)
+    known, images = _row_keys(rows), _row_keys(images)
+    at = np.minimum(np.searchsorted(known, images), len(known) - 1)  # each image's target row, if it has one
+    lost = ok & (known[at] != images)
+    if lost.any():
+        first = plan.tracks(codes[lost][:1])[0]
+        raise DeferralError(f"translated track {zeta.translate(first).as_dict()} is not a track of the target")
+    by = np.flatnonzero(ok)[np.argsort(at[ok], kind="stable")]  # the translatable source tracks, by target row
+    pairing = (by, np.searchsorted(at[by], np.arange(len(rows) + 1)))
     for w, group, keys in pieces:  # a general piece is a stack: one leaf at a time
         for piece in zip(w, itertools.repeat(None), keys[:, None]) if group is None else [(w, group, keys)]:
-            failures.update(_piece_failures(*piece, target, rows, source, preimages, cols, tol))
-    if left.any():  # images that the walk never produced
-        first = plan.tracks(codes[left][:1])[0]
-        raise DeferralError(f"translated track {zeta.translate(first).as_dict()} is not a track of the target")
+            failures.update(_piece_failures(*piece, target, rows, (plan, codes, src, pc), pairing, cols, tol))
     failures = [failures[k] for k in sorted(failures)]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
     return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(codes), method)
@@ -488,14 +490,14 @@ def _row_sums(index: np.ndarray, x: np.ndarray, count: int, width: int) -> np.nd
     return sums.reshape(count, q).view(x.dtype)
 
 
-def _piece_failures(w, group, keys, target, target_rows, source, preimages, cols, tol) -> dict:
+def _piece_failures(w, group, keys, target, target_rows, source, pairing, cols, tol) -> dict:
     """The failures, keyed as in `check_faithful`, of a `track_rows` piece
     of the target, whose track k has code row target_rows[keys[k]], and of
-    the source tracks matched to it: the positions j in `by` whose image key,
-    in the sorted `images`, equals that row's (`_row_keys`), which `left`
-    then loses. Source track j has code row codes[j], A psi = src[j] and
-    weights pc[j] per column of `cols`; the plans `plan` and `target` build
-    a failure's `Track`. w = B (I (x) |0>) psi; principal registers come first,
+    the source tracks paired with it: by `pairing` = (by, start), target row
+    r's are by[start[r] : start[r + 1]]. Source track j has code row
+    codes[j], A psi = src[j] and weights pc[j] per column of `cols`; the
+    plans `plan` and `target` build a failure's `Track`. No argument is
+    written. w = B (I (x) |0>) psi; principal registers come first,
     so row x * 2^n_anc + a is <x a|. A cell is a track's rows for one a. Each
     sum within a cell has the cell's fixed shape, and sums across rows or
     cells run in their order (`_row_sums`), so a general leaf (one track,
@@ -510,14 +512,13 @@ def _piece_failures(w, group, keys, target, target_rows, source, preimages, cols
     and the residual |V|^2 - sum |c_a|^2 |A|^2, which is sum |V_a - c_a A|^2
     for least-squares c_a. The exact check's one column takes each inner
     product over all of psi = I at once; an input column, over its own."""
-    (plan, codes, src, pc), (images, by, left), tracks = source, preimages, target_rows[keys]
+    (plan, codes, src, pc), (by, start), tracks = source, pairing, target_rows[keys]
     rows, m = w.shape
     nx = src.shape[1]
     na = (rows // nx).bit_length() - 1
     group = np.zeros(rows, dtype=np.intp) if group is None else group
     pd = _columns(_row_sums(group, w.real**2 + w.imag**2, len(tracks), m), cols)  # each target track's weight
-    lo, hi = (np.searchsorted(images, _row_keys(tracks), side) for side in ("left", "right"))
-    hits = hi - lo  # target track k's source tracks are by[lo[k] : hi[k]]
+    lo, hits = start[keys], start[keys + 1] - start[keys]  # track k's source tracks: by[lo[k] : lo[k] + hits[k]]
     out = {}
     for k, q in np.argwhere((hits == 0)[:, None] & (pd > tol)).tolist():
         out[cols[q], 1, int(keys[k])] = _failure("unmatched-target-track", cols[q], target, tracks[k], mass=pd[k, q])
@@ -525,7 +526,6 @@ def _piece_failures(w, group, keys, target, target_rows, source, preimages, cols
         return out
     kk = np.repeat(np.arange(len(hits)), hits)
     jj = by[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())]
-    left[jj] = False
     js, mass, image = jj.tolist(), pc[jj], np.empty((len(kk), len(cols)))
     # the piece's cells (target track k, ancilla state a), sorted; track k's are cells[first[k] : first[k + 1]]
     cells = np.sort(group * 2**na + (np.arange(rows) & (2**na - 1)))

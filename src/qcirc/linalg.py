@@ -255,8 +255,8 @@ def apply(a: np.ndarray, axes: tuple, x: np.ndarray) -> np.ndarray:
     (w, d, d) stack, or block i by a[i] of an (f, 1, d, d) stack. One
     transpose brings the registers' axes to the front, and one batched
     `np.matmul` makes d x d by d x (2^n / d * m) products, bit for bit the
-    contraction `np.tensordot` forms. The operators are not checked here: the
-    walk checks each once, where it compiles its gate, and `embed` its own."""
+    contraction `np.tensordot` forms. The operators are not checked here:
+    validation checks the walk's, and `embed` checks its own."""
     (f, rows, m), (w, d) = x.shape, a.shape[-3:-1]
     y = x.reshape(f, *(2,) * (rows.bit_length() - 1), m).transpose(axes[0])
     z = y.reshape(f, 1, d, rows // d * m)

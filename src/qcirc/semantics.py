@@ -4,21 +4,22 @@ aggregate measurement, schedule equivalence, and a seeded stochastic executor.
 Post-measurement states are kept un-normalized; normalization happens only
 when sampling or reporting.
 
-Every walk, the sampler's included, is one breadth-first frontier walk
-over the circuit's compiled `_Plan`: a stack of states, each named by its
-row of integer outcome codes, and each gate's selected operators applied
-once to all the states that select them (`linalg.apply`); each bout is
-walked in `scheduling.in_bout_order`, and the tracks are counted on the
-codes before any operator is applied. A code row is a track's one identity,
-and a `Track` is built only for a public return value or a report. Outside
-this module the walk is read through `track_rows`, its pieces as they come,
-and `track_stack`, every track's block in (gate id, label) order; the
-faithfulness checker matches tracks by their code rows. A circuit in
-terminal form, whose unitaries all precede its standard-basis measurements
-(every circuit `defer` rewrites, and GHZ-style circuits), is by the
-deferred-measurement principle one unitary U followed by a standard-basis
-measurement: `track_rows` applies only its unitary moves, to t0 alone, and
-each track is the rows of U @ t0 that its labels select (`linalg.reindex`).
+Every walk, the sampler's included, is one breadth-first frontier walk over
+the `_Plan` compiled once for a valid circuit (else CircuitError): a stack
+of states, each named by its row of integer outcome codes, and each gate's
+selected operators applied once to all the states that select them
+(`linalg.apply`); each bout is walked in `scheduling.in_bout_order`, and the
+tracks are counted on the codes before any operator is applied. A code row
+is a track's one identity, and a `Track` is built only for a public return
+value or a report. Outside this module the walk is read through
+`track_rows`, its pieces as they come, and `track_stack`, every track's
+block in (gate id, label) order; the faithfulness checker pairs tracks by
+their code rows. A circuit in terminal form, whose unitaries all precede its
+standard-basis measurements (every circuit `defer` rewrites, and GHZ-style
+circuits), is by the deferred-measurement principle one unitary U followed
+by a standard-basis measurement: `track_rows` applies only its unitary
+moves, to t0 alone, and each track is the rows of U @ t0 that its labels
+select (`linalg.reindex`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .circuit import Gate, QuantumCircuit
+from .circuit import Gate, QuantumCircuit, check_valid
 from .scheduling import Schedule, ScheduleError, greedy_schedule, in_bout_order, validate_schedule
 
 DEFAULT_TRACK_CAP = 2**16  # the tracks a walk may count; more is a SemanticsError
@@ -89,40 +90,37 @@ def _require_fit(c: QuantumCircuit, *schedules: Schedule) -> None:
 
 class _Step(NamedTuple):
     """A gate compiled for the frontier walk (`_Plan`). A pick is the
-    position of one of its unitaries or measurements, -1 for none."""
+    position of one of its unitaries or measurements."""
 
     gate: Gate
     column: int  # of outcome codes; -1 for a unitary gate
     axes: tuple  # `linalg._axes` of its registers
     ops: np.ndarray  # unitary j is ops[j]; measurement j's, labels sorted, are ops[first[j] : first[j + 1]]
-    finite: bool  # all ops finite (the validation verdicts)
     first: tuple
     codes: np.ndarray  # per measurement operator, its label's code
-    pick: int  # without classical sources
-    sources: tuple = ()  # columns of the classical sources (-1: not a measurement gate)
+    pick: int  # without classical sources; -1 with them
+    sources: tuple = ()  # columns of the classical sources
     selector: tuple = ()  # (place values, table): mixed-radix code of their labels -> pick
 
 
 class _Plan:
-    """A circuit compiled once for the frontier walk: a `_Step` per gate, and
-    per measurement gate, in gate-id order, a column of outcome codes, a
-    label's code being its position in the gate's sorted `outcome_labels`
-    (-1: none), so that code rows sort as their tracks do, and its (gate id,
-    label) pair, which the Tracks that hold it share; a last column of -1 is
-    read by a source that is no measurement gate."""
+    """A valid circuit compiled once for the frontier walk: a `_Step` per
+    gate; per measurement gate, in gate-id order, a column of outcome codes
+    (a label's code is its position in the gate's sorted `outcome_labels`,
+    -1: none, so that code rows sort as their tracks do) and its (gate id,
+    label) pairs, shared by the Tracks that hold them; then a last column of
+    -1, so that no row is empty."""
 
     def __init__(self, c: QuantumCircuit):
-        depth = c._layers[1]  # CircuitError for a repeated gate id or a cyclic source relation
-        measures = [g for g in map(c.gate, sorted(depth)) if g.is_measure]
+        measures = [g for g in map(c.gate, sorted(c._by_id)) if g.is_measure]
         self.column = {g.id: j for j, g in enumerate(measures)}
         self.labels = [np.array(g.outcome_labels, dtype=object) for g in measures]
         self.index = [dict(zip(labels.tolist(), range(len(labels)))) for labels in self.labels]
         self.pairs = [np.fromiter(zip(itertools.repeat(g.id), g.outcome_labels), object, len(g.outcome_labels))
                       for g in measures]
-        n, finite = c.n_registers, c._verdicts[0]
-        self.steps = {g.id: self._compile(g, n, finite) for g in c.gates}
+        self.steps = {g.id: self._compile(g, c.n_registers) for g in c.gates}
 
-    def _compile(self, g: Gate, n: int, finite: dict) -> _Step:
+    def _compile(self, g: Gate, n: int) -> _Step:
         choices, column = g.measurements or g.unitaries, self.column.get(g.id, -1)
         if column < 0:
             ops, first, codes = [u.matrix for u in choices.values()], (), None
@@ -130,24 +128,19 @@ class _Plan:
             ops = [m.operators[label] for m in choices.values() for label in m.outcomes]
             first = (0, *itertools.accumulate([len(m.outcomes) for m in choices.values()]))
             codes = np.array([self.index[column][label] for m in choices.values() for label in m.outcomes])
-        stack = linalg.operators(ops, g.arity)  # the arity check; `linalg._axes` checks the registers
-        step = (g, column, linalg._axes(g.registers, n), stack, all(finite[id(a)] for a in ops), first, codes)
+        step = (g, column, linalg._axes(g.registers, n), linalg.operators(ops, g.arity), first, codes)
         if not g.classical_sources:
-            return _Step(*step, list(choices).index(g.selector[()]) if g.selector.get(()) in choices else -1)
-        position = {cid: j for j, cid in enumerate(choices)}
-        sources = tuple(self.column.get(s, -1) for s in g.classical_sources)
-        index = [self.index[j] if j >= 0 else {} for j in sources]
+            return _Step(*step, list(choices).index(g.selector[()]))
+        sources = tuple(map(self.column.__getitem__, g.classical_sources))
+        index = [self.index[j] for j in sources]
         places = [math.prod(map(len, index[i + 1 :])) for i in range(len(index))]
-        table = [-1] * math.prod(map(len, index))
+        table = [0] * math.prod(map(len, index))  # every entry written: the selector is total
         for key, target in g.selector.items():
-            if len(key) == len(index) and target in position and all(map(operator.contains, index, key)):
-                table[sum(map(operator.mul, map(dict.__getitem__, index, key), places))] = position[target]
+            table[sum(map(operator.mul, map(dict.__getitem__, index, key), places))] = list(choices).index(target)
         return _Step(*step, -1, sources, (np.array(places), np.array(table)))
 
     def codes_of(self, assignment: Mapping[str, str]) -> np.ndarray:
-        """A row of codes of the assignment's labels, -2 for a label that
-        its gate lacks, then a last -1, the code of a source that is no
-        measurement gate (its column is -1)."""
+        """A row of codes of the assignment's labels, -2 for a label that its gate lacks, then the last -1."""
         row = np.full((1, len(self.labels) + 1), -1, dtype=np.intp)
         for gid, label in assignment.items():
             if gid in self.column:
@@ -172,29 +165,27 @@ def _row_keys(codes: np.ndarray) -> np.ndarray:
 
 
 def _plan(c: QuantumCircuit) -> _Plan:
-    """The circuit's plan, kept on the instance like its cached structure."""
+    """The plan of a circuit that `check_valid` passes (else its
+    CircuitError), kept on the instance like its cached structure."""
     if "_plan" not in vars(c):
-        vars(c)["_plan"] = _Plan(c)
+        vars(c)["_plan"] = _Plan(check_valid(c))
     return vars(c)["_plan"]
 
 
 def _pick(plan: _Plan, s: _Step, codes: np.ndarray, held: Optional[Mapping[str, str]]):
-    """Per frontier row, the selector's pick; an int if all rows agree."""
-    g = s.gate
-    if not s.sources or not len(codes):
-        if s.pick < 0 and len(codes):
-            raise SemanticsError(f"gate {g.id!r}: selector has no entry for ()")
-        return s.pick if len(codes) else np.zeros(0, dtype=np.intp)
-    src = codes[:, s.sources]
-    pick = s.selector[1][src @ s.selector[0]] if src.min() >= 0 else np.full(len(codes), -1)
-    low = pick.min()
-    if low < 0:
-        row = src[np.flatnonzero(pick < 0)[0]].tolist()
+    """Per frontier row, the selector's pick; an int if all rows agree. A source's code is -1 if
+    neither the walk nor `held` labels it, -2 if `held` gives it a label that it lacks."""
+    if not s.sources:
+        return s.pick
+    g, src = s.gate, codes[:, s.sources]
+    if src.min() < 0:
+        row = src[(src < 0).any(axis=1).argmax()].tolist()
         if -1 in row:
             raise SemanticsError(f"gate {g.id!r}: no outcome recorded for classical source {g.classical_sources[row.index(-1)]!r}")
         labels = tuple(plan.labels[j][k] if k >= 0 else held[gid] for gid, j, k in zip(g.classical_sources, s.sources, row))
         raise SemanticsError(f"gate {g.id!r}: selector has no entry for {labels}")
-    return int(low) if low == pick.max() else pick
+    pick = s.selector[1][src @ s.selector[0]]
+    return int(pick[0]) if (pick == pick[0]).all() else pick
 
 
 def _expand(plan: _Plan, order, codes: np.ndarray, cap: Optional[int] = None,
@@ -268,21 +259,19 @@ def _run(moves, t: np.ndarray):
             yield from _run(_rows(moves[i:], 0, len(t) // 2), t[: len(t) // 2])
             yield from _run(_rows(moves[i:], len(t) // 2, len(t)), t[len(t) // 2 :])
             return
-        if not s.finite:
-            raise linalg.LinalgError("matrix has non-finite entries")
         a = s.ops[ops] if isinstance(ops, slice) else s.ops[ops][:, None]  # each block by each, or block i by ops[i]
         t = linalg.apply(a, s.axes, t if parents is None else t[parents])
     yield t
 
 
 def _walk_plan(c: QuantumCircuit, bouts, t0: Optional[np.ndarray], held: Optional[Mapping[str, str]] = None):
-    """The frontier walk over the gates of `bouts` (`_expand`), each bout in
-    `in_bout_order`: its moves, its leaves' codes, counted (at most
-    DEFAULT_TRACK_CAP) before any operator is applied, and the checked t0 (I,
-    built once they are counted, if None) as a frontier of one for `_run`;
-    with `held`, the one leaf of that assignment."""
+    """The frontier walk (`_expand`) over the gates of `bouts` (greedy if
+    None), each bout in `in_bout_order`: its moves, its leaves' codes,
+    counted (at most DEFAULT_TRACK_CAP) before any operator is applied, and
+    the checked t0 (I, built once they are counted, if None) as a frontier of
+    one for `_run`; with `held`, the one leaf of that assignment."""
     plan = _plan(c)
-    order = itertools.chain.from_iterable(in_bout_order(c, bouts))
+    order = itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts if bouts is None else bouts))
     moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), DEFAULT_TRACK_CAP, held)
     t = np.eye(2**c.n_registers, dtype=complex) if t0 is None else np.asarray(t0, dtype=complex)
     if t.ndim != 2 or t.shape[0] != 2**c.n_registers:
@@ -323,7 +312,7 @@ def track_rows(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None):
     w's rows (the product of the label sets, incoherent tracks included).
     Any other circuit gives one piece per stack of leaves of the walk
     (`_run`), in depth-first leaf order, as the walk goes."""
-    moves, codes, t = _walk_plan(c, greedy_schedule(c).bouts if bouts is None else bouts, t0)
+    moves, codes, t = _walk_plan(c, bouts, t0)
     order = np.argsort(_row_keys(codes))
     return codes[order], _pieces(c, moves, t, np.argsort(order))  # keys: of each leaf, in walk order
 
@@ -359,9 +348,14 @@ def track_stack(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None) 
     piece: a terminal-form track is its rows of U @ t0 and zeros."""
     codes, pieces = track_rows(c, t0, bouts)
     a = np.zeros((len(codes), 2**c.n_registers, 2**c.n_registers if t0 is None else np.shape(t0)[1]), dtype=complex)
-    for w, group, keys in pieces:  # a stack's block i into track keys[i]'s; row r into track keys[group[r]]'s
-        a[(keys,) if group is None else (keys[group], np.arange(len(w)))] = w
+    for piece in pieces:
+        a[_place(*piece)] = piece[0]
     return codes, a
+
+
+def _place(w: np.ndarray, group, keys: np.ndarray) -> tuple:
+    """Where `track_stack` holds a `track_rows` piece: stack block i, or row r, in track keys[i] or keys[group[r]]."""
+    return (keys,) if group is None else (keys[group], np.arange(len(w)))
 
 
 def track_operators(c: QuantumCircuit, t0: Optional[np.ndarray]) -> list[tuple[Track, np.ndarray]]:
@@ -389,11 +383,12 @@ def schedules_equivalent(
     c: QuantumCircuit, x: Schedule, y: Schedule, tol: float = linalg.DEFAULT_TOL
 ) -> bool:
     """Whether every track's cumulative operator under x is within tol of its
-    operator under y: the `track_stack`s over their bouts, whose rows are
-    the same tracks. An invalid schedule raises ScheduleError."""
+    operator under y, entry by entry: x's `track_stack` against y's
+    `track_rows` pieces as they come (a terminal-form track is 0 off its own
+    rows under every schedule). An invalid schedule raises ScheduleError."""
     _require_fit(c, x, y)
-    a, b = (track_stack(c, None, s.bouts)[1] for s in (x, y))
-    return all(linalg.mat_close(p, q, tol) for p, q in zip(a, b))
+    a = track_stack(c, None, x.bouts)[1]
+    return all(np.abs(a[_place(*piece)] - piece[0]).max() <= tol for piece in track_rows(c, None, y.bouts)[1])
 
 
 def track_probability(c: QuantumCircuit, f: Track, rho: linalg.DensityOperator) -> float:

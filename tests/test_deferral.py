@@ -974,16 +974,44 @@ def test_translated_track_missing_from_target_raises(inputs):
         check_faithful(c, c, zeta, inputs)
 
 
+def refuse_to_walk(monkeypatch, d):
+    """Make taking the first piece of d's walk (`semantics._pieces`, a
+    generator, runs when its first piece is taken) fail the test."""
+    pieces = semantics._pieces
+
+    def guarded(c, *args):
+        if c is d:
+            pytest.fail("a piece of the target was taken")
+        yield from pieces(c, *args)
+
+    monkeypatch.setattr(semantics, "_pieces", guarded)
+
+
 @pytest.mark.parametrize("inputs", [None, [np.array([1.0, 0.0])]], ids=["exact", "one-input"])
-def test_target_measurement_that_no_source_gate_maps_to_raises(inputs):
+def test_target_measurement_that_no_source_gate_maps_to_raises(inputs, monkeypatch):
     """A target that adds a measurement m2, which no source measurement maps
     to: no translated track labels m2, so none is a track of the target, and
-    the first source track is named."""
+    the first source track is named, once the target's tracks are counted
+    and before any of its operators is applied."""
     c = h_then_measure()
     d = QuantumCircuit(("q0", "a"), c.gates + (standard_measure_gate("m2", 1),))
+    refuse_to_walk(monkeypatch, d)
     with pytest.raises(DeferralError) as error:
         check_faithful(c, d, Commensuration.identity(c), inputs)
     assert str(error.value) == "translated track {'m': '0'} is not a track of the target"
+
+
+@pytest.mark.parametrize("inputs", [None, [np.array([1.0, 0.0])]], ids=["exact", "one-input"])
+def test_a_sidecar_label_the_target_lacks_fails_before_the_target_is_walked(inputs, monkeypatch):
+    """A sidecar that sends m's labels to x and y, which the target's m
+    lacks: the first source track is named before the target's first piece
+    is taken."""
+    c = h_then_measure()
+    d = QuantumCircuit(c.register_names, c.gates)
+    refuse_to_walk(monkeypatch, d)
+    with pytest.raises(DeferralError) as error:
+        check_faithful(c, d, Commensuration({"m": "m"}, {"m": {"0": "x", "1": "y"}}), inputs)
+    assert str(error.value) == "translated track {'m': 'x'} is not a track of the target"
 
 
 def perturbed_sidecar(c, d, zeta, kind, rng) -> Commensuration:

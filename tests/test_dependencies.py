@@ -115,3 +115,16 @@ def test_only_semantics_runs_the_walk(path):
     script reads the walk through `track_rows` and `track_stack`."""
     named = {"_walk_plan", "_run", "_expand"} & set(_names(ast.parse(path.read_text(), str(path))))
     assert not named, f"{path.name} names {sorted(named)}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "circuit.py"] + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}",
+)
+def test_only_circuit_reads_the_validation_verdicts(path):
+    """Validation's verdicts have one owner, `circuit`: every other module
+    and script asks `validate_circuit` or `check_valid`, and no walk
+    re-derives a verdict of its own."""
+    named = {"_verdicts", "_diagnostics"} & set(_names(ast.parse(path.read_text(), str(path))))
+    assert not named, f"{path.name} names {sorted(named)}"

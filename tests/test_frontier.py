@@ -14,6 +14,7 @@ import reference_walk
 from corpus import feed_forward_circuit, ghz_circuit, random_circuit
 from qcirc import linalg, semantics
 from qcirc.circuit import (
+    CircuitError,
     Gate,
     Measurement,
     QuantumCircuit,
@@ -166,9 +167,10 @@ def test_ff17_refuses_at_the_cap_on_codes(call, monkeypatch):
 
 
 def test_walk_checks_each_operator_once(monkeypatch):
-    """The walk checks each operator once, where it compiles its gate, and
-    its kernel `linalg.apply` scans nothing: no `linalg.as_matrix` finite
-    scan runs per call. A non-finite operator still raises LinalgError."""
+    """The walk's operators are checked once, by the validation that its
+    plan needs, and its kernel `linalg.apply` scans nothing: no
+    `linalg.as_matrix` finite scan runs per call. A non-finite operator is
+    the validator's `non-finite-entry`."""
     c = feed_forward_circuit(3)
     calls, apply = [], linalg.apply
     monkeypatch.setattr(linalg, "apply", lambda *args: calls.append(1) or apply(*args))
@@ -176,33 +178,35 @@ def test_walk_checks_each_operator_once(monkeypatch):
     assert len(semantics.aggregate_measurement(c).operators) == 8 and calls
     g = c.gates[0]
     bad = type(g)(g.id, g.registers, {g.id: type(g.unitaries[g.id])(g.id, np.diag([1.0, np.nan]))}, selector={(): g.id})
-    with pytest.raises(linalg.LinalgError, match="matrix has non-finite entries"):
+    with pytest.raises(CircuitError, match="^non-finite-entry@h0: unitary 'h0' is not finite$"):
         semantics.aggregate_measurement(QuantumCircuit(c.register_names, (bad, *c.gates[1:])))
 
 
-def test_a_measurement_without_outcomes_ends_its_branch():
-    """A branch that reaches a measurement with no outcome has no leaf, as in
-    the reference walk; only the branch that avoids it is left."""
+def test_a_measurement_without_outcomes_is_refused_before_the_walk():
+    """A measurement with no outcome is the validator's `empty-measurement`:
+    the walk refuses the circuit before it counts a track."""
     empty = Measurement("empty", {})
     full = Measurement("full", {"x": np.eye(2)})
     g = Gate("g", (1,), measurements={"empty": empty, "full": full}, classical_sources=("m",),
              selector={("0",): "empty", ("1",): "full"})
     c = QuantumCircuit(("a", "b"), (measure_gate("h", [0], {"h": np.eye(2)}), standard_measure_gate("m", 0), g))
-    assert_same_leaves(c, np.eye(4, dtype=complex))
-    assert [f.as_dict() for f in semantics.enumerate_tracks(c)] == [{"h": "h", "m": "1", "g": "x"}]
+    with pytest.raises(CircuitError, match="^empty-measurement@g: measurement 'empty' has no outcome$"):
+        semantics.enumerate_tracks(c)
 
 
 @pytest.mark.parametrize("controls", [("m", "u"), ("u", "m")], ids=["measurement-first", "unitary-first"])
 def test_a_source_without_outcome_is_named_as_the_reference_walk_names_it(controls):
-    """A classical source that is a unitary records no outcome. The walk names
-    the first such source in the gate's order, as the reference walk does,
-    and not a measurement source that has an outcome."""
+    """A classical source that is a unitary records no outcome. The
+    reference walk names the first such source in the gate's order, and so
+    does the validator's `classical-source-not-measure`, which refuses the
+    circuit before any walk: neither names a measurement source."""
     key = {"m": ("0", "1"), "u": ("x", "x")}
     selector = {tuple(key[s][i] for s in controls): "a" for i in range(2)}
     g = controlled_unitary_gate("g", [2], controls, {"a": np.eye(2)}, selector)
     c = QuantumCircuit(("a", "b", "c"), (standard_measure_gate("m", 0), unitary_gate("u", [1], linalg.X), g))
     with pytest.raises(semantics.SemanticsError) as want:
         list(reference_walk.walk_tracks(c, np.eye(8, dtype=complex)))
-    with pytest.raises(semantics.SemanticsError) as got:
+    assert str(want.value) == "gate 'g': no outcome recorded for classical source 'u'"
+    with pytest.raises(CircuitError) as got:
         semantics.aggregate_measurement(c)
-    assert str(got.value) == str(want.value) == "gate 'g': no outcome recorded for classical source 'u'"
+    assert str(got.value) == "classical-source-not-measure@g: classical source 'u' is not a measurement gate"

@@ -18,7 +18,7 @@ from qcirc.circuit import (
     topo_order,
     unitary_gate,
 )
-from qcirc.deferral import defer_measurements
+from qcirc.deferral import Commensuration, check_faithful, defer_measurements
 from qcirc.linalg import CNOT, H, I2, X, Z, DensityOperator, kron_all, mat_close
 from qcirc.scheduling import (
     Schedule,
@@ -88,14 +88,15 @@ def test_bout_operator_picks_by_source_label(teleport):
 
 def test_walk_names_a_missing_source_or_selector_entry(teleport):
     """A track without the label of a classical source, or whose labels the
-    selector has no entry for, has no operator."""
+    selector has no entry for, has no operator; a selector without an entry
+    for every label combination is the validator's `selector-not-total`."""
     with pytest.raises(SemanticsError, match="no outcome recorded for classical source 'N'"):
         bout_operator(teleport, {"XN"}, {})
     with pytest.raises(SemanticsError, match=r"selector has no entry for \('2',\)"):
         bout_operator(teleport, {"XN"}, {"N": "2"})
     g = controlled_unitary_gate("x", [1], ["m"], {"X": X}, {("0",): "X"})
     c = QuantumCircuit(("a", "b"), (standard_measure_gate("m", 0), g))
-    with pytest.raises(SemanticsError, match=r"selector has no entry for \('1',\)"):
+    with pytest.raises(CircuitError, match=r"^selector-not-total@x: selector domain mismatch \(missing \[\('1',\)\]"):
         aggregate_measurement(c)
 
 
@@ -128,15 +129,55 @@ def test_track_accessors():
 
 
 def test_a_walk_refuses_a_repeated_gate_id_or_a_cycle():
-    """The plan is compiled only for a circuit whose source relation orders
-    its gates: a repeated id or a cycle is the CircuitError `topo_order`
-    raises, even for one bout under an explicit assignment."""
+    """The plan is compiled only for a valid circuit: a repeated id or a
+    cycle is the CircuitError of its diagnostic, even for one bout under an
+    explicit assignment."""
     dup = QuantumCircuit(("a",), (standard_measure_gate("m", 0), standard_measure_gate("m", 0)))
     u = controlled_unitary_gate("u", [0], ["m"], {"I": np.eye(2), "X": X}, {("0",): "I", ("1",): "X"})
     cyclic = QuantumCircuit(("a",), (u, standard_measure_gate("m", 0)))
-    for c, message in ((dup, "duplicate gate id 'm'"), (cyclic, "source relation is cyclic")):
+    for c, message in ((dup, "^duplicate-gate-id@m: gate id 'm' appears more than once$"),
+                       (cyclic, "^cycle@<circuit>: combined source relation is cyclic$")):
         with pytest.raises(CircuitError, match=message):
             bout_operator(c, {c.gates[0].id}, {"m": "0"})
+
+
+def precondition_circuit(code=None):
+    """H on a, a measurement m of a, and I or X on b as m's label selects;
+    with `code`, invalid by that diagnostic: u is diag(1, 2), m's operators
+    diag(1, 0) and diag(0, 0.5), or the selector has no entry for label 1."""
+    u = np.diag([1.0, 2.0]) if code == "non-unitary-op" else H
+    m = {"0": P0, "1": np.diag([0.0, 0.5]) if code == "measurement-incomplete" else P1}
+    selector = {("0",): "I"} if code == "selector-not-total" else {("0",): "I", ("1",): "X"}
+    x = controlled_unitary_gate("x", [1], ["m"], {"I": I2, "X": X}, selector)
+    return QuantumCircuit(("a", "b"), (unitary_gate("u", [0], u), measure_gate("m", [0], m), x))
+
+
+@pytest.mark.parametrize("code", ["non-unitary-op", "measurement-incomplete", "selector-not-total"])
+def test_every_walk_refuses_an_invalid_circuit(code):
+    """Every function that walks a circuit validates it first, and raises
+    the CircuitError that names its diagnostic, the checker's source and
+    target alike: no walk reads a non-unitary op, an incomplete measurement
+    or a selector without an entry for each label combination."""
+    c, valid = precondition_circuit(code), precondition_circuit()
+    x, f, zeta = greedy_schedule(c), Track.from_mapping({"m": "0"}), Commensuration.identity(valid)
+    rho = DensityOperator.from_ket(np.array([1.0, 0.0, 0.0, 0.0]))
+    for call in (
+        lambda: aggregate_measurement(c),
+        lambda: enumerate_tracks(c),
+        lambda: semantics.track_stack(c),
+        lambda: track_operators(c, None),
+        lambda: cumulative_operator(c, x, f),
+        lambda: bout_operator(c, {"u"}, {}),
+        lambda: track_probability(c, f, rho),
+        lambda: replay(c, x, f, rho),
+        lambda: sample(c, x, rho, range(3)),
+        lambda: run(c, x, rho, 0),
+        lambda: schedules_equivalent(c, x, x),
+        lambda: check_faithful(c, valid, zeta),
+        lambda: check_faithful(valid, c, zeta),
+    ):
+        with pytest.raises(CircuitError, match=f"^{code}@"):
+            call()
 
 
 def test_bout_operator_selects_by_track(teleport):
@@ -321,6 +362,21 @@ def test_schedules_equivalent_is_the_per_track_definition(teleport):
                 seen.add((tol, want))
             assert schedules_equivalent(c, greedy, x, 0.0) == (distance == 0.0)
     assert seen == {(0.0, True), (0.0, False), (1e-9, True)}
+
+
+def test_schedules_equivalent_holds_one_stack():
+    """GHZ-7, greedy against its first linear schedule: the greedy stack of
+    128 tracks of 128 x 128 entries is 32 MiB, and the other schedule's
+    rows are compared with it as they come, not held as a second stack."""
+    c = ghz_circuit(7)
+    x, y = greedy_schedule(c), next(iter(enumerate_linear_schedules(c, limit=1)))
+    tracemalloc.start()
+    try:
+        assert schedules_equivalent(c, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20
 
 
 def test_schedules_equivalent_rejects_invalid_schedules(teleport):
