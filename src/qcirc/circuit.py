@@ -456,7 +456,7 @@ def _diagnose(c: QuantumCircuit) -> list[Diagnostic]:
 
 
 def check_valid(c: QuantumCircuit) -> QuantumCircuit:
-    diags = validate_circuit(c)
+    diags = c._diagnostics  # not `validate_circuit`, so that a walk's cached check counts as no validation
     if diags:
         raise CircuitError("; ".join(f"{d.code}@{d.where}: {d.message}" for d in diags))
     return c

@@ -124,21 +124,12 @@ class Commensuration:
 
     @classmethod
     def from_json(cls, data) -> "Commensuration":
-        """Read a sidecar; a malformed one raises ParseError (`bad-sidecar`).
-        A sidecar in the older bit-level format is read when it maps every
-        gate to one gate; its label maps come from its `detail` tables."""
+        """Read a sidecar's `zeta`, `labels` and `absorbed`, as `to_json` writes
+        them, and no other key; a malformed one raises ParseError (`bad-sidecar`)."""
         zeta = data.get("zeta") if isinstance(data, dict) else None
         if not isinstance(zeta, dict):
             raise _bad_sidecar("expected an object whose zeta maps gate ids to gate ids")
-        if any(isinstance(t, list) for t in zeta.values()):
-            raise _bad_sidecar(
-                "the sidecar splits a measurement over several gates; re-run qcirc defer"
-            )
-        try:
-            labels = _detail_labels(data["detail"], zeta) if "detail" in data else data.get("labels", {})
-        except (KeyError, TypeError, ValueError):
-            raise _bad_sidecar("unreadable bit-level detail tables; re-run qcirc defer") from None
-        absorbed = data.get("absorbed", [])
+        labels, absorbed = data.get("labels", {}), data.get("absorbed", [])
         if not (
             _str_values(zeta)
             and isinstance(labels, dict)
@@ -156,24 +147,6 @@ def _bad_sidecar(message: str) -> ParseError:
 
 def _str_values(table) -> bool:
     return isinstance(table, dict) and all(isinstance(v, str) for v in table.values())
-
-
-def _detail_labels(detail: dict, zeta: dict) -> dict:
-    """Label maps of a bit-level sidecar: each source label's symbols, placed
-    at their bit positions of the one target gate, read back as that gate's
-    label. Identity maps are left out."""
-    out = {}
-    for gid, slots in detail["assignments"].items():
-        if any(dg != zeta[gid] for dg, _ in slots):
-            raise ValueError(gid)
-        d_label = {tuple(key): lab for key, lab in detail["d_labels"][zeta[gid]]}
-        table = {}
-        for lab, syms in detail["label_bits"][gid].items():
-            key = {int(pos): sym for (_, pos), sym in zip(slots, syms)}
-            table[lab] = d_label[tuple(key[i] for i in range(len(key)))]
-        if any(lab != target for lab, target in table.items()):
-            out[gid] = table
-    return out
 
 
 @dataclass(frozen=True)
@@ -480,14 +453,12 @@ def _columns(p: np.ndarray, cols: list) -> np.ndarray:
 
 
 def _row_sums(index: np.ndarray, x: np.ndarray, count: int, width: int) -> np.ndarray:
-    """The rows of x, `width` entries each, summed by `index` into `count`
-    rows, each added one at a time in row order (`np.bincount`, over real and
-    imaginary parts side by side), so rows of zeros change no sum."""
+    """The rows of real x, `width` entries each, summed by `index` into
+    `count` rows, each added one at a time in row order (`np.bincount`), so
+    rows of zeros change no sum."""
     x = np.ascontiguousarray(x).reshape(len(index), width)
-    parts = x.view(float) if np.iscomplexobj(x) else x
-    q = parts.shape[1]
-    sums = np.bincount((index[:, None] * q + np.arange(q)).ravel(), parts.ravel(), minlength=count * q)
-    return sums.reshape(count, q).view(x.dtype)
+    sums = np.bincount((index[:, None] * width + np.arange(width)).ravel(), x.ravel(), minlength=count * width)
+    return sums.reshape(count, width)
 
 
 def _piece_failures(w, group, keys, target, target_rows, source, pairing, cols, tol) -> dict:

@@ -89,8 +89,8 @@ def _require_fit(c: QuantumCircuit, *schedules: Schedule) -> None:
 
 
 class _Step(NamedTuple):
-    """A gate compiled for the frontier walk (`_Plan`). A pick is the
-    position of one of its unitaries or measurements."""
+    """A gate compiled for the frontier walk (`_Plan`). A pick is the position
+    of one of its unitaries or measurements, 0 without classical sources."""
 
     gate: Gate
     column: int  # of outcome codes; -1 for a unitary gate
@@ -98,7 +98,6 @@ class _Step(NamedTuple):
     ops: np.ndarray  # unitary j is ops[j]; measurement j's, labels sorted, are ops[first[j] : first[j + 1]]
     first: tuple
     codes: np.ndarray  # per measurement operator, its label's code
-    pick: int  # without classical sources; -1 with them
     sources: tuple = ()  # columns of the classical sources
     selector: tuple = ()  # (place values, table): mixed-radix code of their labels -> pick
 
@@ -130,14 +129,14 @@ class _Plan:
             codes = np.array([self.index[column][label] for m in choices.values() for label in m.outcomes])
         step = (g, column, linalg._axes(g.registers, n), linalg.operators(ops, g.arity), first, codes)
         if not g.classical_sources:
-            return _Step(*step, list(choices).index(g.selector[()]))
+            return _Step(*step)
         sources = tuple(map(self.column.__getitem__, g.classical_sources))
         index = [self.index[j] for j in sources]
         places = [math.prod(map(len, index[i + 1 :])) for i in range(len(index))]
         table = [0] * math.prod(map(len, index))  # every entry written: the selector is total
         for key, target in g.selector.items():
             table[sum(map(operator.mul, map(dict.__getitem__, index, key), places))] = list(choices).index(target)
-        return _Step(*step, -1, sources, (np.array(places), np.array(table)))
+        return _Step(*step, sources, (np.array(places), np.array(table)))
 
     def codes_of(self, assignment: Mapping[str, str]) -> np.ndarray:
         """A row of codes of the assignment's labels, -2 for a label that its gate lacks, then the last -1."""
@@ -176,7 +175,7 @@ def _pick(plan: _Plan, s: _Step, codes: np.ndarray, held: Optional[Mapping[str, 
     """Per frontier row, the selector's pick; an int if all rows agree. A source's code is -1 if
     neither the walk nor `held` labels it, -2 if `held` gives it a label that it lacks."""
     if not s.sources:
-        return s.pick
+        return 0
     g, src = s.gate, codes[:, s.sources]
     if src.min() < 0:
         row = src[(src < 0).any(axis=1).argmax()].tolist()
@@ -326,7 +325,7 @@ def _pieces(c: QuantumCircuit, moves: list, t: np.ndarray, keys: np.ndarray):
         return
     w = next(_run([move for move in moves if move[0].column < 0], t))[0]
     del t  # so that the walk's input is not held while the piece is
-    yield (w, _row_tracks(c, moves, len(w)), keys) if len(keys) > 1 else (w[None], None, keys)
+    yield w, _row_tracks(c, moves, len(w)), keys
 
 
 def _row_tracks(c: QuantumCircuit, moves: list, rows: int) -> np.ndarray:

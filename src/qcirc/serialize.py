@@ -516,8 +516,8 @@ def schedule_to_json(x: Schedule, c: QuantumCircuit) -> dict:
 
 def schedule_from_json(obj: dict) -> Schedule:
     bouts = obj.get("bouts") if isinstance(obj, dict) else None
-    if not (isinstance(bouts, list) and all(_strings(b) for b in bouts)):
-        raise ParseError([_diag("bad-schedule", "<schedule>", "bouts must be a list of lists of gate ids")])
+    if not (isinstance(bouts, list) and all(_strings(b) and len(set(b)) == len(b) for b in bouts)):
+        raise ParseError([_diag("bad-schedule", "<schedule>", "bouts must be lists of gate ids, none twice in one")])
     return Schedule(tuple(frozenset(b) for b in bouts))
 
 

@@ -793,13 +793,12 @@ def test_cli_old_sidecar_is_still_read(tmp_path, capsys):
         ([1, 2], "zeta maps gate ids"),
         ({"zeta": {"M": 5, "N": "N"}}, "as strings"),
         ({"zeta": {"M": "M", "N": "N"}, "labels": {"M": ["0"]}}, "as strings"),
-        (_old_sidecar({"M": ["M", "N"], "N": "N"}), "re-run qcirc defer"),
-        ({**_old_sidecar({"M": "M", "N": "N"}), "detail": {}}, "re-run qcirc defer"),
+        (_old_sidecar({"M": ["M", "N"], "N": "N"}), "as strings"),
         ({"zeta": {"M": "M", "N": "N"}, "absorbed": ["nope"]}, "not a single-outcome measurement"),
         ({"zeta": {"M": "M", "N": "N"}, "absorbed": ["H"]}, "not a single-outcome measurement"),
         ({"zeta": {"M": "M", "N": "N"}, "absorbed": ["M"]}, "not a single-outcome measurement"),
     ],
-    ids=["empty-zeta", "list", "int-target", "labels-list", "old-split", "old-no-tables",
+    ids=["empty-zeta", "list", "int-target", "labels-list", "old-split",
          "absorbed-unknown", "absorbed-unitary", "absorbed-two-outcomes"],
 )
 def test_cli_bad_sidecar_is_a_diagnostic(tmp_path, capsys, sidecar, message):
@@ -1155,8 +1154,12 @@ def test_cli_entries_must_be_pairs_of_numbers(tmp_path, capsys, entry):
     assert _first_diag(capsys)["code"] == "bad-state"
 
 
-@pytest.mark.parametrize("schedule", [{"bouts": "ab"}, {"bouts": [[1]]}, {"bouts": [["CNOT"], "H"]}],
-                         ids=["string", "number-id", "string-bout"])
+@pytest.mark.parametrize(
+    "schedule",
+    [{"bouts": "ab"}, {"bouts": [[1]]}, {"bouts": [["CNOT"], "H"]},
+     {"bouts": [["CNOT", "CNOT"], ["H", "N"], ["M", "XN"], ["ZM"]]}],
+    ids=["string", "number-id", "string-bout", "repeat-in-bout"],
+)
 def test_cli_schedule_must_be_lists_of_gate_ids(tmp_path, capsys, schedule):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(schedule))

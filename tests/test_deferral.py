@@ -807,19 +807,50 @@ def test_exact_check_accepts_random_deferrable_circuits(seed):
     assert report.ok, (seed, report.failures)
 
 
-def test_old_bit_level_sidecar_gives_label_maps():
-    old = {
-        "zeta": {"M1": "M1", "M2": "M1"},
-        "absorbed": [],
-        "detail": {
-            "assignments": {"M1": [["M1", 0]], "M2": [["M1", 0]]},
-            "label_bits": {"M1": {"0": ["0"], "1": ["1"]}, "M2": {"a": ["0"], "b": ["1"]}},
-            "d_labels": {"M1": [[["0"], "0"], [["1"], "1"]]},
-        },
+def test_sidecar_is_read_from_zeta_labels_and_absorbed_only():
+    """A sidecar is read from `zeta`, `labels` and `absorbed` alone. An
+    `ancillas` list, or the bit-level `detail` tables that `defer` wrote when
+    it split a measurement over bits, changes nothing, even tables that map
+    M2's labels a/b onto M1's 0/1: they read as no label map."""
+    detail = {
+        "assignments": {"M1": [["M1", 0]], "M2": [["M1", 0]]},
+        "label_bits": {"M1": {"0": ["0"], "1": ["1"]}, "M2": {"a": ["0"], "b": ["1"]}},
+        "d_labels": {"M1": [[["0"], "0"], [["1"], "1"]]},
     }
-    zeta = Commensuration.from_json(old)
-    assert zeta.gates == {"M1": "M1", "M2": "M1"}
-    assert zeta.labels == {"M2": {"a": "0", "b": "1"}}
+    zetas = [defer_measurements(random_deferrable_circuit(np.random.default_rng([17, s]))) for s in range(30)]
+    assert any(r.zeta.labels for r in zetas) and any(r.zeta.absorbed for r in zetas)
+    for r in zetas:
+        old = r.zeta.to_json() | {"ancillas": sorted(r.ancilla_registers), "detail": detail}
+        assert Commensuration.from_json(old) == r.zeta
+    zeta = Commensuration.from_json({"zeta": {"M1": "M1", "M2": "M1"}, "absorbed": [], "detail": detail})
+    assert zeta.gates == {"M1": "M1", "M2": "M1"} and zeta.labels == {}
+
+
+def test_untranslatable_source_tracks_are_failures():
+    """H on registers 0 and 1, then m1 of 0 and m2 of 1, against the same
+    without m2, with m2 sent to m1: a source track whose labels differ gives
+    m1 two labels, so its weight is a failure, and each track whose labels
+    agree meets an image of twice its weight."""
+    hh = (unitary_gate("h0", [0], H), unitary_gate("h1", [1], H), standard_measure_gate("m1", 0))
+    src = QuantumCircuit(("q0", "q1"), (*hh, standard_measure_gate("m2", 1)))
+    tgt = QuantumCircuit(("q0", "q1"), hh)
+    zeta = Commensuration.from_json({"zeta": {"m1": "m1", "m2": "m1"}})
+    for inputs, kind, weight, at in [(None, "operator-mismatch", "mass", {}),
+                                     ([np.array([1, 0, 0, 0])], "state-mismatch", "probability", {"input": 0})]:
+        report = check_faithful(src, tgt, zeta, inputs).to_json()
+        assert report["ok"] is False and report["tracks_checked"] == 4
+        p = 1.0 if inputs is None else 0.25
+        mismatch = {"residual": p, f"source_{weight}": p, f"target_{weight}": 2 * p}
+        expected = [
+            {"kind": kind, **at, "track": {"m1": "0", "m2": "0"}, **mismatch},
+            {"kind": "untranslatable-track-probability", **at, "track": {"m1": "0", "m2": "1"}, weight: p},
+            {"kind": "untranslatable-track-probability", **at, "track": {"m1": "1", "m2": "0"}, weight: p},
+            {"kind": kind, **at, "track": {"m1": "1", "m2": "1"}, **mismatch},
+        ]
+        for f, e in zip(report["failures"], expected, strict=True):
+            floats = [k for k, v in e.items() if isinstance(v, float)]
+            assert f == e | {k: f[k] for k in floats}
+            assert [f[k] for k in floats] == pytest.approx([e[k] for k in floats], abs=1e-12)
 
 
 @pytest.mark.parametrize("outcomes", [3, 1])

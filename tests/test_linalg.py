@@ -401,8 +401,11 @@ def test_partial_trace_of_product_state():
 
 
 def test_partial_trace_rejects_empty_keep():
-    with pytest.raises(LinalgError):
-        partial_trace_matrix(np.eye(4), 2, [])
+    """And a kept register out of range, or a matrix of the wrong shape."""
+    for mat, keep, message in [(np.eye(4), [], "nonempty"), (np.eye(4), [2], "out of range"),
+                               (np.eye(4), [-1], "out of range"), (np.eye(2), [0], "expected 4x4")]:
+        with pytest.raises(LinalgError, match=message):
+            partial_trace_matrix(mat, 2, keep)
 
 
 # --- density operators ------------------------------------------------------
