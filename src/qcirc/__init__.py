@@ -33,6 +33,7 @@ from .semantics import (
     enumerate_tracks,
     run,
     sample,
+    tally,
     track_probability,
 )
 from .serialize import parse_circuit, serialize_circuit
@@ -68,6 +69,7 @@ __all__ = [
     "serialize_circuit",
     "stage_exits",
     "standard_measure_gate",
+    "tally",
     "tensor",
     "track_probability",
     "transposition_path",

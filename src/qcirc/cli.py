@@ -130,15 +130,13 @@ def cmd_run(args) -> int:
             }
         )
         return 0
-    counts: dict[tuple, int] = {}
-    for result in semantics.sample(c, x, rho, semantics.splitmix64([args.seed], args.shots)[0]):
-        counts[result.track.outcomes] = counts.get(result.track.outcomes, 0) + 1
+    counts = semantics.tally(c, x, rho, semantics.splitmix64([args.seed], args.shots)[0])
     _emit(
         {
             "shots": args.shots,
             "frequencies": [
-                {"outcomes": dict(track), "count": n, "frequency": n / args.shots}
-                for track, n in sorted(counts.items())
+                {"outcomes": track.as_dict(), "count": n, "frequency": n / args.shots}
+                for track, n in counts.items()
             ],
         }
     )

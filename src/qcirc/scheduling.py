@@ -30,9 +30,10 @@ class Schedule:
 
 def in_bout_order(c: QuantumCircuit, bouts: Iterable[Iterable[str]]) -> list[list[str]]:
     """Each bout's gate ids in circuit order, the one order of gates inside a
-    bout; the first id, in iteration order, that `c` lacks raises CircuitError."""
+    bout, a bout of one known gate taken as it is; the first id, in iteration
+    order, that `c` lacks raises CircuitError."""
     try:
-        return [sorted(b, key=c._index.__getitem__) for b in bouts]
+        return [b if len(b) == 1 and b[0] in c._index else sorted(b, key=c._index.__getitem__) for b in map(list, bouts)]
     except KeyError as e:
         c.gate(e.args[0])  # raises, as `QuantumCircuit.index_of` does
         raise

@@ -4,27 +4,27 @@ aggregate measurement, schedule equivalence, and a seeded stochastic executor.
 Post-measurement states are kept un-normalized; normalization happens only
 when sampling or reporting.
 
-Every walk, the sampler's included, is one breadth-first frontier walk over
-the `_Plan` compiled once for a valid circuit (else CircuitError): a stack
-of states, each named by its row of integer outcome codes, and each gate's
-selected operators applied once to all the states that select them
-(`linalg.apply`); each bout is walked in `scheduling.in_bout_order`, and the
-tracks are counted on the codes before any operator is applied. A code row
-is a track's one identity, and a `Track` is built only for a public return
-value or a report. Outside this module the walk is read through
-`track_rows`, its pieces as they come, and `track_stack`, every track's
-block in (gate id, label) order; the faithfulness checker pairs tracks by
-their code rows. A circuit in terminal form, whose unitaries all precede its
-standard-basis measurements (every circuit `defer` rewrites, and GHZ-style
-circuits), is by the deferred-measurement principle one unitary U followed
-by a standard-basis measurement: `track_rows` applies only its unitary
-moves, to t0 alone, and each track is the rows of U @ t0 that its labels
-select (`linalg.reindex`).
+Every walk, each bout of a sampled block included, is one breadth-first
+frontier walk over the `_Plan` compiled once for a valid circuit (else
+CircuitError): a stack of states, each named by its row of integer outcome
+codes, and each gate's selected operators applied once to all the states that
+select them (`linalg.apply`); each bout is walked in
+`scheduling.in_bout_order`, and the tracks are counted on the codes before any
+operator is applied; `sample` and `tally` settle blocks of shots depth first,
+bout by bout (`_leaves`). A code row is a track's one identity, and a `Track`
+is built only for a public return value or a report. Outside this module the
+walk is read through `track_rows`, its pieces as they come, and `track_stack`,
+every track's block in (gate id, label) order; the faithfulness checker pairs
+tracks by their code rows. A circuit in terminal form, whose unitaries all
+precede its standard-basis measurements (every circuit `defer` rewrites, and
+GHZ-style circuits), is by the deferred-measurement principle one unitary U
+followed by a standard-basis measurement: `track_rows` applies only its
+unitary moves, to t0 alone, and each track is the rows of U @ t0 that its
+labels select (`linalg.reindex`).
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -440,100 +440,124 @@ def _seed(s) -> int:
 
 def splitmix64(seeds, count: int) -> np.ndarray:
     """Z[i, t]: output t + 1 of SplitMix64 (Steele, Lea & Flood 2014) from state
-    seeds[i], for all seeds and t < count in uint64 arithmetic (which wraps
-    modulo 2**64). Seeds are integers in [0, 2**64): TypeError for another
-    type, a bool included, ValueError outside. Every seeded draw comes from here."""
+    seeds[i], for all seeds and t < count, mixed in place in uint64 (modulo 2**64).
+    Seeds are integers in [0, 2**64): TypeError for another type, a bool
+    included, ValueError outside. Every seeded draw comes from here."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u"):
         seeds = [_seed(s) for s in seeds]
         if not all(0 <= s < 2**64 for s in seeds):
             raise ValueError("seeds must be integers in [0, 2**64)")
-    x = np.array(seeds, dtype=np.uint64)[:, None]
-    x = x + np.arange(1, count + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
-    z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9
-    z = (z ^ z >> 27) * 0x94D049BB133111EB
-    return z ^ z >> 31
+    z = np.array(seeds, dtype=np.uint64)[:, None] + np.arange(1, count + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    scratch = np.empty_like(z)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= factor
+    z ^= np.right_shift(z, 31, out=scratch)
+    return z
 
 
 def _uniforms(seeds, count: int) -> np.ndarray:
     """U[i, t] = (Z[i, t] >> 11) * 2**-53 of `splitmix64`, a double in [0, 1)."""
-    return (splitmix64(seeds, count) >> 11) * 2.0**-53
+    z = splitmix64(seeds, count)
+    return np.multiply(np.right_shift(z, 11, out=z), 2.0**-53)
 
 
-def sample(
-    c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seeds: Iterable[int]
-) -> list[RunResult]:
-    """One shot per seed: fire the schedule's bouts in order, sampling
-    measurement outcomes with their conditional probabilities. Bout t of the
-    shot with seed s draws u (`_uniforms`) and picks the first outcome
-    combination of positive weight whose running weight sum reaches
-    u * total (so a draw u = 0 skips leading combinations of weight 0); a
-    path whose trace falls to 1e-300 times the input's raises SemanticsError.
-    A live node holds the shots that took the same combinations so far; a
-    bout's live nodes are expanded as one frontier (`_settle`), so each shot
-    comes out as it would alone. rho = K K^dag is walked as 2^-e K
-    (`rho.scaled`): a path with cumulative operator A holds A K, weighed
-    by ||A K||_F^2, and ends as a factored state times 2^e. Memory: the live
-    nodes (one per returned state at most), and the children of FRONTIER_BYTES of them at a time."""
+def _leaves(c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seeds: Iterable[int], logs: bool):
+    """The loop of `sample` and `tally`: a stack of (bout index, block of
+    live nodes), each block's first FRONTIER_BYTES of nodes settled (`_settle`)
+    and their children pushed above the rest. Yields each leaf block, once its
+    states pass the zero-trace check, as (tracks, states, shots[, step logs])."""
     check_state(rho, c.n_registers)
     _require_fit(c, x)
     plan = _plan(c)
     bouts = list(map(tuple, in_bout_order(c, x.bouts)))
     u = _uniforms(seeds, len(bouts))
-    results: list = [None] * len(u)
     k0, e = rho.scaled  # so that no pick or weight depends on rho's scale
     floor = 1e-300 * linalg.squared_norm(k0)
-    size = max(1, FRONTIER_BYTES // k0.nbytes)  # nodes expanded at a time
-    # blocks of live nodes: (outcome codes, A K, step logs, shot indices), one row or item per node
-    live = [(plan.codes_of({}), k0[None], [()], [np.arange(len(u))])] if len(u) else []
-    for t, bout in enumerate(bouts):
-        blocks, live = collections.deque(live), []
-        while blocks:  # a block is dropped once its nodes are settled
-            block = blocks.popleft()
-            live += [_settle(plan, bout, t, [part[a : a + size] for part in block], u, floor)
-                     for a in range(0, len(block[0]), size)]
-    for codes, states, logs, shots in live:
-        states, _ = linalg.rescale(states, -e)
-        for track, k, log, mine in zip(plan.tracks(codes), states, logs, shots):
-            if linalg.squared_norm(k) <= math.ldexp(floor, 2 * e):  # the floor at rho's scale, 0 where that underflows
-                raise SemanticsError("final state has zero trace")
-            result = RunResult(track, linalg.DensityOperator(c.n_registers, factor=k), log)
-            for i in mine.tolist():
-                results[i] = result
-    return results
+    size = max(1, FRONTIER_BYTES // k0.nbytes)  # nodes settled at a time
+    # a block: outcome codes, A K, shot indices and, if kept, step logs, one row or item per node
+    stack = [(0, [plan.codes_of({}), k0[None], [np.arange(len(u))]] + ([[()]] if logs else []))] if len(u) else []
+    while stack:
+        t, block = stack.pop()
+        if t < len(bouts):
+            if len(block[0]) > size:
+                stack.append((t, [part[size:] for part in block]))
+            stack.append((t + 1, _settle(plan, bouts[t], t, [part[:size] for part in block], u, floor)))
+            continue
+        states, _ = linalg.rescale(block[1], -e)
+        if min(map(linalg.squared_norm, states)) <= math.ldexp(floor, 2 * e):  # the floor at rho's scale, 0 where that underflows
+            raise SemanticsError("final state has zero trace")
+        yield plan.tracks(block[0]), states, *block[2:]
 
 
-def _settle(plan: _Plan, bout: tuple[str, ...], t: int, block: list, u: np.ndarray, floor: float) -> tuple:
+def sample(c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seeds: Iterable[int]) -> list[RunResult]:
+    """One shot per seed: fire the schedule's bouts in order, sampling
+    measurement outcomes with their conditional probabilities. Bout t of the
+    shot with seed s draws u (`_uniforms`) and picks the first outcome
+    combination of positive weight whose running weight sum reaches u * total
+    (so a draw u = 0 skips leading combinations of weight 0); a path whose
+    trace falls to 1e-300 times the input's raises SemanticsError, that of the
+    first failing block met depth first. A live node holds the shots that took
+    the same combinations so far; blocks of them are settled depth first, each
+    bout as one frontier (`_leaves`), so each shot comes out as it would alone.
+    rho = K K^dag is walked as 2^-e K (`rho.scaled`): a path with cumulative
+    operator A holds A K, weighed by ||A K||_F^2, and ends as a factored state
+    times 2^e. Memory: the returned states, the draws, and one root-to-leaf
+    path of live blocks, each with its pending rest."""
+    results: dict = {}
+    for tracks, states, shots, logs in _leaves(c, x, rho, seeds, True):
+        for track, k, mine, log in zip(tracks, states, shots, logs):
+            results.update(dict.fromkeys(mine.tolist(), RunResult(track, linalg.DensityOperator(c.n_registers, factor=k), log)))
+    return [results[i] for i in range(len(results))]
+
+
+def tally(c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seeds: Iterable[int]) -> dict[Track, int]:
+    """{track: count} of `sample`'s shots for each track that occurs, in (gate
+    id, label) order: the same loop, draws, picks and errors, keeping no step
+    log, label or final state, each leaf block counted and dropped as reached.
+    A bout whose nodes have one child each takes no draw and is not weighed: it
+    applies only complete one-operator families (validation holds them to
+    1e-9) to nodes above the floor. Memory: the draws and `sample`'s path."""
+    counts = [(track, len(mine)) for tracks, _, shots in _leaves(c, x, rho, seeds, False)
+              for track, mine in zip(tracks, shots)]  # no two leaves share a track
+    return dict(sorted(counts, key=lambda item: item[0].outcomes))
+
+
+def _settle(plan: _Plan, bout: tuple[str, ...], t: int, block: list, u: np.ndarray, floor: float) -> list:
     """The block of live nodes after bout t: the children of the given ones
-    that their shots pick, in order, each weighed by `linalg.squared_norm`."""
-    codes, states, logs, shots = block
+    that their shots pick, in order, each weighed by `linalg.squared_norm`, and
+    their step logs if kept; without logs, one child per node is not weighed."""
+    codes, states, shots, *logs = block
     befores = [linalg.squared_norm(k) for k in states]
     if min(befores) <= floor:
         raise SemanticsError(f"zero-trace state before bout {t}")
     moves, codes, roots = _expand(plan, bout, codes)
     kids = list(_run(moves, states))
     kids = kids[0] if len(kids) == 1 else np.concatenate(kids)
-    combos = plan.labels_of(codes, [plan.column[gid] for gid in bout if gid in plan.column])
+    if not logs and len(kids) == len(states):  # no draw is taken (see `tally`)
+        return [codes, kids, shots]
     bounds = np.searchsorted(roots, np.arange(len(befores) + 1)).tolist()
-    rows, picked = [], []
-    for p, (log, mine) in enumerate(zip(logs, shots)):
+    picked = []  # per child kept: its row, its shots, its parent and its weight
+    for p, mine in enumerate(shots):
         weights = [linalg.squared_norm(k) / befores[p] for k in kids[bounds[p] : bounds[p + 1]]]
         total = sum(weights)
         if total <= 0.0:
             raise SemanticsError(f"all outcomes of bout {t} have zero probability")
         if len(weights) == 1:  # a lone child of positive weight takes every draw
-            rows.append(bounds[p])
-            picked.append((log + ((bout, combos[bounds[p]], weights[0]),), mine))
+            picked.append((bounds[p], mine, p, weights[0]))
             continue
         picks = np.searchsorted(list(itertools.accumulate(weights)), u[mine, t] * total, side="left")
         picks = np.minimum(picks, len(weights) - 1)
         if weights[0] == 0.0:  # u = 0 picks leaf 0 and only u = 0 picks a leaf of weight 0
             picks = np.maximum(picks, next(i for i, w in enumerate(weights) if w > 0.0))
-        for j in np.flatnonzero(np.bincount(picks)).tolist():
-            rows.append(bounds[p] + j)
-            picked.append((log + ((bout, combos[bounds[p] + j], weights[j]),), mine[picks == j]))
+        picked += [(bounds[p] + j, mine[picks == j], p, weights[j]) for j in np.flatnonzero(np.bincount(picks)).tolist()]
+    rows, shots, parents, weights = map(list, zip(*picked))
     if len(rows) < len(kids):  # drop the children no shot picked
         codes, kids = codes[rows], kids[rows]
-    return codes, kids, [log for log, _ in picked], [mine for _, mine in picked]
+    if logs:
+        combos = plan.labels_of(codes, [plan.column[gid] for gid in bout if gid in plan.column])
+        logs = [[logs[0][p] + ((bout, combo, w),) for p, w, combo in zip(parents, weights, combos)]]
+    return [codes, kids, shots, *logs]
 
 
 def run(

@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus import SCALE_KET, ghz_circuit, h_then_measure_circuit, parity_circuit, random_circuit
+from corpus import SCALE_KET, feed_forward_circuit, ghz_circuit, h_then_measure_circuit, parity_circuit, random_circuit
 from test_deferral import dropped_z_pair
 from test_semantics import splitmix64_output, splitmix64_seed_with_output, x_then_measure, zero_draw_seed
 from qcirc import cli
 from qcirc.circuit import Gate, Measurement, QuantumCircuit, standard_measure_gate, unitary_gate
 from qcirc.cli import build_parser, main
-from qcirc.deferral import Commensuration
+from qcirc.deferral import Commensuration, defer_measurements
 from qcirc.linalg import H
 from qcirc.scheduling import greedy_schedule
 from qcirc.semantics import sample
@@ -954,6 +954,26 @@ def test_cli_ghz6_aggregate_is_written_in_small_pieces(tmp_path, monkeypatch):
     assert sink.longest <= 64 * 2**10
 
 
+def test_cli_shots_keep_counts_only(tmp_path, capsys):
+    """Deferred ff-12 (13 registers, kets of 128 KiB) from |0...0>, `run
+    --shots 1000` through `cli.main`: the tally keeps only counts and holds
+    one root-to-leaf path of live kets, so the tracemalloc peak stays at
+    most 10 MiB, where keeping every distinct final state would take over 100 MiB."""
+    d = defer_measurements(feed_forward_circuit(12)).circuit
+    circuit, ket = tmp_path / "ff12.json", tmp_path / "ket.json"
+    circuit.write_text(serialize_circuit(d))
+    ket.write_text(json.dumps({"ket": [[1.0, 0.0]] + [[0.0, 0.0]] * (2**d.n_registers - 1)}))
+    tracemalloc.start()
+    try:
+        assert main(["run", str(circuit), "--input", str(ket), "--seed", "0", "--shots", "1000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    counts = [f["count"] for f in out_json(capsys)["frequencies"]]
+    assert sum(counts) == 1000 and len(counts) > 800
+    assert peak <= 10 * 2**20
+
+
 def test_cli_gate_ids_must_be_strings(tmp_path, capsys):
     """A mixed file (`"id": 5` for M, and ZM's control to match) and an
     all-integer file are both `bad-gate`, before any command runs."""
@@ -1351,6 +1371,24 @@ def test_aggregate_scale_cli_runs():
     (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
     assert line["n"] == 3 and line["rc"] == 0
     assert line["seconds"] >= 0 and line["maxrss_mib"] > 0 and line["minflt"] >= 0
+
+
+def test_shots_scale_runs():
+    proc = run_script("shots_scale.py", "3", "10")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert line["k"] == 3 and line["shots"] == 10 and line["registers"] == 4 and 1 <= line["tracks"] <= 8
+    assert line["seconds"] >= 0 and line["peak_mib"] > 0
+
+
+def test_shots_scale_cli_runs():
+    """`--cli` runs `qcirc run --shots` on deferred ff-3 into /dev/null and
+    reports the call's seconds and the process's peak RSS."""
+    proc = run_script("shots_scale.py", "3", "10", "--cli")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert line["k"] == 3 and line["shots"] == 10 and line["rc"] == 0
+    assert line["seconds"] >= 0 and line["maxrss_mib"] > 0
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The frontier walk against the depth-first walk it replaced, kept in
 `reference_walk`: the same leaves in the same order with the same bytes, and
-the same shots; and the track cap counted on outcome codes alone."""
+the same shots and shot counts; and the track cap counted on outcome codes
+alone."""
 
+import collections
 import time
 import tracemalloc
 
@@ -25,9 +27,9 @@ from qcirc.circuit import (
 )
 from qcirc.deferral import defer_measurements, random_pure_inputs
 from qcirc.linalg import DensityOperator
-from qcirc.scheduling import greedy_schedule
+from qcirc.scheduling import enumerate_linear_schedules, greedy_schedule
 from conftest import make_teleportation
-from test_semantics import EDGE_SEEDS, _mixed_case, crossed_order_circuit
+from test_semantics import EDGE_SEEDS, _mixed_case, crossed_order_circuit, zero_draw_seed
 from test_terminal import DEFERRED, ancilla_zero, general
 
 
@@ -140,6 +142,63 @@ def shot_cases():
 def test_sample_matches_the_reference_sampler(c, x, rho, seeds):
     """Track, step log and final-state bytes, shot by shot."""
     assert_same_shots(semantics.sample(c, x, rho, seeds), reference_walk.sample(c, x, rho, seeds))
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "one-byte-budget"])
+@pytest.mark.parametrize("c, x, rho, seeds", list(shot_cases()))
+def test_tally_counts_the_reference_samplers_tracks(c, x, rho, seeds, budget, monkeypatch):
+    """`tally` is the reference sampler's track counts, in (gate id, label)
+    order, also when a block holds one live node at a time."""
+    if budget is not None:
+        monkeypatch.setattr(semantics, "FRONTIER_BYTES", budget)
+    got = semantics.tally(c, x, rho, seeds)
+    want = collections.Counter(r.track for r in reference_walk.sample(c, x, rho, seeds))
+    assert got == dict(want)
+    assert list(got) == sorted(want, key=lambda f: f.outcomes)
+
+
+def assert_tally_is_sample_counted(c, x, rho, seeds):
+    """`tally` equals the track counts of `sample`, or raises its message."""
+    try:
+        want = collections.Counter(r.track for r in semantics.sample(c, x, rho, seeds))
+    except semantics.SemanticsError as e:
+        with pytest.raises(semantics.SemanticsError) as raised:
+            semantics.tally(c, x, rho, seeds)
+        assert str(raised.value) == str(e)
+        return
+    got = semantics.tally(c, x, rho, seeds)
+    assert got == dict(want) and list(got) == sorted(want, key=lambda f: f.outcomes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 100, 1000]), st.booleans())
+def test_tally_is_sample_counted(seed, shots, mixed):
+    """Random circuits, often with classically controlled measurements, under
+    the greedy schedule and enumerated linear ones, from a ket or a full-rank
+    mixed state."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, max_regs=3, max_gates=8, p_measure=0.5, p_cc=0.6)
+    dim = 2**c.n_registers
+    b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = DensityOperator(c.n_registers, b @ b.conj().T) if mixed else DensityOperator.from_ket(b[:, 0])
+    seeds = semantics.splitmix64([seed], shots)[0]
+    for x in [greedy_schedule(c), *enumerate_linear_schedules(c, limit=3)]:
+        assert_tally_is_sample_counted(c, x, rho, seeds)
+
+
+@pytest.mark.parametrize("then, message", [((), "final state has zero trace"),
+                                           ((unitary_gate("x", [0], linalg.X),), "zero-trace state before bout 1")])
+def test_tally_raises_samples_zero_trace_errors(then, message):
+    """From (1e-160, 1), a draw u = 0 at the measurement picks the outcome
+    of weight 1e-320, below the floor: the later bout, or the end, raises,
+    in `tally` as in `sample`."""
+    c = QuantumCircuit(("q",), (standard_measure_gate("m", 0), *then))
+    rho = DensityOperator.from_ket(np.array([1e-160, 1.0]))
+    seeds = [5, zero_draw_seed(0), 7]
+    for call in semantics.sample, semantics.tally:
+        with pytest.raises(semantics.SemanticsError, match=f"^{message}$"):
+            call(c, greedy_schedule(c), rho, seeds)
+    assert semantics.tally(c, greedy_schedule(c), rho, [5, 7]) == {semantics.Track((("m", "1"),)): 2}
 
 
 def test_sample_expands_in_frontier_chunks(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import chain_circuit, random_circuit, random_coherent_order, random_poset
+from qcirc.circuit import CircuitError
 from qcirc.scheduling import (
     Poset,
     Schedule,
@@ -13,6 +14,7 @@ from qcirc.scheduling import (
     differentiating_pairs,
     enumerate_linear_schedules,
     greedy_schedule,
+    in_bout_order,
     is_antichain,
     linear_schedule,
     split_bout,
@@ -58,6 +60,20 @@ def test_teleport_invalid_schedules(teleport):
     assert not validate_schedule(teleport, sched(["CNOT"], ["H", "N"]))
     # M and its prerequisite H in one bout (not an antichain of ready gates)
     assert not validate_schedule(teleport, sched(["CNOT"], ["H", "M", "N"], ["XN"], ["ZM"]))
+
+
+def test_in_bout_order_sorts_only_larger_bouts(teleport):
+    """A one-gate bout is taken as it is, a larger one sorted by circuit
+    position; the first unknown id in iteration order, in a one-gate bout
+    too, raises the circuit's CircuitError."""
+    bouts = [frozenset({"H", "CNOT"}), ("ZM",), {"XN", "M", "N"}]
+    assert in_bout_order(teleport, bouts) == [["CNOT", "H"], ["ZM"], ["M", "N", "XN"]]
+    for bad in [[("nope",), ("H", "gone")], [("H", "gone"), ("nope",)]]:
+        name = bad[0][-1]
+        with pytest.raises(CircuitError) as raised:
+            teleport.index_of(name)
+        with pytest.raises(CircuitError, match=f"^{raised.value}$"):
+            in_bout_order(teleport, bad)
 
 
 def test_is_antichain(teleport):
