@@ -14,10 +14,16 @@ Each method is run twice: once
 untraced for its wall time, once under `tracemalloc` for its peak. One JSON
 line per method gives the circuit, K, the target's register count, the
 number of source tracks checked, the seconds, the peak in MiB, the verdict,
-and `walk_seconds`: the untraced time of the checker's source walk,
-`semantics.track_stack(source, psi)` (the source's code rows and its track
-operators on psi, stacked in code-row order) for the method's inputs psi (I
-for the exact check), on a fresh validated copy of the source.
+and `walk_seconds`: the untraced time of the checker's own source walk,
+`semantics._stack(source, psi)` (the source's code rows, their placement
+and their compact track operators on psi, stacked in code-row order) for
+the method's inputs psi (I for the exact check), on a fresh validated copy
+of the source.
+
+Run `parity-K` with K >= 9 only under a limit on the process's address
+space, such as `ulimit -v 6000000`: its exact check holds blocks of
+2^(K+1) x 2^(K+1) entries, and with such a limit an allocation past the
+machine's memory fails at once as a MemoryError instead of exhausting it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 from corpus import feed_forward_circuit, parity_circuit
 from qcirc.circuit import QuantumCircuit, check_valid
 from qcirc.deferral import check_faithful, defer_measurements, random_pure_inputs
-from qcirc.semantics import track_stack
+from qcirc import semantics
 
 
 def measure(c, result, inputs) -> dict:
@@ -53,7 +59,7 @@ def measure(c, result, inputs) -> dict:
     source = check_valid(QuantumCircuit(c.register_names, c.gates))
     psi = np.eye(2**c.n_registers, dtype=complex) if inputs is None else np.stack(inputs, axis=1)
     start = time.perf_counter()
-    track_stack(source, psi)
+    semantics._stack(source, psi)
     walk_seconds = time.perf_counter() - start
     return {
         "method": report.method,

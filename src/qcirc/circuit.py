@@ -62,6 +62,16 @@ class Measurement:
             return None
         return np.argmax(stack.diagonal(axis1=1, axis2=2).real, axis=0)
 
+    @cached_property
+    def basis(self) -> Optional[np.ndarray]:
+        """Per label in `outcomes`, the basis index that its operator projects
+        onto, if the measurement is standard (`selects` a permutation); else None."""
+        ops = [self.operators[label] for label in self.outcomes]
+        stack = np.array(ops) if ops and all(a.shape == (len(ops), len(ops)) for a in ops) else np.zeros((0, 1, 1))
+        at = stack.diagonal(axis1=1, axis2=2).real.argmax(axis=1)  # where each operator's one 1 must be
+        ideal = np.eye(stack.shape[1])[at][:, :, None] * np.eye(stack.shape[1])  # the projectors onto them
+        return at if len(at) and (stack == ideal).all() and len(set(at.tolist())) == len(at) else None
+
     def completeness_defect(self) -> float:
         return linalg.completeness_defect(self.operators.values())
 
@@ -144,11 +154,11 @@ def controlled_unitary_gate(
 class QuantumCircuit:
     """Registers plus a gate sequence. Its structure (register chains, each
     gate's sources, a topological order, each gate's prerequisites as a
-    bitmask over gate positions and its longest-path depth, the unitaries
-    that follow a measurement, and whether it is in terminal form) and its
-    validation diagnostics are derived once, on first use, and cached on the
-    instance; the structural functions and `validate_circuit` read them. That
-    is sound only because the instance and its operators are not modified."""
+    bitmask over gate positions and its longest-path depth, and the unitaries
+    that follow a measurement) and its validation diagnostics are derived
+    once, on first use, and cached on the instance; the structural functions
+    and `validate_circuit` read them. That is sound only because the instance
+    and its operators are not modified."""
 
     register_names: tuple[str, ...]
     gates: tuple[Gate, ...]
@@ -255,19 +265,6 @@ class QuantumCircuit:
         Raises CircuitError if the relation is cyclic."""
         measured, prereq = self._mask(g.id for g in self.gates if g.is_measure), self._layers[0]
         return frozenset(g.id for g in self.gates if not g.is_measure and prereq[g.id] & measured)
-
-    @cached_property
-    def _terminal(self) -> bool:
-        """Whether the circuit is in terminal form, one unitary U and then a
-        standard-basis measurement: no gate has classical sources, no unitary
-        has a measurement among its prerequisites (a measurement may follow a
-        measurement), and every measurement's operators select basis states of
-        its gate's registers (`Measurement.selects`). Raises CircuitError if
-        the relation is cyclic."""
-        return not any(g.classical_sources for g in self.gates) and not self._red and all(
-            m.selects is not None and len(m.selects) == 2**g.arity
-            for g in self.gates for m in g.measurements.values()
-        )
 
     def _mask(self, ids: Iterable[str]) -> int:
         """Bitmask over gate positions of the known gate ids among `ids`."""

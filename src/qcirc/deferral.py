@@ -4,14 +4,13 @@
 measurements into one in which every measurement comes after every unitary;
 `_plan` is its pre-pass, whose read maps spare rewriting any selector. A
 standard measurement, one whose operators are exact 0/1 projectors with one
-label per basis state (`Measurement.selects`), stays on its registers; every
+label per basis state (`Measurement.basis`), stays on its registers; every
 other one, one standard only within rounding included, is standardized with
 ancillas. A measurement stays one gate throughout, with its own id and
 outcome labels, so the commensuration maps gate ids to gate ids.
 `check_faithful` is exact by default; sampled inputs are an optional
-cross-check. It reads the source's tracks as one stack (`track_stack`), and
-the target's piece by piece (`track_rows`): a terminal-form target, as every
-rewritten circuit is, is one piece, the row groups of W = U (I (x) |0>).
+cross-check. It holds the source's tracks as one compact stack, and walks
+the target piece by piece (`track_rows`), each track only its own rows.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .circuit import (
     topo_order,
     unitary_gate,
 )
-from .semantics import Track, _row_keys, _uniforms, track_rows, track_stack
+from .semantics import Track, _row_keys, _uniforms, track_rows
 from .serialize import ParseError
 
 
@@ -193,8 +192,8 @@ def _dilation(kraus: list, dim_anc: int) -> np.ndarray:
 
 def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, set, int]:
     """The pre-pass, over the gate ids `order`. A measurement is standard
-    when `Measurement.selects` gives each of its labels exactly one basis
-    state, and its read map is read off `selects`. Any other measurement
+    when `Measurement.basis` gives each of its labels its one basis state,
+    and its read map is read off it. Any other measurement
     with k >= 2 outcomes, one standard only within rounding included,
     becomes the unitary `<id>__u` of `_dilation` on its registers and
     ceil(log2 k) fresh |0> ancillas, followed by a standard
@@ -216,9 +215,8 @@ def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, 
         if not g.is_measure:
             continue
         (m,) = g.measurements.values()
-        sel = m.selects
-        if sel is not None and len(sel) == len(m.outcomes) == len(set(sel.tolist())):  # standard
-            at = dict(zip(m.outcomes, np.argsort(sel).tolist()))  # label -> the basis index it selects
+        if m.basis is not None:  # standard
+            at = dict(zip(m.outcomes, m.basis.tolist()))  # label -> the basis index it selects
             s, *more = set(c.quantum_sources(g.id).values())
             a = None if more or s is None else c.gate(kept.get(s, s))
             if a is not None and a.is_measure and a.id not in expand and set(a.registers) == set(g.registers):
@@ -383,17 +381,15 @@ def check_faithful(
     Basis inputs alone cannot see a lost phase.
 
     Tracks are named by their outcome-code rows. The source's A psi come in
-    one stack in (gate id, label) order (`track_stack`), and `zeta`
-    translates every row at once (`Commensuration._translate_codes`). The
-    target is walked once, on its ancilla-zero columns only, through
+    one compact stack in (gate id, label) order (`semantics._stack`), and
+    `zeta` translates every row at once (`Commensuration._translate_codes`).
+    The target is walked once, on its ancilla-zero columns only, through
     `track_rows`, whose code rows come before any operator is applied: each
     image is paired with its row by sorting, or the first source track
-    without one raises DeferralError. Its pieces are compared as they come:
-    W = U (I (x) |0>) psi for a terminal-form target, else each leaf
-    (`_piece_failures`). A `Track` is built only for a failure or that
-    error. Failures come by input, then source tracks, then unmatched target
-    tracks, each in (gate id, label) order; an input's scale
-    (`linalg.rescale`) changes no report byte."""
+    without one raises DeferralError. Its pieces are compared as they come
+    (`_piece_failures`); a `Track` is built only for a failure or that error.
+    Failures come by input, then source tracks, then unmatched target tracks,
+    each in (gate id, label) order; an input's scale changes no report byte."""
     if not (math.isfinite(tol) and tol >= 0):
         raise DeferralError(f"tolerance must be finite and at least 0, got {tol}")
     nc, nd = c.n_registers, d.n_registers
@@ -419,8 +415,9 @@ def check_faithful(
         v, _ = linalg.rescale(v)  # by a power of two, so that v's scale changes no bit of psi
         psi[:, i] = v / np.linalg.norm(v)
     plan, target = semantics._plan(c), semantics._plan(d)
-    codes, src = track_stack(c, psi)
+    codes, here, src = semantics._stack(c, psi)
     step = max(1, semantics.FRONTIER_BYTES // src[0].nbytes)  # tracks summed at a time
+    # compact blocks have 4k columns (`semantics._walk_plan`), summed row by row, so dropped rows change no bit
     p = np.concatenate([np.sum(a.real**2 + a.imag**2, axis=1) for a in np.split(src, range(step, len(src), step))])
     cols = [None] if inputs is None else list(range(len(inputs)))  # the inputs compared; None: all at once
     pc = _columns(p, cols)  # each source track's weight per column
@@ -429,7 +426,7 @@ def check_faithful(
     for j, q in np.argwhere(~ok[:, None] & (pc > tol)).tolist():
         failures[cols[q], 0, j] = _failure("untranslatable-track-probability", cols[q], plan, codes[j], mass=pc[j, q])
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
-    rows, pieces = track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None]))
+    rows, place, pieces = track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None]))
     known, images = _row_keys(rows), _row_keys(images)
     at = np.minimum(np.searchsorted(known, images), len(known) - 1)  # each image's target row, if it has one
     lost = ok & (known[at] != images)
@@ -438,9 +435,10 @@ def check_faithful(
         raise DeferralError(f"translated track {zeta.translate(first).as_dict()} is not a track of the target")
     by = np.flatnonzero(ok)[np.argsort(at[ok], kind="stable")]  # the translatable source tracks, by target row
     pairing = (by, np.searchsorted(at[by], np.arange(len(rows) + 1)))
-    for w, group, keys in pieces:  # a general piece is a stack: one leaf at a time
-        for piece in zip(w, itertools.repeat(None), keys[:, None]) if group is None else [(w, group, keys)]:
-            failures.update(_piece_failures(*piece, target, rows, (plan, codes, src, pc), pairing, cols, tol))
+    del known, images, lost, at  # not held while the target is walked
+    for w, keys in pieces:
+        failures.update(_piece_failures(w, keys, (target, rows, place), (plan, codes, here, src, pc),
+                                         pairing, cols, tol))
     failures = [failures[k] for k in sorted(failures)]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
     return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(codes), method)
@@ -461,34 +459,30 @@ def _row_sums(index: np.ndarray, x: np.ndarray, count: int, width: int) -> np.nd
     return sums.reshape(count, width)
 
 
-def _piece_failures(w, group, keys, target, target_rows, source, pairing, cols, tol) -> dict:
+def _piece_failures(w, keys, target, source, pairing, cols, tol) -> dict:
     """The failures, keyed as in `check_faithful`, of a `track_rows` piece
-    of the target, whose track k has code row target_rows[keys[k]], and of
-    the source tracks paired with it: by `pairing` = (by, start), target row
-    r's are by[start[r] : start[r + 1]]. Source track j has code row
-    codes[j], A psi = src[j] and weights pc[j] per column of `cols`; the
-    plans `plan` and `target` build a failure's `Track`. No argument is
-    written. w = B (I (x) |0>) psi; principal registers come first,
-    so row x * 2^n_anc + a is <x a|. A cell is a track's rows for one a. Each
-    sum within a cell has the cell's fixed shape, and sums across rows or
-    cells run in their order (`_row_sums`), so a general leaf (one track,
-    every cell) gives a terminal piece's bits, and each (target track, source
-    track) pair's sums are the same in any chunk of pairs. The pairs are
-    compared a chunk at a time: a chunk's cells and its source blocks, each
-    counted as one V_a, come to at most `semantics.FRONTIER_BYTES`, or it is
-    one pair.
+    of the target = (plan, code rows, placement), w[i] the compact block of
+    target track keys[i], and of the source tracks paired with it: by
+    `pairing` = (by, start), target row r's are by[start[r] : start[r + 1]].
+    Source track j has code row codes[j], compact block src[j] and weights
+    pc[j] per column of `cols`. No argument is written. A full target block
+    is B (I (x) |0>) psi, in which row x * 2^n_anc + a is <x a|; a cell is
+    a target track's rows for one a. Each sum within a cell has the cell's
+    fixed full shape, and sums across rows or cells run in their order
+    (`_row_sums`), so rows of zeros change no sum, and each pair's sums are
+    the same in any chunk of pairs. A chunk's cells and its source blocks,
+    each counted as one V_a, come to at most `semantics.FRONTIER_BYTES`, or
+    it is one pair.
 
     Per pair of source track A and target track V, and per column: the
     coefficients c_a = <A, V_a> / |A|^2, the image weight sum |c_a|^2 |A|^2
-    and the residual |V|^2 - sum |c_a|^2 |A|^2, which is sum |V_a - c_a A|^2
-    for least-squares c_a. The exact check's one column takes each inner
-    product over all of psi = I at once; an input column, over its own."""
-    (plan, codes, src, pc), (by, start), tracks = source, pairing, target_rows[keys]
-    rows, m = w.shape
-    nx = src.shape[1]
+    and the residual |V|^2 - sum |c_a|^2 |A|^2 = sum |V_a - c_a A|^2 for
+    least-squares c_a, each inner product over psi = I or one input column."""
+    (target, target_rows, (offsets, rowmap, rows)), (plan, codes, here, src, pc) = target, source
+    (by, start), tracks = pairing, target_rows[keys]
+    (f, live, m), nx = w.shape, here[2]
     na = (rows // nx).bit_length() - 1
-    group = np.zeros(rows, dtype=np.intp) if group is None else group
-    pd = _columns(_row_sums(group, w.real**2 + w.imag**2, len(tracks), m), cols)  # each target track's weight
+    pd = _columns(_row_sums(np.repeat(np.arange(f), live), w.real**2 + w.imag**2, f, m), cols)  # target track weights
     lo, hits = start[keys], start[keys + 1] - start[keys]  # track k's source tracks: by[lo[k] : lo[k] + hits[k]]
     out = {}
     for k, q in np.argwhere((hits == 0)[:, None] & (pd > tol)).tolist():
@@ -498,22 +492,21 @@ def _piece_failures(w, group, keys, target, target_rows, source, pairing, cols, 
     kk = np.repeat(np.arange(len(hits)), hits)
     jj = by[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())]
     js, mass, image = jj.tolist(), pc[jj], np.empty((len(kk), len(cols)))
-    # the piece's cells (target track k, ancilla state a), sorted; track k's are cells[first[k] : first[k + 1]]
-    cells = np.sort(group * 2**na + (np.arange(rows) & (2**na - 1)))
-    cells = cells[np.diff(cells, prepend=-1) > 0]  # distinct (not np.unique, which imports numpy.ma)
-    first = np.searchsorted(cells >> na, np.arange(len(tracks) + 1))
-    counts = first[kk + 1] - first[kk]  # each pair's cells, its target track's
-    step = max(1, semantics.FRONTIER_BYTES // (src[0].nbytes * (counts.max() + 1)))
+    # the compact rows of cell c, in ancilla order, are cells[c]; a track at offset o has them at x = o >> na | x[c]
+    cells = np.argsort(rowmap & (2**na - 1), kind="stable").reshape(len(set((rowmap & (2**na - 1)).tolist())), -1)
+    x, n = rowmap[cells] >> na, len(cells)
+    step = max(1, semantics.FRONTIER_BYTES // (nx * m * 16 * (n + 1)))
     for q in range(0, len(kk), step):
-        n, a, mq = counts[q : q + step], src[jj[q : q + step]], mass[q : q + step]
-        p = np.repeat(np.arange(len(n)), n)  # the pair of each (pair, cell of its target track)
-        cell = cells[np.repeat(first[kk[q : q + step]] - np.cumsum(n) + n, n) + np.arange(n.sum())]
-        at = (cell & (2**na - 1))[:, None] + np.arange(nx) * 2**na  # each cell's rows <x a|
-        v = w[at]
-        v[group[at] != (cell >> na)[:, None]] = 0  # v[i] = V_a psi, the rows of cell i's track
-        dot = np.sum(np.conj(a[p]) * v, axis=(1, 2) if cols == [None] else 1).reshape(len(p), len(cols))
+        k, j, mq = kk[q : q + step], jj[q : q + step], mass[q : q + step]
+        p = np.repeat(np.arange(len(k)), n)  # the pair of each (pair, cell)
+        v = np.zeros((len(k), n, nx, m), dtype=complex)  # v[i, c] = V_a psi, cell c of pair i's target track
+        at = (offsets[keys[k]] >> na)[:, None, None] | x  # the rows x of each pair's cells
+        v[np.arange(len(k))[:, None, None], np.arange(n)[:, None], at] = w[k][:, cells]
+        a = semantics._full(here, src[j], j)
+        v = np.multiply(np.conj(a, out=a)[:, None], v, out=v)  # conj(A) V_a, in place
+        dot = np.sum(v, axis=(2, 3) if cols == [None] else 2).reshape(len(p), len(cols))
         coef = np.divide(dot, mq[p], out=np.zeros(dot.shape, complex), where=mq[p] > 0)  # c_a = 0 for a massless A
-        image[q : q + step] = _row_sums(p, coef.real**2 + coef.imag**2, len(n), len(cols)) * mq
+        image[q : q + step] = _row_sums(p, coef.real**2 + coef.imag**2, len(k), len(cols)) * mq
     residual = np.maximum(pd[kk] - image, 0.0)
     for q, i in np.argwhere((residual > tol) | (abs(image - mass) > tol)).tolist():
         out[cols[i], 0, js[q]] = _failure(

@@ -1,6 +1,5 @@
 """Denotational and operational semantics: tracks, cumulative operators, the
 aggregate measurement, schedule equivalence, and a seeded stochastic executor.
-
 Post-measurement states are kept un-normalized; normalization happens only
 when sampling or reporting.
 
@@ -11,16 +10,14 @@ codes, and each gate's selected operators applied once to all the states that
 select them (`linalg.apply`); each bout is walked in
 `scheduling.in_bout_order`, and the tracks are counted on the codes before any
 operator is applied; `sample` and `tally` settle blocks of shots depth first,
-bout by bout (`_leaves`). A code row is a track's one identity, and a `Track`
-is built only for a public return value or a report. Outside this module the
+bout by bout, on full blocks (`_leaves`). A code row is a track's one
+identity, and a `Track` is built only for a public return value or a report. Outside this module the
 walk is read through `track_rows`, its pieces as they come, and `track_stack`,
 every track's block in (gate id, label) order; the faithfulness checker pairs
-tracks by their code rows. A circuit in terminal form, whose unitaries all
-precede its standard-basis measurements (every circuit `defer` rewrites, and
-GHZ-style circuits), is by the deferred-measurement principle one unitary U
-followed by a standard-basis measurement: `track_rows` applies only its
-unitary moves, to t0 alone, and each track is the rows of U @ t0 that its
-labels select (`linalg.reindex`).
+tracks by their code rows. A standard measurement that ends its registers
+settles them (the deferred-measurement principle read backwards): a track's
+block is 0 off the rows that its label selects, and every other walk keeps
+only those (`_walk_plan`), in every circuit, terminal form included.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -94,7 +92,6 @@ class _Step(NamedTuple):
 
     gate: Gate
     column: int  # of outcome codes; -1 for a unitary gate
-    axes: tuple  # `linalg._axes` of its registers
     ops: np.ndarray  # unitary j is ops[j]; measurement j's, labels sorted, are ops[first[j] : first[j + 1]]
     first: tuple
     codes: np.ndarray  # per measurement operator, its label's code
@@ -117,9 +114,9 @@ class _Plan:
         self.index = [dict(zip(labels.tolist(), range(len(labels)))) for labels in self.labels]
         self.pairs = [np.fromiter(zip(itertools.repeat(g.id), g.outcome_labels), object, len(g.outcome_labels))
                       for g in measures]
-        self.steps = {g.id: self._compile(g, c.n_registers) for g in c.gates}
+        self.steps = {g.id: self._compile(g) for g in c.gates}
 
-    def _compile(self, g: Gate, n: int) -> _Step:
+    def _compile(self, g: Gate) -> _Step:
         choices, column = g.measurements or g.unitaries, self.column.get(g.id, -1)
         if column < 0:
             ops, first, codes = [u.matrix for u in choices.values()], (), None
@@ -127,7 +124,7 @@ class _Plan:
             ops = [m.operators[label] for m in choices.values() for label in m.outcomes]
             first = (0, *itertools.accumulate([len(m.outcomes) for m in choices.values()]))
             codes = np.array([self.index[column][label] for m in choices.values() for label in m.outcomes])
-        step = (g, column, linalg._axes(g.registers, n), linalg.operators(ops, g.arity), first, codes)
+        step = (g, column, linalg.operators(ops, g.arity), first, codes)
         if not g.classical_sources:
             return _Step(*step)
         sources = tuple(map(self.column.__getitem__, g.classical_sources))
@@ -137,6 +134,17 @@ class _Plan:
         for key, target in g.selector.items():
             table[sum(map(operator.mul, map(dict.__getitem__, index, key), places))] = list(choices).index(target)
         return _Step(*step, sources, (np.array(places), np.array(table)))
+
+    @cached_property
+    def keeps(self) -> dict:
+        """Per settled measurement (the last gate on each of its registers,
+        each measurement it can pick standard: `Measurement.basis`), per
+        label code, the basis state of its registers that the label keeps."""
+        last = {r: gid for gid, s in self.steps.items() for r in s.gate.registers}
+        ends = {gid: [m.basis for m in s.gate.measurements.values()] for gid, s in self.steps.items()
+                if s.column >= 0 and all(last[r] == gid for r in s.gate.registers)}
+        return {gid: np.concatenate(b)[np.argsort(self.steps[gid].codes)]  # each label code is one operator's
+                for gid, b in ends.items() if all(x is not None for x in b)}
 
     def codes_of(self, assignment: Mapping[str, str]) -> np.ndarray:
         """A row of codes of the assignment's labels, -2 for a label that its gate lacks, then the last -1."""
@@ -196,8 +204,8 @@ def _expand(plan: _Plan, order, codes: np.ndarray, cap: Optional[int] = None,
     assignment, which must label each measurement reached, its label. A move
     (step, ops, parents) makes the next frontier: each row takes each
     operator of the slice `ops`, or row i is operator ops[i] on row
-    parents[i] (on row i if parents is None). Raises SemanticsError as soon
-    as the frontier exceeds `cap`."""
+    parents[i] (on row i if parents is None), on its registers, keeping no
+    rows (`_run`). Raises SemanticsError as soon as the frontier exceeds `cap`."""
     moves, roots = [], np.arange(len(codes))
     for gid in order:
         s = plan.steps[gid]
@@ -225,7 +233,7 @@ def _expand(plan: _Plan, order, codes: np.ndarray, cap: Optional[int] = None,
             ops = first[ops][parents] + np.arange(len(parents)) - (np.cumsum(counts) - counts)[parents]
             codes, roots = codes[parents], roots[parents]
             codes[:, s.column] = s.codes[ops]
-        moves.append((s, ops, parents))
+        moves.append((s, ops, parents, s.gate.registers, None))
         if cap is not None and len(codes) > cap:
             raise SemanticsError(f"track count exceeds cap {cap}")
     return moves, codes, roots
@@ -234,62 +242,87 @@ def _expand(plan: _Plan, order, codes: np.ndarray, cap: Optional[int] = None,
 def _rows(moves, a: int, b: int) -> list:
     """The moves restricted to rows a..b of the frontier they start from."""
     out = []
-    for s, ops, parents in moves:
+    for s, ops, parents, *rest in moves:
         if isinstance(ops, slice):
-            out.append((s, ops, None))
+            out.append((s, ops, None, *rest))
             a, b = a * (ops.stop - ops.start), b * (ops.stop - ops.start)
         elif parents is None:
-            out.append((s, ops[a:b], None))
+            out.append((s, ops[a:b], None, *rest))
         else:
             lo, hi = np.searchsorted(parents, [a, b]).tolist()
-            out.append((s, ops[lo:hi], parents[lo:hi] - a))
+            out.append((s, ops[lo:hi], parents[lo:hi] - a, *rest))
             a, b = lo, hi
     return out
 
 
 def _run(moves, t: np.ndarray):
-    """The moves applied to a frontier t of (2^n, m) blocks: the leaves, in
-    order, as stacks. A frontier whose next one would pass FRONTIER_BYTES is
-    split in two, and the halves are walked in turn, so that the walk holds
-    little beyond the leaves that its caller keeps."""
-    for i, (s, ops, parents) in enumerate(moves):
+    """The moves (step, ops, parents, positions, keep) on the live registers
+    at `positions` of a frontier t of (2^L, m) blocks, a settled one keeping
+    rows (`_cut`): the leaves, in order, as stacks. A frontier whose next one
+    would pass FRONTIER_BYTES is split in two, and the halves are walked in
+    turn, so that the walk holds little beyond the leaves its caller keeps."""
+    for i, (s, ops, parents, pos, keep) in enumerate(moves):
         size = len(t) * (ops.stop - ops.start) if isinstance(ops, slice) else len(ops)
-        if len(t) > 1 and size * t[0].nbytes > FRONTIER_BYTES:
-            yield from _run(_rows(moves[i:], 0, len(t) // 2), t[: len(t) // 2])
-            yield from _run(_rows(moves[i:], len(t) // 2, len(t)), t[len(t) // 2 :])
+        if len(t) > 1 and size * t[0].nbytes >> (0 if keep is None else len(pos)) > FRONTIER_BYTES:
+            half, parts = len(t) // 2, [t[: len(t) // 2], t[len(t) // 2 :].copy()]
+            del t  # so that no frame holds the frontier once the first half moves on
+            yield from _run(_rows(moves[i:], 0, half), parts.pop(0))
+            yield from _run(_rows(moves[i:], half, half + len(parts[0])), parts.pop())
             return
+        if keep is not None:
+            t = _cut(t, pos, keep[s.codes[ops]], parents)
+            continue
         a = s.ops[ops] if isinstance(ops, slice) else s.ops[ops][:, None]  # each block by each, or block i by ops[i]
-        t = linalg.apply(a, s.axes, t if parents is None else t[parents])
+        t = linalg.apply(a, linalg._axes(pos, t.shape[1].bit_length() - 1), t if parents is None else t[parents])
     yield t
+
+
+def _cut(t: np.ndarray, pos: tuple, keep: np.ndarray, parents) -> np.ndarray:
+    """A settled move: child i is the rows of its parent (parents[i], or each
+    block by each of `keep`) in which the registers at `pos` hold basis state
+    keep[i], without their axes, -0.0 written +0.0 as a product writes it."""
+    f, rows, m = t.shape
+    x = t.reshape(f, *(2,) * (rows.bit_length() - 1), m)
+    index = [np.arange(f)[:, None] if parents is None else parents] + [slice(None)] * (x.ndim - 1)
+    for j, p in enumerate(pos):
+        index[p + 1] = keep >> (len(pos) - 1 - j) & 1
+    return (x[tuple(index)] + 0.0).reshape(f * len(keep) if parents is None else len(parents), rows >> len(pos), m)
 
 
 def _walk_plan(c: QuantumCircuit, bouts, t0: Optional[np.ndarray], held: Optional[Mapping[str, str]] = None):
     """The frontier walk (`_expand`) over the gates of `bouts` (greedy if
     None), each bout in `in_bout_order`: its moves, its leaves' codes,
-    counted (at most DEFAULT_TRACK_CAP) before any operator is applied, and
-    the checked t0 (I, built once they are counted, if None) as a frontier of
-    one for `_run`; with `held`, the one leaf of that assignment."""
-    plan = _plan(c)
+    counted (at most DEFAULT_TRACK_CAP) before any operator is applied, the
+    checked t0 (I, built once they are counted, if None) as a frontier of
+    one for `_run`, and the leaves' placement (offsets, rowmap, 2^n); with
+    `held`, the one leaf of that assignment. From a t0 of 4k columns, a
+    settled measurement (`_Plan.keeps`) keeps rows: every product then has
+    4k' columns, whose bits `np.matmul` writes as in the dense walk's (not
+    so below 4). Register chains keep their order, so rows share live sets."""
+    plan, n = _plan(c), c.n_registers
     order = itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts if bouts is None else bouts))
     moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), DEFAULT_TRACK_CAP, held)
-    t = np.eye(2**c.n_registers, dtype=complex) if t0 is None else np.asarray(t0, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != 2**c.n_registers:
-        raise linalg.LinalgError(f"expected {2**c.n_registers} rows, got shape {t.shape}")
-    return moves, codes, t[None]
+    t = np.eye(2**n, dtype=complex) if t0 is None else np.asarray(t0, dtype=complex)
+    if t.ndim != 2 or t.shape[0] != 2**n:
+        raise linalg.LinalgError(f"expected {2**n} rows, got shape {t.shape}")
+    live, fixed, bits = list(range(n)), [], np.zeros(len(codes), dtype=np.intp)  # bits: of the settled registers
+    for i, (s, ops, parents, regs, _) in enumerate(moves if t.shape[1] % 4 == 0 else ()):
+        moves[i] = (s, ops, parents, tuple(map(live.index, regs)), keep := plan.keeps.get(s.gate.id))
+        if keep is not None:
+            bits = bits << len(regs) | keep[codes[:, s.column]]
+            live, fixed = [r for r in live if r not in regs], fixed + list(regs)
+    at = linalg.reindex(np.concatenate([bits, np.arange(2 ** len(live)) << len(fixed)]), live + fixed, range(n))
+    return moves, codes, t[None], (at[: len(codes)], at[len(codes) :], 2**n)  # offsets, then rowmap
 
 
-def _track_leaf(
-    c: QuantumCircuit, bouts: Iterable[Iterable[str]], t: Optional[np.ndarray],
-    assignment: Mapping[str, str],
-) -> np.ndarray:
+def _track_leaf(c: QuantumCircuit, bouts: Iterable[Iterable[str]], t: Optional[np.ndarray],
+                assignment: Mapping[str, str]) -> np.ndarray:
     """A @ t (A if t is None) over `bouts` along a track that labels each measurement reached."""
-    moves, _, t = _walk_plan(c, bouts, t, held=assignment)
-    return next(_run(moves, t))[0]
+    moves, _, t, place = _walk_plan(c, bouts, t, held=assignment)
+    return _full(place, next(_run(moves, t)), [0])[0]
 
 
-def bout_operator(
-    c: QuantumCircuit, b: Iterable[str], assignment: Mapping[str, str]
-) -> np.ndarray:
+def bout_operator(c: QuantumCircuit, b: Iterable[str], assignment: Mapping[str, str]) -> np.ndarray:
     """Full-space operator of a bout under the given outcome assignment: the
     product of each gate's selected operator acting on its registers."""
     return _track_leaf(c, [b], None, assignment)
@@ -297,64 +330,46 @@ def bout_operator(
 
 def track_rows(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None):
     """The walk from t0 (I when None) over `bouts` (greedy when None) as
-    (codes, pieces): codes holds the code row of each track, in (gate id,
-    label) order (`_row_keys`), and `pieces` yields (w, group, keys), in
-    which track k is codes[keys[k]]: with group None, w is a stack and w[k]
-    is track k's A_f @ t0; otherwise track k's A_f @ t0 is w with the rows r
-    where group[r] != k zeroed. No `Track` is built. Every circuit starts from one `_walk_plan`, which
-    counts the tracks and checks t0 before any operator is applied; pieces
-    come in its walk order, each made only as it is taken.
-
-    A circuit in terminal form (`QuantumCircuit._terminal`) is one piece:
-    w = U @ t0, the plan's unitary moves run on t0 alone, and group[r] the
-    track whose labels select row r (`_row_tracks`), so its tracks partition
-    w's rows (the product of the label sets, incoherent tracks included).
-    Any other circuit gives one piece per stack of leaves of the walk
-    (`_run`), in depth-first leaf order, as the walk goes."""
-    moves, codes, t = _walk_plan(c, bouts, t0)
+    (codes, place, pieces): codes holds the code row of each track, in (gate
+    id, label) order (`_row_keys`); `pieces` yields (w, keys), each stack
+    of leaves as the walk (`_run`) makes it, w[i] the compact block of track
+    keys[i], without the rows that its settled measurements leave 0: by
+    place = (offsets, rowmap, 2^n), its A_f @ t0 is w[i] at rows
+    offsets[keys[i]] + rowmap, 0 elsewhere (`_full`)."""
+    moves, codes, t, (offsets, rows, n) = _walk_plan(c, bouts, t0)
     order = np.argsort(_row_keys(codes))
-    return codes[order], _pieces(c, moves, t, np.argsort(order))  # keys: of each leaf, in walk order
+    return codes[order], (offsets[order], rows, n), _pieces(_run(moves, t), np.argsort(order))  # keys: in walk order
 
 
-def _pieces(c: QuantumCircuit, moves: list, t: np.ndarray, keys: np.ndarray):
-    """`track_rows`' pieces of the walk `moves` from the frontier t."""
-    if not c._terminal:
-        for w in _run(moves, t):
-            yield w, None, keys[: len(w)]
-            keys = keys[len(w) :]
-        return
-    w = next(_run([move for move in moves if move[0].column < 0], t))[0]
-    del t  # so that the walk's input is not held while the piece is
-    yield w, _row_tracks(c, moves, len(w)), keys
+def _pieces(leaves, keys: np.ndarray):
+    """`track_rows`' pieces: each stack of `leaves`, with its tracks' keys."""
+    for w in leaves:
+        yield w, keys[: len(w)]
+        keys = keys[len(w) :]
 
 
-def _row_tracks(c: QuantumCircuit, moves: list, rows: int) -> np.ndarray:
-    """Per basis row, the walk-order position of the track whose labels
-    select it: for each measurement move in walk order, the position in its
-    measurement's `outcomes` of the label that `Measurement.selects` gives
-    the row's basis index over the gate's registers."""
-    everyone, index = range(c.n_registers), np.arange(rows)
-    group = np.zeros(rows, dtype=np.intp)
-    for g in (s.gate for s, _, _ in moves if s.column >= 0):
-        m = g.measurements[g.selector[()]]
-        group = group * len(m.outcomes) + m.selects[linalg.reindex(index, everyone, g.registers)]
-    return group
+def _stack(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None) -> tuple:
+    """(codes, place, a): `track_rows`' codes and placement, and a[k] the compact block of track k."""
+    codes, place, pieces = track_rows(c, t0, bouts)
+    a = np.empty((len(codes), len(place[1]), 2**c.n_registers if t0 is None else np.shape(t0)[1]), dtype=complex)
+    for w, keys in pieces:
+        a[keys] = w
+    return codes, place, a
+
+
+def _full(place: tuple, w: np.ndarray, keys) -> np.ndarray:
+    """Full blocks of tracks `keys` from compact ones w (`track_rows`), +0.0 off their rows."""
+    offsets, rows, n = place
+    a = np.zeros((len(w), n, w.shape[2]), dtype=complex)
+    a[np.arange(len(w))[:, None], offsets[keys][:, None] + rows] = w
+    return a
 
 
 def track_stack(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None) -> tuple[np.ndarray, np.ndarray]:
     """(codes, a): `track_rows`' code rows, and a[k] = A_f @ t0 (A_f when t0
-    is None) for the track f of row k, each a full block, one write per
-    piece: a terminal-form track is its rows of U @ t0 and zeros."""
-    codes, pieces = track_rows(c, t0, bouts)
-    a = np.zeros((len(codes), 2**c.n_registers, 2**c.n_registers if t0 is None else np.shape(t0)[1]), dtype=complex)
-    for piece in pieces:
-        a[_place(*piece)] = piece[0]
-    return codes, a
-
-
-def _place(w: np.ndarray, group, keys: np.ndarray) -> tuple:
-    """Where `track_stack` holds a `track_rows` piece: stack block i, or row r, in track keys[i] or keys[group[r]]."""
-    return (keys,) if group is None else (keys[group], np.arange(len(w)))
+    is None) for the track f of row k, each a full block."""
+    codes, place, a = _stack(c, t0, bouts)
+    return codes, _full(place, a, np.arange(len(a)))
 
 
 def track_operators(c: QuantumCircuit, t0: Optional[np.ndarray]) -> list[tuple[Track, np.ndarray]]:
@@ -378,16 +393,15 @@ def aggregate_measurement(c: QuantumCircuit) -> AggregateMeasurement:
     return AggregateMeasurement(c.n_registers, dict(track_operators(c, None)))
 
 
-def schedules_equivalent(
-    c: QuantumCircuit, x: Schedule, y: Schedule, tol: float = linalg.DEFAULT_TOL
-) -> bool:
+def schedules_equivalent(c: QuantumCircuit, x: Schedule, y: Schedule, tol: float = linalg.DEFAULT_TOL) -> bool:
     """Whether every track's cumulative operator under x is within tol of its
-    operator under y, entry by entry: x's `track_stack` against y's
-    `track_rows` pieces as they come (a terminal-form track is 0 off its own
-    rows under every schedule). An invalid schedule raises ScheduleError."""
+    operator under y, entry by entry: x's compact blocks (`_stack`) against
+    y's `track_rows` pieces as they come. Every schedule settles the same
+    measurements, so a track's compact block has the same rows under each,
+    and is 0 off them. An invalid schedule raises ScheduleError."""
     _require_fit(c, x, y)
-    a = track_stack(c, None, x.bouts)[1]
-    return all(np.abs(a[_place(*piece)] - piece[0]).max() <= tol for piece in track_rows(c, None, y.bouts)[1])
+    a = _stack(c, None, x.bouts)[2]
+    return all(np.abs(a[keys] - w).max() <= tol for w, keys in track_rows(c, None, y.bouts)[2])
 
 
 def track_probability(c: QuantumCircuit, f: Track, rho: linalg.DensityOperator) -> float:
@@ -410,9 +424,7 @@ def probability_on(op: np.ndarray, rho: linalg.DensityOperator) -> float:
     return float(min(max(p, 0.0), 1.0))
 
 
-def replay(
-    c: QuantumCircuit, x: Schedule, f: Track, rho: linalg.DensityOperator
-) -> tuple[list[float], np.ndarray]:
+def replay(c: QuantumCircuit, x: Schedule, f: Track, rho: linalg.DensityOperator) -> tuple[list[float], np.ndarray]:
     """Deterministically walk a schedule along a fixed track, returning the
     stepwise conditional probabilities and the un-normalized final state;
     SemanticsError when the track's probability is 0 before its last bout.
@@ -560,8 +572,6 @@ def _settle(plan: _Plan, bout: tuple[str, ...], t: int, block: list, u: np.ndarr
     return [codes, kids, shots, *logs]
 
 
-def run(
-    c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seed: int
-) -> RunResult:
+def run(c: QuantumCircuit, x: Schedule, rho: linalg.DensityOperator, seed: int) -> RunResult:
     """One shot of `sample`."""
     return sample(c, x, rho, [seed])[0]

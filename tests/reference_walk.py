@@ -2,11 +2,13 @@
 frontier walk, kept verbatim as the reference the frontier walk is tested
 against: `source_outcomes` and `select_measurement` resolve a gate's
 selector per node through label dicts, `_walk` yields the leaves depth
-first with one `apply` call per node, `walk_tracks` yields that walk's
+first with one `apply` call per node, every operator applied to full
+blocks, settled measurements included, and `walk_tracks` yields that walk's
 leaves, each keyed by its track's position in (gate id, label) order, as
-`semantics.track_rows` yields the leaves of a circuit outside terminal form,
-and `sample` the executor that expanded one tree
-node at a time. `apply` is the `np.dot` kernel that `linalg.apply`
+`semantics.track_rows` yields its leaves; a leaf of `track_rows` is the
+rows of the reference's block that its settled measurements keep, and the
+reference's other rows are 0. `sample` is the executor that expanded one
+tree node at a time. `apply` is the `np.dot` kernel that `linalg.apply`
 replaced, kept as the reference for its bits."""
 
 import itertools
@@ -99,7 +101,7 @@ def walk_tracks(c: QuantumCircuit, t0: np.ndarray):
     """(key, f, A_f @ t0) for every leaf of the general walk in greedy
     order, the key f's position among the leaves' tracks sorted by their
     (gate id, label) pairs: the leaves of `semantics.track_rows`, stack by
-    stack, for a circuit outside terminal form."""
+    stack, each as its full block."""
     order = list(itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts)))
     leaves = [(Track.from_mapping(a), t) for a, t in _walk(c, order, t0, {})]
     key = {f: k for k, f in enumerate(sorted((f for f, _ in leaves), key=lambda f: f.outcomes))}

@@ -40,7 +40,7 @@ from qcirc.deferral import (
     random_pure_inputs,
     red_gates,
 )
-from qcirc import semantics
+from qcirc import deferral, semantics
 from qcirc.linalg import CNOT, H, X, Z
 from qcirc.semantics import Track, aggregate_measurement, enumerate_tracks
 from qcirc.serialize import dumps, serialize_circuit
@@ -915,10 +915,11 @@ def test_check_faithful_inputs_hold_no_dense_target():
 
 @pytest.mark.parametrize("inputs", [None, 1], ids=["exact", "one-input"])
 def test_check_faithful_holds_one_path_of_target_blocks(inputs):
-    """Deferred ff-8 (9 target registers, 256 tracks) is in terminal form,
-    so its target is one W = U (I (x) |0>) psi of 2^9 rows that the tracks
-    partition, compared by row groups: no 2^9 x 4 block is built per track
-    (2 MiB in all), and both methods peak below 2 MiB."""
+    """Deferred ff-8 (9 target registers, 256 tracks) is in terminal form.
+    The exact check's walk settles its 8 measurements, so each target track
+    keeps its 4 rows of 2^9; one input settles nothing, and the walk holds a
+    frontier path and a stack of leaves at a time. No 2^9 x 4 block is
+    built per track (2 MiB in all), and both methods peak below 2 MiB."""
     c = feed_forward_circuit(8)
     result = defer_measurements(c)
     psi = None if inputs is None else random_pure_inputs(2, inputs, 0)
@@ -934,10 +935,11 @@ def test_check_faithful_holds_one_path_of_target_blocks(inputs):
 
 def test_check_faithful_bounds_its_pair_comparisons():
     """Deferred parity-6 is the source's 7 registers in terminal form, with
-    no ancillas and 64 tracks, so each source block is 128 x 128 entries,
-    256 KiB, and the stacked blocks 16 MiB. The exact check compares the
-    pairs at most `semantics.FRONTIER_BYTES` at a time, so it peaks under
-    three times the stack, where gathering every pair at once took 81 MiB."""
+    no ancillas and 64 tracks, so each full source block is 128 x 128
+    entries, 256 KiB, and a stack of them 16 MiB. The exact check compares
+    the pairs at most `semantics.FRONTIER_BYTES` at a time, so it peaks
+    under three times that stack, where gathering every pair at once took
+    81 MiB."""
     c = parity_circuit(6)
     result = defer_measurements(c)
     tracemalloc.start()
@@ -948,6 +950,37 @@ def test_check_faithful_bounds_its_pair_comparisons():
         tracemalloc.stop()
     assert report.ok and report.tracks_checked == 64 and result.circuit.n_registers == 7
     assert peak < 48 * 2**20
+
+
+def traced_exact_check(c):
+    """The exact check of c against its deferral, and its tracemalloc peak."""
+    result = defer_measurements(c)
+    tracemalloc.start()
+    try:
+        return check_faithful(c, result.circuit, result.zeta), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parity_7_exact_check_holds_its_source_compactly():
+    """Parity-7 has 8 registers and 128 tracks, each of which settles the 7
+    measured registers, so its compact block is 2 x 256 entries, the
+    compact stack 128 x 2 x 256 x 16 B = 1 MiB, and one pair's full blocks
+    2 MiB. The exact check peaks under 64 MiB, where a stack of full source
+    blocks took 147 MiB."""
+    report, peak = traced_exact_check(parity_circuit(7))
+    assert report.ok and report.tracks_checked == 128
+    assert peak < 64 * 2**20
+
+
+def test_ff16_exact_check_peaks_under_90_mib():
+    """ff-16 has 65536 tracks, whose code rows (8.5 MiB each for the source,
+    its images and the target) dominate: the check frees the images and
+    their sort keys once the tracks are paired, before it walks the target,
+    and holds its source compactly; with both held it peaked at 94.6 MiB."""
+    report, peak = traced_exact_check(feed_forward_circuit(16))
+    assert report.ok and report.tracks_checked == 2**16
+    assert peak <= 90 * 2**20
 
 
 def test_input_check_of_parity_5_on_basis_inputs_is_small():
@@ -1006,16 +1039,15 @@ def test_translated_track_missing_from_target_raises(inputs):
 
 
 def refuse_to_walk(monkeypatch, d):
-    """Make taking the first piece of d's walk (`semantics._pieces`, a
+    """Make taking the first piece of d's walk (`track_rows`' pieces, a
     generator, runs when its first piece is taken) fail the test."""
-    pieces = semantics._pieces
+    track_rows = semantics.track_rows
 
     def guarded(c, *args):
-        if c is d:
-            pytest.fail("a piece of the target was taken")
-        yield from pieces(c, *args)
+        codes, place, pieces = track_rows(c, *args)
+        return codes, place, (pytest.fail("a piece of the target was taken") for _ in [0]) if c is d else pieces
 
-    monkeypatch.setattr(semantics, "_pieces", guarded)
+    monkeypatch.setattr(deferral, "track_rows", guarded)
 
 
 @pytest.mark.parametrize("inputs", [None, [np.array([1.0, 0.0])]], ids=["exact", "one-input"])

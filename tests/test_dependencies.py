@@ -112,7 +112,8 @@ def _names(tree):
 )
 def test_only_semantics_runs_the_walk(path):
     """The walk's internals stay in `semantics`: every other module and
-    script reads the walk through `track_rows` and `track_stack`."""
+    script reads the walk through `track_rows` and `track_stack`, or its
+    compact stack (`_stack`) and the blocks placed from it (`_full`)."""
     named = {"_walk_plan", "_run", "_expand"} & set(_names(ast.parse(path.read_text(), str(path))))
     assert not named, f"{path.name} names {sorted(named)}"
 

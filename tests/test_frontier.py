@@ -1,7 +1,8 @@
 """The frontier walk against the depth-first walk it replaced, kept in
-`reference_walk`: the same leaves in the same order with the same bytes, and
-the same shots and shot counts; and the track cap counted on outcome codes
-alone."""
+`reference_walk`: the same leaves in the same order with the same bytes in
+every row that a settled measurement keeps, and +0.0 in every row that it
+drops; the same shots and shot counts; and the track cap counted on outcome
+codes alone."""
 
 import collections
 import time
@@ -30,31 +31,32 @@ from qcirc.linalg import DensityOperator
 from qcirc.scheduling import enumerate_linear_schedules, greedy_schedule
 from conftest import make_teleportation
 from test_semantics import EDGE_SEEDS, _mixed_case, crossed_order_circuit, zero_draw_seed
-from test_terminal import DEFERRED, ancilla_zero, general
+from test_terminal import DEFERRED, ancilla_zero, assert_same_block
 
 
 def assert_same_leaves(c, t0):
-    """The leaves of `track_rows` on c (a copy that takes the general walk),
-    each stack taken leaf by leaf, and the reference walk's: keys, tracks,
-    order and every block's bytes."""
-    c = general(c) if c._terminal else c
-    codes, pieces = semantics.track_rows(c, t0)
+    """The leaves of `track_rows` on c, each stack taken leaf by leaf and
+    placed in its full block (`semantics._full`), and the reference walk's:
+    keys, tracks, order, and every block's bytes (`assert_same_block`)."""
+    codes, place, pieces = semantics.track_rows(c, t0)
     tracks = semantics._plan(c).tracks(codes)
-    got = [(k, tracks[k], t) for w, _, keys in pieces for k, t in zip(keys.tolist(), w)]
+    got = [(k, tracks[k], a) for w, keys in pieces for k, a in zip(keys.tolist(), semantics._full(place, w, keys))]
     want = list(reference_walk.walk_tracks(c, t0))
     assert [leaf[:2] for leaf in got] == [leaf[:2] for leaf in want]
-    for (_, _, a), (_, _, b) in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for (k, _, a), (_, _, b) in zip(got, want):
+        assert_same_block(a, b, place[0][k] + place[1])
 
 
 def starts(c, principal, seed=11):
     """I (up to 8 registers), the principal registers' I with the others |0>,
-    and three random kets on the principal registers, the others |0>."""
+    and three and four random kets on the principal registers, the others
+    |0>: settled measurements keep their rows from a multiple of 4 columns."""
     n = c.n_registers
     if n <= 8:
         yield np.eye(2**n, dtype=complex)
     yield ancilla_zero(c, np.eye(2**principal, dtype=complex))
-    yield ancilla_zero(c, np.stack(random_pure_inputs(principal, 3, seed), axis=1))
+    for k in (3, 4):
+        yield ancilla_zero(c, np.stack(random_pure_inputs(principal, k, seed), axis=1))
 
 
 def walker_circuits():
@@ -71,7 +73,7 @@ def test_walker_circuits_walk_as_the_reference(i):
 
 @pytest.mark.parametrize("name, c", DEFERRED, ids=[n for n, _ in DEFERRED])
 def test_deferred_corpus_walks_as_the_reference(name, c):
-    """Each deferred target, on the general walk."""
+    """Each deferred target, whose measurements all settle."""
     d = defer_measurements(c).circuit
     for t0 in starts(d, c.n_registers):
         assert_same_leaves(d, t0)
@@ -106,14 +108,14 @@ def test_split_frontiers_walk_as_the_reference(monkeypatch):
 
 
 def test_a_general_walk_streams_its_leaves():
-    """GHZ-7 on the general walk from I has 128 leaves of 256 KiB, 32 MiB in
-    all; taken from `track_rows` and dropped one stack at a time, it peaks
-    below 8 MiB, because a frontier over FRONTIER_BYTES is split and its
-    halves walked in turn."""
-    c, eye = general(ghz_circuit(7)), np.eye(128, dtype=complex)
+    """GHZ-7 from 126 columns of I, on which no measurement settles, has 128
+    leaves of 252 KiB, 31.5 MiB in all; taken from `track_rows` and dropped
+    one stack at a time, it peaks below 8 MiB, because a frontier over
+    FRONTIER_BYTES is split and its halves walked in turn."""
+    c, eye = ghz_circuit(7), np.eye(128, dtype=complex)[:, :126]
     tracemalloc.start()
     try:
-        assert sum(len(keys) for _, _, keys in semantics.track_rows(c, eye)[1]) == 128
+        assert sum(len(keys) for w, keys in semantics.track_rows(c, eye)[2] if w.shape[1] == 128) == 128
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -49,7 +49,6 @@ from qcirc.semantics import (
 )
 from qcirc.serialize import serialize_circuit
 from reference_walk import apply, select_measurement, source_outcomes
-from test_terminal import general
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -433,16 +432,15 @@ def test_schedule_naming_an_unknown_gate_is_rejected():
 @pytest.mark.parametrize("seed", range(4))
 def test_track_rows_by_key_is_track_stack(seed):
     """`track_rows` yields the walk's leaves as they come; placed by their
-    keys they are `track_stack`'s blocks, bit for bit, from I given or
-    built by the walk (t0 None), and its code rows are the tracks of
-    `enumerate_tracks` and `track_operators`."""
-    c = general(random_circuit(np.random.default_rng(seed)))
+    keys in their full blocks (`semantics._full`) they are `track_stack`'s
+    blocks, bit for bit, from I given or built by the walk (t0 None), and
+    its code rows are the tracks of `enumerate_tracks` and `track_operators`."""
+    c = random_circuit(np.random.default_rng(seed))
     eye = np.eye(2**c.n_registers, dtype=complex)
-    codes, pieces = semantics.track_rows(c, eye)
+    codes, place, pieces = semantics.track_rows(c, eye)
     placed = np.empty((len(codes), *eye.shape), dtype=complex)
-    for w, _, keys in pieces:
-        for k, t in zip(keys.tolist(), w):
-            placed[k] = t
+    for w, keys in pieces:
+        placed[keys] = semantics._full(place, w, keys)
     for t0 in (eye, None):
         got, a = semantics.track_stack(c, t0)
         assert np.array_equal(got, codes) and a.tobytes() == placed.tobytes()
@@ -468,7 +466,6 @@ def test_aggregate_measurement_cap_on_the_general_walk(monkeypatch):
     outcome codes (`_expand`), also before any operator is applied: ff3 has
     8 tracks."""
     c = feed_forward_circuit(3)
-    assert not c._terminal
     monkeypatch.setattr(semantics, "DEFAULT_TRACK_CAP", 4)
     monkeypatch.setattr(linalg, "apply", lambda *args: pytest.fail("an operator was applied"))
     with pytest.raises(SemanticsError, match="track count exceeds cap 4"):
