@@ -415,7 +415,7 @@ def check_faithful(
         v, _ = linalg.rescale(v)  # by a power of two, so that v's scale changes no bit of psi
         psi[:, i] = v / np.linalg.norm(v)
     plan, target = semantics._plan(c), semantics._plan(d)
-    codes, here, src = semantics._stack(c, psi)
+    codes, placed, src = semantics._stack(c, psi)
     step = max(1, semantics.FRONTIER_BYTES // src[0].nbytes)  # tracks summed at a time
     # compact blocks have 4k columns (`semantics._walk_plan`), summed row by row, so dropped rows change no bit
     p = np.concatenate([np.sum(a.real**2 + a.imag**2, axis=1) for a in np.split(src, range(step, len(src), step))])
@@ -437,7 +437,7 @@ def check_faithful(
     pairing = (by, np.searchsorted(at[by], np.arange(len(rows) + 1)))
     del known, images, lost, at  # not held while the target is walked
     for w, keys in pieces:
-        failures.update(_piece_failures(w, keys, (target, rows, place), (plan, codes, here, src, pc),
+        failures.update(_piece_failures(w, keys, (target, rows, place), (plan, codes, placed, src, pc),
                                          pairing, cols, tol))
     failures = [failures[k] for k in sorted(failures)]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
@@ -478,9 +478,9 @@ def _piece_failures(w, keys, target, source, pairing, cols, tol) -> dict:
     coefficients c_a = <A, V_a> / |A|^2, the image weight sum |c_a|^2 |A|^2
     and the residual |V|^2 - sum |c_a|^2 |A|^2 = sum |V_a - c_a A|^2 for
     least-squares c_a, each inner product over psi = I or one input column."""
-    (target, target_rows, (offsets, rowmap, rows)), (plan, codes, here, src, pc) = target, source
+    (target, target_rows, (offsets, rowmap, rows)), (plan, codes, placed, src, pc) = target, source
     (by, start), tracks = pairing, target_rows[keys]
-    (f, live, m), nx = w.shape, here[2]
+    (f, live, m), nx = w.shape, placed[2]
     na = (rows // nx).bit_length() - 1
     pd = _columns(_row_sums(np.repeat(np.arange(f), live), w.real**2 + w.imag**2, f, m), cols)  # target track weights
     lo, hits = start[keys], start[keys + 1] - start[keys]  # track k's source tracks: by[lo[k] : lo[k] + hits[k]]
@@ -502,7 +502,7 @@ def _piece_failures(w, keys, target, source, pairing, cols, tol) -> dict:
         v = np.zeros((len(k), n, nx, m), dtype=complex)  # v[i, c] = V_a psi, cell c of pair i's target track
         at = (offsets[keys[k]] >> na)[:, None, None] | x  # the rows x of each pair's cells
         v[np.arange(len(k))[:, None, None], np.arange(n)[:, None], at] = w[k][:, cells]
-        a = semantics._full(here, src[j], j)
+        a = semantics._full(placed, src[j], j)
         v = np.multiply(np.conj(a, out=a)[:, None], v, out=v)  # conj(A) V_a, in place
         dot = np.sum(v, axis=(2, 3) if cols == [None] else 2).reshape(len(p), len(cols))
         coef = np.divide(dot, mq[p], out=np.zeros(dot.shape, complex), where=mq[p] > 0)  # c_a = 0 for a massless A
