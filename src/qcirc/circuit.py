@@ -47,25 +47,10 @@ class Measurement:
         return tuple(sorted(self.operators))
 
     @cached_property
-    def selects(self) -> Optional[np.ndarray]:
-        """Per computational-basis index, the position in `outcomes` of the
-        label whose operator selects it; None unless the operators are square,
-        all of one shape, have entries exactly 0 or 1, and add up to I (so
-        each is diagonal and one label selects each basis state). The
-        measurement is standard when each label selects exactly one."""
-        ops = [self.operators[label] for label in self.outcomes]
-        shape = ops[0].shape if ops else ()
-        if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in ops):
-            return None
-        stack = np.stack(ops)
-        if not ((stack == 0) | (stack == 1)).all() or not np.array_equal(stack.sum(axis=0), np.eye(shape[0])):
-            return None
-        return np.argmax(stack.diagonal(axis1=1, axis2=2).real, axis=0)
-
-    @cached_property
     def basis(self) -> Optional[np.ndarray]:
         """Per label in `outcomes`, the basis index that its operator projects
-        onto, if the measurement is standard (`selects` a permutation); else None."""
+        onto, if the measurement is standard (its operators are the projectors
+        onto distinct basis states, exactly); else None."""
         ops = [self.operators[label] for label in self.outcomes]
         stack = np.array(ops) if ops and all(a.shape == (len(ops), len(ops)) for a in ops) else np.zeros((0, 1, 1))
         at = stack.diagonal(axis1=1, axis2=2).real.argmax(axis=1)  # where each operator's one 1 must be

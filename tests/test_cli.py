@@ -1332,63 +1332,50 @@ def run_script(name, *args, timeout=120):
     )
 
 
-def test_faithful_scale_runs():
-    proc = run_script("faithful_scale.py", "3", "--inputs", "2")
+CHECK3 = {"k": 3, "target_registers": 4, "tracks": 8, "ok": True}  # ff-3 and parity-3 alike
+SCALE_FIELDS = {  # case -> fields of its in-process line
+    "check:ff-3": {**CHECK3, "method": "exact", "inputs": 0},
+    "check:ff-3:inputs=2": {**CHECK3, "method": "inputs", "inputs": 2},
+    # deferred parity-3 keeps the source's 4 registers: no ancillas
+    "check:parity-3": {**CHECK3, "method": "exact", "inputs": 0},
+    "check:parity-3:inputs=2": {**CHECK3, "method": "inputs", "inputs": 2},
+    "aggregate:ghz-3": {"k": 3, "tracks": 8},
+    "shots:ff-3:10": {"k": 3, "shots": 10, "registers": 4},
+}
+
+
+@pytest.mark.parametrize("args", [list(SCALE_FIELDS), ["aggregate:ghz-3", "--cli"], ["shots:ff-3:10", "--cli"],
+                                  ["check:parity-3:inputs=2", "--cli"]],
+                         ids=["in-process", "aggregate-cli", "shots-cli", "check-cli"])
+def test_scale_runs(args):
+    """`scripts/scale.py` prints one line per case, in order. In process, a
+    line gives the case's fields with the untraced seconds and the
+    tracemalloc peak; with `--cli` it runs the case's `qcirc` command into
+    /dev/null and gives its exit code and seconds, the process's peak RSS
+    and the call's page faults."""
+    proc = run_script("scale.py", *args)
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [(r["method"], r["inputs"]) for r in lines] == [("exact", 0), ("inputs", 2)]
+    cases = [a for a in args if a != "--cli"]
+    assert [r["case"] for r in lines] == cases
     for r in lines:
-        assert r["k"] == 3 and r["target_registers"] == 4 and r["tracks"] == 8 and r["ok"] is True
-        assert r["seconds"] >= 0 and r["peak_mib"] > 0
-        assert r["walk_seconds"] >= 0
+        want = SCALE_FIELDS[r["case"]]
+        assert r["k"] == 3 and isinstance(r["no_bytecode"], bool) and r["seconds"] >= 0
+        if "--cli" in args:
+            assert r["rc"] == 0 and r["maxrss_mib"] > 0 and r["minflt"] >= 0
+            assert (r.get("shots"), r.get("inputs")) == (want.get("shots"), want.get("inputs"))
+        else:
+            assert r.items() >= want.items() and r["peak_mib"] > 0 and 1 <= r["tracks"] <= 8
+            assert ("walk_seconds" in r) == r["case"].startswith("check:") and r.get("walk_seconds", 0) >= 0
 
 
-def test_faithful_scale_runs_parity():
-    """Deferred parity-3 keeps the source's 4 registers: no ancillas."""
-    proc = run_script("faithful_scale.py", "parity-3", "--inputs", "2")
-    assert proc.returncode == 0, proc.stderr
-    lines = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [(r["circuit"], r["method"], r["inputs"]) for r in lines] == [
-        ("parity-3", "exact", 0), ("parity-3", "inputs", 2)]
-    for r in lines:
-        assert r["k"] == 3 and r["target_registers"] == 4 and r["tracks"] == 8 and r["ok"] is True
-        assert r["seconds"] >= 0 and r["peak_mib"] > 0
-
-
-def test_aggregate_scale_runs():
-    proc = run_script("aggregate_scale.py", "3")
-    assert proc.returncode == 0, proc.stderr
-    (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert line["n"] == 3 and line["tracks"] == 8
-    assert line["seconds"] >= 0 and line["peak_mib"] > 0
-
-
-def test_aggregate_scale_cli_runs():
-    """`--cli` runs `qcirc aggregate --input` on GHZ-3 into /dev/null and
-    reports the call's seconds and page faults and the process's peak RSS."""
-    proc = run_script("aggregate_scale.py", "3", "--cli")
-    assert proc.returncode == 0, proc.stderr
-    (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert line["n"] == 3 and line["rc"] == 0
-    assert line["seconds"] >= 0 and line["maxrss_mib"] > 0 and line["minflt"] >= 0
-
-
-def test_shots_scale_runs():
-    proc = run_script("shots_scale.py", "3", "10")
-    assert proc.returncode == 0, proc.stderr
-    (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert line["k"] == 3 and line["shots"] == 10 and line["registers"] == 4 and 1 <= line["tracks"] <= 8
-    assert line["seconds"] >= 0 and line["peak_mib"] > 0
-
-
-def test_shots_scale_cli_runs():
-    """`--cli` runs `qcirc run --shots` on deferred ff-3 into /dev/null and
-    reports the call's seconds and the process's peak RSS."""
-    proc = run_script("shots_scale.py", "3", "10", "--cli")
-    assert proc.returncode == 0, proc.stderr
-    (line,) = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert line["k"] == 3 and line["shots"] == 10 and line["rc"] == 0
-    assert line["seconds"] >= 0 and line["maxrss_mib"] > 0
+@pytest.mark.parametrize("args", [["check:ff-x"], ["shots:ff-3"], ["aggregate:ghz-3:7"],
+                                  ["aggregate:ghz-3", "shots:ff-3:10", "--cli"]],
+                         ids=["bad-k", "no-shot-count", "aggregate-arg", "cli-two-cases"])
+def test_scale_rejects_malformed_cases(args):
+    proc = run_script("scale.py", *args)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: scale.py")
 
 
 @pytest.mark.parametrize(

@@ -88,41 +88,44 @@ def shared_register_circuit():
     )
 
 
-# --- classification: Measurement.selects ----------------------------------
+# --- classification: Measurement.basis -------------------------------------
 
 
 def test_classify_standard():
-    assert measurement_of({"0": P0, "1": P1}).selects.tolist() == [0, 1]
+    assert measurement_of({"0": P0, "1": P1}).basis.tolist() == [0, 1]
+    assert measurement_of({"0": P1, "1": P0}).basis.tolist() == [1, 0]
 
 
 def test_classify_complete_not_standard():
-    assert measurement_of(PM_FAMILY).selects is None
+    assert measurement_of(PM_FAMILY).basis is None
 
 
 def test_classify_projective_not_complete():
-    """A rank-1 and a rank-3 diagonal projector: label b selects three basis states."""
+    """A rank-1 and a rank-3 diagonal projector: label b selects three basis
+    states, so the measurement is not standard."""
     p = np.zeros((4, 4), dtype=complex)
     p[0, 0] = 1.0
-    assert measurement_of({"a": p, "b": np.eye(4) - p}).selects.tolist() == [0, 1, 1, 1]
+    assert measurement_of({"a": p, "b": np.eye(4) - p}).basis is None
 
 
 def test_classify_non_projective():
     fam = random_kraus_family(np.random.default_rng(0), 2, 2)
-    assert measurement_of({"a": fam[0], "b": fam[1]}).selects is None
+    assert measurement_of({"a": fam[0], "b": fam[1]}).basis is None
 
 
-def reference_selects(m):
-    """`Measurement.selects` by the two rules it replaces: exact 0/1
-    operators adding up to I (`_selects_basis_states`), then the argmax over
-    their diagonals stacked in `outcomes` order (`_row_tracks`)."""
+def reference_basis(m):
+    """`Measurement.basis` by its definition: exact 0/1 operators of one
+    square shape adding up to I, each label selecting exactly one basis
+    state, given per label in `outcomes` order."""
     ops = [m.operators[label] for label in m.outcomes]
-    dim = ops[0].shape[0]
-    if any(a.shape != (dim, dim) for a in ops):
+    dim = ops[0].shape[0] if ops else 0
+    if not ops or any(a.shape != (dim, dim) for a in ops):
         return None
     stack = np.stack(ops)
     if not (((stack == 0) | (stack == 1)).all() and np.array_equal(stack.sum(axis=0), np.eye(dim))):
         return None
-    return np.argmax(np.stack([np.diagonal(a) for a in ops]).real, axis=0).tolist()
+    selected = [np.flatnonzero(np.diagonal(a)).tolist() for a in ops]
+    return [i for (i,) in selected] if all(len(s) == 1 for s in selected) else None
 
 
 def signed_zeros(a, flip):
@@ -134,20 +137,25 @@ def signed_zeros(a, flip):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_selects_matches_the_reference(data):
+def test_basis_matches_the_reference(data):
     """0/1 partitions of the basis states (labels named against basis
     order, zeros signed either way, rank-2 and empty labels among them),
-    Kraus families, and partitions with one entry moved by a tiny delta."""
+    standard measurements, Kraus families, and standard measurements with
+    one entry moved by a tiny delta."""
     arity = data.draw(st.integers(1, 2), label="arity")
-    dim, count = 2**arity, data.draw(st.integers(1, 4), label="labels")
+    dim = 2**arity
+    kind = data.draw(st.sampled_from(["partition", "standard", "kraus", "perturbed"]), label="kind")
+    count = data.draw(st.integers(1, 4), label="labels") if kind in ("partition", "kraus") else dim
     names = data.draw(st.permutations([f"l{j}" for j in range(count)]), label="names")
-    kind = data.draw(st.sampled_from(["partition", "kraus", "perturbed"]), label="kind")
     if kind == "kraus":
         fam = random_kraus_family(np.random.default_rng(data.draw(st.integers(0, 99))), dim, count)
         m = measurement_of(dict(zip(names, fam)))
-        assert m.selects is None and reference_selects(m) is None
+        assert m.basis is None and reference_basis(m) is None
         return
-    owner = data.draw(st.lists(st.integers(0, count - 1), min_size=dim, max_size=dim), label="owner")
+    if kind == "partition":
+        owner = data.draw(st.lists(st.integers(0, count - 1), min_size=dim, max_size=dim), label="owner")
+    else:
+        owner = data.draw(st.permutations(range(dim)), label="owner")
     ops = {name: np.diag([1.0 * (o == j) for o in owner]) for j, name in enumerate(names)}
     flips = data.draw(st.lists(st.booleans(), min_size=2 * dim * dim * count, max_size=2 * dim * dim * count))
     flips = np.array(flips).reshape(count, dim, dim, 2)
@@ -160,16 +168,16 @@ def test_selects_matches_the_reference(data):
         ops[name][i, j] += data.draw(st.sampled_from([1e-12, -1e-15, 1e-300, 1e-12j]), label="delta")
         moved = ops[name][i, j] != before  # 1 + 1e-300 rounds back to 1
     m = measurement_of(ops)
-    if moved:
-        assert m.selects is None and reference_selects(m) is None
+    if moved or sorted(owner) != list(range(count)) or count != dim:
+        assert m.basis is None and reference_basis(m) is None
     else:
-        assert m.selects.tolist() == reference_selects(m) == [m.outcomes.index(names[o]) for o in owner]
+        assert m.basis.tolist() == reference_basis(m) == [owner.index(names.index(label)) for label in m.outcomes]
 
 
-def test_selects_needs_square_operators_of_one_shape():
-    assert measurement_of({"a": np.eye(2), "b": np.zeros((4, 4))}).selects is None
-    assert measurement_of({"a": np.eye(2)[:1]}).selects is None
-    assert measurement_of({}).selects is None
+def test_basis_needs_square_operators_of_one_shape():
+    assert measurement_of({"a": np.eye(2), "b": np.zeros((4, 4))}).basis is None
+    assert measurement_of({"a": np.eye(2)[:1]}).basis is None
+    assert measurement_of({}).basis is None
 
 
 # --- deferral requirement and constraint ------------------------------------
@@ -247,7 +255,7 @@ def test_standardize_pm_measurement():
     g = result.circuit.gate("M")
     assert g.is_measure and g.registers == (2,)
     assert set(g.outcome_labels) == {"+", "-"}
-    assert next(iter(g.measurements.values())).selects.tolist() in ([0, 1], [1, 0])
+    assert next(iter(g.measurements.values())).basis.tolist() in ([0, 1], [1, 0])
 
 
 def test_near_standard_measurement_is_standardized_exactly():
@@ -260,7 +268,7 @@ def test_near_standard_measurement_is_standardized_exactly():
         ("r0", "r1"),
         (unitary_gate("h", [0], H), measure_gate("M", [0], ops), x_controlled_by("M", ["0", "1"])),
     )
-    assert c.gate("M").measurements["M"].selects is None
+    assert c.gate("M").measurements["M"].basis is None
     result = defer_measurements(c)
     assert result.ancilla_registers == frozenset({2})
     assert result.circuit.gate("M__u").registers == (0, 2)

@@ -1,7 +1,8 @@
 """README.md is checked, not trusted: its diagnostics table against the codes
 `src/qcirc` emits, its `check-faithful` failure kinds against those
 `deferral.py` emits, its Python quick start and its CLI examples by running
-them, and its text against every subcommand and option of the parser."""
+them, its text against every subcommand and option of the parser, and its
+scripts list against `scripts/`."""
 
 import argparse
 import ast
@@ -121,3 +122,11 @@ def test_every_subcommand_and_option_is_documented():
         for action in parser._actions:
             missing += [o for o in action.option_strings if not re.search(rf"(?<![\w-]){o}(?![\w-])", README)]
     assert missing == []
+
+
+def test_scripts_list_names_exactly_the_scripts():
+    """The "Tests, benchmark and scripts" list names each file of
+    `scripts/*.py` and no other, so a deleted script does not stay documented."""
+    section = README.split("\n## Tests, benchmark and scripts\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"scripts/(\w+\.py)", section))
+    assert named == {p.name for p in (ROOT / "scripts").glob("*.py")}

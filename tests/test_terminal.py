@@ -47,11 +47,10 @@ def settles_all(c):
 
 def terminal(c):
     """Whether c is in terminal form: no classical control, no unitary after
-    a measurement, and only measurements whose operators select basis
-    states (`Measurement.selects`)."""
+    a measurement, and only standard measurements (`Measurement.basis`)."""
     measurements = [m for g in c.gates for m in g.measurements.values()]
     return not any(g.classical_sources for g in c.gates) and not red_gates(c) and all(
-        m.selects is not None for m in measurements)
+        m.basis is not None for m in measurements)
 
 
 def basis_projectors(dim, labels):
@@ -103,7 +102,7 @@ def test_deferred_corpus_is_in_terminal_form():
     registers settles; at most a few of the random sources pass through
     unchanged with nonstandard measurements. Of two measurements of one
     register, only the last settles."""
-    assert len(DEFERRED) >= 26
+    assert len(DEFERRED) == 30
     for _, c in DEFERRED:
         d = defer_measurements(c).circuit
         ends = {g.id for g in d.gates if g.is_measure and all(d.register_chain(r)[-1] == g.id for r in g.registers)}
