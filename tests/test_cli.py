@@ -1333,40 +1333,69 @@ def run_script(name, *args, timeout=120):
 
 
 CHECK3 = {"k": 3, "target_registers": 4, "tracks": 8, "ok": True}  # ff-3 and parity-3 alike
-SCALE_FIELDS = {  # case -> fields of its in-process line
-    "check:ff-3": {**CHECK3, "method": "exact", "inputs": 0},
-    "check:ff-3:inputs=2": {**CHECK3, "method": "inputs", "inputs": 2},
-    # deferred parity-3 keeps the source's 4 registers: no ancillas
-    "check:parity-3": {**CHECK3, "method": "exact", "inputs": 0},
-    "check:parity-3:inputs=2": {**CHECK3, "method": "inputs", "inputs": 2},
-    "aggregate:ghz-3": {"k": 3, "tracks": 8},
-    "shots:ff-3:10": {"k": 3, "shots": 10, "registers": 4},
-}
 
 
-@pytest.mark.parametrize("args", [list(SCALE_FIELDS), ["aggregate:ghz-3", "--cli"], ["shots:ff-3:10", "--cli"],
-                                  ["check:parity-3:inputs=2", "--cli"]],
-                         ids=["in-process", "aggregate-cli", "shots-cli", "check-cli"])
-def test_scale_runs(args):
-    """`scripts/scale.py` prints one line per case, in order. In process, a
-    line gives the case's fields with the untraced seconds and the
-    tracemalloc peak; with `--cli` it runs the case's `qcirc` command into
-    /dev/null and gives its exit code and seconds, the process's peak RSS
-    and the call's page faults."""
+def scale_lines(*args):
+    """Run `scripts/scale.py` and check what every line gives: one line per
+    case, in order, each with `k`, `no_bytecode` and the untraced seconds.
+    In process a line also gives the tracemalloc peak (and `walk_seconds`
+    for a check); with `--cli` it runs the case's `qcirc` command into
+    /dev/null and gives its exit code, the process's peak RSS and the
+    call's page faults."""
     proc = run_script("scale.py", *args)
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
-    cases = [a for a in args if a != "--cli"]
-    assert [r["case"] for r in lines] == cases
+    assert [r["case"] for r in lines] == [a for a in args if a != "--cli"]
     for r in lines:
-        want = SCALE_FIELDS[r["case"]]
         assert r["k"] == 3 and isinstance(r["no_bytecode"], bool) and r["seconds"] >= 0
         if "--cli" in args:
             assert r["rc"] == 0 and r["maxrss_mib"] > 0 and r["minflt"] >= 0
-            assert (r.get("shots"), r.get("inputs")) == (want.get("shots"), want.get("inputs"))
         else:
-            assert r.items() >= want.items() and r["peak_mib"] > 0 and 1 <= r["tracks"] <= 8
+            assert r["peak_mib"] > 0
             assert ("walk_seconds" in r) == r["case"].startswith("check:") and r.get("walk_seconds", 0) >= 0
+    return lines
+
+
+def test_faithful_scale_runs():
+    lines = scale_lines("check:ff-3", "check:ff-3:inputs=2")
+    assert [(r["method"], r["inputs"]) for r in lines] == [("exact", 0), ("inputs", 2)]
+    assert all(r.items() >= CHECK3.items() for r in lines)
+
+
+def test_faithful_scale_runs_parity():
+    """Deferred parity-3 keeps the source's 4 registers: no ancillas."""
+    lines = scale_lines("check:parity-3", "check:parity-3:inputs=2")
+    assert [(r["method"], r["inputs"]) for r in lines] == [("exact", 0), ("inputs", 2)]
+    assert all(r.items() >= CHECK3.items() for r in lines)
+
+
+def test_check_scale_cli_runs():
+    """`--cli` runs `qcirc check-faithful` on parity-3 and its deferred circuit
+    on two random inputs."""
+    (line,) = scale_lines("check:parity-3:inputs=2", "--cli")
+    assert line["inputs"] == 2
+
+
+def test_aggregate_scale_runs():
+    (line,) = scale_lines("aggregate:ghz-3")
+    assert line["tracks"] == 8
+
+
+def test_aggregate_scale_cli_runs():
+    """`--cli` runs `qcirc aggregate --input` on GHZ-3."""
+    (line,) = scale_lines("aggregate:ghz-3", "--cli")
+    assert "shots" not in line and "inputs" not in line
+
+
+def test_shots_scale_runs():
+    (line,) = scale_lines("shots:ff-3:10")
+    assert line["shots"] == 10 and line["registers"] == 4 and 1 <= line["tracks"] <= 8
+
+
+def test_shots_scale_cli_runs():
+    """`--cli` runs `qcirc run --shots` on deferred ff-3."""
+    (line,) = scale_lines("shots:ff-3:10", "--cli")
+    assert line["shots"] == 10
 
 
 @pytest.mark.parametrize("args", [["check:ff-x"], ["shots:ff-3"], ["aggregate:ghz-3:7"],
