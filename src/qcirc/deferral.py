@@ -405,7 +405,7 @@ def check_faithful(
 
     if inputs is not None and not len(inputs):
         raise DeferralError("no inputs to check")
-    psi = np.eye(2**nc, dtype=complex) if inputs is None else np.empty((2**nc, len(inputs)), dtype=complex)
+    psi = np.eye(*linalg.fits(2**nc, 2**nc), dtype=complex) if inputs is None else np.empty((2**nc, len(inputs)), dtype=complex)
     for i, v in enumerate([] if inputs is None else inputs):
         v = np.array(v, dtype=complex).reshape(-1)  # a copy, which `linalg.rescale` writes over
         if v.shape[0] != 2**nc:
@@ -487,8 +487,6 @@ def _piece_failures(w, keys, target, source, pairing, cols, tol) -> dict:
     out = {}
     for k, q in np.argwhere((hits == 0)[:, None] & (pd > tol)).tolist():
         out[cols[q], 1, int(keys[k])] = _failure("unmatched-target-track", cols[q], target, tracks[k], mass=pd[k, q])
-    if not hits.any():
-        return out
     kk = np.repeat(np.arange(len(hits)), hits)
     jj = by[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())]
     js, mass, image = jj.tolist(), pc[jj], np.empty((len(kk), len(cols)))

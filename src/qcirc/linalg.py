@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize  # numpy's limit on the entries of a complex array
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -85,6 +86,13 @@ def basis_ket(index: int, n: int) -> np.ndarray:
     v = np.zeros(2**n, dtype=complex)
     v[index] = 1.0
     return v
+
+
+def fits(*shape: int) -> tuple:
+    """`shape`, or MemoryError if a complex array of it would have more than MAX_ENTRIES entries."""
+    if math.prod(shape) > MAX_ENTRIES:
+        raise MemoryError(f"an array of shape {shape} is too large")
+    return shape
 
 
 def qubits(dim: int) -> Optional[int]:

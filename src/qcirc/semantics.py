@@ -302,7 +302,7 @@ def _walk_plan(c: QuantumCircuit, bouts, t0: Optional[np.ndarray], held: Optiona
     plan, n = _plan(c), c.n_registers
     order = itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts if bouts is None else bouts))
     moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), DEFAULT_TRACK_CAP, held)
-    t = np.eye(2**n, dtype=complex) if t0 is None else np.asarray(t0, dtype=complex)
+    t = np.eye(*linalg.fits(2**n, 2**n), dtype=complex) if t0 is None else np.asarray(t0, dtype=complex)
     if t.ndim != 2 or t.shape[0] != 2**n:
         raise linalg.LinalgError(f"expected {2**n} rows, got shape {t.shape}")
     live, fixed, bits = list(range(n)), [], np.zeros(len(codes), dtype=np.intp)  # bits: of the settled registers
@@ -454,11 +454,13 @@ def splitmix64(seeds, count: int) -> np.ndarray:
     """Z[i, t]: output t + 1 of SplitMix64 (Steele, Lea & Flood 2014) from state
     seeds[i], for all seeds and t < count, mixed in place in uint64 (modulo 2**64).
     Seeds are integers in [0, 2**64): TypeError for another type, a bool
-    included, ValueError outside. Every seeded draw comes from here."""
+    included, ValueError outside. MemoryError past `linalg.fits`. Every
+    seeded draw comes from here."""
     if not (isinstance(seeds, np.ndarray) and seeds.dtype.kind == "u"):
         seeds = [_seed(s) for s in seeds]
         if not all(0 <= s < 2**64 for s in seeds):
             raise ValueError("seeds must be integers in [0, 2**64)")
+    linalg.fits(len(seeds), count)
     z = np.array(seeds, dtype=np.uint64)[:, None] + np.arange(1, count + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
     scratch = np.empty_like(z)
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):

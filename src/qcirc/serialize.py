@@ -28,7 +28,7 @@ from .circuit import (
     UnitaryOp,
     validate_circuit,
 )
-from .linalg import DensityOperator, qubits, squared_norm
+from .linalg import MAX_ENTRIES, DensityOperator, qubits, squared_norm
 from .scheduling import Poset, Schedule, in_bout_order
 
 CIRCUIT_VERSION = "qcirc-1"
@@ -37,7 +37,6 @@ _PAIR, _STR, _INT = {2}, {str}, {int}  # an [re, im] pair's length; the types of
 _SCALARS = {str, int, float, bool, type(None)}  # the types `_scalars_text` writes a list of as one token
 _LISTS, _ONE = {list, tuple}, {1}
 _BUFFER = 1024  # entries of a buffer that the matrices of a document share; see `_Matrices`
-_MAX_DIM = np.iinfo(np.intp).max // np.dtype(complex).itemsize  # numpy's limit on a side of an empty matrix
 CHUNK = 64  # (re, im) pairs per chunk of a written matrix's entries; see `_with_entries`
 
 
@@ -115,7 +114,7 @@ class _Matrices:
         except (KeyError, TypeError):
             self.fail(where)
         if not (
-            type(rows) is int and type(cols) is int and 0 <= rows <= _MAX_DIM and 0 <= cols <= _MAX_DIM
+            type(rows) is int and type(cols) is int and 0 <= rows <= MAX_ENTRIES and 0 <= cols <= MAX_ENTRIES
             and type(entries) is list and len(entries) == rows * cols
         ):
             self.fail(where)

@@ -899,24 +899,64 @@ def test_failing_aggregate_writes_no_stdout(tmp_path, monkeypatch, capsys):
     assert captured.out == "" and json.loads(captured.err)["code"] == "too-large"
 
 
-def test_aggregate_past_the_cap_builds_no_identity(tmp_path):
-    """GHZ-17 has 2^17 tracks: `aggregate` refuses it at the cap before the
-    walk builds its 2^17 x 2^17 identity (256 GiB), in a child process that
-    first limits its own address space to 1 GiB through `resource`, so that
-    building it would be `too-large` there at once."""
-    circuit = tmp_path / "ghz17.json"
-    circuit.write_text(serialize_circuit(ghz_circuit(17)))
+def main_in_1gib(*argv):
+    """`qcirc` on argv in a child process that first limits its own address
+    space to 1 GiB through `resource`, so that building anything large
+    would be `too-large` there at once: its exit code, stdout and stderr
+    lines as JSON."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
              "from qcirc.cli import main; sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run([sys.executable, "-c", child, "aggregate", str(circuit)],
+    proc = subprocess.run([sys.executable, "-c", child, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+    return proc.returncode, proc.stdout, [json.loads(line) for line in proc.stderr.splitlines()]
+
+
+def test_aggregate_past_the_cap_builds_no_identity(tmp_path):
+    """GHZ-17 has 2^17 tracks: `aggregate` refuses it at the cap before the
+    walk builds its 2^17 x 2^17 identity (256 GiB)."""
+    circuit = tmp_path / "ghz17.json"
+    circuit.write_text(serialize_circuit(ghz_circuit(17)))
+    assert main_in_1gib("aggregate", circuit) == (1, "", [
         {"severity": "error", "code": "semantic-error", "message": "track count exceeds cap 65536"}
-    ]
+    ])
+
+
+def assert_too_large(rc, out, lines):
+    assert rc == 1 and out == "" and [d["code"] for d in lines] == ["too-large"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", TELEPORT, "--input", PSI, "--seed", "1", "--shots", str(2**63 - 1)],
+    ["run", TELEPORT, "--input", PSI, "--seed", "1", "--shots", str(2**62)],
+    ["run", TELEPORT, "--input", PSI, "--seed", "1", "--shots", str(2**64 - 1)],
+    ["check-faithful", TELEPORT, TELEPORT, "--zeta", "ZETA", "--inputs", f"random:{2**59}"],
+], ids=["shots-2^63-1", "shots-2^62", "shots-2^64-1", "inputs-2^59"])
+def test_diag_too_large_count(argv, tmp_path):
+    """A count of draws past what an array can hold is `too-large` before
+    anything is drawn (ZETA: teleport's identity sidecar). SplitMix64 gave
+    0 columns for counts from 2^63 - 2, so 2^63 - 1 shots printed no
+    frequencies, and numpy's ValueError for others was an `io-error`."""
+    zeta = tmp_path / "zeta.json"
+    zeta.write_text(json.dumps(Commensuration.identity(parse_circuit(Path(TELEPORT).read_text())).to_json()))
+    assert_too_large(*main_in_1gib(*(zeta if a == "ZETA" else a for a in argv)))
+
+
+@pytest.mark.parametrize("n", [30, 64])
+@pytest.mark.parametrize("command", ["aggregate", "check-faithful"])
+def test_diag_too_large_registers(command, n, tmp_path):
+    """One standard measurement on n registers: the walk's 2^n x 2^n
+    identity is `too-large` past numpy's limit on an array's size, as it
+    is at 29 registers where numpy fails to allocate it; past the limit it
+    was an `io-error`."""
+    c = QuantumCircuit(tuple(f"q{i}" for i in range(n)), (standard_measure_gate("m", 0),))
+    circuit, zeta = tmp_path / "c.json", tmp_path / "c.zeta.json"
+    circuit.write_text(serialize_circuit(c))
+    zeta.write_text(json.dumps(Commensuration.identity(c).to_json()))
+    argv = [circuit] if command == "aggregate" else [circuit, circuit, "--zeta", zeta]
+    assert_too_large(*main_in_1gib(command, *argv))
 
 
 class _LongestPiece:
@@ -1398,45 +1438,55 @@ def test_shots_scale_cli_runs():
     assert line["shots"] == 10
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 @pytest.mark.parametrize("args", [["check:ff-x"], ["shots:ff-3"], ["aggregate:ghz-3:7"],
-                                  ["aggregate:ghz-3", "shots:ff-3:10", "--cli"]],
-                         ids=["bad-k", "no-shot-count", "aggregate-arg", "cli-two-cases"])
+                                  ["aggregate:ghz-3", "shots:ff-3:10", "--cli"], ["parse:nope"], ["dumps:x"],
+                                  ["parse:shots", "--cli"], ["aggregate:ghz-3", "--against", str(ROOT)],
+                                  ["dumps:dense_pair", "--repeat", "0"]],
+                         ids=["bad-k", "no-shot-count", "aggregate-arg", "cli-two-cases", "bad-workload",
+                              "bad-document", "cli-parse", "against-aggregate", "no-rounds"])
 def test_scale_rejects_malformed_cases(args):
     proc = run_script("scale.py", *args)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("usage: scale.py")
 
 
-@pytest.mark.parametrize(
-    "script, names",
-    [
-        ("parse_bench.py", ["shots", "denote", "compile", "structure"]),
-        ("dumps_bench.py", ["ghz6_aggregate", "structure_run", "dense_pair", "ff5_deferred"]),
-    ],
-)
-def test_timing_scripts_run(script, names):
-    """Each timing script prints one line of best-of-N milliseconds per
-    corpus or document."""
-    proc = run_script(script, "--repeat", "1", timeout=300)
+PARSE = [f"parse:{w}" for w in ("shots", "denote", "compile", "structure")]
+DUMPS = [f"dumps:{d}" for d in ("ghz6_aggregate", "structure_run", "dense_pair", "ff5_deferred")]
+
+
+def timing_lines(cases, *options):
+    proc = run_script("scale.py", *cases, *options, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == names
-    assert all(line.endswith(" ms") for line in lines)
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["case"] for r in lines] == cases
+    return lines
+
+
+@pytest.mark.parametrize(
+    "cases, fields",
+    [
+        (PARSE, {"circuits", "operators", "seconds", "decode_seconds", "gram_seconds", "validate_seconds"}),
+        (DUMPS, {"chars", "zeros", "seconds"}),
+    ],
+    ids=["parse_bench.py-names0", "dumps_bench.py-names1"],  # named for the scripts whose numbers these cases give
+)
+def test_timing_scripts_run(cases, fields):
+    """`scale.py`'s parse and dumps cases print one line each: its counts,
+    each timed call's seconds and the tracemalloc peak."""
+    for r in timing_lines(cases, "--repeat", "1"):
+        assert r.keys() == {"case", "no_bytecode", "peak_mib"} | fields
+        assert all(r[f] > 0 for f in fields - {"zeros"}) and 0 <= r.get("zeros", 0) <= 1 and r["peak_mib"] > 0
 
 
 def test_dumps_bench_against_this_checkout():
-    """`dumps_bench.py --against` loads a checkout's writer as a second
-    package and alternates the two; against this repository both write the
-    same text, and each line counts the wins out of its calls."""
-    root = Path(__file__).resolve().parents[1]
-    proc = run_script("dumps_bench.py", "--repeat", "3", "--against", str(root), timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
-    assert [row[0] for row in rows] == ["ghz6_aggregate", "structure_run", "dense_pair", "ff5_deferred"]
-    for row in rows:
-        assert row[1:2] + row[3:5] + row[6:8] + row[9:] == ["this", "ms", "against", "ms", "wins", "text", "same"]
-        wins, calls = map(int, row[8].split("/"))
-        assert calls == 3 and 0 <= wins <= 3
+    """`--against` loads a checkout's writer as a second package and
+    alternates the two; against this repository both write the same text,
+    and each line gives both medians and the wins out of its 3 rounds."""
+    for r in timing_lines(DUMPS, "--repeat", "3", "--against", str(ROOT)):
+        assert r["same"] is True and r["seconds"] > 0 and r["against_seconds"] > 0 and 0 <= r["wins"] <= 3
 
 
 def test_output_digests_defer_files_row():

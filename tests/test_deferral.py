@@ -960,6 +960,27 @@ def test_check_faithful_bounds_its_pair_comparisons():
     assert peak < 48 * 2**20
 
 
+def test_target_pieces_paired_with_no_source_track_change_no_report(monkeypatch):
+    """Two 3-outcome measurements of both registers, the second after an H:
+    the deferral's ancillas give target tracks that no source track maps
+    to, and under a budget of one pair per chunk some `track_rows` pieces
+    hold only those. The exact check and the checks on 4 and on 1 random
+    inputs report the same bytes as under the default budget."""
+    three = {"a": np.diag([1, 0, 0, 0]), "b": np.diag([0, 1, 0, 0]), "c": np.diag([0, 0, 1, 1])}
+    c = QuantumCircuit(("q0", "q1"), (measure_gate("m1", [0, 1], three), unitary_gate("h", [0], H),
+                                      measure_gate("m2", [0, 1], three)))
+    r = defer_measurements(c)
+
+    def texts():
+        return [dumps(check_faithful(c, r.circuit, r.zeta, psi).to_json())
+                for psi in (None, random_pure_inputs(2, 4, 0), random_pure_inputs(2, 1, 0))]
+
+    whole = texts()
+    monkeypatch.setattr(semantics, "FRONTIER_BYTES", 1)
+    assert texts() == whole
+    assert all('"ok": true' in t and '"tracks_checked": 9' in t for t in whole)
+
+
 def traced_exact_check(c):
     """The exact check of c against its deferral, and its tracemalloc peak."""
     result = defer_measurements(c)
