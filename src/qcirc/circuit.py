@@ -228,10 +228,6 @@ class QuantumCircuit:
         return tuple(_diagnose(self))
 
     @cached_property
-    def _verdicts(self) -> tuple[dict[int, bool], dict[int, float]]:
-        return _verdicts(self)
-
-    @cached_property
     def _layers(self) -> tuple[dict[str, int], dict[str, int]]:
         """Per gate: its prerequisites as a bitmask over gate positions, and
         its longest-path depth. Raises CircuitError if the relation is cyclic."""
@@ -333,7 +329,7 @@ def validate_circuit(c: QuantumCircuit) -> list[Diagnostic]:
 
 def _diagnose(c: QuantumCircuit) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    finite, defects = c._verdicts
+    finite, defects = _verdicts(c)
 
     def err(code: str, where: str, message: str) -> None:
         diags.append(Diagnostic("error", code, where, message))

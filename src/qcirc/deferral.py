@@ -1,13 +1,13 @@
 """Measurement-deferral compiler pass and faithful-simulation checker.
 
 `defer_measurements` rewrites a circuit without classically controlled
-measurements into one in which every measurement comes after every unitary;
-`_plan` is its pre-pass, whose read maps spare rewriting any selector. A
-standard measurement, one whose operators are exact 0/1 projectors with one
-label per basis state (`Measurement.basis`), stays on its registers; every
-other one, one standard only within rounding included, is standardized with
-ancillas. A measurement stays one gate throughout, with its own id and
-outcome labels, so the commensuration maps gate ids to gate ids.
+measurements into one in which every measurement comes after every unitary,
+in one walk whose read maps spare rewriting any selector. A standard
+measurement, one whose operators are exact 0/1 projectors with one label per
+basis state (`Measurement.basis`), stays on its registers; every other one,
+one standard only within rounding included, is standardized with ancillas.
+A measurement stays one gate throughout, with its own id and outcome labels,
+so the commensuration maps gate ids to gate ids.
 `check_faithful` is exact by default; sampled inputs are an optional
 cross-check. It holds the source's tracks as one compact stack, and walks
 the target piece by piece (`track_rows`), each track only its own rows.
@@ -25,7 +25,6 @@ import numpy as np
 from . import linalg, semantics
 from .circuit import (
     Diagnostic,
-    Measurement,
     QuantumCircuit,
     check_valid,
     measure_gate,
@@ -190,78 +189,40 @@ def _dilation(kraus: list, dim_anc: int) -> np.ndarray:
 # --- the pass ---------------------------------------------------------------
 
 
-def _plan(c: QuantumCircuit, order: list[str]) -> tuple[dict, dict, dict, dict, set, int]:
-    """The pre-pass, over the gate ids `order`. A measurement is standard
-    when `Measurement.basis` gives each of its labels its one basis state,
-    and its read map is read off it. Any other measurement
-    with k >= 2 outcomes, one standard only within rounding included,
-    becomes the unitary `<id>__u` of `_dilation` on its registers and
-    ceil(log2 k) fresh |0> ancillas, followed by a standard
-    measurement of the ancillas that keeps its id and labels; unused ancilla
-    states get the labels pad0, pad1, ... and read as the first label. A
-    single-outcome measurement becomes a unitary gate and measures no register.
-    A standard measurement whose quantum source on every register is one kept
-    standard measurement of the same registers is a re-measurement: it is
-    dropped and read off the kept one's registers.
-
-    Returns, per measurement id, its registers (a re-measurement shares its
-    kept one's list) and its read map, basis index over those registers ->
-    the label its consumers' selectors read; the gates each nonstandard
-    measurement becomes; {re-measurement: kept}; the output's gate ids so
-    far; and the register count with the ancillas."""
-    regs, read, expand, kept = {}, {}, {}, {}
-    taken, n = set(c._by_id), c.n_registers
-    for g in map(c.gate, order):
-        if not g.is_measure:
-            continue
-        (m,) = g.measurements.values()
-        if m.basis is not None:  # standard
-            at = dict(zip(m.outcomes, m.basis.tolist()))  # label -> the basis index it selects
-            s, *more = set(c.quantum_sources(g.id).values())
-            a = None if more or s is None else c.gate(kept.get(s, s))
-            if a is not None and a.is_measure and a.id not in expand and set(a.registers) == set(g.registers):
-                kept[g.id], regs[g.id] = a.id, regs[a.id]
-            else:
-                a, regs[g.id] = g, list(g.registers)
-            read[g.id] = {linalg.reindex(i, g.registers, a.registers): lab for lab, i in at.items()}
-            continue
-        labels = list(m.outcomes)
-        ell = math.ceil(math.log2(len(labels)))  # 0 for a single outcome
-        pads = [_fresh_gate_id(labels, f"pad{i}") for i in range(2**ell - len(labels))]
-        regs[g.id], n = list(range(n, n + ell)), n + ell
-        read[g.id] = dict(enumerate(labels + labels[:1] * len(pads)))
-        if not ell:
-            expand[g.id] = [unitary_gate(g.id, g.registers, m.operators[labels[0]])]
-            continue
-        u = _dilation([m.operators[lab] for lab in labels], 2**ell)
-        uid = _fresh_gate_id(taken, f"{g.id}__u")
-        taken.add(uid)
-        expand[g.id] = [
-            unitary_gate(uid, g.registers + tuple(regs[g.id]), u),
-            measure_gate(g.id, regs[g.id], {lab: np.outer(e, e) for lab, e in zip(labels + pads, np.eye(2**ell))}),
-        ]
-    return regs, read, expand, kept, taken - set(kept), n
-
-
 def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     """Produce a faithfully-simulating circuit in which no unitary gate has a
     measurement gate as a prerequisite; ConstraintError for a classically
     controlled measurement.
 
-    The pre-pass `_plan` and then one walk go over `topo_order(c)`, so a gate
-    list is deferred, byte for byte, as its topological order is. The walk
-    moves every measurement to the end. A measurement waits on each of its
-    registers. A unitary takes the measurements waiting on each register r it
-    acts on; if there are any, a CNOT `<gate>__cp__<last of them>` copies r to
-    a fresh |0> ancilla and they move onto the copy. A unitary that got a copy
-    or has classical sources becomes a unitary quantum-controlled by the
-    registers its sources measure now: block-diagonal, one block per control
-    basis state, each the op the selector picks for the labels that state
-    reads. One whose sources all became unitaries keeps the op they select.
-    Out come the unitaries in walk order, each gate's CNOTs (sorted by id)
-    just before it, then the measurements sorted by id. Each of those is
-    standard (see `_plan`), so it keeps its operators, the exact 0/1
-    projectors, with every zero written +0.0."""
+    One walk goes over `topo_order(c)`, so a gate list is deferred, byte for
+    byte, as its topological order is, and decides each measurement when it
+    reaches it. A measurement is standard when `Measurement.basis` gives
+    each of its labels its one basis state; its read map, basis index over
+    its registers -> the label its consumers' selectors read, is read off
+    it. A standard measurement whose quantum source on every register is one
+    kept standard measurement of the same registers is a re-measurement: it
+    is dropped and read off the kept one's registers. Any other measurement
+    with k >= 2 outcomes, one standard only within rounding included,
+    becomes the unitary `<id>__u` of `_dilation` on its registers and
+    ceil(log2 k) fresh |0> ancillas, followed by a standard measurement of
+    the ancillas that keeps its id and labels; unused ancilla states get the
+    labels pad0, pad1, ... and read as the first label. A single-outcome
+    measurement becomes a unitary gate and measures no register. These
+    standardization ancillas are numbered in walk order, before every copy.
+
+    The walk moves every measurement to the end. A measurement waits on each
+    of its registers, from when its own unitary, if any, is placed. Every
+    unitary, from the source or from standardization, takes the measurements
+    waiting on each register r it acts on; if there are any, a CNOT
+    `<gate>__cp__<last of them>` copies r to a fresh |0> ancilla and they
+    move onto the copy. A unitary that got a copy or has classical sources
+    becomes a unitary quantum-controlled by the registers its sources
+    measure now: block-diagonal, one block per control basis state, each the
+    op the selector picks for the labels that state reads. One whose sources
+    all became unitaries keeps the op they select. Out come the unitaries in
+    walk order, each gate's CNOTs (sorted by id) just before it, then the
+    measurements sorted by id. Each of those is standard, so it keeps its
+    operators, the exact 0/1 projectors, with every zero written +0.0."""
     check_valid(c)
     bad = constraint_violations(c)
     if bad:
@@ -269,48 +230,72 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     if not red_gates(c):
         return DeferralResult(c, Commensuration.identity(c), frozenset())
 
-    order = topo_order(c)
-    regs, read, expand, kept, taken, n = _plan(c, order)
-    waiting: dict[int, list[str]] = {}
-    measures: dict[str, Measurement] = {}
-    unitaries = []
-    for gid in order:
-        for g in expand.get(gid, [c.gate(gid)]):
-            if g.is_measure:
-                if gid not in kept:
-                    (measures[gid],) = g.measurements.values()
-                    for r in regs[gid]:
-                        waiting.setdefault(r, []).append(gid)
+    taken, std = set(c._by_id), c.n_registers  # std: the next standardization ancilla
+    n = std + sum((len(x.outcomes) - 1).bit_length()  # the first copy, after every standardization ancilla
+                  for g in c.gates for x in g.measurements.values() if x.basis is None)
+    regs, read, kept, waiting, measures, unitaries = {}, {}, {}, {}, {}, []
+    for g in map(c.gate, topo_order(c)):
+        m = None  # a nonstandard measurement, which waits on its ancillas once its unitary g is placed
+        if g.is_measure:
+            (x,) = g.measurements.values()
+            if x.basis is not None:  # standard
+                s, *more = set(c.quantum_sources(g.id).values())
+                a = None if more or s is None else kept.get(s, s)
+                # g re-measures a if a is on g's registers: regs has source registers only for kept standard ones
+                if set(regs.get(a, ())) == set(g.registers):
+                    kept[g.id], regs[g.id] = a, regs[a]
+                    taken.discard(g.id)
+                else:
+                    regs[g.id], measures[g.id] = list(g.registers), x.operators
+                    for r in g.registers:
+                        waiting.setdefault(r, []).append(g.id)
+                at = zip(x.outcomes, x.basis.tolist())  # label -> the basis index it selects
+                read[g.id] = {linalg.reindex(i, g.registers, regs[g.id]): lab for lab, i in at}
                 continue
-            cnots = []
-            for r in g.registers:
-                ms = waiting.pop(r, [])
-                if ms:
-                    cnots.append(unitary_gate(_fresh_gate_id(taken, f"{g.id}__cp__{ms[-1]}"), (r, n), linalg.CNOT))
-                    taken.add(cnots[-1].id)
-                    for m in ms:
-                        regs[m][regs[m].index(r)] = n
-                    n += 1
-            unitaries += sorted(cnots, key=lambda h: h.id)
-            sources = g.classical_sources
-            ctrl = list(dict.fromkeys(w for s in sources for w in regs[s]))
-            if cnots or ctrl:
-                k, dim = len(ctrl), 2**g.arity
-                big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
-                for x in range(2**k):
-                    key = tuple(read[s][linalg.reindex(x, ctrl, regs[s])] for s in sources)
-                    big[x * dim : (x + 1) * dim, x * dim : (x + 1) * dim] = g.unitaries[g.selector[key]].matrix
-                g = unitary_gate(g.id, tuple(ctrl) + g.registers, big)
-            elif sources:  # every source became a unitary: keep the op they select
-                op = g.selector[tuple(read[s][0] for s in sources)]
-                g = replace(g, unitaries={op: g.unitaries[op]}, classical_sources=(), selector={(): op})
-            unitaries.append(g)
-    out = [measure_gate(m, regs[m], {lab: a + 0.0 for lab, a in x.operators.items()})  # -0.0 written 0.0
-           for m, x in sorted(measures.items())]
+            m, labels = g.id, list(x.outcomes)
+            ell = (len(labels) - 1).bit_length()  # ceil(log2 k), 0 for a single outcome
+            pads = [_fresh_gate_id(labels, f"pad{i}") for i in range(2**ell - len(labels))]
+            regs[m], std = list(range(std, std + ell)), std + ell
+            read[m] = dict(enumerate(labels + labels[:1] * len(pads)))
+            if ell:
+                measures[m] = {lab: np.outer(e, e) for lab, e in zip(labels + pads, np.eye(2**ell))}
+                uid = _fresh_gate_id(taken, f"{m}__u")
+                taken.add(uid)
+                u = _dilation([x.operators[lab] for lab in labels], 2**ell)
+                g = unitary_gate(uid, g.registers + tuple(regs[m]), u)
+            else:
+                g = unitary_gate(m, g.registers, x.operators[labels[0]])
+        cnots = []
+        for r in g.registers:
+            ms = waiting.pop(r, [])
+            if ms:
+                cnots.append(unitary_gate(_fresh_gate_id(taken, f"{g.id}__cp__{ms[-1]}"), (r, n), linalg.CNOT))
+                taken.add(cnots[-1].id)
+                for w in ms:
+                    regs[w][regs[w].index(r)] = n
+                n += 1
+        unitaries += sorted(cnots, key=lambda h: h.id)
+        sources = g.classical_sources
+        ctrl = list(dict.fromkeys(w for s in sources for w in regs[s]))
+        if cnots or ctrl:
+            k, dim = len(ctrl), 2**g.arity
+            big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
+            for i in range(2**k):
+                key = tuple(read[s][linalg.reindex(i, ctrl, regs[s])] for s in sources)
+                big[i * dim : (i + 1) * dim, i * dim : (i + 1) * dim] = g.unitaries[g.selector[key]].matrix
+            g = unitary_gate(g.id, tuple(ctrl) + g.registers, big)
+        elif sources:  # every source became a unitary: keep the op they select
+            op = g.selector[tuple(read[s][0] for s in sources)]
+            g = replace(g, unitaries={op: g.unitaries[op]}, classical_sources=(), selector={(): op})
+        unitaries.append(g)
+        for r in regs.get(m, ()):
+            waiting.setdefault(r, []).append(m)
+    out = [measure_gate(m, regs[m], {lab: a + 0.0 for lab, a in ops.items()})  # -0.0 written 0.0
+           for m, ops in sorted(measures.items())]
     names = c.register_names + tuple(_fresh_register_names(c.register_names, n - c.n_registers))
     d = check_valid(QuantumCircuit(names, tuple(unitaries + out)))
     absorbed = frozenset(m for m, rs in regs.items() if not rs)
-    targets = {m: kept.get(m, m) for m in order if m in regs and m not in absorbed}
+    targets = {m: kept.get(m, m) for m, rs in regs.items() if rs}
     labels = {b: {lab: read[a][i] for i, lab in read[b].items()} for b, a in kept.items()}
     return DeferralResult(d, Commensuration(targets, labels, absorbed), frozenset(range(c.n_registers, n)))
 
@@ -427,7 +412,7 @@ def check_faithful(
         failures[cols[q], 0, j] = _failure("untranslatable-track-probability", cols[q], plan, codes[j], mass=pc[j, q])
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
     rows, place, pieces = track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None]))
-    known, images = _row_keys(rows), _row_keys(images)
+    known, images = _row_keys(rows, images)  # keyed with one width, so that they compare
     at = np.minimum(np.searchsorted(known, images), len(known) - 1)  # each image's target row, if it has one
     lost = ok & (known[at] != images)
     if lost.any():

@@ -238,7 +238,9 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
 @lru_cache(maxsize=256)
 def _axes(registers: tuple, n: int) -> tuple[tuple, tuple]:
     """Axes of a (f,) + (2,)*n + (m,) tensor with the registers' first after
-    f, and the inverse order; LinalgError for a repeated or unknown register."""
+    f, and the inverse order; LinalgError for no, a repeated or an unknown register."""
+    if not registers:
+        raise LinalgError("empty register list")
     if len(set(registers)) != len(registers):
         raise LinalgError(f"duplicate register in {list(registers)}")
     if any(r < 0 or r >= n for r in registers):
@@ -267,12 +269,7 @@ def apply(a: np.ndarray, axes: tuple, x: np.ndarray) -> np.ndarray:
     validation checks the walk's, and `embed` checks its own."""
     (f, rows, m), (w, d) = x.shape, a.shape[-3:-1]
     y = x.reshape(f, *(2,) * (rows.bit_length() - 1), m).transpose(axes[0])
-    z = y.reshape(f, 1, d, rows // d * m)
-    if d > 1:
-        out = np.matmul(a, z)
-    else:  # no registers: a scaling, which `np.dot` does by BLAS axpy and `np.matmul` rounds otherwise
-        out = np.array([[np.dot(b, row) for b in bs] for bs, row in zip(np.broadcast_to(a, (f, w, 1, 1)), z[:, 0])],
-                       complex).reshape(f, w, 1, z.shape[-1])
+    out = np.matmul(a, y.reshape(f, 1, d, rows // d * m))
     return out.reshape(f * w, *y.shape[1:]).transpose(axes[1]).reshape(f * w, rows, m)
 
 

@@ -163,12 +163,14 @@ class _Plan:
         return list(map(Track, pairs)) if self.pairs else [Track(())] * len(codes)
 
 
-def _row_keys(codes: np.ndarray) -> np.ndarray:
-    """Each code row as one scalar, the big-endian bytes of its codes + 1,
-    which are equal as the rows are and sort as their tracks do: no code is
-    below -1, so each is a nonnegative number whose bytes sort as it does."""
-    x = (codes + 1).astype(">i8")
-    return x.view(f"V{x.itemsize * x.shape[1]}")[:, 0]
+def _row_keys(*codes: np.ndarray) -> list[np.ndarray]:
+    """Each code row of each array as one scalar, the big-endian bytes of its
+    codes + 1 in the narrowest unsigned type that holds every code + 1 of the
+    call. Keys of one call are equal as the rows are and sort as their
+    tracks do: no code is below -1, so each is a nonnegative number whose
+    bytes sort as it does."""
+    t = np.min_scalar_type(max(int(x.max(initial=-1)) for x in codes) + 1).newbyteorder(">")
+    return [(x + 1).astype(t).view(f"V{t.itemsize * x.shape[1]}")[:, 0] for x in codes]
 
 
 def _plan(c: QuantumCircuit) -> _Plan:
@@ -337,7 +339,7 @@ def track_rows(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None):
     place = (offsets, rowmap, 2^n), its A_f @ t0 is w[i] at rows
     offsets[keys[i]] + rowmap, 0 elsewhere (`_full`)."""
     moves, codes, t, (offsets, rows, n) = _walk_plan(c, bouts, t0)
-    order = np.argsort(_row_keys(codes))
+    order = np.argsort(_row_keys(codes)[0])
     return codes[order], (offsets[order], rows, n), _pieces(_run(moves, t), np.argsort(order))  # keys: in walk order
 
 

@@ -36,7 +36,6 @@ _NUMBERS = {int, float}  # the types of JSON numbers; a bool is not one
 _PAIR, _STR, _INT = {2}, {str}, {int}  # an [re, im] pair's length; the types of ids and of registers
 _SCALARS = {str, int, float, bool, type(None)}  # the types `_scalars_text` writes a list of as one token
 _LISTS, _ONE = {list, tuple}, {1}
-_BUFFER = 1024  # entries of a buffer that the matrices of a document share; see `_Matrices`
 CHUNK = 64  # (re, im) pairs per chunk of a written matrix's entries; see `_with_entries`
 
 
@@ -96,17 +95,15 @@ def _complex_entries(pairs) -> Optional[np.ndarray]:
 class _Matrices:
     """The matrices of one document, read in two steps so that the entries
     of all of them are checked and converted in one `_numbers` pass. `add`
-    checks a matrix object's rows, cols and entry count and returns its array:
-    a view into a buffer shared with the matrices added next to it, whose
-    entries `fill` writes later. A matrix is `bad-matrix` at the `where` it
-    was added under, and the first bad one in reading order is the one
-    reported, whichever check finds it."""
+    checks a matrix object's rows, cols and entry count and returns its own
+    array, whose entries `fill` writes later. A matrix is `bad-matrix` at the
+    `where` it was added under, and the first bad one in reading order is the
+    one reported, whichever check finds it."""
 
     def __init__(self) -> None:
         self.wheres: list[str] = []
         self.entries: list[list] = []
-        self.buffers: list[list] = []  # [complex buffer, entries used], in reading order
-        self.room = 0  # unused entries of the last buffer
+        self.arrays: list[np.ndarray] = []
 
     def add(self, obj, where: str) -> np.ndarray:
         try:
@@ -120,14 +117,8 @@ class _Matrices:
             self.fail(where)
         self.wheres.append(where)
         self.entries.append(entries)
-        n = len(entries)
-        if n > self.room or not self.buffers:
-            self.buffers.append([np.empty(max(n, _BUFFER), dtype=complex), 0])
-            self.room = len(self.buffers[-1][0])
-        last = self.buffers[-1]
-        self.room -= n
-        last[1] += n
-        return last[0][last[1] - n : last[1]].reshape(rows, cols)
+        self.arrays.append(np.empty((rows, cols), dtype=complex))
+        return self.arrays[-1]
 
     def fail(self, where: Optional[str]) -> None:
         """Raise `bad-matrix` at the first matrix added whose entries are
@@ -143,9 +134,9 @@ class _Matrices:
         if values is None:
             self.fail(None)
         start = 0
-        for buffer, used in self.buffers:
-            buffer[:used] = values[start : start + used]
-            start += used
+        for a in self.arrays:
+            np.copyto(a, values[start : start + a.size].reshape(a.shape))
+            start += a.size
 
 
 def matrix_from_json(obj: dict, where: str = "<matrix>") -> np.ndarray:

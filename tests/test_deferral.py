@@ -1161,9 +1161,9 @@ def test_code_row_translation_agrees_with_translate(seed, kind):
         assert named.keys() == expected.keys() and rows[i, -1] == -1
         assert all(named[g] == label if named[g] is not None else label not in d.gate(g).outcome_labels
                    for g, label in expected.items())
-    keys = semantics._row_keys(rows[keep])
+    target_tracks = set(enumerate_tracks(d))
+    keys, target_keys = semantics._row_keys(rows[keep], np.concatenate([target.codes_of(g.as_dict()) for g in target_tracks]))
     assert all((keys[a] == keys[b]) == (images[i] == images[j])
                for a, i in enumerate(keep) for b, j in enumerate(keep))
-    target_tracks = set(enumerate_tracks(d))
-    target_keys = set(semantics._row_keys(np.concatenate([target.codes_of(g.as_dict()) for g in target_tracks])).tolist())
+    target_keys = set(target_keys.tolist())
     assert all((keys[a].tolist() in target_keys) == (images[i] in target_tracks) for a, i in enumerate(keep))

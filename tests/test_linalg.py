@@ -252,7 +252,7 @@ def columns(rng, rows, m, layout):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 7), st.data())
 def test_apply_is_the_tensordot_contraction_bit_for_bit(seed, n, data):
-    k = data.draw(st.integers(0, min(n, 3)))
+    k = data.draw(st.integers(1, min(n, 3)))
     regs = data.draw(st.permutations(range(n)))[:k]
     m = data.draw(st.sampled_from([0, 1, 5]))
     layout = data.draw(st.sampled_from(["contiguous", "transposed", "sliced"]))
@@ -284,6 +284,7 @@ def test_apply_on_descending_and_spread_registers(regs, layout):
         (np.diag([1.0, np.nan]), [0], np.ones((8, 2)), "matrix has non-finite entries"),
         (np.diag([1.0, np.inf]), [0], np.ones((8, 2)), "matrix has non-finite entries"),
         (np.ones((2, 2, 1)), [0], np.ones((8, 2)), "expected a matrix, got ndim=3"),
+        (np.eye(1), [], np.ones((8, 2)), "empty register list"),
     ],
 )
 def test_apply_error_messages(op, regs, t, message):
