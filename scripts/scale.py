@@ -3,8 +3,9 @@
 
     python3 scripts/scale.py CASE... [--repeat N] [--against CHECKOUT] [--cli]
 
-A CASE is OP:TARGET[:ARG]. Three ops take a CIRCUIT, `ghz-K`, `ff-K` or
-`parity-K` from `tests/corpus.py`:
+A CASE is OP:TARGET[:ARG]. Three ops take a CIRCUIT, `ghz-K`, `ff-K`,
+`parity-K` or `parityh-K` (parity-K with an H after each measurement, so
+that nothing settles) from `tests/corpus.py`:
 - `aggregate:CIRCUIT`: `aggregate_measurement`, building the circuit in the
   call as `qcirc` would; `tracks`.
 - `check:CIRCUIT[:inputs=N]`: defer the circuit, then `check_faithful` on the
@@ -44,9 +45,10 @@ process's `ru_maxrss` (`maxrss_mib`) and the call's minor page faults
 `shots`) and `no_bytecode` (`sys.dont_write_bytecode`: if true, every fresh
 process compiles qcirc).
 
-Run `parity-K` with K >= 9 only under a limit on the address space, such as
-`ulimit -v 6000000`: its exact check holds blocks of 2^(K+1) x 2^(K+1)
-entries, and an allocation past the limit fails at once as a MemoryError.
+Run `parity-K` with K >= 9 and `parityh-K` with K >= 8 only under a limit on
+the address space, such as `ulimit -v 6000000`: their exact checks hold
+blocks of 2^(K+1) x 2^(K+1) entries (parityh-8's needs about 4.1 GiB), and an
+allocation past the limit fails at once as a MemoryError.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import numpy as np  # noqa: E402
 
 import gen  # noqa: E402
 import workloads  # noqa: E402
-from corpus import aggregate_document, feed_forward_circuit, ghz_circuit, parity_circuit  # noqa: E402
+from corpus import aggregate_document, feed_forward_circuit, ghz_circuit, parity_circuit, parityh_circuit  # noqa: E402
 from qcirc import linalg, semantics, serialize  # noqa: E402
 from qcirc.circuit import QuantumCircuit, check_valid, validate_circuit  # noqa: E402
 from qcirc.cli import main as qcirc  # noqa: E402
@@ -83,7 +85,7 @@ from qcirc.deferral import check_faithful, defer_measurements, random_pure_input
 from qcirc.linalg import DensityOperator, basis_ket  # noqa: E402
 from qcirc.scheduling import greedy_schedule  # noqa: E402
 
-FAMILIES = {"ghz": ghz_circuit, "ff": feed_forward_circuit, "parity": parity_circuit}
+FAMILIES = {"ghz": ghz_circuit, "ff": feed_forward_circuit, "parity": parity_circuit, "parityh": parityh_circuit}
 
 
 def zero(n: int) -> DensityOperator:
@@ -232,7 +234,7 @@ def case(text: str) -> tuple:
     if m is None:
         raise argparse.ArgumentTypeError(
             f"expected aggregate:CIRCUIT, check:CIRCUIT[:inputs=N], shots:CIRCUIT:N (CIRCUIT one of ghz-K, ff-K, "
-            f"parity-K), parse:WORKLOAD ({', '.join(workloads.NAMES)}) or dumps:DOCUMENT ({', '.join(DOCUMENTS)}), "
+            f"parity-K, parityh-K), parse:WORKLOAD ({', '.join(workloads.NAMES)}) or dumps:DOCUMENT ({', '.join(DOCUMENTS)}), "
             f"got {text!r}")
     return text, op, {name: int(part or 0) if name in COUNTS else part for name, part in m.groupdict().items()}
 

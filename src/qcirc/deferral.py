@@ -334,13 +334,8 @@ def random_pure_inputs(n: int, count: int, seed: int) -> list[np.ndarray]:
     return list(kets / np.linalg.norm(kets, axis=1, keepdims=True))
 
 
-def check_faithful(
-    c: QuantumCircuit,
-    d: QuantumCircuit,
-    zeta: Commensuration,
-    inputs: Optional[Sequence[np.ndarray]] = None,
-    tol: float = linalg.DEFAULT_TOL,
-) -> FaithfulnessReport:
+def check_faithful(c: QuantumCircuit, d: QuantumCircuit, zeta: Commensuration,
+                   inputs: Optional[Sequence[np.ndarray]] = None, tol: float = linalg.DEFAULT_TOL) -> FaithfulnessReport:
     """Verify faithful simulation: every source track's probability and
     principal-register output (ancillas traced out) are reproduced by its
     image under `zeta`, and target tracks outside the image have probability
@@ -371,10 +366,13 @@ def check_faithful(
     The target is walked once, on its ancilla-zero columns only, through
     `track_rows`, whose code rows come before any operator is applied: each
     image is paired with its row by sorting, or the first source track
-    without one raises DeferralError. Its pieces are compared as they come
-    (`_piece_failures`); a `Track` is built only for a failure or that error.
-    Failures come by input, then source tracks, then unmatched target tracks,
-    each in (gate id, label) order; an input's scale changes no report byte."""
+    without one raises DeferralError. Each walk's start is padded to 4k
+    columns where that changes no bit (`_padded`), so that it settles. Its
+    pieces are compared as they come, each target row with the source row it
+    reads (`_piece_failures`), every sum adding rows in order, then columns;
+    a `Track` is built only for a failure or that error. Failures come by
+    input, then source tracks, then unmatched target tracks, each in (gate
+    id, label) order; an input's scale changes no report byte."""
     if not (math.isfinite(tol) and tol >= 0):
         raise DeferralError(f"tolerance must be finite and at least 0, got {tol}")
     nc, nd = c.n_registers, d.n_registers
@@ -400,10 +398,10 @@ def check_faithful(
         v, _ = linalg.rescale(v)  # by a power of two, so that v's scale changes no bit of psi
         psi[:, i] = v / np.linalg.norm(v)
     plan, target = semantics._plan(c), semantics._plan(d)
-    codes, placed, src = semantics._stack(c, psi)
+    codes, placed, src = semantics._stack(c, _padded(c, psi))
+    src = src[..., : psi.shape[1]]  # the real columns
     step = max(1, semantics.FRONTIER_BYTES // src[0].nbytes)  # tracks summed at a time
-    # compact blocks have 4k columns (`semantics._walk_plan`), summed row by row, so dropped rows change no bit
-    p = np.concatenate([np.sum(a.real**2 + a.imag**2, axis=1) for a in np.split(src, range(step, len(src), step))])
+    p = np.concatenate([_weights(a) for a in np.split(src, range(step, len(src), step))])
     cols = [None] if inputs is None else list(range(len(inputs)))  # the inputs compared; None: all at once
     pc = _columns(p, cols)  # each source track's weight per column
     images, ok = zeta._translate_codes(plan, target, codes)
@@ -411,7 +409,7 @@ def check_faithful(
     for j, q in np.argwhere(~ok[:, None] & (pc > tol)).tolist():
         failures[cols[q], 0, j] = _failure("untranslatable-track-probability", cols[q], plan, codes[j], mass=pc[j, q])
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
-    rows, place, pieces = track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None]))
+    rows, place, pieces = track_rows(d, _padded(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None])))
     known, images = _row_keys(rows, images)  # keyed with one width, so that they compare
     at = np.minimum(np.searchsorted(known, images), len(known) - 1)  # each image's target row, if it has one
     lost = ok & (known[at] != images)
@@ -422,17 +420,31 @@ def check_faithful(
     pairing = (by, np.searchsorted(at[by], np.arange(len(rows) + 1)))
     del known, images, lost, at  # not held while the target is walked
     for w, keys in pieces:
-        failures.update(_piece_failures(w, keys, (target, rows, place), (plan, codes, placed, src, pc),
-                                         pairing, cols, tol))
+        failures.update(_piece_failures(w[..., : src.shape[2]], keys, (target, rows, place),
+                                         (plan, codes, placed, src, pc), pairing, cols, tol))
     failures = [failures[k] for k in sorted(failures)]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
     return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(codes), method)
+
+
+def _padded(c: QuantumCircuit, t: np.ndarray) -> np.ndarray:
+    """t with zero columns up to a multiple of 4, on which c's walk settles,
+    if each product of the walk from t, 2^(n - k) m wide for a gate on k of
+    c's n registers, is a multiple of 4 wide already: so no bit changes."""
+    m = t.shape[1]
+    wide = m % 4 and not any(2 ** (c.n_registers - g.arity) * m % 4 for g in c.gates)
+    return np.pad(t, ((0, 0), (0, -m % 4))) if wide else t
 
 
 def _columns(p: np.ndarray, cols: list) -> np.ndarray:
     """Weights per track and input column, p, as the check compares them:
     the exact check (`cols` is [None]) has one column, each track's mass."""
     return p.sum(axis=1, keepdims=True) if cols == [None] else p
+
+
+def _weights(w: np.ndarray) -> np.ndarray:
+    """Per block of w and column, the squared norm, its rows added in order (`_row_sums`)."""
+    return _row_sums(np.repeat(np.arange(len(w)), w.shape[1]), w.real**2 + w.imag**2, len(w), w.shape[2])
 
 
 def _row_sums(index: np.ndarray, x: np.ndarray, count: int, width: int) -> np.ndarray:
@@ -452,42 +464,38 @@ def _piece_failures(w, keys, target, source, pairing, cols, tol) -> dict:
     Source track j has code row codes[j], compact block src[j] and weights
     pc[j] per column of `cols`. No argument is written. A full target block
     is B (I (x) |0>) psi, in which row x * 2^n_anc + a is <x a|; a cell is
-    a target track's rows for one a. Each sum within a cell has the cell's
-    fixed full shape, and sums across rows or cells run in their order
-    (`_row_sums`), so rows of zeros change no sum, and each pair's sums are
-    the same in any chunk of pairs. A chunk's cells and its source blocks,
-    each counted as one V_a, come to at most `semantics.FRONTIER_BYTES`, or
-    it is one pair.
+    a target track's rows for one a, V_a. Each compact target row gathers
+    A's row x from src[j] (`np.searchsorted` on the source's rowmap), 0
+    where A holds none. Every sum adds rows in order, a column at a time
+    (`_row_sums`), then the columns (`_columns`), so rows of zeros change
+    no sum, and each pair's sums are the same in any chunk of pairs. A
+    chunk's arrays, four target blocks a pair, come to at most
+    `semantics.FRONTIER_BYTES`, or it is one pair.
 
     Per pair of source track A and target track V, and per column: the
     coefficients c_a = <A, V_a> / |A|^2, the image weight sum |c_a|^2 |A|^2
     and the residual |V|^2 - sum |c_a|^2 |A|^2 = sum |V_a - c_a A|^2 for
     least-squares c_a, each inner product over psi = I or one input column."""
-    (target, target_rows, (offsets, rowmap, rows)), (plan, codes, placed, src, pc) = target, source
-    (by, start), tracks = pairing, target_rows[keys]
-    (f, live, m), nx = w.shape, placed[2]
-    na = (rows // nx).bit_length() - 1
-    pd = _columns(_row_sums(np.repeat(np.arange(f), live), w.real**2 + w.imag**2, f, m), cols)  # target track weights
+    (target, target_rows, (offsets, rowmap, rows)), (plan, codes, (at, held, nx), src, pc) = target, source
+    (by, start), tracks, na = pairing, target_rows[keys], (rows // nx).bit_length() - 1
+    pd, out = _columns(_weights(w), cols), {}  # the target tracks' weights, and the failures
     lo, hits = start[keys], start[keys + 1] - start[keys]  # track k's source tracks: by[lo[k] : lo[k] + hits[k]]
-    out = {}
     for k, q in np.argwhere((hits == 0)[:, None] & (pd > tol)).tolist():
         out[cols[q], 1, int(keys[k])] = _failure("unmatched-target-track", cols[q], target, tracks[k], mass=pd[k, q])
     kk = np.repeat(np.arange(len(hits)), hits)
     jj = by[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())]
     js, mass, image = jj.tolist(), pc[jj], np.empty((len(kk), len(cols)))
-    # the compact rows of cell c, in ancilla order, are cells[c]; a track at offset o has them at x = o >> na | x[c]
-    cells = np.argsort(rowmap & (2**na - 1), kind="stable").reshape(len(set((rowmap & (2**na - 1)).tolist())), -1)
-    x, n = rowmap[cells] >> na, len(cells)
-    step = max(1, semantics.FRONTIER_BYTES // (nx * m * 16 * (n + 1)))
+    cells, cell = np.unique(rowmap & (2**na - 1), return_inverse=True)  # each compact row's cell, in ancilla order
+    step, n = max(1, semantics.FRONTIER_BYTES // (4 * w[0].nbytes)), len(cells)
     for q in range(0, len(kk), step):
         k, j, mq = kk[q : q + step], jj[q : q + step], mass[q : q + step]
         p = np.repeat(np.arange(len(k)), n)  # the pair of each (pair, cell)
-        v = np.zeros((len(k), n, nx, m), dtype=complex)  # v[i, c] = V_a psi, cell c of pair i's target track
-        at = (offsets[keys[k]] >> na)[:, None, None] | x  # the rows x of each pair's cells
-        v[np.arange(len(k))[:, None, None], np.arange(n)[:, None], at] = w[k][:, cells]
-        a = semantics._full(placed, src[j], j)
-        v = np.multiply(np.conj(a, out=a)[:, None], v, out=v)  # conj(A) V_a, in place
-        dot = np.sum(v, axis=(2, 3) if cols == [None] else 2).reshape(len(p), len(cols))
+        x = ((offsets[keys[k], None] | rowmap) >> na) - at[j, None]  # each target row's x, less A's offset
+        s = np.minimum(np.searchsorted(held, x), len(held) - 1)
+        a = np.where((held[s] == x)[:, :, None], src[j[:, None], s], 0)  # A's row x, 0 where A holds none
+        v = np.conj(a) * w[k]  # conj(A) V_a, in a new array: one written over an input can round differently
+        dot = _row_sums((np.arange(len(k))[:, None] * n + cell).ravel(), v.view(float), len(p), 2 * v.shape[2])
+        dot = _columns(dot.view(complex), cols)  # <A, V_a> per (pair, cell)
         coef = np.divide(dot, mq[p], out=np.zeros(dot.shape, complex), where=mq[p] > 0)  # c_a = 0 for a massless A
         image[q : q + step] = _row_sums(p, coef.real**2 + coef.imag**2, len(k), len(cols)) * mq
     residual = np.maximum(pd[kk] - image, 0.0)

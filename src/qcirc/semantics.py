@@ -170,7 +170,7 @@ def _row_keys(*codes: np.ndarray) -> list[np.ndarray]:
     tracks do: no code is below -1, so each is a nonnegative number whose
     bytes sort as it does."""
     t = np.min_scalar_type(max(int(x.max(initial=-1)) for x in codes) + 1).newbyteorder(">")
-    return [(x + 1).astype(t).view(f"V{t.itemsize * x.shape[1]}")[:, 0] for x in codes]
+    return [np.add(x, 1, out=np.empty(x.shape, t), casting="unsafe").view(f"V{t.itemsize * x.shape[1]}")[:, 0] for x in codes]
 
 
 def _plan(c: QuantumCircuit) -> _Plan:

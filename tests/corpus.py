@@ -274,6 +274,14 @@ def parity_circuit(k):
     return QuantumCircuit(tuple(f"r{i}" for i in range(k + 1)), tuple(gates))
 
 
+def parityh_circuit(k):
+    """`parity_circuit(k)` with an H on each measured register after its
+    measurement: no measurement ends its registers, so none settles, and
+    the checker holds the source's tracks as full blocks."""
+    c = parity_circuit(k)
+    return QuantumCircuit(c.register_names, c.gates + tuple(unitary_gate(f"g{i}", [i], H) for i in range(k)))
+
+
 def aggregate_document(c, rho):
     """The document `qcirc aggregate --input` prints: each track's outcomes,
     cumulative operator (as its array) and probability on rho, in track order."""

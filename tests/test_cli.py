@@ -1409,6 +1409,24 @@ def test_faithful_scale_runs_parity():
     assert all(r.items() >= CHECK3.items() for r in lines)
 
 
+def test_faithful_scale_runs_parityh():
+    """Deferred parity-3 plus H copies each measured register to an ancilla
+    before its H: 7 registers. No measurement of the source settles."""
+    lines = scale_lines("check:parityh-3", "check:parityh-3:inputs=2")
+    assert [(r["method"], r["inputs"]) for r in lines] == [("exact", 0), ("inputs", 2)]
+    assert all(r.items() >= {**CHECK3, "target_registers": 7}.items() for r in lines)
+
+
+def test_three_input_check_of_ff_12_takes_under_2_seconds():
+    """The deferred target's walk from 3 input columns is padded to 4, on
+    which its 12 ancilla measurements settle. Unpadded, nothing settled and
+    `check:ff-12:inputs=3` took about 10 s."""
+    proc = run_script("scale.py", "check:ff-12:inputs=3", timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [json.loads(text) for text in proc.stdout.splitlines()]
+    assert line["ok"] and line["target_registers"] == 13 and line["seconds"] < 2
+
+
 def test_check_scale_cli_runs():
     """`--cli` runs `qcirc check-faithful` on parity-3 and its deferred circuit
     on two random inputs."""

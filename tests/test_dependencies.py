@@ -113,8 +113,9 @@ def _names(tree):
 def test_only_semantics_runs_the_walk(path):
     """The walk's internals stay in `semantics`: every other module and
     script reads the walk through `track_rows` and `track_stack`, or its
-    compact stack (`_stack`) and the blocks placed from it (`_full`)."""
-    named = {"_walk_plan", "_run", "_expand"} & set(_names(ast.parse(path.read_text(), str(path))))
+    compact stack (`_stack`) as it is, and none rebuilds a full block from
+    compact ones (`_full`): the checker compares compact rows."""
+    named = {"_walk_plan", "_run", "_expand", "_full"} & set(_names(ast.parse(path.read_text(), str(path))))
     assert not named, f"{path.name} names {sorted(named)}"
 
 
