@@ -213,9 +213,11 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     The walk moves every measurement to the end. A measurement waits on each
     of its registers, from when its own unitary, if any, is placed. Every
     unitary, from the source or from standardization, takes the measurements
-    waiting on each register r it acts on; if there are any, a CNOT
-    `<gate>__cp__<last of them>` copies r to a fresh |0> ancilla and they
-    move onto the copy. A unitary that got a copy or has classical sources
+    waiting on each register r it acts on, unless every op of it is exactly
+    block-diagonal on r (`linalg.block_diagonal`), so that it commutes with
+    them, and none of its classical sources is measured on r; if it takes
+    any, a CNOT `<gate>__cp__<last of them>` copies r to a fresh |0> ancilla
+    and they move onto the copy. A unitary that got a copy or has classical sources
     becomes a unitary quantum-controlled by the registers its sources
     measure now: block-diagonal, one block per control basis state, each the
     op the selector picks for the labels that state reads. One whose sources
@@ -265,17 +267,17 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
                 g = unitary_gate(uid, g.registers + tuple(regs[m]), u)
             else:
                 g = unitary_gate(m, g.registers, x.operators[labels[0]])
-        cnots = []
-        for r in g.registers:
-            ms = waiting.pop(r, [])
-            if ms:
+        sources, cnots, mats = g.classical_sources, [], [u.matrix for u in g.unitaries.values()]
+        own = {w for s in sources for w in regs[s]}  # the registers g's sources are measured on
+        for r in g.registers:  # a copy of r unless g commutes with the measurements waiting on it
+            if r in waiting and (r in own or not linalg.block_diagonal(mats, g.registers.index(r))):
+                ms = waiting.pop(r)
                 cnots.append(unitary_gate(_fresh_gate_id(taken, f"{g.id}__cp__{ms[-1]}"), (r, n), linalg.CNOT))
                 taken.add(cnots[-1].id)
                 for w in ms:
                     regs[w][regs[w].index(r)] = n
                 n += 1
         unitaries += sorted(cnots, key=lambda h: h.id)
-        sources = g.classical_sources
         ctrl = list(dict.fromkeys(w for s in sources for w in regs[s]))
         if cnots or ctrl:
             k, dim = len(ctrl), 2**g.arity

@@ -282,6 +282,16 @@ def parityh_circuit(k):
     return QuantumCircuit(c.register_names, c.gates + tuple(unitary_gate(f"g{i}", [i], H) for i in range(k)))
 
 
+def mcx_circuit(k):
+    """k rounds, round i an H on register i, a standard measurement `m<i>` of
+    it, then a CNOT from it to register k: every CNOT follows a measurement
+    of its control, with which it commutes."""
+    gates = []
+    for i in range(k):
+        gates += [unitary_gate(f"h{i}", [i], H), standard_measure_gate(f"m{i}", i), unitary_gate(f"cx{i}", [i, k], CNOT)]
+    return QuantumCircuit(tuple(f"r{i}" for i in range(k + 1)), tuple(gates))
+
+
 def aggregate_document(c, rho):
     """The document `qcirc aggregate --input` prints: each track's outcomes,
     cumulative operator (as its array) and probability on rho, in track order."""

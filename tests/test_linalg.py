@@ -24,6 +24,7 @@ from qcirc.linalg import (
     _axes,
     apply,
     basis_ket,
+    block_diagonal,
     completeness_defect,
     dagger,
     embed,
@@ -532,6 +533,33 @@ def test_completeness_defect():
     assert completeness_defect([p0, p1]) == 0.0
     assert completeness_defect([p0]) == 1.0
     assert completeness_defect([H / np.sqrt(2), X / np.sqrt(2)]) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_block_diagonal_is_exact_commutation_with_a_register_projector(k, count, seed, p):
+    """`block_diagonal(ops, j)` holds iff every op commutes, bit for bit,
+    with the projector |b><b| on its j-th register for b = 0 and 1, on ops
+    whose entries are each 0 with probability p."""
+    rng = np.random.default_rng(seed)
+    d = 2**k
+    ops = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * (rng.random((d, d)) >= p) for _ in range(count)]
+    for j in range(k):
+        projectors = [embed(np.diag(e), [j], k) for e in np.eye(2)]
+        commutes = all(np.array_equal(a @ q, q @ a) for a in ops for q in projectors)
+        assert block_diagonal(ops, j) == commutes
+
+
+def test_block_diagonal_has_no_tolerance():
+    """A control register, a diagonal gate and a target register, and an
+    off-block entry of 1e-17, which a tolerance would take for a zero."""
+    cz = np.diag([1.0, 1, 1, -1]).astype(complex)
+    assert block_diagonal([CNOT], 0) and not block_diagonal([CNOT], 1)
+    assert block_diagonal([cz], 0) and block_diagonal([cz], 1)
+    assert block_diagonal([cz, np.kron(I2, X)], 0) and not block_diagonal([cz, np.kron(I2, X)], 1)
+    near = cz.copy()
+    near[0, 2] = 1e-17
+    assert not block_diagonal([near], 0) and block_diagonal([near], 1)
 
 
 def test_ket_to_density_projector():
