@@ -4,8 +4,9 @@
 measurements into one in which every measurement comes after every unitary,
 in one walk whose read maps spare rewriting any selector. A standard
 measurement, one whose operators are exact 0/1 projectors with one label per
-basis state (`Measurement.basis`), stays on its registers; every other one,
-one standard only within rounding included, is standardized with ancillas.
+basis state (`Measurement.basis`), stays on its registers, and so does a
+nonstandard one that ends its registers unread; every other one, one
+standard only within rounding included, is standardized with ancillas.
 A measurement stays one gate throughout, with its own id and outcome labels,
 so the commensuration maps gate ids to gate ids.
 `check_faithful` is exact by default; sampled inputs are an optional
@@ -201,30 +202,33 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     its registers -> the label its consumers' selectors read, is read off
     it. A standard measurement whose quantum source on every register is one
     kept standard measurement of the same registers is a re-measurement: it
-    is dropped and read off the kept one's registers. Any other measurement
-    with k >= 2 outcomes, one standard only within rounding included,
-    becomes the unitary `<id>__u` of `_dilation` on its registers and
-    ceil(log2 k) fresh |0> ancillas, followed by a standard measurement of
-    the ancillas that keeps its id and labels; unused ancilla states get the
-    labels pad0, pad1, ... and read as the first label. A single-outcome
-    measurement becomes a unitary gate and measures no register. These
-    standardization ancillas are numbered in walk order, before every copy.
+    is dropped and read off the kept one's registers. A nonstandard one
+    that no gate follows or reads stays: its gate is kept as it is. Any
+    other measurement with k >= 2 outcomes, one standard only within
+    rounding included, becomes the unitary `<id>__u` of `_dilation` on its
+    registers and ceil(log2 k) fresh |0> ancillas, followed by a standard
+    measurement of the ancillas that keeps its id and labels; unused ancilla
+    states get the labels pad0, pad1, ... and read as the first label. A
+    single-outcome one becomes a unitary gate and measures no register.
+    These standardization ancillas are numbered in walk order, before every copy.
 
-    The walk moves every measurement to the end. A measurement waits on each
-    of its registers, from when its own unitary, if any, is placed. Every
-    unitary, from the source or from standardization, takes the measurements
-    waiting on each register r it acts on, unless every op of it is exactly
-    block-diagonal on r (`linalg.block_diagonal`), so that it commutes with
-    them, and none of its classical sources is measured on r; if it takes
-    any, a CNOT `<gate>__cp__<last of them>` copies r to a fresh |0> ancilla
-    and they move onto the copy. A unitary that got a copy or has classical sources
+    The walk moves every measurement to the end. A standard measurement
+    waits on each of its registers, from when its own unitary, if any, is
+    placed. Every unitary, from the source or from standardization, and
+    every measurement that stays takes the measurements waiting on each
+    register r it acts on, unless its every operator is exactly
+    block-diagonal on r (`linalg.block_diagonal`), so commutes with them,
+    and none of its classical sources is measured on r; if it takes any, a
+    CNOT `<gate>__cp__<last of them>` copies r to a fresh |0> ancilla and
+    they move onto the copy. A unitary that got a copy or has classical sources
     becomes a unitary quantum-controlled by the registers its sources
     measure now: block-diagonal, one block per control basis state, each the
     op the selector picks for the labels that state reads. One whose sources
     all became unitaries keeps the op they select. Out come the unitaries in
     walk order, each gate's CNOTs (sorted by id) just before it, then the
     measurements sorted by id. Each of those is standard, so it keeps its
-    operators, the exact 0/1 projectors, with every zero written +0.0."""
+    operators, the exact 0/1 projectors, with every zero written +0.0; or
+    it stayed, and keeps its source gate bit for bit."""
     check_valid(c)
     bad = constraint_violations(c)
     if bad:
@@ -234,7 +238,7 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
 
     taken, std = set(c._by_id), c.n_registers  # std: the next standardization ancilla
     n = std + sum((len(x.outcomes) - 1).bit_length()  # the first copy, after every standardization ancilla
-                  for g in c.gates for x in g.measurements.values() if x.basis is None)
+                  for g in c.gates if c._wiring[3][g.id] for x in g.measurements.values() if x.basis is None)
     regs, read, kept, waiting, measures, unitaries = {}, {}, {}, {}, {}, []
     for g in map(c.gate, topo_order(c)):
         m = None  # a nonstandard measurement, which waits on its ancillas once its unitary g is placed
@@ -243,7 +247,7 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
             if x.basis is not None:  # standard
                 s, *more = set(c.quantum_sources(g.id).values())
                 a = None if more or s is None else kept.get(s, s)
-                # g re-measures a if a is on g's registers: regs has source registers only for kept standard ones
+                # g re-measures a if a is on g's registers: regs has source registers only for kept and staying ones
                 if set(regs.get(a, ())) == set(g.registers):
                     kept[g.id], regs[g.id] = a, regs[a]
                     taken.discard(g.id)
@@ -254,20 +258,24 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
                 at = zip(x.outcomes, x.basis.tolist())  # label -> the basis index it selects
                 read[g.id] = {linalg.reindex(i, g.registers, regs[g.id]): lab for lab, i in at}
                 continue
-            m, labels = g.id, list(x.outcomes)
-            ell = (len(labels) - 1).bit_length()  # ceil(log2 k), 0 for a single outcome
-            pads = [_fresh_gate_id(labels, f"pad{i}") for i in range(2**ell - len(labels))]
-            regs[m], std = list(range(std, std + ell)), std + ell
-            read[m] = dict(enumerate(labels + labels[:1] * len(pads)))
-            if ell:
-                measures[m] = {lab: np.outer(e, e) for lab, e in zip(labels + pads, np.eye(2**ell))}
-                uid = _fresh_gate_id(taken, f"{m}__u")
-                taken.add(uid)
-                u = _dilation([x.operators[lab] for lab in labels], 2**ell)
-                g = unitary_gate(uid, g.registers + tuple(regs[m]), u)
+            if not c._wiring[3][g.id]:  # no gate follows or reads it: it stays as it is
+                regs[g.id], measures[g.id] = list(g.registers), None
             else:
-                g = unitary_gate(m, g.registers, x.operators[labels[0]])
-        sources, cnots, mats = g.classical_sources, [], [u.matrix for u in g.unitaries.values()]
+                m, labels = g.id, list(x.outcomes)
+                ell = (len(labels) - 1).bit_length()  # ceil(log2 k), 0 for a single outcome
+                pads = [_fresh_gate_id(labels, f"pad{i}") for i in range(2**ell - len(labels))]
+                regs[m], std = list(range(std, std + ell)), std + ell
+                read[m] = dict(enumerate(labels + labels[:1] * len(pads)))
+                if ell:
+                    measures[m] = {lab: np.outer(e, e) for lab, e in zip(labels + pads, np.eye(2**ell))}
+                    uid = _fresh_gate_id(taken, f"{m}__u")
+                    taken.add(uid)
+                    u = _dilation([x.operators[lab] for lab in labels], 2**ell)
+                    g = unitary_gate(uid, g.registers + tuple(regs[m]), u)
+                else:
+                    g = unitary_gate(m, g.registers, x.operators[labels[0]])
+        sources, cnots = g.classical_sources, []
+        mats = [u.matrix for u in g.unitaries.values()] or list(x.operators.values())  # or a staying measurement's
         own = {w for s in sources for w in regs[s]}  # the registers g's sources are measured on
         for r in g.registers:  # a copy of r unless g commutes with the measurements waiting on it
             if r in waiting and (r in own or not linalg.block_diagonal(mats, g.registers.index(r))):
@@ -278,6 +286,8 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
                     regs[w][regs[w].index(r)] = n
                 n += 1
         unitaries += sorted(cnots, key=lambda h: h.id)
+        if g.is_measure:  # it stays as it is
+            continue
         ctrl = list(dict.fromkeys(w for s in sources for w in regs[s]))
         if cnots or ctrl:
             k, dim = len(ctrl), 2**g.arity
@@ -292,8 +302,8 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
         unitaries.append(g)
         for r in regs.get(m, ()):
             waiting.setdefault(r, []).append(m)
-    out = [measure_gate(m, regs[m], {lab: a + 0.0 for lab, a in ops.items()})  # -0.0 written 0.0
-           for m, ops in sorted(measures.items())]
+    out = [c.gate(m) if ops is None else measure_gate(m, regs[m], {lab: a + 0.0 for lab, a in ops.items()})
+           for m, ops in sorted(measures.items())]  # -0.0 written 0.0, but in a measurement that stays
     names = c.register_names + tuple(_fresh_register_names(c.register_names, n - c.n_registers))
     d = check_valid(QuantumCircuit(names, tuple(unitaries + out)))
     absorbed = frozenset(m for m, rs in regs.items() if not rs)

@@ -292,11 +292,9 @@ def reindex(index, frm: Sequence[int], to: Sequence[int]):
 
 
 def block_diagonal(ops: Sequence[np.ndarray], j: int) -> bool:
-    """Whether every operator of ops, each on the same k registers, is
-    exactly block-diagonal on its j-th register (the first most significant):
-    zero, with no tolerance, at every entry whose row and column differ in
-    that register's bit. Such an operator commutes with each projector
-    |b><b| on the register, so with a standard measurement of it."""
+    """Whether every operator of ops, on the same registers, is exactly 0 (no
+    tolerance) wherever row and column differ in its j-th register's bit, the
+    first most significant: so it commutes with a standard measurement of it."""
     i = np.arange(len(ops[0]))
     off = ((i[:, None] ^ i) >> (len(i).bit_length() - 2 - j) & 1).astype(bool)
     return not any(a[off].any() for a in ops)
