@@ -66,13 +66,13 @@ def _error(code: str, message: str) -> int:
 def _load_json(path: str):
     """A JSON file's value; nesting too deep to parse is a ValueError (`io-error`)."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_circuit(path: str):
-    return serialize.parse_circuit(Path(path).read_text())
+    return serialize.parse_circuit(Path(path).read_text(encoding="utf-8"))
 
 
 def _load_state(path: str) -> DensityOperator:

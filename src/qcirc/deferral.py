@@ -431,8 +431,9 @@ def check_faithful(c: QuantumCircuit, d: QuantumCircuit, zeta: Commensuration,
     by = np.flatnonzero(ok)[np.argsort(at[ok], kind="stable")]  # the translatable source tracks, by target row
     pairing = (by, np.searchsorted(at[by], np.arange(len(rows) + 1)))
     del known, images, lost, at  # not held while the target is walked
+    cells = np.unique(place[1] & (2 ** (nd - nc) - 1), return_inverse=True)  # each compact row's, in ancilla order
     for w, keys in pieces:
-        failures.update(_piece_failures(w[..., : src.shape[2]], keys, (target, rows, place),
+        failures.update(_piece_failures(w[..., : src.shape[2]], keys, (target, rows, place, cells),
                                          (plan, codes, placed, src, pc), pairing, cols, tol))
     failures = [failures[k] for k in sorted(failures)]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
@@ -470,8 +471,9 @@ def _row_sums(index: np.ndarray, x: np.ndarray, count: int, width: int) -> np.nd
 
 def _piece_failures(w, keys, target, source, pairing, cols, tol) -> dict:
     """The failures, keyed as in `check_faithful`, of a `track_rows` piece
-    of the target = (plan, code rows, placement), w[i] the compact block of
-    target track keys[i], and of the source tracks paired with it: by
+    of the target = (plan, code rows, placement, (cells, each compact row's
+    cell)), w[i] the compact block of target track keys[i], and of the
+    source tracks paired with it: by
     `pairing` = (by, start), target row r's are by[start[r] : start[r + 1]].
     Source track j has code row codes[j], compact block src[j] and weights
     pc[j] per column of `cols`. No argument is written. A full target block
@@ -488,7 +490,7 @@ def _piece_failures(w, keys, target, source, pairing, cols, tol) -> dict:
     coefficients c_a = <A, V_a> / |A|^2, the image weight sum |c_a|^2 |A|^2
     and the residual |V|^2 - sum |c_a|^2 |A|^2 = sum |V_a - c_a A|^2 for
     least-squares c_a, each inner product over psi = I or one input column."""
-    (target, target_rows, (offsets, rowmap, rows)), (plan, codes, (at, held, nx), src, pc) = target, source
+    (target, target_rows, (offsets, rowmap, rows), (cells, cell)), (plan, codes, (at, held, nx), src, pc) = target, source
     (by, start), tracks, na = pairing, target_rows[keys], (rows // nx).bit_length() - 1
     pd, out = _columns(_weights(w), cols), {}  # the target tracks' weights, and the failures
     lo, hits = start[keys], start[keys + 1] - start[keys]  # track k's source tracks: by[lo[k] : lo[k] + hits[k]]
@@ -497,7 +499,6 @@ def _piece_failures(w, keys, target, source, pairing, cols, tol) -> dict:
     kk = np.repeat(np.arange(len(hits)), hits)
     jj = by[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())]
     js, mass, image = jj.tolist(), pc[jj], np.empty((len(kk), len(cols)))
-    cells, cell = np.unique(rowmap & (2**na - 1), return_inverse=True)  # each compact row's cell, in ancilla order
     step, n = max(1, semantics.FRONTIER_BYTES // (4 * w[0].nbytes)), len(cells)
     for q in range(0, len(kk), step):
         k, j, mq = kk[q : q + step], jj[q : q + step], mass[q : q + step]

@@ -914,6 +914,33 @@ def main_in_1gib(*argv):
     return proc.returncode, proc.stdout, [json.loads(line) for line in proc.stderr.splitlines()]
 
 
+def qcirc_in_ascii_locale(*argv):
+    """`qcirc` on argv in a child process under LC_ALL=C with Python's UTF-8
+    mode off, where the locale's encoding is ASCII: (exit code, stdout, stderr)."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "LANG", "LC_CTYPE")}
+    env.update(LC_ALL="C", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    child = "import sys; from qcirc.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", child, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_input_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    """A circuit file whose gate id and register name are not ASCII, written
+    as UTF-8 (RFC 8259 8.1), validates under an ASCII locale, and
+    `schedules` prints the id escaped."""
+    c = QuantumCircuit(("\u03c1", "q1"), (unitary_gate("\u03b8", [0], H), standard_measure_gate("m", 1)))
+    path = tmp_path / "theta.json"
+    path.write_bytes(json.dumps(json.loads(serialize_circuit(c)), ensure_ascii=False).encode("utf-8"))
+    assert "\u03b8".encode() in path.read_bytes()
+    rc, out, err = qcirc_in_ascii_locale("validate", path)
+    assert rc == 0 and err == "" and json.loads(out) == {"ok": True}
+    rc, out, err = qcirc_in_ascii_locale("schedules", path)
+    assert rc == 0 and err == "" and '"\\u03b8"' in out and json.loads(out)["schedules"] == [{"bouts": [["\u03b8", "m"]]}]
+
+
 def test_aggregate_past_the_cap_builds_no_identity(tmp_path):
     """GHZ-17 has 2^17 tracks: `aggregate` refuses it at the cap before the
     walk builds its 2^17 x 2^17 identity (256 GiB)."""
