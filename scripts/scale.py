@@ -3,11 +3,16 @@
 
     python3 scripts/scale.py CASE... [--repeat N] [--against CHECKOUT] [--cli]
 
-A CASE is OP:TARGET[:ARG]. Three ops take a CIRCUIT, `ghz-K`, `ff-K`,
-`parity-K` or `parityh-K` (parity-K with an H after each measurement, so
-that nothing settles) from `tests/corpus.py`:
+A CASE is OP:TARGET[:ARG]. Four ops take a CIRCUIT, `ghz-K`, `ff-K`,
+`parity-K`, `parityh-K` (parity-K with an H after each measurement, so
+that nothing settles) or `mcx-K` (K rounds of an H, a standard measurement
+and a CNOT from the measured register to register K, which commutes with
+the measurement) from `tests/corpus.py`:
 - `aggregate:CIRCUIT`: `aggregate_measurement`, building the circuit in the
   call as `qcirc` would; `tracks`.
+- `defer:CIRCUIT`: `defer_measurements`, building the circuit in the call;
+  the deferred circuit's `registers` and `gates`, and the count of
+  `ancillas` appended.
 - `check:CIRCUIT[:inputs=N]`: defer the circuit, then `check_faithful` on the
   pair, exactly or on N random pure inputs at seed 0; `method`,
   `target_registers`, `tracks`, `ok`, and `walk_seconds`, the checker's own
@@ -38,8 +43,9 @@ counts the rounds that this checkout's call won, and `same` says whether the
 two texts are the same.
 
 With `--cli`, the one circuit CASE instead runs its `qcirc` command
-(`aggregate --input`, `check-faithful` or `run --shots`, from |0...0>) once
-through `cli.main` into /dev/null: `rc`, the `seconds` of the call, the
+(`aggregate --input`, `check-faithful`, `defer -o` into a temporary
+directory, or `run --shots`, from |0...0>) once through `cli.main`, its
+stdout into /dev/null: `rc`, the `seconds` of the call, the
 process's `ru_maxrss` (`maxrss_mib`) and the call's minor page faults
 (`minflt`). Every line gives `case`, the CASE's counts (`k`, `inputs`,
 `shots`) and `no_bytecode` (`sys.dont_write_bytecode`: if true, every fresh
@@ -77,7 +83,14 @@ import numpy as np  # noqa: E402
 
 import gen  # noqa: E402
 import workloads  # noqa: E402
-from corpus import aggregate_document, feed_forward_circuit, ghz_circuit, parity_circuit, parityh_circuit  # noqa: E402
+from corpus import (  # noqa: E402
+    aggregate_document,
+    feed_forward_circuit,
+    ghz_circuit,
+    mcx_circuit,
+    parity_circuit,
+    parityh_circuit,
+)
 from qcirc import linalg, semantics, serialize  # noqa: E402
 from qcirc.circuit import QuantumCircuit, check_valid, validate_circuit  # noqa: E402
 from qcirc.cli import main as qcirc  # noqa: E402
@@ -85,7 +98,8 @@ from qcirc.deferral import check_faithful, defer_measurements, random_pure_input
 from qcirc.linalg import DensityOperator, basis_ket  # noqa: E402
 from qcirc.scheduling import greedy_schedule  # noqa: E402
 
-FAMILIES = {"ghz": ghz_circuit, "ff": feed_forward_circuit, "parity": parity_circuit, "parityh": parityh_circuit}
+FAMILIES = {"ghz": ghz_circuit, "ff": feed_forward_circuit, "parity": parity_circuit, "parityh": parityh_circuit,
+            "mcx": mcx_circuit}
 
 
 def zero(n: int) -> DensityOperator:
@@ -99,12 +113,20 @@ def zero_ket(c) -> dict:
 # Each op takes its CASE's named parts and gives (calls, fields, argv): the
 # timed calls by field name, `seconds` first; `fields(result)`, the line's
 # fields from the result of `seconds`' call; and for a circuit op, the `qcirc`
-# command, a circuit or a dict in it standing for its file.
+# command, a circuit or a dict in it standing for its file, and a Path for a
+# file that the command writes.
 
 def aggregate(family, k):
     c = FAMILIES[family](k)
     return ({"seconds": lambda: semantics.aggregate_measurement(FAMILIES[family](k))},
             lambda r: {"tracks": len(r.operators)}, ["aggregate", c, "--input", zero_ket(c)])
+
+
+def defer(family, k):
+    return ({"seconds": lambda: defer_measurements(FAMILIES[family](k))},
+            lambda r: {"registers": r.circuit.n_registers, "gates": len(r.circuit.gates),
+                       "ancillas": len(r.ancilla_registers)},
+            ["defer", FAMILIES[family](k), "-o", Path("deferred.json")])
 
 
 def check(family, k, inputs):
@@ -220,6 +242,7 @@ CIRCUIT = f"(?P<family>{'|'.join(FAMILIES)})-(?P<k>{N})"
 OPS = {  # op -> (the pattern of its TARGET[:ARG], the op)
     "aggregate": (CIRCUIT, aggregate),
     "check": (f"{CIRCUIT}(?::inputs=(?P<inputs>{N}))?", check),
+    "defer": (CIRCUIT, defer),
     "shots": (f"{CIRCUIT}:(?P<shots>{N})", tally),
     "parse": (f"(?P<workload>{'|'.join(workloads.NAMES)})", parse),
     "dumps": (f"(?P<document>{'|'.join(DOCUMENTS)})", dumps),
@@ -233,8 +256,8 @@ def case(text: str) -> tuple:
     m = re.fullmatch(f"{op}:{OPS[op][0]}", text) if op in OPS else None
     if m is None:
         raise argparse.ArgumentTypeError(
-            f"expected aggregate:CIRCUIT, check:CIRCUIT[:inputs=N], shots:CIRCUIT:N (CIRCUIT one of ghz-K, ff-K, "
-            f"parity-K, parityh-K), parse:WORKLOAD ({', '.join(workloads.NAMES)}) or dumps:DOCUMENT ({', '.join(DOCUMENTS)}), "
+            f"expected aggregate:CIRCUIT, check:CIRCUIT[:inputs=N], defer:CIRCUIT, shots:CIRCUIT:N (CIRCUIT one of "
+            f"ghz-K, ff-K, parity-K, parityh-K, mcx-K), parse:WORKLOAD ({', '.join(workloads.NAMES)}) or dumps:DOCUMENT ({', '.join(DOCUMENTS)}), "
             f"got {text!r}")
     return text, op, {name: int(part or 0) if name in COUNTS else part for name, part in m.groupdict().items()}
 
@@ -271,10 +294,12 @@ def measured(cases: list, repeat: int):
 
 def cli_run(argv) -> dict:
     with tempfile.TemporaryDirectory() as work:
-        files = {i: Path(work) / f"{i}.json" for i, a in enumerate(argv) if not isinstance(a, str)}
+        files = {i: Path(work, a if isinstance(a, Path) else f"{i}.json")
+                 for i, a in enumerate(argv) if not isinstance(a, str)}
         for i, path in files.items():
-            path.write_text(serialize.serialize_circuit(argv[i]) if isinstance(argv[i], QuantumCircuit)
-                            else json.dumps(argv[i]))
+            if not isinstance(argv[i], Path):  # a Path is the command's to write
+                path.write_text(serialize.serialize_circuit(argv[i]) if isinstance(argv[i], QuantumCircuit)
+                                else json.dumps(argv[i]))
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
@@ -298,7 +323,7 @@ def main(argv=None) -> int:
     if args.against is not None and ops != {"dumps"}:
         ap.error("--against takes only dumps cases")
     if args.cli and (len(args.cases) != 1 or ops & {"parse", "dumps"} or args.repeat != 1):
-        ap.error("--cli takes exactly one aggregate, check or shots CASE, and no --repeat")
+        ap.error("--cli takes exactly one aggregate, check, defer or shots CASE, and no --repeat")
     writer = {} if args.against is None else {"against": load_dumps(args.against)}
     cases = [OPS[op][1](**parts, **writer) for _, op, parts in args.cases]
     lines = [cli_run(cases[0][2])] if args.cli else measured(cases, args.repeat)

@@ -1472,6 +1472,21 @@ def test_aggregate_scale_cli_runs():
     assert "shots" not in line and "inputs" not in line
 
 
+def test_defer_scale_runs():
+    """Deferred mcx-3 keeps the source's 4 registers, since each CNOT
+    commutes with the measurement of its control; deferred ff-3 copies r0
+    twice. The exact check of mcx-3 walks 4 registers."""
+    lines = scale_lines("defer:mcx-3", "defer:ff-3", "check:mcx-3")
+    assert [(r["registers"], r["gates"], r["ancillas"]) for r in lines[:2]] == [(4, 9, 0), (4, 11, 2)]
+    assert lines[2].items() >= CHECK3.items()
+
+
+def test_defer_scale_cli_runs():
+    """`--cli` runs `qcirc defer` on mcx-3, writing into a temporary directory."""
+    (line,) = scale_lines("defer:mcx-3", "--cli")
+    assert "inputs" not in line and "shots" not in line
+
+
 def test_shots_scale_runs():
     (line,) = scale_lines("shots:ff-3:10")
     assert line["shots"] == 10 and line["registers"] == 4 and 1 <= line["tracks"] <= 8
