@@ -431,7 +431,7 @@ def check_faithful(c: QuantumCircuit, d: QuantumCircuit, zeta: Commensuration,
     by = np.flatnonzero(ok)[np.argsort(at[ok], kind="stable")]  # the translatable source tracks, by target row
     pairing = (by, np.searchsorted(at[by], np.arange(len(rows) + 1)))
     del known, images, lost, at  # not held while the target is walked
-    cells = np.unique(place[1] & (2 ** (nd - nc) - 1), return_inverse=True)  # each compact row's, in ancilla order
+    cells = np.unique(place[1] & (2 ** (nd - nc) - 1), return_inverse=True)  # each compact target row's cell
     for w, keys in pieces:
         failures.update(_piece_failures(w[..., : src.shape[2]], keys, (target, rows, place, cells),
                                          (plan, codes, placed, src, pc), pairing, cols, tol))

@@ -845,7 +845,7 @@ def test_a_measurement_that_stays_copies_the_register_of_one_waiting_there(diago
     d = result.circuit
     assert d.gate("A") is c.gate("A")
     assert d.gate("B").registers == ((1,) if diagonal else (3,))
-    assert [g.id for g in d.gates] == ["h", "x", "A", "B"] if diagonal else ["h", "x", "A__cp__B", "A", "B"]
+    assert [g.id for g in d.gates] == (["h", "x", "A", "B"] if diagonal else ["h", "x", "A__cp__B", "A", "B"])
     assert check_faithful(c, d, result.zeta).ok
 
 
