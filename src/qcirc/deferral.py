@@ -275,7 +275,7 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
                 else:
                     g = unitary_gate(m, g.registers, x.operators[labels[0]])
         sources, cnots = g.classical_sources, []
-        mats = [u.matrix for u in g.unitaries.values()] or list(x.operators.values())  # or a staying measurement's
+        mats = [u.matrix for u in g.unitaries.values()] + [a for y in g.measurements.values() for a in y.operators.values()]
         own = {w for s in sources for w in regs[s]}  # the registers g's sources are measured on
         for r in g.registers:  # a copy of r unless g commutes with the measurements waiting on it
             if r in waiting and (r in own or not linalg.block_diagonal(mats, g.registers.index(r))):

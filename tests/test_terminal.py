@@ -2,7 +2,8 @@
 registers fixes their bits in every track, so the walk keeps only the rows
 that its labels select (`semantics._walk_plan`). A circuit in terminal form
 (unitaries, then standard measurements: GHZ circuits and every circuit that
-`defer` rewrites) settles every measurement. Each walk is compared with the
+`defer` rewrites, set aside a nonstandard measurement that ended its
+registers unread, which `defer` leaves as it is) settles every measurement. Each walk is compared with the
 general walk of `reference_walk`, the depth-first walk that applies every
 operator to full blocks: kept rows bit for bit, and dropped rows +0.0 here
 and 0 there. The checker's reports are compared with the digests of the
