@@ -51,9 +51,10 @@ process's `ru_maxrss` (`maxrss_mib`) and the call's minor page faults
 `shots`) and `no_bytecode` (`sys.dont_write_bytecode`: if true, every fresh
 process compiles qcirc).
 
-Run `parity-K` with K >= 9 and `parityh-K` with K >= 8 only under a limit on
-the address space, such as `ulimit -v 6000000`: their exact checks hold
-blocks of 2^(K+1) x 2^(K+1) entries (parityh-8's needs about 4.1 GiB), and an
+Run `parity-K` with K >= 9 and `parityh-K` and `mcx-K` with K >= 8 only
+under a limit on the address space, such as `ulimit -v 6000000`: their exact
+checks hold blocks of 2^(K+1) x 2^(K+1) entries (parityh-8's needs about 4.1
+GiB; mcx-K's source, in which nothing settles, 2^K of them), and an
 allocation past the limit fails at once as a MemoryError.
 """
 
