@@ -35,12 +35,15 @@ class Diagnostic:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Measurement:
     """Indexed family of operators {A_i} with sum A_i^dag A_i = I."""
 
     id: str
     operators: Mapping[str, np.ndarray]
+
+    def __init__(self, id: str, operators: Mapping[str, np.ndarray]):
+        self.__dict__.update(id=id, operators=operators)
 
     @cached_property
     def outcomes(self) -> tuple[str, ...]:
@@ -48,26 +51,40 @@ class Measurement:
 
     @cached_property
     def basis(self) -> Optional[np.ndarray]:
-        """Per label in `outcomes`, the basis index that its operator projects
-        onto, if the measurement is standard (its operators are the projectors
-        onto distinct basis states, exactly); else None."""
-        ops = [self.operators[label] for label in self.outcomes]
-        stack = np.array(ops) if ops and all(a.shape == (len(ops), len(ops)) for a in ops) else np.zeros((0, 1, 1))
-        at = stack.diagonal(axis1=1, axis2=2).real.argmax(axis=1)  # where each operator's one 1 must be
-        ideal = np.eye(stack.shape[1])[at][:, :, None] * np.eye(stack.shape[1])  # the projectors onto them
-        return at if len(at) and (stack == ideal).all() and len(set(at.tolist())) == len(at) else None
+        """`standard_bases` of this measurement alone."""
+        return standard_bases([self])[self]
 
     def completeness_defect(self) -> float:
         return linalg.completeness_defect(self.operators.values())
 
 
-@dataclass(frozen=True, eq=False)
+def standard_bases(ms: Iterable[Measurement]) -> dict[Measurement, Optional[np.ndarray]]:
+    """Per measurement, per label in `outcomes`, the basis index its operator projects onto if the measurement
+    is standard (exact projectors onto distinct basis states), else None: one pass per d over those of d d x d."""
+    groups: dict[int, list] = {}  # d -> its measurements; 0: not d operators of d x d
+    for m in ms:
+        d = len(m.operators)
+        groups.setdefault(d if all(a.shape == (d, d) for a in m.operators.values()) else 0, []).append(m)
+    out = dict.fromkeys(groups.pop(0, ()))
+    for d, group in groups.items():
+        q = np.array([m.operators[label] for m in group for label in m.outcomes]).reshape(len(group), d, d * d)
+        at = q[..., :: d + 1].real.argmax(axis=2)  # where each flat operator's one 1 must be, on its diagonal
+        hot = np.arange(d * d) == at[..., None] * (d + 1)  # the projectors onto those basis states
+        ok = (q == hot).all(axis=(1, 2)) & (hot.sum(axis=1)[:, :: d + 1] == 1).all(axis=1)  # each state once
+        out.update(zip(group, [a if k else None for a, k in zip(at, ok.tolist())]))
+    return out
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class UnitaryOp:
     id: str
     matrix: np.ndarray
 
+    def __init__(self, id: str, matrix: np.ndarray):
+        self.__dict__.update(id=id, matrix=matrix)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)  # each of these three sets its fields in one `__dict__` update
 class Gate:
     """One circuit gate.
 
@@ -82,6 +99,10 @@ class Gate:
     measurements: Mapping[str, Measurement] = field(default_factory=dict)
     classical_sources: tuple[str, ...] = ()
     selector: Mapping[tuple[str, ...], str] = field(default_factory=dict)
+
+    def __init__(self, id, registers, unitaries=None, measurements=None, classical_sources=(), selector=None):
+        self.__dict__.update(id=id, registers=registers, unitaries=unitaries or {}, measurements=measurements or {},
+                             classical_sources=classical_sources, selector=selector or {})
 
     @property
     def kind(self) -> str:
@@ -228,23 +249,32 @@ class QuantumCircuit:
         return tuple(_diagnose(self))
 
     @cached_property
-    def _layers(self) -> tuple[dict[str, int], dict[str, int]]:
-        """Per gate: its prerequisites as a bitmask over gate positions, and
-        its longest-path depth. Raises CircuitError if the relation is cyclic."""
-        prereq, depth = {}, {}
+    def _prereq(self) -> dict[str, int]:
+        """Per gate, its prerequisites as a bitmask over gate positions.
+        Raises CircuitError if the relation is cyclic."""
+        prereq = {}
         for gid in topo_order(self):
             srcs = self._wiring[2][gid]
             prereq[gid] = self._mask(srcs)
             for s in srcs:
                 prereq[gid] |= prereq[s]
-            depth[gid] = max((depth[s] + 1 for s in srcs), default=0)
-        return prereq, depth
+        return prereq
+
+    @cached_property
+    def _depth(self) -> dict[str, int]:
+        """Per gate, its longest-path depth. Raises CircuitError if the relation is cyclic."""
+        depth, last = {}, {}  # last: per register, the depth of its last gate so far, the next one's quantum source
+        for g in map(self._by_id.__getitem__, topo_order(self)):
+            below = [last.get(r, -1) for r in g.registers] + [depth.get(s, -1) for s in g.classical_sources]
+            depth[g.id] = 1 + max(below, default=-1)
+            last.update(dict.fromkeys(g.registers, depth[g.id]))
+        return depth
 
     @cached_property
     def _red(self) -> frozenset:
         """Unitary gates with a measurement gate among their prerequisites.
         Raises CircuitError if the relation is cyclic."""
-        measured, prereq = self._mask(g.id for g in self.gates if g.is_measure), self._layers[0]
+        measured, prereq = self._mask(g.id for g in self.gates if g.is_measure), self._prereq
         return frozenset(g.id for g in self.gates if not g.is_measure and prereq[g.id] & measured)
 
     def _mask(self, ids: Iterable[str]) -> int:
@@ -285,7 +315,7 @@ def topo_order(c: QuantumCircuit) -> list[str]:
 
 def prerequisites(c: QuantumCircuit, gid: str) -> set[str]:
     """Transitive closure of the source relation below the gate."""
-    return c._ids(c._layers[0][c.gate(gid).id])
+    return c._ids(c._prereq[c.gate(gid).id])
 
 
 def _verdicts(c: QuantumCircuit) -> tuple[dict[int, bool], dict[int, float]]:
@@ -316,7 +346,8 @@ def _verdicts(c: QuantumCircuit) -> tuple[dict[int, bool], dict[int, float]]:
     finite, defects = {}, {}
     for dim, (families, ops, counts) in groups.items():
         if ops:
-            ok, defect = linalg.gram_defects(np.concatenate(ops).reshape(-1, dim, dim), counts)
+            stack = ops[0][None] if len(ops) == 1 else np.concatenate(ops).reshape(-1, dim, dim)  # one is not copied
+            ok, defect = linalg.gram_defects(stack, counts)
             finite.update(zip(map(id, ops), ok.tolist()))
             defects.update(zip(map(id, families), defect.tolist()))
     return finite, defects
@@ -445,7 +476,7 @@ def check_valid(c: QuantumCircuit) -> QuantumCircuit:
 
 def is_stage(c: QuantumCircuit, s: Iterable[str]) -> bool:
     s = {c.gate(gid).id for gid in s}
-    fired, prereq = c._mask(s), c._layers[0]
+    fired, prereq = c._mask(s), c._prereq
     return all(not prereq[gid] & ~fired for gid in s)
 
 
@@ -453,7 +484,7 @@ def ready_gates(c: QuantumCircuit, s: Iterable[str]) -> set[str]:
     """Gates outside s whose prerequisites all lie in s; unknown ids in s
     are ignored."""
     s = set(s)
-    fired, prereq = c._mask(s), c._layers[0]
+    fired, prereq = c._mask(s), c._prereq
     return {g.id for g in c.gates if g.id not in s and not prereq[g.id] & ~fired}
 
 

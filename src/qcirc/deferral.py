@@ -4,7 +4,7 @@
 measurements into one in which every measurement comes after every unitary,
 in one walk whose read maps spare rewriting any selector. A standard
 measurement, one whose operators are exact 0/1 projectors with one label per
-basis state (`Measurement.basis`), stays on its registers, and so does a
+basis state (`standard_bases`), stays on its registers, and so does a
 nonstandard one that ends its registers unread; every other one, one
 standard only within rounding included, is standardized with ancillas.
 A measurement stays one gate throughout, with its own id and outcome labels,
@@ -29,6 +29,7 @@ from .circuit import (
     QuantumCircuit,
     check_valid,
     measure_gate,
+    standard_bases,
     topo_order,
     unitary_gate,
 )
@@ -197,7 +198,7 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
 
     One walk goes over `topo_order(c)`, so a gate list is deferred, byte for
     byte, as its topological order is, and decides each measurement when it
-    reaches it. A measurement is standard when `Measurement.basis` gives
+    reaches it. A measurement is standard when `standard_bases` gives
     each of its labels its one basis state; its read map, basis index over
     its registers -> the label its consumers' selectors read, is read off
     it. A standard measurement whose quantum source on every register is one
@@ -237,14 +238,15 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
         return DeferralResult(c, Commensuration.identity(c), frozenset())
 
     taken, std = set(c._by_id), c.n_registers  # std: the next standardization ancilla
+    bases = standard_bases(x for g in c.gates for x in g.measurements.values())
     n = std + sum((len(x.outcomes) - 1).bit_length()  # the first copy, after every standardization ancilla
-                  for g in c.gates if c._wiring[3][g.id] for x in g.measurements.values() if x.basis is None)
+                  for g in c.gates if c._wiring[3][g.id] for x in g.measurements.values() if bases[x] is None)
     regs, read, kept, waiting, measures, unitaries = {}, {}, {}, {}, {}, []
     for g in map(c.gate, topo_order(c)):
         m = None  # a nonstandard measurement, which waits on its ancillas once its unitary g is placed
         if g.is_measure:
             (x,) = g.measurements.values()
-            if x.basis is not None:  # standard
+            if bases[x] is not None:  # standard
                 s, *more = set(c.quantum_sources(g.id).values())
                 a = None if more or s is None else kept.get(s, s)
                 # g re-measures a if a is on g's registers: regs has source registers only for kept and staying ones
@@ -255,8 +257,7 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
                     regs[g.id], measures[g.id] = list(g.registers), x.operators
                     for r in g.registers:
                         waiting.setdefault(r, []).append(g.id)
-                at = zip(x.outcomes, x.basis.tolist())  # label -> the basis index it selects
-                read[g.id] = {linalg.reindex(i, g.registers, regs[g.id]): lab for lab, i in at}
+                read[g.id] = dict(zip(linalg.reindex(bases[x], g.registers, regs[g.id]).tolist(), x.outcomes))
                 continue
             if not c._wiring[3][g.id]:  # no gate follows or reads it: it stays as it is
                 regs[g.id], measures[g.id] = list(g.registers), None
@@ -292,8 +293,9 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
         if cnots or ctrl:
             k, dim = len(ctrl), 2**g.arity
             big = np.zeros((2**k * dim, 2**k * dim), dtype=complex)
+            at = [linalg.reindex(np.arange(2**k), ctrl, regs[s]).tolist() for s in sources]  # i over ctrl, over regs[s]
             for i in range(2**k):
-                key = tuple(read[s][linalg.reindex(i, ctrl, regs[s])] for s in sources)
+                key = tuple(read[s][j[i]] for s, j in zip(sources, at))
                 big[i * dim : (i + 1) * dim, i * dim : (i + 1) * dim] = g.unitaries[g.selector[key]].matrix
             g = unitary_gate(g.id, tuple(ctrl) + g.registers, big)
         elif sources:  # every source became a unitary: keep the op they select

@@ -101,19 +101,20 @@ def qubits(dim: int) -> Optional[int]:
 
 
 def gram_defects(stack: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack of d x d operators cut into consecutive families of
-    `counts` (each >= 1): whether each operator is finite, and each family's
-    max |sum A^dag A - I| over the entries (inf or NaN on overflow). The j-th
-    operators of all families are multiplied in one stacked product and added
-    in order, so a family's sum has the bits of adding its products one by one."""
-    counts = np.asarray(counts)
-    starts = np.cumsum(counts) - counts
-    acc = np.zeros((len(counts), *stack.shape[1:]), dtype=complex)
+    """For a stack of d x d operators cut into consecutive families of `counts` (each >= 1): whether
+    each operator is finite, and each family's max |sum A^dag A - I| over the entries (inf or NaN on
+    overflow). Every A^dag A is one batched product, and a family's are added in order, so its sum has
+    the bits of adding its products one by one; beside the stack, it holds A^dag and the products."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(int(counts.max())):
-            rows = stack[starts[counts > j] + j]  # the j-th operator of each family that has one
-            acc[counts > j] += np.conj(np.swapaxes(rows, 1, 2)) @ rows
-        return np.isfinite(stack).all(axis=(1, 2)), np.abs(acc - np.eye(stack.shape[1])).max(axis=(1, 2))
+        acc = products = np.matmul(stack.conj().swapaxes(1, 2), stack)
+        if len(products) > len(counts):  # to each family's first product, add its others in order
+            top, counts = max(counts), np.asarray(counts)
+            starts = counts.cumsum() - counts
+            acc = products[starts]
+            for j in range(1, top):
+                acc[counts > j] += products[starts[counts > j] + j]
+        acc.reshape(len(acc), -1)[:, :: stack.shape[1] + 1] -= 1  # minus I
+        return np.isfinite(stack).all(axis=(1, 2)), np.abs(acc).max(axis=(1, 2))
 
 
 def completeness_defect(ops: Iterable[np.ndarray]) -> float:
@@ -284,11 +285,10 @@ def embed(op: np.ndarray, registers: Sequence[int], n: int) -> np.ndarray:
 def reindex(index, frm: Sequence[int], to: Sequence[int]):
     """A basis index over the registers `frm` (the first one most significant)
     as an index over `to`, registers among `frm` in any order: the bits of
-    `to`'s registers, in its order. `index` is an int or an int array."""
-    out = index & 0
-    for r in to:
-        out = out << 1 | index >> (len(frm) - 1 - frm.index(r)) & 1
-    return out
+    `to`'s registers, in its order, in one array pass. `index` is an int or an int array, and so is the result."""
+    at = np.array([len(frm) - 1 - frm.index(r) for r in to], dtype=np.intp)
+    out = (np.asarray(index)[..., None] >> at & 1) @ (1 << np.arange(len(to), dtype=np.intp)[::-1])
+    return out if isinstance(index, np.ndarray) else int(out)
 
 
 def block_diagonal(ops: Sequence[np.ndarray], j: int) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -61,11 +62,13 @@ def validate_schedule(c: QuantumCircuit, x: Schedule) -> bool:
 def greedy_schedule(c: QuantumCircuit) -> Schedule:
     """Canonical schedule: each bout fires every ready gate, so bout t holds
     exactly the gates whose longest source path has t edges."""
-    depth = c._layers[1]
-    bouts: list[set[str]] = [set() for _ in range(max(depth.values(), default=-1) + 1)]
-    for gid, d in depth.items():
-        bouts[d].add(gid)
-    return Schedule(tuple(frozenset(b) for b in bouts))
+    return Schedule(tuple(map(frozenset, greedy_bouts(c))))
+
+
+def greedy_bouts(c: QuantumCircuit) -> list[list[str]]:
+    """`greedy_schedule`'s bouts, each in `in_bout_order`, from the gates'
+    longest-path depths alone. Raises CircuitError if the relation is cyclic."""
+    return [list(b) for _, b in itertools.groupby(sorted(c._index, key=c._depth.__getitem__), c._depth.__getitem__)]
 
 
 def linear_schedule(order: Sequence[str]) -> Schedule:

@@ -32,8 +32,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .circuit import Gate, QuantumCircuit, check_valid
-from .scheduling import Schedule, ScheduleError, greedy_schedule, in_bout_order, validate_schedule
+from .circuit import Gate, QuantumCircuit, check_valid, standard_bases
+from .scheduling import Schedule, ScheduleError, greedy_bouts, greedy_schedule, in_bout_order, validate_schedule
 
 DEFAULT_TRACK_CAP = 2**16  # the tracks a walk may count; more is a SemanticsError
 # The one bound on transient memory, read at call time: what a walk's frontier,
@@ -108,10 +108,10 @@ class _Plan:
     -1, so that no row is empty."""
 
     def __init__(self, c: QuantumCircuit):
-        measures = [g for g in map(c.gate, sorted(c._by_id)) if g.is_measure]
+        measures = sorted((g for g in c.gates if g.measurements), key=operator.attrgetter("id"))
         self.column = {g.id: j for j, g in enumerate(measures)}
         self.labels = [np.array(g.outcome_labels, dtype=object) for g in measures]
-        self.index = [dict(zip(labels.tolist(), range(len(labels)))) for labels in self.labels]
+        self.index = [dict(zip(g.outcome_labels, itertools.count())) for g in measures]
         self.pairs = [np.fromiter(zip(itertools.repeat(g.id), g.outcome_labels), object, len(g.outcome_labels))
                       for g in measures]
         self.steps = {g.id: self._compile(g) for g in c.gates}
@@ -124,7 +124,7 @@ class _Plan:
             ops = [m.operators[label] for m in choices.values() for label in m.outcomes]
             first = (0, *itertools.accumulate([len(m.outcomes) for m in choices.values()]))
             codes = np.array([self.index[column][label] for m in choices.values() for label in m.outcomes])
-        step = (g, column, linalg.operators(ops, g.arity), first, codes)
+        step = (g, column, np.array(ops, complex), first, codes)  # of the shape that validation checked
         if not g.classical_sources:
             return _Step(*step)
         sources = tuple(map(self.column.__getitem__, g.classical_sources))
@@ -138,12 +138,13 @@ class _Plan:
     @cached_property
     def keeps(self) -> dict:
         """Per settled measurement (the last gate on each of its registers,
-        each measurement it can pick standard: `Measurement.basis`), per
+        each measurement it can pick standard: `standard_bases`), per
         label code, the basis state of its registers that the label keeps."""
         last = {r: gid for gid, s in self.steps.items() for r in s.gate.registers}
-        ends = {gid: [m.basis for m in s.gate.measurements.values()] for gid, s in self.steps.items()
-                if s.column >= 0 and all(last[r] == gid for r in s.gate.registers)}
-        return {gid: np.concatenate(b)[np.argsort(self.steps[gid].codes)]  # each label code is one operator's
+        ends = [s.gate for gid, s in self.steps.items() if s.column >= 0 and all(last[r] == gid for r in s.gate.registers)]
+        bases = standard_bases(m for g in ends for m in g.measurements.values())
+        ends = {g.id: [bases[m] for m in g.measurements.values()] for g in ends}  # one measurement's codes: 0, 1, ...
+        return {gid: b[0] if len(b) == 1 else np.concatenate(b)[np.argsort(self.steps[gid].codes)]
                 for gid, b in ends.items() if all(x is not None for x in b)}
 
     def codes_of(self, assignment: Mapping[str, str]) -> np.ndarray:
@@ -223,7 +224,7 @@ def _expand(plan: _Plan, order, codes: np.ndarray, cap: Optional[int] = None,
                     raise SemanticsError(f"track is incoherent at gate {gid!r}: outcome {held[gid]!r} not offered"
                                          " by the selected measurement")
                 width = 1
-            f, codes, roots = len(codes), np.repeat(codes, width, axis=0), np.repeat(roots, width)
+            f, codes, roots = len(codes), codes.repeat(width, axis=0), roots.repeat(width)
             codes.reshape(f, width, codes.shape[1])[:, :, s.column] = s.codes[lo : lo + width]
             ops = slice(lo, lo + width)
         elif isinstance(ops, int):
@@ -302,7 +303,7 @@ def _walk_plan(c: QuantumCircuit, bouts, t0: Optional[np.ndarray], held: Optiona
     4k' columns, whose bits `np.matmul` writes as in the dense walk's (not
     so below 4). Register chains keep their order, so rows share live sets."""
     plan, n = _plan(c), c.n_registers
-    order = itertools.chain.from_iterable(in_bout_order(c, greedy_schedule(c).bouts if bouts is None else bouts))
+    order = itertools.chain.from_iterable(greedy_bouts(c) if bouts is None else in_bout_order(c, bouts))
     moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), DEFAULT_TRACK_CAP, held)
     t = np.eye(*linalg.fits(2**n, 2**n), dtype=complex) if t0 is None else np.asarray(t0, dtype=complex)
     if t.ndim != 2 or t.shape[0] != 2**n:
@@ -339,8 +340,8 @@ def track_rows(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None):
     place = (offsets, rowmap, 2^n), its A_f @ t0 is w[i] at rows
     offsets[keys[i]] + rowmap, 0 elsewhere (`_full`)."""
     moves, codes, t, (offsets, rows, n) = _walk_plan(c, bouts, t0)
-    order = np.argsort(_row_keys(codes)[0])
-    return codes[order], (offsets[order], rows, n), _pieces(_run(moves, t), np.argsort(order))  # keys: in walk order
+    order = _row_keys(codes)[0].argsort()
+    return codes[order], (offsets[order], rows, n), _pieces(_run(moves, t), order.argsort())  # keys: in walk order
 
 
 def _pieces(leaves, keys: np.ndarray):

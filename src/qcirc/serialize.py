@@ -135,7 +135,7 @@ class _Matrices:
             self.fail(None)
         start = 0
         for a in self.arrays:
-            np.copyto(a, values[start : start + a.size].reshape(a.shape))
+            a.flat = values[start : start + a.size]
             start += a.size
 
 

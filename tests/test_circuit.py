@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -294,6 +295,42 @@ def test_selector_totality_builds_no_product():
     )
     assert [(d.code, d.where, d.message) for d in diags] == [("selector-not-total", "G", message)]
     assert peak < 2**20
+
+
+def test_validating_a_large_unitary_holds_two_copies_of_it():
+    """The Gram check of one 9-qubit unitary (4 MiB) holds A^dag and A^dag A
+    beside it, no concatenated or fancy-indexed copy, accumulator or A^dag A
+    - I: its tracemalloc peak is about twice the operator (six times before)."""
+    u = np.linalg.qr(np.random.default_rng(0).normal(size=(512, 512)) * (1 + 1j))[0]
+    c = QuantumCircuit(tuple(f"r{i}" for i in range(9)), (unitary_gate("u", range(9), u),))
+    tracemalloc.start()
+    try:
+        diags = validate_circuit(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diags == [] and peak < 2.5 * u.nbytes
+
+
+@pytest.mark.parametrize("field, make", [
+    ("id", lambda: unitary_gate("u", [0], X)),
+    ("registers", lambda: standard_measure_gate("m", 0)),
+    ("matrix", lambda: UnitaryOp("u", X)),
+    ("operators", lambda: Measurement("m", {"0": P0, "1": P1})),
+])
+def test_gate_parts_are_frozen(field, make):
+    """Gate, UnitaryOp and Measurement fill their fields in one `__dict__`
+    update, and assigning a field afterwards still raises."""
+    x = make()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(x, field, None)
+    assert getattr(x, field) is not None
+
+
+def test_gate_defaults_are_fresh_empty_mappings():
+    a, b = Gate("a", (0,)), Gate("b", (1,))
+    assert a.unitaries == a.measurements == a.selector == {} and a.classical_sources == ()
+    assert a.unitaries is not b.unitaries and a.selector is not b.selector
 
 
 def product_selector_message(c, g):

@@ -1528,7 +1528,7 @@ def timing_lines(cases, *options):
 @pytest.mark.parametrize(
     "cases, fields",
     [
-        (PARSE, {"circuits", "operators", "seconds", "decode_seconds", "gram_seconds", "validate_seconds"}),
+        (PARSE, {"circuits", "operators", "seconds", "decode_seconds", "gram_seconds", "validate_seconds", "plan_seconds"}),
         (DUMPS, {"chars", "zeros", "seconds"}),
     ],
     ids=["parse_bench.py-names0", "dumps_bench.py-names1"],  # named for the scripts whose numbers these cases give

@@ -28,6 +28,7 @@ from qcirc.circuit import (
     QuantumCircuit,
     controlled_unitary_gate,
     measure_gate,
+    standard_bases,
     standard_measure_gate,
     topo_order,
     unitary_gate,
@@ -176,6 +177,43 @@ def test_basis_matches_the_reference(data):
         assert m.basis is None and reference_basis(m) is None
     else:
         assert m.basis.tolist() == reference_basis(m) == [owner.index(names.index(label)) for label in m.outcomes]
+
+
+@st.composite
+def near_standard(draw):
+    """A family of diagonal 0/1 operators of dimension 1, 2 or 4, one state
+    per label, the labels inserted in drawn order, or one of: -0.0 entries,
+    a NaN entry, one operator too few or too many, a non-square operator, or
+    two labels on one basis state."""
+    dim = draw(st.sampled_from([1, 2, 4]), label="dim")
+    kind = draw(st.sampled_from(["standard", "signed zeros", "nan", "fewer", "more", "non-square", "repeated"]))
+    count = dim - 1 if kind == "fewer" else dim + 1 if kind == "more" else dim
+    owner = draw(st.permutations(range(dim)), label="owner") + [draw(st.integers(0, dim - 1))] * (count > dim)
+    if kind == "repeated" and dim > 1:
+        owner[draw(st.integers(1, dim - 1))] = owner[0]
+    ops = [np.diag(np.arange(dim) == owner[j]).astype(complex) for j in range(count)]
+    if kind == "signed zeros":
+        ops = [signed_zeros(a, np.array(draw(st.lists(st.booleans(), min_size=2 * dim * dim, max_size=2 * dim * dim)))
+                            .reshape(dim, dim, 2)) for a in ops]
+    elif kind == "nan" and ops:
+        ops[draw(st.integers(0, count - 1))][draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] = np.nan
+    elif kind == "non-square" and ops:
+        ops[draw(st.integers(0, count - 1))] = np.zeros((dim, dim + 1), dtype=complex)
+    names = draw(st.permutations([f"l{j}" for j in range(count)]), label="insertion order")
+    return Measurement(f"m{dim}{kind}", dict(zip(names, ops)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(near_standard(), max_size=6))
+def test_batched_standardness_is_the_reference(ms):
+    """`standard_bases` of many measurements of mixed dimensions in one call
+    gives each one `reference_basis`, per label in sorted `outcomes` order,
+    and `Measurement.basis` of each one alone agrees."""
+    bases = standard_bases(ms)
+    for m in ms:
+        want = reference_basis(m)
+        assert (None if bases[m] is None else bases[m].tolist()) == want
+        assert (None if m.basis is None else m.basis.tolist()) == want
 
 
 def test_basis_needs_square_operators_of_one_shape():

@@ -20,7 +20,14 @@ from qcirc.circuit import (
     unitary_gate,
 )
 from qcirc.linalg import CNOT, X
-from qcirc.scheduling import Schedule, enumerate_linear_schedules, greedy_schedule, validate_schedule
+from qcirc.deferral import red_gates
+from qcirc.scheduling import (
+    Schedule,
+    enumerate_linear_schedules,
+    greedy_bouts,
+    greedy_schedule,
+    validate_schedule,
+)
 
 
 def sources_oracle(c):
@@ -166,6 +173,33 @@ def test_topo_order_takes_gates_ready_together_by_position():
 def test_greedy_bouts_are_longest_path_layers(seed):
     c = random_circuit(np.random.default_rng(seed), max_gates=10)
     assert greedy_schedule(c).bouts == layers_oracle(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["sequence", "reversed", "shuffled"]))
+def test_depth_only_walk_order_is_the_layers_in_circuit_order(seed, layout):
+    """The walk order, `greedy_bouts`, reads depths alone: on random circuits
+    with classically controlled gates, it is `layers_oracle`'s layers, each in
+    circuit order, and `prerequisites` and `red_gates` still read the
+    prerequisite bitmasks. Reversed or shuffled, a circuit's classical
+    sources may come later in the sequence, and its relation may be cyclic:
+    then each of them raises CircuitError."""
+    rng = np.random.default_rng(seed)
+    c = random_circuit(rng, max_gates=10, p_cc=0.6)
+    gates = {"sequence": c.gates, "reversed": c.gates[::-1], "shuffled": tuple(rng.permutation(c.gates))}[layout]
+    c = QuantumCircuit(c.register_names, gates)
+    below, position = below_oracle(c), {g.id: i for i, g in enumerate(c.gates)}
+    if any(g in below[g] for g in below):  # cyclic
+        for structural in (greedy_bouts, lambda c: prerequisites(c, c.gates[0].id), red_gates):
+            with pytest.raises(CircuitError, match="cyclic"):
+                structural(c)
+        return
+    order = random_linear_order(rng, c)  # a topological order, in which the layers oracle can relax
+    layers = layers_oracle(QuantumCircuit(c.register_names, tuple(sorted(c.gates, key=lambda g: order.index(g.id)))))
+    assert greedy_bouts(c) == [sorted(layer, key=position.get) for layer in layers]
+    assert all(prerequisites(c, g) == below[g] for g in below)
+    measured = {g.id for g in c.gates if g.is_measure}
+    assert red_gates(c) == {g.id for g in c.gates if not g.is_measure and below[g.id] & measured}
 
 
 @settings(max_examples=40, deadline=None)

@@ -169,6 +169,29 @@ def test_reindex_is_bits_then_index(n, data):
     assert isinstance(got, np.ndarray) and got.tolist() == want
 
 
+def reindex_reference(index, frm, to):
+    """`reindex` a register at a time, as four operations on `index` each."""
+    out = index & 0
+    for r in to:
+        out = out << 1 | index >> (len(frm) - 1 - frm.index(r)) & 1
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10), st.data())
+def test_reindex_is_the_per_register_reference(n, data):
+    """The one-pass `reindex` equals the per-register reference on random
+    register permutations, as the walk's placement calls it (every index of
+    the registers, in an intp array) and on each int, whose result stays an int."""
+    frm = data.draw(st.permutations(range(n)), label="frm")
+    to = data.draw(st.permutations(range(n)), label="to")
+    index = np.arange(2**n, dtype=np.intp)
+    got = reindex(index, frm, to)
+    assert got.dtype == np.intp and np.array_equal(got, reindex_reference(index, frm, to))
+    for i in data.draw(st.lists(st.integers(0, 2**n - 1), max_size=5), label="ints"):
+        assert type(reindex(i, frm, to)) is int and reindex(i, frm, to) == reindex_reference(i, frm, to)
+
+
 # --- embed ------------------------------------------------------------------
 
 
