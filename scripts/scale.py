@@ -23,8 +23,11 @@ the measurement) from `tests/corpus.py`:
   each circuit file of the workload's seed-3 set-up (`perfbench/workloads.py`);
   `circuits`, `operators`, `decode_seconds` (`json.loads` of the texts),
   `gram_seconds` (the `linalg.gram_defects` calls that validating them makes;
-  decode plus gram is the floor that reading cannot go below) and
-  `validate_seconds` (`validate_circuit` of fresh instances, nothing cached).
+  decode plus gram is the floor that reading cannot go below),
+  `validate_seconds` (`validate_circuit` of fresh instances, nothing cached)
+  and `plan_seconds` (what a walk compiles before its first operator: the
+  `semantics._Plan`, its `keeps` and the greedy walk order, on shallow
+  copies of the validated circuits, which carry only what reading cached).
 - `dumps:DOCUMENT`: `serialize.dumps` of `ghz6_aggregate` (`qcirc aggregate
   --input` of GHZ-6 from |0...0>, almost all zeros), `structure_run` (`qcirc
   run`, one shot of a 30-gate 6-qubit structure circuit), `dense_pair` (two
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import importlib
 import importlib.util
 import io
@@ -97,7 +101,7 @@ from qcirc.circuit import QuantumCircuit, check_valid, validate_circuit  # noqa:
 from qcirc.cli import main as qcirc  # noqa: E402
 from qcirc.deferral import check_faithful, defer_measurements, random_pure_inputs  # noqa: E402
 from qcirc.linalg import DensityOperator, basis_ket  # noqa: E402
-from qcirc.scheduling import greedy_schedule  # noqa: E402
+from qcirc.scheduling import greedy_bouts, greedy_schedule  # noqa: E402
 
 FAMILIES = {"ghz": ghz_circuit, "ff": feed_forward_circuit, "parity": parity_circuit, "parityh": parityh_circuit,
             "mcx": mcx_circuit}
@@ -176,13 +180,16 @@ def parse(workload):
     def validate():  # fresh instances have nothing cached
         return [validate_circuit(QuantumCircuit(c.register_names, c.gates)) for c in circuits]
 
+    def plan():
+        return [(semantics._plan(c).keeps, greedy_bouts(c)) for c in map(copy.copy, circuits)]
+
     with mock.patch.object(linalg, "gram_defects", wraps=linalg.gram_defects) as gram:
         validate()  # one `gram_defects` call per operator dimension of each circuit
     grams = [call.args for call in gram.call_args_list]
     return ({"seconds": lambda: [serialize.parse_circuit(t) for t in texts],
              "decode_seconds": lambda: [json.loads(t) for t in texts],
              "gram_seconds": lambda: [linalg.gram_defects(*args) for args in grams],
-             "validate_seconds": validate},
+             "validate_seconds": validate, "plan_seconds": plan},
             lambda _: {"circuits": len(circuits), "operators": ops}, None)
 
 
