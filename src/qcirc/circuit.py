@@ -84,7 +84,7 @@ class UnitaryOp:
         self.__dict__.update(id=id, matrix=matrix)
 
 
-@dataclass(frozen=True, eq=False, init=False)  # each of these three sets its fields in one `__dict__` update
+@dataclass(frozen=True, eq=False, init=False)  # as for UnitaryOp and Measurement: __init__ fills __dict__ at once
 class Gate:
     """One circuit gate.
 
