@@ -11,9 +11,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import make_teleportation
 from qcirc import serialize_circuit
-from qcirc.scheduling import greedy_schedule
-from qcirc.serialize import poset_to_json, schedule_to_json
-from qcirc.scheduling import Poset
+from qcirc.scheduling import Poset, greedy_schedule
+from qcirc.serialize import schedule_to_json
 
 FIXTURES = ROOT / "tests" / "fixtures"
 
@@ -22,6 +21,11 @@ def write(name, text):
     path = FIXTURES / name
     path.write_text(text)
     print(f"wrote {path}")
+
+
+def poset_to_json(p):
+    """The object that `serialize.poset_from_json` reads back as `p`."""
+    return {"elements": list(p.elements), "less_than": sorted([a, b] for a, b in p.less)}
 
 
 def main():

@@ -49,11 +49,6 @@ class Measurement:
     def outcomes(self) -> tuple[str, ...]:
         return tuple(sorted(self.operators))
 
-    @cached_property
-    def basis(self) -> Optional[np.ndarray]:
-        """`standard_bases` of this measurement alone."""
-        return standard_bases([self])[self]
-
     def completeness_defect(self) -> float:
         return linalg.completeness_defect(self.operators.values())
 
@@ -478,14 +473,6 @@ def is_stage(c: QuantumCircuit, s: Iterable[str]) -> bool:
     s = {c.gate(gid).id for gid in s}
     fired, prereq = c._mask(s), c._prereq
     return all(not prereq[gid] & ~fired for gid in s)
-
-
-def ready_gates(c: QuantumCircuit, s: Iterable[str]) -> set[str]:
-    """Gates outside s whose prerequisites all lie in s; unknown ids in s
-    are ignored."""
-    s = set(s)
-    fired, prereq = c._mask(s), c._prereq
-    return {g.id for g in c.gates if g.id not in s and not prereq[g.id] & ~fired}
 
 
 def stage_exits(c: QuantumCircuit, s: Iterable[str]) -> set[tuple[int, Optional[str]]]:

@@ -354,9 +354,10 @@ def check_faithful(c: QuantumCircuit, d: QuantumCircuit, zeta: Commensuration,
     principal-register output (ancillas traced out) are reproduced by its
     image under `zeta`, and target tracks outside the image have probability
     <= tol. A `tol` that is not finite and at least 0 raises DeferralError.
-    Before any walk, a `zeta` that maps a source measurement to no
-    measurement gate of `d`, or absorbs anything but a single-outcome
-    measurement of `c`, raises ParseError (`bad-sidecar`).
+    Before any walk, a `zeta` whose `gates` or `labels` keys name anything
+    but measurement gates of `c` and their labels, that maps a source
+    measurement to no measurement gate of `d`, or that absorbs anything but a
+    single-outcome measurement of `c`, raises ParseError (`bad-sidecar`).
 
     Without `inputs` the check is exact, for all inputs at once. Let A be a
     source track's operator, B its image's, and V_a = (I (x) <a|) B (I (x) |0>)
@@ -392,6 +393,11 @@ def check_faithful(c: QuantumCircuit, d: QuantumCircuit, zeta: Commensuration,
     nc, nd = c.n_registers, d.n_registers
     if d.register_names[:nc] != c.register_names:
         raise DeferralError("deferred circuit does not extend the source registers")
+    for gid in [*zeta.gates, *zeta.labels]:
+        if not (c.has_gate(gid) and c.gate(gid).is_measure):
+            raise _bad_sidecar(f"{gid!r} is not a measurement gate of the source")
+        if not set(zeta.labels.get(gid, ())) <= set(c.gate(gid).outcome_labels):
+            raise _bad_sidecar(f"labels of {gid!r} name an outcome that gate lacks")
     for g in c.gates:
         t = zeta.gates.get(g.id)
         if g.is_measure and g.id not in zeta.absorbed and not (d.has_gate(t) and d.gate(t).is_measure):

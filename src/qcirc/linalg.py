@@ -48,13 +48,6 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 def dagger(a) -> np.ndarray:
     return as_matrix(a).conj().T
 
@@ -122,11 +115,6 @@ def completeness_defect(ops: Iterable[np.ndarray]) -> float:
     operators of one shape; inf or NaN when the sum overflows."""
     stack = np.stack(list(ops))
     return float(gram_defects(stack, [len(stack)])[1][0])
-
-
-def ket_to_density(psi) -> np.ndarray:
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    return np.outer(v, v.conj())
 
 
 def squared_norm(k: np.ndarray) -> float:

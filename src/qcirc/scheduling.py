@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .circuit import QuantumCircuit, prerequisites, topo_order
+from .circuit import QuantumCircuit, topo_order
 
 Bout = frozenset  # frozenset[str]
 
@@ -38,11 +38,6 @@ def in_bout_order(c: QuantumCircuit, bouts: Iterable[Iterable[str]]) -> list[lis
     except KeyError as e:
         c.gate(e.args[0])  # raises, as `QuantumCircuit.index_of` does
         raise
-
-
-def is_antichain(c: QuantumCircuit, gates: Iterable[str]) -> bool:
-    gates = set(gates)
-    return all(not (prerequisites(c, g) & gates) for g in gates)
 
 
 def validate_schedule(c: QuantumCircuit, x: Schedule) -> bool:

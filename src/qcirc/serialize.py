@@ -530,10 +530,6 @@ def order_from_json(obj, where: str = "<order>") -> list[str]:
     return obj
 
 
-def poset_to_json(p: Poset) -> dict:
-    return {"elements": list(p.elements), "less_than": sorted([a, b] for a, b in p.less)}
-
-
 def state_from_json(obj: dict, where: str = "<state>") -> DensityOperator:
     """A state file's ket (kept as the factor of its density operator) or
     matrix. Non-finite entries, and finite ones whose trace overflows, are

@@ -19,7 +19,6 @@ from qcirc.circuit import (
     is_stage,
     measure_gate,
     prerequisites,
-    ready_gates,
     stage_exits,
     standard_measure_gate,
     topo_order,
@@ -113,34 +112,6 @@ def test_is_stage(teleport):
     assert is_stage(teleport, {"CNOT", "H"})
     assert not is_stage(teleport, {"H"})  # missing prerequisite CNOT
     assert is_stage(teleport, {g.id for g in teleport.gates})
-
-
-def test_ready_gates(teleport):
-    assert ready_gates(teleport, set()) == {"CNOT"}
-    assert ready_gates(teleport, {"CNOT"}) == {"H", "N"}
-    assert ready_gates(teleport, {"CNOT", "H", "N"}) == {"M", "XN"}
-
-
-def readiness_oracle(c, s):
-    return {
-        g.id for g in c.gates if g.id not in s and prerequisites(c, g.id) <= set(s)
-    }
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_ready_gates_matches_oracle(seed):
-    rng = np.random.default_rng(seed)
-    c = random_circuit(rng)
-    # grow a random stage greedily
-    s = set()
-    while True:
-        ready = ready_gates(c, s)
-        assert ready == readiness_oracle(c, s)
-        if not ready or rng.random() < 0.3:
-            break
-        s.add(sorted(ready)[int(rng.integers(len(ready)))])
-        assert is_stage(c, s)
 
 
 def test_stage_exits_counts_registers(teleport):

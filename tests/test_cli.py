@@ -797,15 +797,22 @@ def test_cli_old_sidecar_is_still_read(tmp_path, capsys):
         ({"zeta": {"M": "M", "N": "N"}, "absorbed": ["nope"]}, "not a single-outcome measurement"),
         ({"zeta": {"M": "M", "N": "N"}, "absorbed": ["H"]}, "not a single-outcome measurement"),
         ({"zeta": {"M": "M", "N": "N"}, "absorbed": ["M"]}, "not a single-outcome measurement"),
+        ({"zeta": {"M": "M", "N": "N", "zzz": "M"}}, "'zzz' is not a measurement gate"),
+        ({"zeta": {"M": "M", "N": "N"}, "labels": {"nope": {"0": "0"}}}, "'nope' is not a measurement gate"),
+        ({"zeta": {"M": "M", "N": "N"}, "labels": {"CNOT": {"0": "0"}}}, "'CNOT' is not a measurement gate"),
+        ({"zeta": {"M": "M", "N": "N"}, "labels": {"M": {"5": "1"}}}, "name an outcome that gate lacks"),
     ],
     ids=["empty-zeta", "list", "int-target", "labels-list", "old-split",
-         "absorbed-unknown", "absorbed-unitary", "absorbed-two-outcomes"],
+         "absorbed-unknown", "absorbed-unitary", "absorbed-two-outcomes",
+         "zeta-unknown", "labels-unknown", "labels-unitary", "labels-unknown-label"],
 )
 def test_cli_bad_sidecar_is_a_diagnostic(tmp_path, capsys, sidecar, message):
     path = tmp_path / "bad.zeta.json"
     path.write_text(json.dumps(sidecar))
     assert main(["check-faithful", TELEPORT, TELEPORT, "--zeta", str(path)]) == 1
-    diag = _first_diag(capsys)
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    diag = json.loads(captured.err)
     assert diag["code"] == "bad-sidecar" and message in diag["message"]
 
 

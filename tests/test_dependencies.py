@@ -3,6 +3,7 @@ from the standard library, numpy, or the package itself."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,36 @@ def test_only_circuit_reads_the_validation_verdicts(path):
     re-derives a verdict of its own."""
     named = {"_verdicts", "_diagnostics"} & set(_names(ast.parse(path.read_text(), str(path))))
     assert not named, f"{path.name} names {sorted(named)}"
+
+
+# Module-level functions that no package code names and `__all__` does not
+# export, each kept for a stated reason.
+_UNREFERENCED_KEPT = {
+    "bout_operator": "paper: the operator of one bout under one assignment",
+    "replay": "paper: a track's step-by-step probabilities under a schedule",
+    "schedules_equivalent": "paper: schedule independence, checked by the acceptance gate",
+    "split_bout": "paper: one step of the transposition path between schedules",
+    "differentiating_pairs": "paper: the length of the transposition path",
+    "matrix_to_json": "perfbench/spans.py times it as a serialize span",
+}
+
+
+def test_every_package_function_has_a_user():
+    """Each module-level function of the package is named by package code
+    outside its own `def`, exported by `__all__`, or kept in
+    `_UNREFERENCED_KEPT` with its reason: a helper that only tests call is
+    deleted, not carried."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+    named = Counter(name for tree in trees for name in _names(tree))
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = next(
+        ast.literal_eval(node.value) for node in init.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    )
+    orphans = sorted(
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and named[node.name] == Counter(_names(node))[node.name]
+        and node.name not in exported and node.name not in _UNREFERENCED_KEPT
+    )
+    assert not orphans, f"no package code uses {orphans}"

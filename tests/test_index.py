@@ -13,7 +13,6 @@ from qcirc.circuit import (
     controlled_unitary_gate,
     is_stage,
     prerequisites,
-    ready_gates,
     stage_exits,
     standard_measure_gate,
     topo_order,
@@ -250,8 +249,8 @@ def cyclic_circuit():
 
 @pytest.mark.parametrize(
     "structural",
-    [topo_order, lambda c: prerequisites(c, "g"), lambda c: ready_gates(c, set()), greedy_schedule],
-    ids=["topo_order", "prerequisites", "ready_gates", "greedy_schedule"],
+    [topo_order, lambda c: prerequisites(c, "g"), greedy_schedule],
+    ids=["topo_order", "prerequisites", "greedy_schedule"],
 )
 def test_cyclic_circuit_raises(structural):
     with pytest.raises(CircuitError, match="cyclic"):
@@ -261,10 +260,9 @@ def test_cyclic_circuit_raises(structural):
 @pytest.mark.parametrize(
     "structural",
     [
-        topo_order, lambda c: prerequisites(c, "a"), lambda c: ready_gates(c, set()), greedy_schedule,
-        enumerate_linear_schedules,
+        topo_order, lambda c: prerequisites(c, "a"), greedy_schedule, enumerate_linear_schedules,
     ],
-    ids=["topo_order", "prerequisites", "ready_gates", "greedy_schedule", "enumerate_linear_schedules"],
+    ids=["topo_order", "prerequisites", "greedy_schedule", "enumerate_linear_schedules"],
 )
 def test_duplicate_gate_id_raises(structural):
     """A circuit built in Python with a repeated id names it; nothing is cyclic."""
@@ -280,9 +278,7 @@ def test_cyclic_circuit_has_no_valid_schedule():
     assert not validate_schedule(c, Schedule((frozenset({"g", "m"}),)))
 
 
-def test_ready_gates_ignores_unknown_ids(teleport):
-    assert ready_gates(teleport, {"nope"}) == {"CNOT"}
-    assert ready_gates(teleport, {"CNOT", "nope"}) == {"H", "N"}
+def test_is_stage_rejects_unknown_ids(teleport):
     with pytest.raises(CircuitError):
         is_stage(teleport, {"CNOT", "nope"})
 

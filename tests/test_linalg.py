@@ -4,6 +4,8 @@ for bit by the `tensordot`/`moveaxis` contraction and `embed` by the `np.dot`
 kernel it replaced, `reindex` by `bits_of`/`index_of`, partial traces by
 double sums; and density operators' scaled tolerance and factors."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,8 +32,6 @@ from qcirc.linalg import (
     embed,
     is_hermitian,
     is_unitary,
-    ket_to_density,
-    kron_all,
     mat_close,
     operators,
     partial_trace,
@@ -95,12 +95,6 @@ def test_tensor_known_values():
     assert np.array_equal(tensor(X, I2)[:2, 2:], I2)
     zx = tensor(Z, X)
     assert zx[0, 1] == 1 and zx[2, 3] == -1
-
-
-def test_kron_all_associates_with_tensor():
-    rng = np.random.default_rng(0)
-    mats = [random_matrix(rng, 2) for _ in range(3)]
-    assert np.allclose(kron_all(mats), tensor(tensor(mats[0], mats[1]), mats[2]))
 
 
 def test_dagger_distributes_over_tensor():
@@ -217,7 +211,7 @@ def test_embed_single_register_is_kron_chain():
     n = 3
     for r in range(n):
         mats = [op if j == r else I2 for j in range(n)]
-        assert np.allclose(embed(op, [r], n), kron_all(mats))
+        assert np.allclose(embed(op, [r], n), functools.reduce(np.kron, mats))
 
 
 def test_embed_reversed_cnot():
@@ -506,14 +500,14 @@ def test_from_ket_rejects_non_power_of_two_length(length):
 
 
 def test_factored_state_is_the_ket_density():
-    """from_ket keeps the ket as the factor; its matrix is ket_to_density's,
-    bit for bit, and the rejections are those of the dense state."""
+    """from_ket keeps the ket as the factor; its matrix is the outer product
+    v v^dag, bit for bit, and the rejections are those of the dense state."""
     rng = np.random.default_rng(8)
     for n in range(5):
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         rho = DensityOperator.from_ket(v)
         assert rho.factor.shape == (2**n, 1)
-        assert np.array_equal(rho.matrix, ket_to_density(v))
+        assert np.array_equal(rho.matrix, np.outer(v, v.conj()))
     k = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     assert np.array_equal(DensityOperator(2, factor=k).matrix, k @ k.conj().T)
     with pytest.raises(LinalgError, match="zero trace"):
@@ -583,13 +577,6 @@ def test_block_diagonal_has_no_tolerance():
     near = cz.copy()
     near[0, 2] = 1e-17
     assert not block_diagonal([near], 0) and block_diagonal([near], 1)
-
-
-def test_ket_to_density_projector():
-    psi = np.array([0.6, 0.8j])
-    rho = ket_to_density(psi)
-    assert mat_close(rho @ rho, rho, 1e-12)
-    assert abs(np.trace(rho) - 1) <= 1e-12
 
 
 def test_default_tolerance_value():

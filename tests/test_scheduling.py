@@ -15,7 +15,6 @@ from qcirc.scheduling import (
     enumerate_linear_schedules,
     greedy_schedule,
     in_bout_order,
-    is_antichain,
     linear_schedule,
     split_bout,
     transposition_path,
@@ -74,11 +73,6 @@ def test_in_bout_order_sorts_only_larger_bouts(teleport):
             teleport.index_of(name)
         with pytest.raises(CircuitError, match=f"^{raised.value}$"):
             in_bout_order(teleport, bad)
-
-
-def test_is_antichain(teleport):
-    assert is_antichain(teleport, {"M", "XN"})
-    assert not is_antichain(teleport, {"CNOT", "H"})
 
 
 @settings(max_examples=25, deadline=None)

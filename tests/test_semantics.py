@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import tracemalloc
@@ -19,7 +20,7 @@ from qcirc.circuit import (
     unitary_gate,
 )
 from qcirc.deferral import Commensuration, check_faithful, defer_measurements
-from qcirc.linalg import CNOT, H, I2, X, Z, DensityOperator, kron_all, mat_close
+from qcirc.linalg import CNOT, H, I2, X, Z, DensityOperator, mat_close
 from qcirc.scheduling import (
     Schedule,
     ScheduleError,
@@ -65,10 +66,10 @@ def teleport_cumulative_oracle(m, n):
     zm = Z if m == "1" else I2
     steps = [
         np.kron(CNOT, I2),
-        kron_all([H, I2, I2]),
-        np.kron(I2, kron_all([P1 if n == "1" else P0, xn])),
-        kron_all([P1 if m == "1" else P0, I2, I2]),
-        kron_all([I2, I2, zm]),
+        functools.reduce(np.kron, [H, I2, I2]),
+        np.kron(I2, functools.reduce(np.kron, [P1 if n == "1" else P0, xn])),
+        functools.reduce(np.kron, [P1 if m == "1" else P0, I2, I2]),
+        functools.reduce(np.kron, [I2, I2, zm]),
     ]
     out = np.eye(8, dtype=complex)
     for s in steps:
@@ -82,7 +83,7 @@ def teleport_cumulative_oracle(m, n):
 def test_bout_operator_picks_by_source_label(teleport):
     """XN applies the unitary that N's label selects: I for 0, X for 1."""
     for label, u in (("0", I2), ("1", X)):
-        assert np.array_equal(bout_operator(teleport, {"XN"}, {"N": label}), kron_all([I2, I2, u]))
+        assert np.array_equal(bout_operator(teleport, {"XN"}, {"N": label}), functools.reduce(np.kron, [I2, I2, u]))
 
 
 def test_walk_names_a_missing_source_or_selector_entry(teleport):

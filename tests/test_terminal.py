@@ -28,7 +28,7 @@ from corpus import (
     random_deferrable_circuit,
 )
 from qcirc import deferral, linalg, semantics
-from qcirc.circuit import Gate, Measurement, QuantumCircuit, measure_gate, standard_measure_gate, unitary_gate
+from qcirc.circuit import Gate, Measurement, QuantumCircuit, measure_gate, standard_bases, standard_measure_gate, unitary_gate
 from qcirc.deferral import Commensuration, basis_inputs, check_faithful, defer_measurements, random_pure_inputs, red_gates
 from qcirc.linalg import CNOT, H, DensityOperator
 from qcirc.serialize import dumps
@@ -48,10 +48,10 @@ def settles_all(c):
 
 def terminal(c):
     """Whether c is in terminal form: no classical control, no unitary after
-    a measurement, and only standard measurements (`Measurement.basis`)."""
+    a measurement, and only standard measurements (`standard_bases`)."""
     measurements = [m for g in c.gates for m in g.measurements.values()]
     return not any(g.classical_sources for g in c.gates) and not red_gates(c) and all(
-        m.basis is not None for m in measurements)
+        basis is not None for basis in standard_bases(measurements).values())
 
 
 def basis_projectors(dim, labels):
@@ -107,7 +107,7 @@ def test_deferred_corpus_is_in_terminal_form():
     assert len(DEFERRED) == 30
     for _, c in DEFERRED:
         d = defer_measurements(c).circuit
-        stays = {g.id for g in d.gates for m in g.measurements.values() if m.basis is None}
+        stays = {g.id for g in d.gates for m in g.measurements.values() if standard_bases([m])[m] is None}
         assert all(d.gate(m) is c.gate(m) and not c._wiring[3][m] for m in stays)
         assert terminal(QuantumCircuit(d.register_names, tuple(g for g in d.gates if g.id not in stays)))
         ends = {g.id for g in d.gates if g.is_measure and all(d.register_chain(r)[-1] == g.id for r in g.registers)}
