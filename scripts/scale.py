@@ -16,7 +16,9 @@ the measurement) from `tests/corpus.py`:
 - `check:CIRCUIT[:inputs=N]`: defer the circuit, then `check_faithful` on the
   pair, exactly or on N random pure inputs at seed 0; `method`,
   `target_registers`, `tracks`, `ok`, and `walk_seconds`, the checker's own
-  source walk (`semantics._stack`) on a validated copy of the source.
+  source walk (`semantics._stack` from the N columns, which it pads to a
+  multiple of 4 itself where that changes no bit) on a validated copy of
+  the source.
 - `shots:CIRCUIT:N`: `semantics.tally` of N shots of the deferred circuit
   from |0...0>, seeded as `qcirc run --shots N --seed 0`; `registers`, `tracks`.
 - `parse:WORKLOAD` (shots, denote, compile, structure): `parse_circuit` of

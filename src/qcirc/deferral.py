@@ -381,11 +381,12 @@ def check_faithful(c: QuantumCircuit, d: QuantumCircuit, zeta: Commensuration,
     The target is walked once, on its ancilla-zero columns only, through
     `track_rows`, whose code rows come before any operator is applied: each
     image is paired with its row by sorting, or the first source track
-    without one raises DeferralError. Each walk's start is padded to 4k
-    columns where that changes no bit (`_padded`), so that it settles. Its
-    pieces are compared as they come, each target row with the source row it
-    reads (`_piece_failures`), every sum adding rows in order, then columns;
-    a `Track` is built only for a failure or that error. Failures come by
+    without one raises DeferralError. Both walks start from the N input
+    columns as they are (the walk pads a narrow start itself where that
+    changes no bit: `semantics._walk_plan`). The target's pieces are
+    compared as they come, each target row with the source row it reads
+    (`_piece_failures`), every sum adding rows in order, then columns; a
+    `Track` is built only for a failure or that error. Failures come by
     input, then source tracks, then unmatched target tracks, each in (gate
     id, label) order; an input's scale changes no report byte."""
     if not (math.isfinite(tol) and tol >= 0):
@@ -418,8 +419,7 @@ def check_faithful(c: QuantumCircuit, d: QuantumCircuit, zeta: Commensuration,
         v, _ = linalg.rescale(v)  # by a power of two, so that v's scale changes no bit of psi
         psi[:, i] = v / np.linalg.norm(v)
     plan, target = semantics._plan(c), semantics._plan(d)
-    codes, placed, src = semantics._stack(c, _padded(c, psi))
-    src = src[..., : psi.shape[1]]  # the real columns
+    codes, placed, src = semantics._stack(c, psi)
     step = max(1, semantics.FRONTIER_BYTES // src[0].nbytes)  # tracks summed at a time
     p = np.concatenate([_weights(a) for a in np.split(src, range(step, len(src), step))])
     cols = [None] if inputs is None else list(range(len(inputs)))  # the inputs compared; None: all at once
@@ -429,7 +429,7 @@ def check_faithful(c: QuantumCircuit, d: QuantumCircuit, zeta: Commensuration,
     for j, q in np.argwhere(~ok[:, None] & (pc > tol)).tolist():
         failures[cols[q], 0, j] = _failure("untranslatable-track-probability", cols[q], plan, codes[j], mass=pc[j, q])
     # B (I (x) |0>) psi: the columns of B for ancilla-zero inputs, 2^nd x (2^nc or K)
-    rows, place, pieces = track_rows(d, _padded(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None])))
+    rows, place, pieces = track_rows(d, np.kron(psi, linalg.basis_ket(0, nd - nc)[:, None]))
     known, images = _row_keys(rows, images)  # keyed with one width, so that they compare
     at = np.minimum(np.searchsorted(known, images), len(known) - 1)  # each image's target row, if it has one
     lost = ok & (known[at] != images)
@@ -441,20 +441,11 @@ def check_faithful(c: QuantumCircuit, d: QuantumCircuit, zeta: Commensuration,
     del known, images, lost, at  # not held while the target is walked
     cells = np.unique(place[1] & (2 ** (nd - nc) - 1), return_inverse=True)  # each compact target row's cell
     for w, keys in pieces:
-        failures.update(_piece_failures(w[..., : src.shape[2]], keys, (target, rows, place, cells),
+        failures.update(_piece_failures(w, keys, (target, rows, place, cells),
                                          (plan, codes, placed, src, pc), pairing, cols, tol))
     failures = [failures[k] for k in sorted(failures)]
     method, n_inputs = ("exact", 0) if inputs is None else ("inputs", len(inputs))
     return FaithfulnessReport(not failures, tuple(failures), n_inputs, len(codes), method)
-
-
-def _padded(c: QuantumCircuit, t: np.ndarray) -> np.ndarray:
-    """t with zero columns up to a multiple of 4, on which c's walk settles,
-    if each product of the walk from t, 2^(n - k) m wide for a gate on k of
-    c's n registers, is a multiple of 4 wide already: so no bit changes."""
-    m = t.shape[1]
-    wide = m % 4 and not any(2 ** (c.n_registers - g.arity) * m % 4 for g in c.gates)
-    return np.pad(t, ((0, 0), (0, -m % 4))) if wide else t
 
 
 def _columns(p: np.ndarray, cols: list) -> np.ndarray:

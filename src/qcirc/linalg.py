@@ -5,8 +5,8 @@ most significant bit of the computational-basis index, so the basis state
 |a0 a1 ... a_{n-1}> has index sum(a_k * 2**(n-1-k)). Reshaping a 2^n x m
 array to shape (2,)*n + (m,) therefore gives register r its own axis r (in
 C order). `apply`, the one kernel that applies operators to states,
-contracts a stack of them (`operators`, the one arity check) with just the
-axes of their registers; `reindex` maps a basis index between register lists.
+contracts a stack of them with just the axes of their registers; `reindex`
+maps a basis index between register lists.
 """
 
 from __future__ import annotations
@@ -238,16 +238,6 @@ def _axes(registers: tuple, n: int) -> tuple[tuple, tuple]:
     return perm, tuple(sorted(range(n + 2), key=perm.__getitem__))
 
 
-def operators(ops: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """A gate's operators on k registers as one (len(ops), 2^k, 2^k) stack;
-    LinalgError naming the least other shape among them."""
-    shape = (2**k, 2**k)
-    wrong = [a.shape for a in ops if a.shape != shape]
-    if wrong:
-        raise LinalgError(f"operator shape {min(wrong)} does not match arity {k}")
-    return np.array(ops, complex) if ops else np.zeros((0, *shape), complex)
-
-
 def apply(a: np.ndarray, axes: tuple, x: np.ndarray) -> np.ndarray:
     """Operators a on their registers' tensor axes (`axes`, from `_axes`) of
     a frontier x of f blocks (2^n, m): each block by every operator of a
@@ -265,9 +255,12 @@ def apply(a: np.ndarray, axes: tuple, x: np.ndarray) -> np.ndarray:
 def embed(op: np.ndarray, registers: Sequence[int], n: int) -> np.ndarray:
     """Lift a 2^k x 2^k operator acting on the listed registers (in the listed
     order) to the full 2^n x 2^n space, identity on the other registers: the
-    kernel `apply` on a frontier of one identity block."""
-    a = operators([as_matrix(op)], len(registers))
-    return apply(a, _axes(tuple(registers), n), np.eye(2**n, dtype=complex)[None])[0]
+    kernel `apply` on a frontier of one identity block. LinalgError if op
+    is not 2^k x 2^k for k registers."""
+    a, k = as_matrix(op), len(registers)
+    if a.shape != (2**k, 2**k):
+        raise LinalgError(f"operator shape {a.shape} does not match arity {k}")
+    return apply(np.array([a]), _axes(tuple(registers), n), np.eye(2**n, dtype=complex)[None])[0]
 
 
 def reindex(index, frm: Sequence[int], to: Sequence[int]):

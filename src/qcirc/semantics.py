@@ -301,13 +301,21 @@ def _walk_plan(c: QuantumCircuit, bouts, t0: Optional[np.ndarray], held: Optiona
     `held`, the one leaf of that assignment. From a t0 of 4k columns, a
     settled measurement (`_Plan.keeps`) keeps rows: every product then has
     4k' columns, whose bits `np.matmul` writes as in the dense walk's (not
-    so below 4). Register chains keep their order, so rows share live sets."""
+    so below 4). A narrower t0 of m columns is padded with zero columns to
+    4k, so that it settles, when the walk has more than one track, c has a
+    settled measurement, and each product from t0 alone, 2^(n - k) m wide
+    for a gate on k of c's n registers, is a multiple of 4 wide already: so
+    no bit changes (`track_rows` keeps the first m columns). Register chains
+    keep their order, so rows share live sets."""
     plan, n = _plan(c), c.n_registers
     order = itertools.chain.from_iterable(greedy_bouts(c) if bouts is None else in_bout_order(c, bouts))
     moves, codes, _ = _expand(plan, order, plan.codes_of(held or {}), DEFAULT_TRACK_CAP, held)
     t = np.eye(*linalg.fits(2**n, 2**n), dtype=complex) if t0 is None else np.asarray(t0, dtype=complex)
     if t.ndim != 2 or t.shape[0] != 2**n:
         raise linalg.LinalgError(f"expected {2**n} rows, got shape {t.shape}")
+    m = t.shape[1]
+    if m % 4 and len(codes) > 1 and plan.keeps and not any(2 ** (n - g.arity) * m % 4 for g in c.gates):
+        t = np.pad(t, ((0, 0), (0, -m % 4)))
     live, fixed, bits = list(range(n)), [], np.zeros(len(codes), dtype=np.intp)  # bits: of the settled registers
     for i, (s, ops, parents, regs, _) in enumerate(moves if t.shape[1] % 4 == 0 else ()):
         moves[i] = (s, ops, parents, tuple(map(live.index, regs)), keep := plan.keeps.get(s.gate.id))
@@ -341,13 +349,14 @@ def track_rows(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None):
     offsets[keys[i]] + rowmap, 0 elsewhere (`_full`)."""
     moves, codes, t, (offsets, rows, n) = _walk_plan(c, bouts, t0)
     order = _row_keys(codes)[0].argsort()
-    return codes[order], (offsets[order], rows, n), _pieces(_run(moves, t), order.argsort())  # keys: in walk order
+    m = n if t0 is None else np.shape(t0)[1]  # the start's columns, before `_walk_plan` pads them
+    return codes[order], (offsets[order], rows, n), _pieces(_run(moves, t), order.argsort(), m)  # keys: in walk order
 
 
-def _pieces(leaves, keys: np.ndarray):
-    """`track_rows`' pieces: each stack of `leaves`, with its tracks' keys."""
+def _pieces(leaves, keys: np.ndarray, m: int):
+    """`track_rows`' pieces: each stack of `leaves`, its first m columns, with its tracks' keys."""
     for w in leaves:
-        yield w, keys[: len(w)]
+        yield w[..., :m], keys[: len(w)]
         keys = keys[len(w) :]
 
 
@@ -368,10 +377,10 @@ def _full(place: tuple, w: np.ndarray, keys) -> np.ndarray:
     return a
 
 
-def track_stack(c: QuantumCircuit, t0: Optional[np.ndarray] = None, bouts=None) -> tuple[np.ndarray, np.ndarray]:
+def track_stack(c: QuantumCircuit, t0: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """(codes, a): `track_rows`' code rows, and a[k] = A_f @ t0 (A_f when t0
     is None) for the track f of row k, each a full block."""
-    codes, place, a = _stack(c, t0, bouts)
+    codes, place, a = _stack(c, t0)
     return codes, _full(place, a, np.arange(len(a)))
 
 

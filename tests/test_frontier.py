@@ -108,11 +108,14 @@ def test_split_frontiers_walk_as_the_reference(monkeypatch):
 
 
 def test_a_general_walk_streams_its_leaves():
-    """GHZ-7 from 126 columns of I, on which no measurement settles, has 128
-    leaves of 252 KiB, 31.5 MiB in all; taken from `track_rows` and dropped
-    one stack at a time, it peaks below 8 MiB, because a frontier over
-    FRONTIER_BYTES is split and its halves walked in turn."""
+    """GHZ-7 with an X on each register after its measurement, so that no
+    measurement settles, from 126 columns of I has 128 leaves of 252 KiB,
+    31.5 MiB in all; taken from `track_rows` and dropped one stack at a
+    time, it peaks below 8 MiB, because a frontier over FRONTIER_BYTES is
+    split and its halves walked in turn."""
     c, eye = ghz_circuit(7), np.eye(128, dtype=complex)[:, :126]
+    c = QuantumCircuit(c.register_names, c.gates + tuple(unitary_gate(f"x{i}", [i], linalg.X) for i in range(7)))
+    assert not semantics._plan(c).keeps
     tracemalloc.start()
     try:
         assert sum(len(keys) for w, keys in semantics.track_rows(c, eye)[2] if w.shape[1] == 128) == 128
@@ -120,6 +123,22 @@ def test_a_general_walk_streams_its_leaves():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_a_walk_from_one_ket_keeps_settled_rows():
+    """Deferred ff-10 (11 registers) from one ket psi (x) |0...0> has 1024
+    tracks, each 2 rows of one column once its settled measurements keep
+    rows. The walk pads that column to 4, so that they settle: its stack
+    peaks below 4 MiB, where one of full blocks holds 32 MiB."""
+    d = defer_measurements(feed_forward_circuit(10)).circuit
+    t0 = linalg.basis_ket(0, d.n_registers)[:, None]
+    tracemalloc.start()
+    try:
+        _, _, a = semantics._stack(d, t0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (1024, 2, 1) and peak < 4 * 2**20
 
 
 def assert_same_shots(got, want):

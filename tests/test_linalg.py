@@ -33,7 +33,6 @@ from qcirc.linalg import (
     is_hermitian,
     is_unitary,
     mat_close,
-    operators,
     partial_trace,
     partial_trace_matrix,
     qubits,
@@ -247,7 +246,7 @@ def test_apply_matches_basis_oracle(seed, n, data):
 
 def kernel(op, regs, t, n):
     """`apply` on one operator and one 2^n x m block."""
-    return apply(operators([op], len(regs)), _axes(tuple(regs), n), t[None])[0]
+    return apply(np.array([op], complex), _axes(tuple(regs), n), t[None])[0]
 
 
 def tensordot_apply(op, regs, t, n):
@@ -307,7 +306,7 @@ def test_apply_on_descending_and_spread_registers(regs, layout):
 )
 def test_apply_error_messages(op, regs, t, message):
     """Each error of the `np.dot` kernel that `apply` replaced, from where it
-    is checked now: `embed` checks its operator (`as_matrix`, `operators`)
+    is checked now: `embed` checks its operator (`as_matrix` and its shape)
     and registers (`_axes`), and the walk the rows of the block it is given."""
     with pytest.raises(LinalgError) as e:
         if t.shape == (8, 2):
@@ -315,12 +314,6 @@ def test_apply_error_messages(op, regs, t, message):
         else:
             track_operators(QuantumCircuit(("a", "b", "c"), (unitary_gate("u", regs, op),)), t)
     assert str(e.value) == message
-
-
-def test_operators_names_the_least_wrong_shape():
-    assert operators([I2, X], 1).shape == (2, 2, 2) and operators([], 2).shape == (0, 4, 4)
-    with pytest.raises(LinalgError, match=r"^operator shape \(2, 2, 1\) does not match arity 1$"):
-        operators([I2, np.eye(4), np.ones((2, 2, 1))], 1)
 
 
 @settings(max_examples=90, deadline=None)

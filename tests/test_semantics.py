@@ -390,6 +390,13 @@ def test_schedules_equivalent_rejects_invalid_schedules(teleport):
             schedules_equivalent(teleport, greedy, bad)
 
 
+def test_track_stack_walks_the_greedy_schedule_alone(teleport):
+    """`track_stack` takes no bouts, so none go unchecked: a 2-gate prefix
+    of teleport is a TypeError, not one operator."""
+    with pytest.raises(TypeError):
+        semantics.track_stack(teleport, None, [["CNOT"], ["H"]])
+
+
 @pytest.mark.parametrize("which", ["out-of-order", "first-bout-alone"])
 def test_schedule_that_does_not_fit_is_rejected(which):
     """Every function that walks a schedule refuses one that fires a gate
