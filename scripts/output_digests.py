@@ -10,11 +10,14 @@ of the run's report, its failed job count and the deferred sizes. Two
 checkouts print the same digests exactly when every job printed the same
 bytes. A `defer-files` row per seed follows: `defer` prints only file paths,
 so its digest is the sha256 over every circuit and sidecar file that `qcirc
-defer` writes for that seed's compile corpus (`defer_files_digest`). Given
-OTHER as well, each row holds both checkouts' columns and says whether the
-digest is the same or changed. Under the table it prints each checkout's
-`src/qcirc/*.py` line count, as `wc -l` totals it. It takes about a minute
-per checkout on a 2-vCPU VM.
+defer` writes for that seed's compile corpus (`defer_files_digest`). A
+`defer-cc` row per seed does the same for the shots and denote corpora's
+circuits that hold a classically controlled measurement; it reads `refused`
+where `defer` exits non-zero on one of them. Given OTHER as well, each row
+holds both checkouts' columns and says whether the digest is the same or
+changed. Under the table it prints each checkout's `src/qcirc/*.py` line
+count, as `wc -l` totals it. It takes about a minute per checkout on a
+2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -44,30 +47,40 @@ def digest_row(root: Path, workload: str, seed: int) -> tuple:
             metrics["deferred_registers"]["value"], metrics["deferred_gates"]["value"])
 
 
-def defer_files_digest(root: Path, seed: int) -> str:
+def defer_files_digest(root: Path, seed: int, corpus: str = "compile") -> str:
     """The sha256 over the files that `qcirc defer` writes for each source of
-    `perfbench/workloads.compile_sources(seed)`, in job order: each file's
-    name and bytes. A child process runs `defer` through `cli.main` on
-    CHECKOUT's own `src` and `perfbench`, in a temporary directory."""
+    a corpus, in job order: each file's name and bytes; `refused` if `defer`
+    exits non-zero on one. The `compile` corpus is
+    `perfbench/workloads.compile_sources(seed)`; the `cc` corpus is the
+    circuits of the seed's shots jobs, then its denote jobs, that hold a
+    classically controlled measurement. A child process runs `defer` through
+    `cli.main` on CHECKOUT's own `src` and `perfbench`, in a temporary directory."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(root / d) for d in ("src", "perfbench"))}
     with tempfile.TemporaryDirectory() as work:
-        proc = subprocess.run([sys.executable, __file__, "--defer-files", str(seed)],
+        proc = subprocess.run([sys.executable, __file__, "--defer-files", corpus, str(seed)],
                               cwd=work, env=env, capture_output=True, text=True, check=True)
     return proc.stdout.strip()
 
 
-def _defer_files(seed: int) -> str:
+def _defer_files(corpus: str, seed: int) -> str:
     """`defer_files_digest` inside the child process, in the working directory."""
     from qcirc.cli import main
-    from workloads import compile_sources
+    import workloads
 
+    if corpus == "compile":
+        sources = [json.dumps(c) + "\n" for _, c in workloads.compile_sources(seed)[0]]
+    else:  # each job's circuit, as the workload wrote it
+        jobs = [job for w in ("shots", "denote") for job in workloads.build(w, seed, None)]
+        texts = [Path(job.commands[0][1]).read_text() for job in jobs]
+        cc = [any(g["kind"] == "measure" and g.get("controls") for g in json.loads(t)["gates"]) for t in texts]
+        sources = [t for t, held in zip(texts, cc) if held]
     digest = hashlib.sha256()
-    for i, (_, c) in enumerate(compile_sources(seed)[0]):
-        Path(f"c{i}.json").write_text(json.dumps(c) + "\n")
+    for i, text in enumerate(sources):
+        Path(f"c{i}.json").write_text(text)
         with contextlib.redirect_stdout(io.StringIO()):  # `defer` prints only the paths
             rc = main(["defer", f"c{i}.json", "-o", f"c{i}.out.json"])
         if rc != 0:
-            raise RuntimeError(f"defer failed on source {i}")
+            return "refused"
         for name in f"c{i}.out.json", f"c{i}.out.zeta.json":
             digest.update(name.encode() + b"\0" + Path(name).read_bytes())
     return digest.hexdigest()
@@ -80,7 +93,7 @@ def src_lines(root: Path) -> int:
 
 def main(argv: list) -> int:
     if argv[:1] == ["--defer-files"]:
-        print(_defer_files(int(argv[1])))
+        print(_defer_files(argv[1], int(argv[2])))
         return 0
     if len(argv) > 2:
         sys.exit(__doc__)
@@ -96,12 +109,13 @@ def main(argv: list) -> int:
             if len(rows) == 2:
                 cells.append("same" if rows[0][2] == rows[1][2] else "changed")
             print(f"| {workload} | {seed} | " + " | ".join(cells) + " |", flush=True)
-    for seed in SEEDS:
-        digests = [defer_files_digest(root, seed) for root in roots]
-        cells = [f"{d} | - | -" for d in digests]
-        if len(digests) == 2:
-            cells.append("same" if digests[0] == digests[1] else "changed")
-        print(f"| defer-files | {seed} | " + " | ".join(cells) + " |", flush=True)
+    for row, corpus in ("defer-files", "compile"), ("defer-cc", "cc"):
+        for seed in SEEDS:
+            digests = [defer_files_digest(root, seed, corpus) for root in roots]
+            cells = [f"{d} | - | -" for d in digests]
+            if len(digests) == 2:
+                cells.append("same" if digests[0] == digests[1] else "changed")
+            print(f"| {row} | {seed} | " + " | ".join(cells) + " |", flush=True)
     print()
     for root in roots:
         print(f"src/qcirc/*.py lines ({root}): {src_lines(root)}")

@@ -5,9 +5,12 @@
 
 A CASE is OP:TARGET[:ARG]. Four ops take a CIRCUIT, `ghz-K`, `ff-K`,
 `parity-K`, `parityh-K` (parity-K with an H after each measurement, so
-that nothing settles) or `mcx-K` (K rounds of an H, a standard measurement
+that nothing settles), `mcx-K` (K rounds of an H, a standard measurement
 and a CNOT from the measured register to register K, which commutes with
-the measurement) from `tests/corpus.py`:
+the measurement) or `adaptive-K` (a cluster chain on K + 1 registers whose
+registers 1..K-1 are each measured in the Z or X basis that the outcome
+before picks, each such classically controlled measurement deferred onto 2
+ancillas) from `tests/corpus.py`:
 - `aggregate:CIRCUIT`: `aggregate_measurement`, building the circuit in the
   call as `qcirc` would; `tracks`.
 - `defer:CIRCUIT`: `defer_measurements`, building the circuit in the call;
@@ -56,11 +59,13 @@ process's `ru_maxrss` (`maxrss_mib`) and the call's minor page faults
 `shots`) and `no_bytecode` (`sys.dont_write_bytecode`: if true, every fresh
 process compiles qcirc).
 
-Run `parity-K` with K >= 9 and `parityh-K` and `mcx-K` with K >= 8 only
-under a limit on the address space, such as `ulimit -v 6000000`: their exact
-checks hold blocks of 2^(K+1) x 2^(K+1) entries (parityh-8's needs about 4.1
-GiB; mcx-K's source, in which nothing settles, 2^K of them), and an
-allocation past the limit fails at once as a MemoryError.
+Run `parity-K` with K >= 9, `parityh-K` and `mcx-K` with K >= 8 and
+`adaptive-K` with K >= 7 only under a limit on the address space, such as
+`ulimit -v 6000000`: their exact checks hold blocks of 2^(K+1) x 2^(K+1)
+entries (parityh-8's needs about 4.1 GiB; mcx-K's source, in which nothing
+settles, 2^K of them; adaptive-K's target start I (x) |0...0> alone holds
+2^(3K-1) x 2^(K+1)), and an allocation past the limit fails at once as a
+MemoryError.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ import numpy as np  # noqa: E402
 import gen  # noqa: E402
 import workloads  # noqa: E402
 from corpus import (  # noqa: E402
+    adaptive_circuit,
     aggregate_document,
     feed_forward_circuit,
     ghz_circuit,
@@ -106,7 +112,7 @@ from qcirc.linalg import DensityOperator, basis_ket  # noqa: E402
 from qcirc.scheduling import greedy_bouts, greedy_schedule  # noqa: E402
 
 FAMILIES = {"ghz": ghz_circuit, "ff": feed_forward_circuit, "parity": parity_circuit, "parityh": parityh_circuit,
-            "mcx": mcx_circuit}
+            "mcx": mcx_circuit, "adaptive": adaptive_circuit}
 
 
 def zero(n: int) -> DensityOperator:
@@ -267,7 +273,8 @@ def case(text: str) -> tuple:
     if m is None:
         raise argparse.ArgumentTypeError(
             f"expected aggregate:CIRCUIT, check:CIRCUIT[:inputs=N], defer:CIRCUIT, shots:CIRCUIT:N (CIRCUIT one of "
-            f"ghz-K, ff-K, parity-K, parityh-K, mcx-K), parse:WORKLOAD ({', '.join(workloads.NAMES)}) or dumps:DOCUMENT ({', '.join(DOCUMENTS)}), "
+            f"ghz-K, ff-K, parity-K, parityh-K, mcx-K, adaptive-K), parse:WORKLOAD ({', '.join(workloads.NAMES)}) "
+            f"or dumps:DOCUMENT ({', '.join(DOCUMENTS)}), "
             f"got {text!r}")
     return text, op, {name: int(part or 0) if name in COUNTS else part for name, part in m.groupdict().items()}
 

@@ -162,13 +162,7 @@ def cmd_defer(args) -> int:
     if src in (out, zeta):
         args.usage_error(f"{'-o' if src == out else 'the sidecar path'} names the CIRCUIT file")
     c = _load_circuit(args.circuit)
-    try:
-        result = deferral.defer_measurements(c)
-    except deferral.ConstraintError as e:
-        return _error(
-            "classically-controlled-measurement",
-            f"cannot defer: {', '.join(e.gate_ids)}",
-        )
+    result = deferral.defer_measurements(c)
     serialize.write(serialize.circuit_to_json(result.circuit), args.output)
     sidecar = result.zeta.to_json()
     sidecar["ancillas"] = sorted(result.ancilla_registers)

@@ -1,12 +1,12 @@
 """Measurement-deferral compiler pass and faithful-simulation checker.
 
-`defer_measurements` rewrites a circuit without classically controlled
-measurements into one in which every measurement comes after every unitary,
-in one walk whose read maps spare rewriting any selector. A standard
-measurement, one whose operators are exact 0/1 projectors with one label per
-basis state (`standard_bases`), stays on its registers, and so does a
-nonstandard one that ends its registers unread; every other one, one
-standard only within rounding included, is standardized with ancillas.
+`defer_measurements` rewrites a circuit into one in which every measurement
+comes after every unitary, in one walk whose read maps spare rewriting any
+selector. A standard measurement, one whose operators are exact 0/1
+projectors with one label per basis state (`standard_bases`), stays on its
+registers, and so does a nonstandard one that ends its registers unread;
+every other one, one standard only within rounding or classically controlled
+included, is standardized with ancillas.
 A measurement stays one gate throughout, with its own id and outcome labels,
 so the commensuration maps gate ids to gate ids.
 `check_faithful` is exact by default; sampled inputs are an optional
@@ -28,6 +28,7 @@ from .circuit import (
     Diagnostic,
     QuantumCircuit,
     check_valid,
+    controlled_unitary_gate,
     measure_gate,
     standard_bases,
     topo_order,
@@ -41,28 +42,13 @@ class DeferralError(ValueError):
     pass
 
 
-class ConstraintError(DeferralError):
-    """The circuit has classically controlled measurement gates."""
-
-    def __init__(self, gate_ids: Sequence[str]):
-        self.gate_ids = tuple(gate_ids)
-        super().__init__(
-            "classically controlled measurement gates cannot be deferred: "
-            + ", ".join(gate_ids)
-        )
-
-
-# --- deferral requirement and constraint -----------------------------------
+# --- deferral requirement ---------------------------------------------------
 
 
 def red_gates(c: QuantumCircuit) -> set[str]:
     """Unitary gates with a measurement gate among their prerequisites.
     Empty iff the circuit satisfies the deferral requirement."""
     return set(c._red)
-
-
-def constraint_violations(c: QuantumCircuit) -> list[str]:
-    return [g.id for g in c.gates if g.is_measure and g.classical_sources]
 
 
 # --- commensuration ---------------------------------------------------------
@@ -193,23 +179,26 @@ def _dilation(kraus: list, dim_anc: int) -> np.ndarray:
 
 def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     """Produce a faithfully-simulating circuit in which no unitary gate has a
-    measurement gate as a prerequisite; ConstraintError for a classically
-    controlled measurement.
+    measurement gate as a prerequisite.
 
     One walk goes over `topo_order(c)`, so a gate list is deferred, byte for
     byte, as its topological order is, and decides each measurement when it
-    reaches it. A measurement is standard when `standard_bases` gives
-    each of its labels its one basis state; its read map, basis index over
-    its registers -> the label its consumers' selectors read, is read off
-    it. A standard measurement whose quantum source on every register is one
-    kept standard measurement of the same registers is a re-measurement: it
-    is dropped and read off the kept one's registers. A nonstandard one
-    that no gate follows or reads stays: its gate is kept as it is. Any
-    other measurement with k >= 2 outcomes, one standard only within
-    rounding included, becomes the unitary `<id>__u` of `_dilation` on its
-    registers and ceil(log2 k) fresh |0> ancillas, followed by a standard
-    measurement of the ancillas that keeps its id and labels; unused ancilla
-    states get the labels pad0, pad1, ... and read as the first label. A
+    reaches it. A measurement without classical sources is standard when
+    `standard_bases` gives each of its labels its one basis state; its read
+    map, basis index over its registers -> the label its consumers'
+    selectors read, is read off it. A standard measurement whose quantum
+    source on every register is one kept standard measurement of the same
+    registers is a re-measurement: it is dropped and read off the kept one's
+    registers. A nonstandard one that no gate follows or reads stays: its
+    gate is kept as it is. Any other measurement, with k >= 2 labels over
+    its options, one standard only within rounding or classically controlled
+    included, becomes a unitary `<id>__u` on its registers and ceil(log2 k)
+    fresh |0> ancillas, followed by a standard measurement of the ancillas
+    that keeps its id and labels; unused ancilla states get the labels pad0,
+    pad1, ... and read as the first label. Each option becomes the
+    `_dilation` of its operators over the sorted labels, 0 for a label it
+    lacks, and `<id>__u` keeps the gate's sources and selector, the option
+    ids as op ids, so the classical control below picks the dilation. A
     single-outcome one becomes a unitary gate and measures no register.
     These standardization ancillas are numbered in walk order, before every copy.
 
@@ -231,20 +220,21 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
     operators, the exact 0/1 projectors, with every zero written +0.0; or
     it stayed, and keeps its source gate bit for bit."""
     check_valid(c)
-    bad = constraint_violations(c)
-    if bad:
-        raise ConstraintError(bad)
     if not red_gates(c):
         return DeferralResult(c, Commensuration.identity(c), frozenset())
 
     taken, std = set(c._by_id), c.n_registers  # std: the next standardization ancilla
     bases = standard_bases(x for g in c.gates for x in g.measurements.values())
-    n = std + sum((len(x.outcomes) - 1).bit_length()  # the first copy, after every standardization ancilla
-                  for g in c.gates if c._wiring[3][g.id] for x in g.measurements.values() if bases[x] is None)
+    # dilated: a nonstandard measurement that a gate follows or reads, and every classically controlled one,
+    # whose selector, kept, could read neither a source dropped as a re-measurement nor a dilated source's pads
+    dilated = {g.id for g in c.gates if g.classical_sources and g.is_measure
+               or c._wiring[3][g.id] and any(bases[x] is None for x in g.measurements.values())}
+    # n: the first copy, after every standardization ancilla
+    n = std + sum((len(c.gate(m).outcome_labels) - 1).bit_length() for m in dilated)
     regs, read, kept, waiting, measures, unitaries = {}, {}, {}, {}, {}, []
     for g in map(c.gate, topo_order(c)):
-        m = None  # a nonstandard measurement, which waits on its ancillas once its unitary g is placed
-        if g.is_measure:
+        m = None  # a dilated measurement, which waits on its ancillas once its unitary g is placed
+        if g.is_measure and g.id not in dilated:
             (x,) = g.measurements.values()
             if bases[x] is not None:  # standard
                 s, *more = set(c.quantum_sources(g.id).values())
@@ -259,22 +249,22 @@ def defer_measurements(c: QuantumCircuit) -> DeferralResult:
                         waiting.setdefault(r, []).append(g.id)
                 read[g.id] = dict(zip(linalg.reindex(bases[x], g.registers, regs[g.id]).tolist(), x.outcomes))
                 continue
-            if not c._wiring[3][g.id]:  # no gate follows or reads it: it stays as it is
-                regs[g.id], measures[g.id] = list(g.registers), None
-            else:
-                m, labels = g.id, list(x.outcomes)
-                ell = (len(labels) - 1).bit_length()  # ceil(log2 k), 0 for a single outcome
-                pads = [_fresh_gate_id(labels, f"pad{i}") for i in range(2**ell - len(labels))]
-                regs[m], std = list(range(std, std + ell)), std + ell
-                read[m] = dict(enumerate(labels + labels[:1] * len(pads)))
-                if ell:
-                    measures[m] = {lab: np.outer(e, e) for lab, e in zip(labels + pads, np.eye(2**ell))}
-                    uid = _fresh_gate_id(taken, f"{m}__u")
-                    taken.add(uid)
-                    u = _dilation([x.operators[lab] for lab in labels], 2**ell)
-                    g = unitary_gate(uid, g.registers + tuple(regs[m]), u)
-                else:
-                    g = unitary_gate(m, g.registers, x.operators[labels[0]])
+            regs[g.id], measures[g.id] = list(g.registers), None  # no gate follows or reads it: it stays as it is
+        elif g.is_measure:
+            m, labels, zero = g.id, list(g.outcome_labels), np.zeros((2**g.arity,) * 2)
+            ell = (len(labels) - 1).bit_length()  # ceil(log2 k), 0 for a single outcome
+            pads = [_fresh_gate_id(labels, f"pad{i}") for i in range(2**ell - len(labels))]
+            regs[m], std = list(range(std, std + ell)), std + ell
+            read[m] = dict(enumerate(labels + labels[:1] * len(pads)))
+            gid, on = m, g.registers + tuple(regs[m])
+            if ell:
+                measures[m] = {lab: np.outer(e, e) for lab, e in zip(labels + pads, np.eye(2**ell))}
+                gid = _fresh_gate_id(taken, f"{m}__u")
+                taken.add(gid)
+            kraus = {k: [y.operators.get(lab, zero) for lab in labels] for k, y in g.measurements.items()}
+            ops = {k: _dilation(a, 2**ell) if ell else a[0] for k, a in kraus.items()}
+            g = (controlled_unitary_gate(gid, on, g.classical_sources, ops, g.selector) if g.classical_sources
+                 else unitary_gate(gid, on, *ops.values()))
         sources, cnots = g.classical_sources, []
         mats = [u.matrix for u in g.unitaries.values()] + [a for y in g.measurements.values() for a in y.operators.values()]
         own = {w for s in sources for w in regs[s]}  # the registers g's sources are measured on

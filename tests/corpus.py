@@ -292,6 +292,25 @@ def mcx_circuit(k):
     return QuantumCircuit(tuple(f"r{i}" for i in range(k + 1)), tuple(gates))
 
 
+def adaptive_circuit(k):
+    """Adaptive measurements on a cluster chain: H on registers 0..k, a CZ
+    between neighbours, `m0` a standard measurement of register 0, each
+    later `m<i>` (0 < i < k) a measurement of register i in the Z basis
+    (labels z0, z1) or the X basis (x0, x1) that the last bit of m<i-1>'s
+    label picks, then an X on register k classically controlled by m<k-1>."""
+    gates = [unitary_gate(f"h{i}", [i], H) for i in range(k + 1)]
+    gates += [unitary_gate(f"cz{i}", [i - 1, i], np.diag([1, 1, 1, -1])) for i in range(1, k + 1)]
+    gates.append(standard_measure_gate("m0", 0))
+    z, x = {"z0": np.diag([1.0, 0.0]), "z1": np.diag([0.0, 1.0])}, {"x0": PM_FAMILY["+"], "x1": PM_FAMILY["-"]}
+    options = {"z": Measurement("z", z), "x": Measurement("x", x)}
+    for i in range(1, k):
+        selector = {(a,): "zx"[int(a[-1])] for a in gates[-1].outcome_labels}
+        gates.append(Gate(f"m{i}", (i,), measurements=options, classical_sources=(f"m{i - 1}",), selector=selector))
+    selector = {(a,): "IX"[int(a[-1])] for a in gates[-1].outcome_labels}
+    gates.append(controlled_unitary_gate("x", [k], [f"m{k - 1}"], {"I": np.eye(2), "X": X}, selector))
+    return QuantumCircuit(tuple(f"r{i}" for i in range(k + 1)), tuple(gates))
+
+
 def aggregate_document(c, rho):
     """The document `qcirc aggregate --input` prints: each track's outcomes,
     cumulative operator (as its array) and probability on rho, in track order."""

@@ -702,9 +702,9 @@ def test_cli_defer_whose_file_cannot_be_built_truncates_nothing(tmp_path, monkey
         assert list(tmp_path.iterdir()) == []
 
 
-def test_diag_classically_controlled_measurement(tmp_path, capsys):
-    """A measurement gate controlled by an earlier outcome cannot be deferred:
-    one diagnostic naming the gate, and neither output file is written."""
+def test_defer_classically_controlled_measurement(tmp_path, capsys):
+    """A measurement gate controlled by an earlier outcome, with a unitary
+    after it, defers: both files are written and the exact check passes."""
     pick = Gate(
         "pick", (1,),
         measurements={
@@ -713,14 +713,13 @@ def test_diag_classically_controlled_measurement(tmp_path, capsys):
         },
         classical_sources=("s",), selector={("0",): "ma", ("1",): "mb"},
     )
-    circuit = tmp_path / "cc.json"
-    circuit.write_text(serialize_circuit(QuantumCircuit(("q0", "q1"), (standard_measure_gate("s", 0), pick))))
-    assert main(["defer", str(circuit), "-o", str(tmp_path / "out.json")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    diag = json.loads(captured.err)
-    assert diag["code"] == "classically-controlled-measurement" and "pick" in diag["message"]
-    assert list(tmp_path.iterdir()) == [circuit]
+    gates = (standard_measure_gate("s", 0), pick, unitary_gate("u", [1], H))
+    circuit, out, zeta = tmp_path / "cc.json", tmp_path / "out.json", tmp_path / "out.zeta.json"
+    circuit.write_text(serialize_circuit(QuantumCircuit(("q0", "q1"), gates)))
+    assert main(["defer", str(circuit), "-o", str(out)]) == 0
+    assert out_json(capsys)["red_gates"] == [] and out.exists() and zeta.exists()
+    assert main(["check-faithful", str(circuit), str(out), "--zeta", str(zeta)]) == 0
+    assert out_json(capsys)["ok"] is True
 
 
 def test_cli_transpose_path(capsys):

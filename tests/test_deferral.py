@@ -13,6 +13,7 @@ from conftest import make_teleportation
 from corpus import (
     PM_FAMILY,
     SCALE_KET,
+    adaptive_circuit,
     feed_forward_circuit,
     kraus_correction_circuit,
     mcx_circuit,
@@ -24,6 +25,7 @@ from corpus import (
 )
 from test_semantics import splitmix64_draw
 from qcirc.circuit import (
+    Gate,
     Measurement,
     QuantumCircuit,
     controlled_unitary_gate,
@@ -36,11 +38,9 @@ from qcirc.circuit import (
 )
 from qcirc.deferral import (
     Commensuration,
-    ConstraintError,
     DeferralError,
     basis_inputs,
     check_faithful,
-    constraint_violations,
     defer_measurements,
     random_pure_inputs,
     red_gates,
@@ -243,36 +243,99 @@ def test_red_gates_empty_when_measurements_last():
     assert red_gates(c) == set()
 
 
-def test_constraint_violation_detection():
-    src = standard_measure_gate("s", 0)
-    cc_measure = QuantumCircuit(
-        ("r0", "r1"),
-        (
-            src,
-            controlled_unitary_gate("g", [1], ["s"], {"u": X}, {("0",): "u", ("1",): "u"}),
-        ),
-    )
-    assert constraint_violations(cc_measure) == []
+def test_classically_controlled_measurement_defers():
+    """A measurement of r1 whose option, {a0, a1} or {b0, b1}, an earlier
+    outcome picks, followed by a unitary on r1: its two dilations over the
+    four labels form one `g__u` gate, and the target's `g` measures two
+    ancillas with the four labels."""
     m0 = Measurement("m0", {"a0": P0, "a1": P1})
     m1 = Measurement("m1", {"b0": P0, "b1": P1})
-    from qcirc.circuit import Gate
-
-    bad = QuantumCircuit(
+    c = QuantumCircuit(
         ("r0", "r1"),
         (
-            src,
-            Gate(
-                "g",
-                (1,),
-                measurements={"m0": m0, "m1": m1},
-                classical_sources=("s",),
-                selector={("0",): "m0", ("1",): "m1"},
-            ),
+            unitary_gate("h", [0], H),
+            standard_measure_gate("s", 0),
+            Gate("g", (1,), measurements={"m0": m0, "m1": m1}, classical_sources=("s",),
+                 selector={("0",): "m0", ("1",): "m1"}),
+            unitary_gate("u", [1], H),
         ),
     )
-    assert constraint_violations(bad) == ["g"]
-    with pytest.raises(ConstraintError):
-        defer_measurements(bad)
+    result = defer_measurements(c)
+    d = result.circuit
+    assert red_gates(d) == set()
+    assert check_faithful(c, d, result.zeta).ok
+    assert check_faithful(c, d, result.zeta, random_pure_inputs(2, 3, 0)).ok
+    g = d.gate("g")
+    assert g.outcome_labels == ("a0", "a1", "b0", "b1") and len(g.registers) == 2
+    assert set(g.registers) <= result.ancilla_registers
+
+
+def test_adaptive_measurement_defers_as_a_controlled_dilation():
+    """r0 measured in the standard basis, r1 in the Z or X basis that its
+    outcome picks, then an X on r2 controlled by r1's outcome: the target
+    passes the exact check and a 3-input check, and swapping the two
+    diagonal blocks of `m1__u`, the dilations that r0's outcome selects,
+    makes the exact check fail."""
+    c = adaptive_circuit(2)
+    result = defer_measurements(c)
+    d = result.circuit
+    assert red_gates(d) == set()
+    assert check_faithful(c, d, result.zeta).ok
+    assert check_faithful(c, d, result.zeta, random_pure_inputs(3, 3, 0)).ok
+    u = d.gate("m1__u")
+    assert u.registers[0] == 0  # controlled by r0, where m0 stays
+    swap = np.kron(X, np.eye(2 ** (u.arity - 1)))
+    (op,) = u.unitaries.values()
+    swapped = unitary_gate(u.id, u.registers, swap @ op.matrix @ swap)
+    bad = QuantumCircuit(d.register_names, tuple(swapped if g.id == u.id else g for g in d.gates))
+    assert not check_faithful(c, bad, result.zeta).ok
+
+
+def _cc_measure(gid, register, source, options, selector):
+    return Gate(gid, (register,), measurements={k: Measurement(k, ops) for k, ops in options.items()},
+                classical_sources=(source,), selector=selector)
+
+
+Z_BASIS, X_BASIS = {"z0": P0, "z1": P1}, {"x0": PM_FAMILY["+"], "x1": PM_FAMILY["-"]}
+
+
+def _cc_measure_case(name):
+    """A small circuit around one classically controlled measurement `g` of
+    the kind `name` gives, with a unitary after it unless nothing follows."""
+    head = [unitary_gate("h0", [0], H), unitary_gate("h1", [1], H), standard_measure_gate("s", 0)]
+    by_s = {("0",): "a", ("1",): "b"}
+    if name == "one-and-two-labels":  # 3 labels, one pad
+        gates = [_cc_measure("g", 1, "s", {"a": {"one": np.eye(2)}, "b": Z_BASIS}, by_s), unitary_gate("u", [1], H)]
+    elif name == "constant-selector":
+        gates = [_cc_measure("g", 1, "s", {"a": X_BASIS}, {("0",): "a", ("1",): "a"}), unitary_gate("u", [1], H)]
+    elif name == "on-its-source-register":  # r0 is copied before g acts on it
+        gates = [_cc_measure("g", 0, "s", {"a": Z_BASIS, "b": X_BASIS}, by_s), unitary_gate("u", [0], H)]
+    elif name == "controls-another":
+        to_g = {("z0",): "a", ("z1",): "b", ("x0",): "b", ("x1",): "a"}
+        gates = [_cc_measure("f", 1, "s", {"a": Z_BASIS, "b": X_BASIS}, by_s), unitary_gate("h2", [2], H),
+                 _cc_measure("g", 2, "f", {"a": Z_BASIS, "b": X_BASIS}, to_g), unitary_gate("u", [2], H)]
+    elif name == "kraus-option":
+        kraus = random_kraus_family(np.random.default_rng(0), 2, 3)
+        options = {"a": {f"k{j}": a for j, a in enumerate(kraus)}, "b": Z_BASIS}
+        gates = [_cc_measure("g", 1, "s", options, by_s), unitary_gate("u", [1], H)]
+    elif name == "absorbed-source":  # s has one outcome, so is a unitary, and g__u keeps the option it picks
+        head[2] = measure_gate("s", [0], {"only": X})
+        gates = [_cc_measure("g", 1, "s", {"a": Z_BASIS, "b": X_BASIS}, {("only",): "b"}), unitary_gate("u", [1], H)]
+    else:  # nothing follows g; a unitary after s makes the pass run
+        gates = [_cc_measure("g", 1, "s", {"a": Z_BASIS, "b": X_BASIS}, by_s), unitary_gate("u", [0], H)]
+    return QuantumCircuit(("r0", "r1", "r2"), tuple(head + gates))
+
+
+@pytest.mark.parametrize("name", ["one-and-two-labels", "constant-selector", "on-its-source-register",
+                                  "controls-another", "kraus-option", "absorbed-source", "nothing-follows"])
+def test_classically_controlled_measurement_cases_defer_faithfully(name):
+    c = _cc_measure_case(name)
+    assert validate_circuit(c) == []
+    result = defer_measurements(c)
+    d = result.circuit
+    assert red_gates(d) == set()
+    assert check_faithful(c, d, result.zeta).ok
+    assert check_faithful(c, d, result.zeta, random_pure_inputs(3, 3, 0)).ok
 
 
 # --- commensuration ---------------------------------------------------------
@@ -994,11 +1057,11 @@ def block_diagonal_variant(c, rng):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_circuits_with_block_diagonal_gates_defer_faithfully(seed, deferrable):
-    """Random circuits without classically controlled measurements, some of
+    """Random circuits, some with classically controlled measurements, some of
     whose two-register gates are block-diagonal on one register: the target
     has no red gates and passes the exact check and a check on 3 random inputs."""
     rng = np.random.default_rng(seed)
-    c = random_deferrable_circuit(rng, 4, 8) if deferrable else random_circuit(rng, 4, 8, allow_cc_measure=False)
+    c = random_deferrable_circuit(rng, 4, 8) if deferrable else random_circuit(rng, 4, 8, allow_cc_measure=True)
     c = block_diagonal_variant(c, rng)
     assert validate_circuit(c) == []
     result = defer_measurements(c)
